@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError, SolverError
-from .lp import LinearProgram, solve_lp
+from .lp import IncidenceOperator, LinearProgram, LpSolution, solve_lp
 
 DEFAULT_SUPPORT_CAP = 10**6
 
@@ -299,8 +299,7 @@ def sample_extremal(
         )
     if not np.all(np.isfinite(cost)):
         raise InputError("cost vector must be finite")
-    value, q, _basis = poly.maximize(cost)
-    del value
+    _value, q, _sol = poly.maximize(cost)
     return JointDistribution(np.maximum(q, 0.0))
 
 
@@ -325,17 +324,29 @@ def check_consistency(
 
 class FrechetPolytope:
     """The polytope Q of joint probability vectors consistent with the block
-    marginals, as a rank-full equality system over R^K.
+    marginals, as a rank-full equality system ``matrix @ q = rhs`` over R^K.
 
-    Rows: for each block r one row per distinct atom value except the last,
-    plus a single total-mass row. The dropped per-block rows are implied by
-    the kept ones, which keeps the system nonsingular for the simplex.
+    Rows: a single total-mass row, then for each block r one row per
+    distinct atom value except the last. The dropped per-block rows are
+    implied by the kept ones, which keeps the system nonsingular for the
+    simplex.
 
-    Immutable after construction; safe to share across threads.
+    ``matrix`` is an `IncidenceOperator`: every column holds R+1 ones (the
+    mass row and one row per block, the sentinel for a block's last class),
+    so the polytope keeps an (R+1, K) array of row ids, never the dense
+    matrix; ``np.asarray(matrix)`` builds that for oracles. The Charnes-Cooper
+    ratio system borders this operator with one dense row and column and
+    shares its ids. Basis factorizations travel with the callers'
+    `LpSolution` objects (see `maximize`), never with the polytope.
+
+    Holds the instance's partition and marginals but not the instance, so a
+    cached polytope does not keep its instance alive. Immutable after
+    construction; safe to share across threads.
     """
 
     def __init__(self, inst: Instance, cap: int = DEFAULT_SUPPORT_CAP):
-        self.instance = inst
+        self.partition = inst.partition
+        self.marginals = inst.marginals
         self.n_atoms = _check_cap(inst, cap)
         dims = tuple(m.n_atoms for m in inst.marginals)
         self.dims = dims
@@ -363,18 +374,20 @@ class FrechetPolytope:
             atom_idx = (np.arange(k) // trailing) % kr
             self.block_class.append(self.class_of[r][atom_idx])
 
-        rows, rhs = [np.ones((1, k))], [1.0]
+        # Row 0 is the total mass; block r owns one row per value class but
+        # its last, whose atoms point at the sentinel row id m.
+        m = 1 + sum(p.size - 1 for p in self.class_probs)
+        ids = np.zeros((inst.n_blocks + 1, k), dtype=np.intp)
+        rhs = [1.0]
+        offset = 1
         for r in range(inst.n_blocks):
             c_r = self.class_probs[r].size
-            if c_r > 1:
-                block_rows = (
-                    self.block_class[r][None, :] == np.arange(c_r - 1)[:, None]
-                ).astype(float)
-                rows.append(block_rows)
-                rhs.extend(self.class_probs[r][: c_r - 1])
-        self.matrix = np.vstack(rows)
+            cls = self.block_class[r]
+            ids[r + 1] = np.where(cls == c_r - 1, m, offset + cls)
+            rhs.extend(self.class_probs[r][: c_r - 1])
+            offset += c_r - 1
+        self.matrix = IncidenceOperator(ids, m)
         self.rhs = np.asarray(rhs, dtype=float)
-        self.matrix.setflags(write=False)
         self.rhs.setflags(write=False)
         self.crash_basis = self._northwest_basis()
 
@@ -423,23 +436,25 @@ class FrechetPolytope:
         )
 
     def maximize(
-        self, cost: np.ndarray, start_basis: Sequence[int] | None = None
-    ) -> tuple[float, np.ndarray, tuple[int, ...]]:
-        """max cost @ q over the polytope; returns (value, vertex, basis)."""
-        sol = solve_lp(self.lp(cost), start_basis or self.crash_basis)
+        self, cost: np.ndarray, start: Sequence[int] | LpSolution | None = None
+    ) -> tuple[float, np.ndarray, LpSolution]:
+        """max cost @ q over the polytope; returns (value, vertex, solution).
+        Pass the solution back as `start` to warm-start the next objective
+        from its basis and reuse its factorization."""
+        sol = solve_lp(self.lp(cost), start or self.crash_basis)
         if sol.status != "optimal":
             raise SolverError(
                 f"consistency polytope LP reported {sol.status!r}; "
                 "the polytope is nonempty and bounded, so this is an internal error"
             )
-        return float(sol.objective_value), sol.x, sol.basis
+        return float(sol.objective_value), sol.x, sol
 
     def coalition_block_values(self, mask: int) -> list[np.ndarray]:
         """Per block r, aggregate demand of S cap N_r at each value class."""
         out = []
-        for r, block in enumerate(self.instance.partition):
+        for r, block in enumerate(self.partition):
             cols = [j for j, i in enumerate(block) if mask >> i & 1]
-            atoms = self.instance.marginals[r].atoms
+            atoms = self.marginals[r].atoms
             if cols:
                 vals = atoms[:, cols].sum(axis=1)[self.class_reps[r]]
             else:
@@ -462,6 +477,10 @@ _POLYTOPES: "weakref.WeakKeyDictionary[Instance, FrechetPolytope]" = (
 
 
 def get_polytope(inst: Instance, cap: int = DEFAULT_SUPPORT_CAP) -> FrechetPolytope:
+    """The consistency polytope of `inst`, built once per instance and
+    freed with it. Raises CapacityError when the joint support exceeds
+    `cap`, whether or not the polytope is already built."""
+    _check_cap(inst, cap)
     poly = _POLYTOPES.get(inst)
     if poly is None:
         poly = FrechetPolytope(inst, cap)

@@ -16,6 +16,7 @@ from .distributions import (
     get_polytope,
 )
 from .errors import GameInvalidError, InputError, SolverError
+from .lp import LpSolution
 
 _QUANTILE_EPS = 1e-12
 
@@ -138,14 +139,15 @@ def worst_case_shortage(inst: Instance, y: float, s) -> float:
     return max(value, 0.0)
 
 
-def min_grand_profit(inst: Instance, y: float, start_basis=None) -> tuple[float, np.ndarray, tuple[int, ...]]:
+def min_grand_profit(inst: Instance, y: float, start=None) -> tuple[float, np.ndarray, LpSolution]:
     """min over consistent joints of the grand-coalition profit at order y,
-    with the attaining vertex and its LP basis (for warm restarts)."""
+    with the attaining vertex and its LP solution (pass it back as `start`
+    for a warm restart)."""
     poly = get_polytope(inst)
     objective = np.maximum(y - poly.coalition_demands(inst.grand_mask), 0.0)
-    shortage, q, basis = poly.maximize(objective, start_basis)
+    shortage, q, sol = poly.maximize(objective, start)
     value = (inst.price - inst.cost) * y - inst.price * max(shortage, 0.0)
-    return value, q, basis
+    return value, q, sol
 
 
 def lemma3_condition(inst: Instance) -> bool:
@@ -167,11 +169,11 @@ def grand_action_interval(inst: Instance, y_tol: float = 1e-6) -> tuple[float, f
     (up to the tolerance).
     """
     wc = worst_case_order(inst, inst.grand_mask)
-    basis = None
+    start = None
 
     def g(y: float) -> float:
-        nonlocal basis
-        value, _q, basis = min_grand_profit(inst, y, basis)
+        nonlocal start
+        value, _q, start = min_grand_profit(inst, y, start)
         return value
 
     y_peak = wc.y_star

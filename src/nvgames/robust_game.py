@@ -21,7 +21,10 @@ minimum grand profit.
 
 A per-instance solver keeps warm LP bases: the consistency polytope never
 changes, and a basis optimal for one (gamma, y) pair remains feasible for
-the next, so repeated solves cost a handful of pivots each.
+the next, so repeated solves cost a handful of pivots each. It keeps each
+coalition's last ratio-LP solution, which at an unchanged y also lends its
+basis factorization to the next solve. The ratio system at y is the
+polytope's incidence operator with one dense border row and column.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .distributions import (
     independent_joint,
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
+from .lp import LinearProgram, LpSolution
 from .newsvendor import grand_action_interval, worst_case_order
 
 CORE_EPS_TOL = 1e-9
@@ -92,8 +96,9 @@ class VmaxTable:
 class RobustGameSolver:
     """Worst-case ratio machinery for one instance.
 
-    Holds warm-start LP bases, so it is cheap to evaluate tables at many
-    order quantities; not safe to share across threads.
+    Holds warm-start LP solutions (bases and their factorizations), so it is
+    cheap to evaluate tables at many order quantities; not safe to share
+    across threads.
     """
 
     def __init__(self, inst: Instance, cap: int = DEFAULT_SUPPORT_CAP):
@@ -104,8 +109,8 @@ class RobustGameSolver:
         self.n = inst.n_retailers
         self.d_grand = self.poly.coalition_demands(inst.grand_mask)
         self.grand_wc = worst_case_order(inst, inst.grand_mask)
-        self._den_basis: tuple[int, ...] | None = None
-        self._cc_basis: dict[int, tuple[int, ...]] = {}
+        self._den_start: LpSolution | None = None
+        self._cc_start: dict[int, LpSolution] = {}
         self._den_cache: dict[float, tuple[float, np.ndarray]] = {}
         self._coalition_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self._single_block_value: dict[int, tuple[float, float]] = {}
@@ -123,8 +128,7 @@ class RobustGameSolver:
         if hit is not None:
             return hit
         objective = np.maximum(y - self.d_grand, 0.0)
-        shortage, q, basis = self.poly.maximize(objective, self._den_basis)
-        self._den_basis = basis
+        shortage, q, self._den_start = self.poly.maximize(objective, self._den_start)
         value = (self.p - self.c) * y - self.p * max(shortage, 0.0)
         self._den_cache[y] = (value, q)
         return value, q
@@ -164,20 +168,19 @@ class RobustGameSolver:
     # -- the ratio LP ------------------------------------------------------
 
     def _cc_program(self, y: float):
+        """The ratio system [[A, -rhs], [-p (y - d_N)^+, (p-c) y]] as the
+        polytope's operator with a border; no dense copy is made."""
         if self._cc_lp is not None and self._cc_lp_y == y:
             return self._cc_lp
-        from .lp import LinearProgram
-
         poly = self.poly
-        mq, k = poly.n_rows, poly.n_atoms
-        a = np.empty((mq + 1, k + 1))
-        a[:mq, :k] = poly.matrix
-        a[:mq, k] = -poly.rhs
-        a[mq, :k] = -self.p * np.maximum(y - self.d_grand, 0.0)
-        a[mq, k] = (self.p - self.c) * y
-        b = np.zeros(mq + 1)
-        b[mq] = 1.0
-        self._cc_lp = LinearProgram("max", np.zeros(k + 1), a_eq=a, b_eq=b)
+        a = poly.matrix.bordered(
+            row=-self.p * np.maximum(y - self.d_grand, 0.0),
+            col=-poly.rhs,
+            corner=(self.p - self.c) * y,
+        )
+        b = np.zeros(poly.n_rows + 1)
+        b[-1] = 1.0
+        self._cc_lp = LinearProgram("max", np.zeros(poly.n_atoms + 1), a_eq=a, b_eq=b)
         self._cc_lp_y = y
         return self._cc_lp
 
@@ -191,13 +194,13 @@ class RobustGameSolver:
         obj = np.empty(k + 1)
         obj[:k] = -self.p * np.maximum(gamma - d_s, 0.0)
         obj[k] = (self.p - self.c) * gamma
-        start = self._cc_basis.get(mask) or (self.poly.crash_basis + (k,))
+        start = self._cc_start.get(mask) or (self.poly.crash_basis + (k,))
         sol = solve_lp(lp.with_objective(obj), start)
         if sol.status != "optimal":
             raise SolverError(
                 f"ratio LP for coalition {mask:#x} at gamma={gamma} reported {sol.status!r}"
             )
-        self._cc_basis[mask] = sol.basis
+        self._cc_start[mask] = sol
         theta = sol.x[k]
         if theta <= 1e-300:
             raise SolverError("ratio LP returned theta = 0, which is infeasible")

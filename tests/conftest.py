@@ -6,6 +6,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Same examples on every run, no per-example timing: tier-1 stays
+    # reproducible on slow or loaded machines.
+    settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+    settings.load_profile("tier1")
+
 from nvgames.distributions import DiscreteMarginal, Instance
 from nvgames.stress import ExperimentConfig, gen_instance
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from nvgames.distributions import (
 )
 from nvgames.errors import CapacityError, InputError
 from nvgames.lp import solve_lp
+from nvgames.robust_game import RobustGameSolver
 
 from conftest import random_instance
 from oracles import enumerate_vertices
@@ -259,6 +263,23 @@ class TestPolytope:
     def test_polytope_cached_per_instance(self):
         inst = random_instance(6)
         assert get_polytope(inst) is get_polytope(inst)
+
+    def test_cap_checked_when_already_cached(self):
+        inst = random_instance(7)  # 2 x 2 blocks: 4 joint atoms
+        get_polytope(inst)
+        with pytest.raises(CapacityError):
+            get_polytope(inst, cap=3)
+        with pytest.raises(CapacityError):
+            RobustGameSolver(inst, cap=3)
+        with pytest.raises(CapacityError):
+            sample_extremal(inst, np.zeros(inst.joint_size()), cap=3)
+
+    def test_polytope_freed_with_its_instance(self):
+        inst = random_instance(8)
+        poly = weakref.ref(get_polytope(inst))
+        del inst
+        gc.collect()
+        assert poly() is None
 
 
 class TestInstanceFiles:

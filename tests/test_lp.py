@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from nvgames.errors import InputError
+from nvgames import lp as lp_module
+from nvgames.distributions import FrechetPolytope
+from nvgames.errors import InputError, SolverError
 from nvgames.lp import FEAS_TOL, LinearProgram, solve_lp
 
+from conftest import random_instance
 from oracles import dual_objective_offset, oracle_solve_lp, standard_form_dual
 
 
@@ -102,6 +105,12 @@ class TestOptimalInvariants:
             finite = np.isfinite(lp.lower_bounds)
             assert np.all(x[finite] >= lp.lower_bounds[finite] - 1e-10)
             assert abs(sol.objective_value - float(lp.objective @ x)) <= 1e-8
+            # The duals price the shifted right-hand sides (strong duality).
+            shift = np.where(finite, lp.lower_bounds, 0.0)
+            rows = np.vstack([lp.a_eq, lp.a_ub])
+            rhs = np.concatenate([lp.b_eq, lp.b_ub]) - rows @ shift
+            dual_value = sol.duals @ rhs + lp.objective @ shift
+            assert abs(sol.objective_value - dual_value) <= 1e-8
         assert checked > 40
 
     def test_against_brute_force(self):
@@ -206,3 +215,46 @@ class TestDeterminismAndStability:
         s1, s2 = solve_lp(lp), solve_lp(lp2)
         assert s1.x == pytest.approx([1.0, 0.0])
         assert s2.x == pytest.approx([0.0, 1.0])
+
+
+class TestCertificate:
+    def test_forged_nonoptimal_basis_is_rejected(self, monkeypatch):
+        # A simplex that stops at once "optimal" at the start basis {x2}:
+        # feasible, but x1 is cheaper, so its reduced cost is -1.
+        def stop(self, c_work):
+            self.y = self._basic_cost(c_work) @ self.b_inv
+            return "optimal"
+
+        monkeypatch.setattr(lp_module._Simplex, "_run", stop)
+        lp = LinearProgram("min", [1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(SolverError, match="reduced cost"):
+            solve_lp(lp, start_basis=[1])
+
+
+class TestFactorizationReuse:
+    def test_reuse_is_bit_identical_and_skips_the_inverse(self, monkeypatch):
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or inv(a))
+        poly = FrechetPolytope(random_instance(9, n=4, block_sizes=(2, 2), atoms_per_block=(4, 3)))
+        rng = np.random.default_rng(9)
+        first = solve_lp(poly.lp(rng.uniform(-1, 1, poly.n_atoms)), poly.crash_basis)
+        assert first.factor is not None
+        lp2 = poly.lp(rng.uniform(-1, 1, poly.n_atoms))
+
+        del inverses[:]
+        fresh = solve_lp(lp2, first.basis)
+        refactored = len(inverses)
+        del inverses[:]
+        reused = solve_lp(lp2, first)
+        assert len(inverses) == refactored - 1
+        assert np.array_equal(reused.x, fresh.x)
+        assert np.array_equal(reused.duals, fresh.duals)
+        assert reused.basis == fresh.basis
+
+        # A factorization of another operator object is never borrowed.
+        other = FrechetPolytope(random_instance(9, n=4, block_sizes=(2, 2), atoms_per_block=(4, 3)))
+        del inverses[:]
+        again = solve_lp(other.lp(lp2.objective), first)
+        assert len(inverses) == refactored
+        assert np.array_equal(again.x, fresh.x)

@@ -1,0 +1,86 @@
+"""Property tests of the constraint operators against their dense forms."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+from nvgames import lp as lp_module
+from nvgames.distributions import DiscreteMarginal, FrechetPolytope, Instance
+from nvgames.lp import LinearProgram, solve_lp
+
+
+@st.composite
+def instances(draw) -> Instance:
+    """R in {1, 2, 3} blocks of up to 4 atoms from a tiny grid (so atoms
+    repeat) with integer weights that may be zero."""
+    partition, marginals, start = [], [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        dim = draw(st.integers(1, 2))
+        k = draw(st.integers(1, 4))
+        atoms = draw(st.lists(st.lists(st.integers(0, 2), min_size=dim, max_size=dim),
+                              min_size=k, max_size=k))
+        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                       .filter(lambda w: sum(w) > 0))
+        marginals.append(DiscreteMarginal(np.array(atoms, dtype=float),
+                                          np.array(weights, dtype=float) / sum(weights)))
+        partition.append(tuple(range(start, start + dim)))
+        start += dim
+    return Instance(2.0, 1.0, tuple(partition), tuple(marginals))
+
+
+def gather_polytope(inst: Instance) -> FrechetPolytope:
+    # Small operators switch to dense products; build this one to gather.
+    with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
+        return FrechetPolytope(inst)
+
+
+def bordered(poly: FrechetPolytope, rng: np.random.Generator):
+    """A Charnes-Cooper-like border: nonpositive row above -1/2 and corner
+    1, so the ratio system is feasible and bounded."""
+    with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
+        return poly.matrix.bordered(rng.uniform(-0.5, 0.0, poly.n_atoms), -poly.rhs, 1.0)
+
+
+def reference_matrix(poly: FrechetPolytope) -> np.ndarray:
+    """The consistency rows written out: total mass, then one indicator row
+    per value class of each block except its last."""
+    rows = [np.ones(poly.n_atoms)]
+    for r, probs in enumerate(poly.class_probs):
+        rows += [(poly.block_class[r] == c).astype(float) for c in range(probs.size - 1)]
+    return np.vstack(rows)
+
+
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_incidence_operator_equals_its_dense_form(inst, seed):
+    rng = np.random.default_rng(seed)
+    poly = gather_polytope(inst)
+    assert np.array_equal(np.asarray(poly.matrix), reference_matrix(poly))
+    for op in (poly.matrix, bordered(poly, rng)):
+        dense = np.asarray(op)
+        m, n = op.shape
+        assert dense.shape == (m, n)
+        y, x = rng.normal(size=m), rng.normal(size=n)
+        np.testing.assert_allclose(op.rmatvec(y), y @ dense, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(op.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+        ids = rng.integers(0, n, int(rng.integers(1, 2 * n + 1)))
+        assert np.array_equal(op.columns(ids), dense[:, ids])
+        assert np.array_equal(op.columns(int(ids[0])), dense[:, ids[0]])
+
+
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_solve_on_operator_matches_dense_solve(inst, seed):
+    rng = np.random.default_rng(seed)
+    poly = gather_polytope(inst)
+    cc = bordered(poly, rng)
+    b_cc = np.zeros(cc.shape[0])
+    b_cc[-1] = 1.0
+    for a, b in ((poly.matrix, poly.rhs), (cc, b_cc)):
+        cost = rng.uniform(-1.0, 1.0, a.shape[1])
+        structured = solve_lp(LinearProgram("max", cost, a_eq=a, b_eq=b))
+        dense = solve_lp(LinearProgram("max", cost, a_eq=np.asarray(a), b_eq=b))
+        assert structured.status == dense.status == "optimal"
+        assert abs(structured.objective_value - dense.objective_value) <= 1e-9

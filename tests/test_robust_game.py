@@ -271,3 +271,56 @@ class TestTheoremConsistency:
                 assert z_d <= 1e-7
             else:
                 assert z_d > 1e-9
+
+
+class TestAgainstHighs:
+    """Ratio LPs and sigma at K = 20x20 and 30x30, beyond the brute-force
+    oracle, against scipy's HiGHS on the dense Charnes-Cooper system."""
+
+    @pytest.mark.parametrize("k", [20, 30])
+    def test_vmax_and_sigma(self, k):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        inst = random_instance(k, n=3, block_sizes=(2, 1), atoms_per_block=(k, k), support=(1, 60))
+        solver = RobustGameSolver(inst)
+        y = solver.grand_wc.y_star
+        table = solver.table(y)
+        p, c = inst.price, inst.cost
+        poly = solver.poly
+
+        # Minimum grand profit: maximize the grand shortage over the polytope.
+        shortage = linprog(-np.maximum(y - solver.d_grand, 0.0),
+                           A_eq=np.asarray(poly.matrix), b_eq=poly.rhs, method="highs")
+        vmin = (p - c) * y + p * shortage.fun
+        assert table.min_grand_profit == pytest.approx(vmin, abs=1e-9)
+
+        cc = np.asarray(solver._cc_program(y).a_eq)
+        b_cc = np.zeros(cc.shape[0])
+        b_cc[-1] = 1.0
+        expect = {}
+        for mask in range(1, inst.grand_mask):
+            if len(solver._blocks_met(mask)) == 1:
+                expect[mask] = solver._block_value(mask)[1] / vmin
+                continue
+            d_s, gammas, mean = solver._coalition_data(mask)
+            # Gammas whose Jensen bound cannot reach the reported optimum
+            # cannot attain it either; HiGHS solves every other one.
+            bound = np.maximum((p - c) * gammas - p * np.maximum(gammas - mean, 0.0), 0.0) / vmin
+            best = -np.inf
+            for gamma in gammas[bound > table.value(mask) - 1e-9]:
+                obj = np.r_[-p * np.maximum(gamma - d_s, 0.0), (p - c) * gamma]
+                res = linprog(-obj, A_eq=cc, b_eq=b_cc, method="highs")
+                assert res.status == 0
+                best = max(best, -res.fun)
+            expect[mask] = best
+        for mask, value in expect.items():
+            assert table.value(mask) == pytest.approx(value, abs=1e-8)
+
+        # sigma(y): min eps s.t. x(S) + eps >= v(S), x(N) = 1, x and eps free.
+        masks = sorted(expect)
+        rows = np.array([[mask >> i & 1 for i in range(inst.n_retailers)] for mask in masks], float)
+        res = linprog(np.r_[np.zeros(inst.n_retailers), 1.0],
+                      A_ub=-np.hstack([rows, np.ones((len(masks), 1))]),
+                      b_ub=-np.array([expect[m] for m in masks]),
+                      A_eq=np.r_[np.ones(inst.n_retailers), 0.0][None, :], b_eq=[1.0],
+                      bounds=[(None, None)] * (inst.n_retailers + 1), method="highs")
+        assert solver.sigma(y)[0] == pytest.approx(res.fun, abs=1e-8)
