@@ -195,16 +195,24 @@ class JointDistribution:
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         if q.ndim != 1:
             raise InputError("q must be a vector")
-        if np.any(q < -1e-12):
-            raise InputError("q must be nonnegative")
-        total = float(np.sum(q))
-        if abs(total - 1.0) > 1e-10:
-            raise InputError(f"q sums to {total!r}, expected 1 within 1e-10")
+        check_probability_rows(q)
         object.__setattr__(self, "q", q)
 
     @property
     def n_atoms(self) -> int:
         return self.q.size
+
+
+def check_probability_rows(q: np.ndarray) -> None:
+    """Raise InputError unless `q`, one probability vector or a matrix of
+    them as rows, is nonnegative within 1e-12 and each of its rows sums to 1
+    within 1e-10."""
+    if np.any(q < -1e-12):
+        raise InputError("q must be nonnegative")
+    totals = np.atleast_1d(np.sum(q, axis=-1))
+    off = np.flatnonzero(np.abs(totals - 1.0) > 1e-10)
+    if off.size:
+        raise InputError(f"q sums to {float(totals[off[0]])!r}, expected 1 within 1e-10")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ zero duality gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -278,8 +278,21 @@ class LinearProgram:
         return self.objective.size
 
     def with_objective(self, objective) -> "LinearProgram":
-        """Same constraints (shared by reference), new objective vector."""
-        return replace(self, objective=np.asarray(objective, dtype=float))
+        """Same constraints (shared by reference), new objective vector.
+
+        Only the objective is checked: the constraints were validated when
+        this program was built and are never mutated, so they are not
+        validated again."""
+        c = np.atleast_1d(np.asarray(objective, dtype=float))
+        if c.shape != self.objective.shape:
+            raise InputError(
+                f"objective has shape {c.shape}, expected {self.objective.shape}"
+            )
+        if not np.all(np.isfinite(c)):
+            raise InputError("objective must be finite")
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, objective=c)
+        return out
 
 
 class _Factor:

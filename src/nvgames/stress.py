@@ -8,6 +8,16 @@ ratio of S's achievable profit to the grand profit at y. Coalitions inside a
 single block order their known-distribution quantile; coalitions spanning
 blocks order optimally for the realized q.
 
+Per instance the experiment builds a pool of extremal vertices (random-cost
+vertices, then the worst-case ratio witnesses), keeps the first 256 that lie
+farther than 1e-10 in max norm from every vector kept before them, and
+mixes each with the independent joint at every lambda. The mixtures of one
+lambda are evaluated as one matrix: samples under which either decision's
+grand profit is nonpositive are screened out and counted as degenerate, the
+coalition profits of the rest are computed once (they do not depend on the
+decision), and each decision's excesses come from one stacked pass over
+them. Every value equals the one-joint formula bit for bit.
+
 Everything is reproducible from the config seed: instance generation,
 extremal sampling, and the (instance, lambda) aggregation order.
 """
@@ -26,7 +36,7 @@ from .distributions import (
     DiscreteMarginal,
     Instance,
     JointDistribution,
-    contaminate,
+    check_probability_rows,
     get_polytope,
     independent_joint,
     sample_extremal,
@@ -185,8 +195,40 @@ def _solve_robust(
     return decision, solver
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i, as one stacked matmul: numpy computes
+    each row with the same BLAS dot as a 1-D `a[i] @ b[i]`, so the values
+    are bit-identical to the per-row products (an einsum, an elementwise
+    product summed, or a matrix-vector product can differ in the last bit)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+@dataclass(frozen=True, eq=False)
+class JointStack:
+    """Joints as the rows of `q` (read-only, rows x atoms) with `profits`
+    (rows x coalitions): each nonempty proper coalition's profit at its
+    best order under each row, in `ExcessEvaluator` coalition order.
+    Neither depends on a decision, so one stack serves every decision."""
+
+    evaluator: "ExcessEvaluator"
+    q: np.ndarray
+    profits: np.ndarray
+
+
 class ExcessEvaluator:
-    """Excess values of decisions under many joints on one instance."""
+    """Excess values of decisions under many joints on one instance.
+
+    The per-coalition data that no joint changes is fixed once here: each
+    coalition's demand per atom, the pinned quantile order of a coalition
+    inside one block, and the demand sort order of a coalition spanning
+    blocks. `stack` then evaluates all coalitions for a whole matrix of
+    joints at once, and `excess` turns a stack into one excess per row for
+    a decision. Every per-row dot product runs as the same BLAS dot as the
+    scalar formula, so a stacked value equals the one-joint value bit for
+    bit. The excess is undefined under a joint where the decision's grand
+    profit is nonpositive; `excess` raises DomainError on such a row, so a
+    caller with many joints screens them first with `grand_profit`.
+    """
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -206,37 +248,85 @@ class ExcessEvaluator:
             else:
                 order = np.argsort(d_s, kind="stable")
                 self._masks.append((mask, d_s, order, None))
+        coalitions = np.array([m[0] for m in self._masks], dtype=np.int64)
+        # _members[i] selects the coalitions that contain retailer i.
+        self._members = [((coalitions >> i) & 1).astype(bool) for i in range(inst.n_retailers)]
 
-    def excess(self, q: JointDistribution | np.ndarray, decision: Decision) -> float:
-        qv = q.q if isinstance(q, JointDistribution) else np.asarray(q, dtype=float)
-        p, c = self.p, self.c
-        den = (p - c) * decision.y - p * float(
-            np.maximum(decision.y - self.d_grand, 0.0) @ qv
-        )
-        if den <= 0.0:
-            raise DomainError(
-                f"grand profit {den} is nonpositive under the realized joint; "
-                "excess is undefined"
+    def stack(self, q: np.ndarray) -> JointStack:
+        """Every coalition's best profit under every row of `q` (one joint,
+        or a matrix of joints as rows).
+
+        A coalition inside one block orders its known-marginal quantile. A
+        coalition spanning blocks orders the smallest demand, in its sorted
+        order, whose cumulative probability reaches the critical ratio less
+        1e-12: the count of cumulative sums below that level."""
+        qs = np.array(q, dtype=float, order="C", ndmin=2)
+        if qs.ndim != 2 or qs.shape[1] != self.poly.n_atoms:
+            raise InputError(
+                f"joints have shape {np.shape(q)}, expected rows of {self.poly.n_atoms} atoms"
             )
-        z = decision.z
-        n = z.size
-        zsum = np.zeros(1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            zsum[mask] = zsum[mask ^ low] + z[low.bit_length() - 1]
-        worst = 0.0
-        for mask, d_s, order, y_fixed in self._masks:
+        qs.setflags(write=False)
+        p, c = self.p, self.c
+        level = self.ratio - 1e-12
+        profits = np.empty((qs.shape[0], len(self._masks)))
+        for j, (_mask, d_s, order, y_fixed) in enumerate(self._masks):
             if y_fixed is None:
-                sv = d_s[order]
-                cdf = np.cumsum(qv[order])
-                idx = int(np.searchsorted(cdf, self.ratio - 1e-12, side="left"))
-                idx = min(idx, sv.size - 1)
-                y_s = float(sv[idx])
+                below = np.count_nonzero(np.cumsum(qs[:, order], axis=1) < level, axis=1)
+                y_s = d_s[order][np.minimum(below, d_s.size - 1)]
+                short = np.maximum(y_s[:, None] - d_s, 0.0)
             else:
                 y_s = y_fixed
-            numer = (p - c) * y_s - p * float(np.maximum(y_s - d_s, 0.0) @ qv)
-            worst = max(worst, numer / den - float(zsum[mask]))
-        return max(worst, 0.0)
+                short = np.broadcast_to(np.maximum(y_s - d_s, 0.0), qs.shape)
+            profits[:, j] = (p - c) * y_s - p * _row_dots(short, qs)
+        profits.setflags(write=False)
+        return JointStack(self, qs, profits)
+
+    def grand_profit(self, q: np.ndarray, decision: Decision) -> np.ndarray:
+        """The grand coalition's realized profit at order `decision.y` under
+        each row of `q` (a matrix of joints as rows)."""
+        shortfall = np.maximum(decision.y - self.d_grand, 0.0)
+        return (self.p - self.c) * decision.y - self.p * _row_dots(
+            np.broadcast_to(shortfall, q.shape), q
+        )
+
+    def excess(
+        self, q: JointDistribution | np.ndarray | JointStack, decision: Decision
+    ) -> float | np.ndarray:
+        """Largest positive coalition dissatisfaction of `decision` under a
+        joint `q`.
+
+        One joint (a `JointDistribution` or a 1-D vector) gives a float. A
+        matrix of joints as rows, or a `JointStack` of them, gives one
+        excess per row. Raises DomainError when the grand profit is
+        nonpositive under any of the joints: the excess is undefined there."""
+        if isinstance(q, JointStack):
+            if q.evaluator is not self:
+                raise InputError("joint stack was built for another instance")
+            stack, single = q, False
+        else:
+            qv = q.q if isinstance(q, JointDistribution) else q
+            stack, single = self.stack(qv), np.ndim(qv) == 1
+        den = self.grand_profit(stack.q, decision)
+        bad = np.flatnonzero(den <= 0.0)
+        if bad.size:
+            raise DomainError(
+                f"grand profit {den[bad[0]]} is nonpositive under the realized joint"
+                f"{'' if single else f' in row {bad[0]}'}; excess is undefined"
+            )
+        with np.errstate(over="ignore"):  # a tiny positive grand profit gives inf, as in float math
+            ratios = stack.profits / den[:, None]
+        worst = np.max(ratios - self._zsum(decision.z), axis=1, initial=0.0)
+        out = np.where(worst > 0.0, worst, 0.0)
+        return float(out[0]) if single else out
+
+    def _zsum(self, z: np.ndarray) -> np.ndarray:
+        """z(S) for every coalition S, in coalition order, summed from the
+        highest member down to the lowest: the order of the one-joint
+        reference in the tests, so each z(S) is the same float."""
+        zsum = np.zeros(len(self._masks))
+        for i in reversed(range(len(self._members))):
+            zsum[self._members[i]] += z[i]
+        return zsum
 
 
 def excess(inst: Instance, q: JointDistribution, decision: Decision) -> float:
@@ -251,12 +341,23 @@ def excess(inst: Instance, q: JointDistribution, decision: Decision) -> float:
 
 
 def _dedupe_pool(pool: Sequence[np.ndarray], cap: int = WITNESS_POOL_CAP) -> list[np.ndarray]:
+    """The first `cap` vectors of `pool` that lie farther than 1e-10 (max
+    norm) from every vector kept before them, in pool order. The rule is
+    not transitive (of a ~ b ~ c with a !~ c, the pool a, b, c keeps a and
+    c), so it is applied one candidate at a time, against all kept rows at
+    once."""
     kept: list[np.ndarray] = []
+    if not pool:
+        return kept
+    rows = np.empty((min(cap, len(pool)), np.size(pool[0])))
     for q in pool:
-        if len(kept) >= cap:
+        n = len(kept)
+        if n >= cap:
             break
-        if not any(np.max(np.abs(q - other)) <= 1e-10 for other in kept):
-            kept.append(q)
+        if np.any(np.max(np.abs(rows[:n] - q), axis=1) <= 1e-10):
+            continue
+        rows[n] = q
+        kept.append(q)
     return kept
 
 
@@ -276,34 +377,37 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int, float | None]) -
     pool = _dedupe_pool(pool)
     if not pool:
         pool = [q_ind.q]
+    ext = np.array(pool)
+    check_probability_rows(ext)
 
     evaluator = ExcessEvaluator(inst)
     rows = []
     for lam in cfg.lambda_grid:
-        rob_vals, det_vals, degenerate = [], [], 0
-        for q_ext in pool:
-            mixed = contaminate(q_ind, JointDistribution(q_ext), lam)
-            try:
-                e_rob = evaluator.excess(mixed, robust)
-                e_det = evaluator.excess(mixed, det)
-            except DomainError:
-                degenerate += 1
-                continue
-            rob_vals.append(e_rob)
-            det_vals.append(e_det)
-        if not rob_vals:
+        # Elementwise the same mixture as `contaminate`, for all samples.
+        mixed = (1.0 - lam) * q_ind.q + lam * ext
+        check_probability_rows(mixed)
+        # A sample is degenerate when either decision's grand profit is
+        # nonpositive under it; the excess is undefined there.
+        admissible = (evaluator.grand_profit(mixed, robust) > 0.0) & (
+            evaluator.grand_profit(mixed, det) > 0.0
+        )
+        if not admissible.any():
             raise SolverError(
                 f"instance {instance_id}: every sample at lambda={lam} was degenerate"
             )
+        degenerate = int(np.count_nonzero(~admissible))
+        stack = evaluator.stack(mixed[admissible])
+        rob_vals = evaluator.excess(stack, robust)
+        det_vals = evaluator.excess(stack, det)
         rows.append(
             ExcessRow(
                 instance_id=instance_id,
                 lam=lam,
-                rob_max=float(max(rob_vals)),
-                rob_min=float(min(rob_vals)),
+                rob_max=float(np.max(rob_vals)),
+                rob_min=float(np.min(rob_vals)),
                 rob_mean=float(np.mean(rob_vals)),
-                det_max=float(max(det_vals)),
-                det_min=float(min(det_vals)),
+                det_max=float(np.max(det_vals)),
+                det_min=float(np.min(det_vals)),
                 det_mean=float(np.mean(det_vals)),
                 degenerate_count=degenerate,
             )

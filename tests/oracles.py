@@ -140,3 +140,42 @@ def brute_force_vmax(inst, y: float, mask: int, tol=1e-9):
                 continue
             best = max(best, float(numer_coeff @ q) / den)
     return best
+
+
+def scalar_excess(evaluator, q, decision) -> float:
+    """Excess of `decision` under one joint `q`, one coalition at a time: the
+    per-joint loop the stacked `ExcessEvaluator.excess` replaced, kept as its
+    bit-for-bit reference."""
+    from nvgames.distributions import JointDistribution
+    from nvgames.errors import DomainError
+
+    qv = q.q if isinstance(q, JointDistribution) else np.asarray(q, dtype=float)
+    p, c = evaluator.p, evaluator.c
+    den = (p - c) * decision.y - p * float(
+        np.maximum(decision.y - evaluator.d_grand, 0.0) @ qv
+    )
+    if den <= 0.0:
+        raise DomainError(
+            f"grand profit {den} is nonpositive under the realized joint; "
+            "excess is undefined"
+        )
+    z = decision.z
+    n = z.size
+    zsum = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        zsum[mask] = zsum[mask ^ low] + z[low.bit_length() - 1]
+    worst = 0.0
+    for mask, d_s, order, y_fixed in evaluator._masks:
+        if y_fixed is None:
+            sv = d_s[order]
+            cdf = np.cumsum(qv[order])
+            idx = int(np.searchsorted(cdf, evaluator.ratio - 1e-12, side="left"))
+            idx = min(idx, sv.size - 1)
+            y_s = float(sv[idx])
+        else:
+            y_s = y_fixed
+        numer = (p - c) * y_s - p * float(np.maximum(y_s - d_s, 0.0) @ qv)
+        worst = max(worst, numer / den - float(zsum[mask]))
+    return max(worst, 0.0)
+

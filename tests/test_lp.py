@@ -211,10 +211,19 @@ class TestDeterminismAndStability:
     def test_with_objective_shares_constraints(self):
         lp = LinearProgram("max", [1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
         lp2 = lp.with_objective([0.0, 1.0])
-        assert lp2.a_ub is lp.a_ub
+        for name in ("a_eq", "b_eq", "a_ub", "b_ub", "lower_bounds"):
+            assert getattr(lp2, name) is getattr(lp, name)
+        assert list(lp.objective) == [1.0, 0.0]
         s1, s2 = solve_lp(lp), solve_lp(lp2)
         assert s1.x == pytest.approx([1.0, 0.0])
         assert s2.x == pytest.approx([0.0, 1.0])
+
+    @pytest.mark.parametrize("objective", [[0.0, np.inf], [np.nan, 1.0], [1.0], [1.0, 2.0, 3.0],
+                                           [[1.0, 2.0]]])
+    def test_with_objective_checks_the_new_objective(self, objective):
+        lp = LinearProgram("max", [1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
+        with pytest.raises(InputError):
+            lp.with_objective(objective)
 
 
 class TestCertificate:

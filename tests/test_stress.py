@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nvgames import stress
 from nvgames.distributions import (
     DiscreteMarginal,
     Instance,
@@ -9,7 +12,7 @@ from nvgames.distributions import (
     sample_extremal,
 )
 from nvgames.errors import DomainError, InputError
-from nvgames.robust_game import Decision, robust_core
+from nvgames.robust_game import Decision, RobustGameSolver, robust_core
 from nvgames.stress import (
     CSV_HEADER,
     ExcessEvaluator,
@@ -23,6 +26,9 @@ from nvgames.stress import (
 )
 
 from conftest import make_example1
+from oracles import scalar_excess
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "stress_small.csv"
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
@@ -211,3 +217,120 @@ class TestRunStress:
         assert row[0] == "0"
         for cell in row[2:8]:
             assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 9
+
+    def test_csv_matches_golden_file(self, tmp_path):
+        # Written by the per-joint excess loop before the stacked kernel
+        # replaced it; every cell must survive the change bit for bit.
+        run_stress(small_cfg(), csv_path=tmp_path / "o.csv")
+        assert (tmp_path / "o.csv").read_bytes() == GOLDEN_CSV.read_bytes()
+
+    def test_degenerate_samples_are_screened_and_counted(self, monkeypatch):
+        # Orders far above the optimal ones make the grand profit
+        # nonpositive under some pool samples but not others, with more
+        # such samples for the deterministic decision than for the robust
+        # one: a sample is dropped and counted when either decision's grand
+        # profit is nonpositive, and the rest match the per-joint oracle.
+        cfg = small_cfg(atoms_per_block=(3, 3), num_extremal=30, lambda_grid=(0.5, 1.0), price=1.1)
+        job = (cfg, 0, 7, 8, None)
+        pools = []
+
+        def capture(pool):
+            pools.append(dedupe(pool))
+            return pools[-1]
+
+        dedupe = stress._dedupe_pool
+        monkeypatch.setattr(stress, "_dedupe_pool", capture)
+        stress._instance_rows(job)
+        inst = gen_instance(cfg, 7)
+        evaluator = ExcessEvaluator(inst)
+        q_ind = independent_joint(inst).q
+        ext = np.array(pools[0])
+        robust, _ = stress._solve_robust(inst)
+        det = stress._deterministic_decision(inst)
+
+        def bad_rows(y):
+            mixed = (1.0 - cfg.lambda_grid[-1]) * q_ind + cfg.lambda_grid[-1] * ext
+            decision = Decision(y, robust.z)
+            return int(np.count_nonzero(evaluator.grand_profit(mixed, decision) <= 0.0))
+
+        ys = np.linspace(robust.y, 3.0 * float(np.max(evaluator.d_grand)), 400)
+        partial = [(n, y) for n, y in ((bad_rows(y), y) for y in ys) if 0 < n < len(ext)]
+        (n_rob, y_rob), (n_det, y_det) = partial[0], partial[-1]
+        assert n_rob < n_det
+        robust, det = Decision(y_rob, robust.z), Decision(y_det, det.z)
+        monkeypatch.setattr(
+            stress, "_solve_robust", lambda inst, y_tol=None: (robust, RobustGameSolver(inst))
+        )
+        monkeypatch.setattr(stress, "_deterministic_decision", lambda inst: det)
+        monkeypatch.setattr(stress, "_dedupe_pool", lambda pool: pools[0])
+        rows = stress._instance_rows(job)
+
+        assert sum(r.degenerate_count for r in rows) > 0
+        for lam, row in zip(cfg.lambda_grid, rows):
+            rob_vals, det_vals, degenerate = [], [], 0
+            for q_ext in ext:
+                q = (1.0 - lam) * q_ind + lam * q_ext
+                try:
+                    e_rob = scalar_excess(evaluator, q, robust)
+                    e_det = scalar_excess(evaluator, q, det)
+                except DomainError:
+                    degenerate += 1
+                    continue
+                rob_vals.append(e_rob)
+                det_vals.append(e_det)
+            assert row.degenerate_count == degenerate
+            assert (row.rob_max, row.rob_min, row.rob_mean) == (
+                max(rob_vals), min(rob_vals), float(np.mean(rob_vals)))
+            assert (row.det_max, row.det_min, row.det_mean) == (
+                max(det_vals), min(det_vals), float(np.mean(det_vals)))
+
+
+def quadratic_dedupe_pool(pool, cap):
+    """The pairwise dedupe `_dedupe_pool` replaced, kept as its reference."""
+    kept = []
+    for q in pool:
+        if len(kept) >= cap:
+            break
+        if not any(np.max(np.abs(q - other)) <= 1e-10 for other in kept):
+            kept.append(q)
+    return kept
+
+
+class TestDedupePool:
+    @staticmethod
+    def assert_same(pool, cap):
+        got = stress._dedupe_pool(pool, cap)
+        want = quadratic_dedupe_pool(pool, cap)
+        assert [id(q) for q in got] == [id(q) for q in want]
+        return got
+
+    def test_exact_duplicates(self):
+        a, b = np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5])
+        pool = [a, a.copy(), b, a.copy(), b.copy()]
+        assert len(self.assert_same(pool, 8)) == 2
+
+    def test_near_duplicates_merge_within_1e_10_only(self):
+        a = np.array([0.25, 0.75])
+        pool = [a, a + [0.5e-10, -0.5e-10], a + [2e-10, -2e-10]]
+        kept = self.assert_same(pool, 8)
+        assert [id(q) for q in kept] == [id(pool[0]), id(pool[2])]
+
+    def test_non_transitive_chain(self):
+        # a ~ b and b ~ c but a !~ c: b is merged into a, and c is kept.
+        a = np.array([0.5, 0.5])
+        pool = [a, a + [0.8e-10, -0.8e-10], a + [1.6e-10, -1.6e-10]]
+        kept = self.assert_same(pool, 8)
+        assert [id(q) for q in kept] == [id(pool[0]), id(pool[2])]
+        # Starting from b, both neighbours merge into it.
+        assert len(self.assert_same(pool[1:] + pool[:1], 8)) == 1
+
+    def test_cap_stops_the_pool(self):
+        rng = np.random.default_rng(3)
+        pool = [rng.dirichlet(np.ones(5)) for _ in range(40)]
+        pool += [pool[3].copy(), pool[7] + 1e-11]
+        rng.shuffle(pool)
+        assert len(self.assert_same(pool, 16)) == 16
+        assert len(self.assert_same(pool, 64)) == 40
+
+    def test_empty_pool(self):
+        assert self.assert_same([], 8) == []
