@@ -398,6 +398,11 @@ class FrechetPolytope:
         self.rhs = np.asarray(rhs, dtype=float)
         self.rhs.setflags(write=False)
         self.crash_basis = self._northwest_basis()
+        # Every objective over the polytope derives from this one program,
+        # so all of them share one standard form.
+        self._program = LinearProgram(
+            "max", np.zeros(k), a_eq=self.matrix, b_eq=self.rhs
+        )
 
     @property
     def n_rows(self) -> int:
@@ -438,10 +443,9 @@ class FrechetPolytope:
             worst = max(worst, float(np.max(np.abs(got - self.class_probs[r]))))
         return worst
 
-    def lp(self, objective: np.ndarray, sense: str = "max") -> LinearProgram:
-        return LinearProgram(
-            sense=sense, objective=objective, a_eq=self.matrix, b_eq=self.rhs
-        )
+    def lp(self, objective: np.ndarray) -> LinearProgram:
+        """max objective @ q over the polytope."""
+        return self._program.with_objective(objective)
 
     def maximize(
         self, cost: np.ndarray, start: Sequence[int] | LpSolution | None = None

@@ -2,10 +2,16 @@
 vertex (basic feasible) solutions.
 
 Two-phase revised simplex with an explicitly maintained basis inverse.
-Dantzig pricing by default; after 2*(m+n) consecutive degenerate pivots the
-solver permanently switches to Bland's rule for the remainder of the solve,
-which guarantees termination. Free variables are handled internally by
+Dantzig pricing by default; after `_BLAND_AFTER` consecutive degenerate
+pivots the solver switches to Bland's rule for the rest of the phase, which
+guarantees termination. Free variables are handled internally by
 splitting, finite lower bounds by shifting.
+
+A `LinearProgram` builds the objective-independent standard form of its
+constraints once (split and slack columns, shifted right-hand side, rows
+with a negative right-hand side flipped), and every `with_objective` copy
+shares it, so a solve only builds its cost vector. This is what keeps the
+thousands of small ratio LPs over one system cheap.
 
 The simplex reaches the constraint matrix only through an operator with a
 ``shape``, the pricing product ``rmatvec(y) = y @ A``, the column gather
@@ -49,6 +55,10 @@ OPT_TOL = 1e-9
 
 _REFACTOR_EVERY = 100
 _MAX_PIVOTS = 500_000
+# Consecutive degenerate pivots before Bland's rule takes over. The longest
+# degenerate run seen on the paper's example 1 at K=200 and on the stress
+# experiment is 37, so Dantzig pricing decides every pivot there.
+_BLAND_AFTER = 50
 
 # Incidence operators up to this many matrix entries keep a dense copy (at
 # most 256 KB) and use dense products. Small products are dominated by call
@@ -236,7 +246,8 @@ class LinearProgram:
     ``lower_bounds`` defaults to 0 for every variable; use ``-np.inf`` to mark
     a variable as free. The constraint matrices are dense arrays or
     operators (`DenseOperator`, `IncidenceOperator`); they are held by
-    reference and never mutated.
+    reference and never mutated. The standard form of the constraints is
+    built here, once, and shared by every `with_objective` copy.
     """
 
     sense: str
@@ -272,13 +283,15 @@ class LinearProgram:
             if np.any(np.isposinf(lb)) or np.any(np.isnan(lb)):
                 raise InputError("lower_bounds must be finite or -inf")
         object.__setattr__(self, "lower_bounds", lb)
+        object.__setattr__(self, "_std", _Standardized(self))
 
     @property
     def n_vars(self) -> int:
         return self.objective.size
 
     def with_objective(self, objective) -> "LinearProgram":
-        """Same constraints (shared by reference), new objective vector.
+        """Same constraints and standard form (shared by reference), new
+        objective vector.
 
         Only the objective is checked: the constraints were validated when
         this program was built and are never mutated, so they are not
@@ -288,7 +301,7 @@ class LinearProgram:
             raise InputError(
                 f"objective has shape {c.shape}, expected {self.objective.shape}"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise InputError("objective must be finite")
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__, objective=c)
@@ -329,9 +342,21 @@ class LpSolution:
 
 
 class _Standardized:
-    """Internal standard form: min c @ z, A z = b, z >= 0."""
+    """The objective-independent standard form of a program's constraints:
+    A z = b, z >= 0, with b >= 0.
 
-    __slots__ = ("a", "b", "c", "n_orig", "free_idx", "n_split", "n_slack", "shift")
+    Columns: the variables shifted by their finite lower bounds, then the
+    negative parts of free variables, then one slack per ub row. Rows: the
+    equality rows, then the ub rows, each negated where its shifted
+    right-hand side was negative (``row_sign``). ``a`` is the caller's
+    operator itself when no column is added and no row flipped. Read-only
+    after construction; only `cost` depends on the objective.
+    """
+
+    __slots__ = (
+        "a", "b", "m", "n", "row_sign", "row_ids", "n_orig", "free_idx", "n_split",
+        "n_slack", "shift", "bounded", "lb_bounded",
+    )
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
@@ -341,6 +366,9 @@ class _Standardized:
         self.n_orig = n
         self.n_split = self.free_idx.size
         self.n_slack = lp.a_ub.shape[0]
+        # Variables with a finite lower bound: a slice (a view) when all are.
+        self.bounded = np.flatnonzero(~free) if self.n_split else slice(None)
+        self.lb_bounded = lb[self.bounded]
 
         shift = np.where(free, 0.0, lb)
         self.shift = shift
@@ -366,53 +394,70 @@ class _Standardized:
             slack_block[m_eq + np.arange(self.n_slack), np.arange(self.n_slack)] = 1.0
             extra.append(slack_block)
         if extra:
-            self.a = DenseOperator(np.hstack([np.asarray(rows)] + extra))
+            a = DenseOperator(np.hstack([np.asarray(rows)] + extra))
         else:
             # Without split or slack columns the caller's operator is the system.
-            self.a = rows if isinstance(rows, _OPERATORS) else DenseOperator(rows)
-        self.b = np.asarray(rhs, dtype=float)
+            a = rows if isinstance(rows, _OPERATORS) else DenseOperator(rows)
 
+        b = np.array(rhs, dtype=float)  # a copy: the caller's vectors stay as given
+        neg = b < 0
+        self.row_sign = np.where(neg, -1.0, 1.0)
+        if neg.any():
+            # Never mutate the caller's matrix: copy once, flip rows.
+            flipped = np.array(a, dtype=float, copy=True)
+            flipped[neg] *= -1.0
+            a = DenseOperator(flipped)
+            b[neg] *= -1.0
+        b.setflags(write=False)
+        self.a = a
+        self.b = b
+        self.m, self.n = a.shape
+        self.row_ids = np.arange(self.m)
+        self.row_ids.setflags(write=False)
+
+    def cost(self, lp: LinearProgram) -> np.ndarray:
+        """The standard-form cost vector of `lp`'s objective (minimized)."""
         c = lp.objective if lp.sense == "min" else -lp.objective
-        self.c = np.concatenate([
+        if not (self.n_split or self.n_slack):
+            return c
+        return np.concatenate([
             c,
             -c[self.free_idx] if self.n_split else np.zeros(0),
             np.zeros(self.n_slack),
         ])
 
     def recover_x(self, z: np.ndarray) -> np.ndarray:
-        x = z[: self.n_orig].copy()
+        x = z[: self.n_orig]
         if self.n_split:
+            x = x.copy()
             x[self.free_idx] -= z[self.n_orig : self.n_orig + self.n_split]
         return x + self.shift
 
 
 class _Simplex:
-    """Revised simplex on min c@z, A z = b, z >= 0 (b made nonnegative here).
+    """Revised simplex on a `_Standardized` system min c@z, A z = b, z >= 0.
 
     Artificial columns are implicit unit vectors with ids >= n; they never
     reenter the basis and are pivoted out (or their redundant rows dropped)
-    before phase 2, so a returned basis only contains real columns.
-    ``row_ids``/``row_sign`` map the working rows back to the caller's.
+    before phase 2, so a phase-2 basis, and so a returned one, only contains
+    real columns. ``row_ids`` maps the working rows back to the system's.
     """
 
-    def __init__(self, a, b: np.ndarray, c: np.ndarray):
-        self.a = a
-        self.b = np.array(b, dtype=float, copy=True)
+    __slots__ = (
+        "a", "b", "c", "m", "n", "row_ids", "basis", "b_inv", "x_b", "y",
+        "iterations", "_phase", "_bland", "_degen_run", "_since_refactor",
+    )
+
+    def __init__(self, std: _Standardized, c: np.ndarray):
+        self.a = std.a
+        self.b = std.b
         self.c = c
-        neg = self.b < 0
-        self.row_sign = np.where(neg, -1.0, 1.0)
-        if np.any(neg):
-            # Never mutate the caller's matrix: copy once, flip rows.
-            flipped = np.array(a, dtype=float, copy=True)
-            flipped[neg] *= -1.0
-            self.a = DenseOperator(flipped)
-            self.b[neg] *= -1.0
-        self.m, self.n = self.a.shape
-        self.row_ids = np.arange(self.m)
-        self.basis = np.empty(0, dtype=np.int64)
-        self.b_inv = np.eye(self.m)
-        self.x_b = np.zeros(self.m)
-        self.y = np.zeros(self.m)
+        self.m, self.n = std.m, std.n
+        self.row_ids = std.row_ids
+        self.basis = None
+        self.b_inv = None
+        self.x_b = None
+        self.y = None
         self.iterations = 0
         self._phase = 2
         self._bland = False
@@ -423,7 +468,7 @@ class _Simplex:
 
     def refactor(self) -> bool:
         real = self.basis < self.n
-        if np.all(real):
+        if real.all():
             bm = self.a.columns(self.basis)
         else:
             bm = np.zeros((self.m, self.m))
@@ -434,19 +479,15 @@ class _Simplex:
             self.b_inv = np.linalg.inv(bm)
         except np.linalg.LinAlgError:
             return False
-        if not np.all(np.isfinite(self.b_inv)):
+        if not np.isfinite(self.b_inv).all():
             return False
         self.x_b = self.b_inv @ self.b
         self._since_refactor = 0
         return True
 
-    def set_basis(self, basis: np.ndarray, factor: _Factor | None = None) -> bool:
-        self.basis = np.asarray(basis, dtype=np.int64).copy()
-        if (
-            factor is not None
-            and factor.op is self.a
-            and factor.basis == tuple(self.basis.tolist())
-        ):
+    def set_basis(self, basis: tuple[int, ...], factor: _Factor | None = None) -> bool:
+        self.basis = np.array(basis, dtype=np.int64)
+        if factor is not None and factor.op is self.a and factor.basis == basis:
             # Same operator, same basis, fresh inverse: refactoring would
             # recompute these very numbers.
             self.b_inv = factor.b_inv
@@ -463,13 +504,15 @@ class _Simplex:
         return _Factor(self.a, basis, self.b_inv)
 
     def _pivot(self, row: int, j_enter: int, d: np.ndarray, step: float) -> None:
-        self.x_b -= step * d
-        self.x_b[row] = step
-        if not self.b_inv.flags.writeable:
-            self.b_inv = self.b_inv.copy()  # a reused factorization is shared
-        piv_row = self.b_inv[row] / d[row]
-        self.b_inv -= np.outer(d, piv_row)
-        self.b_inv[row] = piv_row
+        x_b = self.x_b
+        x_b -= step * d
+        x_b[row] = step
+        b_inv = self.b_inv
+        if not b_inv.flags.writeable:
+            b_inv = self.b_inv = b_inv.copy()  # a reused factorization is shared
+        piv_row = b_inv[row] / d[row]
+        b_inv -= d[:, None] * piv_row
+        b_inv[row] = piv_row
         self.basis[row] = j_enter
         self.iterations += 1
         self._since_refactor += 1
@@ -478,7 +521,7 @@ class _Simplex:
                 raise SolverError("basis refactorization failed")
         if step <= PIVOT_TOL:
             self._degen_run += 1
-            if self._degen_run > 2 * (self.m + self.n):
+            if self._degen_run >= _BLAND_AFTER:
                 self._bland = True
         else:
             self._degen_run = 0
@@ -486,48 +529,51 @@ class _Simplex:
     # -- simplex iterations ---------------------------------------------------
 
     def _basic_cost(self, c_work: np.ndarray) -> np.ndarray:
-        # Implicit artificials (ids >= n) cost 1 in phase 1, 0 otherwise.
+        if self._phase == 2:
+            return c_work[self.basis]
+        # Implicit artificials (ids >= n) cost 1 in phase 1.
         cb = np.zeros(self.m)
         real = self.basis < self.n
         cb[real] = c_work[self.basis[real]]
-        if self._phase == 1:
-            cb[~real] = 1.0
+        cb[~real] = 1.0
         return cb
 
     def _ratio_test(self, d: np.ndarray) -> int:
         ok = d > PIVOT_TOL
-        if not np.any(ok):
+        if not ok.any():
             return -1
         ratios = np.where(ok, np.maximum(self.x_b, 0.0) / np.where(ok, d, 1.0), np.inf)
-        best = np.min(ratios)
-        ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
+        ties = (ratios <= ratios.min() + PIVOT_TOL).nonzero()[0]
+        if ties.size == 1:
+            return int(ties[0])
         if self._bland:
-            return int(ties[np.argmin(self.basis[ties])])
-        return int(ties[np.argmax(d[ties])])
+            return int(ties[self.basis[ties].argmin()])
+        return int(ties[d[ties].argmax()])
 
     def _run(self, c_work: np.ndarray) -> str:
         """Minimize c_work from the current feasible basis; on optimality
         ``self.y`` holds the duals c_B B^-1."""
-        n = self.n
+        a = self.a
         while True:
             if self.iterations > _MAX_PIVOTS:
                 raise SolverError("pivot limit exceeded")
-            cb = self._basic_cost(c_work)
-            y = cb @ self.b_inv
-            r = c_work - self.a.rmatvec(y)
-            r[self.basis[self.basis < n]] = np.inf  # basics must not reenter
+            basis = self.basis
+            y = self._basic_cost(c_work) @ self.b_inv
+            r = c_work - a.rmatvec(y)
+            # Basics must not reenter.
+            r[basis if self._phase == 2 else basis[basis < self.n]] = np.inf
             if self._bland:
-                improving = np.flatnonzero(r < -OPT_TOL)
+                improving = (r < -OPT_TOL).nonzero()[0]
                 if improving.size == 0:
                     self.y = y
                     return "optimal"
                 j = int(improving[0])
             else:
-                j = int(np.argmin(r))
+                j = int(r.argmin())
                 if r[j] >= -OPT_TOL:
                     self.y = y
                     return "optimal"
-            d = self.b_inv @ self.a.columns(j)
+            d = self.b_inv @ a.columns(j)
             row = self._ratio_test(d)
             if row < 0:
                 return "unbounded"
@@ -539,18 +585,16 @@ class _Simplex:
     ) -> str:
         m, n = self.m, self.n
         if m == 0:
-            self._phase = 2
+            self.basis = np.empty(0, dtype=np.int64)
+            self.b_inv = np.eye(0)
+            self.x_b = np.zeros(0)
             return self._run(self.c)
 
         started = False
         if start_basis is not None and len(start_basis) == m:
-            sb = np.asarray(start_basis, dtype=np.int64)
-            if np.all(sb >= 0) and np.all(sb < n) and np.unique(sb).size == m:
-                if (
-                    self.set_basis(sb, factor)
-                    and self.x_b.size
-                    and np.min(self.x_b) >= -FEAS_TOL
-                ):
+            sb = tuple(start_basis)  # the same object for a tuple basis
+            if min(sb) >= 0 and max(sb) < n and len(set(sb)) == m:
+                if self.set_basis(sb, factor) and self.x_b.min() >= -FEAS_TOL:
                     np.maximum(self.x_b, 0.0, out=self.x_b)
                     started = True
         if not started:
@@ -563,7 +607,7 @@ class _Simplex:
             status = self._run(np.zeros(n))
             if status != "optimal":
                 raise SolverError(f"phase 1 ended with status {status!r}")
-            if float(np.sum(self.x_b[self.basis >= n])) > FEAS_TOL:
+            if float(self.x_b[self.basis >= n].sum()) > FEAS_TOL:
                 return "infeasible"
             self._evict_artificials()
 
@@ -622,20 +666,23 @@ def solve_lp(
     factor = None
     if isinstance(start_basis, LpSolution):
         factor, start_basis = start_basis.factor, start_basis.basis
-    std = _Standardized(lp)
-    sx = _Simplex(std.a, std.b, std.c)
+    std = lp._std
+    sx = _Simplex(std, std.cost(lp))
     status = sx.solve(start_basis, factor)
     if status != "optimal":
         return LpSolution(status=status, iterations=sx.iterations)
 
-    z = np.zeros(std.a.shape[1])
+    z = np.zeros(std.n)
     z[sx.basis] = np.maximum(sx.x_b, 0.0)
     x = std.recover_x(z)
     # Duals of the standard-form rows: undo the row flips, zero dropped rows.
-    y = np.zeros(std.a.shape[0])
-    y[sx.row_ids] = sx.y * sx.row_sign[sx.row_ids]
+    y = sx.y * std.row_sign[sx.row_ids]
+    if sx.m < std.m:
+        y_all = np.zeros(std.m)
+        y_all[sx.row_ids] = y
+        y = y_all
     _check_solution(lp, x)
-    _check_certificate(std, z, y)
+    _check_certificate(std, sx.c, z, y)
     basis = tuple(sx.basis.tolist())
     return LpSolution(
         status="optimal",
@@ -651,32 +698,35 @@ def solve_lp(
 def _check_solution(lp: LinearProgram, x: np.ndarray) -> None:
     """Raise SolverError if the claimed optimum is not tolerance-feasible."""
     if lp.a_eq.shape[0]:
-        res = np.max(np.abs(lp.a_eq @ x - lp.b_eq))
+        res = np.abs(lp.a_eq @ x - lp.b_eq).max()
         if res > 100 * FEAS_TOL:
             raise SolverError(f"equality residual {res:.3e} exceeds tolerance")
     if lp.a_ub.shape[0]:
-        res = np.max(lp.a_ub @ x - lp.b_ub)
+        res = (lp.a_ub @ x - lp.b_ub).max()
         if res > 100 * FEAS_TOL:
             raise SolverError(f"inequality violation {res:.3e} exceeds tolerance")
-    lb = lp.lower_bounds
-    finite = np.isfinite(lb)
-    if np.any(finite):
-        res = np.max(lb[finite] - x[finite])
+    std = lp._std
+    if std.lb_bounded.size:
+        res = (std.lb_bounded - x[std.bounded]).max()
         if res > 100 * FEAS_TOL:
             raise SolverError(f"bound violation {res:.3e} exceeds tolerance")
 
 
-def _check_certificate(std: _Standardized, z: np.ndarray, y: np.ndarray) -> None:
+def _check_certificate(std: _Standardized, c: np.ndarray, z: np.ndarray, y: np.ndarray) -> None:
     """Raise SolverError unless the duals `y` certify `z` optimal for the
-    standard form: every reduced cost c - A'y is at least -OPT_TOL (the
-    simplex's own optimality test) and c'z equals b'y up to the primal
-    tolerance scaled by the dual magnitudes."""
-    worst = (std.c - std.a.rmatvec(y)).min()
+    standard form with cost `c`: every reduced cost c - A'y is at least
+    -OPT_TOL (the simplex's own optimality test) and c'z equals b'y up to the
+    primal tolerance scaled by the dual magnitudes.
+
+    `std` holds the rows flipped by ``row_sign``; flipping a row and its dual
+    together leaves every product, and so both tests, unchanged."""
+    y = y * std.row_sign
+    worst = (c - std.a.rmatvec(y)).min()
     if worst < -OPT_TOL:
         raise SolverError(
             f"reduced cost {worst:.3e} is below -{OPT_TOL:g}; the basis is not optimal"
         )
-    gap = abs(std.c @ z - std.b @ y)
-    tol = 100 * FEAS_TOL * max(1.0, np.abs(std.b) @ np.abs(y))
+    gap = abs(c @ z - std.b @ y)
+    tol = 100 * FEAS_TOL * max(1.0, std.b @ np.abs(y))  # b >= 0 here
     if gap > tol:
         raise SolverError(f"duality gap {gap:.3e} exceeds tolerance {tol:.3e}")

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lp
 from .coop import build_deterministic_game, core_membership, solve_stability_lp
 from .distributions import (
     DEFAULT_SUPPORT_CAP,
@@ -43,7 +44,7 @@ from .distributions import (
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
 from .lp import LinearProgram, LpSolution
-from .newsvendor import grand_action_interval, worst_case_order
+from .newsvendor import grand_action_interval, min_grand_profit, worst_case_order
 
 CORE_EPS_TOL = 1e-9
 GOLDEN_MAX_ITERS = 200
@@ -127,9 +128,7 @@ class RobustGameSolver:
         hit = self._den_cache.get(y)
         if hit is not None:
             return hit
-        objective = np.maximum(y - self.d_grand, 0.0)
-        shortage, q, self._den_start = self.poly.maximize(objective, self._den_start)
-        value = (self.p - self.c) * y - self.p * max(shortage, 0.0)
+        value, q, self._den_start = min_grand_profit(self.inst, y, self._den_start)
         self._den_cache[y] = (value, q)
         return value, q
 
@@ -187,15 +186,15 @@ class RobustGameSolver:
     def _solve_ratio(self, y: float, mask: int, gamma: float, d_s: np.ndarray) -> tuple[float, np.ndarray]:
         """max over consistent q of profit(gamma, S) / grand profit(y) via
         the ratio-to-linear LP; returns (value, attaining q)."""
-        from .lp import solve_lp
-
-        lp = self._cc_program(y)
+        program = self._cc_program(y)
         k = self.poly.n_atoms
         obj = np.empty(k + 1)
         obj[:k] = -self.p * np.maximum(gamma - d_s, 0.0)
         obj[k] = (self.p - self.c) * gamma
         start = self._cc_start.get(mask) or (self.poly.crash_basis + (k,))
-        sol = solve_lp(lp.with_objective(obj), start)
+        # Called through the module: bench/tracing.py traces the ratio LPs
+        # by rebinding nvgames.lp.solve_lp.
+        sol = lp.solve_lp(program.with_objective(obj), start)
         if sol.status != "optimal":
             raise SolverError(
                 f"ratio LP for coalition {mask:#x} at gamma={gamma} reported {sol.status!r}"

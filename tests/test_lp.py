@@ -226,18 +226,80 @@ class TestDeterminismAndStability:
             lp.with_objective(objective)
 
 
+def stop_at_start(self, c_work):
+    # A simplex that declares its start basis optimal without pricing.
+    self.y = self._basic_cost(c_work) @ self.b_inv
+    return "optimal"
+
+
 class TestCertificate:
     def test_forged_nonoptimal_basis_is_rejected(self, monkeypatch):
         # A simplex that stops at once "optimal" at the start basis {x2}:
         # feasible, but x1 is cheaper, so its reduced cost is -1.
-        def stop(self, c_work):
-            self.y = self._basic_cost(c_work) @ self.b_inv
-            return "optimal"
-
-        monkeypatch.setattr(lp_module._Simplex, "_run", stop)
+        monkeypatch.setattr(lp_module._Simplex, "_run", stop_at_start)
         lp = LinearProgram("min", [1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
         with pytest.raises(SolverError, match="reduced cost"):
             solve_lp(lp, start_basis=[1])
+
+    def test_forged_basis_of_a_derived_program_is_rejected(self, monkeypatch):
+        # The same forgery on a with_objective child, which shares its
+        # parent's standard form: it is certified all the same.
+        monkeypatch.setattr(lp_module._Simplex, "_run", stop_at_start)
+        parent = LinearProgram("min", [0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(SolverError, match="reduced cost"):
+            solve_lp(parent.with_objective([1.0, 2.0]), start_basis=[1])
+
+
+def transportation_lp(k: int, seed: int) -> LinearProgram:
+    """k x k transportation problem with uniform margins (total mass, then
+    all row and column sums but the implied last ones): every vertex is
+    highly degenerate."""
+    rows = [np.ones(k * k)]
+    rows += [np.kron(np.eye(k)[i], np.ones(k)) for i in range(k - 1)]
+    rows += [np.kron(np.ones(k), np.eye(k)[j]) for j in range(k - 1)]
+    b = np.r_[1.0, np.full(2 * (k - 1), 1.0 / k)]
+    cost = np.random.default_rng(seed).integers(0, 4, k * k).astype(float)
+    return LinearProgram("min", cost, a_eq=np.array(rows), b_eq=b)
+
+
+class TestBlandSwitch:
+    def test_switch_after_exactly_the_threshold(self):
+        # One row and 60 columns: the former threshold of 2*(m+n)
+        # degenerate pivots would be 122 here, and it grew to 80 800 on the
+        # K=200 polytope, where it could never fire.
+        lp = LinearProgram("min", np.ones(60), a_eq=[np.ones(60)], b_eq=[1.0])
+        sx = lp_module._Simplex(lp._std, lp._std.cost(lp))
+        assert sx.solve([0]) == "optimal"
+        unit = np.array([1.0])
+
+        def degenerate_pivots(count):
+            for _ in range(count):
+                sx._pivot(0, 0, unit, 0.0)
+
+        degenerate_pivots(lp_module._BLAND_AFTER - 1)
+        sx._pivot(0, 0, unit, 0.5)  # a real step ends the run
+        degenerate_pivots(lp_module._BLAND_AFTER - 1)
+        assert not sx._bland
+        degenerate_pivots(1)
+        assert sx._bland
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forced_bland_reaches_the_same_optimum(self, monkeypatch, seed):
+        lp = transportation_lp(4, seed)
+        dantzig = solve_lp(lp)
+        switched = []
+        pivot = lp_module._Simplex._pivot
+
+        def watched(self, *args):
+            pivot(self, *args)
+            switched.append(self._bland)
+
+        monkeypatch.setattr(lp_module, "_BLAND_AFTER", 1)
+        monkeypatch.setattr(lp_module._Simplex, "_pivot", watched)
+        bland = solve_lp(lp)
+        assert any(switched)
+        assert bland.status == dantzig.status == "optimal"
+        assert bland.objective_value == pytest.approx(dantzig.objective_value, abs=1e-12)
 
 
 class TestFactorizationReuse:

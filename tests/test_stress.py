@@ -1,8 +1,10 @@
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nvgames import lp as lp_module
 from nvgames import stress
 from nvgames.distributions import (
     DiscreteMarginal,
@@ -223,6 +225,25 @@ class TestRunStress:
         # replaced it; every cell must survive the change bit for bit.
         run_stress(small_cfg(), csv_path=tmp_path / "o.csv")
         assert (tmp_path / "o.csv").read_bytes() == GOLDEN_CSV.read_bytes()
+
+    def test_lp_calls_and_pivots_are_pinned(self, monkeypatch):
+        # The solve_lp calls and simplex iterations of this run: a change
+        # to the pivot path fails here by name, not only through the
+        # golden CSV.
+        original = lp_module.solve_lp
+        counts = [0, 0]
+
+        def counted(program, start=None):
+            sol = original(program, start)
+            counts[0] += 1
+            counts[1] += sol.iterations
+            return sol
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nvgames") and getattr(module, "solve_lp", None) is original:
+                monkeypatch.setattr(module, "solve_lp", counted)
+        run_stress(small_cfg())
+        assert counts == [712, 939]
 
     def test_degenerate_samples_are_screened_and_counted(self, monkeypatch):
         # Orders far above the optimal ones make the grand profit
