@@ -2,13 +2,16 @@
 
 The package computes deterministic cores, worst-case payoff ratios over all
 joint demand distributions consistent with known block marginals, robust
-core and least-core decisions, and contamination stress experiments, on top
-of a dense vertex-returning simplex solver.
+core and least-core decisions, and contamination stress experiments. The
+worst-case shortage and the minimum grand profit are closed-form
+(comonotonic couplings); the worst-case ratios, the stability values and
+the extremal joints come from a revised simplex solver that works on the
+consistency polytope's incidence structure and returns vertices with
+checked dual certificates.
 """
 
 from .coop import (
     CharacteristicFunction,
-    balancedness_dual_check,
     balancedness_duality_pair,
     build_deterministic_game,
     core_membership,
@@ -21,7 +24,6 @@ from .distributions import (
     FrechetPolytope,
     Instance,
     JointDistribution,
-    aggregate_demand,
     check_consistency,
     contaminate,
     get_polytope,
@@ -29,7 +31,6 @@ from .distributions import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    product_support,
     sample_extremal,
     save_instance,
 )
@@ -57,7 +58,6 @@ from .robust_game import (
     RobustGameSolver,
     VmaxResult,
     VmaxTable,
-    build_vmax_table,
     imputation_exists,
     robust_core,
     robust_least_core,
@@ -102,11 +102,8 @@ __all__ = [
     "SolverError",
     "VmaxResult",
     "VmaxTable",
-    "aggregate_demand",
-    "balancedness_dual_check",
     "balancedness_duality_pair",
     "build_deterministic_game",
-    "build_vmax_table",
     "check_consistency",
     "contaminate",
     "core_membership",
@@ -123,7 +120,6 @@ __all__ = [
     "least_core",
     "load_instance",
     "optimal_order",
-    "product_support",
     "quantile_order",
     "robust_core",
     "robust_least_core",

@@ -194,10 +194,3 @@ def balancedness_duality_pair(
     z_d = max(0.0, float(dsol.objective_value) - 1.0)
     return z_p, z_d
 
-
-def balancedness_dual_check(vmax_table: Mapping, n: int | None = None) -> float:
-    """Optimum of the (normalized) dual balancedness program: 0 certifies a
-    balanced table, hence a nonempty set of stable efficient allocations; a
-    positive value is an unbalancedness certificate."""
-    _z_p, z_d = balancedness_duality_pair(vmax_table, n)
-    return z_d

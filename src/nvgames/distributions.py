@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError, SolverError
-from .lp import IncidenceOperator, LinearProgram, LpSolution, solve_lp
+from .lp import IncidenceOperator, LinearProgram, solve_lp
 
 DEFAULT_SUPPORT_CAP = 10**6
 
@@ -216,7 +216,7 @@ def check_probability_rows(q: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Product support and aggregation
+# Product support
 # ---------------------------------------------------------------------------
 
 
@@ -228,38 +228,6 @@ def _check_cap(inst: Instance, cap: int) -> int:
             "refuse to enumerate"
         )
     return k
-
-
-def product_support(
-    inst: Instance, cap: int = DEFAULT_SUPPORT_CAP
-) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """All joint demand atoms as (length-N demand vector, block index tuple),
-    ordered by the package index convention."""
-    k = _check_cap(inst, cap)
-    dims = tuple(m.n_atoms for m in inst.marginals)
-    n = inst.n_retailers
-    out = []
-    for flat in range(k):
-        idx = np.unravel_index(flat, dims)
-        d = np.empty(n)
-        for r, block in enumerate(inst.partition):
-            d[list(block)] = inst.marginals[r].atoms[idx[r]]
-        out.append((d, tuple(int(i) for i in idx)))
-    return out
-
-
-def aggregate_demand(atom: Sequence[float], s) -> float:
-    """Total demand of coalition `s` at one joint atom; empty coalition -> 0."""
-    atom = np.asarray(atom, dtype=float)
-    mask = coalition_mask(s, atom.size)
-    total = 0.0
-    i = 0
-    while mask:
-        if mask & 1:
-            total += float(atom[i])
-        mask >>= 1
-        i += 1
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +275,7 @@ def sample_extremal(
         )
     if not np.all(np.isfinite(cost)):
         raise InputError("cost vector must be finite")
-    _value, q, _sol = poly.maximize(cost)
+    _value, q = poly.maximize(cost)
     return JointDistribution(np.maximum(q, 0.0))
 
 
@@ -330,6 +298,41 @@ def check_consistency(
 # ---------------------------------------------------------------------------
 
 
+def northwest_corner(
+    probs: Sequence[np.ndarray], orders: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential-fill coupling of the distributions `probs`, each visited in
+    its `orders[r]`: every step puts the largest mass the current entries
+    still hold on their combination, then moves one exhausted block on.
+
+    Returns (steps, mass): ``steps[j, r]`` is the index into ``probs[r]`` of
+    step j and ``mass[j]`` its probability. Each step but the last moves one
+    block, so there are 1 + sum_r (len(probs[r]) - 1) steps, some of them
+    possibly of zero mass.
+    """
+    res = [np.asarray(p)[order].tolist() for p, order in zip(probs, orders)]
+    last = [len(r) - 1 for r in res]
+    blocks = range(len(res))
+    ptr = [0] * len(res)
+    steps: list[tuple[int, ...]] = []
+    mass: list[float] = []
+    while True:
+        w = min(res[r][ptr[r]] for r in blocks)
+        for r in blocks:
+            res[r][ptr[r]] -= w
+        steps.append(tuple(ptr))
+        mass.append(w)
+        for r in blocks:
+            if res[r][ptr[r]] <= 1e-15 and ptr[r] < last[r]:
+                ptr[r] += 1
+                break
+        else:
+            break
+    pos = np.array(steps, dtype=np.intp)
+    idx = np.column_stack([np.asarray(orders[r])[pos[:, r]] for r in blocks])
+    return idx, np.array(mass)
+
+
 class FrechetPolytope:
     """The polytope Q of joint probability vectors consistent with the block
     marginals, as a rank-full equality system ``matrix @ q = rhs`` over R^K.
@@ -345,7 +348,7 @@ class FrechetPolytope:
     matrix; ``np.asarray(matrix)`` builds that for oracles. The Charnes-Cooper
     ratio system borders this operator with one dense row and column and
     shares its ids. Basis factorizations travel with the callers'
-    `LpSolution` objects (see `maximize`), never with the polytope.
+    `LpSolution` objects, never with the polytope.
 
     Holds the instance's partition and marginals but not the instance, so a
     cached polytope does not keep its instance alive. Immutable after
@@ -409,27 +412,14 @@ class FrechetPolytope:
         return self.matrix.shape[0]
 
     def _northwest_basis(self) -> tuple[int, ...]:
-        """Greedy sequential-fill vertex; its support has exactly n_rows
-        columns and forms a starting basis (the classic staircase for R=2)."""
-        res = [p.copy() for p in self.class_probs]
-        ptr = [0] * len(res)
-        cols: list[int] = []
-        dims = self.dims
-        while True:
-            w = min(res[r][ptr[r]] for r in range(len(res)))
-            for r in range(len(res)):
-                res[r][ptr[r]] -= w
-            rep = tuple(int(self.class_reps[r][ptr[r]]) for r in range(len(res)))
-            cols.append(int(np.ravel_multi_index(rep, dims)))
-            advance = [
-                r
-                for r in range(len(res))
-                if res[r][ptr[r]] <= 1e-15 and ptr[r] < len(res[r]) - 1
-            ]
-            if not advance:
-                break
-            ptr[advance[0]] += 1
-        return tuple(cols)
+        """Northwest-corner vertex over the value classes in their sorted
+        order; its support has exactly n_rows columns and forms a starting
+        basis (the classic staircase for R=2)."""
+        steps, _mass = northwest_corner(
+            self.class_probs, [np.arange(p.size) for p in self.class_probs]
+        )
+        reps = [self.class_reps[r][steps[:, r]] for r in range(len(self.dims))]
+        return tuple(int(k) for k in np.ravel_multi_index(reps, self.dims))
 
     def consistency_gap(self, q: np.ndarray) -> float:
         """Largest absolute violation across all per-value class constraints
@@ -447,19 +437,15 @@ class FrechetPolytope:
         """max objective @ q over the polytope."""
         return self._program.with_objective(objective)
 
-    def maximize(
-        self, cost: np.ndarray, start: Sequence[int] | LpSolution | None = None
-    ) -> tuple[float, np.ndarray, LpSolution]:
-        """max cost @ q over the polytope; returns (value, vertex, solution).
-        Pass the solution back as `start` to warm-start the next objective
-        from its basis and reuse its factorization."""
-        sol = solve_lp(self.lp(cost), start or self.crash_basis)
+    def maximize(self, cost: np.ndarray) -> tuple[float, np.ndarray]:
+        """max cost @ q over the polytope; returns (value, vertex)."""
+        sol = solve_lp(self.lp(cost), self.crash_basis)
         if sol.status != "optimal":
             raise SolverError(
                 f"consistency polytope LP reported {sol.status!r}; "
                 "the polytope is nonempty and bounded, so this is an internal error"
             )
-        return float(sol.objective_value), sol.x, sol
+        return float(sol.objective_value), sol.x
 
     def coalition_block_values(self, mask: int) -> list[np.ndarray]:
         """Per block r, aggregate demand of S cap N_r at each value class."""

@@ -1,6 +1,12 @@
 """Deterministic newsvendor quantities: expected profits, quantile-optimal
 orders, worst-case orders over the consistency polytope, and the interval of
 grand-coalition orders whose worst-case profit stays positive.
+
+The worst-case shortage has a closed form. (y - d(S))^+ is convex in
+d(S) = sum_r d_r(S), and among all joints with the given block marginals
+the comonotonic coupling of the block aggregates d_r(S) maximizes the
+expectation of every convex function of their sum (Meilijson & Nadas 1979;
+Dhaene et al. 2002). That coupling does not depend on y.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ from .distributions import (
     JointDistribution,
     coalition_mask,
     get_polytope,
+    northwest_corner,
 )
 from .errors import GameInvalidError, InputError, SolverError
-from .lp import LpSolution
 
 _QUANTILE_EPS = 1e-12
+ACTION_Y_TOL = 1e-6  # bisection width of the action interval's upper end
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,27 +134,52 @@ def worst_case_order(inst: Instance, s) -> OrderResult:
     return OrderResult(y_total, v_total)
 
 
+def comonotonic_coupling(inst: Instance, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The consistent joint that couples the blocks comonotonically in the
+    aggregate demand of S cap N_r: each block's atoms sorted by that
+    aggregate, then the northwest-corner walk. Returns (sums, weights, q):
+    the coalition demand and the probability of every step of the walk, and
+    the joint as a vector over the product support (last block fastest)."""
+    mask = coalition_mask(s, inst.n_retailers)
+    values = []
+    for block, m in zip(inst.partition, inst.marginals):
+        cols = [j for j, i in enumerate(block) if mask >> i & 1]
+        values.append(m.atoms[:, cols].sum(axis=1))
+    steps, weights = northwest_corner(
+        [m.probs for m in inst.marginals],
+        [np.argsort(v, kind="stable") for v in values],
+    )
+    sums = np.zeros(weights.size)
+    for r, v in enumerate(values):
+        sums += v[steps[:, r]]
+    q = np.zeros(inst.joint_size())
+    q[np.ravel_multi_index(steps.T, tuple(m.n_atoms for m in inst.marginals))] = weights
+    return sums, weights, q
+
+
+def coupled_profit(inst: Instance, coupling: tuple, y: float) -> float:
+    """(p-c)*y - p*E[(y - d)^+] with d distributed as the coupling's sums;
+    for the comonotonic coupling of a coalition, its worst-case profit."""
+    sums, weights, _q = coupling
+    return (inst.price - inst.cost) * y - inst.price * float(
+        weights @ np.maximum(y - sums, 0.0)
+    )
+
+
 def worst_case_shortage(inst: Instance, y: float, s) -> float:
-    """max over consistent joints of E[(y - d(S))^+], solved as an LP over
-    the consistency polytope."""
+    """max over consistent joints of E[(y - d(S))^+], attained by the
+    comonotonic coupling."""
     if y < 0:
         raise InputError(f"order quantity must be nonnegative, got {y}")
-    mask = coalition_mask(s, inst.n_retailers)
-    poly = get_polytope(inst)
-    objective = np.maximum(y - poly.coalition_demands(mask), 0.0)
-    value, _q, _basis = poly.maximize(objective)
-    return max(value, 0.0)
+    sums, weights, _q = comonotonic_coupling(inst, s)
+    return float(weights @ np.maximum(y - sums, 0.0))
 
 
-def min_grand_profit(inst: Instance, y: float, start=None) -> tuple[float, np.ndarray, LpSolution]:
+def min_grand_profit(inst: Instance, y: float) -> tuple[float, np.ndarray]:
     """min over consistent joints of the grand-coalition profit at order y,
-    with the attaining vertex and its LP solution (pass it back as `start`
-    for a warm restart)."""
-    poly = get_polytope(inst)
-    objective = np.maximum(y - poly.coalition_demands(inst.grand_mask), 0.0)
-    shortage, q, sol = poly.maximize(objective, start)
-    value = (inst.price - inst.cost) * y - inst.price * max(shortage, 0.0)
-    return value, q, sol
+    with the attaining joint."""
+    coupling = comonotonic_coupling(inst, inst.grand_mask)
+    return coupled_profit(inst, coupling, y), coupling[2]
 
 
 def lemma3_condition(inst: Instance) -> bool:
@@ -159,22 +191,20 @@ def lemma3_condition(inst: Instance) -> bool:
     return False
 
 
-def grand_action_interval(inst: Instance, y_tol: float = 1e-6) -> tuple[float, float]:
-    """Outer approximation (y_lo, y_hi) of the open interval of grand orders
+def grand_action_interval(inst: Instance) -> tuple[float, float]:
+    """Outer approximation (0, y_hi) of the open interval of grand orders
     whose profit stays positive under every consistent joint.
 
-    The worst-case profit g(y) is concave, so the set {g > 0} is an interval;
-    both endpoints are located by bisection to within `y_tol`. The returned
-    bounds satisfy g(y_lo) <= 0 and g(y_hi) <= 0 with g > 0 strictly between
-    (up to the tolerance).
+    The worst-case profit g(y) is concave with g(0) = 0, so when it is
+    positive at its peak, {g > 0} is an interval whose lower end is exactly
+    0. The upper end is located by bisection to within ACTION_Y_TOL, and
+    g(y_hi) <= 0.
     """
     wc = worst_case_order(inst, inst.grand_mask)
-    start = None
+    coupling = comonotonic_coupling(inst, inst.grand_mask)
 
     def g(y: float) -> float:
-        nonlocal start
-        value, _q, start = min_grand_profit(inst, y, start)
-        return value
+        return coupled_profit(inst, coupling, y)
 
     y_peak = wc.y_star
     g_peak = g(y_peak)
@@ -189,16 +219,6 @@ def grand_action_interval(inst: Instance, y_tol: float = 1e-6) -> tuple[float, f
             "every consistent joint distribution"
         )
 
-    # Lower endpoint: g(0) = 0, g(y_peak) > 0.
-    lo, hi = 0.0, y_peak
-    while hi - lo > y_tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    y_lo = lo
-
     # Upper endpoint: expand beyond the peak until the profit turns nonpositive.
     mean_total = sum(
         float(block_demand(inst, r, bmask).values @ inst.marginals[r].probs)
@@ -210,10 +230,10 @@ def grand_action_interval(inst: Instance, y_tol: float = 1e-6) -> tuple[float, f
         if hi > cap:
             raise SolverError("failed to bracket the upper endpoint of the action interval")
         lo, hi = hi, 2.0 * hi
-    while hi - lo > y_tol:
+    while hi - lo > ACTION_Y_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return y_lo, hi
+    return 0.0, hi

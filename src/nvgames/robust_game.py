@@ -17,11 +17,12 @@ through an exact upper bound so that most of them are never solved:
 (Jensen on the shortage term; E[d(S)] is the same under every consistent q),
 and dividing by the minimum grand profit bounds the ratio from above.
 Coalitions inside one block shortcut to the known block value divided by the
-minimum grand profit.
+minimum grand profit. That minimum needs no LP: it is the grand profit under
+the comonotonic coupling of the block aggregates, one joint for every y.
 
-A per-instance solver keeps warm LP bases: the consistency polytope never
-changes, and a basis optimal for one (gamma, y) pair remains feasible for
-the next, so repeated solves cost a handful of pivots each. It keeps each
+A per-instance solver keeps warm ratio-LP bases: the consistency polytope
+never changes, and a basis optimal for one (gamma, y) pair remains feasible
+for the next, so repeated solves cost a handful of pivots each. It keeps each
 coalition's last ratio-LP solution, which at an unchanged y also lends its
 basis factorization to the next solve. The ratio system at y is the
 polytope's incidence operator with one dense border row and column.
@@ -44,7 +45,12 @@ from .distributions import (
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
 from .lp import LinearProgram, LpSolution
-from .newsvendor import grand_action_interval, min_grand_profit, worst_case_order
+from .newsvendor import (
+    comonotonic_coupling,
+    coupled_profit,
+    grand_action_interval,
+    worst_case_order,
+)
 
 CORE_EPS_TOL = 1e-9
 GOLDEN_MAX_ITERS = 200
@@ -97,9 +103,9 @@ class VmaxTable:
 class RobustGameSolver:
     """Worst-case ratio machinery for one instance.
 
-    Holds warm-start LP solutions (bases and their factorizations), so it is
-    cheap to evaluate tables at many order quantities; not safe to share
-    across threads.
+    Holds warm-start ratio-LP solutions (bases and their factorizations), so
+    it is cheap to evaluate tables at many order quantities; not safe to
+    share across threads.
     """
 
     def __init__(self, inst: Instance, cap: int = DEFAULT_SUPPORT_CAP):
@@ -110,9 +116,8 @@ class RobustGameSolver:
         self.n = inst.n_retailers
         self.d_grand = self.poly.coalition_demands(inst.grand_mask)
         self.grand_wc = worst_case_order(inst, inst.grand_mask)
-        self._den_start: LpSolution | None = None
+        self._grand_coupling: tuple | None = None
         self._cc_start: dict[int, LpSolution] = {}
-        self._den_cache: dict[float, tuple[float, np.ndarray]] = {}
         self._coalition_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self._single_block_value: dict[int, tuple[float, float]] = {}
         self._cc_lp = None
@@ -124,13 +129,10 @@ class RobustGameSolver:
 
     def min_grand_profit(self, y: float) -> tuple[float, np.ndarray]:
         """min over consistent q of the grand profit at order y, with the
-        attaining vertex."""
-        hit = self._den_cache.get(y)
-        if hit is not None:
-            return hit
-        value, q, self._den_start = min_grand_profit(self.inst, y, self._den_start)
-        self._den_cache[y] = (value, q)
-        return value, q
+        attaining joint (the same comonotonic one at every y)."""
+        if self._grand_coupling is None:
+            self._grand_coupling = comonotonic_coupling(self.inst, self.inst.grand_mask)
+        return coupled_profit(self.inst, self._grand_coupling, y), self._grand_coupling[2]
 
     # -- per-coalition data ------------------------------------------------
 
@@ -344,10 +346,6 @@ def vmax(inst: Instance, y: float, s) -> VmaxResult:
     """Worst-case ratio of coalition `s`'s best profit to the grand
     coalition's profit at order y, over all consistent joints."""
     return RobustGameSolver(inst).vmax(y, s)
-
-
-def build_vmax_table(inst: Instance, y: float) -> VmaxTable:
-    return RobustGameSolver(inst).table(y)
 
 
 def sigma(inst: Instance, y: float, table: VmaxTable | None = None) -> tuple[float, np.ndarray]:

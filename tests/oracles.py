@@ -1,9 +1,11 @@
 """Brute-force oracles the test suite checks the solvers against.
 
-Everything here is deliberately independent of the package's simplex path:
-vertices come from active-set enumeration, optima from exhaustive search
-over those vertices, and unboundedness from extreme rays of the recession
-cone. Sized for at most a handful of variables.
+Everything here but `lp_worst_case_shortage` is deliberately independent of
+the package's simplex path: vertices come from active-set enumeration,
+optima from exhaustive search over those vertices, and unboundedness from
+extreme rays of the recession cone. Sized for at most a handful of
+variables. `lp_worst_case_shortage` keeps the LP that the closed-form
+comonotonic worst case replaced.
 """
 
 from __future__ import annotations
@@ -140,6 +142,17 @@ def brute_force_vmax(inst, y: float, mask: int, tol=1e-9):
                 continue
             best = max(best, float(numer_coeff @ q) / den)
     return best
+
+
+def lp_worst_case_shortage(inst, y: float, mask: int) -> float:
+    """max over the consistency polytope of E_q[(y - d(S))^+], solved as an
+    LP by the package's simplex."""
+    from nvgames.distributions import get_polytope
+
+    poly = get_polytope(inst)
+    objective = np.maximum(y - poly.coalition_demands(mask), 0.0)
+    value, _q = poly.maximize(objective)
+    return max(value, 0.0)
 
 
 def scalar_excess(evaluator, q, decision) -> float:

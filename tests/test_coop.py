@@ -3,7 +3,6 @@ import pytest
 
 from nvgames.coop import (
     CharacteristicFunction,
-    balancedness_dual_check,
     balancedness_duality_pair,
     build_deterministic_game,
     core_membership,
@@ -136,7 +135,7 @@ class TestImputationCheck:
 
 class TestBalancedness:
     def test_t1_ratio_table_balanced(self):
-        assert balancedness_dual_check({0b01: 1.0 / 3.0, 0b10: 2.0 / 3.0}) == pytest.approx(0.0, abs=1e-12)
+        assert balancedness_duality_pair({0b01: 1.0 / 3.0, 0b10: 2.0 / 3.0})[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_overloaded_pairs_unbalanced(self):
         # Three pair-coalitions each demanding 6/7 cannot all be covered:
@@ -150,7 +149,7 @@ class TestBalancedness:
         assert z_p == pytest.approx(z_d, abs=1e-9)
 
     def test_zero_table(self):
-        assert balancedness_dual_check({0b01: 0.0, 0b10: 0.0}) == 0.0
+        assert balancedness_duality_pair({0b01: 0.0, 0b10: 0.0})[1] == 0.0
 
     def test_primal_dual_always_agree(self):
         rng = np.random.default_rng(31)
@@ -176,7 +175,7 @@ class TestBalancedness:
                 for mask in range(1, (1 << n) - 1)
             }
             _x, eps = solve_stability_lp(n, table, 1.0)
-            z_d = balancedness_dual_check(table)
+            z_d = balancedness_duality_pair(table)[1]
             if eps <= 1e-9:
                 assert z_d <= 1e-7
             else:

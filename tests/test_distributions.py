@@ -9,7 +9,6 @@ from nvgames.distributions import (
     DiscreteMarginal,
     Instance,
     JointDistribution,
-    aggregate_demand,
     check_consistency,
     contaminate,
     get_polytope,
@@ -17,7 +16,6 @@ from nvgames.distributions import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    product_support,
     sample_extremal,
     save_instance,
 )
@@ -77,12 +75,16 @@ class TestTypes:
 
 
 class TestProductSupport:
+    """The joint support is the product of the block supports, last block
+    fastest, as the polytope indexes it."""
+
     def test_two_by_one(self):
         inst = Instance(
             2.0, 1.0, ((0,), (1,)),
             (marginal([[1.0], [3.0]], [0.5, 0.5]), marginal([[2.0]], [1.0])),
         )
-        atoms = [tuple(d) for d, _ in product_support(inst)]
+        poly = get_polytope(inst)
+        atoms = list(zip(poly.coalition_demands(0b01), poly.coalition_demands(0b10)))
         assert atoms == [(1.0, 2.0), (3.0, 2.0)]
 
     def test_lexicographic_last_block_fastest(self):
@@ -90,7 +92,7 @@ class TestProductSupport:
             2.0, 1.0, ((0,), (1,)),
             (marginal([[1.0], [2.0]], [0.5, 0.5]), marginal([[5.0], [6.0]], [0.5, 0.5])),
         )
-        idx = [ix for _, ix in product_support(inst)]
+        idx = [tuple(int(c) for c in ix) for ix in zip(*get_polytope(inst).block_class)]
         assert idx == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_three_block_count(self):
@@ -102,7 +104,8 @@ class TestProductSupport:
                 marginal([[1.0], [2.0]], [0.5, 0.5]),
             ),
         )
-        assert len(product_support(inst)) == 12
+        assert inst.joint_size() == 12
+        assert get_polytope(inst).n_atoms == 12
 
     def test_support_cap(self):
         inst = Instance(
@@ -110,7 +113,7 @@ class TestProductSupport:
             (marginal([[1.0], [2.0]], [0.5, 0.5]), marginal([[1.0], [2.0]], [0.5, 0.5])),
         )
         with pytest.raises(CapacityError):
-            product_support(inst, cap=3)
+            independent_joint(inst, cap=3)
 
 
 class TestIndependentJoint:
@@ -221,14 +224,24 @@ class TestContaminate:
 
 
 class TestAggregateDemand:
+    """Coalition demand at a joint atom, through `coalition_demands` on a
+    single-atom support."""
+
+    @staticmethod
+    def demands(atom, mask):
+        inst = Instance(
+            2.0, 1.0, (tuple(range(len(atom))),), (marginal([atom], [1.0]),)
+        )
+        return get_polytope(inst).coalition_demands(mask)
+
     def test_sum(self):
-        assert aggregate_demand([1.0, 2.0, 3.0], {0, 2}) == 4.0
+        assert self.demands([1.0, 2.0, 3.0], 0b101).tolist() == [4.0]
 
     def test_empty(self):
-        assert aggregate_demand([1.0, 2.0, 3.0], 0) == 0.0
+        assert self.demands([1.0, 2.0, 3.0], 0).tolist() == [0.0]
 
     def test_grand(self):
-        assert aggregate_demand(np.ones(5), Coalition((1 << 5) - 1)) == 5.0
+        assert self.demands([1.0] * 5, Coalition((1 << 5) - 1).mask).tolist() == [5.0]
 
 
 class TestDuplicateAtoms:

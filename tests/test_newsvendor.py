@@ -202,7 +202,7 @@ class TestGrandActionInterval:
         assert lo == pytest.approx(0.0, abs=1e-5)
         assert hi == pytest.approx(8.0, abs=1e-5)
         assert lo < 3.0 < hi
-        value, _q, _b = min_grand_profit(t1, 3.0)
+        value, _q = min_grand_profit(t1, 3.0)
         assert value == pytest.approx(3.0)
 
     def test_example1_contains_worst_case_order(self):
@@ -210,7 +210,7 @@ class TestGrandActionInterval:
         lo, hi = grand_action_interval(inst)
         y_wc = worst_case_order(inst, 0b111).y_star
         assert lo < y_wc < hi
-        value, _q, _b = min_grand_profit(inst, y_wc)
+        value, _q = min_grand_profit(inst, y_wc)
         assert value > 0.0
 
     def test_all_demands_at_least_one(self):

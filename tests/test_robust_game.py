@@ -1,14 +1,23 @@
+import sys
+
 import numpy as np
 import pytest
 
-from nvgames.coop import balancedness_dual_check
+from nvgames import lp as lp_module
+from nvgames.coop import balancedness_duality_pair
 from nvgames.distributions import (
+    DEFAULT_SUPPORT_CAP,
     DiscreteMarginal,
     Instance,
     independent_joint,
 )
 from nvgames.errors import DomainError, InputError
-from nvgames.newsvendor import expected_profit, optimal_order, worst_case_order
+from nvgames.newsvendor import (
+    expected_profit,
+    grand_action_interval,
+    optimal_order,
+    worst_case_order,
+)
 from nvgames.robust_game import (
     Decision,
     RobustGameSolver,
@@ -258,6 +267,38 @@ class TestVerifyDecision:
         assert not verify_rcore2(inst, Decision(d.y, z))
 
 
+class TestSupportCap:
+    def test_cap_above_the_default(self, monkeypatch):
+        # 1001 x 1000 joint atoms, above DEFAULT_SUPPORT_CAP: the minimum
+        # grand profit and the action interval must not look the polytope up
+        # at the default cap. Both players are single-block coalitions, so
+        # no ratio LP runs either.
+        m1 = DiscreteMarginal(np.arange(1.0, 1002.0)[:, None], np.full(1001, 1.0 / 1001))
+        m2 = DiscreteMarginal(np.arange(1.0, 1001.0)[:, None], np.full(1000, 1.0 / 1000))
+        inst = Instance(1.5, 1.0, ((0,), (1,)), (m1, m2))
+        assert inst.joint_size() > DEFAULT_SUPPORT_CAP
+        original = lp_module.solve_lp
+        calls = []
+
+        def counted(program, start=None):
+            calls.append(program)
+            return original(program, start)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nvgames") and getattr(module, "solve_lp", None) is original:
+                monkeypatch.setattr(module, "solve_lp", counted)
+        solver = RobustGameSolver(inst, cap=2 * 10**6)
+        y = solver.grand_wc.y_star
+        table = solver.table(y)
+        lo, hi = grand_action_interval(inst)
+        assert calls == []
+        assert table.min_grand_profit > 0.0
+        for i in range(2):
+            block_value = worst_case_order(inst, 1 << i).value
+            assert table.value(1 << i) == pytest.approx(block_value / table.min_grand_profit)
+        assert lo == 0.0 < y < hi
+
+
 class TestTheoremConsistency:
     def test_stability_sign_matches_balancedness(self):
         for seed in range(10):
@@ -266,7 +307,7 @@ class TestTheoremConsistency:
             y = solver.grand_wc.y_star
             table = solver.table(y)
             eps, _ = solver.sigma(y)
-            z_d = balancedness_dual_check(table.values, inst.n_retailers)
+            z_d = balancedness_duality_pair(table.values, inst.n_retailers)[1]
             if eps <= 1e-9:
                 assert z_d <= 1e-7
             else:
