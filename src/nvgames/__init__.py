@@ -61,9 +61,7 @@ from .robust_game import (
     imputation_exists,
     robust_core,
     robust_least_core,
-    sigma,
     verify_rcore2,
-    vmax,
 )
 from .stress import (
     ExcessRow,
@@ -126,11 +124,9 @@ __all__ = [
     "run_stress",
     "sample_extremal",
     "save_instance",
-    "sigma",
     "solve_lp",
     "solve_pair",
     "verify_rcore2",
-    "vmax",
     "worst_case_order",
     "worst_case_shortage",
     "write_csv",

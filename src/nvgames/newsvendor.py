@@ -175,13 +175,6 @@ def worst_case_shortage(inst: Instance, y: float, s) -> float:
     return float(weights @ np.maximum(y - sums, 0.0))
 
 
-def min_grand_profit(inst: Instance, y: float) -> tuple[float, np.ndarray]:
-    """min over consistent joints of the grand-coalition profit at order y,
-    with the attaining joint."""
-    coupling = comonotonic_coupling(inst, inst.grand_mask)
-    return coupled_profit(inst, coupling, y), coupling[2]
-
-
 def lemma3_condition(inst: Instance) -> bool:
     """True when some block's minimum aggregate demand is positive, which
     guarantees a nonempty positive-profit interval for the grand coalition."""

@@ -26,6 +26,12 @@ for the next, so repeated solves cost a handful of pivots each. It keeps each
 coalition's last ratio-LP solution, which at an unchanged y also lends its
 basis factorization to the next solve. The ratio system at y is the
 polytope's incidence operator with one dense border row and column.
+
+Beyond those warm starts the solver keeps no per-y history: only the last
+table and, once computed, its sigma, which is what the least-core search
+reads back. Every joint that attains a worst-case ratio is appended to the
+solver's `witnesses` list as its table is built, so the stress experiment
+gets its adversarial joints without the tables being kept.
 """
 
 from __future__ import annotations
@@ -65,9 +71,11 @@ class Decision:
     z: np.ndarray
 
     def __post_init__(self):
-        if self.y < 0:
-            raise InputError(f"order quantity must be nonnegative, got {self.y}")
+        if not (np.isfinite(self.y) and self.y >= 0):
+            raise InputError(f"order quantity must be finite and nonnegative, got {self.y}")
         z = np.atleast_1d(np.asarray(self.z, dtype=float))
+        if not np.all(np.isfinite(z)):
+            raise InputError(f"multiples must be finite, got {z}")
         total = float(np.sum(z))
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"multiples sum to {total!r}, expected 1 within 1e-9")
@@ -104,8 +112,10 @@ class RobustGameSolver:
     """Worst-case ratio machinery for one instance.
 
     Holds warm-start ratio-LP solutions (bases and their factorizations), so
-    it is cheap to evaluate tables at many order quantities; not safe to
-    share across threads.
+    it is cheap to evaluate tables at many order quantities. Of the tables
+    it keeps only the last one and its sigma; `witnesses` lists, in build
+    order and once per array, the joints that attained the ratios of every
+    table built. Not safe to share across threads.
     """
 
     def __init__(self, inst: Instance, cap: int = DEFAULT_SUPPORT_CAP):
@@ -122,8 +132,10 @@ class RobustGameSolver:
         self._single_block_value: dict[int, tuple[float, float]] = {}
         self._cc_lp = None
         self._cc_lp_y: float | None = None
-        self._table_cache: dict[float, VmaxTable] = {}
-        self._sigma_cache: dict[float, tuple[float, np.ndarray]] = {}
+        self._last_table: VmaxTable | None = None
+        self._last_sigma: tuple[float, np.ndarray] | None = None
+        self.witnesses: list[np.ndarray] = []
+        self._witness_ids: set[int] = set()
 
     # -- denominators ----------------------------------------------------
 
@@ -231,47 +243,56 @@ class RobustGameSolver:
             raise SolverError(f"no ratio evaluated for coalition {mask:#x}")
         return VmaxResult(best, best_gamma, best_q)
 
-    def vmax(self, y: float, s) -> VmaxResult:
-        mask = coalition_mask(s, self.n)
-        grand = self.inst.grand_mask
-        if mask == 0 or mask == grand:
-            raise InputError("v_max is defined for nonempty proper coalitions")
+    def _admissible_min_profit(self, y: float) -> tuple[float, np.ndarray]:
+        """min_grand_profit(y), refusing orders at which it is not positive."""
+        if not np.isfinite(y):
+            raise InputError(f"order quantity must be finite, got {y}")
         vmin, q_min = self.min_grand_profit(y)
         if vmin <= 0.0:
             raise DomainError(
                 f"grand-coalition profit can drop to {vmin} at order {y}; "
                 "the order lies outside the admissible interval"
             )
+        return vmin, q_min
+
+    def vmax(self, y: float, s) -> VmaxResult:
+        """Worst-case ratio of coalition `s`'s best profit to the grand
+        coalition's profit at order y, over all consistent joints."""
+        mask = coalition_mask(s, self.n)
+        if mask == 0 or mask == self.inst.grand_mask:
+            raise InputError("v_max is defined for nonempty proper coalitions")
+        vmin, q_min = self._admissible_min_profit(y)
         return self.vmax_entry(y, mask, vmin, q_min)
 
     def table(self, y: float) -> VmaxTable:
-        hit = self._table_cache.get(y)
-        if hit is not None:
-            return hit
-        vmin, q_min = self.min_grand_profit(y)
-        if vmin <= 0.0:
-            raise DomainError(
-                f"grand-coalition profit can drop to {vmin} at order {y}; "
-                "the order lies outside the admissible interval"
-            )
+        """Worst-case ratios of every nonempty proper coalition at order y.
+        Records the attaining joints in `witnesses`."""
+        if self._last_table is not None and self._last_table.y == y:
+            return self._last_table
+        vmin, q_min = self._admissible_min_profit(y)
         entries = {
             mask: self.vmax_entry(y, mask, vmin, q_min)
             for mask in range(1, self.inst.grand_mask)
         }
-        table = VmaxTable(y, entries, vmin)
-        self._table_cache[y] = table
-        return table
+        for entry in entries.values():
+            if id(entry.q) not in self._witness_ids:
+                self._witness_ids.add(id(entry.q))
+                self.witnesses.append(entry.q)
+        self._last_table = VmaxTable(y, entries, vmin)
+        self._last_sigma = None
+        return self._last_table
 
     # -- stability ---------------------------------------------------------
 
     def sigma(self, y: float) -> tuple[float, np.ndarray]:
-        hit = self._sigma_cache.get(y)
-        if hit is not None:
-            return hit
+        """Least relaxation eps such that some efficient multiple vector
+        covers every worst-case ratio at order y, with those multiples;
+        eps <= 0 certifies a stable decision."""
         table = self.table(y)
-        x, eps = solve_stability_lp(self.n, table.values, 1.0)
-        self._sigma_cache[y] = (eps, x)
-        return eps, x
+        if self._last_sigma is None:
+            x, eps = solve_stability_lp(self.n, table.values, 1.0)
+            self._last_sigma = (eps, x)
+        return self._last_sigma
 
     def core_decision(self) -> Decision | None:
         y = self.grand_wc.y_star
@@ -289,72 +310,50 @@ class RobustGameSolver:
         return None
 
     def least_core(self, y_tol: float | None = None) -> tuple[Decision, float]:
+        if y_tol is not None and not (np.isfinite(y_tol) and y_tol > 0):
+            raise InputError(f"y_tol must be finite and positive, got {y_tol}")
         y_lo, y_hi = grand_action_interval(self.inst)
         if y_tol is None:
             y_tol = 1e-4 * (y_hi - y_lo)
 
-        def probe(y: float) -> float:
+        def probe(y: float) -> tuple[float, np.ndarray | None]:
             try:
-                eps, _x = self.sigma(y)
+                return self.sigma(y)
             except DomainError:
-                return np.inf
-            return eps
+                return np.inf, None
 
+        # The incumbent is the worst-case order, then each new probe; the
+        # two initial interior probes are never candidates.
         best_y = self.grand_wc.y_star
-        best_eps = probe(best_y)
+        best_eps, best_x = probe(best_y)
 
         a, b = y_lo, y_hi
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1, f2 = probe(x1), probe(x2)
+        y1 = b - _GOLDEN * (b - a)
+        y2 = a + _GOLDEN * (b - a)
+        f1, f2 = probe(y1)[0], probe(y2)[0]
         for _ in range(GOLDEN_MAX_ITERS):
             if b - a <= y_tol:
                 break
             if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _GOLDEN * (b - a)
-                f1 = probe(x1)
-                y_new, f_new = x1, f1
+                b, y2, f2 = y2, y1, f1
+                y1 = y_new = b - _GOLDEN * (b - a)
+                f1, x_new = probe(y1)
+                f_new = f1
             else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _GOLDEN * (b - a)
-                f2 = probe(x2)
-                y_new, f_new = x2, f2
+                a, y1, f1 = y1, y2, f2
+                y2 = y_new = a + _GOLDEN * (b - a)
+                f2, x_new = probe(y2)
+                f_new = f2
             if f_new < best_eps:
-                best_y, best_eps = y_new, f_new
+                best_y, best_eps, best_x = y_new, f_new, x_new
         if not np.isfinite(best_eps):
             raise SolverError("least-core search never found an admissible order")
-        eps, x = self.sigma(best_y)
-        return Decision(best_y, x), eps
-
-    def collect_witnesses(self) -> list[np.ndarray]:
-        """Joint vertices that attained some worst-case ratio, across every
-        table computed so far."""
-        out = []
-        for table in self._table_cache.values():
-            for entry in table.entries.values():
-                out.append(entry.q)
-        return out
+        return Decision(best_y, best_x), best_eps
 
 
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
-
-
-def vmax(inst: Instance, y: float, s) -> VmaxResult:
-    """Worst-case ratio of coalition `s`'s best profit to the grand
-    coalition's profit at order y, over all consistent joints."""
-    return RobustGameSolver(inst).vmax(y, s)
-
-
-def sigma(inst: Instance, y: float, table: VmaxTable | None = None) -> tuple[float, np.ndarray]:
-    """Least relaxation eps such that some efficient multiple vector covers
-    every worst-case ratio at order y; eps <= 0 certifies a stable decision."""
-    if table is not None:
-        x, eps = solve_stability_lp(inst.n_retailers, table.values, 1.0)
-        return eps, x
-    return RobustGameSolver(inst).sigma(y)
 
 
 def robust_core(inst: Instance) -> Decision | None:
@@ -374,10 +373,7 @@ def imputation_exists(inst: Instance) -> tuple[bool, np.ndarray]:
     optimal order is at most 1; the returned multiples (ratio plus an equal
     share of the slack) are individually rational whenever it is."""
     solver = RobustGameSolver(inst)
-    y = solver.grand_wc.y_star
-    vmin, _ = solver.min_grand_profit(y)
-    if vmin <= 0.0:
-        raise DomainError("worst-case grand profit is nonpositive at its own optimizer")
+    vmin, _ = solver._admissible_min_profit(solver.grand_wc.y_star)
     n = inst.n_retailers
     singles = np.array(
         [solver._block_value(1 << i)[1] / vmin for i in range(n)]

@@ -8,9 +8,11 @@ ratio of S's achievable profit to the grand profit at y. Coalitions inside a
 single block order their known-distribution quantile; coalitions spanning
 blocks order optimally for the realized q.
 
-Per instance the experiment builds a pool of extremal vertices (random-cost
-vertices, then the worst-case ratio witnesses), keeps the first 256 that lie
-farther than 1e-10 in max norm from every vector kept before them, and
+Per instance the experiment builds a pool of extremal vertices: random-cost
+vertices, then the worst-case ratio witnesses, which the robust solver
+records in build order (each distinct array once) as it computes the tables
+of its core and least-core search. It keeps the first 256 that lie farther
+than 1e-10 in max norm from every vector kept before them, and
 mixes each with the independent joint at every lambda. The mixtures of one
 lambda are evaluated as one matrix: samples under which either decision's
 grand profit is nonpositive are screened out and counted as degenerate, the
@@ -100,6 +102,7 @@ class ExperimentConfig:
         object.__setattr__(self, "lambda_grid", lam)
         if self.num_instances < 1 or self.num_extremal < 0:
             raise InputError("num_instances must be >= 1 and num_extremal >= 0")
+        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,17 @@ class ExcessStats:
         return [r for r in self.rows if abs(r.lam - lam) <= tol]
 
 
+def _check_seed(seed, name: str) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"{name} must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 def gen_instance(cfg: ExperimentConfig, instance_seed: int) -> Instance:
     """Random instance: per block, atoms uniform on the integer box
     [support_lo, support_hi]^size and probabilities as normalized uniform
     draws. Deterministic per seed."""
-    rng = np.random.default_rng(instance_seed)
+    rng = np.random.default_rng(_check_seed(instance_seed, "instance seed"))
     marginals = []
     for size, k_r in zip(cfg.block_sizes, cfg.atoms_per_block):
         atoms = rng.integers(cfg.support_lo, cfg.support_hi + 1, (k_r, size)).astype(float)
@@ -373,7 +382,7 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int, float | None]) -
     for _ in range(cfg.num_extremal):
         cost = rng.uniform(-1.0, 1.0, inst.joint_size())
         pool.append(sample_extremal(inst, cost).q)
-    pool.extend(solver.collect_witnesses())
+    pool.extend(solver.witnesses)
     pool = _dedupe_pool(pool)
     if not pool:
         pool = [q_ind.q]

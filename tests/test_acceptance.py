@@ -24,7 +24,6 @@ from nvgames.robust_game import (
     imputation_exists,
     robust_core,
     robust_least_core,
-    sigma,
     verify_rcore2,
 )
 from nvgames.stress import ExperimentConfig, gen_instance, run_stress
@@ -95,7 +94,7 @@ def test_criterion_02_t1_exact_fixture(t1):
         assert d is not None
         assert abs(d.y - 3.0) <= 1e-9
         assert np.max(np.abs(d.z - np.array([1.0 / 3.0, 2.0 / 3.0]))) <= 1e-9
-        eps, _x = sigma(t1, 3.0)
+        eps, _x = RobustGameSolver(t1).sigma(3.0)
         assert abs(eps) <= 1e-9
         ok, z = imputation_exists(t1)
         assert ok

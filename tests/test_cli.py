@@ -54,6 +54,15 @@ class TestSolve:
         eps = float(next(l for l in out.splitlines() if l.startswith("eps:")).split()[1])
         assert eps > 0.05
 
+    @pytest.mark.parametrize("y_tol", ["0", "-0.05", "nan", "inf"])
+    def test_bad_y_tol_is_input_error(self, tmp_path, y_tol):
+        path = tmp_path / "ex1.json"
+        save_instance(make_example1(8), path)
+        code, out, err = invoke(["solve", str(path), f"--y-tol={y_tol}"])
+        assert code == 2
+        assert "y_tol" in err
+        assert out == ""
+
     def test_missing_file(self):
         code, _, err = invoke(["solve", "/does/not/exist.json"])
         assert code == 2
@@ -105,6 +114,15 @@ class TestVmax:
         assert "2,0.666666667,2" in out
 
 
+    @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+    def test_non_finite_order_is_input_error(self, t1_path, y):
+        for extra in ([], ["--coalition", "1"]):
+            code, out, err = invoke(["vmax", t1_path, f"--y={y}"] + extra)
+            assert code == 2
+            assert "finite" in err
+            assert "nan" not in out
+
+
 class TestStressAndGen:
     def test_gen_solve_round_trip(self, tmp_path, cfg_path):
         inst_path = tmp_path / "inst.json"
@@ -129,6 +147,29 @@ class TestStressAndGen:
         assert len(lines) == 1 + 2 * 2  # instances x lambdas
 
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_config_seed_is_input_error(self, tmp_path, cfg_path, seed):
+        cfg = json.loads(open(cfg_path).read())
+        cfg["seed"] = seed
+        bad = tmp_path / "bad_cfg.json"
+        bad.write_text(json.dumps(cfg))
+        for argv in (
+            ["--threads", "1", "stress", "--config", str(bad), "--out", str(tmp_path / "s.csv")],
+            ["gen", "--config", str(bad), "--out", str(tmp_path / "i.json")],
+        ):
+            code, _, err = invoke(argv)
+            assert code == 2
+            assert "seed" in err
+
+    def test_negative_instance_seed_is_input_error(self, tmp_path, cfg_path):
+        code, _, err = invoke(
+            ["gen", "--config", cfg_path, "--out", str(tmp_path / "i.json"), "--instance-seed", "-1"]
+        )
+        assert code == 2
+        assert "seed" in err
+        assert not (tmp_path / "i.json").exists()
+
+
 class TestVerify:
     def test_verify_decision(self, tmp_path, t1_path):
         dec = tmp_path / "dec.json"
@@ -144,6 +185,19 @@ class TestVerify:
         code, out, _ = invoke(["verify", t1_path, "--decision", str(dec)])
         assert code == 0
         assert "structural_check: fail" in out
+
+    @pytest.mark.parametrize("text", [
+        '{"y": NaN, "z": [0.3333333333, 0.6666666667]}',
+        '{"y": Infinity, "z": [0.3333333333, 0.6666666667]}',
+        '{"y": 3.0, "z": [NaN, 1.0]}',
+    ])
+    def test_non_finite_decision_is_input_error(self, tmp_path, t1_path, text):
+        dec = tmp_path / "dec.json"
+        dec.write_text(text)
+        code, out, err = invoke(["verify", t1_path, "--decision", str(dec)])
+        assert code == 2
+        assert "finite" in err
+        assert "structural_check" not in out
 
     def test_malformed_decision_file(self, tmp_path, t1_path):
         dec = tmp_path / "dec.json"

@@ -1,10 +1,12 @@
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from nvgames import lp as lp_module
-from nvgames.coop import balancedness_duality_pair
+from nvgames.coop import balancedness_duality_pair, solve_stability_lp
 from nvgames.distributions import (
     DEFAULT_SUPPORT_CAP,
     DiscreteMarginal,
@@ -26,9 +28,7 @@ from nvgames.robust_game import (
     imputation_exists,
     robust_core,
     robust_least_core,
-    sigma,
     verify_rcore2,
-    vmax,
 )
 
 from conftest import make_example1, random_instance
@@ -37,18 +37,28 @@ from oracles import brute_force_vmax
 
 class TestVmax:
     def test_t1_singletons(self, t1):
-        assert vmax(t1, 3.0, {0}).value == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert vmax(t1, 3.0, {1}).value == pytest.approx(2.0 / 3.0, abs=1e-12)
+        solver = RobustGameSolver(t1)
+        assert solver.vmax(3.0, {0}).value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert solver.vmax(3.0, {1}).value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_rejects_empty_and_grand(self, t1):
+        solver = RobustGameSolver(t1)
         with pytest.raises(InputError):
-            vmax(t1, 3.0, 0)
+            solver.vmax(3.0, 0)
         with pytest.raises(InputError):
-            vmax(t1, 3.0, 0b11)
+            solver.vmax(3.0, 0b11)
 
     def test_order_outside_interval_is_domain_error(self, t1):
         with pytest.raises(DomainError):
-            vmax(t1, 50.0, {0})
+            RobustGameSolver(t1).vmax(50.0, {0})
+
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_non_finite_order_is_input_error(self, t1, y):
+        solver = RobustGameSolver(t1)
+        for call in (lambda: solver.vmax(y, {0}), lambda: solver.table(y)):
+            with pytest.raises(InputError, match="finite") as info:
+                call()
+            assert not isinstance(info.value, DomainError)
 
     def test_example1_pair_ratios_small_k(self):
         k = 24
@@ -133,7 +143,7 @@ class TestVmax:
 
 class TestSigma:
     def test_t1(self, t1):
-        eps, x = sigma(t1, 3.0)
+        eps, x = RobustGameSolver(t1).sigma(3.0)
         assert eps == pytest.approx(0.0, abs=1e-12)
         assert x == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-12)
 
@@ -143,7 +153,7 @@ class TestSigma:
             entries={m: VmaxResult(0.0, 0.0, np.array([])) for m in (0b01, 0b10)},
             min_grand_profit=3.0,
         )
-        eps, x = sigma(t1, 3.0, table)
+        x, eps = solve_stability_lp(2, table.values, 1.0)
         assert eps == pytest.approx(-0.5)
         assert x == pytest.approx([0.5, 0.5])
 
@@ -217,6 +227,73 @@ class TestRobustLeastCore:
                 s2, _ = solver.sigma(y2)
                 sm, _ = solver.sigma(mid)
                 assert sm <= 0.5 * (s1 + s2) + 1e-8
+
+
+class TestSolverState:
+    def test_table_history_is_bounded(self):
+        inst = random_instance(3, n=3, block_sizes=(2, 1), atoms_per_block=(2, 2))
+        solver = RobustGameSolver(inst)
+        y1 = solver.grand_wc.y_star
+        first = weakref.ref(solver.table(y1))
+        assert solver.table(y1) is first()
+        solver.table(0.9 * y1)
+        gc.collect()
+        assert first() is None
+
+    def test_sigma_follows_the_last_table(self):
+        inst = random_instance(3, n=3, block_sizes=(2, 1), atoms_per_block=(2, 2))
+        solver = RobustGameSolver(inst)
+        y = solver.grand_wc.y_star
+        for y_i in (y, 0.9 * y, 0.9 * y, y):
+            eps, x = solver.sigma(y_i)
+            expect_x, expect_eps = solve_stability_lp(3, solver.table(y_i).values, 1.0)
+            assert eps == expect_eps
+            assert np.array_equal(x, expect_x)
+
+    def test_witnesses_in_build_order_once_per_array(self):
+        inst = random_instance(5, n=4, block_sizes=(2, 2), atoms_per_block=(2, 3))
+        solver = RobustGameSolver(inst)
+        y = solver.grand_wc.y_star
+        tables = [solver.table(f * y) for f in (1.0, 0.8, 1.1)]
+        expect, seen = [], set()
+        for table in tables:
+            for mask in sorted(table.entries):
+                q = table.entries[mask].q
+                if id(q) not in seen:
+                    seen.add(id(q))
+                    expect.append(q)
+        assert len(expect) < sum(len(t.entries) for t in tables)
+        assert len(solver.witnesses) == len(expect)
+        assert all(a is b for a, b in zip(solver.witnesses, expect))
+
+    def test_least_core_keeps_at_most_one_table(self):
+        def live_tables():
+            gc.collect()
+            return sum(isinstance(o, VmaxTable) for o in gc.get_objects())
+
+        before = live_tables()
+        solver = RobustGameSolver(make_example1(8))
+        assert solver.core_decision() is None
+        solver.least_core(y_tol=0.02)
+        assert live_tables() <= before + 1
+
+    @pytest.mark.parametrize("y_tol", [0.0, -0.02, np.nan, np.inf])
+    def test_least_core_rejects_bad_y_tol(self, y_tol):
+        solver = RobustGameSolver(make_example1(8))
+        with pytest.raises(InputError, match="y_tol"):
+            solver.least_core(y_tol)
+
+
+class TestDecision:
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -1.0])
+    def test_order_must_be_finite_and_nonnegative(self, y):
+        with pytest.raises(InputError, match="order quantity"):
+            Decision(y, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("z", [[np.nan, 1.0], [np.inf, -np.inf], [0.5, np.nan]])
+    def test_multiples_must_be_finite(self, z):
+        with pytest.raises(InputError, match="finite"):
+            Decision(1.0, np.array(z))
 
 
 class TestImputationExists:

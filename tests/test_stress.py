@@ -74,7 +74,18 @@ class TestConfig:
             )
 
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            small_cfg(seed=seed)
+
+
 class TestGenInstance:
+    @pytest.mark.parametrize("seed", [-1, 2.0])
+    def test_instance_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(InputError, match="instance seed"):
+            gen_instance(small_cfg(), seed)
+
     def test_same_seed_same_instance(self):
         cfg = small_cfg()
         a, b = gen_instance(cfg, 7), gen_instance(cfg, 7)
