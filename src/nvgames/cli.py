@@ -70,6 +70,7 @@ def _cmd_solve(args, out) -> int:
     print(f"y: {_fmt(decision.y)}", file=out)
     print(f"z: {_fmt_vec(decision.z)}", file=out)
     print(f"eps: {_fmt(eps)}", file=out)
+    print(f"eps_lower: {_fmt(solver.least_core_lower)}", file=out)
     return 0
 
 

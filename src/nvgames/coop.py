@@ -70,15 +70,16 @@ def _coalition_indicator_rows(n: int, masks) -> np.ndarray:
 
 def solve_stability_lp(
     n: int, values_by_mask: Mapping[int, float], total: float
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """min eps s.t. x(S) + eps >= value(S) for each given coalition and
     x(N) = total, with x and eps free. Rows are emitted in increasing mask
-    order. Returns (x, eps)."""
+    order. Returns (x, eps, w): w holds the coalition weights of the dual,
+    w_S = d eps / d value(S) >= 0 in increasing mask order, summing to 1."""
     masks = sorted(values_by_mask)
     if any(m <= 0 or m >= (1 << n) for m in masks):
         raise InputError("stability constraints must be over nonempty coalitions of 0..n-1")
     if not masks:
-        return np.full(n, total / n), 0.0
+        return np.full(n, total / n), 0.0, np.zeros(0)
     rows = _coalition_indicator_rows(n, masks)
     vals = np.array([float(values_by_mask[m]) for m in masks])
     a_ub = -np.hstack([rows, np.ones((len(masks), 1))])
@@ -95,7 +96,8 @@ def solve_stability_lp(
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise SolverError(f"stability LP reported {sol.status!r}")
-    return sol.x[:n].copy(), float(sol.x[n])
+    # duals[0] prices x(N) = total; a coalition row reads -(x(S) + eps) <= -value(S).
+    return sol.x[:n].copy(), float(sol.x[n]), -sol.duals[1:]
 
 
 def least_core(v: CharacteristicFunction) -> tuple[np.ndarray, float]:
@@ -106,7 +108,7 @@ def least_core(v: CharacteristicFunction) -> tuple[np.ndarray, float]:
     if n == 1:
         return np.array([v.grand_value]), 0.0
     table = {mask: float(v.values[mask]) for mask in range(1, (1 << n) - 1)}
-    x, eps = solve_stability_lp(n, table, v.grand_value)
+    x, eps, _w = solve_stability_lp(n, table, v.grand_value)
     return x, eps
 
 

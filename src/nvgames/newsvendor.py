@@ -25,7 +25,6 @@ from .distributions import (
 from .errors import GameInvalidError, InputError, SolverError
 
 _QUANTILE_EPS = 1e-12
-ACTION_Y_TOL = 1e-6  # bisection width of the action interval's upper end
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,13 +184,15 @@ def lemma3_condition(inst: Instance) -> bool:
 
 
 def grand_action_interval(inst: Instance) -> tuple[float, float]:
-    """Outer approximation (0, y_hi) of the open interval of grand orders
-    whose profit stays positive under every consistent joint.
+    """The interval (0, y_hi) of grand orders whose profit stays positive
+    under every consistent joint.
 
     The worst-case profit g(y) is concave with g(0) = 0, so when it is
     positive at its peak, {g > 0} is an interval whose lower end is exactly
-    0. The upper end is located by bisection to within ACTION_Y_TOL, and
-    g(y_hi) <= 0.
+    0. g is piecewise linear with kinks at the comonotonic sums (slope
+    p - c - p * P(sum < y), and -c past the largest sum), so the upper root
+    is found by scanning those sums past the peak and interpolating on the
+    segment where g changes sign; g(y_hi) <= 0, and it is 0 up to rounding.
     """
     wc = worst_case_order(inst, inst.grand_mask)
     coupling = comonotonic_coupling(inst, inst.grand_mask)
@@ -212,21 +213,21 @@ def grand_action_interval(inst: Instance) -> tuple[float, float]:
             "every consistent joint distribution"
         )
 
-    # Upper endpoint: expand beyond the peak until the profit turns nonpositive.
-    mean_total = sum(
-        float(block_demand(inst, r, bmask).values @ inst.marginals[r].probs)
-        for r, bmask in enumerate(inst.block_masks)
-    )
-    cap = inst.price * mean_total / inst.cost + 1.0
-    lo, hi = y_peak, max(2.0 * y_peak, y_peak + 1.0)
-    while g(hi) > 0.0:
-        if hi > cap:
-            raise SolverError("failed to bracket the upper endpoint of the action interval")
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > ACTION_Y_TOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.0, hi
+    # g is linear between consecutive kinks, so between the last kink with
+    # g > 0 (or the peak) and the first kink past it with g <= 0.
+    y_left, g_left = y_peak, g_peak
+    for y_kink in np.unique(coupling[0][coupling[0] > y_peak]):
+        g_kink = g(float(y_kink))
+        if g_kink <= 0.0:
+            root = y_left + (float(y_kink) - y_left) * g_left / (g_left - g_kink)
+            break
+        y_left, g_left = float(y_kink), g_kink
+    else:
+        root = y_left + g_left / inst.cost
+    # Rounding can leave g a few ulps above 0; step up to the first float
+    # where it is not.
+    for _ in range(64):
+        if g(root) <= 0.0:
+            return 0.0, root
+        root = float(np.nextafter(root, np.inf))
+    raise SolverError(f"worst-case profit stays positive just past its root {root}")

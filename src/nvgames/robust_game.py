@@ -1,6 +1,6 @@
 """Robust newsvendor game computations: worst-case payoff ratios v_max(y,S)
 over the consistency polytope, the stability value sigma(y), robust core
-decisions, the robust least core via one-dimensional convex search, and
+decisions, the robust least core by a certified cutting-plane search, and
 structural self-checks.
 
 For a coalition meeting several blocks, v_max(y, S) maximizes the ratio of
@@ -28,10 +28,24 @@ basis factorization to the next solve. The ratio system at y is the
 polytope's incidence operator with one dense border row and column.
 
 Beyond those warm starts the solver keeps no per-y history: only the last
-table and, once computed, its sigma, which is what the least-core search
-reads back. Every joint that attains a worst-case ratio is appended to the
-solver's `witnesses` list as its table is built, so the stress experiment
-gets its adversarial joints without the tables being kept.
+table and, once computed, its sigma with the stability LP's dual weights,
+which is what the least-core search reads back. Every joint that attains a
+worst-case ratio is appended to the solver's `witnesses` list as its table
+is built, so the stress experiment gets its adversarial joints without the
+tables being kept.
+
+sigma(y) is convex: with the dual weights w fixed it is bounded below by
+sum_S w_S v_S(y) - mu, and each v_S(y) by the ratio of its attaining joint,
+which is convex in y (a positive constant over a positive concave grand
+profit). Both bounds are tight at the probe, so their one-sided derivatives
+give two cuts that support sigma there (Kelley 1960). The least-core search
+brackets the minimum with these cuts, probes their crossing (snapped to a
+grand-demand support value, where sigma may kink, when one is in the
+bracket) and stops on a probe whose slopes straddle 0, on a bracket at most
+y_tol wide, or once the best eps is within 1e-9 (relative) of the cuts'
+lower bound, which the solver then holds as `least_core_lower`. A probe
+that contradicts an earlier cut raises SolverError: sigma would not be
+convex.
 """
 
 from __future__ import annotations
@@ -59,8 +73,6 @@ from .newsvendor import (
 )
 
 CORE_EPS_TOL = 1e-9
-GOLDEN_MAX_ITERS = 200
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +127,8 @@ class RobustGameSolver:
     it is cheap to evaluate tables at many order quantities. Of the tables
     it keeps only the last one and its sigma; `witnesses` lists, in build
     order and once per array, the joints that attained the ratios of every
-    table built. Not safe to share across threads.
+    table built. After `least_core`, `least_core_lower` holds its certified
+    lower bound on min sigma. Not safe to share across threads.
     """
 
     def __init__(self, inst: Instance, cap: int = DEFAULT_SUPPORT_CAP):
@@ -133,7 +146,8 @@ class RobustGameSolver:
         self._cc_lp = None
         self._cc_lp_y: float | None = None
         self._last_table: VmaxTable | None = None
-        self._last_sigma: tuple[float, np.ndarray] | None = None
+        self._last_sigma: tuple[float, np.ndarray, np.ndarray] | None = None
+        self.least_core_lower: float | None = None
         self.witnesses: list[np.ndarray] = []
         self._witness_ids: set[int] = set()
 
@@ -290,9 +304,9 @@ class RobustGameSolver:
         eps <= 0 certifies a stable decision."""
         table = self.table(y)
         if self._last_sigma is None:
-            x, eps = solve_stability_lp(self.n, table.values, 1.0)
-            self._last_sigma = (eps, x)
-        return self._last_sigma
+            x, eps, w = solve_stability_lp(self.n, table.values, 1.0)
+            self._last_sigma = (eps, x, w)
+        return self._last_sigma[:2]
 
     def core_decision(self) -> Decision | None:
         y = self.grand_wc.y_star
@@ -309,45 +323,117 @@ class RobustGameSolver:
             return Decision(y, x)
         return None
 
+    def _sigma_slopes(self) -> tuple[float, float]:
+        """One-sided slopes (g-, g+) of two cuts that support sigma at the
+        last table's order y: sigma(t) >= sigma(y) + g (t - y) for every t
+        and both g, with sigma'(y-) <= g- <= g+ <= sigma'(y+).
+
+        With the stability LP's weights w fixed, sum_S w_S v_S(t) - mu is a
+        lower bound on sigma(t) that is tight at y, and with each entry's
+        attaining gamma and joint q fixed, v_S(t) >= N_S / G_q(t), tight at
+        y, where G_q(t) = (p-c) t - p E_q(t - d_N)^+ is concave and
+        positive. Both minorants are convex, so their one-sided derivatives
+        -v_S G_q'(y+-) / G_q(y), weighted by w, give the cuts."""
+        table = self._last_table
+        w = self._last_sigma[2]
+        masks = sorted(table.entries)
+        used = np.flatnonzero(w > 0.0)
+        q = np.array([table.entries[masks[i]].q for i in used])
+        v = np.array([table.entries[masks[i]].value for i in used])
+        y, d, pc = table.y, self.d_grand, self.p - self.c
+        grand = pc * y - self.p * (q @ np.maximum(y - d, 0.0))
+        left = pc - self.p * (q @ (d < y))
+        right = pc - self.p * (q @ (d <= y))
+        scale = w[used] * v / grand
+        return float(-(scale @ left)), float(-(scale @ right))
+
     def least_core(self, y_tol: float | None = None) -> tuple[Decision, float]:
+        """Minimize the convex sigma(y) over the admissible orders by a
+        safeguarded cutting-plane search; returns the best decision probed
+        and its eps, and leaves a certified lower bound on min sigma in
+        `least_core_lower`.
+
+        Every probe is a sigma evaluation plus the two cuts of
+        `_sigma_slopes`. The first probe is the worst-case order. Until the
+        bracket has a cut at each end, the next probe bisects it on the side
+        the slopes point to (an inadmissible probe shrinks it too); then it
+        is the crossing of the two end cuts, kept within the inner 90% of
+        the bracket. A grand-demand support value inside the bracket, where
+        sigma may have a kink, replaces that point when one exists (the
+        nearest), so a kink optimum is probed exactly. The search stops
+        when a probe's slopes satisfy g- <= 0 <= g+ (an exact minimum),
+        when the bracket is at most y_tol wide (default 1e-4 of the
+        admissible interval), or when the best eps exceeds the cuts' lower
+        bound by at most 1e-9 * max(1, |eps|). A probe below an earlier cut,
+        or a cut above an earlier probe, by more than that tolerance means
+        sigma is not convex and raises SolverError.
+        """
         if y_tol is not None and not (np.isfinite(y_tol) and y_tol > 0):
             raise InputError(f"y_tol must be finite and positive, got {y_tol}")
         y_lo, y_hi = grand_action_interval(self.inst)
         if y_tol is None:
             y_tol = 1e-4 * (y_hi - y_lo)
+        support = np.unique(self.d_grand)
 
-        def probe(y: float) -> tuple[float, np.ndarray | None]:
-            try:
-                return self.sigma(y)
-            except DomainError:
-                return np.inf, None
-
-        # The incumbent is the worst-case order, then each new probe; the
-        # two initial interior probes are never candidates.
-        best_y = self.grand_wc.y_star
-        best_eps, best_x = probe(best_y)
-
+        probes: list[tuple[float, float, float, float]] = []  # (y, eps, g-, g+)
         a, b = y_lo, y_hi
-        y1 = b - _GOLDEN * (b - a)
-        y2 = a + _GOLDEN * (b - a)
-        f1, f2 = probe(y1)[0], probe(y2)[0]
-        for _ in range(GOLDEN_MAX_ITERS):
-            if b - a <= y_tol:
-                break
-            if f1 <= f2:
-                b, y2, f2 = y2, y1, f1
-                y1 = y_new = b - _GOLDEN * (b - a)
-                f1, x_new = probe(y1)
-                f_new = f1
+        cut_a = cut_b = None  # (y, eps, slope) of the cut at each bracket end
+        best_y, best_eps, best_x = None, np.inf, None
+        lower = -np.inf
+        y = y_wc = self.grand_wc.y_star
+        while True:
+            try:
+                f, x = self.sigma(y)
+            except DomainError:
+                # The admissible orders form an interval around y_wc.
+                if y < y_wc:
+                    a = y
+                else:
+                    b = y
             else:
-                a, y1, f1 = y1, y2, f2
-                y2 = y_new = a + _GOLDEN * (b - a)
-                f2, x_new = probe(y2)
-                f_new = f2
-            if f_new < best_eps:
-                best_y, best_eps, best_x = y_new, f_new, x_new
-        if not np.isfinite(best_eps):
+                g_lo, g_hi = self._sigma_slopes()
+                if f < best_eps:
+                    best_y, best_eps, best_x = y, f, x
+                tol = 1e-9 * max(1.0, abs(best_eps))
+                for y_j, f_j, lo_j, hi_j in probes:
+                    if f < f_j + max(lo_j * (y - y_j), hi_j * (y - y_j)) - tol or (
+                        f_j < f + max(g_lo * (y_j - y), g_hi * (y_j - y)) - tol
+                    ):
+                        raise SolverError(
+                            f"sigma is not convex: the probes at y={y_j!r} and y={y!r} "
+                            "contradict each other's cuts"
+                        )
+                probes.append((y, f, g_lo, g_hi))
+                if g_lo <= 0.0 <= g_hi:
+                    lower = min(f, best_eps)
+                    break
+                if g_hi < 0.0:
+                    a, cut_a = y, (y, f, g_hi)
+                else:
+                    b, cut_b = y, (y, f, g_lo)
+
+            if cut_a is not None and cut_b is not None:
+                (ya, fa, sa), (yb, fb, sb) = cut_a, cut_b
+                y_next = (fb - fa + sa * ya - sb * yb) / (sa - sb)
+                lower = min(fa + sa * (y_next - ya), best_eps)
+                y_next = min(max(y_next, a + 0.05 * (b - a)), b - 0.05 * (b - a))
+            else:
+                if cut_a is not None:
+                    lower = min(cut_a[1] + cut_a[2] * (b - cut_a[0]), best_eps)
+                elif cut_b is not None:
+                    lower = min(cut_b[1] + cut_b[2] * (a - cut_b[0]), best_eps)
+                y_next = 0.5 * (a + b)
+            if b - a <= y_tol or best_eps - lower <= 1e-9 * max(1.0, abs(best_eps)):
+                break
+            inside = support[(support > a) & (support < b)]
+            if inside.size:
+                y_next = inside[np.argmin(np.abs(inside - y_next))]
+            y = float(y_next)
+            if not a < y < b:
+                break  # the bracket is down to adjacent floats
+        if best_x is None:
             raise SolverError("least-core search never found an admissible order")
+        self.least_core_lower = float(lower)
         return Decision(best_y, best_x), best_eps
 
 
@@ -363,8 +449,9 @@ def robust_core(inst: Instance) -> Decision | None:
 
 
 def robust_least_core(inst: Instance, y_tol: float | None = None) -> tuple[Decision, float]:
-    """Minimize sigma(y) over admissible orders by golden-section search
-    (sigma is convex in y). Returns the best decision and its eps."""
+    """Minimize the convex sigma(y) over admissible orders by the solver's
+    cutting-plane search (see `RobustGameSolver.least_core`). Returns the
+    best decision probed and its eps."""
     return RobustGameSolver(inst).least_core(y_tol)
 
 

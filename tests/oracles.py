@@ -192,3 +192,27 @@ def scalar_excess(evaluator, q, decision) -> float:
         worst = max(worst, numer / den - float(zsum[mask]))
     return max(worst, 0.0)
 
+
+
+def bisect_action_interval_upper(inst, y_tol=1e-6):
+    """Upper end of the grand action interval by the bracket-and-bisect
+    search that the exact kink scan replaced: within y_tol above the root of
+    the worst-case grand profit, where that profit is nonpositive."""
+    from nvgames.newsvendor import comonotonic_coupling, coupled_profit, worst_case_order
+
+    coupling = comonotonic_coupling(inst, inst.grand_mask)
+
+    def g(y):
+        return coupled_profit(inst, coupling, y)
+
+    y_peak = worst_case_order(inst, inst.grand_mask).y_star
+    lo, hi = y_peak, max(2.0 * y_peak, y_peak + 1.0)
+    while g(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > y_tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi

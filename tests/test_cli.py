@@ -51,8 +51,13 @@ class TestSolve:
         code, out, _ = invoke(["solve", str(path), "--y-tol", "0.05"])
         assert code == 0
         assert "core: empty" in out
-        eps = float(next(l for l in out.splitlines() if l.startswith("eps:")).split()[1])
+        lines = out.splitlines()
+        eps = float(next(l for l in lines if l.startswith("eps:")).split()[1])
         assert eps > 0.05
+        # The certified lower bound on the least-core eps follows it.
+        assert lines[lines.index(f"eps: {eps:.9g}") + 1].startswith("eps_lower: ")
+        lower = float(lines[-1].split()[1])
+        assert lower <= eps
 
     @pytest.mark.parametrize("y_tol", ["0", "-0.05", "nan", "inf"])
     def test_bad_y_tol_is_input_error(self, tmp_path, y_tol):

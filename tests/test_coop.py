@@ -174,9 +174,29 @@ class TestBalancedness:
                 mask: float(rng.uniform(0.0, 0.8))
                 for mask in range(1, (1 << n) - 1)
             }
-            _x, eps = solve_stability_lp(n, table, 1.0)
+            _x, eps, _w = solve_stability_lp(n, table, 1.0)
             z_d = balancedness_duality_pair(table)[1]
             if eps <= 1e-9:
                 assert z_d <= 1e-7
             else:
                 assert z_d > 1e-9
+
+    def test_stability_weights_are_an_optimal_dual(self):
+        # sigma = max sum_S w_S v(S) - mu over w >= 0, sum_S w_S = 1 and
+        # sum_{S ni i} w_S = mu for every player: the weights must be
+        # feasible for that dual and attain eps.
+        from nvgames.coop import solve_stability_lp
+
+        rng = np.random.default_rng(33)
+        for _ in range(30):
+            n = int(rng.integers(2, 5))
+            masks = list(range(1, (1 << n) - 1))
+            table = {mask: float(rng.uniform(0.0, 0.8)) for mask in masks}
+            _x, eps, w = solve_stability_lp(n, table, 1.0)
+            assert w.shape == (len(masks),)
+            assert np.all(w >= -1e-12)
+            assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-9)
+            cover = [sum(w[k] for k, m in enumerate(masks) if m >> i & 1) for i in range(n)]
+            assert np.ptp(cover) <= 1e-9
+            vals = np.array([table[m] for m in masks])
+            assert float(w @ vals) - cover[0] == pytest.approx(eps, abs=1e-9)

@@ -15,6 +15,8 @@ from nvgames.newsvendor import (
 from nvgames.robust_game import RobustGameSolver
 
 from conftest import make_example1, random_instance
+from oracles import bisect_action_interval_upper
+from test_acceptance import rand_shape_instance
 
 
 class TestExpectedProfit:
@@ -212,6 +214,25 @@ class TestGrandActionInterval:
         assert lo < y_wc < hi
         value, _q = RobustGameSolver(inst).min_grand_profit(y_wc)
         assert value > 0.0
+
+    def test_upper_end_is_the_exact_root(self):
+        # The criterion-3 instances: the kink scan's y_hi is a root of the
+        # worst-case grand profit to rounding, and within the old
+        # bisection's tolerance of it.
+        from nvgames.newsvendor import comonotonic_coupling, coupled_profit
+
+        rng = np.random.default_rng(1003)
+        for _ in range(50):
+            inst = rand_shape_instance(rng, n_max=5, k_max=3)
+            _lo, hi = grand_action_interval(inst)
+            g_hi = coupled_profit(inst, comonotonic_coupling(inst, inst.grand_mask), hi)
+            assert -1e-12 * inst.price * hi <= g_hi <= 0.0
+            assert abs(hi - bisect_action_interval_upper(inst)) <= 1e-6
+
+    def test_upper_end_past_the_largest_demand(self, t1):
+        # t1's grand demand is 3 or 5; past 5 the profit falls at slope -c
+        # from g(5) = 3, so the root is 8 exactly.
+        assert grand_action_interval(t1) == (0.0, 8.0)
 
     def test_all_demands_at_least_one(self):
         inst = random_instance(17, n=3, block_sizes=(2, 1), atoms_per_block=(2, 2))

@@ -13,13 +13,14 @@ from nvgames.distributions import (
     Instance,
     independent_joint,
 )
-from nvgames.errors import DomainError, InputError
+from nvgames.errors import DomainError, InputError, SolverError
 from nvgames.newsvendor import (
     expected_profit,
     grand_action_interval,
     optimal_order,
     worst_case_order,
 )
+from nvgames.stress import gen_instance
 from nvgames.robust_game import (
     Decision,
     RobustGameSolver,
@@ -32,6 +33,7 @@ from nvgames.robust_game import (
 )
 
 from conftest import make_example1, random_instance
+from test_stress import small_cfg
 from oracles import brute_force_vmax
 
 
@@ -153,7 +155,7 @@ class TestSigma:
             entries={m: VmaxResult(0.0, 0.0, np.array([])) for m in (0b01, 0b10)},
             min_grand_profit=3.0,
         )
-        x, eps = solve_stability_lp(2, table.values, 1.0)
+        x, eps, _w = solve_stability_lp(2, table.values, 1.0)
         assert eps == pytest.approx(-0.5)
         assert x == pytest.approx([0.5, 0.5])
 
@@ -229,6 +231,118 @@ class TestRobustLeastCore:
                 assert sm <= 0.5 * (s1 + s2) + 1e-8
 
 
+def small_cfg_instance(i: int) -> Instance:
+    """Instance i of run_stress(small_cfg()), seeded as run_stress seeds it."""
+    cfg = small_cfg()
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.num_instances, np.uint32)
+    return gen_instance(cfg, int(seeds[2 * i]))
+
+
+def counted_sigma(monkeypatch) -> list[int]:
+    """Count RobustGameSolver.sigma calls from here on."""
+    calls = [0]
+    original = RobustGameSolver.sigma
+
+    def sigma(self, y):
+        calls[0] += 1
+        return original(self, y)
+
+    monkeypatch.setattr(RobustGameSolver, "sigma", sigma)
+    return calls
+
+
+class TestCutSearch:
+    def test_lower_bound_below_a_grid_and_eps_at_most_its_minimum(self):
+        # Oracle: sigma on a fine grid plus every grand-demand support value.
+        for seed in range(4):
+            shape = (3, (2, 1), (2, 2)) if seed % 2 else (4, (2, 2), (2, 3))
+            inst = random_instance(seed, n=shape[0], block_sizes=shape[1], atoms_per_block=shape[2])
+            solver = RobustGameSolver(inst)
+            _d, eps = solver.least_core(y_tol=1e-6)
+            lower = solver.least_core_lower
+            lo, hi = grand_action_interval(inst)
+            support = np.unique(solver.d_grand)
+            grid = np.r_[np.linspace(lo, hi, 202)[1:-1], support[(support > lo) & (support < hi)]]
+            oracle = RobustGameSolver(inst)
+            best = min(oracle.sigma(float(y))[0] for y in grid)
+            assert lower <= best + 1e-12
+            assert eps <= best + 1e-9
+            assert lower <= eps
+
+    def test_kink_optimum_is_returned_exactly(self):
+        # The optimum sits on the grand-demand support value 21, where
+        # golden section stopped at 20.99991.
+        inst = small_cfg_instance(0)
+        solver = RobustGameSolver(inst)
+        decision, eps = solver.least_core()
+        assert decision.y == 21.0
+        assert 21.0 in solver.d_grand
+        assert solver.least_core_lower == eps
+
+    @pytest.mark.parametrize("y", [20.0, 21.0, 22.5, 24.2])
+    def test_slopes_bracket_finite_differences(self, y):
+        # sigma is convex, so (sigma(y) - sigma(y-h))/h <= g- <= g+ <=
+        # (sigma(y+h) - sigma(y))/h; 21 is a kink, the others are smooth.
+        solver = RobustGameSolver(small_cfg_instance(0))
+        h = 1e-5
+        f, _x = solver.sigma(y)
+        g_lo, g_hi = solver._sigma_slopes()
+        back = (f - solver.sigma(y - h)[0]) / h
+        fwd = (solver.sigma(y + h)[0] - f) / h
+        assert back - 1e-6 <= g_lo <= g_hi <= fwd + 1e-6
+        if y == 21.0:
+            assert g_lo < 0.0 < g_hi
+        else:
+            assert g_hi - g_lo <= 1e-12
+            assert fwd - back <= 1e-3 * max(1.0, abs(g_lo))
+
+    def test_non_convex_sigma_raises(self, monkeypatch):
+        original = RobustGameSolver.sigma
+
+        def dented(self, y):
+            eps, x = original(self, y)
+            return eps - 10.0 * abs(y - self.grand_wc.y_star), x
+
+        monkeypatch.setattr(RobustGameSolver, "sigma", dented)
+        solver = RobustGameSolver(small_cfg_instance(0))
+        with pytest.raises(SolverError, match="not convex"):
+            solver.least_core()
+
+    def test_inadmissible_probe_shrinks_the_bracket(self, monkeypatch):
+        # Orders above 22 made inadmissible: the probe at 25 is refused,
+        # the bracket ends there, and the kink optimum 21 is still found.
+        original = RobustGameSolver.sigma
+        probed = []
+
+        def refusing(self, y):
+            probed.append(y)
+            if y > 22.0:
+                raise DomainError(f"order {y} refused")
+            return original(self, y)
+
+        monkeypatch.setattr(RobustGameSolver, "sigma", refusing)
+        decision, _eps = RobustGameSolver(small_cfg_instance(0)).least_core()
+        assert probed == [19.0, 25.0, 21.0]
+        assert decision.y == 21.0
+
+    def test_example1_certified_in_one_probe(self, monkeypatch):
+        solver = RobustGameSolver(make_example1(24))
+        calls = counted_sigma(monkeypatch)
+        decision, eps = solver.least_core(y_tol=0.02)
+        assert calls[0] == 1
+        assert decision.y == solver.grand_wc.y_star
+        assert solver.least_core_lower == eps
+
+    def test_stress_probe_count_is_pinned(self, monkeypatch):
+        # Both small_cfg() instances have an empty core: two core tests at
+        # the worst-case order, then 13 least-core probes between them.
+        from nvgames.stress import run_stress
+
+        calls = counted_sigma(monkeypatch)
+        run_stress(small_cfg())
+        assert calls[0] == 15
+
+
 class TestSolverState:
     def test_table_history_is_bounded(self):
         inst = random_instance(3, n=3, block_sizes=(2, 1), atoms_per_block=(2, 2))
@@ -246,7 +360,7 @@ class TestSolverState:
         y = solver.grand_wc.y_star
         for y_i in (y, 0.9 * y, 0.9 * y, y):
             eps, x = solver.sigma(y_i)
-            expect_x, expect_eps = solve_stability_lp(3, solver.table(y_i).values, 1.0)
+            expect_x, expect_eps, _w = solve_stability_lp(3, solver.table(y_i).values, 1.0)
             assert eps == expect_eps
             assert np.array_equal(x, expect_x)
 

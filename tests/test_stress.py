@@ -232,8 +232,10 @@ class TestRunStress:
             assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 9
 
     def test_csv_matches_golden_file(self, tmp_path):
-        # Written by the per-joint excess loop before the stacked kernel
-        # replaced it; every cell must survive the change bit for bit.
+        # Regenerated when the cutting-plane least core replaced golden
+        # section, which moved the robust decisions and so the rob_*
+        # columns; the det_* columns kept every byte. Any later change to
+        # a cell must be deliberate and stated.
         run_stress(small_cfg(), csv_path=tmp_path / "o.csv")
         assert (tmp_path / "o.csv").read_bytes() == GOLDEN_CSV.read_bytes()
 
@@ -255,7 +257,7 @@ class TestRunStress:
             if name.startswith("nvgames") and getattr(module, "solve_lp", None) is original:
                 monkeypatch.setattr(module, "solve_lp", counted)
         run_stress(small_cfg())
-        assert counts == [562, 938]
+        assert counts == [176, 332]
 
     def test_degenerate_samples_are_screened_and_counted(self, monkeypatch):
         # Orders far above the optimal ones make the grand profit
