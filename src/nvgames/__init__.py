@@ -59,15 +59,12 @@ from .robust_game import (
     VmaxResult,
     VmaxTable,
     imputation_exists,
-    robust_core,
-    robust_least_core,
     verify_rcore2,
 )
 from .stress import (
     ExcessRow,
     ExcessStats,
     ExperimentConfig,
-    excess,
     gen_instance,
     run_stress,
     solve_pair,
@@ -105,7 +102,6 @@ __all__ = [
     "check_consistency",
     "contaminate",
     "core_membership",
-    "excess",
     "expected_profit",
     "gen_instance",
     "get_polytope",
@@ -119,8 +115,6 @@ __all__ = [
     "load_instance",
     "optimal_order",
     "quantile_order",
-    "robust_core",
-    "robust_least_core",
     "run_stress",
     "sample_extremal",
     "save_instance",

@@ -40,12 +40,16 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(_fmt(x) for x in np.asarray(v, dtype=float)) + ")"
 
 
-def _load_decision(path) -> Decision:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
+def _load_decision(path) -> Decision:
+    data = _read_json(path)
     if not isinstance(data, dict) or "y" not in data or "z" not in data:
         raise InputError(f"{path}: decision file must be an object with 'y' and 'z'")
     try:
@@ -109,12 +113,7 @@ def _cmd_vmax(args, out) -> int:
 
 
 def _cmd_stress(args, out) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.config}: line {exc.lineno}: {exc.msg}") from exc
-    cfg = config_from_dict(data)
+    cfg = config_from_dict(_read_json(args.config))
     workers = args.threads if args.threads is not None else os.cpu_count()
     stats = run_stress(cfg, workers=workers, csv_path=args.out)
     print(f"instances: {cfg.num_instances}", file=out)
@@ -124,12 +123,7 @@ def _cmd_stress(args, out) -> int:
 
 
 def _cmd_gen(args, out) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.config}: line {exc.lineno}: {exc.msg}") from exc
-    cfg = config_from_dict(data)
+    cfg = config_from_dict(_read_json(args.config))
     inst = gen_instance(cfg, args.instance_seed if args.instance_seed is not None else cfg.seed)
     save_instance(inst, args.out)
     print(f"instance: {args.out}", file=out)

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import Coalition, Instance, JointDistribution, coalition_mask
+from .distributions import Instance, JointDistribution, coalition_mask
 from .errors import InputError, SolverError
 from .lp import LinearProgram, solve_lp
 from .newsvendor import optimal_order
@@ -138,10 +138,7 @@ def imputation_check(v: CharacteristicFunction, x, tol: float = MEMBERSHIP_TOL) 
 
 
 def _ratio_table(vmax_table: Mapping, n: int | None) -> tuple[int, list[int], np.ndarray]:
-    masks_in = {}
-    for key, val in vmax_table.items():
-        mask = key.mask if isinstance(key, Coalition) else coalition_mask(key)
-        masks_in[mask] = float(val)
+    masks_in = {coalition_mask(key): float(val) for key, val in vmax_table.items()}
     if n is None:
         if not masks_in:
             raise InputError("empty ratio table and no player count given")

@@ -86,7 +86,9 @@ class Instance:
             raise InputError(f"prices must satisfy 0 < cost < price, got cost={c}, price={p}")
         object.__setattr__(self, "price", p)
         object.__setattr__(self, "cost", c)
-        part = tuple(tuple(int(i) for i in block) for block in self.partition)
+        part = tuple(
+            tuple(check_int(i, "partition id") for i in block) for block in self.partition
+        )
         if not part or any(len(b) == 0 for b in part):
             raise InputError("partition must contain nonempty blocks")
         flat = [i for block in part for i in block]
@@ -167,6 +169,20 @@ class Coalition:
 
     def __bool__(self) -> bool:
         return self.mask != 0
+
+
+def check_int(value, name: str, minimum: int = 0) -> int:
+    """`value` as an int; raises InputError unless it is an integer (a bool
+    is not, a numpy integer is) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def block_aggregate(block: Sequence[int], atoms: np.ndarray, mask: int) -> np.ndarray:
+    """Aggregate demand of S cap N_r at every atom of block N_r's marginal
+    (rows of `atoms`); zeros when S does not meet the block."""
+    return atoms[:, [j for j, i in enumerate(block) if mask >> i & 1]].sum(axis=1)
 
 
 def coalition_mask(s, n: int | None = None) -> int:
@@ -449,16 +465,10 @@ class FrechetPolytope:
 
     def coalition_block_values(self, mask: int) -> list[np.ndarray]:
         """Per block r, aggregate demand of S cap N_r at each value class."""
-        out = []
-        for r, block in enumerate(self.partition):
-            cols = [j for j, i in enumerate(block) if mask >> i & 1]
-            atoms = self.marginals[r].atoms
-            if cols:
-                vals = atoms[:, cols].sum(axis=1)[self.class_reps[r]]
-            else:
-                vals = np.zeros(self.class_reps[r].size)
-            out.append(vals)
-        return out
+        return [
+            block_aggregate(block, m.atoms, mask)[reps]
+            for block, m, reps in zip(self.partition, self.marginals, self.class_reps)
+        ]
 
     def coalition_demands(self, mask: int) -> np.ndarray:
         """Aggregate demand d_k(S) at every joint atom, shape (K,)."""
@@ -517,15 +527,14 @@ def instance_from_dict(data: dict) -> Instance:
         if not isinstance(entry, dict) or "atoms" not in entry or "probs" not in entry:
             raise InputError(f"marginals[{r}] must be an object with 'atoms' and 'probs'")
         try:
-            marginals.append(DiscreteMarginal(np.asarray(entry["atoms"], dtype=float),
-                                              np.asarray(entry["probs"], dtype=float)))
+            marginals.append(DiscreteMarginal(entry["atoms"], entry["probs"]))
         except (InputError, ValueError, TypeError) as exc:
             raise InputError(f"marginals[{r}]: {exc}") from exc
     try:
         return Instance(
-            price=float(data["price"]),
-            cost=float(data["cost"]),
-            partition=tuple(tuple(int(i) for i in b) for b in data["partition"]),
+            price=data["price"],
+            cost=data["cost"],
+            partition=data["partition"],
             marginals=tuple(marginals),
         )
     except (InputError, ValueError, TypeError) as exc:

@@ -18,6 +18,7 @@ import numpy as np
 from .distributions import (
     Instance,
     JointDistribution,
+    block_aggregate,
     coalition_mask,
     get_polytope,
     northwest_corner,
@@ -109,12 +110,10 @@ def optimal_order(inst: Instance, q: JointDistribution, s) -> OrderResult:
 
 def block_demand(inst: Instance, r: int, mask: int) -> ScalarDemand:
     """Known distribution of the aggregate demand of S cap N_r."""
-    block = inst.partition[r]
-    cols = [j for j, i in enumerate(block) if mask >> i & 1]
-    if not cols:
+    if not mask & inst.block_masks[r]:
         raise InputError(f"coalition {mask:#x} does not meet block {r}")
     m = inst.marginals[r]
-    return ScalarDemand(m.atoms[:, cols].sum(axis=1), m.probs)
+    return ScalarDemand(block_aggregate(inst.partition[r], m.atoms, mask), m.probs)
 
 
 def worst_case_order(inst: Instance, s) -> OrderResult:
@@ -140,10 +139,9 @@ def comonotonic_coupling(inst: Instance, s) -> tuple[np.ndarray, np.ndarray, np.
     the coalition demand and the probability of every step of the walk, and
     the joint as a vector over the product support (last block fastest)."""
     mask = coalition_mask(s, inst.n_retailers)
-    values = []
-    for block, m in zip(inst.partition, inst.marginals):
-        cols = [j for j, i in enumerate(block) if mask >> i & 1]
-        values.append(m.atoms[:, cols].sum(axis=1))
+    values = [
+        block_aggregate(block, m.atoms, mask) for block, m in zip(inst.partition, inst.marginals)
+    ]
     steps, weights = northwest_corner(
         [m.probs for m in inst.marginals],
         [np.argsort(v, kind="stable") for v in values],

@@ -1,7 +1,9 @@
 """Robust newsvendor game computations: worst-case payoff ratios v_max(y,S)
 over the consistency polytope, the stability value sigma(y), robust core
 decisions, the robust least core by a certified cutting-plane search, and
-structural self-checks.
+structural self-checks. Everything but the structural checks is a method of
+one per-instance `RobustGameSolver`: `core_decision()` tests the robust core
+and `least_core(y_tol)` runs the least-core search.
 
 For a coalition meeting several blocks, v_max(y, S) maximizes the ratio of
 the coalition's profit (over its order gamma and the joint q) to the grand
@@ -121,7 +123,8 @@ class VmaxTable:
 
 
 class RobustGameSolver:
-    """Worst-case ratio machinery for one instance.
+    """Worst-case ratio machinery for one instance, and the one entry point
+    to its robust core (`core_decision`) and least core (`least_core`).
 
     Holds warm-start ratio-LP solutions (bases and their factorizations), so
     it is cheap to evaluate tables at many order quantities. Of the tables
@@ -309,6 +312,8 @@ class RobustGameSolver:
         return self._last_sigma[:2]
 
     def core_decision(self) -> Decision | None:
+        """A stable decision if one exists, else None. Only the worst-case
+        optimal grand order can be stable, so stability is tested there."""
         y = self.grand_wc.y_star
         vmin, _ = self.min_grand_profit(y)
         if vmin <= 0.0:
@@ -438,21 +443,8 @@ class RobustGameSolver:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations
+# Structural checks
 # ---------------------------------------------------------------------------
-
-
-def robust_core(inst: Instance) -> Decision | None:
-    """A stable decision if one exists. Only the worst-case optimal grand
-    order can be stable, so it suffices to test stability there."""
-    return RobustGameSolver(inst).core_decision()
-
-
-def robust_least_core(inst: Instance, y_tol: float | None = None) -> tuple[Decision, float]:
-    """Minimize the convex sigma(y) over admissible orders by the solver's
-    cutting-plane search (see `RobustGameSolver.least_core`). Returns the
-    best decision probed and its eps."""
-    return RobustGameSolver(inst).least_core(y_tol)
 
 
 def imputation_exists(inst: Instance) -> tuple[bool, np.ndarray]:
@@ -474,7 +466,10 @@ def imputation_exists(inst: Instance) -> tuple[bool, np.ndarray]:
 def verify_rcore2(inst: Instance, d: Decision, tol: float = 1e-7) -> bool:
     """Structural check of a claimed stable decision: the order must be the
     worst-case optimal one, and the scaled multiples restricted to each
-    block must be a core allocation of that block's deterministic game."""
+    block must be a core allocation of that block's deterministic game,
+    both within `tol`, which must be finite and nonnegative."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and nonnegative, got {tol}")
     z = np.asarray(d.z, dtype=float)
     if z.shape != (inst.n_retailers,):
         raise InputError(

@@ -6,7 +6,9 @@ The excess of a decision (y, z) under a realized joint q is the largest
 positive shortfall, over nonempty proper coalitions S, of z(S) against the
 ratio of S's achievable profit to the grand profit at y. Coalitions inside a
 single block order their known-distribution quantile; coalitions spanning
-blocks order optimally for the realized q.
+blocks order optimally for the realized q. `ExcessEvaluator(inst).excess`
+computes it under one joint or many; the robust decision comes from
+`RobustGameSolver`'s core test and least-core search.
 
 Per instance the experiment builds a pool of extremal vertices: random-cost
 vertices, then the worst-case ratio witnesses, which the robust solver
@@ -27,6 +29,7 @@ extremal sampling, and the (instance, lambda) aggregation order.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,13 +41,14 @@ from .distributions import (
     DiscreteMarginal,
     Instance,
     JointDistribution,
+    check_int,
     check_probability_rows,
     get_polytope,
     independent_joint,
     sample_extremal,
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
-from .newsvendor import block_demand, optimal_order, quantile_order
+from .newsvendor import optimal_order, worst_case_order
 from .robust_game import Decision, RobustGameSolver
 
 WITNESS_POOL_CAP = 256
@@ -57,7 +61,10 @@ CSV_HEADER = (
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Knobs for one stress run; all randomness derives from `seed`."""
+    """Knobs for one stress run; all randomness derives from `seed`. Every
+    field is checked and converted here, whether it comes from code or from
+    a config file: counts must be integers (never truncated) and
+    `atoms_per_block` may be one count for every block."""
 
     n: int
     block_sizes: tuple[int, ...]
@@ -72,37 +79,45 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        blocks = tuple(int(b) for b in self.block_sizes)
+        for name, minimum in (
+            ("n", 1), ("support_lo", 1), ("num_extremal", 0), ("num_instances", 1), ("seed", 0)
+        ):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
+        object.__setattr__(
+            self, "support_hi", check_int(self.support_hi, "support_hi", self.support_lo)
+        )
+        blocks = _int_tuple(self.block_sizes, "block_sizes", 1)
+        if sum(blocks) != self.n:
+            raise InputError(f"block sizes {blocks} must sum to n={self.n}")
         object.__setattr__(self, "block_sizes", blocks)
-        if sum(blocks) != self.n or any(b <= 0 for b in blocks):
-            raise InputError(
-                f"block sizes {blocks} must be positive and sum to n={self.n}"
-            )
         atoms = self.atoms_per_block
         if isinstance(atoms, (int, np.integer)):
-            atoms = tuple(int(atoms) for _ in blocks)
-        else:
-            atoms = tuple(int(a) for a in atoms)
-        if len(atoms) != len(blocks) or any(a <= 0 for a in atoms):
-            raise InputError(
-                f"atoms_per_block {atoms} must give a positive count per block"
-            )
+            atoms = (atoms,) * len(blocks)
+        atoms = _int_tuple(atoms, "atoms_per_block", 1)
+        if len(atoms) != len(blocks):
+            raise InputError(f"atoms_per_block {atoms} must give one count per block")
         object.__setattr__(self, "atoms_per_block", atoms)
         if not (0 < self.cost < self.price):
             raise InputError(
                 f"prices must satisfy 0 < cost < price, got {self.cost}, {self.price}"
             )
-        if not (0 < self.support_lo <= self.support_hi):
+        try:
+            lam = tuple(float(v) for v in self.lambda_grid)
+        except (TypeError, ValueError):
             raise InputError(
-                f"demand support [{self.support_lo}, {self.support_hi}] must be positive"
-            )
-        lam = tuple(float(v) for v in self.lambda_grid)
+                f"lambda_grid must be a list of numbers, got {self.lambda_grid!r}"
+            ) from None
         if any(not (0.0 <= v <= 1.0) for v in lam):
             raise InputError(f"lambda grid {lam} must lie in [0, 1]")
         object.__setattr__(self, "lambda_grid", lam)
-        if self.num_instances < 1 or self.num_extremal < 0:
-            raise InputError("num_instances must be >= 1 and num_extremal >= 0")
-        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
+
+
+def _int_tuple(values, name: str, minimum: int) -> tuple[int, ...]:
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise InputError(f"{name} must be a list of integers, got {values!r}") from None
+    return tuple(check_int(v, name, minimum) for v in items)
 
 
 @dataclass(frozen=True)
@@ -138,17 +153,11 @@ class ExcessStats:
         return [r for r in self.rows if abs(r.lam - lam) <= tol]
 
 
-def _check_seed(seed, name: str) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"{name} must be a nonnegative integer, got {seed!r}")
-    return int(seed)
-
-
 def gen_instance(cfg: ExperimentConfig, instance_seed: int) -> Instance:
     """Random instance: per block, atoms uniform on the integer box
     [support_lo, support_hi]^size and probabilities as normalized uniform
     draws. Deterministic per seed."""
-    rng = np.random.default_rng(_check_seed(instance_seed, "instance seed"))
+    rng = np.random.default_rng(check_int(instance_seed, "instance seed"))
     marginals = []
     for size, k_r in zip(cfg.block_sizes, cfg.atoms_per_block):
         atoms = rng.integers(cfg.support_lo, cfg.support_hi + 1, (k_r, size)).astype(float)
@@ -249,10 +258,9 @@ class ExcessEvaluator:
         self._masks = []
         for mask in range(1, inst.grand_mask):
             d_s = self.poly.coalition_demands(mask)
-            met = [r for r, bm in enumerate(block_masks) if mask & bm]
-            if len(met) == 1:
+            if sum(1 for bm in block_masks if mask & bm) == 1:
                 # Known marginal: the order is pinned to its quantile.
-                y_s = quantile_order(block_demand(inst, met[0], mask), self.ratio)
+                y_s = worst_case_order(inst, mask).y_star
                 self._masks.append((mask, d_s, None, y_s))
             else:
                 order = np.argsort(d_s, kind="stable")
@@ -338,12 +346,6 @@ class ExcessEvaluator:
         return zsum
 
 
-def excess(inst: Instance, q: JointDistribution, decision: Decision) -> float:
-    """Largest positive coalition dissatisfaction of `decision` when the
-    joint distribution turns out to be `q`."""
-    return ExcessEvaluator(inst).excess(q, decision)
-
-
 # ---------------------------------------------------------------------------
 # The experiment loop
 # ---------------------------------------------------------------------------
@@ -370,10 +372,10 @@ def _dedupe_pool(pool: Sequence[np.ndarray], cap: int = WITNESS_POOL_CAP) -> lis
     return kept
 
 
-def _instance_rows(args: tuple[ExperimentConfig, int, int, int, float | None]) -> list[ExcessRow]:
-    cfg, instance_id, instance_seed, sampling_seed, y_tol = args
+def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessRow]:
+    cfg, instance_id, instance_seed, sampling_seed = args
     inst = gen_instance(cfg, instance_seed)
-    robust, solver = _solve_robust(inst, y_tol)
+    robust, solver = _solve_robust(inst)
     det = _deterministic_decision(inst)
     q_ind = independent_joint(inst)
 
@@ -425,10 +427,7 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int, float | None]) -
 
 
 def run_stress(
-    cfg: ExperimentConfig,
-    workers: int | None = None,
-    csv_path=None,
-    y_tol: float | None = None,
+    cfg: ExperimentConfig, workers: int | None = None, csv_path=None
 ) -> ExcessStats:
     """Run the full experiment: per instance, solve both decisions, build
     the extremal pool (random-cost vertices plus worst-case ratio
@@ -438,10 +437,7 @@ def run_stress(
     profit is nonpositive under it. Results are reduced in (instance,
     lambda) order regardless of worker scheduling."""
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.num_instances, np.uint32)
-    jobs = [
-        (cfg, i, int(seeds[2 * i]), int(seeds[2 * i + 1]), y_tol)
-        for i in range(cfg.num_instances)
-    ]
+    jobs = [(cfg, i, int(seeds[2 * i]), int(seeds[2 * i + 1])) for i in range(cfg.num_instances)]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(pool.map(_instance_rows, jobs))
@@ -481,22 +477,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     missing = sorted(required - set(data))
     if missing:
         raise InputError(f"experiment config is missing fields: {', '.join(missing)}")
-    known = {
-        "n", "block_sizes", "atoms_per_block", "support_lo", "support_hi",
-        "price", "cost", "lambda_grid", "num_extremal", "num_instances", "seed",
-    }
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise InputError(f"experiment config has unknown fields: {', '.join(unknown)}")
-    kwargs = dict(data)
-    kwargs["block_sizes"] = tuple(data["block_sizes"])
     try:
-        kwargs["atoms_per_block"] = tuple(data["atoms_per_block"])
-    except TypeError:
-        kwargs["atoms_per_block"] = data["atoms_per_block"]
-    if "lambda_grid" in kwargs:
-        kwargs["lambda_grid"] = tuple(kwargs["lambda_grid"])
-    try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**data)
     except TypeError as exc:
         raise InputError(f"experiment config invalid: {exc}") from exc

@@ -22,8 +22,6 @@ from nvgames.newsvendor import (
 from nvgames.robust_game import (
     RobustGameSolver,
     imputation_exists,
-    robust_core,
-    robust_least_core,
     verify_rcore2,
 )
 from nvgames.stress import ExperimentConfig, gen_instance, run_stress
@@ -90,7 +88,7 @@ def test_criterion_01_example1_reproduction():
 
 def test_criterion_02_t1_exact_fixture(t1):
     with criterion(2, "hand-computed two-retailer fixture is exact"):
-        d = robust_core(t1)
+        d = RobustGameSolver(t1).core_decision()
         assert d is not None
         assert abs(d.y - 3.0) <= 1e-9
         assert np.max(np.abs(d.z - np.array([1.0 / 3.0, 2.0 / 3.0]))) <= 1e-9
@@ -178,7 +176,7 @@ def test_criterion_07_core_decisions_verify():
         found = 0
         for _ in range(50):
             inst = rand_shape_instance(rng, n_max=5, k_max=3, n_min=3)
-            decision = robust_core(inst)
+            decision = RobustGameSolver(inst).core_decision()
             if decision is not None:
                 assert verify_rcore2(inst, decision, tol=1e-7)
                 found += 1

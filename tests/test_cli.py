@@ -81,6 +81,17 @@ class TestSolve:
         assert code == 2
         assert "price" in err
 
+    def test_fractional_partition_id_is_input_error(self, tmp_path, t1):
+        # Truncated, these ids would form the valid partition ((0,), (1,)).
+        doc = instance_to_dict(t1)
+        doc["partition"] = [[0.9], [1.7]]
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["solve", str(path)])
+        assert code == 2
+        assert "partition" in err
+        assert out == ""
+
     def test_model_invalid_exit_code(self, tmp_path):
         doc = {
             "price": 1.5, "cost": 1.0, "partition": [[0], [1]],
@@ -152,10 +163,23 @@ class TestStressAndGen:
         assert len(lines) == 1 + 2 * 2  # instances x lambdas
 
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
-    def test_bad_config_seed_is_input_error(self, tmp_path, cfg_path, seed):
+    @pytest.mark.parametrize("fields, word", [
+        pytest.param({"seed": -1}, "seed", id="-1"),
+        pytest.param({"seed": 1.5}, "seed", id="1.5"),
+        # Integers are checked, never truncated: truncated, the fractional
+        # block sizes would sum to n=3 and pass as blocks (1, 2).
+        pytest.param({"n": 3, "block_sizes": [1.5, 2.5], "atoms_per_block": [2, 2]},
+                     "block_sizes", id="fractional-block-sizes"),
+        pytest.param({"atoms_per_block": [2.7, 2]}, "atoms_per_block", id="fractional-atoms"),
+        pytest.param({"block_sizes": 5}, "block_sizes", id="scalar-block-sizes"),
+        pytest.param({"block_sizes": [2, "two"]}, "block_sizes", id="string-block-size"),
+        pytest.param({"num_instances": 1.5}, "num_instances", id="fractional-num-instances"),
+        pytest.param({"num_extremal": 2.5}, "num_extremal", id="fractional-num-extremal"),
+        pytest.param({"lambda_grid": [0.0, "half"]}, "lambda_grid", id="string-lambda"),
+    ])
+    def test_bad_config_seed_is_input_error(self, tmp_path, cfg_path, fields, word):
         cfg = json.loads(open(cfg_path).read())
-        cfg["seed"] = seed
+        cfg.update(fields)
         bad = tmp_path / "bad_cfg.json"
         bad.write_text(json.dumps(cfg))
         for argv in (
@@ -164,7 +188,7 @@ class TestStressAndGen:
         ):
             code, _, err = invoke(argv)
             assert code == 2
-            assert "seed" in err
+            assert word in err
 
     def test_negative_instance_seed_is_input_error(self, tmp_path, cfg_path):
         code, _, err = invoke(
@@ -190,6 +214,22 @@ class TestVerify:
         code, out, _ = invoke(["verify", t1_path, "--decision", str(dec)])
         assert code == 0
         assert "structural_check: fail" in out
+
+    @pytest.mark.parametrize("tol, y, z", [
+        # No deviation exceeds a nan or infinite tolerance, so an order far
+        # from the worst-case one (3) would pass.
+        pytest.param("nan", 100.0, [0.5, 0.5], id="nan"),
+        pytest.param("inf", 100.0, [0.5, 0.5], id="inf"),
+        # A negative tolerance would fail even the true core decision.
+        pytest.param("-1e-7", 3.0, [1.0 / 3.0, 2.0 / 3.0], id="-1e-7"),
+    ])
+    def test_bad_tol_is_input_error(self, tmp_path, t1_path, tol, y, z):
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps({"y": y, "z": z}))
+        code, out, err = invoke(["verify", t1_path, "--decision", str(dec), f"--tol={tol}"])
+        assert code == 2
+        assert "tol" in err
+        assert "structural_check" not in out
 
     @pytest.mark.parametrize("text", [
         '{"y": NaN, "z": [0.3333333333, 0.6666666667]}',

@@ -27,8 +27,6 @@ from nvgames.robust_game import (
     VmaxResult,
     VmaxTable,
     imputation_exists,
-    robust_core,
-    robust_least_core,
     verify_rcore2,
 )
 
@@ -170,38 +168,38 @@ class TestSigma:
 
 class TestRobustCore:
     def test_t1_decision(self, t1):
-        d = robust_core(t1)
+        d = RobustGameSolver(t1).core_decision()
         assert d is not None
         assert d.y == pytest.approx(3.0, abs=1e-12)
         assert d.z == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-9)
 
     def test_example1_empty(self):
-        assert robust_core(make_example1(24)) is None
+        assert RobustGameSolver(make_example1(24)).core_decision() is None
 
     def test_single_block_instance_always_has_core(self):
         for seed in range(8):
             inst = random_instance(seed, n=3, block_sizes=(3,), atoms_per_block=(4,))
-            d = robust_core(inst)
+            d = RobustGameSolver(inst).core_decision()
             assert d is not None
             assert verify_rcore2(inst, d, tol=1e-7)
 
     def test_verify_passes_on_returned_decisions(self):
         for seed in range(12):
             inst = random_instance(seed, n=4, block_sizes=(2, 2), atoms_per_block=(2, 2))
-            d = robust_core(inst)
+            d = RobustGameSolver(inst).core_decision()
             if d is not None:
                 assert verify_rcore2(inst, d, tol=1e-7)
 
 
 class TestRobustLeastCore:
     def test_t1(self, t1):
-        d, eps = robust_least_core(t1)
+        d, eps = RobustGameSolver(t1).least_core()
         assert eps == pytest.approx(0.0, abs=1e-9)
         assert d.y == pytest.approx(3.0, abs=1e-9)
         assert d.z == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-9)
 
     def test_example1_stays_positive(self):
-        d, eps = robust_least_core(make_example1(16), y_tol=0.01)
+        d, eps = RobustGameSolver(make_example1(16)).least_core(y_tol=0.01)
         assert eps > 0.05
         assert abs(float(np.sum(d.z)) - 1.0) <= 1e-9
 
@@ -421,7 +419,7 @@ class TestImputationExists:
         inst = make_example1(24)
         ok, z = imputation_exists(inst)
         assert ok
-        assert robust_core(inst) is None
+        assert RobustGameSolver(inst).core_decision() is None
         assert float(np.sum(z)) == pytest.approx(1.0, abs=1e-9)
 
     def test_random_instances_always_true(self):
@@ -439,16 +437,16 @@ class TestImputationExists:
 
 class TestVerifyDecision:
     def test_t1_pass_and_failures(self, t1):
-        d = robust_core(t1)
+        d = RobustGameSolver(t1).core_decision()
         assert verify_rcore2(t1, d)
         assert not verify_rcore2(t1, Decision(4.0, d.z))
         assert not verify_rcore2(t1, Decision(d.y, np.array([2.0 / 3.0, 1.0 / 3.0])))
 
     def test_block_sum_mismatch_fails(self):
         inst = random_instance(1, n=4, block_sizes=(2, 2), atoms_per_block=(2, 2))
-        d = robust_core(inst)
+        d = RobustGameSolver(inst).core_decision()
         if d is None:
-            d, _ = robust_least_core(inst, y_tol=0.05)
+            d, _ = RobustGameSolver(inst).least_core(y_tol=0.05)
             assert not verify_rcore2(inst, d)
             return
         z = d.z.copy()

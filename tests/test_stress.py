@@ -14,13 +14,12 @@ from nvgames.distributions import (
     sample_extremal,
 )
 from nvgames.errors import DomainError, InputError
-from nvgames.robust_game import Decision, RobustGameSolver, robust_core
+from nvgames.robust_game import Decision, RobustGameSolver
 from nvgames.stress import (
     CSV_HEADER,
     ExcessEvaluator,
     ExperimentConfig,
     config_from_dict,
-    excess,
     gen_instance,
     run_stress,
     solve_pair,
@@ -126,15 +125,15 @@ class TestSolvePair:
 
     def test_example1_falls_back_to_least_core(self):
         inst = make_example1(12)
-        assert robust_core(inst) is None
+        assert RobustGameSolver(inst).core_decision() is None
         rob, _det = solve_pair(inst, y_tol=0.02)
         assert abs(float(np.sum(rob.z)) - 1.0) <= 1e-9
 
 
 class TestExcess:
     def test_core_decision_has_zero_excess(self, t1):
-        d = robust_core(t1)
-        assert excess(t1, independent_joint(t1), d) == 0.0
+        d = RobustGameSolver(t1).core_decision()
+        assert ExcessEvaluator(t1).excess(independent_joint(t1), d) == 0.0
 
     def test_hand_built_standalone_ratio(self):
         # Point masses 3 and 2, p=2, c=1: ratios are (0.6, 0.4); giving the
@@ -146,13 +145,13 @@ class TestExcess:
         )
         q = independent_joint(inst)
         d = Decision(5.0, np.array([1.0, 0.0]))
-        assert excess(inst, q, d) == pytest.approx(0.4, abs=1e-12)
+        assert ExcessEvaluator(inst).excess(q, d) == pytest.approx(0.4, abs=1e-12)
 
     def test_degenerate_grand_profit_raises(self, t1):
         # Ordering far above demand makes the realized profit negative.
         d = Decision(100.0, np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
-            excess(t1, independent_joint(t1), d)
+            ExcessEvaluator(t1).excess(independent_joint(t1), d)
 
     def test_nonnegative_and_zero_iff_stable(self):
         cfg = small_cfg()
@@ -266,7 +265,7 @@ class TestRunStress:
         # one: a sample is dropped and counted when either decision's grand
         # profit is nonpositive, and the rest match the per-joint oracle.
         cfg = small_cfg(atoms_per_block=(3, 3), num_extremal=30, lambda_grid=(0.5, 1.0), price=1.1)
-        job = (cfg, 0, 7, 8, None)
+        job = (cfg, 0, 7, 8)
         pools = []
 
         def capture(pool):
@@ -294,7 +293,7 @@ class TestRunStress:
         assert n_rob < n_det
         robust, det = Decision(y_rob, robust.z), Decision(y_det, det.z)
         monkeypatch.setattr(
-            stress, "_solve_robust", lambda inst, y_tol=None: (robust, RobustGameSolver(inst))
+            stress, "_solve_robust", lambda inst: (robust, RobustGameSolver(inst))
         )
         monkeypatch.setattr(stress, "_deterministic_decision", lambda inst: det)
         monkeypatch.setattr(stress, "_dedupe_pool", lambda pool: pools[0])
