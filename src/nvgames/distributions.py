@@ -361,10 +361,11 @@ class FrechetPolytope:
     ``matrix`` is an `IncidenceOperator`: every column holds R+1 ones (the
     mass row and one row per block, the sentinel for a block's last class),
     so the polytope keeps an (R+1, K) array of row ids, never the dense
-    matrix; ``np.asarray(matrix)`` builds that for oracles. The Charnes-Cooper
-    ratio system borders this operator with one dense row and column and
-    shares its ids. Basis factorizations travel with the callers'
-    `LpSolution` objects, never with the polytope.
+    matrix; ``np.asarray(matrix)`` builds that for oracles. Every LP over the
+    polytope, the worst-case ratio LPs included, is `lp(objective)` on this
+    one operator, so a basis factorization from any of them can serve the
+    next. Factorizations travel with the callers' `LpSolution` objects,
+    never with the polytope.
 
     Holds the instance's partition and marginals but not the instance, so a
     cached polytope does not keep its instance alive. Immutable after

@@ -20,10 +20,8 @@ The simplex reaches the constraint matrix only through an operator with a
 wraps an ndarray and serves every generic program. `IncidenceOperator` is
 the 0/1 matrix of the consistency polytope, whose columns each hold R+1
 ones: it stores the row ids of those ones, so pricing is one gather and sum
-over an (R+1, K) index array, and it can carry one dense border row and
-column (the Charnes-Cooper ratio system) while sharing the index arrays.
-Neither form of the polytope is ever stored as a dense matrix unless it is
-small enough for dense products to be the faster choice.
+over an (R+1, K) index array. The polytope is never stored as a dense
+matrix unless it is small enough for dense products to be the faster choice.
 
 `solve_lp` optionally accepts a starting basis (column ids of the internal
 standard form, as reported in ``LpSolution.basis``). A usable starting basis
@@ -100,59 +98,32 @@ class IncidenceOperator:
     ``rows`` is an (R+1, K) integer array; ``rows[i, k]`` is the row of the
     i-th one of column k, or ``m`` (a sentinel meaning "no one here", so a
     column may hold fewer than R+1 ones). The ids of one column must be
-    distinct apart from the sentinel. The plain operator is m x K.
-
-    `bordered` appends one dense row and one dense column, giving the
-    (m+1) x (K+1) matrix ``[[M, col], [row, corner]]`` that shares ``rows``.
+    distinct apart from the sentinel. The operator is m x K.
 
     Immutable; safe to share across threads.
     """
 
-    __slots__ = ("rows", "m", "border", "shape", "_dense")
+    __slots__ = ("rows", "m", "shape", "_dense")
 
-    def __init__(self, rows: np.ndarray, m: int, border=None):
+    def __init__(self, rows: np.ndarray, m: int):
         rows = np.asarray(rows, dtype=np.intp)
         if rows.flags.writeable:
             rows = rows.copy()  # the caller's array stays writable
             rows.setflags(write=False)
         self.rows = rows
         self.m = int(m)
-        self.border = border
-        k = rows.shape[1]
-        self.shape = (self.m, k) if border is None else (self.m + 1, k + 1)
+        self.shape = (self.m, rows.shape[1])
         self._dense = None
         if self.shape[0] * self.shape[1] <= _DENSE_ENTRIES:
             dense = self._to_dense()
             dense.setflags(write=False)
             self._dense = dense
 
-    def bordered(self, row, col, corner: float) -> "IncidenceOperator":
-        """``[[self, col], [row, corner]]``, sharing this operator's ids."""
-        if self.border is not None:
-            raise InputError("operator is already bordered")
-        k = self.rows.shape[1]
-        row = np.array(row, dtype=float)
-        col = np.array(col, dtype=float)
-        if row.shape != (k,) or col.shape != (self.m,):
-            raise InputError(
-                f"border row/column have shapes {row.shape}/{col.shape}, "
-                f"expected ({k},)/({self.m},)"
-            )
-        row.setflags(write=False)
-        col.setflags(write=False)
-        return IncidenceOperator(self.rows, self.m, (row, col, float(corner)))
-
     def _to_dense(self) -> np.ndarray:
-        m, k = self.m, self.rows.shape[1]
-        a = np.zeros((m + 1, k + (self.border is not None)))
+        m, k = self.shape
+        a = np.zeros((m + 1, k))
         a[self.rows, np.arange(k)] = 1.0
-        if self.border is None:
-            return a[:m]
-        row, col, corner = self.border
-        a[m, :k] = row
-        a[:m, k] = col
-        a[m, k] = corner
-        return a
+        return a[:m]
 
     def __array__(self, dtype=None, copy=None):
         a = self._to_dense()
@@ -161,32 +132,17 @@ class IncidenceOperator:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         if self._dense is not None:
             return y @ self._dense
-        m, k = self.m, self.rows.shape[1]
-        padded = np.zeros(m + 1)
-        padded[:m] = y[:m]
-        if self.border is None:
-            return padded[self.rows].sum(axis=0)
-        row, col, corner = self.border
-        out = np.empty(k + 1)
-        np.sum(padded[self.rows], axis=0, out=out[:k])
-        out[:k] += y[m] * row
-        out[k] = y[:m] @ col + y[m] * corner
-        return out
+        padded = np.zeros(self.m + 1)
+        padded[: self.m] = y
+        return padded[self.rows].sum(axis=0)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self._dense is not None:
             return self._dense @ x
-        m, k = self.m, self.rows.shape[1]
-        xk = x[:k]
         out = np.bincount(
-            self.rows.ravel(), weights=np.tile(xk, self.rows.shape[0]), minlength=m + 1
+            self.rows.ravel(), weights=np.tile(x, self.rows.shape[0]), minlength=self.m + 1
         )
-        if self.border is None:
-            return out[:m]
-        row, col, corner = self.border
-        out[:m] += col * x[k]
-        out[m] = row @ xk + corner * x[k]
-        return out
+        return out[: self.m]
 
     __matmul__ = matvec
 
@@ -196,19 +152,9 @@ class IncidenceOperator:
         if np.ndim(ids) == 0:
             return self.columns([ids])[:, 0]
         ids = np.asarray(ids, dtype=np.intp)
-        m, k = self.m, self.rows.shape[1]
-        out = np.zeros((m + 1, ids.size))
-        core = np.flatnonzero(ids < k)
-        out[self.rows[:, ids[core]], core] = 1.0
-        if self.border is None:
-            return out[:m]
-        row, col, corner = self.border
-        out[m] = 0.0  # the sentinel row becomes the border row
-        out[m, core] = row[ids[core]]
-        edge = np.flatnonzero(ids >= k)
-        out[:m, edge] = col[:, None]
-        out[m, edge] = corner
-        return out
+        out = np.zeros((self.m + 1, ids.size))
+        out[self.rows[:, ids], np.arange(ids.size)] = 1.0
+        return out[: self.m]
 
 
 _OPERATORS = (DenseOperator, IncidenceOperator)

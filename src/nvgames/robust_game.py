@@ -7,9 +7,17 @@ and `least_core(y_tol)` runs the least-core search.
 
 For a coalition meeting several blocks, v_max(y, S) maximizes the ratio of
 the coalition's profit (over its order gamma and the joint q) to the grand
-coalition's profit at order y. The maximization over q for a fixed gamma is
-a linear fractional program solved as a single LP after the standard
-ratio-to-linear substitution (theta = 1/denominator, psi = q * theta); the
+coalition's profit at order y. For a fixed gamma both are linear in q,
+
+    num_k = (p-c) gamma - p (gamma - d_k(S))^+,   den_k = (p-c) y - p (y - d_k(N))^+,
+
+and den @ q is at least the minimum grand profit, positive at an admissible
+y. Dinkelbach's method (1967) solves max num@q / den@q over the consistency
+polytope: from a ratio lam some consistent joint attains, solve the LP
+F(lam) = max over the polytope of (num - lam den) @ q and move lam to the
+ratio of its vertex, which exceeds lam whenever F(lam) > 0. It stops on a
+certified F(lam) <= tol, when no consistent joint beats lam by more than
+tol / min grand profit, and reports the ratio of that last vertex. The
 optimal gamma lies among the distinct aggregate-demand support values, so
 enumerating those values is exact. Candidate gammas are screened best-first
 through an exact upper bound so that most of them are never solved:
@@ -17,17 +25,20 @@ through an exact upper bound so that most of them are never solved:
     v_q(gamma, S) <= (p-c)*gamma - p*(gamma - E[d(S)])^+   for every q
 
 (Jensen on the shortage term; E[d(S)] is the same under every consistent q),
-and dividing by the minimum grand profit bounds the ratio from above.
-Coalitions inside one block shortcut to the known block value divided by the
-minimum grand profit. That minimum needs no LP: it is the grand profit under
-the comonotonic coupling of the block aggregates, one joint for every y.
+and dividing by the minimum grand profit bounds the ratio from above. A
+candidate after the first starts at lam = the incumbent ratio (or its
+joint's ratio under the candidate, when higher), so one LP rules out a
+candidate that cannot win. Coalitions inside one block shortcut to the known
+block value divided by the minimum grand profit. That minimum needs no LP:
+it is the grand profit under the comonotonic coupling of the block
+aggregates, one joint for every y.
 
-A per-instance solver keeps warm ratio-LP bases: the consistency polytope
-never changes, and a basis optimal for one (gamma, y) pair remains feasible
-for the next, so repeated solves cost a handful of pivots each. It keeps each
-coalition's last ratio-LP solution, which at an unchanged y also lends its
-basis factorization to the next solve. The ratio system at y is the
-polytope's incidence operator with one dense border row and column.
+Every ratio LP is the polytope's own program with a new objective, so a
+basis optimal for one remains feasible for the next and repeated solves cost
+a handful of pivots each. A candidate's first LP starts from the
+coalition's last attaining LP solution, each further step from the step
+before; since all of them share one operator, a start also lends its basis
+factorization, across gammas, coalitions and orders y alike.
 
 Beyond those warm starts the solver keeps no per-y history: only the last
 table and, once computed, its sigma with the stability LP's dual weights,
@@ -66,7 +77,7 @@ from .distributions import (
     independent_joint,
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
-from .lp import LinearProgram, LpSolution
+from .lp import LpSolution
 from .newsvendor import (
     comonotonic_coupling,
     coupled_profit,
@@ -75,6 +86,13 @@ from .newsvendor import (
 )
 
 CORE_EPS_TOL = 1e-9
+
+# Dinkelbach iterations stop once max_q (num - lam den) @ q is at most this;
+# the ratio then lies within this / min grand profit of the optimum. They
+# converge superlinearly (at most 4 LPs per gamma on the stress experiment's
+# two seeds), so the step cap only guards against a loop.
+_DINKELBACH_TOL = 1e-9
+_DINKELBACH_MAX_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,11 +161,9 @@ class RobustGameSolver:
         self.d_grand = self.poly.coalition_demands(inst.grand_mask)
         self.grand_wc = worst_case_order(inst, inst.grand_mask)
         self._grand_coupling: tuple | None = None
-        self._cc_start: dict[int, LpSolution] = {}
+        self._ratio_start: dict[int, LpSolution] = {}
         self._coalition_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self._single_block_value: dict[int, tuple[float, float]] = {}
-        self._cc_lp = None
-        self._cc_lp_y: float | None = None
         self._last_table: VmaxTable | None = None
         self._last_sigma: tuple[float, np.ndarray, np.ndarray] | None = None
         self.least_core_lower: float | None = None
@@ -195,48 +211,36 @@ class RobustGameSolver:
             self._single_block_value[mask] = hit
         return hit
 
-    # -- the ratio LP ------------------------------------------------------
-
-    def _cc_program(self, y: float):
-        """The ratio system [[A, -rhs], [-p (y - d_N)^+, (p-c) y]] as the
-        polytope's operator with a border; no dense copy is made."""
-        if self._cc_lp is not None and self._cc_lp_y == y:
-            return self._cc_lp
-        poly = self.poly
-        a = poly.matrix.bordered(
-            row=-self.p * np.maximum(y - self.d_grand, 0.0),
-            col=-poly.rhs,
-            corner=(self.p - self.c) * y,
-        )
-        b = np.zeros(poly.n_rows + 1)
-        b[-1] = 1.0
-        self._cc_lp = LinearProgram("max", np.zeros(poly.n_atoms + 1), a_eq=a, b_eq=b)
-        self._cc_lp_y = y
-        return self._cc_lp
-
-    def _solve_ratio(self, y: float, mask: int, gamma: float, d_s: np.ndarray) -> tuple[float, np.ndarray]:
-        """max over consistent q of profit(gamma, S) / grand profit(y) via
-        the ratio-to-linear LP; returns (value, attaining q)."""
-        program = self._cc_program(y)
-        k = self.poly.n_atoms
-        obj = np.empty(k + 1)
-        obj[:k] = -self.p * np.maximum(gamma - d_s, 0.0)
-        obj[k] = (self.p - self.c) * gamma
-        start = self._cc_start.get(mask) or (self.poly.crash_basis + (k,))
-        # Called through the module: bench/tracing.py traces the ratio LPs
-        # by rebinding nvgames.lp.solve_lp.
-        sol = lp.solve_lp(program.with_objective(obj), start)
-        if sol.status != "optimal":
-            raise SolverError(
-                f"ratio LP for coalition {mask:#x} at gamma={gamma} reported {sol.status!r}"
-            )
-        self._cc_start[mask] = sol
-        theta = sol.x[k]
-        if theta <= 1e-300:
-            raise SolverError("ratio LP returned theta = 0, which is infeasible")
-        return float(sol.objective_value), sol.x[:k] / theta
-
     # -- v_max -------------------------------------------------------------
+
+    def _dinkelbach(
+        self, num: np.ndarray, den: np.ndarray, lam: float, start: LpSolution | None,
+        mask: int, gamma: float,
+    ) -> tuple[LpSolution, float]:
+        """Raise lam, a ratio num@q / den@q some consistent q attains, until
+        F(lam) = max over consistent q of (num - lam den) @ q is at most
+        _DINKELBACH_TOL; returns that last LP solution and lam."""
+        for _ in range(_DINKELBACH_MAX_STEPS):
+            # Called through the module: bench/tracing.py traces the ratio
+            # LPs by rebinding nvgames.lp.solve_lp.
+            sol = lp.solve_lp(self.poly.lp(num - lam * den), start or self.poly.crash_basis)
+            if sol.status != "optimal":
+                raise SolverError(
+                    f"ratio LP for coalition {mask:#x} at gamma={gamma} reported {sol.status!r}"
+                )
+            if sol.objective_value <= _DINKELBACH_TOL:
+                return sol, lam
+            ratio = float(num @ sol.x) / float(den @ sol.x)
+            if not ratio > lam:
+                raise SolverError(
+                    f"Dinkelbach step for coalition {mask:#x} at gamma={gamma} left the "
+                    f"ratio at {lam!r} with F = {sol.objective_value:.3e}"
+                )
+            lam, start = ratio, sol
+        raise SolverError(
+            f"ratio for coalition {mask:#x} at gamma={gamma} not certified "
+            f"after {_DINKELBACH_MAX_STEPS} Dinkelbach steps"
+        )
 
     def vmax_entry(self, y: float, mask: int, vmin: float, q_min: np.ndarray) -> VmaxResult:
         if len(self._blocks_met(mask)) == 1:
@@ -244,32 +248,36 @@ class RobustGameSolver:
             return VmaxResult(vbar / vmin, y_s, q_min)
 
         d_s, gammas, mean = self._coalition_data(mask)
-        pc = self.p - self.c
-        ubs = np.maximum(pc * gammas - self.p * np.maximum(gammas - mean, 0.0), 0.0) / vmin
+        p, pc = self.p, self.p - self.c
+        ubs = np.maximum(pc * gammas - p * np.maximum(gammas - mean, 0.0), 0.0) / vmin
         order = np.lexsort((gammas, -ubs))
-        best = -np.inf
-        best_gamma = float(gammas[order[0]])
-        best_q: np.ndarray | None = None
+        den = pc * y - p * np.maximum(y - self.d_grand, 0.0)
+        start = self._ratio_start.get(mask)
+        best = best_gamma = None
         for idx in order:
-            if ubs[idx] <= best:
+            if best is not None and ubs[idx] <= best:
                 break  # remaining candidates are bounded below the incumbent
-            value, q = self._solve_ratio(y, mask, float(gammas[idx]), d_s)
-            if value > best:
-                best, best_gamma, best_q = value, float(gammas[idx]), q
-        if best_q is None:
-            raise SolverError(f"no ratio evaluated for coalition {mask:#x}")
-        return VmaxResult(best, best_gamma, best_q)
+            gamma = float(gammas[idx])
+            num = pc * gamma - p * np.maximum(gamma - d_s, 0.0)
+            q = q_min if start is None else start.x
+            lam = float(num @ q) / float(den @ q)
+            if best is not None:
+                lam = max(lam, best)
+            sol, lam = self._dinkelbach(num, den, lam, start, mask, gamma)
+            if best is None or lam > best:
+                # F(lam) <= tol, so this vertex is within tol / vmin of the
+                # optimum; its own ratio is the value reported.
+                best = float(num @ sol.x) / float(den @ sol.x)
+                best_gamma, start = gamma, sol
+        self._ratio_start[mask] = start
+        return VmaxResult(best, best_gamma, start.x)
 
     def _admissible_min_profit(self, y: float) -> tuple[float, np.ndarray]:
         """min_grand_profit(y), refusing orders at which it is not positive."""
         if not np.isfinite(y):
             raise InputError(f"order quantity must be finite, got {y}")
         vmin, q_min = self.min_grand_profit(y)
-        if vmin <= 0.0:
-            raise DomainError(
-                f"grand-coalition profit can drop to {vmin} at order {y}; "
-                "the order lies outside the admissible interval"
-            )
+        _check_admissible(vmin, y)
         return vmin, q_min
 
     def vmax(self, y: float, s) -> VmaxResult:
@@ -442,6 +450,16 @@ class RobustGameSolver:
         return Decision(best_y, best_x), best_eps
 
 
+def _check_admissible(vmin: float, y: float) -> None:
+    """Raise DomainError unless the minimum grand profit at order y is
+    positive."""
+    if vmin <= 0.0:
+        raise DomainError(
+            f"grand-coalition profit can drop to {vmin} at order {y}; "
+            "the order lies outside the admissible interval"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Structural checks
 # ---------------------------------------------------------------------------
@@ -450,13 +468,14 @@ class RobustGameSolver:
 def imputation_exists(inst: Instance) -> tuple[bool, np.ndarray]:
     """Whether the sum of the singleton worst-case ratios at the worst-case
     optimal order is at most 1; the returned multiples (ratio plus an equal
-    share of the slack) are individually rational whenever it is."""
-    solver = RobustGameSolver(inst)
-    vmin, _ = solver._admissible_min_profit(solver.grand_wc.y_star)
+    share of the slack) are individually rational whenever it is. Needs no
+    polytope: both the minimum grand profit and a single player's best
+    profit have closed forms."""
+    y = worst_case_order(inst, inst.grand_mask).y_star
+    vmin = coupled_profit(inst, comonotonic_coupling(inst, inst.grand_mask), y)
+    _check_admissible(vmin, y)
     n = inst.n_retailers
-    singles = np.array(
-        [solver._block_value(1 << i)[1] / vmin for i in range(n)]
-    )
+    singles = np.array([worst_case_order(inst, 1 << i).value / vmin for i in range(n)])
     total = float(np.sum(singles))
     ok = total <= 1.0 + 1e-9
     z = singles + (1.0 - total) / n

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -83,9 +85,11 @@ class ExperimentConfig:
             ("n", 1), ("support_lo", 1), ("num_extremal", 0), ("num_instances", 1), ("seed", 0)
         ):
             object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
-        object.__setattr__(
-            self, "support_hi", check_int(self.support_hi, "support_hi", self.support_lo)
-        )
+        hi = check_int(self.support_hi, "support_hi", self.support_lo)
+        if hi >= np.iinfo(np.int64).max:
+            # gen_instance draws atoms from [support_lo, support_hi + 1) in int64.
+            raise InputError(f"support_hi must be below 2**63 - 1, got {hi}")
+        object.__setattr__(self, "support_hi", hi)
         blocks = _int_tuple(self.block_sizes, "block_sizes", 1)
         if sum(blocks) != self.n:
             raise InputError(f"block sizes {blocks} must sum to n={self.n}")
@@ -97,6 +101,14 @@ class ExperimentConfig:
         if len(atoms) != len(blocks):
             raise InputError(f"atoms_per_block {atoms} must give one count per block")
         object.__setattr__(self, "atoms_per_block", atoms)
+        for name in ("price", "cost"):
+            value = getattr(self, name)
+            # The bound also refuses nan and ints too large for a float.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                abs(value) <= sys.float_info.max
+            ):
+                raise InputError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (0 < self.cost < self.price):
             raise InputError(
                 f"prices must satisfy 0 < cost < price, got {self.cost}, {self.price}"

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from nvgames.cli import run
-from nvgames.distributions import instance_to_dict, load_instance, save_instance
+from nvgames.distributions import (
+    DEFAULT_SUPPORT_CAP,
+    DiscreteMarginal,
+    Instance,
+    instance_to_dict,
+    load_instance,
+    save_instance,
+)
+from nvgames.newsvendor import worst_case_order
 from nvgames.stress import CSV_HEADER
 
 from conftest import make_example1
@@ -176,6 +184,12 @@ class TestStressAndGen:
         pytest.param({"num_instances": 1.5}, "num_instances", id="fractional-num-instances"),
         pytest.param({"num_extremal": 2.5}, "num_extremal", id="fractional-num-extremal"),
         pytest.param({"lambda_grid": [0.0, "half"]}, "lambda_grid", id="string-lambda"),
+        # gen_instance draws atoms below support_hi + 1 as int64.
+        pytest.param({"support_hi": 10**20}, "support_hi", id="support-hi-beyond-int64"),
+        pytest.param({"price": "2"}, "price", id="string-price"),
+        pytest.param({"cost": "1"}, "cost", id="string-cost"),
+        # A bool is not a price: true would pass as 1.0 above cost 0.5.
+        pytest.param({"price": True, "cost": 0.5}, "price", id="bool-price"),
     ])
     def test_bad_config_seed_is_input_error(self, tmp_path, cfg_path, fields, word):
         cfg = json.loads(open(cfg_path).read())
@@ -214,6 +228,23 @@ class TestVerify:
         code, out, _ = invoke(["verify", t1_path, "--decision", str(dec)])
         assert code == 0
         assert "structural_check: fail" in out
+
+    def test_verify_beyond_the_support_cap(self, tmp_path):
+        # 1001 x 1000 joint atoms, above the default support cap: the check
+        # and the imputation test need no consistency polytope.
+        m1 = DiscreteMarginal(np.arange(1.0, 1002.0)[:, None], np.full(1001, 1.0 / 1001))
+        m2 = DiscreteMarginal(np.arange(1.0, 1001.0)[:, None], np.full(1000, 1.0 / 1000))
+        inst = Instance(1.5, 1.0, ((0,), (1,)), (m1, m2))
+        assert inst.joint_size() > DEFAULT_SUPPORT_CAP
+        path = tmp_path / "big.json"
+        save_instance(inst, path)
+        dec = tmp_path / "dec.json"
+        y = worst_case_order(inst, inst.grand_mask).y_star
+        dec.write_text(json.dumps({"y": y, "z": [0.5, 0.5]}))
+        code, out, err = invoke(["verify", str(path), "--decision", str(dec)])
+        assert code == 0, err
+        assert "structural_check: " in out
+        assert "imputation_exists: True" in out
 
     @pytest.mark.parametrize("tol, y, z", [
         # No deviation exceeds a nan or infinite tolerance, so an order far

@@ -1,4 +1,5 @@
-"""Property tests of the constraint operators against their dense forms."""
+"""Property tests of the constraint operators against their dense forms, and
+of the worst-case ratios solved over them."""
 
 from unittest import mock
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from nvgames import lp as lp_module
 from nvgames.distributions import DiscreteMarginal, FrechetPolytope, Instance
+from nvgames.errors import DomainError
 from nvgames.lp import LinearProgram, solve_lp
+from nvgames.robust_game import RobustGameSolver
 
 
 @st.composite
@@ -38,13 +41,6 @@ def gather_polytope(inst: Instance) -> FrechetPolytope:
         return FrechetPolytope(inst)
 
 
-def bordered(poly: FrechetPolytope, rng: np.random.Generator):
-    """A Charnes-Cooper-like border: nonpositive row above -1/2 and corner
-    1, so the ratio system is feasible and bounded."""
-    with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
-        return poly.matrix.bordered(rng.uniform(-0.5, 0.0, poly.n_atoms), -poly.rhs, 1.0)
-
-
 def reference_matrix(poly: FrechetPolytope) -> np.ndarray:
     """The consistency rows written out: total mass, then one indicator row
     per value class of each block except its last."""
@@ -58,29 +54,48 @@ def reference_matrix(poly: FrechetPolytope) -> np.ndarray:
 def test_incidence_operator_equals_its_dense_form(inst, seed):
     rng = np.random.default_rng(seed)
     poly = gather_polytope(inst)
-    assert np.array_equal(np.asarray(poly.matrix), reference_matrix(poly))
-    for op in (poly.matrix, bordered(poly, rng)):
-        dense = np.asarray(op)
-        m, n = op.shape
-        assert dense.shape == (m, n)
-        y, x = rng.normal(size=m), rng.normal(size=n)
-        np.testing.assert_allclose(op.rmatvec(y), y @ dense, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(op.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
-        ids = rng.integers(0, n, int(rng.integers(1, 2 * n + 1)))
-        assert np.array_equal(op.columns(ids), dense[:, ids])
-        assert np.array_equal(op.columns(int(ids[0])), dense[:, ids[0]])
+    op = poly.matrix
+    dense = np.asarray(op)
+    assert np.array_equal(dense, reference_matrix(poly))
+    m, n = op.shape
+    assert dense.shape == (m, n)
+    y, x = rng.normal(size=m), rng.normal(size=n)
+    np.testing.assert_allclose(op.rmatvec(y), y @ dense, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(op.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+    ids = rng.integers(0, n, int(rng.integers(1, 2 * n + 1)))
+    assert np.array_equal(op.columns(ids), dense[:, ids])
+    assert np.array_equal(op.columns(int(ids[0])), dense[:, ids[0]])
 
 
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_solve_on_operator_matches_dense_solve(inst, seed):
     rng = np.random.default_rng(seed)
     poly = gather_polytope(inst)
-    cc = bordered(poly, rng)
-    b_cc = np.zeros(cc.shape[0])
-    b_cc[-1] = 1.0
-    for a, b in ((poly.matrix, poly.rhs), (cc, b_cc)):
-        cost = rng.uniform(-1.0, 1.0, a.shape[1])
-        structured = solve_lp(LinearProgram("max", cost, a_eq=a, b_eq=b))
-        dense = solve_lp(LinearProgram("max", cost, a_eq=np.asarray(a), b_eq=b))
-        assert structured.status == dense.status == "optimal"
-        assert abs(structured.objective_value - dense.objective_value) <= 1e-9
+    cost = rng.uniform(-1.0, 1.0, poly.n_atoms)
+    structured = solve_lp(LinearProgram("max", cost, a_eq=poly.matrix, b_eq=poly.rhs))
+    dense = solve_lp(LinearProgram("max", cost, a_eq=np.asarray(poly.matrix), b_eq=poly.rhs))
+    assert structured.status == dense.status == "optimal"
+    assert abs(structured.objective_value - dense.objective_value) <= 1e-9
+
+
+@given(instances())
+def test_every_ratio_is_the_ratio_of_its_witness(inst):
+    # Each spanning coalition's v_max is reported as the ratio of the
+    # returned joint itself, which the cuts of the least-core search rely
+    # on, and that joint is consistent.
+    solver = RobustGameSolver(inst)
+    y = solver.grand_wc.y_star
+    try:
+        table = solver.table(y)
+    except DomainError:
+        assume(False)  # every demand is 0: no order is admissible
+    p, pc = inst.price, inst.price - inst.cost
+    den = pc * y - p * np.maximum(y - solver.d_grand, 0.0)
+    for mask, entry in table.entries.items():
+        if sum(1 for bm in inst.block_masks if mask & bm) < 2:
+            continue
+        d_s = solver.poly.coalition_demands(mask)
+        num = pc * entry.gamma - p * np.maximum(entry.gamma - d_s, 0.0)
+        ratio = (num @ entry.q) / (den @ entry.q)
+        assert abs(entry.value - ratio) <= 1e-15 * abs(ratio)
+        assert solver.poly.consistency_gap(entry.q) <= 1e-9

@@ -331,6 +331,28 @@ class TestCutSearch:
         assert decision.y == solver.grand_wc.y_star
         assert solver.least_core_lower == eps
 
+    def test_example1_ratio_lps_and_pivots_are_pinned(self, monkeypatch):
+        # The ratio LPs and their simplex iterations in the benchmark's
+        # example-1 pass (table, sigma and least core at the worst-case
+        # order) at K=24: a change to that pivot path fails here by name.
+        # Only the ratio LPs call solve_lp through the lp module.
+        original = lp_module.solve_lp
+        counts = [0, 0]
+
+        def counted(program, start=None):
+            sol = original(program, start)
+            counts[0] += 1
+            counts[1] += sol.iterations
+            return sol
+
+        monkeypatch.setattr(lp_module, "solve_lp", counted)
+        solver = RobustGameSolver(make_example1(24))
+        y = solver.grand_wc.y_star
+        solver.table(y)
+        solver.sigma(y)
+        solver.least_core(y_tol=0.02)
+        assert counts == [3, 23]
+
     def test_stress_probe_count_is_pinned(self, monkeypatch):
         # Both small_cfg() instances have an empty core: two core tests at
         # the worst-case order, then 13 least-core probes between them.
@@ -505,7 +527,9 @@ class TestTheoremConsistency:
 
 class TestAgainstHighs:
     """Ratio LPs and sigma at K = 20x20 and 30x30, beyond the brute-force
-    oracle, against scipy's HiGHS on the dense Charnes-Cooper system."""
+    oracle, against scipy's HiGHS on the dense Charnes-Cooper system, an
+    independent formulation of the ratio LPs the solver runs by Dinkelbach
+    iterations."""
 
     @pytest.mark.parametrize("k", [20, 30])
     def test_vmax_and_sigma(self, k):
@@ -523,7 +547,14 @@ class TestAgainstHighs:
         vmin = (p - c) * y + p * shortage.fun
         assert table.min_grand_profit == pytest.approx(vmin, abs=1e-9)
 
-        cc = np.asarray(solver._cc_program(y).a_eq)
+        # The Charnes-Cooper system of the ratio LP, written out densely:
+        # variables (psi, theta) with psi = q * theta, A psi = rhs theta and
+        # grand profit (psi, theta) = 1.
+        a = np.asarray(poly.matrix)
+        cc = np.block([
+            [a, -poly.rhs[:, None]],
+            [-p * np.maximum(y - solver.d_grand, 0.0)[None, :], np.array([[(p - c) * y]])],
+        ])
         b_cc = np.zeros(cc.shape[0])
         b_cc[-1] = 1.0
         expect = {}
