@@ -14,6 +14,8 @@ formed per distinct atom value with probabilities added.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -81,8 +83,8 @@ class Instance:
     marginals: tuple[DiscreteMarginal, ...]
 
     def __post_init__(self):
-        p, c = float(self.price), float(self.cost)
-        if not (0.0 < c < p) or not np.isfinite(p):
+        p, c = check_real(self.price, "price"), check_real(self.cost, "cost")
+        if not (0.0 < c < p):
             raise InputError(f"prices must satisfy 0 < cost < price, got cost={c}, price={p}")
         object.__setattr__(self, "price", p)
         object.__setattr__(self, "cost", c)
@@ -177,6 +179,18 @@ def check_int(value, name: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_real(value, name: str) -> float:
+    """`value` as a float; raises InputError unless it is a finite real
+    number (a bool is not, nor a string; an int too large for a float is
+    refused)."""
+    # The bound also refuses nan.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise InputError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def block_aggregate(block: Sequence[int], atoms: np.ndarray, mask: int) -> np.ndarray:
@@ -417,7 +431,9 @@ class FrechetPolytope:
         self.matrix = IncidenceOperator(ids, m)
         self.rhs = np.asarray(rhs, dtype=float)
         self.rhs.setflags(write=False)
-        self.crash_basis = self._northwest_basis()
+        self.crash_basis = self.northwest_vertex(
+            [np.arange(p.size) for p in self.class_probs]
+        )[0]
         # Every objective over the polytope derives from this one program,
         # so all of them share one standard form.
         self._program = LinearProgram(
@@ -428,15 +444,22 @@ class FrechetPolytope:
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
-    def _northwest_basis(self) -> tuple[int, ...]:
-        """Northwest-corner vertex over the value classes in their sorted
-        order; its support has exactly n_rows columns and forms a starting
-        basis (the classic staircase for R=2)."""
-        steps, _mass = northwest_corner(
-            self.class_probs, [np.arange(p.size) for p in self.class_probs]
-        )
+    def northwest_vertex(
+        self, orders: Sequence[np.ndarray]
+    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """Northwest-corner vertex over the value classes, block r's classes
+        visited in `orders[r]`. Returns (basis, q, mass): the joint atoms of
+        its steps, the vertex as a joint, and the mass of each step. The
+        steps are exactly n_rows distinct atoms, some possibly of zero mass,
+        and form a starting basis (the classic staircase for R=2, in any
+        row and column order). `crash_basis` is the one in sorted order.
+        """
+        steps, mass = northwest_corner(self.class_probs, orders)
         reps = [self.class_reps[r][steps[:, r]] for r in range(len(self.dims))]
-        return tuple(int(k) for k in np.ravel_multi_index(reps, self.dims))
+        ids = np.ravel_multi_index(reps, self.dims)
+        q = np.zeros(self.n_atoms)
+        q[ids] = mass
+        return tuple(int(k) for k in ids), q, mass
 
     def consistency_gap(self, q: np.ndarray) -> float:
         """Largest absolute violation across all per-value class constraints

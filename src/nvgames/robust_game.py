@@ -20,25 +20,40 @@ certified F(lam) <= tol, when no consistent joint beats lam by more than
 tol / min grand profit, and reports the ratio of that last vertex. The
 optimal gamma lies among the distinct aggregate-demand support values, so
 enumerating those values is exact. Candidate gammas are screened best-first
-through an exact upper bound so that most of them are never solved:
+through an upper bound valid for every gamma, so that most of them are
+never solved:
 
-    v_q(gamma, S) <= (p-c)*gamma - p*(gamma - E[d(S)])^+   for every q
+    v_q(gamma, S) <= (p-c)*gamma - p*min_q' E_q'(gamma - d(S))^+   for every q,
 
-(Jensen on the shortage term; E[d(S)] is the same under every consistent q),
-and dividing by the minimum grand profit bounds the ratio from above. A
-candidate after the first starts at lam = the incumbent ratio (or its
-joint's ratio under the candidate, when higher), so one LP rules out a
-candidate that cannot win. Coalitions inside one block shortcut to the known
-block value divided by the minimum grand profit. That minimum needs no LP:
-it is the grand profit under the comonotonic coupling of the block
-aggregates, one joint for every y.
+and its positive part divided by the minimum grand profit bounds the ratio
+from above. For two blocks the minimum is exact and needs no LP: the
+countermonotonic coupling of the block aggregates d_0(S) and d_1(S)
+minimizes their sum in convex order (Tchen 1980), so it minimizes the
+shortage at every gamma at once. For three or more blocks no such coupling
+exists, and the screen uses Jensen's (gamma - E[d(S)])^+ instead
+(E[d(S)] is the same under every consistent q). A candidate after the first
+starts at lam = the incumbent ratio (or its joint's ratio under the
+candidate, when higher), so one LP rules out a candidate that cannot win.
+Coalitions inside one block shortcut to the known block value divided by
+the minimum grand profit. That minimum needs no LP: it is the grand profit
+under the comonotonic coupling of the block aggregates, one joint for every
+y.
 
 Every ratio LP is the polytope's own program with a new objective, so a
 basis optimal for one remains feasible for the next and repeated solves cost
-a handful of pivots each. A candidate's first LP starts from the
-coalition's last attaining LP solution, each further step from the step
-before; since all of them share one operator, a start also lends its basis
-factorization, across gammas, coalitions and orders y alike.
+a handful of pivots each. A coalition's very first LP starts, for two
+blocks, from its countermonotonic vertex (the northwest-corner basis with
+block 0's value classes ascending and block 1's descending by the
+coalition's aggregates), with the first lam that vertex's ratio. It
+maximizes the numerator, so it attains the ratio whenever the denominator
+varies little across joints; in the paper's example 1 the denominator does
+not vary at all, and every ratio is certified without a pivot. For three or
+more blocks the first LP starts from the polytope's crash basis, with lam
+the ratio of the grand coalition's comonotonic joint. Every later
+candidate's first LP starts from the coalition's last attaining LP
+solution, each further step from the step before; since all of them share
+one operator, a solution also lends its basis factorization, across gammas,
+coalitions and orders y alike.
 
 Beyond those warm starts the solver keeps no per-y history: only the last
 table and, once computed, its sigma with the stability LP's dual weights,
@@ -162,7 +177,7 @@ class RobustGameSolver:
         self.grand_wc = worst_case_order(inst, inst.grand_mask)
         self._grand_coupling: tuple | None = None
         self._ratio_start: dict[int, LpSolution] = {}
-        self._coalition_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        self._coalition_cache: dict[int, tuple] = {}
         self._single_block_value: dict[int, tuple[float, float]] = {}
         self._last_table: VmaxTable | None = None
         self._last_sigma: tuple[float, np.ndarray, np.ndarray] | None = None
@@ -181,7 +196,20 @@ class RobustGameSolver:
 
     # -- per-coalition data ------------------------------------------------
 
-    def _coalition_data(self, mask: int) -> tuple[np.ndarray, np.ndarray, float]:
+    def _coalition_data(
+        self, mask: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
+        """(d_s, gammas, shortage, ctm) of a coalition meeting several
+        blocks: its demand at every joint atom, its candidate orders, a lower
+        bound on E_q(gamma - d_S)^+ over the consistent q at each of them,
+        and for R = 2 the (basis, joint) of the countermonotonic vertex.
+
+        For R = 2 that vertex attains the bound, which is then exact: the
+        countermonotonic coupling of the two block aggregates minimizes
+        their sum in convex order (Tchen 1980). It is the northwest-corner
+        walk with block 0's value classes ascending and block 1's descending
+        by those aggregates. For R >= 3 the bound is Jensen's,
+        (gamma - E d_S)^+, and ctm is None."""
         hit = self._coalition_cache.get(mask)
         if hit is not None:
             return hit
@@ -190,11 +218,18 @@ class RobustGameSolver:
         if gammas.size > 1:
             keep = np.r_[True, np.diff(gammas) > 1e-12]
             gammas = gammas[keep]
-        mean = sum(
-            float(self.poly.class_probs[r] @ vals)
-            for r, vals in enumerate(self.poly.coalition_block_values(mask))
-        )
-        data = (d_s, gammas, mean)
+        values = self.poly.coalition_block_values(mask)
+        if self.inst.n_blocks == 2:
+            basis, q, mass = self.poly.northwest_vertex(
+                [np.argsort(values[0], kind="stable"), np.argsort(-values[1], kind="stable")]
+            )
+            shortage = _expected_shortage(gammas, d_s[list(basis)], mass)
+            ctm = (basis, q)
+        else:
+            mean = sum(float(self.poly.class_probs[r] @ vals) for r, vals in enumerate(values))
+            shortage = np.maximum(gammas - mean, 0.0)
+            ctm = None
+        data = (d_s, gammas, shortage, ctm)
         self._coalition_cache[mask] = data
         return data
 
@@ -214,16 +249,17 @@ class RobustGameSolver:
     # -- v_max -------------------------------------------------------------
 
     def _dinkelbach(
-        self, num: np.ndarray, den: np.ndarray, lam: float, start: LpSolution | None,
-        mask: int, gamma: float,
+        self, num: np.ndarray, den: np.ndarray, lam: float,
+        start: LpSolution | tuple[int, ...], mask: int, gamma: float,
     ) -> tuple[LpSolution, float]:
         """Raise lam, a ratio num@q / den@q some consistent q attains, until
         F(lam) = max over consistent q of (num - lam den) @ q is at most
-        _DINKELBACH_TOL; returns that last LP solution and lam."""
+        _DINKELBACH_TOL, solving from `start` (an LpSolution or a basis);
+        returns that last LP solution and lam."""
         for _ in range(_DINKELBACH_MAX_STEPS):
             # Called through the module: bench/tracing.py traces the ratio
             # LPs by rebinding nvgames.lp.solve_lp.
-            sol = lp.solve_lp(self.poly.lp(num - lam * den), start or self.poly.crash_basis)
+            sol = lp.solve_lp(self.poly.lp(num - lam * den), start)
             if sol.status != "optimal":
                 raise SolverError(
                     f"ratio LP for coalition {mask:#x} at gamma={gamma} reported {sol.status!r}"
@@ -247,19 +283,24 @@ class RobustGameSolver:
             y_s, vbar = self._block_value(mask)
             return VmaxResult(vbar / vmin, y_s, q_min)
 
-        d_s, gammas, mean = self._coalition_data(mask)
+        d_s, gammas, shortage, ctm = self._coalition_data(mask)
         p, pc = self.p, self.p - self.c
-        ubs = np.maximum(pc * gammas - p * np.maximum(gammas - mean, 0.0), 0.0) / vmin
+        ubs = np.maximum(pc * gammas - p * shortage, 0.0) / vmin
         order = np.lexsort((gammas, -ubs))
         den = pc * y - p * np.maximum(y - self.d_grand, 0.0)
-        start = self._ratio_start.get(mask)
+        last = self._ratio_start.get(mask)
+        if last is not None:
+            start, q = last, last.x
+        elif ctm is not None:
+            start, q = ctm
+        else:
+            start, q = self.poly.crash_basis, q_min
         best = best_gamma = None
         for idx in order:
             if best is not None and ubs[idx] <= best:
                 break  # remaining candidates are bounded below the incumbent
             gamma = float(gammas[idx])
             num = pc * gamma - p * np.maximum(gamma - d_s, 0.0)
-            q = q_min if start is None else start.x
             lam = float(num @ q) / float(den @ q)
             if best is not None:
                 lam = max(lam, best)
@@ -268,9 +309,9 @@ class RobustGameSolver:
                 # F(lam) <= tol, so this vertex is within tol / vmin of the
                 # optimum; its own ratio is the value reported.
                 best = float(num @ sol.x) / float(den @ sol.x)
-                best_gamma, start = gamma, sol
+                best_gamma, start, q = gamma, sol, sol.x
         self._ratio_start[mask] = start
-        return VmaxResult(best, best_gamma, start.x)
+        return VmaxResult(best, best_gamma, q)
 
     def _admissible_min_profit(self, y: float) -> tuple[float, np.ndarray]:
         """min_grand_profit(y), refusing orders at which it is not positive."""
@@ -336,29 +377,48 @@ class RobustGameSolver:
             return Decision(y, x)
         return None
 
-    def _sigma_slopes(self) -> tuple[float, float]:
+    def _sigma_slopes(self) -> tuple[float, float, float]:
         """One-sided slopes (g-, g+) of two cuts that support sigma at the
         last table's order y: sigma(t) >= sigma(y) + g (t - y) for every t
-        and both g, with sigma'(y-) <= g- <= g+ <= sigma'(y+).
+        and both g, with sigma'(y-) <= g- <= g+ <= sigma'(y+); and a bound
+        on the rounding error of each computed slope.
 
         With the stability LP's weights w fixed, sum_S w_S v_S(t) - mu is a
         lower bound on sigma(t) that is tight at y, and with each entry's
         attaining gamma and joint q fixed, v_S(t) >= N_S / G_q(t), tight at
         y, where G_q(t) = (p-c) t - p E_q(t - d_N)^+ is concave and
         positive. Both minorants are convex, so their one-sided derivatives
-        -v_S G_q'(y+-) / G_q(y), weighted by w, give the cuts."""
+        -v_S G_q'(y+-) / G_q(y), weighted by w, give the cuts.
+
+        The error bound is the standard one for floating-point dot products
+        (Higham 2002, ch. 3), to first order in the unit roundoff u, with
+        gamma_m = m u / (1 - m u): per S the probabilities P_S = q @ [d_N < y]
+        (or <=) and the shortage E_S = q @ (y - d_N)^+ are K-term sums of
+        nonnegative products, G_S and the slope factors pc - p P_S add a few
+        roundings, and the weighted sum over the n used coalitions adds
+        gamma_n. Each slope is then within
+            gamma_(K+n+5) * sum_S |s_S| (pc + p P_S) (1 + (pc y + p E_S) / G_S)
+        of its exact value, with s_S = w_S v_S / G_S and P_S taken at d_N <= y,
+        the larger of the two."""
         table = self._last_table
         w = self._last_sigma[2]
         masks = sorted(table.entries)
         used = np.flatnonzero(w > 0.0)
         q = np.array([table.entries[masks[i]].q for i in used])
         v = np.array([table.entries[masks[i]].value for i in used])
-        y, d, pc = table.y, self.d_grand, self.p - self.c
-        grand = pc * y - self.p * (q @ np.maximum(y - d, 0.0))
-        left = pc - self.p * (q @ (d < y))
-        right = pc - self.p * (q @ (d <= y))
+        y, d, p, pc = table.y, self.d_grand, self.p, self.p - self.c
+        shortage = q @ np.maximum(y - d, 0.0)
+        grand = pc * y - p * shortage
+        p_hi = q @ (d <= y)
         scale = w[used] * v / grand
-        return float(-(scale @ left)), float(-(scale @ right))
+        g_lo = -float(scale @ (pc - p * (q @ (d < y))))
+        g_hi = -float(scale @ (pc - p * p_hi))
+        m = d.size + used.size + 5
+        u = np.finfo(float).eps / 2
+        err = m * u / (1 - m * u) * float(
+            np.abs(scale) @ ((pc + p * p_hi) * (1.0 + (pc * y + p * shortage) / grand))
+        )
+        return g_lo, g_hi, err
 
     def least_core(self, y_tol: float | None = None) -> tuple[Decision, float]:
         """Minimize the convex sigma(y) over the admissible orders by a
@@ -374,7 +434,8 @@ class RobustGameSolver:
         the bracket. A grand-demand support value inside the bracket, where
         sigma may have a kink, replaces that point when one exists (the
         nearest), so a kink optimum is probed exactly. The search stops
-        when a probe's slopes satisfy g- <= 0 <= g+ (an exact minimum),
+        when a probe's slopes satisfy g- <= 0 <= g+ within their rounding
+        error bound (an exact minimum),
         when the bracket is at most y_tol wide (default 1e-4 of the
         admissible interval), or when the best eps exceeds the cuts' lower
         bound by at most 1e-9 * max(1, |eps|). A probe below an earlier cut,
@@ -404,7 +465,7 @@ class RobustGameSolver:
                 else:
                     b = y
             else:
-                g_lo, g_hi = self._sigma_slopes()
+                g_lo, g_hi, err = self._sigma_slopes()
                 if f < best_eps:
                     best_y, best_eps, best_x = y, f, x
                 tol = 1e-9 * max(1.0, abs(best_eps))
@@ -417,7 +478,8 @@ class RobustGameSolver:
                             "contradict each other's cuts"
                         )
                 probes.append((y, f, g_lo, g_hi))
-                if g_lo <= 0.0 <= g_hi:
+                if g_lo <= err and -err <= g_hi:
+                    # Exact slopes straddle 0 up to their rounding error.
                     lower = min(f, best_eps)
                     break
                 if g_hi < 0.0:
@@ -448,6 +510,18 @@ class RobustGameSolver:
             raise SolverError("least-core search never found an admissible order")
         self.least_core_lower = float(lower)
         return Decision(best_y, best_x), best_eps
+
+
+def _expected_shortage(gammas: np.ndarray, values: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """E(gamma - X)^+ at every gamma, for X taking `values` with
+    probabilities `mass`: sum over values below gamma of mass * (gamma -
+    value), by cumulative sums over the sorted values."""
+    order = np.argsort(values, kind="stable")
+    values, mass = values[order], mass[order]
+    below = np.searchsorted(values, gammas, side="left")
+    prob = np.r_[0.0, np.cumsum(mass)][below]
+    first = np.r_[0.0, np.cumsum(mass * values)][below]
+    return gammas * prob - first
 
 
 def _check_admissible(vmin: float, y: float) -> None:

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import numbers
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,6 +43,7 @@ from .distributions import (
     JointDistribution,
     check_int,
     check_probability_rows,
+    check_real,
     get_polytope,
     independent_joint,
     sample_extremal,
@@ -102,13 +101,7 @@ class ExperimentConfig:
             raise InputError(f"atoms_per_block {atoms} must give one count per block")
         object.__setattr__(self, "atoms_per_block", atoms)
         for name in ("price", "cost"):
-            value = getattr(self, name)
-            # The bound also refuses nan and ints too large for a float.
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                abs(value) <= sys.float_info.max
-            ):
-                raise InputError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not (0 < self.cost < self.price):
             raise InputError(
                 f"prices must satisfy 0 < cost < price, got {self.cost}, {self.price}"

@@ -1,20 +1,23 @@
 """Brute-force oracles the test suite checks the solvers against.
 
-Everything here but `lp_worst_case_shortage` is deliberately independent of
+Everything here but the two shortage LPs is deliberately independent of
 the package's simplex path: vertices come from active-set enumeration,
 optima from exhaustive search over those vertices, and unboundedness from
 extreme rays of the recession cone. Sized for at most a handful of
 variables. `lp_worst_case_shortage` keeps the LP that the closed-form
-comonotonic worst case replaced.
+comonotonic worst case replaced; `lp_least_shortage` is its min-sense
+counterpart, which the countermonotonic vertex attains for two blocks.
+`exact_sigma_slopes` evaluates the least-core cuts in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from nvgames.lp import LinearProgram
+from nvgames.lp import LinearProgram, solve_lp
 
 
 def enumerate_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
@@ -123,8 +126,8 @@ def dual_objective_offset(lp: LinearProgram) -> float:
     return float(c @ lp.lower_bounds)
 
 
-def brute_force_vmax(inst, y: float, mask: int, tol=1e-9):
-    """max over distinct coalition demand values gamma and enumerated
+def brute_force_ratios(inst, y: float, mask: int, tol=1e-9) -> dict[float, float]:
+    """Per distinct coalition demand value gamma, the max over enumerated
     polytope vertices q of profit(gamma, S; q) / grand profit(y; q)."""
     from nvgames.distributions import get_polytope
 
@@ -133,15 +136,23 @@ def brute_force_vmax(inst, y: float, mask: int, tol=1e-9):
     d_s = poly.coalition_demands(mask)
     d_n = poly.coalition_demands(inst.grand_mask)
     p, c = inst.price, inst.cost
-    best = -np.inf
+    ratios = {}
     for gamma in np.unique(d_s):
         numer_coeff = (p - c) * gamma - p * np.maximum(gamma - d_s, 0.0)
+        best = -np.inf
         for q in verts:
             den = (p - c) * y - p * float(np.maximum(y - d_n, 0.0) @ q)
             if den <= 0:
                 continue
             best = max(best, float(numer_coeff @ q) / den)
-    return best
+        ratios[float(gamma)] = best
+    return ratios
+
+
+def brute_force_vmax(inst, y: float, mask: int, tol=1e-9):
+    """max over distinct coalition demand values gamma and enumerated
+    polytope vertices q of profit(gamma, S; q) / grand profit(y; q)."""
+    return max(brute_force_ratios(inst, y, mask, tol).values())
 
 
 def lp_worst_case_shortage(inst, y: float, mask: int) -> float:
@@ -153,6 +164,40 @@ def lp_worst_case_shortage(inst, y: float, mask: int) -> float:
     objective = np.maximum(y - poly.coalition_demands(mask), 0.0)
     value, _q = poly.maximize(objective)
     return max(value, 0.0)
+
+
+def lp_least_shortage(inst, y: float, mask: int) -> float:
+    """min over the consistency polytope of E_q[(y - d(S))^+]: a min-sense
+    LP on the dense consistency rows, solved from a cold start by the
+    package's simplex."""
+    from nvgames.distributions import get_polytope
+
+    poly = get_polytope(inst)
+    objective = np.maximum(y - poly.coalition_demands(mask), 0.0)
+    sol = solve_lp(LinearProgram("min", objective, a_eq=np.asarray(poly.matrix), b_eq=poly.rhs))
+    assert sol.status == "optimal"
+    return sol.objective_value
+
+
+def exact_sigma_slopes(solver) -> tuple[Fraction, Fraction]:
+    """The slopes (g-, g+) that `RobustGameSolver._sigma_slopes` computes at
+    the solver's last table and sigma, evaluated in exact rational
+    arithmetic on the same float inputs: stability weights, ratios,
+    witnesses, price, cost and grand demands."""
+    table = solver._last_table
+    w = solver._last_sigma[2]
+    masks = sorted(table.entries)
+    p, pc, y = Fraction(solver.p), Fraction(solver.p) - Fraction(solver.c), Fraction(table.y)
+    d = [Fraction(v) for v in solver.d_grand]
+    g_lo = g_hi = Fraction(0)
+    for i in np.flatnonzero(w > 0.0):
+        entry = table.entries[masks[i]]
+        q = [Fraction(v) for v in entry.q]
+        grand = pc * y - p * sum(qk * max(y - dk, 0) for qk, dk in zip(q, d))
+        scale = Fraction(w[i]) * Fraction(entry.value) / grand
+        g_lo -= scale * (pc - p * sum(qk for qk, dk in zip(q, d) if dk < y))
+        g_hi -= scale * (pc - p * sum(qk for qk, dk in zip(q, d) if dk <= y))
+    return g_lo, g_hi
 
 
 def scalar_excess(evaluator, q, decision) -> float:

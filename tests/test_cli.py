@@ -100,6 +100,23 @@ class TestSolve:
         assert "partition" in err
         assert out == ""
 
+    @pytest.mark.parametrize("fields, word", [
+        # Converted, these would load as price 2.0 and 1.0 above cost 0.5.
+        pytest.param({"price": "2"}, "price", id="string-price"),
+        pytest.param({"price": True, "cost": 0.5}, "price", id="bool-price"),
+        pytest.param({"cost": "1"}, "cost", id="string-cost"),
+        pytest.param({"price": 10**400}, "price", id="price-beyond-float"),
+    ])
+    def test_bad_price_or_cost_is_input_error(self, tmp_path, t1, fields, word):
+        doc = instance_to_dict(t1)
+        doc.update(fields)
+        path = tmp_path / "bad_price.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["solve", str(path)])
+        assert code == 2
+        assert f"{word} must be a finite number" in err
+        assert out == ""
+
     def test_model_invalid_exit_code(self, tmp_path):
         doc = {
             "price": 1.5, "cost": 1.0, "partition": [[0], [1]],

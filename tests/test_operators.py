@@ -15,13 +15,15 @@ from nvgames.errors import DomainError
 from nvgames.lp import LinearProgram, solve_lp
 from nvgames.robust_game import RobustGameSolver
 
+from oracles import lp_least_shortage
+
 
 @st.composite
-def instances(draw) -> Instance:
-    """R in {1, 2, 3} blocks of up to 4 atoms from a tiny grid (so atoms
-    repeat) with integer weights that may be zero."""
+def instances(draw, n_blocks=st.integers(1, 3)) -> Instance:
+    """R in {1, 2, 3} blocks (or as `n_blocks` draws) of up to 4 atoms from
+    a tiny grid (so atoms repeat) with integer weights that may be zero."""
     partition, marginals, start = [], [], 0
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(n_blocks)):
         dim = draw(st.integers(1, 2))
         k = draw(st.integers(1, 4))
         atoms = draw(st.lists(st.lists(st.integers(0, 2), min_size=dim, max_size=dim),
@@ -99,3 +101,33 @@ def test_every_ratio_is_the_ratio_of_its_witness(inst):
         ratio = (num @ entry.q) / (den @ entry.q)
         assert abs(entry.value - ratio) <= 1e-15 * abs(ratio)
         assert solver.poly.consistency_gap(entry.q) <= 1e-9
+
+
+def spanning_masks(inst: Instance):
+    return [mask for mask in range(1, inst.grand_mask)
+            if sum(1 for bm in inst.block_masks if mask & bm) > 1]
+
+
+@given(instances(n_blocks=st.just(2)))
+def test_countermonotonic_shortage_is_the_least(inst):
+    # For two blocks the screen's shortage at every candidate order is the
+    # minimum of E_q(gamma - d_S)^+ over the consistent q.
+    solver = RobustGameSolver(inst)
+    for mask in spanning_masks(inst):
+        _d_s, gammas, shortage, _start = solver._coalition_data(mask)
+        for gamma, value in zip(gammas, shortage):
+            assert abs(value - lp_least_shortage(inst, gamma, mask)) <= 1e-12
+
+
+@given(instances(n_blocks=st.just(2)))
+def test_countermonotonic_start_is_a_consistent_basis(inst):
+    solver = RobustGameSolver(inst)
+    poly = solver.poly
+    a = np.asarray(poly.matrix)
+    for mask in spanning_masks(inst):
+        basis, q = solver._coalition_data(mask)[3]
+        assert len(set(basis)) == len(basis) == poly.n_rows
+        assert np.linalg.matrix_rank(a[:, list(basis)]) == poly.n_rows
+        assert np.all(q >= 0.0)
+        assert np.count_nonzero(np.delete(q, list(basis))) == 0
+        assert poly.consistency_gap(q) <= 1e-12

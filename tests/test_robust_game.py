@@ -32,7 +32,7 @@ from nvgames.robust_game import (
 
 from conftest import make_example1, random_instance
 from test_stress import small_cfg
-from oracles import brute_force_vmax
+from oracles import brute_force_ratios, brute_force_vmax, exact_sigma_slopes
 
 
 class TestVmax:
@@ -106,11 +106,33 @@ class TestVmax:
             y = solver.grand_wc.y_star
             vmin, q_min = solver.min_grand_profit(y)
             for mask in (0b001, 0b010, 0b011, 0b100):
-                d_s, _gammas, _mean = solver._coalition_data(mask)
                 res = solver.vmax(y, mask)
                 brute = brute_force_vmax(inst, y, mask)
                 assert res.value == pytest.approx(brute, abs=1e-8)
-                del d_s
+
+    @pytest.mark.parametrize("shape", [
+        pytest.param((4, (2, 2), (2, 3)), id="two-blocks"),
+        pytest.param((4, (2, 1, 1), (2, 2, 2)), id="three-blocks"),
+    ])
+    def test_screen_bound_covers_every_gamma(self, shape):
+        # Every candidate order's screen bound, countermonotonic for two
+        # blocks and Jensen's for three, is at least that order's ratio,
+        # each order solved by vertex enumeration.
+        for seed in range(3):
+            inst = random_instance(seed, n=shape[0], block_sizes=shape[1], atoms_per_block=shape[2])
+            solver = RobustGameSolver(inst)
+            p, pc = inst.price, inst.price - inst.cost
+            for y in (solver.grand_wc.y_star, 0.8 * solver.grand_wc.y_star):
+                vmin, _q = solver.min_grand_profit(y)
+                for mask in range(1, inst.grand_mask):
+                    if len(solver._blocks_met(mask)) == 1:
+                        continue
+                    _d_s, gammas, shortage, _start = solver._coalition_data(mask)
+                    bounds = np.maximum(pc * gammas - p * shortage, 0.0) / vmin
+                    ratios = brute_force_ratios(inst, y, mask)
+                    assert sorted(ratios) == pytest.approx(gammas, abs=1e-12)
+                    for gamma, bound in zip(gammas, bounds):
+                        assert bound >= ratios[float(gamma)] - 1e-12
 
     def test_witness_attains_value(self, t2):
         solver = RobustGameSolver(t2)
@@ -249,6 +271,28 @@ def counted_sigma(monkeypatch) -> list[int]:
     return calls
 
 
+def example1_ratio_lp_counts(monkeypatch, k: int) -> list[int]:
+    """[ratio LPs, their simplex iterations] in the benchmark's example-1
+    pass at K=k: table, sigma and least core at the worst-case order. Only
+    the ratio LPs call solve_lp through the lp module."""
+    original = lp_module.solve_lp
+    counts = [0, 0]
+
+    def counted(program, start=None):
+        sol = original(program, start)
+        counts[0] += 1
+        counts[1] += sol.iterations
+        return sol
+
+    monkeypatch.setattr(lp_module, "solve_lp", counted)
+    solver = RobustGameSolver(make_example1(k))
+    y = solver.grand_wc.y_star
+    solver.table(y)
+    solver.sigma(y)
+    solver.least_core(y_tol=0.02)
+    return counts
+
+
 class TestCutSearch:
     def test_lower_bound_below_a_grid_and_eps_at_most_its_minimum(self):
         # Oracle: sigma on a fine grid plus every grand-demand support value.
@@ -284,7 +328,7 @@ class TestCutSearch:
         solver = RobustGameSolver(small_cfg_instance(0))
         h = 1e-5
         f, _x = solver.sigma(y)
-        g_lo, g_hi = solver._sigma_slopes()
+        g_lo, g_hi, _err = solver._sigma_slopes()
         back = (f - solver.sigma(y - h)[0]) / h
         fwd = (solver.sigma(y + h)[0] - f) / h
         assert back - 1e-6 <= g_lo <= g_hi <= fwd + 1e-6
@@ -332,26 +376,43 @@ class TestCutSearch:
         assert solver.least_core_lower == eps
 
     def test_example1_ratio_lps_and_pivots_are_pinned(self, monkeypatch):
-        # The ratio LPs and their simplex iterations in the benchmark's
-        # example-1 pass (table, sigma and least core at the worst-case
-        # order) at K=24: a change to that pivot path fails here by name.
-        # Only the ratio LPs call solve_lp through the lp module.
-        original = lp_module.solve_lp
-        counts = [0, 0]
+        # A change to the pivot path of the benchmark's example-1 pass at
+        # K=24 fails here by name.
+        assert example1_ratio_lp_counts(monkeypatch, 24) == [2, 0]
 
-        def counted(program, start=None):
-            sol = original(program, start)
-            counts[0] += 1
-            counts[1] += sol.iterations
-            return sol
+    def test_example1_k200_ratio_lps_and_pivots_are_pinned(self, monkeypatch):
+        # The benchmark's example-1 pass itself: the countermonotonic start
+        # attains each spanning coalition's ratio, so one LP per coalition
+        # certifies it without a pivot and the screen rules out every other
+        # gamma.
+        assert example1_ratio_lp_counts(monkeypatch, 200) == [2, 0]
 
-        monkeypatch.setattr(lp_module, "solve_lp", counted)
+    def test_slope_rounded_below_zero_still_certifies(self):
+        # At example 1's worst-case order (K=24) sigma has its minimum, but
+        # the right slope of its cuts computes as about -5e-17. Within the
+        # slopes' rounding-error bound it is 0, so the first probe
+        # certifies; compared with exactly 0 the search would stop on the
+        # gap instead, with a lower bound below eps.
         solver = RobustGameSolver(make_example1(24))
         y = solver.grand_wc.y_star
-        solver.table(y)
         solver.sigma(y)
-        solver.least_core(y_tol=0.02)
-        assert counts == [3, 23]
+        g_lo, g_hi, err = solver._sigma_slopes()
+        exact_lo, exact_hi = exact_sigma_slopes(solver)
+        assert g_lo < 0.0 and g_hi < 0.0
+        assert abs(exact_hi) <= err
+        assert abs(g_lo - exact_lo) <= err and abs(g_hi - exact_hi) <= err
+        decision, eps = solver.least_core(y_tol=0.02)
+        assert decision.y == y
+        assert solver.least_core_lower == eps
+
+    @pytest.mark.parametrize("y", [20.0, 21.0, 22.5, 24.2])
+    def test_slope_error_bound_covers_exact_slopes(self, y):
+        solver = RobustGameSolver(small_cfg_instance(0))
+        solver.sigma(y)
+        g_lo, g_hi, err = solver._sigma_slopes()
+        exact_lo, exact_hi = exact_sigma_slopes(solver)
+        assert 0.0 < err <= 1e-12
+        assert abs(g_lo - exact_lo) <= err and abs(g_hi - exact_hi) <= err
 
     def test_stress_probe_count_is_pinned(self, monkeypatch):
         # Both small_cfg() instances have an empty core: two core tests at
@@ -562,7 +623,8 @@ class TestAgainstHighs:
             if len(solver._blocks_met(mask)) == 1:
                 expect[mask] = solver._block_value(mask)[1] / vmin
                 continue
-            d_s, gammas, mean = solver._coalition_data(mask)
+            d_s, gammas = solver._coalition_data(mask)[:2]
+            mean = float(d_s @ independent_joint(inst).q)  # E d_S under every consistent q
             # Gammas whose Jensen bound cannot reach the reported optimum
             # cannot attain it either; HiGHS solves every other one.
             bound = np.maximum((p - c) * gammas - p * np.maximum(gammas - mean, 0.0), 0.0) / vmin
