@@ -55,6 +55,18 @@ solution, each further step from the step before; since all of them share
 one operator, a solution also lends its basis factorization, across gammas,
 coalitions and orders y alike.
 
+Small polytopes skip the LPs. A linear-fractional program with a positive
+denominator attains its maximum at a vertex (Charnes-Cooper 1962), so when
+the polytope has a vertex table (`FrechetPolytope.vertices`, built when it
+has at most `distributions._VERTEX_CAP` column bases, 4 096) v_max(y, S) is
+the maximum of one (gamma x vertex) matrix of ratios num_gamma @ q /
+den @ q: two matrix products, no tolerance, no screen and no starting
+vertex (a coalition inside one block has its block value as its one
+numerator). Ties go to the first maximum in row-major order (gamma ascending,
+then the vertex's row in the table), so a witness depends only on y and S,
+not on earlier solves, and the witness is the table's row itself. Above the
+cap the Dinkelbach LPs above are the only path.
+
 Beyond those warm starts the solver keeps no per-y history: only the last
 table and, once computed, its sigma with the stability LP's dual weights,
 which is what the least-core search reads back. Every joint that attains a
@@ -73,7 +85,9 @@ bracket) and stops on a probe whose slopes straddle 0, on a bracket at most
 y_tol wide, or once the best eps is within 1e-9 (relative) of the cuts'
 lower bound, which the solver then holds as `least_core_lower`. A probe
 that contradicts an earlier cut raises SolverError: sigma would not be
-convex.
+convex. On the vertex path each v_S is a maximum of finitely many such
+pieces, and the cuts take the extreme one-sided slopes over every vertex
+that attains it (Danskin 1967), so that a probe at a kink of v_S certifies.
 """
 
 from __future__ import annotations
@@ -176,6 +190,9 @@ class RobustGameSolver:
         self.d_grand = self.poly.coalition_demands(inst.grand_mask)
         self.grand_wc = worst_case_order(inst, inst.grand_mask)
         self._grand_coupling: tuple | None = None
+        self._vertex_rows: list[np.ndarray] | None = None
+        self._vertex_nums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._vertex_den: tuple[float, np.ndarray, np.ndarray] | None = None
         self._ratio_start: dict[int, LpSolution] = {}
         self._coalition_cache: dict[int, tuple] = {}
         self._single_block_value: dict[int, tuple[float, float]] = {}
@@ -202,7 +219,8 @@ class RobustGameSolver:
         """(d_s, gammas, shortage, ctm) of a coalition meeting several
         blocks: its demand at every joint atom, its candidate orders, a lower
         bound on E_q(gamma - d_S)^+ over the consistent q at each of them,
-        and for R = 2 the (basis, joint) of the countermonotonic vertex.
+        and for R = 2 the (basis, joint) of the countermonotonic vertex. On
+        the vertex path the last two are None.
 
         For R = 2 that vertex attains the bound, which is then exact: the
         countermonotonic coupling of the two block aggregates minimizes
@@ -219,7 +237,9 @@ class RobustGameSolver:
             keep = np.r_[True, np.diff(gammas) > 1e-12]
             gammas = gammas[keep]
         values = self.poly.coalition_block_values(mask)
-        if self.inst.n_blocks == 2:
+        if self.poly.vertices() is not None:
+            shortage = ctm = None  # the vertex path needs no screen
+        elif self.inst.n_blocks == 2:
             basis, q, mass = self.poly.northwest_vertex(
                 [np.argsort(values[0], kind="stable"), np.argsort(-values[1], kind="stable")]
             )
@@ -278,7 +298,57 @@ class RobustGameSolver:
             f"after {_DINKELBACH_MAX_STEPS} Dinkelbach steps"
         )
 
+    def _vertex_ratios(self, y: float, mask: int) -> tuple[np.ndarray, ...]:
+        """(gammas, nums, den, grand) of the vertex path at order y: the
+        candidate orders, each one's numerator over the joint atoms, the
+        grand profit over the joint atoms and at every vertex, so that
+        nums[i] @ q / den @ q is the ratio of (gamma_i, q). A coalition
+        inside one block has its known block value as its one numerator.
+        The numerators are kept per coalition, den and grand for the last
+        y."""
+        p, pc = self.p, self.p - self.c
+        if self._vertex_den is None or self._vertex_den[0] != y:
+            den = pc * y - p * np.maximum(y - self.d_grand, 0.0)
+            self._vertex_den = (y, den, self.poly.vertices() @ den)
+        nums = self._vertex_nums.get(mask)
+        if nums is None:
+            if len(self._blocks_met(mask)) == 1:
+                y_s, vbar = self._block_value(mask)
+                nums = np.array([y_s]), np.full((1, self.d_grand.size), vbar)
+            else:
+                d_s, gammas = self._coalition_data(mask)[:2]
+                nums = gammas, pc * gammas[:, None] - p * np.maximum(gammas[:, None] - d_s, 0.0)
+            self._vertex_nums[mask] = nums
+        return nums + self._vertex_den[1:]
+
+    def _ties(self, mask: int) -> np.ndarray:
+        """Rows of the vertex table with a (gamma, vertex) ratio that ties
+        the coalition's entry in the last table within the ratios' rounding
+        bound: each ratio is within gamma_(K+2) (|num| @ q + |ratio| |den| @
+        q) / (den @ q) of its exact value (Higham 2002, ch. 3, first order),
+        so every exactly attaining vertex is among them."""
+        verts = self.poly.vertices()
+        _gammas, nums, den, grand = self._vertex_ratios(self._last_table.y, mask)
+        ratios = (nums @ verts.T) / grand
+        k = den.size + 2
+        u = np.finfo(float).eps / 2
+        err = k * u / (1 - k * u) * (
+            np.abs(nums) @ verts.T + np.abs(ratios) * (verts @ np.abs(den))
+        ) / grand
+        top = np.unravel_index(np.argmax(ratios), ratios.shape)
+        return np.flatnonzero(np.any(ratios >= ratios[top] - err[top] - err, axis=0))
+
     def vmax_entry(self, y: float, mask: int, vmin: float, q_min: np.ndarray) -> VmaxResult:
+        verts = self.poly.vertices()
+        if verts is not None:
+            # The maximum of the (gamma x vertex) ratio matrix, the first in
+            # row-major order on ties, reported as its vertex's own ratio.
+            if self._vertex_rows is None:
+                self._vertex_rows = list(verts)  # one array per vertex, for `witnesses`
+            gammas, nums, den, grand = self._vertex_ratios(y, mask)
+            g, v = divmod(int(np.argmax((nums @ verts.T) / grand)), grand.size)
+            q = self._vertex_rows[v]
+            return VmaxResult(float(nums[g] @ q) / float(den @ q), float(gammas[g]), q)
         if len(self._blocks_met(mask)) == 1:
             y_s, vbar = self._block_value(mask)
             return VmaxResult(vbar / vmin, y_s, q_min)
@@ -384,41 +454,54 @@ class RobustGameSolver:
         on the rounding error of each computed slope.
 
         With the stability LP's weights w fixed, sum_S w_S v_S(t) - mu is a
-        lower bound on sigma(t) that is tight at y, and with each entry's
-        attaining gamma and joint q fixed, v_S(t) >= N_S / G_q(t), tight at
+        lower bound on sigma(t) that is tight at y, and with a gamma and a
+        joint q that attain v_S(y) fixed, v_S(t) >= N_S / G_q(t), tight at
         y, where G_q(t) = (p-c) t - p E_q(t - d_N)^+ is concave and
         positive. Both minorants are convex, so their one-sided derivatives
-        -v_S G_q'(y+-) / G_q(y), weighted by w, give the cuts.
+        -v_S G_q'(y+-) / G_q(y), weighted by w, give the cuts. On the LP
+        path q is the entry's witness. On the vertex path v_S is the
+        maximum of finitely many such pieces, one per (gamma, vertex), so
+        its one-sided derivatives are the extremes over the attaining
+        pieces (Danskin 1967): per S the least left slope and the largest
+        right slope over the vertices of `_ties`. A tie that does not attain
+        exactly, only within the ratios' rounding bound delta_S, still
+        gives a cut valid up to w_S delta_S, some 1e-15 relative, far below
+        the least-core search's 1e-9.
 
         The error bound is the standard one for floating-point dot products
         (Higham 2002, ch. 3), to first order in the unit roundoff u, with
-        gamma_m = m u / (1 - m u): per S the probabilities P_S = q @ [d_N < y]
-        (or <=) and the shortage E_S = q @ (y - d_N)^+ are K-term sums of
-        nonnegative products, G_S and the slope factors pc - p P_S add a few
-        roundings, and the weighted sum over the n used coalitions adds
-        gamma_n. Each slope is then within
-            gamma_(K+n+5) * sum_S |s_S| (pc + p P_S) (1 + (pc y + p E_S) / G_S)
-        of its exact value, with s_S = w_S v_S / G_S and P_S taken at d_N <= y,
-        the larger of the two."""
+        gamma_m = m u / (1 - m u): per piece the probabilities P = q @
+        [d_N < y] (or <=) and the shortage E = q @ (y - d_N)^+ are K-term
+        sums of nonnegative products, G and the slope factor pc - p P add a
+        few roundings, and the sum over the n used coalitions adds gamma_n;
+        an extreme over exactly computed pieces errs by at most its worst
+        piece. Each slope is then within
+            gamma_(K+n+5) * sum_S max_q |s_q| (pc + p P_q) (1 + (pc y + p E_q) / G_q)
+        of its exact value over the same pieces, with s_q = w_S v_S / G_q,
+        the max over S's pieces, and P_q taken at d_N <= y, the larger of
+        the two."""
         table = self._last_table
         w = self._last_sigma[2]
         masks = sorted(table.entries)
         used = np.flatnonzero(w > 0.0)
-        q = np.array([table.entries[masks[i]].q for i in used])
-        v = np.array([table.entries[masks[i]].value for i in used])
         y, d, p, pc = table.y, self.d_grand, self.p, self.p - self.c
-        shortage = q @ np.maximum(y - d, 0.0)
-        grand = pc * y - p * shortage
-        p_hi = q @ (d <= y)
-        scale = w[used] * v / grand
-        g_lo = -float(scale @ (pc - p * (q @ (d < y))))
-        g_hi = -float(scale @ (pc - p * p_hi))
+        verts = self.poly.vertices()
+        lo, hi, bound = np.zeros(used.size), np.zeros(used.size), np.zeros(used.size)
+        for j, i in enumerate(used):
+            entry = table.entries[masks[i]]
+            q = entry.q[None, :] if verts is None else verts[self._ties(masks[i])]
+            shortage = q @ np.maximum(y - d, 0.0)
+            grand = pc * y - p * shortage
+            p_hi = q @ (d <= y)
+            scale = w[i] * entry.value / grand
+            lo[j] = np.max(scale * (pc - p * (q @ (d < y))))
+            hi[j] = np.min(scale * (pc - p * p_hi))
+            bound[j] = np.max(
+                np.abs(scale) * (pc + p * p_hi) * (1.0 + (pc * y + p * shortage) / grand)
+            )
         m = d.size + used.size + 5
         u = np.finfo(float).eps / 2
-        err = m * u / (1 - m * u) * float(
-            np.abs(scale) @ ((pc + p * p_hi) * (1.0 + (pc * y + p * shortage) / grand))
-        )
-        return g_lo, g_hi, err
+        return -float(np.sum(lo)), -float(np.sum(hi)), m * u / (1 - m * u) * float(np.sum(bound))
 
     def least_core(self, y_tol: float | None = None) -> tuple[Decision, float]:
         """Minimize the convex sigma(y) over the admissible orders by a

@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,22 @@ else:
     settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
     settings.load_profile("tier1")
 
+from nvgames import distributions
 from nvgames.distributions import DiscreteMarginal, Instance
 from nvgames.stress import ExperimentConfig, gen_instance
+
+
+def lp_path_only():
+    """A context in which no polytope has a vertex table, so that every
+    worst-case ratio is solved by Dinkelbach LPs and every extremal sample
+    by an LP, as above the vertex cap."""
+    return mock.patch.object(distributions, "_VERTEX_CAP", 0)
+
+
+@pytest.fixture
+def lp_path():
+    with lp_path_only():
+        yield
 
 
 @pytest.fixture

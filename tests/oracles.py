@@ -22,7 +22,10 @@ from nvgames.lp import LinearProgram, solve_lp
 
 def enumerate_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
     """All vertices of {x : a_eq x = b_eq, a_ub x <= b_ub, x >= lb} with
-    finite lb, by enumerating active sets."""
+    finite lb, by enumerating active sets: every set of inequality rows
+    that completes a row basis of a_eq to n independent rows, all of them
+    solved as one batch of square systems. Larger active sets only repeat
+    these vertices."""
     a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float)) if a_eq is not None else None
     n = a_eq.shape[1] if a_eq is not None else np.asarray(a_ub).shape[1]
     if a_eq is None:
@@ -33,8 +36,9 @@ def enumerate_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
     b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float)) if b_ub is not None else np.zeros(0)
     lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=float)
 
-    pool_rows = [(-np.eye(n)[j], -lb[j]) for j in range(n) if np.isfinite(lb[j])]
-    pool_rows += [(a_ub[i], b_ub[i]) for i in range(a_ub.shape[0])]
+    bounded = np.flatnonzero(np.isfinite(lb))
+    pool = np.vstack([-np.eye(n)[bounded], a_ub])
+    pool_rhs = np.concatenate([-lb[bounded], b_ub])
 
     def feasible(x):
         if a_eq.shape[0] and np.max(np.abs(a_eq @ x - b_eq)) > tol:
@@ -44,19 +48,30 @@ def enumerate_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
         finite = np.isfinite(lb)
         return not np.any(x[finite] < lb[finite] - tol)
 
+    basis: list[int] = []  # a row basis of a_eq, greedily
+    for i in range(a_eq.shape[0]):
+        if np.linalg.matrix_rank(a_eq[basis + [i]]) > len(basis):
+            basis.append(i)
+    need = n - len(basis)
+    if need > pool.shape[0]:
+        return []
+    sets = list(itertools.combinations(range(pool.shape[0]), need))
+    sets = np.array(sets, dtype=np.intp).reshape(len(sets), need)
+    mats = np.concatenate(
+        [np.broadcast_to(a_eq[basis], (len(sets), len(basis), n)), pool[sets]], axis=1
+    )
+    rhs = np.concatenate(
+        [np.broadcast_to(b_eq[basis], (len(sets), len(basis))), pool_rhs[sets]], axis=1
+    )
+    square = np.linalg.matrix_rank(mats) == n
+    mats, rhs = mats[square], rhs[square]
+    xs = np.linalg.solve(mats, rhs[..., None])[..., 0]
     vertices = []
-    need = n - a_eq.shape[0]
-    for size in range(max(need, 0), len(pool_rows) + 1):
-        for chosen in itertools.combinations(pool_rows, size):
-            mat = np.vstack([a_eq] + [row for row, _ in chosen]) if chosen else a_eq
-            rhs = np.concatenate([b_eq, [r for _, r in chosen]]) if chosen else b_eq
-            if mat.shape[0] < n or np.linalg.matrix_rank(mat) < n:
-                continue
-            x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-            if np.max(np.abs(mat @ x - rhs)) > tol:
-                continue
-            if feasible(x) and not any(np.max(np.abs(x - v)) <= 1e-7 for v in vertices):
-                vertices.append(x)
+    for mat, b, x in zip(mats, rhs, xs):
+        if np.max(np.abs(mat @ x - b)) > tol:
+            continue
+        if feasible(x) and not any(np.max(np.abs(x - v)) <= 1e-7 for v in vertices):
+            vertices.append(x)
     return vertices
 
 
@@ -183,7 +198,8 @@ def exact_sigma_slopes(solver) -> tuple[Fraction, Fraction]:
     """The slopes (g-, g+) that `RobustGameSolver._sigma_slopes` computes at
     the solver's last table and sigma, evaluated in exact rational
     arithmetic on the same float inputs: stability weights, ratios,
-    witnesses, price, cost and grand demands."""
+    witnesses (on the vertex path, every tied vertex), price, cost and
+    grand demands."""
     table = solver._last_table
     w = solver._last_sigma[2]
     masks = sorted(table.entries)
@@ -192,11 +208,17 @@ def exact_sigma_slopes(solver) -> tuple[Fraction, Fraction]:
     g_lo = g_hi = Fraction(0)
     for i in np.flatnonzero(w > 0.0):
         entry = table.entries[masks[i]]
-        q = [Fraction(v) for v in entry.q]
-        grand = pc * y - p * sum(qk * max(y - dk, 0) for qk, dk in zip(q, d))
-        scale = Fraction(w[i]) * Fraction(entry.value) / grand
-        g_lo -= scale * (pc - p * sum(qk for qk, dk in zip(q, d) if dk < y))
-        g_hi -= scale * (pc - p * sum(qk for qk, dk in zip(q, d) if dk <= y))
+        verts = solver.poly.vertices()
+        pieces = [entry.q] if verts is None else verts[solver._ties(masks[i])]
+        lo, hi = [], []
+        for q in pieces:
+            q = [Fraction(v) for v in q]
+            grand = pc * y - p * sum(qk * max(y - dk, 0) for qk, dk in zip(q, d))
+            scale = Fraction(w[i]) * Fraction(entry.value) / grand
+            lo.append(-scale * (pc - p * sum(qk for qk, dk in zip(q, d) if dk < y)))
+            hi.append(-scale * (pc - p * sum(qk for qk, dk in zip(q, d) if dk <= y)))
+        g_lo += min(lo)
+        g_hi += max(hi)
     return g_lo, g_hi
 
 

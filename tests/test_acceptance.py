@@ -27,7 +27,7 @@ from nvgames.robust_game import (
 from nvgames.stress import ExperimentConfig, gen_instance, run_stress
 from nvgames.lp import solve_lp
 
-from conftest import make_example1, random_instance
+from conftest import lp_path_only, make_example1, random_instance
 from oracles import (
     brute_force_vmax,
     dual_objective_offset,
@@ -118,7 +118,7 @@ def test_criterion_03_worst_case_order_grid_oracle():
 
 
 def test_criterion_04_vmax_brute_force_oracle():
-    with criterion(4, "worst-case ratios equal brute force on 25 tiny instances"):
+    with criterion(4, "worst-case ratios equal brute force on 25 tiny instances, both paths"):
         rng = np.random.default_rng(1004)
         done = 0
         while done < 25:
@@ -129,7 +129,9 @@ def test_criterion_04_vmax_brute_force_oracle():
                 atoms_per_block=(2, 2),
             )
             assert inst.joint_size() <= 4
-            solver = RobustGameSolver(inst)
+            solver = RobustGameSolver(inst)  # from the vertex table
+            with lp_path_only():
+                lp_solver = RobustGameSolver(inst)  # from Dinkelbach LPs
             y = solver.grand_wc.y_star
             vmin, _ = solver.min_grand_profit(y)
             if vmin <= 1e-9:
@@ -137,6 +139,8 @@ def test_criterion_04_vmax_brute_force_oracle():
             for mask in range(1, inst.grand_mask):
                 expect = brute_force_vmax(inst, y, mask)
                 assert abs(solver.vmax(y, mask).value - expect) <= 1e-8
+                with lp_path_only():
+                    assert abs(lp_solver.vmax(y, mask).value - expect) <= 1e-8
             done += 1
 
 

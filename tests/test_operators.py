@@ -1,6 +1,7 @@
 """Property tests of the constraint operators against their dense forms, and
 of the worst-case ratios solved over them."""
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -10,12 +11,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 
 from nvgames import lp as lp_module
-from nvgames.distributions import DiscreteMarginal, FrechetPolytope, Instance
+from nvgames.distributions import (
+    DiscreteMarginal,
+    FrechetPolytope,
+    Instance,
+    get_polytope,
+    sample_extremal,
+)
 from nvgames.errors import DomainError
 from nvgames.lp import LinearProgram, solve_lp
-from nvgames.robust_game import RobustGameSolver
+from nvgames.robust_game import _DINKELBACH_TOL, RobustGameSolver
 
-from oracles import lp_least_shortage
+from conftest import lp_path_only
+from oracles import enumerate_vertices, lp_least_shortage
 
 
 @st.composite
@@ -84,23 +92,26 @@ def test_solve_on_operator_matches_dense_solve(inst, seed):
 def test_every_ratio_is_the_ratio_of_its_witness(inst):
     # Each spanning coalition's v_max is reported as the ratio of the
     # returned joint itself, which the cuts of the least-core search rely
-    # on, and that joint is consistent.
-    solver = RobustGameSolver(inst)
-    y = solver.grand_wc.y_star
-    try:
-        table = solver.table(y)
-    except DomainError:
-        assume(False)  # every demand is 0: no order is admissible
-    p, pc = inst.price, inst.price - inst.cost
-    den = pc * y - p * np.maximum(y - solver.d_grand, 0.0)
-    for mask, entry in table.entries.items():
-        if sum(1 for bm in inst.block_masks if mask & bm) < 2:
-            continue
-        d_s = solver.poly.coalition_demands(mask)
-        num = pc * entry.gamma - p * np.maximum(entry.gamma - d_s, 0.0)
-        ratio = (num @ entry.q) / (den @ entry.q)
-        assert abs(entry.value - ratio) <= 1e-15 * abs(ratio)
-        assert solver.poly.consistency_gap(entry.q) <= 1e-9
+    # on, and that joint is consistent: from the vertex table and from the
+    # Dinkelbach LPs alike.
+    for path in (contextlib.nullcontext(), lp_path_only()):
+        with path:
+            solver = RobustGameSolver(inst)
+            y = solver.grand_wc.y_star
+            try:
+                table = solver.table(y)
+            except DomainError:
+                assume(False)  # every demand is 0: no order is admissible
+        p, pc = inst.price, inst.price - inst.cost
+        den = pc * y - p * np.maximum(y - solver.d_grand, 0.0)
+        for mask, entry in table.entries.items():
+            if sum(1 for bm in inst.block_masks if mask & bm) < 2:
+                continue
+            d_s = solver.poly.coalition_demands(mask)
+            num = pc * entry.gamma - p * np.maximum(entry.gamma - d_s, 0.0)
+            ratio = (num @ entry.q) / (den @ entry.q)
+            assert abs(entry.value - ratio) <= 1e-15 * abs(ratio)
+            assert solver.poly.consistency_gap(entry.q) <= 1e-9
 
 
 def spanning_masks(inst: Instance):
@@ -111,23 +122,59 @@ def spanning_masks(inst: Instance):
 @given(instances(n_blocks=st.just(2)))
 def test_countermonotonic_shortage_is_the_least(inst):
     # For two blocks the screen's shortage at every candidate order is the
-    # minimum of E_q(gamma - d_S)^+ over the consistent q.
-    solver = RobustGameSolver(inst)
-    for mask in spanning_masks(inst):
-        _d_s, gammas, shortage, _start = solver._coalition_data(mask)
-        for gamma, value in zip(gammas, shortage):
-            assert abs(value - lp_least_shortage(inst, gamma, mask)) <= 1e-12
+    # minimum of E_q(gamma - d_S)^+ over the consistent q. Only the LP
+    # path screens.
+    with lp_path_only():
+        solver = RobustGameSolver(inst)
+        for mask in spanning_masks(inst):
+            _d_s, gammas, shortage, _start = solver._coalition_data(mask)
+            for gamma, value in zip(gammas, shortage):
+                assert abs(value - lp_least_shortage(inst, gamma, mask)) <= 1e-12
 
 
 @given(instances(n_blocks=st.just(2)))
 def test_countermonotonic_start_is_a_consistent_basis(inst):
-    solver = RobustGameSolver(inst)
+    with lp_path_only():
+        solver = RobustGameSolver(inst)
+        starts = [solver._coalition_data(mask)[3] for mask in spanning_masks(inst)]
     poly = solver.poly
     a = np.asarray(poly.matrix)
-    for mask in spanning_masks(inst):
-        basis, q = solver._coalition_data(mask)[3]
+    for basis, q in starts:
         assert len(set(basis)) == len(basis) == poly.n_rows
         assert np.linalg.matrix_rank(a[:, list(basis)]) == poly.n_rows
         assert np.all(q >= 0.0)
         assert np.count_nonzero(np.delete(q, list(basis))) == 0
         assert poly.consistency_gap(q) <= 1e-12
+
+
+@given(instances(n_blocks=st.integers(2, 3)))
+def test_vertex_table_equals_the_brute_force_vertices(inst):
+    poly = FrechetPolytope(inst)
+    verts = poly.vertices()
+    assume(verts is not None)
+    oracle = np.array(enumerate_vertices(np.asarray(poly.matrix), poly.rhs))
+    assert not verts.flags.writeable
+    assert verts.shape == oracle.shape
+    gaps = np.max(np.abs(verts[:, None, :] - oracle[None, :, :]), axis=2)
+    assert np.all(gaps.min(axis=0) <= 1e-9) and np.all(gaps.min(axis=1) <= 1e-9)
+
+
+@given(instances(n_blocks=st.integers(2, 3)), st.integers(0, 2**32 - 1))
+def test_vertex_path_agrees_with_the_lp_path(inst, seed):
+    # The vertex table's ratios are exact maxima over the vertices; the
+    # Dinkelbach LPs stop within their tolerance below the optimum.
+    assume(get_polytope(inst).vertices() is not None)
+    solver = RobustGameSolver(inst)
+    y = solver.grand_wc.y_star
+    try:
+        table = solver.table(y)
+    except DomainError:
+        assume(False)  # every demand is 0: no order is admissible
+    cost = np.random.default_rng(seed).uniform(-1.0, 1.0, inst.joint_size())
+    with lp_path_only():
+        lp_table = RobustGameSolver(inst).table(y)
+        lp_sample = sample_extremal(inst, cost).q
+    bound = _DINKELBACH_TOL / table.min_grand_profit
+    for mask, entry in table.entries.items():
+        assert -1e-12 <= entry.value - lp_table.value(mask) <= bound
+    assert np.max(np.abs(sample_extremal(inst, cost).q - lp_sample)) <= 1e-9

@@ -20,7 +20,7 @@ from nvgames.newsvendor import (
     optimal_order,
     worst_case_order,
 )
-from nvgames.stress import gen_instance
+from nvgames.stress import ExperimentConfig, gen_instance
 from nvgames.robust_game import (
     Decision,
     RobustGameSolver,
@@ -114,10 +114,10 @@ class TestVmax:
         pytest.param((4, (2, 2), (2, 3)), id="two-blocks"),
         pytest.param((4, (2, 1, 1), (2, 2, 2)), id="three-blocks"),
     ])
-    def test_screen_bound_covers_every_gamma(self, shape):
+    def test_screen_bound_covers_every_gamma(self, shape, lp_path):
         # Every candidate order's screen bound, countermonotonic for two
         # blocks and Jensen's for three, is at least that order's ratio,
-        # each order solved by vertex enumeration.
+        # each order solved by vertex enumeration. Only the LP path screens.
         for seed in range(3):
             inst = random_instance(seed, n=shape[0], block_sizes=shape[1], atoms_per_block=shape[2])
             solver = RobustGameSolver(inst)
@@ -405,8 +405,36 @@ class TestCutSearch:
         assert decision.y == y
         assert solver.least_core_lower == eps
 
-    @pytest.mark.parametrize("y", [20.0, 21.0, 22.5, 24.2])
+    @pytest.mark.parametrize("y", [19.0, 21.0])
+    def test_ties_are_the_vertices_attaining_each_entry(self, y):
+        # Per coalition, every vertex within 1e-13 (relative) of the best
+        # ratio over its candidate orders is tied, and none beyond 1e-10.
+        solver = RobustGameSolver(small_cfg_instance(0))
+        table = solver.table(y)
+        verts = solver.poly.vertices()
+        p, pc = solver.p, solver.p - solver.c
+        den = pc * y - p * np.maximum(y - solver.d_grand, 0.0)
+        several = 0
+        for mask in table.entries:
+            if len(solver._blocks_met(mask)) == 1:
+                vbar = solver._block_value(mask)[1]
+                ratios = np.array([vbar / (den @ q) for q in verts])
+            else:
+                d_s = solver.poly.coalition_demands(mask)
+                ratios = np.array([max(
+                    (pc * g - p * np.maximum(g - d_s, 0.0)) @ q / (den @ q) for g in np.unique(d_s)
+                ) for q in verts])
+            best = ratios.max()
+            ties = set(solver._ties(mask).tolist())
+            assert set(np.flatnonzero(ratios >= best - 1e-13 * abs(best))) <= ties
+            assert ties <= set(np.flatnonzero(ratios >= best - 1e-10 * abs(best)))
+            several += len(ties) > 1
+        if y == 19.0:
+            assert several > 0  # some entries tie several vertices here
+
+    @pytest.mark.parametrize("y", [19.0, 20.0, 21.0, 22.5, 24.2])
     def test_slope_error_bound_covers_exact_slopes(self, y):
+        # At 19 several coalitions have two tied vertices.
         solver = RobustGameSolver(small_cfg_instance(0))
         solver.sigma(y)
         g_lo, g_hi, err = solver._sigma_slopes()
@@ -422,6 +450,54 @@ class TestCutSearch:
         calls = counted_sigma(monkeypatch)
         run_stress(small_cfg())
         assert calls[0] == 15
+
+
+def scale_draws(support: tuple[int, int]) -> list[Instance]:
+    """gen_instance seeds 0-19 of one config, n=4, blocks (2, 2), 3 and 4
+    atoms: 432 column bases, below the vertex cap."""
+    cfg = ExperimentConfig(n=4, block_sizes=(2, 2), atoms_per_block=(3, 4),
+                           support_lo=support[0], support_hi=support[1], seed=5)
+    return [gen_instance(cfg, seed) for seed in range(20)]
+
+
+def table_and_least_core(inst: Instance) -> tuple[dict, float, float, np.ndarray]:
+    """(table at the worst-case order, least-core y, eps and z)."""
+    solver = RobustGameSolver(inst)
+    table = solver.table(solver.grand_wc.y_star)
+    decision, eps = solver.least_core()
+    return table.values, decision.y, eps, decision.z
+
+
+class TestScale:
+    """Below the vertex cap no ratio depends on an absolute tolerance, so
+    the solver works at any demand scale (above it, the Dinkelbach LPs
+    still do)."""
+
+    @pytest.mark.parametrize("support", [(10**6, 10**7), (10**8, 10**9)])
+    def test_large_supports_solve(self, support):
+        # The LP path raised SolverError on 18 and 20 of these 20 draws.
+        for inst in scale_draws(support):
+            _values, y, eps, z = table_and_least_core(inst)
+            lo, hi = grand_action_interval(inst)
+            assert lo <= y <= hi and np.isfinite(eps)
+            assert abs(float(np.sum(z)) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("f", [2.0**20, 2.0**-20, 1e6, 1e-6])
+    def test_scaled_atoms_give_the_same_game(self, f):
+        # A power of two changes no rounding, so every output is
+        # bit-identical; a power of ten moves the last bits only.
+        for inst in scale_draws((1, 10)):
+            scaled = Instance(inst.price, inst.cost, inst.partition, tuple(
+                DiscreteMarginal(m.atoms * f, m.probs) for m in inst.marginals))
+            values, y, eps, z = table_and_least_core(inst)
+            values_f, y_f, eps_f, z_f = table_and_least_core(scaled)
+            if f in (2.0**20, 2.0**-20):
+                assert (values_f, y_f / f, eps_f) == (values, y, eps)
+                assert np.array_equal(z_f, z)
+            else:
+                assert max(abs(values_f[m] - v) for m, v in values.items()) <= 1e-9
+                assert abs(y_f / f - y) <= 1e-9 * y and abs(eps_f - eps) <= 1e-9
+                assert np.max(np.abs(z_f - z)) <= 1e-9
 
 
 class TestSolverState:
@@ -593,7 +669,7 @@ class TestAgainstHighs:
     iterations."""
 
     @pytest.mark.parametrize("k", [20, 30])
-    def test_vmax_and_sigma(self, k):
+    def test_vmax_and_sigma(self, k, lp_path):
         linprog = pytest.importorskip("scipy.optimize").linprog
         inst = random_instance(k, n=3, block_sizes=(2, 1), atoms_per_block=(k, k), support=(1, 60))
         solver = RobustGameSolver(inst)

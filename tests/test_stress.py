@@ -190,6 +190,24 @@ def _is_stable(inst, evaluator, q, d) -> bool:
     return True
 
 
+def counted_lp_run(monkeypatch) -> list[int]:
+    """[solve_lp calls, simplex iterations] of run_stress(small_cfg())."""
+    original = lp_module.solve_lp
+    counts = [0, 0]
+
+    def counted(program, start=None):
+        sol = original(program, start)
+        counts[0] += 1
+        counts[1] += sol.iterations
+        return sol
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nvgames") and getattr(module, "solve_lp", None) is original:
+            monkeypatch.setattr(module, "solve_lp", counted)
+    run_stress(small_cfg())
+    return counts
+
+
 class TestRunStress:
     def test_rows_schema_and_order(self, tmp_path):
         cfg = small_cfg()
@@ -238,25 +256,18 @@ class TestRunStress:
         run_stress(small_cfg(), csv_path=tmp_path / "o.csv")
         assert (tmp_path / "o.csv").read_bytes() == GOLDEN_CSV.read_bytes()
 
-    def test_lp_calls_and_pivots_are_pinned(self, monkeypatch):
-        # The solve_lp calls and simplex iterations of this run: a change
-        # to the pivot path fails here by name, not only through the
-        # golden CSV. Only ratio LPs, stability LPs and extremal samples
-        # remain: the minimum grand profit is closed-form.
-        original = lp_module.solve_lp
-        counts = [0, 0]
+    def test_lp_calls_and_pivots_are_pinned(self, monkeypatch, lp_path):
+        # The solve_lp calls and simplex iterations of this run without
+        # vertex tables: a change to the pivot path fails here by name, not
+        # only through the golden CSV. Only ratio LPs, stability LPs and
+        # extremal samples remain: the minimum grand profit is closed-form.
+        assert counted_lp_run(monkeypatch) == [239, 320]
 
-        def counted(program, start=None):
-            sol = original(program, start)
-            counts[0] += 1
-            counts[1] += sol.iterations
-            return sol
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("nvgames") and getattr(module, "solve_lp", None) is original:
-                monkeypatch.setattr(module, "solve_lp", counted)
-        run_stress(small_cfg())
-        assert counts == [239, 320]
+    def test_vertex_path_lp_calls_and_pivots_are_pinned(self, monkeypatch):
+        # With the vertex tables of these 4-atom polytopes, the worst-case
+        # ratios and the extremal samples take no LP: only the stability
+        # LPs, one per sigma evaluation, remain.
+        assert counted_lp_run(monkeypatch) == [15, 253]
 
     def test_degenerate_samples_are_screened_and_counted(self, monkeypatch):
         # Orders far above the optimal ones make the grand profit
