@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .coop import build_deterministic_game, least_core
-from .distributions import Instance, independent_joint, load_instance, save_instance
+from .distributions import Instance, check_real, independent_joint, load_instance, save_instance
 from .errors import GameInvalidError, InputError, NvGamesError, SolverError
 from .newsvendor import optimal_order
 from .robust_game import Decision, RobustGameSolver, imputation_exists, verify_rcore2
@@ -53,8 +53,11 @@ def _load_decision(path) -> Decision:
     if not isinstance(data, dict) or "y" not in data or "z" not in data:
         raise InputError(f"{path}: decision file must be an object with 'y' and 'z'")
     try:
-        return Decision(float(data["y"]), np.asarray(data["z"], dtype=float))
-    except (InputError, ValueError, TypeError) as exc:
+        if not isinstance(data["z"], list):
+            raise InputError("field 'z' must be a list")
+        z = [check_real(v, f"z[{i}]") for i, v in enumerate(data["z"])]
+        return Decision(check_real(data["y"], "y"), np.array(z))
+    except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import numbers
 import sys
 import weakref
@@ -31,12 +32,14 @@ DEFAULT_SUPPORT_CAP = 10**6
 
 CONSISTENCY_TOL = 1e-9
 
-# The vertex table is built only when the polytope has at most this many
-# column bases. Measured on a 2-vCPU host over `_solve_robust` of four
-# gen_instance draws per shape (two blocks, support 1..10): every shape with
-# at most 4 096 bases solved 1.5-3.3x faster from the table; 2 x 10 value
-# classes (5 120 bases) broke even, and 2 x 11 (11 264) took 2.8x longer.
-_VERTEX_CAP = 4096
+# The vertex table is built only when the product of value classes has at
+# most this many candidate column sets, C(K_c, m). Measured on a 2-vCPU host
+# over `_solve_robust` of four gen_instance draws per class shape (support
+# 1..10, the shared enumeration not counted): every shape with at most
+# 18 564 sets solved 1.4-4.0x faster from the table; at 43 758 sets 2 x 9
+# broke even and 3 x 6 took 1.2-1.4x longer, after enumerations of
+# 0.04-0.07 s.
+_VERTEX_CAP = 32768
 # Column sets per batch of the enumeration: bounds its memory (at 512 the
 # stress experiment's peak RSS rose 0.3 MB, at 256 0.17 MB).
 _BASIS_BATCH = 256
@@ -71,8 +74,8 @@ class DiscreteMarginal:
             )
         if not np.all(np.isfinite(atoms)) or np.any(atoms < 0):
             raise InputError("atoms must be finite and nonnegative")
-        if np.any(probs < 0):
-            raise InputError("probs must be nonnegative")
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+            raise InputError("probs must be finite and nonnegative")
         if abs(float(np.sum(probs)) - 1.0) > 1e-12:
             raise InputError(f"probs sum to {float(np.sum(probs))!r}, expected 1 within 1e-12")
         object.__setattr__(self, "atoms", atoms)
@@ -308,8 +311,9 @@ def sample_extremal(
     inst: Instance, cost: Sequence[float], cap: int = DEFAULT_SUPPORT_CAP
 ) -> JointDistribution:
     """A vertex of the consistency polytope maximizing cost @ q: the first
-    such row of the polytope's vertex table when it has one, else an LP
-    optimum.
+    such row of the polytope's vertex table when it has one and no block
+    has duplicate atoms (a cost may tell identical atoms apart, and the
+    table then lacks the vertices on the other copies), else an LP optimum.
 
     The polytope is never empty (the independent joint is feasible), so an
     infeasible LP here is an internal error.
@@ -323,7 +327,7 @@ def sample_extremal(
     if not np.all(np.isfinite(cost)):
         raise InputError("cost vector must be finite")
     verts = poly.vertices()
-    if verts is not None:
+    if verts is not None and math.prod(poly.class_counts) == poly.n_atoms:
         q = verts[int(np.argmax(verts @ cost))]
     else:
         _value, q = poly.maximize(cost)
@@ -402,11 +406,14 @@ class FrechetPolytope:
     next. Factorizations travel with the callers' `LpSolution` objects,
     never with the polytope.
 
-    A small polytope also has a vertex table, `vertices()`: every vertex,
-    enumerated once over the column bases on first use and cached. It
-    exists when the polytope has at most `_VERTEX_CAP` bases; the
-    worst-case ratios and `sample_extremal` then read it instead of
-    solving LPs.
+    A small polytope also has a vertex table, `vertices()`: every vertex
+    supported on the classes' representative atoms (every vertex when no
+    atom repeats), enumerated once on first use over the column bases of
+    the product of value classes, which all polytopes with the same class
+    counts share, and cached. It exists when that product has at most
+    `_VERTEX_CAP` candidate column sets (the stress shape, 4 x 4 classes,
+    has 11 440); the worst-case ratios, and `sample_extremal` when no atom
+    repeats, then read it instead of solving LPs.
 
     Holds the instance's partition and marginals but not the instance, so a
     cached polytope does not keep its instance alive. Immutable after
@@ -444,20 +451,10 @@ class FrechetPolytope:
             atom_idx = (np.arange(k) // trailing) % kr
             self.block_class.append(self.class_of[r][atom_idx])
 
-        # Row 0 is the total mass; block r owns one row per value class but
-        # its last, whose atoms point at the sentinel row id m.
-        m = 1 + sum(p.size - 1 for p in self.class_probs)
-        ids = np.zeros((inst.n_blocks + 1, k), dtype=np.intp)
-        rhs = [1.0]
-        offset = 1
-        for r in range(inst.n_blocks):
-            c_r = self.class_probs[r].size
-            cls = self.block_class[r]
-            ids[r + 1] = np.where(cls == c_r - 1, m, offset + cls)
-            rhs.extend(self.class_probs[r][: c_r - 1])
-            offset += c_r - 1
-        self.matrix = IncidenceOperator(ids, m)
-        self.rhs = np.asarray(rhs, dtype=float)
+        # The consistency rows of an atom are those of its class tuple.
+        self.class_counts = tuple(p.size for p in self.class_probs)
+        self.matrix = IncidenceOperator(*_incidence_rows(self.class_counts, self.block_class))
+        self.rhs = np.concatenate([[1.0], *(p[:-1] for p in self.class_probs)])
         self.rhs.setflags(write=False)
         self.crash_basis = self.northwest_vertex(
             [np.arange(p.size) for p in self.class_probs]
@@ -467,7 +464,7 @@ class FrechetPolytope:
         self._program = LinearProgram(
             "max", np.zeros(k), a_eq=self.matrix, b_eq=self.rhs
         )
-        self._basis_count: int | None = None
+        self._set_count: int | None = None
         self._vertices: np.ndarray | None = None
 
     @property
@@ -491,85 +488,68 @@ class FrechetPolytope:
         q[ids] = mass
         return tuple(int(k) for k in ids), q, mass
 
-    def _bases_are_trees(self) -> bool:
-        """Whether the column bases are the spanning trees of K_{a,b}: two
-        blocks, and every joint atom its own pair of value classes."""
-        return len(self.dims) == 2 and all(
-            reps.size == k for reps, k in zip(self.class_reps, self.dims)
-        )
-
-    def _count_bases(self) -> int:
-        """The number of column bases, a^(b-1) b^(a-1) for spanning trees
-        of K_{a,b} (Scoins 1962), else the bound C(K, m), counted only up
-        to just above 2^32, far above any vertex cap."""
-        if self._basis_count is None:
-            if self._bases_are_trees():
-                a, b = (reps.size for reps in self.class_reps)
-                self._basis_count = a ** (b - 1) * b ** (a - 1)
-            else:
-                k, m = self.n_atoms, self.n_rows
-                count = 1  # C(K-m+i, i) grows with i
-                for i in range(1, m + 1):
-                    count = count * (k - m + i) // i
-                    if count > 1 << 32:
-                        break
-                self._basis_count = count
-        return self._basis_count
+    def _candidate_sets(self) -> int:
+        """C(K_c, m), the m-column sets over the product of the K_c value
+        class tuples that `vertices` tries, counted only up to just above
+        2^32, far above any vertex cap."""
+        if self._set_count is None:
+            k, m = math.prod(self.class_counts), self.n_rows
+            count = 1  # C(K-m+i, i) grows with i
+            for i in range(1, m + 1):
+                count = count * (k - m + i) // i
+                if count > 1 << 32:
+                    break
+            self._set_count = count
+        return self._set_count
 
     def vertices(self) -> np.ndarray | None:
-        """Every vertex of the polytope as the rows of a read-only (V, K)
-        matrix, in the order the enumeration meets them; None when the
-        polytope has more than `_VERTEX_CAP` column bases.
+        """The vertices of the polytope whose support lies on the
+        representative atoms (`class_reps`), as the rows of a read-only
+        (V, K) matrix in the order the enumeration meets them; None when
+        the product of value classes has more than `_VERTEX_CAP` candidate
+        column sets (the count is compared on every call, so a patched cap
+        applies to a table already built).
 
-        Built on first use: batched `np.linalg.solve` over every
-        nonsingular column basis, the infeasible ones dropped, and one row
-        kept per support (a vertex is the only point of the polytope with
-        its support). For two blocks without duplicate atoms the bases are
-        the spanning trees of K_{a,b}; otherwise every m-column set is
-        tried and the singular ones (|det| < 1/2: the matrix is 0/1, so
-        every determinant is an integer) are dropped. Raises SolverError
-        unless every row meets the consistency rows within 1e-12."""
-        if self._count_bases() > _VERTEX_CAP:
+        Without duplicate atoms that is every vertex. With them, every
+        objective that depends on the atoms only through their values, as
+        every worst-case ratio does, attains its maximum over the polytope
+        at one of these rows. An objective that tells identical atoms apart
+        may not, so `sample_extremal` reads the table only when no block has
+        duplicate atoms.
+
+        Built on first use from the column bases of the class product
+        (`_column_bases`, shared by every polytope with the same class
+        counts): each class tuple stands for its joint atom of
+        representatives, each basis is solved against this polytope's
+        `rhs` by batched `np.linalg.solve`, the infeasible solutions are
+        dropped, and one row is kept per support (a vertex is the only
+        point of the polytope with its support). Raises SolverError unless
+        every row meets the consistency rows within 1e-12."""
+        if self._candidate_sets() > _VERTEX_CAP:
             return None
         if self._vertices is None:
-            a = np.asarray(self.matrix)
-            m, k = a.shape
+            a, bases = _column_bases(self.class_counts)
+            m = a.shape[0]
+            # The joint atom of representatives of every class tuple.
+            atoms = np.ravel_multi_index(np.ix_(*self.class_reps), self.dims).ravel()
             found: dict[bytes, np.ndarray] = {}  # support -> first vertex with it
-            for cols in self._basis_batches():
-                mats = np.moveaxis(a[:, cols], 1, 0)
-                if not self._bases_are_trees():
-                    keep = np.abs(np.linalg.det(mats)) > 0.5
-                    cols, mats = cols[keep], mats[keep]
+            for start in range(0, bases.shape[0], _BASIS_BATCH):
+                cols = bases[start : start + _BASIS_BATCH]
                 rhs = np.broadcast_to(self.rhs[:, None], (cols.shape[0], m, 1))
-                x = np.linalg.solve(mats, rhs)[..., 0]
+                x = np.linalg.solve(np.moveaxis(a[:, cols], 1, 0), rhs)[..., 0]
                 feasible = np.all(x >= -_VERTEX_ZERO, axis=1)
                 x = np.where(x > _VERTEX_ZERO, x, 0.0)[feasible]
-                rows = np.zeros((x.shape[0], k))
-                rows[np.arange(x.shape[0])[:, None], cols[feasible]] = x
+                rows = np.zeros((x.shape[0], self.n_atoms))
+                rows[np.arange(x.shape[0])[:, None], atoms[cols[feasible]]] = x
                 for key, row in zip(np.packbits(rows > 0.0, axis=1), rows):
                     found.setdefault(key.tobytes(), row)
             verts = np.array(list(found.values()))
-            gap = float(np.max(np.abs(verts @ a.T - self.rhs)))
+            gap = float(np.max(np.abs(verts @ np.asarray(self.matrix).T - self.rhs)))
             if not gap <= 1e-12:
                 raise SolverError(f"vertex table misses the consistency rows by {gap:.3e}")
             verts.setflags(write=False)
             self._vertices = verts
         return self._vertices
-
-    def _basis_batches(self):
-        """The column bases (spanning trees) or candidate column sets, as
-        (count, m) arrays of joint atom ids, at most `_BASIS_BATCH` each."""
-        if self._bases_are_trees():
-            trees = _spanning_trees(*(reps.size for reps in self.class_reps))
-            for start in range(0, trees.shape[1], _BASIS_BATCH):
-                edges = trees[:, start : start + _BASIS_BATCH]
-                yield np.ravel_multi_index(
-                    [self.class_reps[r][edges[r]] for r in range(2)], self.dims
-                )
-            return
-        sets = itertools.combinations(range(self.n_atoms), self.n_rows)
-        while batch := list(itertools.islice(sets, _BASIS_BATCH)):
-            yield np.array(batch, dtype=np.intp)
 
     def consistency_gap(self, q: np.ndarray) -> float:
         """Largest absolute violation across all per-value class constraints
@@ -613,48 +593,45 @@ class FrechetPolytope:
         return total
 
 
-@functools.lru_cache(maxsize=16)
-def _spanning_trees(a: int, b: int) -> np.ndarray:
-    """Every spanning tree of the complete bipartite graph K_{a,b}, as a
-    read-only (2, a^(b-1) b^(a-1), a+b-1) int16 array: the block-0 and the
-    block-1 class of each tree's edges. The trees depend only on (a, b), so
-    polytopes of one shape share them.
+def _incidence_rows(
+    counts: Sequence[int], classes: Sequence[np.ndarray]
+) -> tuple[np.ndarray, int]:
+    """The consistency rows over columns whose value class in block r is
+    `classes[r]`, of `counts[r]` classes, as `IncidenceOperator` arguments
+    (row ids, m): row 0 is the total mass, then block r owns one row per
+    class but its last, whose columns point at the sentinel row id m."""
+    m = 1 + sum(c - 1 for c in counts)
+    ids, offset = [np.zeros_like(classes[0])], 1
+    for c, cls in zip(counts, classes):
+        ids.append(np.where(cls == c - 1, m, offset + cls))
+        offset += c - 1
+    return np.array(ids), m
 
-    A tree is rooted at class 0 of the side with fewer classes: every class
-    of the other side picks a parent among this side's classes, every other
-    class of this side a parent among the other's, and the choice is a tree
-    when following parents reaches the root from every class. About one
-    choice in that side's class count is a tree; they are tried
-    `_BASIS_BATCH` at a time."""
-    if b < a:
-        return _spanning_trees(b, a)[::-1]
-    # Nodes 0..a-1 are block 0's classes, a..a+b-1 block 1's; choice i is
-    # the mixed-radix number i, one digit per node but the root.
-    radix = np.array([a] * b + [b] * (a - 1), dtype=np.intp)
-    place = np.cumprod(np.r_[1, radix[:-1]])
-    offset = np.r_[np.zeros(b, dtype=np.intp), np.full(a - 1, a, dtype=np.intp)]
-    total = int(np.prod(radix))
-    child = np.arange(1, a + b)
-    edges = []
-    for start in range(0, total, _BASIS_BATCH):
-        ids = np.arange(start, min(start + _BASIS_BATCH, total))
-        digits = ids[:, None] // place % radix + offset
-        parent = np.zeros((ids.size, a + b), dtype=np.intp)
-        parent[:, a:] = digits[:, :b]
-        parent[:, 1:a] = digits[:, b:]
-        # Pointer doubling: reach ends as the 2^t-th ancestor, t > log2(a+b).
-        row = np.arange(ids.size)[:, None]
-        reach = parent
-        for _ in range((a + b).bit_length()):
-            reach = reach[row, reach]
-        parent = parent[np.all(reach == 0, axis=1), 1:]
-        # The edge of every node but the root to its parent.
-        edges.append(np.stack([
-            np.where(child < a, child, parent), np.where(child < a, parent, child) - a
-        ]).astype(np.int16))
-    trees = np.concatenate(edges, axis=1)
-    trees.setflags(write=False)
-    return trees
+
+@functools.lru_cache(maxsize=16)
+def _column_bases(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The consistency rows over the product of value classes, `counts[r]`
+    classes in block r, and their column bases: (a, bases), a the
+    read-only dense (m, K_c) matrix with one column per class tuple, last
+    block fastest, in the row layout of `FrechetPolytope.matrix`, and
+    bases a read-only (count, m) array of every m-column set with |det| >=
+    1/2 (a is 0/1, so every determinant is an integer), in lexicographic
+    order and the smallest unsigned dtype that holds K_c (the cached 4 x 4
+    bases in int64 raised the stress experiment's peak RSS by 0.3 MB). The
+    sets are tried `_BASIS_BATCH` at a time. Both depend only on the
+    counts, so polytopes of one shape share them whatever their atoms."""
+    classes = np.unravel_index(np.arange(math.prod(counts)), counts)
+    a = np.asarray(IncidenceOperator(*_incidence_rows(counts, classes)))
+    a.setflags(write=False)
+    m, k = a.shape
+    sets = itertools.combinations(range(k), m)
+    bases = []
+    while batch := list(itertools.islice(sets, _BASIS_BATCH)):
+        cols = np.array(batch, dtype=np.min_scalar_type(k))
+        bases.append(cols[np.abs(np.linalg.det(np.moveaxis(a[:, cols], 1, 0))) > 0.5])
+    bases = np.concatenate(bases)
+    bases.setflags(write=False)
+    return a, bases
 
 
 _POLYTOPES: "weakref.WeakKeyDictionary[Instance, FrechetPolytope]" = (

@@ -57,12 +57,15 @@ coalitions and orders y alike.
 
 Small polytopes skip the LPs. A linear-fractional program with a positive
 denominator attains its maximum at a vertex (Charnes-Cooper 1962), so when
-the polytope has a vertex table (`FrechetPolytope.vertices`, built when it
-has at most `distributions._VERTEX_CAP` column bases, 4 096) v_max(y, S) is
-the maximum of one (gamma x vertex) matrix of ratios num_gamma @ q /
-den @ q: two matrix products, no tolerance, no screen and no starting
-vertex (a coalition inside one block has its block value as its one
-numerator). Ties go to the first maximum in row-major order (gamma ascending,
+the polytope has a vertex table (`FrechetPolytope.vertices`, built when its
+value classes have at most `distributions._VERTEX_CAP` = 32 768 candidate
+column sets) v_max(y, S) is the maximum of one (gamma x vertex) matrix of
+ratios num_gamma @ q / den @ q: two matrix products, no tolerance, no
+screen and no starting vertex (a coalition inside one block has its block
+value as its one numerator). With duplicate atoms the table holds only the
+vertices on each class's representative atom, but every ratio depends on
+the atoms only through their demands, so its maximum, ties and slopes are
+the same. Ties go to the first maximum in row-major order (gamma ascending,
 then the vertex's row in the table), so a witness depends only on y and S,
 not on earlier solves, and the witness is the table's row itself. Above the
 cap the Dinkelbach LPs above are the only path.

@@ -117,6 +117,22 @@ class TestSolve:
         assert f"{word} must be a finite number" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_nan_probs_are_input_error(self, tmp_path, t2, command):
+        # The sum check alone passed them: verify printed nan multiples and
+        # exited 0, solve failed late on a non-finite LP right-hand side.
+        doc = instance_to_dict(t2)
+        doc["marginals"][1]["probs"] = [float("nan"), float("nan")]
+        path = tmp_path / "nan_probs.json"
+        path.write_text(json.dumps(doc))
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps({"y": 3.0, "z": [0.5, 0.5]}))
+        argv = [command, str(path)] + (["--decision", str(dec)] if command == "verify" else [])
+        code, out, err = invoke(argv)
+        assert code == 2
+        assert "marginals[1]: probs must be finite" in err
+        assert out == ""
+
     def test_model_invalid_exit_code(self, tmp_path):
         doc = {
             "price": 1.5, "cost": 1.0, "partition": [[0], [1]],
@@ -291,6 +307,24 @@ class TestVerify:
         assert code == 2
         assert "finite" in err
         assert "structural_check" not in out
+
+    @pytest.mark.parametrize("doc, message", [
+        # Converted by float(), these loaded as y = 1.0, y = 3.0 and z[0] = 1/3.
+        pytest.param({"y": True, "z": [1.0 / 3.0, 2.0 / 3.0]}, "y must be a finite number",
+                     id="bool-y"),
+        pytest.param({"y": "3", "z": [1.0 / 3.0, 2.0 / 3.0]}, "y must be a finite number",
+                     id="string-y"),
+        pytest.param({"y": 3.0, "z": ["0.3333333333", 2.0 / 3.0]},
+                     "z[0] must be a finite number", id="string-z"),
+        pytest.param({"y": 3.0, "z": 1.0}, "field 'z' must be a list", id="scalar-z"),
+    ])
+    def test_non_number_decision_is_input_error(self, tmp_path, t1_path, doc, message):
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps(doc))
+        code, out, err = invoke(["verify", t1_path, "--decision", str(dec)])
+        assert code == 2
+        assert message in err
+        assert out == ""
 
     def test_malformed_decision_file(self, tmp_path, t1_path):
         dec = tmp_path / "dec.json"

@@ -4,9 +4,11 @@ import weakref
 import numpy as np
 import pytest
 
+from nvgames import distributions
 from nvgames.distributions import (
     Coalition,
     DiscreteMarginal,
+    FrechetPolytope,
     Instance,
     JointDistribution,
     check_consistency,
@@ -23,7 +25,7 @@ from nvgames.errors import CapacityError, InputError
 from nvgames.lp import solve_lp
 from nvgames.robust_game import RobustGameSolver
 
-from conftest import random_instance
+from conftest import lp_path_only, random_instance
 from oracles import enumerate_vertices
 
 
@@ -37,6 +39,12 @@ class TestTypes:
             marginal([[1.0]], [0.9])
         with pytest.raises(InputError):
             marginal([[1.0], [2.0]], [1.2, -0.2])
+
+    @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]])
+    def test_marginal_rejects_non_finite_probs(self, probs):
+        # The sum check alone lets nan through: abs(nan - 1) > tol is False.
+        with pytest.raises(InputError, match="probs must be finite"):
+            marginal([[1.0], [2.0]], probs)
 
     def test_marginal_rejects_negative_demand(self):
         with pytest.raises(InputError):
@@ -286,6 +294,27 @@ class TestPolytope:
             RobustGameSolver(inst, cap=3)
         with pytest.raises(CapacityError):
             sample_extremal(inst, np.zeros(inst.joint_size()), cap=3)
+
+    def test_lp_path_only_hides_a_built_table(self):
+        # The cap is compared on every call, so patching it to 0 forces the
+        # LP path on a polytope that already holds its table.
+        poly = get_polytope(random_instance(9, atoms_per_block=(2, 3)))
+        assert poly.vertices() is not None
+        with lp_path_only():
+            assert poly.vertices() is None
+        assert poly.vertices() is not None
+
+    def test_one_class_shape_shares_its_column_bases(self):
+        # Two 3 x 4 draws whose atoms sort into different class labels, so
+        # their incidence rows differ: one enumeration serves both.
+        polys = [FrechetPolytope(random_instance(s, atoms_per_block=(3, 4))) for s in (1, 2)]
+        assert polys[0].class_counts == polys[1].class_counts == (3, 4)
+        assert not np.array_equal(polys[0].matrix.rows, polys[1].matrix.rows)
+        distributions._column_bases.cache_clear()
+        for poly in polys:
+            assert poly.vertices() is not None
+        info = distributions._column_bases.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_polytope_freed_with_its_instance(self):
         inst = random_instance(8)

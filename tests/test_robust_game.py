@@ -11,6 +11,7 @@ from nvgames.distributions import (
     DEFAULT_SUPPORT_CAP,
     DiscreteMarginal,
     Instance,
+    get_polytope,
     independent_joint,
 )
 from nvgames.errors import DomainError, InputError, SolverError
@@ -20,8 +21,9 @@ from nvgames.newsvendor import (
     optimal_order,
     worst_case_order,
 )
-from nvgames.stress import ExperimentConfig, gen_instance
+from nvgames.stress import ExperimentConfig, _solve_robust, gen_instance
 from nvgames.robust_game import (
+    _DINKELBACH_TOL,
     Decision,
     RobustGameSolver,
     VmaxResult,
@@ -30,7 +32,7 @@ from nvgames.robust_game import (
     verify_rcore2,
 )
 
-from conftest import make_example1, random_instance
+from conftest import lp_path_only, make_example1, random_instance
 from test_stress import small_cfg
 from oracles import brute_force_ratios, brute_force_vmax, exact_sigma_slopes
 
@@ -498,6 +500,42 @@ class TestScale:
                 assert max(abs(values_f[m] - v) for m, v in values.items()) <= 1e-9
                 assert abs(y_f / f - y) <= 1e-9 * y and abs(eps_f - eps) <= 1e-9
                 assert np.max(np.abs(z_f - z)) <= 1e-9
+
+
+class TestRepeatedAtoms:
+    """A repeated atom merges two value classes; the vertex table is built
+    over the classes, so it keeps the vertex path."""
+
+    @pytest.fixture
+    def inst(self) -> Instance:
+        # The criterion-10 shape: block 0 repeats an atom, so its 16 joint
+        # atoms fall into 3 x 4 value classes (C(12, 6) = 924 column sets;
+        # counted over the atoms, C(16, 6) = 8 008).
+        cfg = ExperimentConfig(n=6, block_sizes=(3, 3), atoms_per_block=(4, 4),
+                               support_lo=1, support_hi=10, seed=1)
+        inst = gen_instance(cfg, 1002)
+        poly = get_polytope(inst)
+        assert (poly.class_counts, poly.n_atoms) == ((3, 4), 16)
+        return inst
+
+    def test_table_agrees_with_the_lp_path(self, inst):
+        assert get_polytope(inst).vertices() is not None
+        solver = RobustGameSolver(inst)
+        y = solver.grand_wc.y_star
+        table = solver.table(y)
+        with lp_path_only():
+            lp_table = RobustGameSolver(inst).table(y)
+        bound = _DINKELBACH_TOL / table.min_grand_profit
+        for mask, entry in table.entries.items():
+            assert -1e-12 <= entry.value - lp_table.value(mask) <= bound
+
+    def test_decision_agrees_with_the_lp_path(self, inst):
+        lo, hi = grand_action_interval(inst)
+        y_tol = 1e-4 * (hi - lo)
+        decision, _ = _solve_robust(inst, y_tol)
+        with lp_path_only():
+            lp_decision, _ = _solve_robust(inst, y_tol)
+        assert abs(decision.y - lp_decision.y) <= y_tol
 
 
 class TestSolverState:
