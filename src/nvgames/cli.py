@@ -116,6 +116,8 @@ def _cmd_vmax(args, out) -> int:
 
 
 def _cmd_stress(args, out) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise InputError(f"--threads must be at least 1, got {args.threads}")
     cfg = config_from_dict(_read_json(args.config))
     workers = args.threads if args.threads is not None else os.cpu_count()
     stats = run_stress(cfg, workers=workers, csv_path=args.out)

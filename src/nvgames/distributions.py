@@ -523,33 +523,51 @@ class FrechetPolytope:
         representatives, each basis is solved against this polytope's
         `rhs` by batched `np.linalg.solve`, the infeasible solutions are
         dropped, and one row is kept per support (a vertex is the only
-        point of the polytope with its support). Raises SolverError unless
-        every row meets the consistency rows within 1e-12."""
+        point of the polytope with its support). A polytope with at most one
+        block of several classes is a single point, which the consistency
+        rows give directly. Raises SolverError unless every row meets the
+        consistency rows within 1e-12."""
         if self._candidate_sets() > _VERTEX_CAP:
             return None
         if self._vertices is None:
-            a, bases = _column_bases(self.class_counts)
-            m = a.shape[0]
             # The joint atom of representatives of every class tuple.
             atoms = np.ravel_multi_index(np.ix_(*self.class_reps), self.dims).ravel()
-            found: dict[bytes, np.ndarray] = {}  # support -> first vertex with it
-            for start in range(0, bases.shape[0], _BASIS_BATCH):
-                cols = bases[start : start + _BASIS_BATCH]
-                rhs = np.broadcast_to(self.rhs[:, None], (cols.shape[0], m, 1))
-                x = np.linalg.solve(np.moveaxis(a[:, cols], 1, 0), rhs)[..., 0]
-                feasible = np.all(x >= -_VERTEX_ZERO, axis=1)
-                x = np.where(x > _VERTEX_ZERO, x, 0.0)[feasible]
-                rows = np.zeros((x.shape[0], self.n_atoms))
-                rows[np.arange(x.shape[0])[:, None], atoms[cols[feasible]]] = x
-                for key, row in zip(np.packbits(rows > 0.0, axis=1), rows):
-                    found.setdefault(key.tobytes(), row)
-            verts = np.array(list(found.values()))
-            gap = float(np.max(np.abs(verts @ np.asarray(self.matrix).T - self.rhs)))
+            if atoms.size == self.n_rows:
+                # At most one block has more than one class: the consistency
+                # rows fix every class tuple's mass, so the polytope is one
+                # point, the varying block's class probabilities with its
+                # last class taking the remaining mass.
+                x = np.append(self.rhs[1:], 1.0 - np.sum(self.rhs[1:]))
+                verts = np.zeros((1, self.n_atoms))
+                verts[0, atoms] = np.where(x > _VERTEX_ZERO, x, 0.0)
+                residual = self.matrix.matvec(verts[0]) - self.rhs
+            else:
+                verts = self._enumerate_vertices(atoms)
+                residual = verts @ np.asarray(self.matrix).T - self.rhs
+            gap = float(np.max(np.abs(residual)))
             if not gap <= 1e-12:
                 raise SolverError(f"vertex table misses the consistency rows by {gap:.3e}")
             verts.setflags(write=False)
             self._vertices = verts
         return self._vertices
+
+    def _enumerate_vertices(self, atoms: np.ndarray) -> np.ndarray:
+        """One vertex per support from the column bases of the class
+        product, `atoms` giving each class tuple's joint atom."""
+        a, bases = _column_bases(self.class_counts)
+        m = a.shape[0]
+        found: dict[bytes, np.ndarray] = {}  # support -> first vertex with it
+        for start in range(0, bases.shape[0], _BASIS_BATCH):
+            cols = bases[start : start + _BASIS_BATCH]
+            rhs = np.broadcast_to(self.rhs[:, None], (cols.shape[0], m, 1))
+            x = np.linalg.solve(np.moveaxis(a[:, cols], 1, 0), rhs)[..., 0]
+            feasible = np.all(x >= -_VERTEX_ZERO, axis=1)
+            x = np.where(x > _VERTEX_ZERO, x, 0.0)[feasible]
+            rows = np.zeros((x.shape[0], self.n_atoms))
+            rows[np.arange(x.shape[0])[:, None], atoms[cols[feasible]]] = x
+            for key, row in zip(np.packbits(rows > 0.0, axis=1), rows):
+                found.setdefault(key.tobytes(), row)
+        return np.array(list(found.values()))
 
     def consistency_gap(self, q: np.ndarray) -> float:
         """Largest absolute violation across all per-value class constraints

@@ -485,11 +485,11 @@ class _Simplex:
         return cb
 
     def _ratio_test(self, d: np.ndarray) -> int:
-        ok = d > PIVOT_TOL
-        if not ok.any():
+        rows = (d > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             return -1
-        ratios = np.where(ok, np.maximum(self.x_b, 0.0) / np.where(ok, d, 1.0), np.inf)
-        ties = (ratios <= ratios.min() + PIVOT_TOL).nonzero()[0]
+        ratios = np.maximum(self.x_b[rows], 0.0) / d[rows]
+        ties = rows[ratios <= ratios.min() + PIVOT_TOL]
         if ties.size == 1:
             return int(ties[0])
         if self._bland:

@@ -15,12 +15,13 @@ vertices, then the worst-case ratio witnesses, which the robust solver
 records in build order (each distinct array once) as it computes the tables
 of its core and least-core search. It keeps the first 256 that lie farther
 than 1e-10 in max norm from every vector kept before them, and
-mixes each with the independent joint at every lambda. The mixtures of one
-lambda are evaluated as one matrix: samples under which either decision's
-grand profit is nonpositive are screened out and counted as degenerate, the
-coalition profits of the rest are computed once (they do not depend on the
-decision), and each decision's excesses come from one stacked pass over
-them. Every value equals the one-joint formula bit for bit.
+mixes each with the independent joint at every lambda. The mixtures of
+every lambda are evaluated as one matrix: samples under which either
+decision's grand profit is nonpositive are screened out and counted as
+degenerate, the coalition profits of the rest are computed once per chunk
+of rows (they do not depend on the decision), and each decision's excesses
+come from one stacked pass over each chunk. The per-row values are then
+split back by lambda. Every value equals the one-joint formula bit for bit.
 
 Everything is reproducible from the config seed: instance generation,
 extremal sampling, and the (instance, lambda) aggregation order.
@@ -53,6 +54,20 @@ from .newsvendor import optimal_order, worst_case_order
 from .robust_game import Decision, RobustGameSolver
 
 WITNESS_POOL_CAP = 256
+_EXCESS_CHUNK_ROWS = 256
+"""Rows of mixed joints per `ExcessEvaluator.stack` pass in the stress loop.
+A pass holds rows x atoms temporaries for a few coalitions at a time and
+several rows x coalitions matrices, so one pass over all of an instance's
+admissible mixtures (about 1 000 rows at the criterion-10 shape) raised
+the peak RSS of a serial 17-instance run from 42.8 to 44.7 MB. Chunks of
+256 rows still make half the calls of one pass per lambda."""
+_COALITION_BATCH = 4
+"""Coalitions spanning blocks per step of `ExcessEvaluator.stack`. A step
+holds coalitions x rows x atoms arrays; at the stress loop's chunks
+(256 rows of 16-atom joints) 4 coalitions keep each at 128 KB, while 16
+raised the peak RSS of a serial 17-instance criterion-10 run by 2 MB. One
+coalition per step was slower: the per-call cost of the atom-by-atom
+cumulative sums is then paid for every coalition."""
 _DEFAULT_LAMBDAS = tuple(round(0.1 * i, 1) for i in range(11))
 
 CSV_HEADER = (
@@ -219,11 +234,12 @@ def _solve_robust(
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for every row i, as one stacked matmul: numpy computes
-    each row with the same BLAS dot as a 1-D `a[i] @ b[i]`, so the values
-    are bit-identical to the per-row products (an einsum, an elementwise
-    product summed, or a matrix-vector product can differ in the last bit)."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    """a[..., i, :] @ b[i] for every row i (a may stack several matrices of
+    b's shape), as one stacked matmul: numpy computes each row with the same
+    BLAS dot as a 1-D `a[i] @ b[i]`, so the values are bit-identical to the
+    per-row products (an einsum, an elementwise product summed, or a
+    matrix-vector product can differ in the last bit)."""
+    return np.matmul(a[..., None, :], b[:, :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,8 +261,10 @@ class ExcessEvaluator:
     coalition's demand per atom, the pinned quantile order of a coalition
     inside one block, and the demand sort order of a coalition spanning
     blocks. `stack` then evaluates all coalitions for a whole matrix of
-    joints at once, and `excess` turns a stack into one excess per row for
-    a decision. Every per-row dot product runs as the same BLAS dot as the
+    joints at once (the coalitions spanning blocks `_COALITION_BATCH` at a
+    time), and `excess` turns a stack into one excess per row for a
+    decision. Every cumulative sum adds in the order of `np.cumsum` along
+    a row, and every per-row dot product runs as the same BLAS dot as the
     scalar formula, so a stacked value equals the one-joint value bit for
     bit. The excess is undefined under a joint where the decision's grand
     profit is nonpositive; `excess` raises DomainError on such a row, so a
@@ -270,6 +288,14 @@ class ExcessEvaluator:
             else:
                 order = np.argsort(d_s, kind="stable")
                 self._masks.append((mask, d_s, order, None))
+        # The coalitions spanning blocks as arrays: their columns, demands,
+        # demand sort orders and sorted demands, one row each.
+        span = [j for j, m in enumerate(self._masks) if m[3] is None]
+        k = self.poly.n_atoms
+        self._span_cols = np.array(span, dtype=np.intp)
+        self._span_d = np.array([self._masks[j][1] for j in span]).reshape(-1, k)
+        self._span_orders = np.argsort(self._span_d, axis=1, kind="stable")
+        self._span_sorted = np.take_along_axis(self._span_d, self._span_orders, axis=1)
         coalitions = np.array([m[0] for m in self._masks], dtype=np.int64)
         # _members[i] selects the coalitions that contain retailer i.
         self._members = [((coalitions >> i) & 1).astype(bool) for i in range(inst.n_retailers)]
@@ -290,16 +316,26 @@ class ExcessEvaluator:
         qs.setflags(write=False)
         p, c = self.p, self.c
         level = self.ratio - 1e-12
+        k = qs.shape[1]
         profits = np.empty((qs.shape[0], len(self._masks)))
-        for j, (_mask, d_s, order, y_fixed) in enumerate(self._masks):
-            if y_fixed is None:
-                below = np.count_nonzero(np.cumsum(qs[:, order], axis=1) < level, axis=1)
-                y_s = d_s[order][np.minimum(below, d_s.size - 1)]
-                short = np.maximum(y_s[:, None] - d_s, 0.0)
-            else:
-                y_s = y_fixed
+        for j, (_mask, d_s, _order, y_s) in enumerate(self._masks):
+            if y_s is not None:
                 short = np.broadcast_to(np.maximum(y_s - d_s, 0.0), qs.shape)
-            profits[:, j] = (p - c) * y_s - p * _row_dots(short, qs)
+                profits[:, j] = (p - c) * y_s - p * _row_dots(short, qs)
+        for lo in range(0, self._span_cols.size, _COALITION_BATCH):
+            batch = slice(lo, lo + _COALITION_BATCH)
+            # Cumulative sums (atoms x coalitions x rows) in each coalition's
+            # demand order, one atom at a time: the additions of np.cumsum
+            # along a row, in the same order.
+            cum = qs.T[self._span_orders[batch].T]
+            for i in range(1, k):
+                np.add(cum[i - 1], cum[i], out=cum[i])
+            below = np.minimum(np.count_nonzero(cum < level, axis=0), k - 1)
+            del cum
+            y_s = np.take_along_axis(self._span_sorted[batch], below, axis=1)
+            short = y_s[:, :, None] - self._span_d[batch][:, None, :]
+            np.maximum(short, 0.0, out=short)
+            profits[:, self._span_cols[batch]] = ((p - c) * y_s - p * _row_dots(short, qs)).T
         profits.setflags(write=False)
         return JointStack(self, qs, profits)
 
@@ -397,35 +433,49 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
     check_probability_rows(ext)
 
     evaluator = ExcessEvaluator(inst)
-    rows = []
-    for lam in cfg.lambda_grid:
-        # Elementwise the same mixture as `contaminate`, for all samples.
-        mixed = (1.0 - lam) * q_ind.q + lam * ext
-        check_probability_rows(mixed)
-        # A sample is degenerate when either decision's grand profit is
-        # nonpositive under it; the excess is undefined there.
-        admissible = (evaluator.grand_profit(mixed, robust) > 0.0) & (
-            evaluator.grand_profit(mixed, det) > 0.0
+    lams = np.array(cfg.lambda_grid)
+    # Elementwise the same mixture as `contaminate`, for every lambda and
+    # sample at once: row i * len(ext) + j mixes sample j at lambda i.
+    mixed = ((1.0 - lams)[:, None, None] * q_ind.q + lams[:, None, None] * ext).reshape(
+        -1, ext.shape[1]
+    )
+    check_probability_rows(mixed)
+    # A sample is degenerate when either decision's grand profit is
+    # nonpositive under it; the excess is undefined there.
+    admissible = (evaluator.grand_profit(mixed, robust) > 0.0) & (
+        evaluator.grand_profit(mixed, det) > 0.0
+    )
+    kept = np.count_nonzero(admissible.reshape(len(lams), len(ext)), axis=1)
+    if not kept.all():
+        lam = cfg.lambda_grid[int(np.argmin(kept))]
+        raise SolverError(
+            f"instance {instance_id}: every sample at lambda={lam} was degenerate"
         )
-        if not admissible.any():
-            raise SolverError(
-                f"instance {instance_id}: every sample at lambda={lam} was degenerate"
-            )
-        degenerate = int(np.count_nonzero(~admissible))
-        stack = evaluator.stack(mixed[admissible])
-        rob_vals = evaluator.excess(stack, robust)
-        det_vals = evaluator.excess(stack, det)
+    # The admissible rows of every lambda, in lambda order, go through the
+    # stacked kernel in fixed chunks; each value depends on its row alone.
+    admitted = np.flatnonzero(admissible)
+    rob_vals, det_vals = np.empty(admitted.size), np.empty(admitted.size)
+    for lo in range(0, admitted.size, _EXCESS_CHUNK_ROWS):
+        hi = lo + _EXCESS_CHUNK_ROWS
+        stack = evaluator.stack(mixed[admitted[lo:hi]])
+        rob_vals[lo:hi] = evaluator.excess(stack, robust)
+        det_vals[lo:hi] = evaluator.excess(stack, det)
+    bounds = np.cumsum(kept)[:-1]
+    rows = []
+    for lam, n_kept, rob_lam, det_lam in zip(
+        cfg.lambda_grid, kept, np.split(rob_vals, bounds), np.split(det_vals, bounds)
+    ):
         rows.append(
             ExcessRow(
                 instance_id=instance_id,
                 lam=lam,
-                rob_max=float(np.max(rob_vals)),
-                rob_min=float(np.min(rob_vals)),
-                rob_mean=float(np.mean(rob_vals)),
-                det_max=float(np.max(det_vals)),
-                det_min=float(np.min(det_vals)),
-                det_mean=float(np.mean(det_vals)),
-                degenerate_count=degenerate,
+                rob_max=float(np.max(rob_lam)),
+                rob_min=float(np.min(rob_lam)),
+                rob_mean=float(np.mean(rob_lam)),
+                det_max=float(np.max(det_lam)),
+                det_min=float(np.min(det_lam)),
+                det_mean=float(np.mean(det_lam)),
+                degenerate_count=len(ext) - int(n_kept),
             )
         )
     return rows
@@ -440,10 +490,15 @@ def run_stress(
 
     A sample is excluded (and counted) when either decision's realized grand
     profit is nonpositive under it. Results are reduced in (instance,
-    lambda) order regardless of worker scheduling."""
+    lambda) order regardless of worker scheduling.
+
+    `workers` bounds the worker processes (None runs serially); the pool
+    never has more of them than there are instances, because it starts all
+    of them at its first job."""
+    workers = 1 if workers is None else min(check_int(workers, "workers", 1), cfg.num_instances)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.num_instances, np.uint32)
     jobs = [(cfg, i, int(seeds[2 * i]), int(seeds[2 * i + 1])) for i in range(cfg.num_instances)]
-    if workers and workers > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(pool.map(_instance_rows, jobs))
     else:

@@ -17,7 +17,7 @@ else:
     settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
     settings.load_profile("tier1")
 
-from nvgames import distributions
+from nvgames import distributions, stress
 from nvgames.distributions import DiscreteMarginal, Instance
 from nvgames.stress import ExperimentConfig, gen_instance
 
@@ -33,6 +33,30 @@ def lp_path_only():
 def lp_path():
     with lp_path_only():
         yield
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """Stands in for the process pool of `run_stress`: records each pool's
+    `max_workers` in the returned list and maps the jobs serially, so no
+    test starts worker processes."""
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(stress, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes
 
 
 @pytest.fixture

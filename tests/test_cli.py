@@ -203,6 +203,24 @@ class TestStressAndGen:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2  # instances x lambdas
 
+    def test_threads_beyond_instances_start_one_worker_each(
+        self, tmp_path, cfg_path, pool_sizes
+    ):
+        code, _, _ = invoke(
+            ["--threads", "5000", "stress", "--config", cfg_path, "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 0
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_input_error(self, tmp_path, cfg_path, pool_sizes, threads):
+        csv_path = tmp_path / "s.csv"
+        code, _, err = invoke(
+            ["--threads", threads, "stress", "--config", cfg_path, "--out", str(csv_path)]
+        )
+        assert code == 2
+        assert "--threads" in err
+        assert pool_sizes == [] and not csv_path.exists()
 
     @pytest.mark.parametrize("fields, word", [
         pytest.param({"seed": -1}, "seed", id="-1"),

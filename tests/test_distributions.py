@@ -316,6 +316,26 @@ class TestPolytope:
         info = distributions._column_bases.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
+    @pytest.mark.parametrize("single_atom_blocks", [0, 2])
+    def test_single_point_polytope_needs_no_solve(self, monkeypatch, single_atom_blocks):
+        # One block of many distinct atoms, alone or beside one-atom blocks:
+        # the polytope is one point, read off the consistency rows, where a
+        # basis solve would be a dense system of one row per atom.
+        def refuse(*args):
+            raise AssertionError("np.linalg.solve called for a single-point polytope")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        rng = np.random.default_rng(13)
+        big = marginal(rng.permutation(300)[:, None] + 1.0, rng.dirichlet(np.ones(300)))
+        blocks = [big] + [marginal([[2.0]], [1.0])] * single_atom_blocks
+        inst = Instance(1.5, 1.0, tuple((r,) for r in range(len(blocks))), tuple(blocks))
+        poly = get_polytope(inst)
+        want = np.zeros(inst.joint_size())
+        probs = poly.class_probs[0]
+        want[poly.class_reps[0]] = np.append(probs[:-1], 1.0 - np.sum(probs[:-1]))
+        assert np.array_equal(poly.vertices(), want[None, :])
+        assert np.max(np.abs(poly.vertices()[0] - big.probs)) <= 1e-14
+
     def test_polytope_freed_with_its_instance(self):
         inst = random_instance(8)
         poly = weakref.ref(get_polytope(inst))

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import sys
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from nvgames.distributions import (
     independent_joint,
     sample_extremal,
 )
-from nvgames.errors import DomainError, InputError
+from nvgames.errors import DomainError, InputError, SolverError
 from nvgames.robust_game import Decision, RobustGameSolver
 from nvgames.stress import (
     CSV_HEADER,
@@ -239,6 +241,18 @@ class TestRunStress:
         parallel = run_stress(cfg, workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers, pools", [(5000, [2]), (2, [2]), (1, []), (None, [])])
+    def test_pool_has_at_most_one_worker_per_instance(self, pool_sizes, workers, pools):
+        cfg = small_cfg()
+        assert run_stress(cfg, workers=workers) == run_stress(cfg)
+        assert pool_sizes == pools
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_workers_must_be_a_positive_integer(self, pool_sizes, workers):
+        with pytest.raises(InputError, match="workers"):
+            run_stress(small_cfg(), workers=workers)
+        assert pool_sizes == []
+
     def test_csv_values_have_nine_significant_digits(self, tmp_path):
         cfg = small_cfg(num_instances=1)
         run_stress(cfg, csv_path=tmp_path / "o.csv")
@@ -328,6 +342,126 @@ class TestRunStress:
                 max(rob_vals), min(rob_vals), float(np.mean(rob_vals)))
             assert (row.det_max, row.det_min, row.det_mean) == (
                 max(det_vals), min(det_vals), float(np.mean(det_vals)))
+
+
+def criterion10_cfg(**overrides) -> ExperimentConfig:
+    """The criterion-10 stress configuration, with fewer instances."""
+    base = dict(
+        n=6, block_sizes=(3, 3), atoms_per_block=(4, 4), support_lo=1, support_hi=10,
+        price=1.5, cost=1.0, num_extremal=40, num_instances=3, seed=20240811,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def rows_and_pool(monkeypatch, job) -> tuple[list, np.ndarray]:
+    """The rows of `_instance_rows(job)` and its deduplicated extremal pool."""
+    pools = []
+    dedupe = stress._dedupe_pool
+    monkeypatch.setattr(
+        stress, "_dedupe_pool", lambda pool: pools.append(dedupe(pool)) or pools[-1]
+    )
+    rows = stress._instance_rows(job)
+    monkeypatch.setattr(stress, "_dedupe_pool", dedupe)
+    return rows, np.array(pools[0])
+
+
+def per_lambda_rows(job, ext, robust, det) -> list:
+    """The rows of one instance from a loop over lambda that stacks each
+    lambda's admissible mixtures with the pool `ext` as one matrix."""
+    cfg, instance_id, instance_seed, _ = job
+    inst = gen_instance(cfg, instance_seed)
+    evaluator = ExcessEvaluator(inst)
+    q_ind = independent_joint(inst).q
+    rows = []
+    for lam in cfg.lambda_grid:
+        mixed = (1.0 - lam) * q_ind + lam * ext
+        admissible = (evaluator.grand_profit(mixed, robust) > 0.0) & (
+            evaluator.grand_profit(mixed, det) > 0.0
+        )
+        stack = evaluator.stack(mixed[admissible])
+        rob, dt = evaluator.excess(stack, robust), evaluator.excess(stack, det)
+        rows.append(stress.ExcessRow(
+            instance_id, lam,
+            float(np.max(rob)), float(np.min(rob)), float(np.mean(rob)),
+            float(np.max(dt)), float(np.min(dt)), float(np.mean(dt)),
+            int(np.count_nonzero(~admissible)),
+        ))
+    return rows
+
+
+class TestChunkedExcess:
+    @pytest.mark.parametrize("seed, digest", [
+        (20240811, "371e15d23ddde8056e552adf24116e10f89d4dce62110ac99811995c3e258d8a"),
+        (918273645, "bdc751ca04d04b9bea38694da7c7268dd93d7453f49af4cc504f1c37b3b647d5"),
+    ])
+    def test_criterion10_csv_is_pinned(self, tmp_path, seed, digest):
+        # The digests of one kernel pass per lambda. Every instance here
+        # has more admissible mixtures than one chunk holds.
+        path = tmp_path / "o.csv"
+        run_stress(criterion10_cfg(seed=seed), csv_path=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_rows_equal_a_per_lambda_loop(self, monkeypatch):
+        cfg = criterion10_cfg()
+        job = (cfg, 0, 11, 12)
+        rows, ext = rows_and_pool(monkeypatch, job)
+        assert len(ext) * len(cfg.lambda_grid) > 2 * stress._EXCESS_CHUNK_ROWS
+        inst = gen_instance(cfg, 11)
+        robust, _ = stress._solve_robust(inst)
+        assert rows == per_lambda_rows(job, ext, robust, stress._deterministic_decision(inst))
+
+    def test_rows_equal_a_per_lambda_loop_with_degenerate_samples(self, monkeypatch):
+        # A robust order above demand leaves some samples at lambda = 1 with
+        # a nonpositive grand profit, so the lambdas keep different numbers
+        # of rows and the chunks split them at other places.
+        cfg = criterion10_cfg(lambda_grid=(0.5, 0.75, 1.0), price=1.1)
+        job = (cfg, 0, 7, 8)
+        _, ext = rows_and_pool(monkeypatch, job)
+        inst = gen_instance(cfg, 7)
+        evaluator = ExcessEvaluator(inst)
+        robust, solver = stress._solve_robust(inst)
+        det = stress._deterministic_decision(inst)
+        q_ind = independent_joint(inst).q
+        ys = np.linspace(robust.y, 3.0 * float(np.max(evaluator.d_grand)), 400)
+        bad = [
+            np.count_nonzero(evaluator.grand_profit(ext, Decision(y, robust.z)) <= 0.0)
+            for y in ys
+        ]
+        robust = Decision(float(ys[np.flatnonzero(np.array(bad) > 0)[0]]), robust.z)
+        assert evaluator.grand_profit(q_ind[None, :], robust)[0] > 0.0
+        monkeypatch.setattr(stress, "_solve_robust", lambda inst: (robust, solver))
+        rows, _ = rows_and_pool(monkeypatch, job)
+        assert rows == per_lambda_rows(job, ext, robust, det)
+        assert 0 < rows[-1].degenerate_count < len(ext)
+
+    @pytest.mark.parametrize("far", [True, False])
+    def test_all_degenerate_error_names_the_first_such_lambda(self, monkeypatch, far):
+        # Far above demand every sample is degenerate, so the first lambda
+        # of the grid is named. Just past the independent joint's break-even
+        # order, only lambda = 0 has no admissible sample left.
+        cfg = small_cfg(atoms_per_block=(3, 3), num_extremal=30, price=1.1)
+        _, ext = rows_and_pool(monkeypatch, (cfg, 0, 7, 8))
+        inst = gen_instance(cfg, 7)
+        evaluator = ExcessEvaluator(inst)
+        robust, solver = stress._solve_robust(inst)
+        q_ind = independent_joint(inst).q[None, :]
+        if far:
+            y, grid, named = 1e6, (0.5, 0.0, 1.0), 0.5
+        else:
+            ys = np.linspace(robust.y, float(np.max(evaluator.d_grand)), 1000)
+            y = next(
+                y for y in ys
+                if evaluator.grand_profit(q_ind, Decision(y, robust.z))[0] <= 0.0
+                and np.max(evaluator.grand_profit(ext, Decision(y, robust.z))) > 0.0
+            )
+            grid, named = (1.0, 0.0, 0.5), 0.0
+        decision = Decision(y, robust.z)
+        monkeypatch.setattr(stress, "_solve_robust", lambda inst: (decision, solver))
+        monkeypatch.setattr(stress, "_dedupe_pool", lambda pool: list(ext))
+        job = (dataclasses.replace(cfg, lambda_grid=grid), 0, 7, 8)
+        with pytest.raises(SolverError, match=f"^instance 0: every sample at lambda={named} was"):
+            stress._instance_rows(job)
 
 
 def quadratic_dedupe_pool(pool, cap):
