@@ -60,12 +60,8 @@ def build_deterministic_game(inst: Instance, q: JointDistribution) -> Characteri
 
 
 def _coalition_indicator_rows(n: int, masks) -> np.ndarray:
-    rows = np.zeros((len(masks), n))
-    for i, mask in enumerate(masks):
-        for j in range(n):
-            if mask >> j & 1:
-                rows[i, j] = 1.0
-    return rows
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
 
 
 def solve_stability_lp(
