@@ -3,7 +3,10 @@ functions over all coalitions, core membership, the least core, and the
 LP-duality balancedness check for worst-case ratio tables.
 
 Coalitions are bitmasks (bit i = player i); LP rows are always emitted in
-increasing mask order so bases are reproducible.
+increasing mask order so bases are reproducible. Every stability LP (the
+least core here and each robust sigma probe) starts from a feasible crash
+basis built from its own table (see `solve_stability_lp`), so its answer
+depends on that table alone.
 """
 
 from __future__ import annotations
@@ -70,7 +73,20 @@ def solve_stability_lp(
     """min eps s.t. x(S) + eps >= value(S) for each given coalition and
     x(N) = total, with x and eps free. Rows are emitted in increasing mask
     order. Returns (x, eps, w): w holds the coalition weights of the dual,
-    w_S = d eps / d value(S) >= 0 in increasing mask order, summing to 1."""
+    w_S = d eps / d value(S) >= 0 in increasing mask order, summing to 1.
+
+    The simplex starts from a crash basis (Bixby 1992) read off the table,
+    so it runs no phase 1: x = total e_0 and eps0 = max_S (value(S) - x(S)),
+    attained first at row k*. In the `LpSolution.basis` layout of this
+    program (x_0..x_{n-1}, eps at ids 0..n; their negative parts at
+    n+1..2n+1; the slack of coalition row k at 2n+2+k) the basis holds x_0
+    (id 0, or its negative part n+1 when total < 0), eps (id n, or 2n+1
+    when eps0 < 0) and the slack of every row but k*. The equality row
+    fixes x_0, row k* then eps and every other row its own slack, so the
+    basis is triangular, and each slack is eps0 - (value(S) - x(S)) >= 0.
+    The start depends on the table alone, never on an earlier solve. The
+    optimal x and w are not unique in general; this start picks the vertex
+    that the pivots from it reach."""
     masks = sorted(values_by_mask)
     if any(m <= 0 or m >= (1 << n) for m in masks):
         raise InputError("stability constraints must be over nonempty coalitions of 0..n-1")
@@ -89,7 +105,12 @@ def solve_stability_lp(
         b_ub=-vals,
         lower_bounds=np.full(n + 1, -np.inf),
     )
-    sol = solve_lp(lp)
+    # The crash basis of the docstring; ids are LpSolution.basis columns.
+    excess = vals - total * rows[:, 0]
+    k_star = int(np.argmax(excess))
+    basis = [n + 1 if total < 0 else 0, 2 * n + 1 if excess[k_star] < 0 else n]
+    basis += [2 * n + 2 + k for k in range(len(masks)) if k != k_star]
+    sol = solve_lp(lp, basis)
     if sol.status != "optimal":
         raise SolverError(f"stability LP reported {sol.status!r}")
     # duals[0] prices x(N) = total; a coalition row reads -(x(S) + eps) <= -value(S).

@@ -17,7 +17,7 @@ else:
     settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
     settings.load_profile("tier1")
 
-from nvgames import distributions, stress
+from nvgames import distributions, lp, stress
 from nvgames.distributions import DiscreteMarginal, Instance
 from nvgames.stress import ExperimentConfig, gen_instance
 
@@ -57,6 +57,21 @@ def pool_sizes(monkeypatch) -> list:
 
     monkeypatch.setattr(stress, "ProcessPoolExecutor", RecordingExecutor)
     return sizes
+
+
+@pytest.fixture
+def simplex_phases(monkeypatch) -> list:
+    """Records the phase (1 or 2) of every simplex run, in order: a solve
+    that starts from a usable basis adds only 2s, a cold one a 1 first."""
+    phases = []
+    run = lp._Simplex._run
+
+    def recording_run(self, c_work):
+        phases.append(self._phase)
+        return run(self, c_work)
+
+    monkeypatch.setattr(lp._Simplex, "_run", recording_run)
+    return phases
 
 
 @pytest.fixture

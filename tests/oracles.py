@@ -8,6 +8,9 @@ variables. `lp_worst_case_shortage` keeps the LP that the closed-form
 comonotonic worst case replaced; `lp_least_shortage` is its min-sense
 counterpart, which the countermonotonic vertex attains for two blocks.
 `exact_sigma_slopes` evaluates the least-core cuts in rational arithmetic.
+`two_phase_stability_lp` keeps the cold two-phase solve of the stability LP
+that the crash start replaced, and `exact_least_core_eps` the exact optimum
+of that LP by rational vertex enumeration.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from nvgames.errors import SolverError
 from nvgames.lp import LinearProgram, solve_lp
 
 
@@ -283,3 +287,71 @@ def bisect_action_interval_upper(inst, y_tol=1e-6):
         else:
             hi = mid
     return hi
+
+
+def two_phase_stability_lp(n: int, values_by_mask, total: float):
+    """(x, eps, w) of `coop.solve_stability_lp` from the cold two-phase
+    start: the same program, solved with no start basis."""
+    masks = sorted(values_by_mask)
+    rows = np.array([[mask >> j & 1 for j in range(n)] for mask in masks], dtype=float)
+    vals = np.array([float(values_by_mask[m]) for m in masks])
+    sol = solve_lp(LinearProgram(
+        sense="min",
+        objective=np.r_[np.zeros(n), 1.0],
+        a_eq=np.r_[np.ones(n), 0.0][None, :],
+        b_eq=[total],
+        a_ub=-np.hstack([rows, np.ones((len(masks), 1))]),
+        b_ub=-vals,
+        lower_bounds=np.full(n + 1, -np.inf),
+    ))
+    if sol.status != "optimal":
+        raise SolverError(f"stability LP reported {sol.status!r}")
+    return sol.x[:n].copy(), float(sol.x[n]), -sol.duals[1:]
+
+
+def exact_least_core_eps(n: int, values_by_mask, total: float = 1.0) -> Fraction:
+    """The exact optimum of min eps s.t. x(S) + eps >= value(S) for every
+    given coalition and x(N) = total, on the float data read as rationals.
+    The rows must make the program bounded (a full table does). Its
+    feasible set is pointed (the singleton rows and x(N) are independent),
+    so the optimum is the least eps over its vertices: each set of n
+    coalition rows tight beside x(N) = total, solved in `Fraction`
+    arithmetic, that is nonsingular and satisfies every row exactly."""
+    masks = sorted(values_by_mask)
+    vals = [Fraction(float(values_by_mask[m])) for m in masks]
+    members = [[j for j in range(n) if m >> j & 1] for m in masks]
+    best = None
+    for tight in itertools.combinations(range(len(masks)), n):
+        # Unknowns x_0..x_{n-1}, eps; rows x(N) = total, x(S) + eps = v(S).
+        a = [[Fraction(1)] * n + [Fraction(0), Fraction(total)]]
+        for k in tight:
+            row = [Fraction(0)] * (n + 1) + [vals[k]]
+            for j in members[k]:
+                row[j] = Fraction(1)
+            row[n] = Fraction(1)
+            a.append(row)
+        sol = _solve_exact(a)
+        if sol is None or (best is not None and sol[n] >= best):
+            continue
+        if all(sum(sol[j] for j in members[k]) + sol[n] >= vals[k] for k in range(len(masks))):
+            best = sol[n]
+    return best
+
+
+def _solve_exact(a):
+    """The solution of the square system in augmented rows `a` (changed in
+    place) by Gauss-Jordan elimination, or None when it is singular."""
+    size = len(a)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        lead = a[col][col]
+        pivot_row = [v / lead for v in a[col]]
+        a[col] = pivot_row
+        for r in range(size):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], pivot_row)]
+    return [row[size] for row in a]

@@ -10,9 +10,11 @@ from nvgames.coop import (
     least_core,
 )
 from nvgames.distributions import DiscreteMarginal, Instance, independent_joint
-from nvgames.errors import InputError
+from nvgames.coop import solve_stability_lp
+from nvgames.errors import InputError, SolverError
 
 from conftest import random_instance
+from oracles import two_phase_stability_lp
 
 
 def cf(values) -> CharacteristicFunction:
@@ -200,3 +202,68 @@ class TestBalancedness:
             assert np.ptp(cover) <= 1e-9
             vals = np.array([table[m] for m in masks])
             assert float(w @ vals) - cover[0] == pytest.approx(eps, abs=1e-9)
+
+
+def stability_tables(seed: int, count: int):
+    """(n, table, total) triples for the stability LP with n from 2 to 6:
+    random, additive and few-level values (the last with many ties), over
+    every nonempty proper coalition or over the singletons plus a random
+    subset (bounded either way: the singletons are a balanced collection),
+    with totals positive, zero and negative, every fifth table shifted
+    down."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 7))
+        masks = np.arange(1, (1 << n) - 1)
+        if i % 2:
+            singles = 1 << np.arange(n)
+            masks = np.union1d(singles, masks[rng.random(masks.size) < 0.5])
+        sizes = np.array([bin(m).count("1") for m in masks])
+        kind = i % 3
+        if kind == 0:
+            values = rng.uniform(-1.0, 1.0, masks.size) * sizes
+        elif kind == 1:
+            share = rng.uniform(-1.0, 2.0, n)
+            values = np.array([share[[j for j in range(n) if m >> j & 1]].sum() for m in masks])
+        else:
+            values = rng.choice([0.0, 0.5, 1.0], masks.size) * sizes
+        if i % 5 == 4:
+            values -= rng.uniform(0.0, 2.0 * n)  # eps0 < 0 at most totals
+        total = (float(rng.uniform(0.1, 2.0) * n), 0.0, float(-rng.uniform(0.1, 2.0)))[i % 4 % 3]
+        yield n, {int(m): float(v) for m, v in zip(masks, values)}, total
+
+
+class TestStabilityCrashStart:
+    def test_matches_the_two_phase_oracle_without_phase_one(self, simplex_phases):
+        for n, table, total in stability_tables(34, 500):
+            del simplex_phases[:]
+            x, eps, _w = solve_stability_lp(n, table, total)
+            assert simplex_phases and 1 not in simplex_phases
+            _x, expect, _w = two_phase_stability_lp(n, table, total)
+            assert abs(eps - expect) <= 1e-12
+            assert abs(float(np.sum(x)) - total) <= 1e-12
+            worst = max(v - sum(x[j] for j in range(n) if m >> j & 1) - eps for m, v in table.items())
+            assert worst <= 1e-12
+
+    def test_tables_cover_every_start_case(self):
+        # The crash basis takes x_0 or its negative part by the total's sign
+        # and eps or its negative part by eps0's, and its row k* may hold
+        # player 0 or not; the tables above reach every combination.
+        seen = set()
+        for n, table, total in stability_tables(34, 500):
+            excess = {m: v - (total if m & 1 else 0.0) for m, v in table.items()}
+            k_star = max(sorted(excess), key=excess.__getitem__)
+            seen.add((np.sign(total), excess[k_star] < 0, bool(k_star & 1)))
+        assert len(seen) == 12
+
+    def test_masks_without_player_0_are_unbounded_for_both(self, simplex_phases):
+        # Player 0 in no row: x_0 absorbs the total, the other coordinates
+        # grow without limit and eps falls with them.
+        table = {0b010: 0.4, 0b100: 0.3, 0b110: 0.9}
+        for total in (1.0, 0.0, -1.0):
+            del simplex_phases[:]
+            with pytest.raises(SolverError, match="unbounded"):
+                solve_stability_lp(3, table, total)
+            assert 1 not in simplex_phases
+            with pytest.raises(SolverError, match="unbounded"):
+                two_phase_stability_lp(3, table, total)

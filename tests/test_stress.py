@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import sys
@@ -6,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nvgames import coop, robust_game, stress
 from nvgames import lp as lp_module
-from nvgames import stress
 from nvgames.distributions import (
     DiscreteMarginal,
     Instance,
@@ -28,8 +29,8 @@ from nvgames.stress import (
     write_csv,
 )
 
-from conftest import make_example1
-from oracles import scalar_excess
+from conftest import lp_path_only, make_example1
+from oracles import scalar_excess, two_phase_stability_lp
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "stress_small.csv"
 
@@ -265,8 +266,11 @@ class TestRunStress:
     def test_csv_matches_golden_file(self, tmp_path):
         # Regenerated when the cutting-plane least core replaced golden
         # section, which moved the robust decisions and so the rob_*
-        # columns; the det_* columns kept every byte. Any later change to
-        # a cell must be deliberate and stated.
+        # columns. Regenerated again when the stability LP started from its
+        # crash basis: the least-core allocation is not unique, and the new
+        # start reaches another optimal one for instance 0's deterministic
+        # game, which moved five det_* cells of its lambda 0.5 and 1 rows.
+        # Any later change to a cell must be deliberate and stated.
         run_stress(small_cfg(), csv_path=tmp_path / "o.csv")
         assert (tmp_path / "o.csv").read_bytes() == GOLDEN_CSV.read_bytes()
 
@@ -275,13 +279,36 @@ class TestRunStress:
         # vertex tables: a change to the pivot path fails here by name, not
         # only through the golden CSV. Only ratio LPs, stability LPs and
         # extremal samples remain: the minimum grand profit is closed-form.
-        assert counted_lp_run(monkeypatch) == [239, 320]
+        # The stability LPs start from their crash basis, with no phase 1
+        # (320 pivots with the two-phase start).
+        assert counted_lp_run(monkeypatch) == [239, 143]
 
     def test_vertex_path_lp_calls_and_pivots_are_pinned(self, monkeypatch):
         # With the vertex tables of these 4-atom polytopes, the worst-case
         # ratios and the extremal samples take no LP: only the stability
-        # LPs, one per sigma evaluation, remain.
-        assert counted_lp_run(monkeypatch) == [15, 253]
+        # LPs, one per sigma evaluation, remain. Each starts from its crash
+        # basis, with no phase 1 (253 pivots with the two-phase start).
+        assert counted_lp_run(monkeypatch) == [15, 76]
+
+    @pytest.mark.parametrize("path", ["vertex", "lp"])
+    def test_stability_lps_match_the_two_phase_oracle(self, monkeypatch, simplex_phases, path):
+        # Every sigma probe and deterministic least core of this run starts
+        # from its crash basis and ends at the cold solve's eps.
+        original = coop.solve_stability_lp
+        gaps = []
+
+        def checked(n, table, total):
+            start = len(simplex_phases)
+            x, eps, w = original(n, table, total)
+            assert 1 not in simplex_phases[start:]
+            gaps.append(abs(eps - two_phase_stability_lp(n, table, total)[1]))
+            return x, eps, w
+
+        monkeypatch.setattr(coop, "solve_stability_lp", checked)
+        monkeypatch.setattr(robust_game, "solve_stability_lp", checked)
+        with lp_path_only() if path == "lp" else contextlib.nullcontext():
+            run_stress(small_cfg())
+        assert len(gaps) == 15 and max(gaps) <= 1e-12
 
     def test_degenerate_samples_are_screened_and_counted(self, monkeypatch):
         # Orders far above the optimal ones make the grand profit
@@ -392,11 +419,13 @@ def per_lambda_rows(job, ext, robust, det) -> list:
 
 class TestChunkedExcess:
     @pytest.mark.parametrize("seed, digest", [
-        (20240811, "371e15d23ddde8056e552adf24116e10f89d4dce62110ac99811995c3e258d8a"),
-        (918273645, "bdc751ca04d04b9bea38694da7c7268dd93d7453f49af4cc504f1c37b3b647d5"),
-    ])
+        (20240811, "ec61ec5e2b4ea6221a4e01cd4232fbf2d4640a24f4e767f9d995bca4fb98b0b3"),
+        (918273645, "9ea777777a1a8fb18786bb1700f74dd38507150749af39487504369b5c6d9f3e"),
+    ], ids=["20240811", "918273645"])
     def test_criterion10_csv_is_pinned(self, tmp_path, seed, digest):
-        # The digests of one kernel pass per lambda. Every instance here
+        # The digests of one kernel pass per lambda, re-pinned when the
+        # stability LP started from its crash basis (the least-core vertex
+        # is not unique, so decisions and cells moved). Every instance here
         # has more admissible mixtures than one chunk holds.
         path = tmp_path / "o.csv"
         run_stress(criterion10_cfg(seed=seed), csv_path=path)
