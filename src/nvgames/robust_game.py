@@ -200,7 +200,7 @@ class RobustGameSolver:
         self.grand_wc = worst_case_order(inst, inst.grand_mask)
         self._grand_coupling: tuple | None = None
         self._vertex_rows: list[np.ndarray] | None = None
-        self._vertex_nums: dict[int, tuple[np.ndarray, ...]] = {}
+        self._vertex_nums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._vertex_den: tuple[float, np.ndarray, np.ndarray] | None = None
         self._ratio_start: dict[int, LpSolution] = {}
         self._coalition_cache: dict[int, tuple] = {}
@@ -308,29 +308,25 @@ class RobustGameSolver:
         )
 
     def _vertex_ratios(self, y: float, mask: int) -> tuple[np.ndarray, ...]:
-        """(gammas, nums, at, abs_at, den, grand) of the vertex path at order
-        y: the candidate orders, each one's numerator over the joint atoms,
-        those numerators at every vertex (nums @ verts.T) and their absolute
-        values there (|nums| @ verts.T), the grand profit over the joint
-        atoms and at every vertex, so that at[i, v] / grand[v] is the ratio
-        of (gamma_i, vertex v). A coalition inside one block has its known
-        block value as its one numerator. The first four depend on the
-        coalition alone and are kept per coalition, den and grand for the
-        last y."""
+        """(gammas, nums, den, grand) of the vertex path at order y: the
+        candidate orders, each one's numerator over the joint atoms, the
+        grand profit over the joint atoms and at every vertex, so that
+        nums[i] @ q / den @ q is the ratio of (gamma_i, q). A coalition
+        inside one block has its known block value as its one numerator.
+        The numerators are kept per coalition, den and grand for the last
+        y."""
         p, pc = self.p, self.p - self.c
-        verts = self.poly.vertices()
         if self._vertex_den is None or self._vertex_den[0] != y:
             den = pc * y - p * np.maximum(y - self.d_grand, 0.0)
-            self._vertex_den = (y, den, verts @ den)
+            self._vertex_den = (y, den, self.poly.vertices() @ den)
         nums = self._vertex_nums.get(mask)
         if nums is None:
             if len(self._blocks_met(mask)) == 1:
                 y_s, vbar = self._block_value(mask)
-                gammas, num = np.array([y_s]), np.full((1, self.d_grand.size), vbar)
+                nums = np.array([y_s]), np.full((1, self.d_grand.size), vbar)
             else:
                 d_s, gammas = self._coalition_data(mask)[:2]
-                num = pc * gammas[:, None] - p * np.maximum(gammas[:, None] - d_s, 0.0)
-            nums = gammas, num, num @ verts.T, np.abs(num) @ verts.T
+                nums = gammas, pc * gammas[:, None] - p * np.maximum(gammas[:, None] - d_s, 0.0)
             self._vertex_nums[mask] = nums
         return nums + self._vertex_den[1:]
 
@@ -341,11 +337,13 @@ class RobustGameSolver:
         q) / (den @ q) of its exact value (Higham 2002, ch. 3, first order),
         so every exactly attaining vertex is among them."""
         verts = self.poly.vertices()
-        _gammas, _nums, at, abs_at, den, grand = self._vertex_ratios(self._last_table.y, mask)
-        ratios = at / grand
+        _gammas, nums, den, grand = self._vertex_ratios(self._last_table.y, mask)
+        ratios = (nums @ verts.T) / grand
         k = den.size + 2
         u = np.finfo(float).eps / 2
-        err = k * u / (1 - k * u) * (abs_at + np.abs(ratios) * (verts @ np.abs(den))) / grand
+        err = k * u / (1 - k * u) * (
+            np.abs(nums) @ verts.T + np.abs(ratios) * (verts @ np.abs(den))
+        ) / grand
         top = np.unravel_index(np.argmax(ratios), ratios.shape)
         return np.flatnonzero(np.any(ratios >= ratios[top] - err[top] - err, axis=0))
 
@@ -356,8 +354,8 @@ class RobustGameSolver:
             # row-major order on ties, reported as its vertex's own ratio.
             if self._vertex_rows is None:
                 self._vertex_rows = list(verts)  # one array per vertex, for `witnesses`
-            gammas, nums, at, _abs_at, den, grand = self._vertex_ratios(y, mask)
-            g, v = divmod(int(np.argmax(at / grand)), grand.size)
+            gammas, nums, den, grand = self._vertex_ratios(y, mask)
+            g, v = divmod(int(np.argmax((nums @ verts.T) / grand)), grand.size)
             q = self._vertex_rows[v]
             return VmaxResult(float(nums[g] @ q) / float(den @ q), float(gammas[g]), q)
         if len(self._blocks_met(mask)) == 1:
