@@ -8,9 +8,9 @@ from nvgames.coop import (
     core_membership,
     imputation_check,
     least_core,
+    solve_stability_lp,
 )
 from nvgames.distributions import DiscreteMarginal, Instance, independent_joint
-from nvgames.coop import solve_stability_lp
 from nvgames.errors import InputError, SolverError
 
 from conftest import random_instance
@@ -235,7 +235,14 @@ def stability_tables(seed: int, count: int):
 
 class TestStabilityCrashStart:
     def test_matches_the_two_phase_oracle_without_phase_one(self, simplex_phases):
+        # The crash basis takes x_0 or its negative part by the total's sign
+        # and eps or its negative part by eps0's, and its row k* may hold
+        # player 0 or not; the tables reach all 12 combinations.
+        cases = set()
         for n, table, total in stability_tables(34, 500):
+            excess = {m: v - (total if m & 1 else 0.0) for m, v in table.items()}
+            k_star = max(sorted(excess), key=excess.__getitem__)
+            cases.add((np.sign(total), excess[k_star] < 0, bool(k_star & 1)))
             del simplex_phases[:]
             x, eps, _w = solve_stability_lp(n, table, total)
             assert simplex_phases and 1 not in simplex_phases
@@ -244,17 +251,7 @@ class TestStabilityCrashStart:
             assert abs(float(np.sum(x)) - total) <= 1e-12
             worst = max(v - sum(x[j] for j in range(n) if m >> j & 1) - eps for m, v in table.items())
             assert worst <= 1e-12
-
-    def test_tables_cover_every_start_case(self):
-        # The crash basis takes x_0 or its negative part by the total's sign
-        # and eps or its negative part by eps0's, and its row k* may hold
-        # player 0 or not; the tables above reach every combination.
-        seen = set()
-        for n, table, total in stability_tables(34, 500):
-            excess = {m: v - (total if m & 1 else 0.0) for m, v in table.items()}
-            k_star = max(sorted(excess), key=excess.__getitem__)
-            seen.add((np.sign(total), excess[k_star] < 0, bool(k_star & 1)))
-        assert len(seen) == 12
+        assert len(cases) == 12
 
     def test_masks_without_player_0_are_unbounded_for_both(self, simplex_phases):
         # Player 0 in no row: x_0 absorbs the total, the other coordinates
