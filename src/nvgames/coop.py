@@ -6,11 +6,17 @@ Coalitions are bitmasks (bit i = player i); LP rows are always emitted in
 increasing mask order so bases are reproducible. Every stability LP (the
 least core here and each robust sigma probe) starts from a feasible crash
 basis built from its own table (see `solve_stability_lp`), so its answer
-depends on that table alone.
+depends on that table alone. It is solved on the table divided by a power
+of two near its largest value, so the LP's absolute tolerances act alike
+at every scale of profits.
+
+The deterministic game takes every coalition's value from one call of the
+newsvendor's row-wise order kernel over all 2^n - 1 demand rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,7 +25,7 @@ import numpy as np
 from .distributions import Instance, JointDistribution, coalition_mask
 from .errors import InputError, SolverError
 from .lp import LinearProgram, solve_lp
-from .newsvendor import optimal_order
+from .newsvendor import optimal_orders
 
 MEMBERSHIP_TOL = 1e-7
 
@@ -54,11 +60,11 @@ class CharacteristicFunction:
 
 def build_deterministic_game(inst: Instance, q: JointDistribution) -> CharacteristicFunction:
     """Characteristic function v(S) = optimal expected profit of S under the
-    (fully known) joint distribution q."""
+    (fully known) joint distribution q, every coalition's in one
+    `optimal_orders` call."""
     n = inst.n_retailers
     values = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        values[mask] = optimal_order(inst, q, mask).value
+    values[1:] = optimal_orders(inst, q, range(1, 1 << n))[1]
     return CharacteristicFunction(n, values)
 
 
@@ -86,7 +92,13 @@ def solve_stability_lp(
     basis is triangular, and each slack is eps0 - (value(S) - x(S)) >= 0.
     The start depends on the table alone, never on an earlier solve. The
     optimal x and w are not unique in general; this start picks the vertex
-    that the pivots from it reach."""
+    that the pivots from it reach.
+
+    The program is solved on the table and total divided by the power of
+    two nearest max(|value(S)|, |total|), and x and eps are multiplied back.
+    Short of underflow that division rounds nothing, so a table scaled by
+    2^k gives x and eps scaled by 2^k bit for bit and the same w, and the
+    absolute tolerances of `lp` act on a program of unit size."""
     masks = sorted(values_by_mask)
     if any(m <= 0 or m >= (1 << n) for m in masks):
         raise InputError("stability constraints must be over nonempty coalitions of 0..n-1")
@@ -94,6 +106,9 @@ def solve_stability_lp(
         return np.full(n, total / n), 0.0, np.zeros(0)
     rows = _coalition_indicator_rows(n, masks)
     vals = np.array([float(values_by_mask[m]) for m in masks])
+    top = max(float(np.max(np.abs(vals))), abs(float(total)))
+    scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
+    vals, total = vals / scale, total / scale
     a_ub = -np.hstack([rows, np.ones((len(masks), 1))])
     a_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
     lp = LinearProgram(
@@ -114,7 +129,7 @@ def solve_stability_lp(
     if sol.status != "optimal":
         raise SolverError(f"stability LP reported {sol.status!r}")
     # duals[0] prices x(N) = total; a coalition row reads -(x(S) + eps) <= -value(S).
-    return sol.x[:n].copy(), float(sol.x[n]), -sol.duals[1:]
+    return sol.x[:n] * scale, float(sol.x[n]) * scale, -sol.duals[1:]
 
 
 def least_core(v: CharacteristicFunction) -> tuple[np.ndarray, float]:

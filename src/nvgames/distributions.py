@@ -604,10 +604,26 @@ class FrechetPolytope:
 
     def coalition_demands(self, mask: int) -> np.ndarray:
         """Aggregate demand d_k(S) at every joint atom, shape (K,)."""
-        per_block = self.coalition_block_values(mask)
-        total = np.zeros(self.n_atoms)
-        for r, vals in enumerate(per_block):
-            total += vals[self.block_class[r]]
+        return self.coalition_demand_rows([mask])[0]
+
+    def coalition_demand_rows(self, masks: Sequence[int]) -> np.ndarray:
+        """Aggregate demand d_k(S) of every coalition in `masks` at every
+        joint atom, shape (len(masks), K). Each block's aggregate is formed
+        once per distinct S cap N_r by `block_aggregate` (numpy sums 8 or
+        more columns pairwise, so the sum itself is not re-derived), and
+        the blocks add in block order."""
+        masks = [int(m) for m in masks]
+        total = np.zeros((len(masks), self.n_atoms))
+        if not masks:
+            return total
+        for block, m, reps, cls in zip(
+            self.partition, self.marginals, self.class_reps, self.block_class
+        ):
+            bmask = sum(1 << i for i in block)
+            subs: dict[int, int] = {}
+            rows = [subs.setdefault(mask & bmask, len(subs)) for mask in masks]
+            vals = np.array([block_aggregate(block, m.atoms, s)[reps] for s in subs])
+            total += np.take(vals[rows], cls, axis=1)
         return total
 
 

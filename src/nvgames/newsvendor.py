@@ -7,15 +7,26 @@ d(S) = sum_r d_r(S), and among all joints with the given block marginals
 the comonotonic coupling of the block aggregates d_r(S) maximizes the
 expectation of every convex function of their sum (Meilijson & Nadas 1979;
 Dhaene et al. 2002). That coupling does not depend on y.
+
+Every critical-ratio order goes through one row-wise kernel,
+`critical_orders`: demand rows over one probability vector, each row
+sorted (stably), its probabilities summed cumulatively in that order, and
+its expected shortage taken as one BLAS dot. A row's order and profit do
+not depend on the other rows, so the batched callers (`worst_case_orders`
+once per block, `optimal_orders` for the deterministic game over every
+coalition) and the one-coalition entry points, which run it on one row,
+give the same floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .distributions import (
+    FrechetPolytope,
     Instance,
     JointDistribution,
     block_aggregate,
@@ -59,13 +70,60 @@ class OrderResult:
     value: float
 
 
-def pushforward(inst: Instance, q: JointDistribution, s) -> ScalarDemand:
-    """Distribution of the coalition's aggregate demand under joint q."""
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., i, :] @ b[i] for every row i (a may stack several matrices of
+    b's shape), as one stacked matmul: numpy computes each row with the same
+    BLAS dot as a 1-D `a[i] @ b[i]`, so the values are bit-identical to the
+    per-row products (an einsum, an elementwise product summed, or a
+    matrix-vector product can differ in the last bit)."""
+    return np.matmul(a[..., None, :], b[:, :, None])[..., 0, 0]
+
+
+def _quantile_rows(values: np.ndarray, probs: np.ndarray, ratio: float) -> np.ndarray:
+    """The critical-ratio quantile of every row of `values` under `probs`:
+    in the row's stable sort order, the value at the count of cumulative
+    probabilities below ratio - 1e-12 (the largest value if rounding keeps
+    all of them below). With nonnegative probabilities that is the
+    smallest value whose CDF reaches ratio - 1e-12, duplicates merged."""
+    order = np.argsort(values, axis=1, kind="stable")
+    cdf = np.cumsum(probs[order], axis=1)
+    pos = np.minimum(np.count_nonzero(cdf < ratio - _QUANTILE_EPS, axis=1), values.shape[1] - 1)
+    rows = np.arange(values.shape[0])
+    return values[rows, order[rows, pos]]
+
+
+def critical_orders(
+    inst: Instance, demands: np.ndarray, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(orders, profits): the critical-ratio order y of every row of
+    `demands` (rows x atoms) under the one probability vector `probs`, and
+    its expected profit (p-c)*y - p*E[(y - d)^+]."""
+    y = _quantile_rows(demands, probs, inst.ratio)
+    short = np.maximum(y[:, None] - demands, 0.0)
+    shortage = row_dots(short, np.broadcast_to(probs, short.shape))
+    return y, (inst.price - inst.cost) * y - inst.price * shortage
+
+
+def _joint_polytope(inst: Instance, q: JointDistribution) -> FrechetPolytope:
+    """The instance's polytope, refusing a joint over another support."""
     poly = get_polytope(inst)
     if q.n_atoms != poly.n_atoms:
         raise InputError(
             f"joint distribution has {q.n_atoms} atoms, instance support has {poly.n_atoms}"
         )
+    return poly
+
+
+def _nonempty_masks(inst: Instance, coalitions: Iterable, caller: str) -> list[int]:
+    masks = [coalition_mask(s, inst.n_retailers) for s in coalitions]
+    if not all(masks):
+        raise InputError(f"{caller} requires a nonempty coalition")
+    return masks
+
+
+def pushforward(inst: Instance, q: JointDistribution, s) -> ScalarDemand:
+    """Distribution of the coalition's aggregate demand under joint q."""
+    poly = _joint_polytope(inst, q)
     mask = coalition_mask(s, inst.n_retailers)
     return ScalarDemand(poly.coalition_demands(mask), q.q)
 
@@ -80,32 +138,34 @@ def expected_profit(inst: Instance, q: JointDistribution, y: float, s) -> float:
 
 
 def quantile_order(d: ScalarDemand, ratio: float) -> float:
-    """Smallest support value whose CDF reaches `ratio` (left-continuous
-    generalized inverse; duplicated atoms merge first)."""
+    """Smallest support value whose CDF reaches `ratio` less 1e-12
+    (left-continuous generalized inverse; duplicated atoms merge first):
+    the one-row case of `critical_orders`' quantile."""
     if not (0.0 < ratio < 1.0):
         raise InputError(f"ratio must lie in (0, 1), got {ratio}")
-    order = np.argsort(d.values, kind="stable")
-    sv = d.values[order]
-    cdf = np.cumsum(d.probs[order])
-    # Last index of each run of equal values carries that value's full CDF.
-    last = np.r_[np.flatnonzero(np.diff(sv) > 0), sv.size - 1]
-    hit = cdf[last] >= ratio - _QUANTILE_EPS
-    return float(sv[last[np.argmax(hit)]])
+    return float(_quantile_rows(d.values[None, :], d.probs, ratio)[0])
 
 
 def _order_from_scalar(inst: Instance, d: ScalarDemand) -> OrderResult:
-    y = quantile_order(d, inst.ratio)
-    shortage = float(np.maximum(y - d.values, 0.0) @ d.probs)
-    return OrderResult(y, (inst.price - inst.cost) * y - inst.price * shortage)
+    y, value = critical_orders(inst, d.values[None, :], d.probs)
+    return OrderResult(float(y[0]), float(value[0]))
 
 
 def optimal_order(inst: Instance, q: JointDistribution, s) -> OrderResult:
     """Profit-maximizing order for coalition `s` when the joint is `q`: the
     critical-ratio quantile of the aggregate demand."""
-    mask = coalition_mask(s, inst.n_retailers)
-    if mask == 0:
-        raise InputError("optimal_order requires a nonempty coalition")
-    return _order_from_scalar(inst, pushforward(inst, q, s))
+    mask = _nonempty_masks(inst, [s], "optimal_order")[0]
+    return _order_from_scalar(inst, pushforward(inst, q, mask))
+
+
+def optimal_orders(
+    inst: Instance, q: JointDistribution, coalitions: Iterable
+) -> tuple[np.ndarray, np.ndarray]:
+    """`optimal_order` of every coalition in `coalitions` as (orders,
+    values), from one kernel call over their demand rows."""
+    masks = _nonempty_masks(inst, coalitions, "optimal_order")
+    poly = _joint_polytope(inst, q)
+    return critical_orders(inst, poly.coalition_demand_rows(masks), q.q)
 
 
 def block_demand(inst: Instance, r: int, mask: int) -> ScalarDemand:
@@ -120,16 +180,28 @@ def worst_case_order(inst: Instance, s) -> OrderResult:
     """Order maximizing the worst-case expected profit over all joints
     consistent with the block marginals. Decomposes across blocks: the sum
     of each block's quantile order, with value the sum of block optima."""
-    mask = coalition_mask(s, inst.n_retailers)
-    if mask == 0:
-        raise InputError("worst_case_order requires a nonempty coalition")
-    y_total, v_total = 0.0, 0.0
-    for r, bmask in enumerate(inst.block_masks):
-        if mask & bmask:
-            res = _order_from_scalar(inst, block_demand(inst, r, mask))
-            y_total += res.y_star
-            v_total += res.value
-    return OrderResult(y_total, v_total)
+    y, value = worst_case_orders(inst, [s])
+    return OrderResult(float(y[0]), float(value[0]))
+
+
+def worst_case_orders(inst: Instance, coalitions: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    """`worst_case_order` of every coalition in `coalitions` as (orders,
+    values). Each block runs the kernel once, over the distinct S cap N_r
+    of the coalitions that meet it, and the block optima add in block
+    order. Needs no polytope."""
+    masks = _nonempty_masks(inst, coalitions, "worst_case_order")
+    y_total, v_total = np.zeros(len(masks)), np.zeros(len(masks))
+    for block, m, bmask in zip(inst.partition, inst.marginals, inst.block_masks):
+        met = [i for i, mask in enumerate(masks) if mask & bmask]
+        if not met:
+            continue
+        subs: dict[int, int] = {}
+        rows = [subs.setdefault(masks[i] & bmask, len(subs)) for i in met]
+        demands = np.array([block_aggregate(block, m.atoms, sub) for sub in subs])
+        y, value = critical_orders(inst, demands, m.probs)
+        y_total[met] += y[rows]
+        v_total[met] += value[rows]
+    return y_total, v_total
 
 
 def comonotonic_coupling(inst: Instance, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -50,7 +50,7 @@ from .distributions import (
     sample_extremal,
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
-from .newsvendor import optimal_order, worst_case_order
+from .newsvendor import optimal_order, row_dots, worst_case_orders
 from .robust_game import Decision, RobustGameSolver
 
 WITNESS_POOL_CAP = 256
@@ -233,15 +233,6 @@ def _solve_robust(
     return decision, solver
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[..., i, :] @ b[i] for every row i (a may stack several matrices of
-    b's shape), as one stacked matmul: numpy computes each row with the same
-    BLAS dot as a 1-D `a[i] @ b[i]`, so the values are bit-identical to the
-    per-row products (an einsum, an elementwise product summed, or a
-    matrix-vector product can differ in the last bit)."""
-    return np.matmul(a[..., None, :], b[:, :, None])[..., 0, 0]
-
-
 @dataclass(frozen=True, eq=False)
 class JointStack:
     """Joints as the rows of `q` (read-only, rows x atoms) with `profits`
@@ -276,24 +267,19 @@ class ExcessEvaluator:
         self.poly = get_polytope(inst)
         self.p, self.c = inst.price, inst.cost
         self.ratio = inst.ratio
-        self.d_grand = self.poly.coalition_demands(inst.grand_mask)
+        demands = self.poly.coalition_demand_rows(range(1, inst.grand_mask + 1))
+        self.d_grand = demands[-1]
+        masks = range(1, inst.grand_mask)
         block_masks = inst.block_masks
-        self._masks = []
-        for mask in range(1, inst.grand_mask):
-            d_s = self.poly.coalition_demands(mask)
-            if sum(1 for bm in block_masks if mask & bm) == 1:
-                # Known marginal: the order is pinned to its quantile.
-                y_s = worst_case_order(inst, mask).y_star
-                self._masks.append((mask, d_s, None, y_s))
-            else:
-                order = np.argsort(d_s, kind="stable")
-                self._masks.append((mask, d_s, order, None))
+        single = [m for m in masks if sum(1 for bm in block_masks if m & bm) == 1]
+        # Known marginal: the order is pinned to its quantile.
+        pinned = dict(zip(single, worst_case_orders(inst, single)[0].tolist()))
+        self._masks = [(mask, demands[j], pinned.get(mask)) for j, mask in enumerate(masks)]
         # The coalitions spanning blocks as arrays: their columns, demands,
         # demand sort orders and sorted demands, one row each.
-        span = [j for j, m in enumerate(self._masks) if m[3] is None]
-        k = self.poly.n_atoms
+        span = [j for j, mask in enumerate(masks) if mask not in pinned]
         self._span_cols = np.array(span, dtype=np.intp)
-        self._span_d = np.array([self._masks[j][1] for j in span]).reshape(-1, k)
+        self._span_d = demands[span]
         self._span_orders = np.argsort(self._span_d, axis=1, kind="stable")
         self._span_sorted = np.take_along_axis(self._span_d, self._span_orders, axis=1)
         coalitions = np.array([m[0] for m in self._masks], dtype=np.int64)
@@ -318,10 +304,10 @@ class ExcessEvaluator:
         level = self.ratio - 1e-12
         k = qs.shape[1]
         profits = np.empty((qs.shape[0], len(self._masks)))
-        for j, (_mask, d_s, _order, y_s) in enumerate(self._masks):
+        for j, (_mask, d_s, y_s) in enumerate(self._masks):
             if y_s is not None:
                 short = np.broadcast_to(np.maximum(y_s - d_s, 0.0), qs.shape)
-                profits[:, j] = (p - c) * y_s - p * _row_dots(short, qs)
+                profits[:, j] = (p - c) * y_s - p * row_dots(short, qs)
         for lo in range(0, self._span_cols.size, _COALITION_BATCH):
             batch = slice(lo, lo + _COALITION_BATCH)
             # Cumulative sums (atoms x coalitions x rows) in each coalition's
@@ -335,7 +321,7 @@ class ExcessEvaluator:
             y_s = np.take_along_axis(self._span_sorted[batch], below, axis=1)
             short = y_s[:, :, None] - self._span_d[batch][:, None, :]
             np.maximum(short, 0.0, out=short)
-            profits[:, self._span_cols[batch]] = ((p - c) * y_s - p * _row_dots(short, qs)).T
+            profits[:, self._span_cols[batch]] = ((p - c) * y_s - p * row_dots(short, qs)).T
         profits.setflags(write=False)
         return JointStack(self, qs, profits)
 
@@ -343,7 +329,7 @@ class ExcessEvaluator:
         """The grand coalition's realized profit at order `decision.y` under
         each row of `q` (a matrix of joints as rows)."""
         shortfall = np.maximum(decision.y - self.d_grand, 0.0)
-        return (self.p - self.c) * decision.y - self.p * _row_dots(
+        return (self.p - self.c) * decision.y - self.p * row_dots(
             np.broadcast_to(shortfall, q.shape), q
         )
 

@@ -10,7 +10,9 @@ counterpart, which the countermonotonic vertex attains for two blocks.
 `exact_sigma_slopes` evaluates the least-core cuts in rational arithmetic.
 `two_phase_stability_lp` keeps the cold two-phase solve of the stability LP
 that the crash start replaced, and `exact_least_core_eps` the exact optimum
-of that LP by rational vertex enumeration.
+of that LP by rational vertex enumeration. The `per_coalition_*` and
+`per_mask_*` functions keep the one-coalition-at-a-time loops that the
+batched demand rows and the row-wise order kernel replaced.
 """
 
 from __future__ import annotations
@@ -250,8 +252,9 @@ def scalar_excess(evaluator, q, decision) -> float:
         low = mask & -mask
         zsum[mask] = zsum[mask ^ low] + z[low.bit_length() - 1]
     worst = 0.0
-    for mask, d_s, order, y_fixed in evaluator._masks:
+    for mask, d_s, y_fixed in evaluator._masks:
         if y_fixed is None:
+            order = np.argsort(d_s, kind="stable")
             sv = d_s[order]
             cdf = np.cumsum(qv[order])
             idx = int(np.searchsorted(cdf, evaluator.ratio - 1e-12, side="left"))
@@ -355,3 +358,53 @@ def _solve_exact(a):
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], pivot_row)]
     return [row[size] for row in a]
+
+
+def per_coalition_order(inst, values, probs) -> tuple[float, float]:
+    """(order, expected profit) of one demand vector under `probs` by the
+    merged-run quantile that the row-wise kernel replaced: sort stably,
+    take the last index of each run of equal values, and order the first
+    run whose cumulative probability reaches the critical ratio less
+    1e-12."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    cdf = np.cumsum(probs[order])
+    last = np.r_[np.flatnonzero(np.diff(sv) > 0), sv.size - 1]
+    hit = cdf[last] >= inst.ratio - 1e-12
+    y = float(sv[last[np.argmax(hit)]])
+    shortage = float(np.maximum(y - values, 0.0) @ probs)
+    return y, (inst.price - inst.cost) * y - inst.price * shortage
+
+
+def per_coalition_demands(poly, mask: int) -> np.ndarray:
+    """A coalition's demand at every joint atom, its block values added in
+    block order: the one-mask form of `coalition_demand_rows`."""
+    total = np.zeros(poly.n_atoms)
+    for r, vals in enumerate(poly.coalition_block_values(mask)):
+        total += vals[poly.block_class[r]]
+    return total
+
+
+def per_coalition_worst_case_order(inst, mask: int) -> tuple[float, float]:
+    """The worst-case order and value as the sum over the blocks S meets,
+    in block order, of each block's `per_coalition_order`."""
+    from nvgames.distributions import block_aggregate
+
+    y_total, v_total = 0.0, 0.0
+    for block, m, bmask in zip(inst.partition, inst.marginals, inst.block_masks):
+        if mask & bmask:
+            y, v = per_coalition_order(inst, block_aggregate(block, m.atoms, mask), m.probs)
+            y_total += y
+            v_total += v
+    return y_total, v_total
+
+
+def per_mask_deterministic_values(inst, q) -> np.ndarray:
+    """v(S) of the deterministic game under joint q by one `optimal_order`
+    call per coalition, the loop that `build_deterministic_game` replaced."""
+    from nvgames.newsvendor import optimal_order
+
+    values = np.zeros(1 << inst.n_retailers)
+    for mask in range(1, values.size):
+        values[mask] = optimal_order(inst, q, mask).value
+    return values

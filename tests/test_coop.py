@@ -253,6 +253,33 @@ class TestStabilityCrashStart:
             assert worst <= 1e-12
         assert len(cases) == 12
 
+    def test_power_of_two_scaling_is_exact(self):
+        # The LP runs on the table divided by a power of two near its
+        # largest value, so scaling the table by 2^k scales x and eps by
+        # 2^k bit for bit and leaves the dual weights as they are.
+        for n, table, total in stability_tables(35, 100):
+            x, eps, w = solve_stability_lp(n, table, total)
+            for k in (-30, -17, -1, 1, 9, 30):
+                f = 2.0**k
+                xs, eps_s, ws = solve_stability_lp(
+                    n, {m: v * f for m, v in table.items()}, total * f
+                )
+                assert np.array_equal(xs, x * f)
+                assert eps_s == eps * f
+                assert np.array_equal(ws, w)
+
+    @pytest.mark.parametrize("factor", [1e9, 1e12])
+    def test_large_values_solve(self, factor):
+        # An absolute feasibility check on the unscaled program raised on
+        # 60 of these 500 tables at x1e9 and on 366 at x1e12.
+        for n, table, total in stability_tables(34, 500):
+            x, eps, _w = solve_stability_lp(
+                n, {m: v * factor for m, v in table.items()}, total * factor
+            )
+            _x, expect, _w = solve_stability_lp(n, table, total)
+            assert abs(eps / factor - expect) <= 1e-12
+            assert abs(float(np.sum(x)) / factor - total) <= 1e-12
+
     def test_masks_without_player_0_are_unbounded_for_both(self, simplex_phases):
         # Player 0 in no row: x_0 absorbs the total, the other coordinates
         # grow without limit and eps falls with them.

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvgames import coop, robust_game, stress
+from nvgames import coop, newsvendor, robust_game, stress
 from nvgames import lp as lp_module
 from nvgames.distributions import (
     DiscreteMarginal,
@@ -178,8 +178,9 @@ def _is_stable(inst, evaluator, q, d) -> bool:
     p, c = inst.price, inst.cost
     qv = q.q
     den = (p - c) * d.y - p * float(np.maximum(d.y - evaluator.d_grand, 0.0) @ qv)
-    for mask, d_s, order, y_fixed in evaluator._masks:
+    for mask, d_s, y_fixed in evaluator._masks:
         if y_fixed is None:
+            order = np.argsort(d_s, kind="stable")
             sv = d_s[order]
             cdf = np.cumsum(qv[order])
             idx = min(int(np.searchsorted(cdf, inst.ratio - 1e-12)), sv.size - 1)
@@ -289,6 +290,23 @@ class TestRunStress:
         # LPs, one per sigma evaluation, remain. Each starts from its crash
         # basis, with no phase 1 (253 pivots with the two-phase start).
         assert counted_lp_run(monkeypatch) == [15, 76]
+
+    def test_pushforward_runs_once_per_instance(self, monkeypatch):
+        # Only the grand order of each deterministic decision goes through
+        # pushforward: the deterministic game's coalition values come from
+        # one batched kernel call, and the robust solver and the excess
+        # evaluator read their demand rows and orders in batches.
+        original = newsvendor.pushforward
+        masks = []
+
+        def spy(inst, q, s):
+            masks.append(s)
+            return original(inst, q, s)
+
+        monkeypatch.setattr(newsvendor, "pushforward", spy)
+        cfg = small_cfg()
+        run_stress(cfg)
+        assert masks == [(1 << cfg.n) - 1] * cfg.num_instances
 
     @pytest.mark.parametrize("path", ["vertex", "lp"])
     def test_stability_lps_match_the_two_phase_oracle(self, monkeypatch, simplex_phases, path):
