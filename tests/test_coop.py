@@ -270,8 +270,8 @@ class TestStabilityCrashStart:
 
     @pytest.mark.parametrize("factor", [1e9, 1e12])
     def test_large_values_solve(self, factor):
-        # An absolute feasibility check on the unscaled program raised on
-        # 60 of these 500 tables at x1e9 and on 366 at x1e12.
+        # Solved unscaled, the LP's absolute feasibility check fails on 60
+        # of these 500 tables at x1e9 and on 366 at x1e12.
         for n, table, total in stability_tables(34, 500):
             x, eps, _w = solve_stability_lp(
                 n, {m: v * factor for m, v in table.items()}, total * factor
