@@ -74,10 +74,12 @@ def _coalition_indicator_rows(n: int, masks) -> np.ndarray:
 
 
 def solve_stability_lp(
-    n: int, values_by_mask: Mapping[int, float], total: float
+    n: int, values_by_mask: Mapping[int, float] | np.ndarray, total: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """min eps s.t. x(S) + eps >= value(S) for each given coalition and
-    x(N) = total, with x and eps free. Rows are emitted in increasing mask
+    x(N) = total, with x and eps free. The values come as a mapping from
+    coalition masks, or as an array whose entry i is the value of mask
+    i + 1 (a robust table's `ratios`). Rows are emitted in increasing mask
     order. Returns (x, eps, w): w holds the coalition weights of the dual,
     w_S = d eps / d value(S) >= 0 in increasing mask order, summing to 1.
 
@@ -99,13 +101,17 @@ def solve_stability_lp(
     Short of underflow that division rounds nothing, so a table scaled by
     2^k gives x and eps scaled by 2^k bit for bit and the same w, and the
     absolute tolerances of `lp` act on a program of unit size."""
-    masks = sorted(values_by_mask)
+    if isinstance(values_by_mask, np.ndarray):
+        masks = list(range(1, values_by_mask.size + 1))
+        vals = values_by_mask.astype(float)
+    else:
+        masks = sorted(values_by_mask)
+        vals = np.array([float(values_by_mask[m]) for m in masks])
     if any(m <= 0 or m >= (1 << n) for m in masks):
         raise InputError("stability constraints must be over nonempty coalitions of 0..n-1")
     if not masks:
         return np.full(n, total / n), 0.0, np.zeros(0)
     rows = _coalition_indicator_rows(n, masks)
-    vals = np.array([float(values_by_mask[m]) for m in masks])
     top = max(float(np.max(np.abs(vals))), abs(float(total)))
     scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
     vals, total = vals / scale, total / scale

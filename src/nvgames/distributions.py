@@ -40,12 +40,18 @@ CONSISTENCY_TOL = 1e-9
 # broke even and 3 x 6 took 1.2-1.4x longer, after enumerations of
 # 0.04-0.07 s.
 _VERTEX_CAP = 32768
-# Column sets per batch of the enumeration: bounds its memory (at 512 the
-# stress experiment's peak RSS rose 0.3 MB, at 256 0.17 MB).
+# Column sets per batch of the enumeration and of the basis inverses: bounds
+# their memory (at 512 the stress experiment's peak RSS rose 0.3 MB, at 256
+# 0.17 MB; inverting every 4 x 4 basis at once raised it by 4 MB).
 _BASIS_BATCH = 256
 # A basic solution's entries within this of 0 are 0 (degenerate vertices),
 # and one below -this is infeasible.
 _VERTEX_ZERO = 1e-13
+# A basic solution from the integer inverses with an entry this close to
+# +-_VERTEX_ZERO is too close to call against the rounding of an
+# np.linalg.solve, some 1e-16 on sums of a few probabilities: the screen
+# then solves every basis instead.
+_SCREEN_MARGIN = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +525,21 @@ class FrechetPolytope:
 
         Built on first use from the column bases of the class product
         (`_column_bases`, shared by every polytope with the same class
-        counts): each class tuple stands for its joint atom of
-        representatives, each basis is solved against this polytope's
-        `rhs` by batched `np.linalg.solve`, the infeasible solutions are
-        dropped, and one row is kept per support (a vertex is the only
-        point of the polytope with its support). A polytope with at most one
-        block of several classes is a single point, which the consistency
-        rows give directly. Raises SolverError unless every row meets the
-        consistency rows within 1e-12."""
+        counts), each class tuple standing for its joint atom of
+        representatives. A screen takes every basic solution against this
+        polytope's `rhs`, drops the infeasible ones and keeps the first
+        basis of each support, in basis order (a vertex is the only point
+        of the polytope with its support). For two blocks the screen is one
+        product with the shape's integer basis inverses (`_basis_inverses`);
+        otherwise, or when an entry is too close to a threshold to call, it
+        is a batched `np.linalg.solve` of every basis. Only the kept bases,
+        180-384 of the 4 096 at 4 x 4 classes, are then solved for the
+        vertices by batched `np.linalg.solve`, the same LAPACK solve per
+        basis whatever the batch, so every vertex has the bits of that
+        solve. A polytope with at most one block of several classes is a
+        single point, which the consistency rows give directly. Raises
+        SolverError unless every row meets the consistency rows within
+        1e-12."""
         if self._candidate_sets() > _VERTEX_CAP:
             return None
         if self._vertices is None:
@@ -555,19 +568,19 @@ class FrechetPolytope:
         """One vertex per support from the column bases of the class
         product, `atoms` giving each class tuple's joint atom."""
         a, bases = _column_bases(self.class_counts)
-        m = a.shape[0]
-        found: dict[bytes, np.ndarray] = {}  # support -> first vertex with it
-        for start in range(0, bases.shape[0], _BASIS_BATCH):
-            cols = bases[start : start + _BASIS_BATCH]
-            rhs = np.broadcast_to(self.rhs[:, None], (cols.shape[0], m, 1))
-            x = np.linalg.solve(np.moveaxis(a[:, cols], 1, 0), rhs)[..., 0]
-            feasible = np.all(x >= -_VERTEX_ZERO, axis=1)
-            x = np.where(x > _VERTEX_ZERO, x, 0.0)[feasible]
-            rows = np.zeros((x.shape[0], self.n_atoms))
-            rows[np.arange(x.shape[0])[:, None], atoms[cols[feasible]]] = x
-            for key, row in zip(np.packbits(rows > 0.0, axis=1), rows):
-                found.setdefault(key.tobytes(), row)
-        return np.array(list(found.values()))
+        inv = _basis_inverses(self.class_counts)
+        x = _basic_solutions(a, bases, self.rhs, inv)
+        if inv is not None and np.any(np.abs(np.abs(x) - _VERTEX_ZERO) <= _SCREEN_MARGIN):
+            x = _basic_solutions(a, bases, self.rhs, None)
+        feasible = np.flatnonzero(np.all(x >= -_VERTEX_ZERO, axis=1))
+        support = np.zeros((feasible.size, a.shape[1]), dtype=bool)
+        support[np.arange(feasible.size)[:, None], bases[feasible]] = x[feasible] > _VERTEX_ZERO
+        _supports, first = np.unique(np.packbits(support, axis=1), axis=0, return_index=True)
+        cols = bases[feasible[np.sort(first)]]
+        x = _basic_solutions(a, cols, self.rhs, None)
+        rows = np.zeros((cols.shape[0], self.n_atoms))
+        rows[np.arange(cols.shape[0])[:, None], atoms[cols]] = np.where(x > _VERTEX_ZERO, x, 0.0)
+        return rows
 
     def consistency_gap(self, q: np.ndarray) -> float:
         """Largest absolute violation across all per-value class constraints
@@ -666,6 +679,54 @@ def _column_bases(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     bases = np.concatenate(bases)
     bases.setflags(write=False)
     return a, bases
+
+
+@functools.lru_cache(maxsize=16)
+def _basis_inverses(counts: tuple[int, ...]) -> np.ndarray | None:
+    """The inverse of every column basis of `_column_bases(counts)`, as a
+    read-only int8 (count, m, m) array in basis order, when all of them are
+    integral, else None. For two blocks the consistency rows are, up to
+    unimodular row operations, rows of the incidence matrix of a bipartite
+    graph, which is totally unimodular (Hoffman-Kruskal 1956), so every
+    inverse is integral; at 4 x 4 classes every entry is -1, 0 or 1, and
+    the array takes 4 096 x 7 x 7 bytes, about 200 KB. For three or more
+    blocks some inverses are fractional. Each inverse is rounded and
+    checked, B @ R = I, which on these small integers is exact in floating
+    point; `_BASIS_BATCH` bases at a time."""
+    a, bases = _column_bases(counts)
+    m = a.shape[0]
+    out = np.empty((bases.shape[0], m, m), dtype=np.int8)
+    for lo in range(0, bases.shape[0], _BASIS_BATCH):
+        mats = np.moveaxis(a[:, bases[lo : lo + _BASIS_BATCH]], 1, 0)
+        inv = np.rint(np.linalg.inv(mats))
+        if np.max(np.abs(inv)) > 127 or not np.array_equal(
+            mats @ inv, np.broadcast_to(np.eye(m), inv.shape)
+        ):
+            return None
+        out[lo : lo + inv.shape[0]] = inv
+    out.setflags(write=False)
+    return out
+
+
+def _basic_solutions(
+    a: np.ndarray, bases: np.ndarray, rhs: np.ndarray, inv: np.ndarray | None
+) -> np.ndarray:
+    """The basic solution of every column basis of `a` (rows of `bases`)
+    against `rhs`, as a (count, m) matrix, `_BASIS_BATCH` bases at a time:
+    one product with the bases' integer inverses `inv` when given, else a
+    batched `np.linalg.solve`, which runs LAPACK's gesv on each basis
+    alone, so a basis gets the same bits in any batch."""
+    m = a.shape[0]
+    x = np.empty(bases.shape)
+    for lo in range(0, bases.shape[0], _BASIS_BATCH):
+        cols = bases[lo : lo + _BASIS_BATCH]
+        hi = lo + cols.shape[0]
+        if inv is None:
+            b = np.broadcast_to(rhs[:, None], (cols.shape[0], m, 1))
+            x[lo:hi] = np.linalg.solve(np.moveaxis(a[:, cols], 1, 0), b)[..., 0]
+        else:
+            x[lo:hi] = (inv[lo:hi].reshape(-1, m) @ rhs).reshape(-1, m)
+    return x
 
 
 _POLYTOPES: "weakref.WeakKeyDictionary[Instance, FrechetPolytope]" = (

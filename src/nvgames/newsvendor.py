@@ -253,9 +253,13 @@ def lemma3_condition(inst: Instance) -> bool:
     return False
 
 
-def grand_action_interval(inst: Instance) -> tuple[float, float]:
+def grand_action_interval(
+    inst: Instance, wc: OrderResult | None = None, coupling: tuple | None = None
+) -> tuple[float, float]:
     """The interval (0, y_hi) of grand orders whose profit stays positive
-    under every consistent joint.
+    under every consistent joint. `wc` and `coupling` are the grand
+    coalition's `worst_case_order` and `comonotonic_coupling`, computed
+    here unless a caller that holds them passes them in.
 
     The worst-case profit g(y) is concave with g(0) = 0, so when it is
     positive at its peak, {g > 0} is an interval whose lower end is exactly
@@ -264,8 +268,10 @@ def grand_action_interval(inst: Instance) -> tuple[float, float]:
     is found by scanning those sums past the peak and interpolating on the
     segment where g changes sign; g(y_hi) <= 0, and it is 0 up to rounding.
     """
-    wc = worst_case_order(inst, inst.grand_mask)
-    coupling = comonotonic_coupling(inst, inst.grand_mask)
+    if wc is None:
+        wc = worst_case_order(inst, inst.grand_mask)
+    if coupling is None:
+        coupling = comonotonic_coupling(inst, inst.grand_mask)
 
     def g(y: float) -> float:
         return coupled_profit(inst, coupling, y)

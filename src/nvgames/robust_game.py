@@ -59,16 +59,30 @@ Small polytopes skip the LPs. A linear-fractional program with a positive
 denominator attains its maximum at a vertex (Charnes-Cooper 1962), so when
 the polytope has a vertex table (`FrechetPolytope.vertices`, built when its
 value classes have at most `distributions._VERTEX_CAP` = 32 768 candidate
-column sets) v_max(y, S) is the maximum of one (gamma x vertex) matrix of
-ratios num_gamma @ q / den @ q: two matrix products, no tolerance, no
-screen and no starting vertex (a coalition inside one block has its block
-value as its one numerator). With duplicate atoms the table holds only the
-vertices on each class's representative atom, but every ratio depends on
-the atoms only through their demands, so its maximum, ties and slopes are
-the same. Ties go to the first maximum in row-major order (gamma ascending,
-then the vertex's row in the table), so a witness depends only on y and S,
-not on earlier solves, and the witness is the table's row itself. Above the
-cap the Dinkelbach LPs above are the only path.
+column sets) v_max(y, S) is the maximum of the (gamma x vertex) matrix of
+ratios num_gamma @ q / den @ q: no tolerance, no screen and no starting
+vertex (a coalition inside one block has its block value as its one
+numerator). With duplicate atoms the table holds only the vertices on each
+class's representative atom, but every ratio depends on the atoms only
+through their demands, so its maximum, ties and slopes are the same. Ties
+go to the first maximum in row-major order (gamma ascending, then the
+vertex's row in the table), so a witness depends only on y and S, not on
+earlier solves, and the witness is the table's row itself. Above the cap
+the Dinkelbach LPs above are the only path.
+
+Only the denominator depends on y, so the vertex path runs in whole
+arrays. Once per solver it forms, for every coalition S and vertex v, the
+best numerator M[S, v] = max over gamma of num_gamma(S) @ v and its first
+maximizing gamma. A table, or the one row that `vmax` needs, is then
+M / (vertices @ den(y)) and one maximum per row, the ties going to the
+least (gamma index, vertex row). That is the row-major rule unless a
+smaller gamma's ratio rounds to the same maximum, which needs its
+numerator within a few units of roundoff of M[S, v]; those pairs are
+flagged at build time, and a coalition with a flagged tie takes its whole
+ratio matrix instead. The values are the dot products of the chosen
+numerator row and vertex, the same BLAS dots as the one-coalition formula,
+so every value, order and witness is that of the per-coalition matrix,
+bit for bit.
 
 Beyond those warm starts the solver keeps no per-y history: only the last
 table and, once computed, its sigma with the stability LP's dual weights,
@@ -102,6 +116,8 @@ that attains it (Danskin 1967), so that a probe at a kink of v_S certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -120,6 +136,7 @@ from .newsvendor import (
     comonotonic_coupling,
     coupled_profit,
     grand_action_interval,
+    row_dots,
     worst_case_order,
     worst_case_orders,
 )
@@ -132,6 +149,10 @@ CORE_EPS_TOL = 1e-9
 # two seeds), so the step cap only guards against a loop.
 _DINKELBACH_TOL = 1e-9
 _DINKELBACH_MAX_STEPS = 100
+# Numerator rows per stacked product of the vertex path's per-instance
+# build: bounds its (rows x vertices) temporaries, some 128 KB each at the
+# stress experiment's 4 x 4 classes.
+_NUMERATOR_BATCH = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,26 +186,64 @@ class VmaxResult:
 @dataclass(frozen=True, eq=False)
 class VmaxTable:
     """Worst-case ratios for every nonempty proper coalition at a fixed
-    grand-coalition order y, plus the minimum grand profit at y."""
+    grand-coalition order y, plus the minimum grand profit at y. Entry i of
+    `ratios`, `gammas` and `joints` belongs to coalition mask i + 1: its
+    ratio, its attaining order and its attaining joint. `entries` gives
+    them per mask as `VmaxResult`s, built when first asked for."""
 
     y: float
-    entries: dict[int, VmaxResult]
+    ratios: np.ndarray
+    gammas: np.ndarray
+    joints: Sequence[np.ndarray]
     min_grand_profit: float
 
     def value(self, s) -> float:
-        return self.entries[coalition_mask(s)].value
+        mask = coalition_mask(s)
+        if not 0 < mask <= self.ratios.size:
+            raise KeyError(mask)
+        return float(self.ratios[mask - 1])
 
     @property
     def values(self) -> dict[int, float]:
-        return {mask: e.value for mask, e in self.entries.items()}
+        return dict(enumerate(self.ratios.tolist(), start=1))
+
+    @cached_property
+    def entries(self) -> dict[int, VmaxResult]:
+        return {
+            mask: VmaxResult(value, gamma, q)
+            for mask, (value, gamma, q) in enumerate(
+                zip(self.ratios.tolist(), self.gammas.tolist(), self.joints), start=1
+            )
+        }
+
+
+@dataclass(frozen=True, eq=False)
+class _Numerators:
+    """The vertex path's per-instance data, row i for coalition mask i + 1:
+    the candidate orders `gammas` and their numerator rows `rows` (stacked,
+    coalition i's at `start[i]:start[i + 1]`), and over the V vertices v
+    the best numerator `best[i, v] = max_gamma num_gamma @ v`, its first
+    maximizing gamma `arg[i, v]` (an index into the coalition's orders, in
+    the smallest unsigned dtype that holds their count) and `close[i, v]`,
+    whether a numerator at an order before `arg[i, v]` lies within 4u
+    best[i, v] of it (u the unit roundoff): the only ones whose ratio can
+    round to the same value."""
+
+    gammas: np.ndarray
+    rows: np.ndarray
+    start: np.ndarray
+    best: np.ndarray
+    arg: np.ndarray
+    close: np.ndarray
 
 
 class RobustGameSolver:
     """Worst-case ratio machinery for one instance, and the one entry point
     to its robust core (`core_decision`) and least core (`least_core`).
 
-    Holds warm-start ratio-LP solutions (bases and their factorizations), so
-    it is cheap to evaluate tables at many order quantities. Of the tables
+    Holds warm-start ratio-LP solutions (bases and their factorizations), or
+    on the vertex path the coalition x vertex numerators, so it is cheap to
+    evaluate tables at many order quantities. Of the tables
     it keeps only the last one and its sigma; `witnesses` lists, in build
     order and once per array, the joints that attained the ratios of every
     table built. After `least_core`, `least_core_lower` holds its certified
@@ -200,12 +259,10 @@ class RobustGameSolver:
         self._block_masks = inst.block_masks
         self.d_grand = self.poly.coalition_demands(inst.grand_mask)
         self.grand_wc = worst_case_order(inst, inst.grand_mask)
-        self._grand_coupling: tuple | None = None
         self._vertex_rows: list[np.ndarray] | None = None
-        self._vertex_nums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._numerators: _Numerators | None = None
         self._vertex_den: tuple[float, np.ndarray, np.ndarray] | None = None
         self._ratio_start: dict[int, LpSolution] = {}
-        self._span_demands: dict[int, np.ndarray] | None = None
         self._coalition_cache: dict[int, tuple] = {}
         self._single_block_value: dict[int, tuple[float, float]] = {}
         self._last_table: VmaxTable | None = None
@@ -216,11 +273,15 @@ class RobustGameSolver:
 
     # -- denominators ----------------------------------------------------
 
+    @cached_property
+    def _grand_coupling(self) -> tuple:
+        """The comonotonic coupling of the grand coalition's block
+        aggregates: the consistent joint of least grand profit at every y."""
+        return comonotonic_coupling(self.inst, self.inst.grand_mask)
+
     def min_grand_profit(self, y: float) -> tuple[float, np.ndarray]:
         """min over consistent q of the grand profit at order y, with the
         attaining joint (the same comonotonic one at every y)."""
-        if self._grand_coupling is None:
-            self._grand_coupling = comonotonic_coupling(self.inst, self.inst.grand_mask)
         return coupled_profit(self.inst, self._grand_coupling, y), self._grand_coupling[2]
 
     # -- per-coalition data ------------------------------------------------
@@ -229,10 +290,10 @@ class RobustGameSolver:
         self, mask: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
         """(d_s, gammas, shortage, ctm) of a coalition meeting several
-        blocks: its demand at every joint atom, its candidate orders, a lower
-        bound on E_q(gamma - d_S)^+ over the consistent q at each of them,
-        and for R = 2 the (basis, joint) of the countermonotonic vertex. On
-        the vertex path the last two are None.
+        blocks, for its ratio LPs: its demand at every joint atom, its
+        candidate orders, a lower bound on E_q(gamma - d_S)^+ over the
+        consistent q at each of them, and for R = 2 the (basis, joint) of
+        the countermonotonic vertex.
 
         For R = 2 that vertex attains the bound, which is then exact: the
         countermonotonic coupling of the two block aggregates minimizes
@@ -243,28 +304,20 @@ class RobustGameSolver:
         hit = self._coalition_cache.get(mask)
         if hit is not None:
             return hit
-        if self.poly.vertices() is not None:
-            if self._span_demands is None:
-                # Every table needs every spanning coalition: one batch.
-                span = [m for m in range(1, self.inst.grand_mask) if len(self._blocks_met(m)) > 1]
-                self._span_demands = dict(zip(span, self.poly.coalition_demand_rows(span)))
-            d_s = self._span_demands[mask]
-            data = (d_s, _candidate_orders(d_s), None, None)  # the vertex path needs no screen
+        # Formed as its ratio LPs need it: a batch would keep every
+        # coalition's row alive through the first coalition's LPs (0.3 MB
+        # more peak RSS at example 1, K=200).
+        d_s = self.poly.coalition_demands(mask)
+        gammas = _candidate_orders(d_s[None, :])[0]
+        values = self.poly.coalition_block_values(mask)
+        if self.inst.n_blocks == 2:
+            basis, q, mass = self.poly.northwest_vertex(
+                [np.argsort(values[0], kind="stable"), np.argsort(-values[1], kind="stable")]
+            )
+            data = (d_s, gammas, _expected_shortage(gammas, d_s[list(basis)], mass), (basis, q))
         else:
-            # Formed as its ratio LPs need it: a batch would keep every
-            # coalition's row alive through the first coalition's LPs
-            # (0.3 MB more peak RSS at example 1, K=200).
-            d_s = self.poly.coalition_demands(mask)
-            gammas = _candidate_orders(d_s)
-            values = self.poly.coalition_block_values(mask)
-            if self.inst.n_blocks == 2:
-                basis, q, mass = self.poly.northwest_vertex(
-                    [np.argsort(values[0], kind="stable"), np.argsort(-values[1], kind="stable")]
-                )
-                data = (d_s, gammas, _expected_shortage(gammas, d_s[list(basis)], mass), (basis, q))
-            else:
-                mean = sum(float(self.poly.class_probs[r] @ v) for r, v in enumerate(values))
-                data = (d_s, gammas, np.maximum(gammas - mean, 0.0), None)
+            mean = sum(float(self.poly.class_probs[r] @ v) for r, v in enumerate(values))
+            data = (d_s, gammas, np.maximum(gammas - mean, 0.0), None)
         self._coalition_cache[mask] = data
         return data
 
@@ -313,28 +366,102 @@ class RobustGameSolver:
             f"after {_DINKELBACH_MAX_STEPS} Dinkelbach steps"
         )
 
-    def _vertex_ratios(self, y: float, mask: int) -> tuple[np.ndarray, ...]:
-        """(gammas, nums, den, grand) of the vertex path at order y: the
-        candidate orders, each one's numerator over the joint atoms, the
-        grand profit over the joint atoms and at every vertex, so that
-        nums[i] @ q / den @ q is the ratio of (gamma_i, q). A coalition
-        inside one block has its known block value as its one numerator.
-        The numerators are kept per coalition, den and grand for the last
-        y."""
+    def _vertex_numerators(self) -> _Numerators:
+        """The vertex path's numerators of every nonempty proper coalition
+        (see `_Numerators`), built once per solver. A coalition inside one
+        block has its known block value as its one numerator, at its block
+        order; a spanning one has one numerator row per candidate order,
+        all of them from one row-wise sort of the coalitions' demands.
+
+        Coalitions with the same number of orders share one stacked product
+        with the vertices, `_NUMERATOR_BATCH` rows at a time. numpy runs
+        each coalition's slice of it as the same BLAS call as its own
+        `nums @ verts.T`, so every numerator has the bits of the
+        per-coalition ratio matrix, as `_ties` and the tie fallback of
+        `_vertex_entries` form it."""
+        if self._numerators is not None:
+            return self._numerators
         p, pc = self.p, self.p - self.c
+        verts = self.poly.vertices()
+        masks = range(1, self.inst.grand_mask)
+        span = [m for m in masks if len(self._blocks_met(m)) > 1]
+        d_span = self.poly.coalition_demand_rows(span)
+        orders = dict(zip(span, _candidate_orders(d_span)))
+        gammas = [orders[m] if m in orders else np.array([self._block_value(m)[0]]) for m in masks]
+        counts = np.array([g.size for g in gammas])
+        start = np.r_[0, np.cumsum(counts)]
+        gamma = np.concatenate(gammas)
+        spanning = np.repeat([m in orders for m in masks], counts)
+        g = gamma[spanning][:, None]
+        d = np.repeat(d_span, [orders[m].size for m in span], axis=0)
+        rows = np.empty((gamma.size, self.d_grand.size))
+        rows[spanning] = pc * g - p * np.maximum(g - d, 0.0)
+        values = [self._block_value(m)[1] for m in masks if m not in orders]
+        rows[~spanning] = np.array(values)[:, None]
+
+        shape = (len(masks), verts.shape[0])
+        best, close = np.empty(shape), np.zeros(shape, dtype=bool)
+        arg = np.empty(shape, dtype=np.min_scalar_type(np.max(counts)))
+        u = np.finfo(float).eps / 2
+        for size in np.unique(counts).tolist():
+            members = np.flatnonzero(counts == size)
+            step = max(1, _NUMERATOR_BATCH // size)
+            for lo in range(0, members.size, step):
+                batch = members[lo : lo + step]
+                nums = rows[start[batch, None] + np.arange(size)] @ verts.T
+                arg[batch] = first = np.argmax(nums, axis=1)
+                best[batch] = np.max(nums, axis=1)
+                if size > 1:
+                    earlier = np.arange(size)[:, None] < first[:, None, :]
+                    below = np.max(np.where(earlier, nums, -np.inf), axis=1)
+                    close[batch] = best[batch] - below <= 4 * u * np.abs(best[batch])
+        self._numerators = _Numerators(gamma, rows, start, best, arg, close)
+        return self._numerators
+
+    def _grand_at(self, y: float) -> tuple[np.ndarray, np.ndarray]:
+        """(den, grand) of the vertex path at order y: the grand profit at
+        every joint atom and at every vertex, kept for the last y."""
         if self._vertex_den is None or self._vertex_den[0] != y:
-            den = pc * y - p * np.maximum(y - self.d_grand, 0.0)
+            den = (self.p - self.c) * y - self.p * np.maximum(y - self.d_grand, 0.0)
             self._vertex_den = (y, den, self.poly.vertices() @ den)
-        nums = self._vertex_nums.get(mask)
-        if nums is None:
-            if len(self._blocks_met(mask)) == 1:
-                y_s, vbar = self._block_value(mask)
-                nums = np.array([y_s]), np.full((1, self.d_grand.size), vbar)
-            else:
-                d_s, gammas = self._coalition_data(mask)[:2]
-                nums = gammas, pc * gammas[:, None] - p * np.maximum(gammas[:, None] - d_s, 0.0)
-            self._vertex_nums[mask] = nums
-        return nums + self._vertex_den[1:]
+        return self._vertex_den[1:]
+
+    def _vertex_entries(
+        self, y: float, masks: slice
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """(ratios, gammas, joints) of the coalitions in `masks` (a slice of
+        masks - 1) on the vertex path: per coalition the maximum of its
+        (gamma x vertex) ratio matrix num_gamma @ q / den @ q, the first in
+        row-major order on ties (gamma ascending, then the vertex's row),
+        reported as its vertex's own ratio.
+
+        The ratios at vertex v are at most best[v] / grand[v], attained at
+        arg[v], since division by a positive grand profit keeps the order
+        of the numerators. So the row maximum is that of best / grand, and
+        the first maximizer is the least (arg[v], v) among the tied
+        vertices, unless a numerator before arg[v] rounds to the same
+        ratio. That needs it within 2u(1 + u) best[v] of best[v], so only a
+        coalition with a tied vertex flagged `close` can have one; its
+        whole ratio matrix then decides, as in `_ties`."""
+        data = self._vertex_numerators()
+        verts = self.poly.vertices()
+        if self._vertex_rows is None:
+            self._vertex_rows = list(verts)  # one array per vertex, for `witnesses`
+        den, grand = self._grand_at(y)
+        arg = data.arg[masks]
+        ratios = data.best[masks] / grand
+        tied = ratios == np.max(ratios, axis=1)[:, None]
+        first = np.min(np.where(tied, arg, np.iinfo(arg.dtype).max), axis=1)
+        v = np.argmax(tied & (arg == first[:, None]), axis=1)
+        start = data.start[masks.start : masks.stop + 1]
+        g = start[:-1] + first
+        for i in np.flatnonzero(np.any(tied & data.close[masks], axis=1)):
+            full = (data.rows[start[i] : start[i + 1]] @ verts.T) / grand
+            row, v[i] = divmod(int(np.argmax(full)), grand.size)
+            g[i] = start[i] + row
+        q = verts[v]
+        values = row_dots(data.rows[g], q) / row_dots(np.broadcast_to(den, q.shape), q)
+        return values, data.gammas[g], [self._vertex_rows[k] for k in v.tolist()]
 
     def _ties(self, mask: int) -> np.ndarray:
         """Rows of the vertex table with a (gamma, vertex) ratio that ties
@@ -343,7 +470,9 @@ class RobustGameSolver:
         q) / (den @ q) of its exact value (Higham 2002, ch. 3, first order),
         so every exactly attaining vertex is among them."""
         verts = self.poly.vertices()
-        _gammas, nums, den, grand = self._vertex_ratios(self._last_table.y, mask)
+        data = self._vertex_numerators()
+        nums = data.rows[data.start[mask - 1] : data.start[mask]]
+        den, grand = self._grand_at(self._last_table.y)
         ratios = (nums @ verts.T) / grand
         k = den.size + 2
         u = np.finfo(float).eps / 2
@@ -354,16 +483,9 @@ class RobustGameSolver:
         return np.flatnonzero(np.any(ratios >= ratios[top] - err[top] - err, axis=0))
 
     def vmax_entry(self, y: float, mask: int, vmin: float, q_min: np.ndarray) -> VmaxResult:
-        verts = self.poly.vertices()
-        if verts is not None:
-            # The maximum of the (gamma x vertex) ratio matrix, the first in
-            # row-major order on ties, reported as its vertex's own ratio.
-            if self._vertex_rows is None:
-                self._vertex_rows = list(verts)  # one array per vertex, for `witnesses`
-            gammas, nums, den, grand = self._vertex_ratios(y, mask)
-            g, v = divmod(int(np.argmax((nums @ verts.T) / grand)), grand.size)
-            q = self._vertex_rows[v]
-            return VmaxResult(float(nums[g] @ q) / float(den @ q), float(gammas[g]), q)
+        """v_max(y, S) of coalition `mask` on a polytope without a vertex
+        table: the known block value over vmin for a coalition inside one
+        block, else the screened Dinkelbach ratio LPs."""
         if len(self._blocks_met(mask)) == 1:
             y_s, vbar = self._block_value(mask)
             return VmaxResult(vbar / vmin, y_s, q_min)
@@ -413,7 +535,10 @@ class RobustGameSolver:
         if mask == 0 or mask == self.inst.grand_mask:
             raise InputError("v_max is defined for nonempty proper coalitions")
         vmin, q_min = self._admissible_min_profit(y)
-        return self.vmax_entry(y, mask, vmin, q_min)
+        if self.poly.vertices() is None:
+            return self.vmax_entry(y, mask, vmin, q_min)
+        values, gammas, joints = self._vertex_entries(y, slice(mask - 1, mask))
+        return VmaxResult(float(values[0]), float(gammas[0]), joints[0])
 
     def table(self, y: float) -> VmaxTable:
         """Worst-case ratios of every nonempty proper coalition at order y.
@@ -421,15 +546,19 @@ class RobustGameSolver:
         if self._last_table is not None and self._last_table.y == y:
             return self._last_table
         vmin, q_min = self._admissible_min_profit(y)
-        entries = {
-            mask: self.vmax_entry(y, mask, vmin, q_min)
-            for mask in range(1, self.inst.grand_mask)
-        }
-        for entry in entries.values():
-            if id(entry.q) not in self._witness_ids:
-                self._witness_ids.add(id(entry.q))
-                self.witnesses.append(entry.q)
-        self._last_table = VmaxTable(y, entries, vmin)
+        if self.poly.vertices() is None or self.n == 1:  # one player has no proper coalition
+            masks = range(1, self.inst.grand_mask)
+            found = [self.vmax_entry(y, mask, vmin, q_min) for mask in masks]
+            values = np.array([e.value for e in found])
+            gammas = np.array([e.gamma for e in found])
+            joints = [e.q for e in found]
+        else:
+            values, gammas, joints = self._vertex_entries(y, slice(0, self.inst.grand_mask - 1))
+        for q in joints:
+            if id(q) not in self._witness_ids:
+                self._witness_ids.add(id(q))
+                self.witnesses.append(q)
+        self._last_table = VmaxTable(y, values, gammas, joints, vmin)
         self._last_sigma = None
         return self._last_table
 
@@ -441,7 +570,7 @@ class RobustGameSolver:
         eps <= 0 certifies a stable decision."""
         table = self.table(y)
         if self._last_sigma is None:
-            x, eps, w = solve_stability_lp(self.n, table.values, 1.0)
+            x, eps, w = solve_stability_lp(self.n, table.ratios, 1.0)
             self._last_sigma = (eps, x, w)
         return self._last_sigma[:2]
 
@@ -497,18 +626,17 @@ class RobustGameSolver:
         the two."""
         table = self._last_table
         w = self._last_sigma[2]
-        masks = sorted(table.entries)
         used = np.flatnonzero(w > 0.0)
         y, d, p, pc = table.y, self.d_grand, self.p, self.p - self.c
         verts = self.poly.vertices()
         lo, hi, bound = np.zeros(used.size), np.zeros(used.size), np.zeros(used.size)
         for j, i in enumerate(used):
-            entry = table.entries[masks[i]]
-            q = entry.q[None, :] if verts is None else verts[self._ties(masks[i])]
+            # w and the table's arrays are both in mask order, from mask 1.
+            q = table.joints[i][None, :] if verts is None else verts[self._ties(i + 1)]
             shortage = q @ np.maximum(y - d, 0.0)
             grand = pc * y - p * shortage
             p_hi = q @ (d <= y)
-            scale = w[i] * entry.value / grand
+            scale = w[i] * table.ratios[i] / grand
             lo[j] = np.max(scale * (pc - p * (q @ (d < y))))
             hi[j] = np.min(scale * (pc - p * p_hi))
             bound[j] = np.max(
@@ -542,7 +670,7 @@ class RobustGameSolver:
         """
         if y_tol is not None and not (np.isfinite(y_tol) and y_tol > 0):
             raise InputError(f"y_tol must be finite and positive, got {y_tol}")
-        y_lo, y_hi = grand_action_interval(self.inst)
+        y_lo, y_hi = grand_action_interval(self.inst, self.grand_wc, self._grand_coupling)
         if y_tol is None:
             y_tol = 1e-4 * (y_hi - y_lo)
         support = np.unique(self.d_grand)
@@ -610,13 +738,14 @@ class RobustGameSolver:
         return Decision(best_y, best_x), best_eps
 
 
-def _candidate_orders(d_s: np.ndarray) -> np.ndarray:
-    """The distinct demand values of a coalition, ascending, less those
-    within 1e-12 of the one before: the orders v_max has to try."""
-    gammas = np.unique(d_s)
-    if gammas.size > 1:
-        gammas = gammas[np.r_[True, np.diff(gammas) > 1e-12]]
-    return gammas
+def _candidate_orders(demands: np.ndarray) -> list[np.ndarray]:
+    """Per row of `demands` (a coalition's demand at every joint atom), its
+    distinct values, ascending, less those within 1e-12 of the one before:
+    the orders v_max has to try. One row-wise sort serves every row."""
+    ordered = np.sort(demands, axis=1)
+    keep = np.ones(ordered.shape, dtype=bool)
+    keep[:, 1:] = np.diff(ordered, axis=1) > 1e-12
+    return [row[k] for row, k in zip(ordered, keep)]
 
 
 def _expected_shortage(gammas: np.ndarray, values: np.ndarray, mass: np.ndarray) -> np.ndarray:

@@ -196,11 +196,10 @@ def gen_instance(cfg: ExperimentConfig, instance_seed: int) -> Instance:
     return Instance(cfg.price, cfg.cost, partition, tuple(marginals))
 
 
-def _deterministic_decision(inst: Instance) -> Decision:
+def _deterministic_decision(inst: Instance, q_ind: JointDistribution) -> Decision:
     """Core allocation of the deterministic game under the independent
-    joint, expressed as multiples of the grand value, with its optimal
-    grand order."""
-    q_ind = independent_joint(inst)
+    joint `q_ind`, expressed as multiples of the grand value, with its
+    optimal grand order."""
     game = build_deterministic_game(inst, q_ind)
     if game.grand_value <= 0.0:
         raise GameInvalidError("grand-coalition value is nonpositive; cannot form multiples")
@@ -220,7 +219,7 @@ def solve_pair(
     """(robust decision, independence-based decision). The robust side is a
     stable decision when one exists, otherwise the least-core decision."""
     robust, _solver = _solve_robust(inst, y_tol)
-    return robust, _deterministic_decision(inst)
+    return robust, _deterministic_decision(inst, independent_joint(inst))
 
 
 def _solve_robust(
@@ -403,8 +402,8 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
     cfg, instance_id, instance_seed, sampling_seed = args
     inst = gen_instance(cfg, instance_seed)
     robust, solver = _solve_robust(inst)
-    det = _deterministic_decision(inst)
     q_ind = independent_joint(inst)
+    det = _deterministic_decision(inst, q_ind)
 
     rng = np.random.default_rng(sampling_seed)
     pool: list[np.ndarray] = []
@@ -412,6 +411,7 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
         cost = rng.uniform(-1.0, 1.0, inst.joint_size())
         pool.append(sample_extremal(inst, cost).q)
     pool.extend(solver.witnesses)
+    del solver  # its per-instance tables need not live through the excess pass
     pool = _dedupe_pool(pool)
     if not pool:
         pool = [q_ind.q]

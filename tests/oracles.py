@@ -13,6 +13,10 @@ that the crash start replaced, and `exact_least_core_eps` the exact optimum
 of that LP by rational vertex enumeration. The `per_coalition_*` and
 `per_mask_*` functions keep the one-coalition-at-a-time loops that the
 batched demand rows and the row-wise order kernel replaced.
+`per_entry_vertex_table` keeps the vertex path's one-coalition ratio
+matrix that the whole-array table replaced, and `solved_vertex_table` the
+enumeration that solves every column basis, which the integer-inverse
+screen replaced.
 """
 
 from __future__ import annotations
@@ -294,7 +298,10 @@ def bisect_action_interval_upper(inst, y_tol=1e-6):
 
 def two_phase_stability_lp(n: int, values_by_mask, total: float):
     """(x, eps, w) of `coop.solve_stability_lp` from the cold two-phase
-    start: the same program, solved with no start basis."""
+    start: the same program, solved with no start basis. The values come
+    as for that function, a mapping or an array over masks 1, 2, ..."""
+    if isinstance(values_by_mask, np.ndarray):
+        values_by_mask = dict(enumerate(values_by_mask.tolist(), start=1))
     masks = sorted(values_by_mask)
     rows = np.array([[mask >> j & 1 for j in range(n)] for mask in masks], dtype=float)
     vals = np.array([float(values_by_mask[m]) for m in masks])
@@ -408,3 +415,58 @@ def per_mask_deterministic_values(inst, q) -> np.ndarray:
     for mask in range(1, values.size):
         values[mask] = optimal_order(inst, q, mask).value
     return values
+
+
+def per_entry_vertex_table(solver, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, gammas, vertex rows) in mask order of every coalition's
+    vertex-path entry at order y, one coalition at a time: the first
+    maximum in row-major order of its (gamma x vertex) ratio matrix
+    (nums @ verts.T) / (verts @ den), reported as that vertex's own ratio
+    float(nums[g] @ q) / float(den @ q). A coalition inside one block has
+    its worst-case order and value as its one candidate; a spanning one
+    tries its distinct demand values, less those within 1e-12 of the one
+    before."""
+    from nvgames.newsvendor import worst_case_order
+
+    inst, poly = solver.inst, solver.poly
+    verts = poly.vertices()
+    p, pc = inst.price, inst.price - inst.cost
+    den = pc * y - p * np.maximum(y - solver.d_grand, 0.0)
+    grand = verts @ den
+    values, gammas, rows = [], [], []
+    for mask in range(1, inst.grand_mask):
+        if sum(1 for bm in inst.block_masks if mask & bm) == 1:
+            wc = worst_case_order(inst, mask)
+            cand, nums = np.array([wc.y_star]), np.full((1, poly.n_atoms), wc.value)
+        else:
+            d_s = poly.coalition_demands(mask)
+            cand = np.unique(d_s)
+            cand = cand[np.r_[True, np.diff(cand) > 1e-12]]
+            nums = pc * cand[:, None] - p * np.maximum(cand[:, None] - d_s, 0.0)
+        g, v = divmod(int(np.argmax((nums @ verts.T) / grand)), grand.size)
+        values.append(float(nums[g] @ verts[v]) / float(den @ verts[v]))
+        gammas.append(float(cand[g]))
+        rows.append(v)
+    return np.array(values), np.array(gammas), np.array(rows, dtype=np.intp)
+
+
+def solved_vertex_table(poly) -> np.ndarray:
+    """The polytope's vertex table by solving every column basis of its
+    class product with np.linalg.solve: the infeasible solutions (an entry
+    below -1e-13) are dropped, entries up to 1e-13 are 0, and the first
+    solution of each support is kept, in basis order. The polytope must
+    have two or more blocks of several classes."""
+    from nvgames.distributions import _VERTEX_ZERO, _column_bases
+
+    a, bases = _column_bases(poly.class_counts)
+    atoms = np.ravel_multi_index(np.ix_(*poly.class_reps), poly.dims).ravel()
+    m = a.shape[0]
+    rhs = np.broadcast_to(poly.rhs[:, None], (bases.shape[0], m, 1))
+    xs = np.linalg.solve(np.moveaxis(a[:, bases], 1, 0), rhs)[..., 0]
+    found: dict[bytes, np.ndarray] = {}
+    for cols, x in zip(bases, xs):
+        if np.all(x >= -_VERTEX_ZERO):
+            row = np.zeros(poly.n_atoms)
+            row[atoms[cols]] = np.where(x > _VERTEX_ZERO, x, 0.0)
+            found.setdefault((row > 0.0).tobytes(), row)
+    return np.array(list(found.values()))

@@ -26,7 +26,6 @@ from nvgames.robust_game import (
     _DINKELBACH_TOL,
     Decision,
     RobustGameSolver,
-    VmaxResult,
     VmaxTable,
     imputation_exists,
     verify_rcore2,
@@ -173,10 +172,11 @@ class TestSigma:
 
     def test_zero_table_gives_equal_split(self, t1):
         table = VmaxTable(
-            y=3.0,
-            entries={m: VmaxResult(0.0, 0.0, np.array([])) for m in (0b01, 0b10)},
+            y=3.0, ratios=np.zeros(2), gammas=np.zeros(2), joints=[np.array([])] * 2,
             min_grand_profit=3.0,
         )
+        entry = table.entries[0b10]
+        assert (entry.value, entry.gamma) == (0.0, 0.0) and entry.q is table.joints[1]
         x, eps, _w = solve_stability_lp(2, table.values, 1.0)
         assert eps == pytest.approx(-0.5)
         assert x == pytest.approx([0.5, 0.5])

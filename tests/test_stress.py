@@ -308,6 +308,29 @@ class TestRunStress:
         run_stress(cfg)
         assert masks == [(1 << cfg.n) - 1] * cfg.num_instances
 
+    def test_vertex_tables_take_no_per_entry_call(self, monkeypatch):
+        # Every table of this run is one whole-array pass over numerators
+        # built once per instance: no coalition goes through vmax_entry, the
+        # per-coalition ratio LP path.
+        entries, builds = [], []
+        vmax_entry, numerators = RobustGameSolver.vmax_entry, RobustGameSolver._vertex_numerators
+
+        def spy_entry(self, *args):
+            entries.append(args[1])
+            return vmax_entry(self, *args)
+
+        def spy_numerators(self):
+            if self._numerators is None:
+                builds.append(self.inst)
+            return numerators(self)
+
+        monkeypatch.setattr(RobustGameSolver, "vmax_entry", spy_entry)
+        monkeypatch.setattr(RobustGameSolver, "_vertex_numerators", spy_numerators)
+        cfg = small_cfg()
+        run_stress(cfg)
+        assert entries == []
+        assert len(builds) == len(set(map(id, builds))) == cfg.num_instances
+
     @pytest.mark.parametrize("path", ["vertex", "lp"])
     def test_stability_lps_match_the_two_phase_oracle(self, monkeypatch, simplex_phases, path):
         # Every sigma probe and deterministic least core of this run starts
@@ -350,7 +373,7 @@ class TestRunStress:
         q_ind = independent_joint(inst).q
         ext = np.array(pools[0])
         robust, _ = stress._solve_robust(inst)
-        det = stress._deterministic_decision(inst)
+        det = stress._deterministic_decision(inst, independent_joint(inst))
 
         def bad_rows(y):
             mixed = (1.0 - cfg.lambda_grid[-1]) * q_ind + cfg.lambda_grid[-1] * ext
@@ -365,7 +388,7 @@ class TestRunStress:
         monkeypatch.setattr(
             stress, "_solve_robust", lambda inst: (robust, RobustGameSolver(inst))
         )
-        monkeypatch.setattr(stress, "_deterministic_decision", lambda inst: det)
+        monkeypatch.setattr(stress, "_deterministic_decision", lambda inst, q_ind: det)
         monkeypatch.setattr(stress, "_dedupe_pool", lambda pool: pools[0])
         rows = stress._instance_rows(job)
 
@@ -456,7 +479,8 @@ class TestChunkedExcess:
         assert len(ext) * len(cfg.lambda_grid) > 2 * stress._EXCESS_CHUNK_ROWS
         inst = gen_instance(cfg, 11)
         robust, _ = stress._solve_robust(inst)
-        assert rows == per_lambda_rows(job, ext, robust, stress._deterministic_decision(inst))
+        assert rows == per_lambda_rows(
+            job, ext, robust, stress._deterministic_decision(inst, independent_joint(inst)))
 
     def test_rows_equal_a_per_lambda_loop_with_degenerate_samples(self, monkeypatch):
         # A robust order above demand leaves some samples at lambda = 1 with
@@ -468,7 +492,7 @@ class TestChunkedExcess:
         inst = gen_instance(cfg, 7)
         evaluator = ExcessEvaluator(inst)
         robust, solver = stress._solve_robust(inst)
-        det = stress._deterministic_decision(inst)
+        det = stress._deterministic_decision(inst, independent_joint(inst))
         q_ind = independent_joint(inst).q
         ys = np.linspace(robust.y, 3.0 * float(np.max(evaluator.d_grand)), 400)
         bad = [
