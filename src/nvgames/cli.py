@@ -24,7 +24,7 @@ import numpy as np
 
 from .coop import build_deterministic_game, least_core
 from .distributions import Instance, check_real, independent_joint, load_instance, save_instance
-from .errors import GameInvalidError, InputError, NvGamesError, SolverError
+from .errors import GameInvalidError, InputError, NvGamesError
 from .newsvendor import optimal_order
 from .robust_game import Decision, RobustGameSolver, imputation_exists, verify_rcore2
 from .stress import config_from_dict, gen_instance, run_stress
@@ -222,9 +222,6 @@ def run(argv=None, out=None, err=None) -> int:
     except GameInvalidError as exc:
         print(f"error: {exc}", file=err)
         return 4
-    except SolverError as exc:
-        print(f"error: {exc}", file=err)
-        return 3
     except NvGamesError as exc:
         print(f"error: {exc}", file=err)
         return 3

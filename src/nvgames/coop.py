@@ -142,11 +142,8 @@ def least_core(v: CharacteristicFunction) -> tuple[np.ndarray, float]:
     """Solve min eps s.t. x(S) >= v(S) - eps for every nonempty proper S and
     x(N) = v(N). Returns (allocation, s_value); a nonpositive s_value means
     the core is nonempty."""
-    n = v.n
-    if n == 1:
-        return np.array([v.grand_value]), 0.0
-    table = {mask: float(v.values[mask]) for mask in range(1, (1 << n) - 1)}
-    x, eps, _w = solve_stability_lp(n, table, v.grand_value)
+    table = {mask: float(v.values[mask]) for mask in range(1, (1 << v.n) - 1)}
+    x, eps, _w = solve_stability_lp(v.n, table, v.grand_value)
     return x, eps
 
 

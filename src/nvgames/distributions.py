@@ -523,14 +523,14 @@ class FrechetPolytope:
         may not, so `sample_extremal` reads the table only when no block has
         duplicate atoms.
 
-        Built on first use from the column bases of the class product
-        (`_column_bases`, shared by every polytope with the same class
-        counts), each class tuple standing for its joint atom of
-        representatives. A screen takes every basic solution against this
-        polytope's `rhs`, drops the infeasible ones and keeps the first
-        basis of each support, in basis order (a vertex is the only point
-        of the polytope with its support). For two blocks the screen is one
-        product with the shape's integer basis inverses (`_basis_inverses`);
+        Built on first use from the column bases of the class product and
+        their inverses (`_column_bases`, one cache shared by every polytope
+        with the same class counts), each class tuple standing for its
+        joint atom of representatives. A screen takes every basic solution
+        against this polytope's `rhs`, drops the infeasible ones and keeps
+        the first basis of each support, in basis order (a vertex is the
+        only point of the polytope with its support). For two blocks the
+        screen is one product with the shape's integer basis inverses;
         otherwise, or when an entry is too close to a threshold to call, it
         is a batched `np.linalg.solve` of every basis. Only the kept bases,
         180-384 of the 4 096 at 4 x 4 classes, are then solved for the
@@ -567,8 +567,7 @@ class FrechetPolytope:
     def _enumerate_vertices(self, atoms: np.ndarray) -> np.ndarray:
         """One vertex per support from the column bases of the class
         product, `atoms` giving each class tuple's joint atom."""
-        a, bases = _column_bases(self.class_counts)
-        inv = _basis_inverses(self.class_counts)
+        a, bases, inv = _column_bases(self.class_counts)
         x = _basic_solutions(a, bases, self.rhs, inv)
         if inv is not None and np.any(np.abs(np.abs(x) - _VERTEX_ZERO) <= _SCREEN_MARGIN):
             x = _basic_solutions(a, bases, self.rhs, None)
@@ -656,56 +655,59 @@ def _incidence_rows(
 
 
 @functools.lru_cache(maxsize=16)
-def _column_bases(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _column_bases(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The consistency rows over the product of value classes, `counts[r]`
-    classes in block r, and their column bases: (a, bases), a the
-    read-only dense (m, K_c) matrix with one column per class tuple, last
-    block fastest, in the row layout of `FrechetPolytope.matrix`, and
-    bases a read-only (count, m) array of every m-column set with |det| >=
-    1/2 (a is 0/1, so every determinant is an integer), in lexicographic
+    classes in block r, their column bases and the bases' inverses:
+    (a, bases, inv). All three depend only on the counts, so polytopes of
+    one shape share them whatever their atoms.
+
+    a is the read-only dense (m, K_c) matrix with one column per class
+    tuple, last block fastest, in the row layout of `FrechetPolytope.matrix`.
+    bases is a read-only (count, m) array of every m-column set with |det|
+    >= 1/2 (a is 0/1, so every determinant is an integer), in lexicographic
     order and the smallest unsigned dtype that holds K_c (the cached 4 x 4
-    bases in int64 raised the stress experiment's peak RSS by 0.3 MB). The
-    sets are tried `_BASIS_BATCH` at a time. Both depend only on the
-    counts, so polytopes of one shape share them whatever their atoms."""
+    bases in int64 raised the stress experiment's peak RSS by 0.3 MB).
+
+    inv holds the inverse of every basis, in basis order, as a read-only
+    int8 (count, m, m) array when all of them are integral, else None. For
+    two blocks the consistency rows are, up to unimodular row operations,
+    rows of the incidence matrix of a bipartite graph, which is totally
+    unimodular (Hoffman-Kruskal 1956), so every inverse is integral; at
+    4 x 4 classes every entry is -1, 0 or 1, and the array takes 4 096 x 7
+    x 7 bytes, about 200 KB. For three or more blocks some inverses are
+    fractional. Each inverse is rounded and checked, B @ R = I, which on
+    these small integers is exact in floating point.
+
+    The sets are tried `_BASIS_BATCH` at a time, and the bases a batch
+    keeps are inverted with it until one inverse fails the check;
+    `np.linalg.inv` inverts each matrix alone, so the batching does not
+    change an inverse."""
     classes = np.unravel_index(np.arange(math.prod(counts)), counts)
     a = np.asarray(IncidenceOperator(*_incidence_rows(counts, classes)))
     a.setflags(write=False)
     m, k = a.shape
     sets = itertools.combinations(range(k), m)
-    bases = []
+    bases, invs = [], []
     while batch := list(itertools.islice(sets, _BASIS_BATCH)):
         cols = np.array(batch, dtype=np.min_scalar_type(k))
-        bases.append(cols[np.abs(np.linalg.det(np.moveaxis(a[:, cols], 1, 0))) > 0.5])
+        mats = np.moveaxis(a[:, cols], 1, 0)
+        keep = np.abs(np.linalg.det(mats)) > 0.5
+        bases.append(cols[keep])
+        if invs is not None and keep.any():
+            kept = mats[keep]
+            inv = np.rint(np.linalg.inv(kept))
+            if np.max(np.abs(inv)) > 127 or not np.array_equal(
+                kept @ inv, np.broadcast_to(np.eye(m), inv.shape)
+            ):
+                invs = None
+            else:
+                invs.append(inv.astype(np.int8))
     bases = np.concatenate(bases)
     bases.setflags(write=False)
-    return a, bases
-
-
-@functools.lru_cache(maxsize=16)
-def _basis_inverses(counts: tuple[int, ...]) -> np.ndarray | None:
-    """The inverse of every column basis of `_column_bases(counts)`, as a
-    read-only int8 (count, m, m) array in basis order, when all of them are
-    integral, else None. For two blocks the consistency rows are, up to
-    unimodular row operations, rows of the incidence matrix of a bipartite
-    graph, which is totally unimodular (Hoffman-Kruskal 1956), so every
-    inverse is integral; at 4 x 4 classes every entry is -1, 0 or 1, and
-    the array takes 4 096 x 7 x 7 bytes, about 200 KB. For three or more
-    blocks some inverses are fractional. Each inverse is rounded and
-    checked, B @ R = I, which on these small integers is exact in floating
-    point; `_BASIS_BATCH` bases at a time."""
-    a, bases = _column_bases(counts)
-    m = a.shape[0]
-    out = np.empty((bases.shape[0], m, m), dtype=np.int8)
-    for lo in range(0, bases.shape[0], _BASIS_BATCH):
-        mats = np.moveaxis(a[:, bases[lo : lo + _BASIS_BATCH]], 1, 0)
-        inv = np.rint(np.linalg.inv(mats))
-        if np.max(np.abs(inv)) > 127 or not np.array_equal(
-            mats @ inv, np.broadcast_to(np.eye(m), inv.shape)
-        ):
-            return None
-        out[lo : lo + inv.shape[0]] = inv
-    out.setflags(write=False)
-    return out
+    inv = None if invs is None else np.concatenate(invs)
+    if inv is not None:
+        inv.setflags(write=False)
+    return a, bases, inv
 
 
 def _basic_solutions(

@@ -9,13 +9,13 @@ expectation of every convex function of their sum (Meilijson & Nadas 1979;
 Dhaene et al. 2002). That coupling does not depend on y.
 
 Every critical-ratio order goes through one row-wise kernel,
-`critical_orders`: demand rows over one probability vector, each row
-sorted (stably), its probabilities summed cumulatively in that order, and
-its expected shortage taken as one BLAS dot. A row's order and profit do
-not depend on the other rows, so the batched callers (`worst_case_orders`
-once per block, `optimal_orders` for the deterministic game over every
-coalition) and the one-coalition entry points, which run it on one row,
-give the same floats.
+`critical_orders`, under one probability vector or each row of a matrix of
+joints, and every expected profit at an order through its tail,
+`order_profits` (one BLAS dot per shortage). A value does not depend on
+the other rows or joints, so the batched callers (`worst_case_orders` once
+per block, `optimal_orders` over every coalition, the stress excess pass
+over chunks of joints) and the one-coalition entry points give the same
+floats.
 """
 
 from __future__ import annotations
@@ -72,36 +72,64 @@ class OrderResult:
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[..., i, :] @ b[i] for every row i (a may stack several matrices of
-    b's shape), as one stacked matmul: numpy computes each row with the same
-    BLAS dot as a 1-D `a[i] @ b[i]`, so the values are bit-identical to the
-    per-row products (an einsum, an elementwise product summed, or a
-    matrix-vector product can differ in the last bit)."""
+    b's shape, and a row axis of length 1 in a stands for every row of b),
+    as one stacked matmul: numpy computes each row with the same BLAS dot as
+    a 1-D `a[i] @ b[i]`, so the values are bit-identical to the per-row
+    products (an einsum, an elementwise product summed, or a matrix-vector
+    product can differ in the last bit)."""
     return np.matmul(a[..., None, :], b[:, :, None])[..., 0, 0]
 
 
 def _quantile_rows(values: np.ndarray, probs: np.ndarray, ratio: float) -> np.ndarray:
-    """The critical-ratio quantile of every row of `values` under `probs`:
-    in the row's stable sort order, the value at the count of cumulative
-    probabilities below ratio - 1e-12 (the largest value if rounding keeps
-    all of them below). With nonnegative probabilities that is the
-    smallest value whose CDF reaches ratio - 1e-12, duplicates merged."""
+    """The critical-ratio quantile of every row of `values` (rows x atoms)
+    under one probability vector, shape (rows,), or under each row of a
+    (joints x atoms) matrix, shape (rows, joints): in the row's stable sort
+    order, the value at the count of cumulative probabilities below ratio -
+    1e-12 (the largest value if rounding keeps all of them below). With
+    nonnegative probabilities that is the smallest value whose CDF reaches
+    ratio - 1e-12, duplicates merged. Either way the sums add along the
+    atoms in order, the bits of `np.cumsum` along one row: one `np.cumsum`
+    for one row of probabilities, else one in-place addition per atom over
+    every (row, joint) pair, cheaper than a `np.cumsum` per pair."""
     order = np.argsort(values, axis=1, kind="stable")
-    cdf = np.cumsum(probs[order], axis=1)
-    pos = np.minimum(np.count_nonzero(cdf < ratio - _QUANTILE_EPS, axis=1), values.shape[1] - 1)
-    rows = np.arange(values.shape[0])
-    return values[rows, order[rows, pos]]
+    k = values.shape[1]
+    joints = np.atleast_2d(probs)
+    if joints.shape[0] == 1:
+        cum = np.cumsum(joints[0][order], axis=1).T[:, :, None]
+    else:
+        cum = joints.T[order.T]  # (atoms x rows x joints), in each row's order
+        for i in range(1, k):
+            np.add(cum[i - 1], cum[i], out=cum[i])
+    pos = np.minimum(np.count_nonzero(cum < ratio - _QUANTILE_EPS, axis=0), k - 1)
+    rows = np.arange(values.shape[0])[:, None]
+    y = values[rows, order[rows, pos]]
+    return y if probs.ndim == 2 else y[:, 0]
+
+
+def order_profits(
+    inst: Instance, y: np.ndarray, demands: np.ndarray, probs: np.ndarray
+) -> np.ndarray:
+    """(p-c)*y - p*E[(y - d)^+] at the order y[r, j] of every row r of
+    `demands` (rows x atoms) under every probability row j of `probs`
+    (joints x atoms, or one vector as a single joint), shape (rows,
+    joints). A y of shape (rows, 1) orders the same under every joint: its
+    shortages stay one row per demand row, broadcast across the joints."""
+    short = y[:, :, None] - demands[:, None, :]
+    np.maximum(short, 0.0, out=short)
+    shortage = row_dots(short, np.atleast_2d(probs))
+    return (inst.price - inst.cost) * y - inst.price * shortage
 
 
 def critical_orders(
     inst: Instance, demands: np.ndarray, probs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(orders, profits): the critical-ratio order y of every row of
-    `demands` (rows x atoms) under the one probability vector `probs`, and
-    its expected profit (p-c)*y - p*E[(y - d)^+]."""
+    `demands` (rows x atoms) and its expected profit, under one probability
+    vector (shapes (rows,)) or each row of a (joints x atoms) matrix
+    (shapes (rows, joints))."""
     y = _quantile_rows(demands, probs, inst.ratio)
-    short = np.maximum(y[:, None] - demands, 0.0)
-    shortage = row_dots(short, np.broadcast_to(probs, short.shape))
-    return y, (inst.price - inst.cost) * y - inst.price * shortage
+    value = order_profits(inst, y if y.ndim == 2 else y[:, None], demands, probs)
+    return y, value.reshape(y.shape)
 
 
 def _joint_polytope(inst: Instance, q: JointDistribution) -> FrechetPolytope:
@@ -133,8 +161,8 @@ def expected_profit(inst: Instance, q: JointDistribution, y: float, s) -> float:
     if y < 0:
         raise InputError(f"order quantity must be nonnegative, got {y}")
     d = pushforward(inst, q, s)
-    shortage = float(np.maximum(y - d.values, 0.0) @ d.probs)
-    return (inst.price - inst.cost) * y - inst.price * shortage
+    y_row = np.array([[y]], dtype=float)
+    return float(order_profits(inst, y_row, d.values[None, :], d.probs)[0, 0])
 
 
 def quantile_order(d: ScalarDemand, ratio: float) -> float:
@@ -230,9 +258,7 @@ def coupled_profit(inst: Instance, coupling: tuple, y: float) -> float:
     """(p-c)*y - p*E[(y - d)^+] with d distributed as the coupling's sums;
     for the comonotonic coupling of a coalition, its worst-case profit."""
     sums, weights, _q = coupling
-    return (inst.price - inst.cost) * y - inst.price * float(
-        weights @ np.maximum(y - sums, 0.0)
-    )
+    return float(order_profits(inst, np.array([[y]]), sums[None, :], weights)[0, 0])
 
 
 def worst_case_shortage(inst: Instance, y: float, s) -> float:

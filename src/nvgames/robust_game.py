@@ -377,8 +377,7 @@ class RobustGameSolver:
         with the vertices, `_NUMERATOR_BATCH` rows at a time. numpy runs
         each coalition's slice of it as the same BLAS call as its own
         `nums @ verts.T`, so every numerator has the bits of the
-        per-coalition ratio matrix, as `_ties` and the tie fallback of
-        `_vertex_entries` form it."""
+        per-coalition ratio matrix, as `_ratio_matrix` forms it."""
         if self._numerators is not None:
             return self._numerators
         p, pc = self.p, self.p - self.c
@@ -442,7 +441,7 @@ class RobustGameSolver:
         vertices, unless a numerator before arg[v] rounds to the same
         ratio. That needs it within 2u(1 + u) best[v] of best[v], so only a
         coalition with a tied vertex flagged `close` can have one; its
-        whole ratio matrix then decides, as in `_ties`."""
+        whole ratio matrix (`_ratio_matrix`) then decides."""
         data = self._vertex_numerators()
         verts = self.poly.vertices()
         if self._vertex_rows is None:
@@ -456,12 +455,21 @@ class RobustGameSolver:
         start = data.start[masks.start : masks.stop + 1]
         g = start[:-1] + first
         for i in np.flatnonzero(np.any(tied & data.close[masks], axis=1)):
-            full = (data.rows[start[i] : start[i + 1]] @ verts.T) / grand
+            _nums, full = self._ratio_matrix(masks.start + i, grand)
             row, v[i] = divmod(int(np.argmax(full)), grand.size)
             g[i] = start[i] + row
         q = verts[v]
         values = row_dots(data.rows[g], q) / row_dots(np.broadcast_to(den, q.shape), q)
         return values, data.gammas[g], [self._vertex_rows[k] for k in v.tolist()]
+
+    def _ratio_matrix(self, j: int, grand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(nums, ratios) of coalition j (mask j + 1) on the vertex path: its
+        numerator rows, one per candidate gamma, and its whole (gamma x
+        vertex) ratio matrix (nums @ verts.T) / grand, `grand` the grand
+        profit at every vertex."""
+        data = self._vertex_numerators()
+        nums = data.rows[data.start[j] : data.start[j + 1]]
+        return nums, (nums @ self.poly.vertices().T) / grand
 
     def _ties(self, mask: int) -> np.ndarray:
         """Rows of the vertex table with a (gamma, vertex) ratio that ties
@@ -470,10 +478,8 @@ class RobustGameSolver:
         q) / (den @ q) of its exact value (Higham 2002, ch. 3, first order),
         so every exactly attaining vertex is among them."""
         verts = self.poly.vertices()
-        data = self._vertex_numerators()
-        nums = data.rows[data.start[mask - 1] : data.start[mask]]
         den, grand = self._grand_at(self._last_table.y)
-        ratios = (nums @ verts.T) / grand
+        nums, ratios = self._ratio_matrix(mask - 1, grand)
         k = den.size + 2
         u = np.finfo(float).eps / 2
         err = k * u / (1 - k * u) * (

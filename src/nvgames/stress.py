@@ -7,8 +7,9 @@ positive shortfall, over nonempty proper coalitions S, of z(S) against the
 ratio of S's achievable profit to the grand profit at y. Coalitions inside a
 single block order their known-distribution quantile; coalitions spanning
 blocks order optimally for the realized q. `ExcessEvaluator(inst).excess`
-computes it under one joint or many; the robust decision comes from
-`RobustGameSolver`'s core test and least-core search.
+computes it under one joint or many; every order and profit in it comes
+from the newsvendor kernel (`critical_orders`, `order_profits`). The robust
+decision comes from `RobustGameSolver`'s core test and least-core search.
 
 Per instance the experiment builds a pool of extremal vertices: random-cost
 vertices, then the worst-case ratio witnesses, which the robust solver
@@ -50,7 +51,7 @@ from .distributions import (
     sample_extremal,
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
-from .newsvendor import optimal_order, row_dots, worst_case_orders
+from .newsvendor import critical_orders, optimal_order, order_profits, worst_case_orders
 from .robust_game import Decision, RobustGameSolver
 
 WITNESS_POOL_CAP = 256
@@ -62,11 +63,11 @@ admissible mixtures (about 1 000 rows at the criterion-10 shape) raised
 the peak RSS of a serial 17-instance run from 42.8 to 44.7 MB. Chunks of
 256 rows still make half the calls of one pass per lambda."""
 _COALITION_BATCH = 4
-"""Coalitions spanning blocks per step of `ExcessEvaluator.stack`. A step
+"""Coalitions per newsvendor kernel call in `ExcessEvaluator.stack`. A call
 holds coalitions x rows x atoms arrays; at the stress loop's chunks
 (256 rows of 16-atom joints) 4 coalitions keep each at 128 KB, while 16
 raised the peak RSS of a serial 17-instance criterion-10 run by 2 MB. One
-coalition per step was slower: the per-call cost of the atom-by-atom
+coalition per call was slower: the per-call cost of the atom-by-atom
 cumulative sums is then paid for every coalition."""
 _DEFAULT_LAMBDAS = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -248,89 +249,60 @@ class ExcessEvaluator:
     """Excess values of decisions under many joints on one instance.
 
     The per-coalition data that no joint changes is fixed once here: each
-    coalition's demand per atom, the pinned quantile order of a coalition
-    inside one block, and the demand sort order of a coalition spanning
-    blocks. `stack` then evaluates all coalitions for a whole matrix of
-    joints at once (the coalitions spanning blocks `_COALITION_BATCH` at a
-    time), and `excess` turns a stack into one excess per row for a
-    decision. Every cumulative sum adds in the order of `np.cumsum` along
-    a row, and every per-row dot product runs as the same BLAS dot as the
-    scalar formula, so a stacked value equals the one-joint value bit for
-    bit. The excess is undefined under a joint where the decision's grand
-    profit is nonpositive; `excess` raises DomainError on such a row, so a
-    caller with many joints screens them first with `grand_profit`.
+    coalition's demand per atom and the pinned quantile order of a
+    coalition inside one block. `stack` then evaluates all coalitions for a
+    whole matrix of joints at once, `_COALITION_BATCH` coalitions per call
+    of the newsvendor kernel (`order_profits` at the pinned orders,
+    `critical_orders` over the joints for the coalitions spanning blocks),
+    and `excess` turns a stack into one excess per row for a decision. The
+    kernel's values equal its one-joint values bit for bit, so a stacked
+    excess equals the one-joint excess. The excess is undefined under a
+    joint where the decision's grand profit is nonpositive; `excess` raises
+    DomainError on such a row, so a caller with many joints screens them
+    first with `grand_profit`.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.poly = get_polytope(inst)
-        self.p, self.c = inst.price, inst.cost
-        self.ratio = inst.ratio
         demands = self.poly.coalition_demand_rows(range(1, inst.grand_mask + 1))
         self.d_grand = demands[-1]
-        masks = range(1, inst.grand_mask)
-        block_masks = inst.block_masks
-        single = [m for m in masks if sum(1 for bm in block_masks if m & bm) == 1]
+        masks = np.arange(1, inst.grand_mask)
+        blocks_met = sum(((masks & bm) != 0).astype(int) for bm in inst.block_masks)
         # Known marginal: the order is pinned to its quantile.
-        pinned = dict(zip(single, worst_case_orders(inst, single)[0].tolist()))
-        self._masks = [(mask, demands[j], pinned.get(mask)) for j, mask in enumerate(masks)]
-        # The coalitions spanning blocks as arrays: their columns, demands,
-        # demand sort orders and sorted demands, one row each.
-        span = [j for j, mask in enumerate(masks) if mask not in pinned]
-        self._span_cols = np.array(span, dtype=np.intp)
-        self._span_d = demands[span]
-        self._span_orders = np.argsort(self._span_d, axis=1, kind="stable")
-        self._span_sorted = np.take_along_axis(self._span_d, self._span_orders, axis=1)
-        coalitions = np.array([m[0] for m in self._masks], dtype=np.int64)
+        self._pinned_cols = np.flatnonzero(blocks_met == 1)
+        self._pinned_y = worst_case_orders(inst, masks[self._pinned_cols].tolist())[0]
+        self._span_cols = np.flatnonzero(blocks_met > 1)
+        self._demands = demands[:-1]
         # _members[i] selects the coalitions that contain retailer i.
-        self._members = [((coalitions >> i) & 1).astype(bool) for i in range(inst.n_retailers)]
+        self._members = [((masks >> i) & 1).astype(bool) for i in range(inst.n_retailers)]
 
     def stack(self, q: np.ndarray) -> JointStack:
         """Every coalition's best profit under every row of `q` (one joint,
-        or a matrix of joints as rows).
-
-        A coalition inside one block orders its known-marginal quantile. A
-        coalition spanning blocks orders the smallest demand, in its sorted
-        order, whose cumulative probability reaches the critical ratio less
-        1e-12: the count of cumulative sums below that level."""
+        or a matrix of joints as rows): a coalition inside one block at its
+        pinned known-marginal quantile, a coalition spanning blocks at its
+        critical-ratio order under each row."""
         qs = np.array(q, dtype=float, order="C", ndmin=2)
         if qs.ndim != 2 or qs.shape[1] != self.poly.n_atoms:
             raise InputError(
                 f"joints have shape {np.shape(q)}, expected rows of {self.poly.n_atoms} atoms"
             )
         qs.setflags(write=False)
-        p, c = self.p, self.c
-        level = self.ratio - 1e-12
-        k = qs.shape[1]
-        profits = np.empty((qs.shape[0], len(self._masks)))
-        for j, (_mask, d_s, y_s) in enumerate(self._masks):
-            if y_s is not None:
-                short = np.broadcast_to(np.maximum(y_s - d_s, 0.0), qs.shape)
-                profits[:, j] = (p - c) * y_s - p * row_dots(short, qs)
+        profits = np.empty((qs.shape[0], self._demands.shape[0]))
+        for lo in range(0, self._pinned_cols.size, _COALITION_BATCH):
+            cols = self._pinned_cols[lo : lo + _COALITION_BATCH]
+            y = self._pinned_y[lo : lo + _COALITION_BATCH, None]
+            profits[:, cols] = order_profits(self.inst, y, self._demands[cols], qs).T
         for lo in range(0, self._span_cols.size, _COALITION_BATCH):
-            batch = slice(lo, lo + _COALITION_BATCH)
-            # Cumulative sums (atoms x coalitions x rows) in each coalition's
-            # demand order, one atom at a time: the additions of np.cumsum
-            # along a row, in the same order.
-            cum = qs.T[self._span_orders[batch].T]
-            for i in range(1, k):
-                np.add(cum[i - 1], cum[i], out=cum[i])
-            below = np.minimum(np.count_nonzero(cum < level, axis=0), k - 1)
-            del cum
-            y_s = np.take_along_axis(self._span_sorted[batch], below, axis=1)
-            short = y_s[:, :, None] - self._span_d[batch][:, None, :]
-            np.maximum(short, 0.0, out=short)
-            profits[:, self._span_cols[batch]] = ((p - c) * y_s - p * row_dots(short, qs)).T
+            cols = self._span_cols[lo : lo + _COALITION_BATCH]
+            profits[:, cols] = critical_orders(self.inst, self._demands[cols], qs)[1].T
         profits.setflags(write=False)
         return JointStack(self, qs, profits)
 
     def grand_profit(self, q: np.ndarray, decision: Decision) -> np.ndarray:
         """The grand coalition's realized profit at order `decision.y` under
         each row of `q` (a matrix of joints as rows)."""
-        shortfall = np.maximum(decision.y - self.d_grand, 0.0)
-        return (self.p - self.c) * decision.y - self.p * row_dots(
-            np.broadcast_to(shortfall, q.shape), q
-        )
+        return order_profits(self.inst, np.array([[decision.y]]), self.d_grand[None, :], q)[0]
 
     def excess(
         self, q: JointDistribution | np.ndarray | JointStack, decision: Decision
@@ -366,7 +338,7 @@ class ExcessEvaluator:
         """z(S) for every coalition S, in coalition order, summed from the
         highest member down to the lowest: the order of the one-joint
         reference in the tests, so each z(S) is the same float."""
-        zsum = np.zeros(len(self._masks))
+        zsum = np.zeros(self._demands.shape[0])
         for i in reversed(range(len(self._members))):
             zsum[self._members[i]] += z[i]
         return zsum

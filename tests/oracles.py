@@ -232,7 +232,31 @@ def exact_sigma_slopes(solver) -> tuple[Fraction, Fraction]:
     return g_lo, g_hi
 
 
-def scalar_excess(evaluator, q, decision) -> float:
+def scalar_coalition_profits(inst, qv) -> tuple[np.ndarray, dict[int, float]]:
+    """(grand demand row, profits): each nonempty proper coalition's best
+    profit under one joint vector `qv`, one coalition at a time. Demands
+    come from `per_coalition_demands`; a coalition inside one block orders
+    its `per_coalition_worst_case_order`, one spanning blocks the first
+    demand in its stable sort order whose cumulative probability reaches
+    the critical ratio less 1e-12 (`np.searchsorted`)."""
+    from nvgames.distributions import get_polytope
+
+    poly = get_polytope(inst)
+    p, c = inst.price, inst.cost
+    profits = {}
+    for mask in range(1, inst.grand_mask):
+        d_s = per_coalition_demands(poly, mask)
+        if sum(1 for bm in inst.block_masks if mask & bm) == 1:
+            y_s = per_coalition_worst_case_order(inst, mask)[0]
+        else:
+            order = np.argsort(d_s, kind="stable")
+            idx = int(np.searchsorted(np.cumsum(qv[order]), inst.ratio - 1e-12, side="left"))
+            y_s = float(d_s[order][min(idx, d_s.size - 1)])
+        profits[mask] = (p - c) * y_s - p * float(np.maximum(y_s - d_s, 0.0) @ qv)
+    return per_coalition_demands(poly, inst.grand_mask), profits
+
+
+def scalar_excess(inst, q, decision) -> float:
     """Excess of `decision` under one joint `q`, one coalition at a time: the
     per-joint loop the stacked `ExcessEvaluator.excess` replaced, kept as its
     bit-for-bit reference."""
@@ -240,10 +264,9 @@ def scalar_excess(evaluator, q, decision) -> float:
     from nvgames.errors import DomainError
 
     qv = q.q if isinstance(q, JointDistribution) else np.asarray(q, dtype=float)
-    p, c = evaluator.p, evaluator.c
-    den = (p - c) * decision.y - p * float(
-        np.maximum(decision.y - evaluator.d_grand, 0.0) @ qv
-    )
+    p, c = inst.price, inst.cost
+    d_grand, profits = scalar_coalition_profits(inst, qv)
+    den = (p - c) * decision.y - p * float(np.maximum(decision.y - d_grand, 0.0) @ qv)
     if den <= 0.0:
         raise DomainError(
             f"grand profit {den} is nonpositive under the realized joint; "
@@ -256,20 +279,9 @@ def scalar_excess(evaluator, q, decision) -> float:
         low = mask & -mask
         zsum[mask] = zsum[mask ^ low] + z[low.bit_length() - 1]
     worst = 0.0
-    for mask, d_s, y_fixed in evaluator._masks:
-        if y_fixed is None:
-            order = np.argsort(d_s, kind="stable")
-            sv = d_s[order]
-            cdf = np.cumsum(qv[order])
-            idx = int(np.searchsorted(cdf, evaluator.ratio - 1e-12, side="left"))
-            idx = min(idx, sv.size - 1)
-            y_s = float(sv[idx])
-        else:
-            y_s = y_fixed
-        numer = (p - c) * y_s - p * float(np.maximum(y_s - d_s, 0.0) @ qv)
+    for mask, numer in profits.items():
         worst = max(worst, numer / den - float(zsum[mask]))
     return max(worst, 0.0)
-
 
 
 def bisect_action_interval_upper(inst, y_tol=1e-6):
@@ -458,7 +470,7 @@ def solved_vertex_table(poly) -> np.ndarray:
     have two or more blocks of several classes."""
     from nvgames.distributions import _VERTEX_ZERO, _column_bases
 
-    a, bases = _column_bases(poly.class_counts)
+    a, bases, _inv = _column_bases(poly.class_counts)
     atoms = np.ravel_multi_index(np.ix_(*poly.class_reps), poly.dims).ravel()
     m = a.shape[0]
     rhs = np.broadcast_to(poly.rhs[:, None], (bases.shape[0], m, 1))

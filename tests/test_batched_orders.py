@@ -118,6 +118,27 @@ def test_kernel_rows_equal_one_row_orders(data):
 
 
 @given(st.data())
+def test_kernel_over_joints_equals_one_call_per_joint(data):
+    # A (joints x atoms) matrix adds up every (row, joint) pair atom by atom
+    # at once, and a one-row matrix takes np.cumsum; each column of the
+    # result must equal the call with that joint's vector, bit for bit.
+    price = data.draw(st.sampled_from(PRICES))
+    inst = Instance(price, 1.0, ((0,),), (DiscreteMarginal(np.ones((1, 1)), np.ones(1)),))
+    k = data.draw(st.integers(1, 8))
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from(DEMANDS), min_size=k, max_size=k), min_size=1, max_size=6
+    )))
+    matrix = np.array([data.draw(probabilities(k, inst.ratio))
+                       for _ in range(data.draw(st.integers(1, 5)))])
+    y, value = critical_orders(inst, rows, matrix)
+    assert y.shape == value.shape == (len(rows), len(matrix))
+    for j, probs in enumerate(matrix):
+        y_j, value_j = critical_orders(inst, rows, probs)
+        assert bits(y[:, j]) == bits(y_j)
+        assert bits(value[:, j]) == bits(value_j)
+
+
+@given(st.data())
 def test_demand_rows_equal_one_mask_demands(data):
     inst = data.draw(instances())
     masks = data.draw(coalition_lists(inst))

@@ -13,7 +13,9 @@ from nvgames.distributions import (
     load_instance,
     save_instance,
 )
+from nvgames.errors import SolverError
 from nvgames.newsvendor import worst_case_order
+from nvgames.robust_game import RobustGameSolver
 from nvgames.stress import CSV_HEADER
 
 from conftest import make_example1
@@ -146,6 +148,16 @@ class TestSolve:
         code, _, err = invoke(["solve", str(path)])
         assert code == 4
         assert "positive" in err
+
+    def test_solver_failure_exit_code(self, monkeypatch, t1_path):
+        def fail(self):
+            raise SolverError("stability LP reported 'infeasible'")
+
+        monkeypatch.setattr(RobustGameSolver, "core_decision", fail)
+        code, out, err = invoke(["solve", t1_path])
+        assert code == 3
+        assert err == "error: stability LP reported 'infeasible'\n"
+        assert out == ""
 
 
 class TestDetSolve:

@@ -75,7 +75,7 @@ def test_stacked_excess_equals_per_joint_loop(case):
     inst, qs, decision = case
     evaluator = ExcessEvaluator(inst)
     try:
-        expected = [scalar_excess(evaluator, q, decision) for q in qs]
+        expected = [scalar_excess(inst, q, decision) for q in qs]
     except DomainError:
         with pytest.raises(DomainError):
             evaluator.excess(qs, decision)
@@ -98,9 +98,9 @@ def test_nonpositive_grand_profit_in_one_row():
     good, bad = np.eye(4)[3], np.eye(4)[0]
     decision = Decision(5.0, np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
-        scalar_excess(evaluator, bad, decision)
+        scalar_excess(inst, bad, decision)
     with pytest.raises(DomainError):
         evaluator.excess(bad, decision)
-    assert evaluator.excess(good, decision) == scalar_excess(evaluator, good, decision)
+    assert evaluator.excess(good, decision) == scalar_excess(inst, good, decision)
     with pytest.raises(DomainError, match="row 1"):
         evaluator.excess(np.array([good, bad]), decision)

@@ -30,7 +30,7 @@ from nvgames.stress import (
 )
 
 from conftest import lp_path_only, make_example1
-from oracles import scalar_excess, two_phase_stability_lp
+from oracles import scalar_coalition_profits, scalar_excess, two_phase_stability_lp
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "stress_small.csv"
 
@@ -170,24 +170,15 @@ class TestExcess:
                 for d in (rob, det):
                     e = evaluator.excess(q, d)
                     assert e >= 0.0
-                    stable = _is_stable(inst, evaluator, q, d)
+                    stable = _is_stable(inst, q, d)
                     assert (e <= 1e-9) == stable
 
 
-def _is_stable(inst, evaluator, q, d) -> bool:
+def _is_stable(inst, q, d) -> bool:
     p, c = inst.price, inst.cost
-    qv = q.q
-    den = (p - c) * d.y - p * float(np.maximum(d.y - evaluator.d_grand, 0.0) @ qv)
-    for mask, d_s, y_fixed in evaluator._masks:
-        if y_fixed is None:
-            order = np.argsort(d_s, kind="stable")
-            sv = d_s[order]
-            cdf = np.cumsum(qv[order])
-            idx = min(int(np.searchsorted(cdf, inst.ratio - 1e-12)), sv.size - 1)
-            y_s = float(sv[idx])
-        else:
-            y_s = y_fixed
-        numer = (p - c) * y_s - p * float(np.maximum(y_s - d_s, 0.0) @ qv)
+    d_grand, profits = scalar_coalition_profits(inst, q.q)
+    den = (p - c) * d.y - p * float(np.maximum(d.y - d_grand, 0.0) @ q.q)
+    for mask, numer in profits.items():
         z_s = sum(d.z[i] for i in range(inst.n_retailers) if mask >> i & 1)
         if numer / den - z_s > 1e-9:
             return False
@@ -351,6 +342,16 @@ class TestRunStress:
             run_stress(small_cfg())
         assert len(gaps) == 15 and max(gaps) <= 1e-12
 
+    @pytest.mark.parametrize("path", ["vertex", "lp"])
+    @pytest.mark.parametrize("blocks", [(2, 2), (1, 1, 2)])
+    def test_no_lp_runs_phase_one(self, simplex_phases, path, blocks):
+        # Every LP of a run starts from a usable basis: the stability LPs
+        # from their crash basis, and on the LP path the ratio LPs and the
+        # extremal samples from a warm or crash basis of the polytope.
+        with lp_path_only() if path == "lp" else contextlib.nullcontext():
+            run_stress(small_cfg(block_sizes=blocks, atoms_per_block=2))
+        assert simplex_phases and 1 not in simplex_phases
+
     def test_degenerate_samples_are_screened_and_counted(self, monkeypatch):
         # Orders far above the optimal ones make the grand profit
         # nonpositive under some pool samples but not others, with more
@@ -398,8 +399,8 @@ class TestRunStress:
             for q_ext in ext:
                 q = (1.0 - lam) * q_ind + lam * q_ext
                 try:
-                    e_rob = scalar_excess(evaluator, q, robust)
-                    e_det = scalar_excess(evaluator, q, det)
+                    e_rob = scalar_excess(inst, q, robust)
+                    e_det = scalar_excess(inst, q, det)
                 except DomainError:
                     degenerate += 1
                     continue
