@@ -10,12 +10,15 @@ Dhaene et al. 2002). That coupling does not depend on y.
 
 Every critical-ratio order goes through one row-wise kernel,
 `critical_orders`, under one probability vector or each row of a matrix of
-joints, and every expected profit at an order through its tail,
-`order_profits` (one BLAS dot per shortage). A value does not depend on
-the other rows or joints, so the batched callers (`worst_case_orders` once
-per block, `optimal_orders` over every coalition, the stress excess pass
-over chunks of joints) and the one-coalition entry points give the same
-floats.
+joints. Every expected profit at an order is `_profit` of its expected
+shortage, taken as one BLAS dot: per (row, joint) in the kernel's tail,
+`order_profits`, and directly in the scalar entry points `expected_profit`
+and `coupled_profit`, which the action-interval scan calls about 140 times
+in one solve of the paper's example 1 at K=200 and which would otherwise
+pay the batched tail's array set-up on every call. A value does not depend on the other rows or joints, so the
+batched callers (`worst_case_orders` once per block, `optimal_orders` over
+every coalition, the stress excess pass over chunks of joints) and the
+one-coalition entry points give the same floats.
 """
 
 from __future__ import annotations
@@ -106,6 +109,12 @@ def _quantile_rows(values: np.ndarray, probs: np.ndarray, ratio: float) -> np.nd
     return y if probs.ndim == 2 else y[:, 0]
 
 
+def _profit(inst: Instance, y, shortage):
+    """(p-c)*y - p*shortage, the expected profit at order y from its
+    expected shortage E[(y - d)^+]: scalars or arrays of one shape."""
+    return (inst.price - inst.cost) * y - inst.price * shortage
+
+
 def order_profits(
     inst: Instance, y: np.ndarray, demands: np.ndarray, probs: np.ndarray
 ) -> np.ndarray:
@@ -116,8 +125,7 @@ def order_profits(
     shortages stay one row per demand row, broadcast across the joints."""
     short = y[:, :, None] - demands[:, None, :]
     np.maximum(short, 0.0, out=short)
-    shortage = row_dots(short, np.atleast_2d(probs))
-    return (inst.price - inst.cost) * y - inst.price * shortage
+    return _profit(inst, y, row_dots(short, np.atleast_2d(probs)))
 
 
 def critical_orders(
@@ -161,8 +169,7 @@ def expected_profit(inst: Instance, q: JointDistribution, y: float, s) -> float:
     if y < 0:
         raise InputError(f"order quantity must be nonnegative, got {y}")
     d = pushforward(inst, q, s)
-    y_row = np.array([[y]], dtype=float)
-    return float(order_profits(inst, y_row, d.values[None, :], d.probs)[0, 0])
+    return _profit(inst, y, float(np.maximum(y - d.values, 0.0) @ d.probs))
 
 
 def quantile_order(d: ScalarDemand, ratio: float) -> float:
@@ -258,7 +265,7 @@ def coupled_profit(inst: Instance, coupling: tuple, y: float) -> float:
     """(p-c)*y - p*E[(y - d)^+] with d distributed as the coupling's sums;
     for the comonotonic coupling of a coalition, its worst-case profit."""
     sums, weights, _q = coupling
-    return float(order_profits(inst, np.array([[y]]), sums[None, :], weights)[0, 0])
+    return _profit(inst, y, float(weights @ np.maximum(y - sums, 0.0)))
 
 
 def worst_case_shortage(inst: Instance, y: float, s) -> float:
