@@ -8,7 +8,9 @@ least core here and each robust sigma probe) starts from a feasible crash
 basis built from its own table (see `solve_stability_lp`), so its answer
 depends on that table alone. It is solved on the table divided by a power
 of two near its largest value, so the LP's absolute tolerances act alike
-at every scale of profits.
+at every scale of profits. Its standard form, and the factor of its crash
+basis, are kept per (n, masks, negated rows): on the criterion-10 stress
+shape every stability LP of a run shares one.
 
 The deterministic game takes every coalition's value from one call of the
 newsvendor's row-wise order kernel over all 2^n - 1 demand rows.
@@ -16,6 +18,7 @@ newsvendor's row-wise order kernel over all 2^n - 1 demand rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -28,6 +31,10 @@ from .lp import LinearProgram, solve_lp
 from .newsvendor import optimal_orders
 
 MEMBERSHIP_TOL = 1e-7
+_STABILITY_FORMS = 4
+"""Stability LP standard forms kept, the least recently used dropped
+first. Each holds a (2^n - 1) x (2^n + 2n + 1) matrix and the inverse of
+one crash basis, 2^n x 2^n: about 0.07 MB at n = 6 and 17 MB at n = 10."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +103,13 @@ def solve_stability_lp(
     optimal x and w are not unique in general; this start picks the vertex
     that the pivots from it reach.
 
+    The standard form is built once per (n, masks, rows it negates) and
+    kept with the factor of its last crash basis (`_stability_form`), so a
+    probe whose table negates the same rows and starts from the same basis
+    builds no matrix and inverts none before its first pivot. The kept
+    factor holds the bits a fresh factorization of that basis gives, so
+    x, eps and w do not depend on what an earlier call left.
+
     The program is solved on the table and total divided by the power of
     two nearest max(|value(S)|, |total|), and x and eps are multiplied back.
     Short of underflow that division rounds nothing, so a table scaled by
@@ -111,31 +125,52 @@ def solve_stability_lp(
         raise InputError("stability constraints must be over nonempty coalitions of 0..n-1")
     if not masks:
         return np.full(n, total / n), 0.0, np.zeros(0)
-    rows = _coalition_indicator_rows(n, masks)
     top = max(float(np.max(np.abs(vals))), abs(float(total)))
     scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
     vals, total = vals / scale, total / scale
-    a_ub = -np.hstack([rows, np.ones((len(masks), 1))])
-    a_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
-    lp = LinearProgram(
-        sense="min",
-        objective=np.concatenate([np.zeros(n), [1.0]]),
-        a_eq=a_eq,
-        b_eq=[total],
-        a_ub=a_ub,
-        b_ub=-vals,
-        lower_bounds=np.full(n + 1, -np.inf),
-    )
+    rhs = np.concatenate([[total], -vals])
+    form, player0, factors = _stability_form(n, tuple(masks), (rhs < 0).tobytes())
+    lp = form.with_rhs(rhs[:1], rhs[1:])
     # The crash basis of the docstring; ids are LpSolution.basis columns.
-    excess = vals - total * rows[:, 0]
+    excess = vals - total * player0
     k_star = int(np.argmax(excess))
-    basis = [n + 1 if total < 0 else 0, 2 * n + 1 if excess[k_star] < 0 else n]
-    basis += [2 * n + 2 + k for k in range(len(masks)) if k != k_star]
-    sol = solve_lp(lp, basis)
+    basis = (n + 1 if total < 0 else 0, 2 * n + 1 if excess[k_star] < 0 else n) + tuple(
+        2 * n + 2 + k for k in range(len(masks)) if k != k_star
+    )
+    factor = factors.get(basis)
+    if factor is None:
+        factor = form.factor(basis)
+        factors.clear()  # only the last crash basis of a form keeps its factor
+        factors[basis] = factor
+    sol = solve_lp(lp, factor or basis)
     if sol.status != "optimal":
         raise SolverError(f"stability LP reported {sol.status!r}")
     # duals[0] prices x(N) = total; a coalition row reads -(x(S) + eps) <= -value(S).
     return sol.x[:n] * scale, float(sol.x[n]) * scale, -sol.duals[1:]
+
+
+@functools.lru_cache(maxsize=_STABILITY_FORMS)
+def _stability_form(
+    n: int, masks: tuple[int, ...], flips: bytes
+) -> tuple[LinearProgram, np.ndarray, dict]:
+    """The stability LP over `masks` whose standard form negates the rows
+    marked in `flips` (the equality row first, one byte per row), with a
+    right-hand side of -1 on those rows and 0 elsewhere; each row's
+    indicator of player 0; and an empty map from a crash basis to its
+    factor. `LinearProgram.with_rhs` gives the program of any right-hand
+    side with the same flips, sharing this standard form, so its factor."""
+    rows = _coalition_indicator_rows(n, masks)
+    rhs = np.where(np.frombuffer(flips, dtype=bool), -1.0, 0.0)
+    lp = LinearProgram(
+        sense="min",
+        objective=np.concatenate([np.zeros(n), [1.0]]),
+        a_eq=np.concatenate([np.ones(n), [0.0]])[None, :],
+        b_eq=rhs[:1],
+        a_ub=-np.hstack([rows, np.ones((len(masks), 1))]),
+        b_ub=rhs[1:],
+        lower_bounds=np.full(n + 1, -np.inf),
+    )
+    return lp, rows[:, 0], {}
 
 
 def least_core(v: CharacteristicFunction) -> tuple[np.ndarray, float]:

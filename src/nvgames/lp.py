@@ -253,6 +253,30 @@ class LinearProgram:
         out.__dict__.update(self.__dict__, objective=c)
         return out
 
+    def with_rhs(self, b_eq=None, b_ub=None) -> "LinearProgram":
+        """Same objective and constraint matrices, new right-hand sides
+        (None keeps a side as it is). The standard form's matrix is shared
+        by reference when the same rows flip as in this program's, so a
+        `factor` of this program serves the copy too; otherwise the
+        standard form is built afresh."""
+        out = object.__new__(type(self))
+        out.__dict__.update(
+            self.__dict__,
+            b_eq=self.b_eq if b_eq is None else _as_vector(b_eq, self.a_eq.shape[0], "b_eq"),
+            b_ub=self.b_ub if b_ub is None else _as_vector(b_ub, self.a_ub.shape[0], "b_ub"),
+        )
+        out.__dict__["_std"] = _Standardized(out, like=self._std)
+        return out
+
+    def factor(self, basis: Sequence[int]) -> "_Factor | None":
+        """The inverse of `basis` (standard-form column ids, as in
+        ``LpSolution.basis``), factorized as a solve that starts there
+        would, or None when it is not a nonsingular basis of the system.
+        Passed to `solve_lp` as the start of this program or of a
+        `with_objective` or `with_rhs` copy that shares its standard form,
+        it stands in for that solve's first factorization, bit for bit."""
+        return self._std.factor(basis)
+
 
 class _Factor:
     """The inverse of one basis matrix of one operator, exactly as a
@@ -304,7 +328,7 @@ class _Standardized:
         "n_slack", "shift", "bounded", "lb_bounded",
     )
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, like: "_Standardized | None" = None):
         n = lp.n_vars
         lb = lp.lower_bounds
         free = ~np.isfinite(lb)
@@ -331,7 +355,25 @@ class _Standardized:
             rhs = np.concatenate([lp.b_eq, lp.b_ub])
         if np.any(shift) and rows.shape[0]:
             rhs = rhs - rows @ shift
+        b = np.array(rhs, dtype=float)  # a copy: the caller's vectors stay as given
+        neg = b < 0
+        self.row_sign = np.where(neg, -1.0, 1.0)
+        b[neg] *= -1.0
+        b.setflags(write=False)
+        self.b = b
+        if like is not None and np.array_equal(self.row_sign, like.row_sign):
+            # Same matrix and the same rows flipped: the same system matrix.
+            a = like.a
+        else:
+            a = self._matrix(rows, m_eq, neg)
+        self.a = a
+        self.m, self.n = a.shape
+        self.row_ids = np.arange(self.m)
+        self.row_ids.setflags(write=False)
 
+    def _matrix(self, rows, m_eq: int, neg: np.ndarray):
+        """The system matrix: `rows` with the split and slack columns
+        appended and the rows in `neg` negated."""
         extra = []
         if self.n_split:
             extra.append(-np.asarray(rows)[:, self.free_idx])
@@ -344,22 +386,24 @@ class _Standardized:
         else:
             # Without split or slack columns the caller's operator is the system.
             a = rows if isinstance(rows, _OPERATORS) else DenseOperator(rows)
-
-        b = np.array(rhs, dtype=float)  # a copy: the caller's vectors stay as given
-        neg = b < 0
-        self.row_sign = np.where(neg, -1.0, 1.0)
         if neg.any():
             # Never mutate the caller's matrix: copy once, flip rows.
             flipped = np.array(a, dtype=float, copy=True)
             flipped[neg] *= -1.0
             a = DenseOperator(flipped)
-            b[neg] *= -1.0
-        b.setflags(write=False)
-        self.a = a
-        self.b = b
-        self.m, self.n = a.shape
-        self.row_ids = np.arange(self.m)
-        self.row_ids.setflags(write=False)
+        return a
+
+    def factor(self, basis: Sequence[int]) -> "_Factor | None":
+        """The inverse of `basis` by `_Simplex.refactor`, or None when it
+        is not a basis of this system."""
+        sb = tuple(basis)
+        if not sb or len(sb) != self.m or len(set(sb)) != self.m:
+            return None
+        if min(sb) < 0 or max(sb) >= self.n:
+            return None
+        sx = _Simplex(self, None)
+        sx.basis = np.array(sb, dtype=np.int64)
+        return _Factor(self.a, sb, sx.b_inv) if sx.refactor() else None
 
     def cost(self, lp: LinearProgram) -> np.ndarray:
         """The standard-form cost vector of `lp`'s objective (minimized)."""
@@ -600,18 +644,21 @@ class _Simplex:
 
 
 def solve_lp(
-    lp: LinearProgram, start_basis: Sequence[int] | LpSolution | None = None
+    lp: LinearProgram, start_basis: Sequence[int] | LpSolution | _Factor | None = None
 ) -> LpSolution:
     """Solve `lp` and return a certified vertex solution.
 
     `start_basis`: internal column ids from a previous solve of the same
     constraint system (only the objective may differ), or that solve's
-    `LpSolution`, which also lends its basis inverse when it is fresh. An
-    unusable basis silently falls back to a cold two-phase start.
+    `LpSolution`, which also lends its basis inverse when it is fresh, or a
+    `LinearProgram.factor` of a program that shares `lp`'s standard form.
+    An unusable basis silently falls back to a cold two-phase start.
     """
     factor = None
     if isinstance(start_basis, LpSolution):
         factor, start_basis = start_basis.factor, start_basis.basis
+    elif isinstance(start_basis, _Factor):
+        factor, start_basis = start_basis, start_basis.basis
     std = lp._std
     sx = _Simplex(std, std.cost(lp))
     status = sx.solve(start_basis, factor)

@@ -133,6 +133,7 @@ from .distributions import (
 from .errors import DomainError, GameInvalidError, InputError, SolverError
 from .lp import LpSolution
 from .newsvendor import (
+    _profit,
     comonotonic_coupling,
     coupled_profit,
     grand_action_interval,
@@ -380,7 +381,6 @@ class RobustGameSolver:
         per-coalition ratio matrix, as `_ratio_matrix` forms it."""
         if self._numerators is not None:
             return self._numerators
-        p, pc = self.p, self.p - self.c
         verts = self.poly.vertices()
         masks = range(1, self.inst.grand_mask)
         span = [m for m in masks if len(self._blocks_met(m)) > 1]
@@ -394,7 +394,7 @@ class RobustGameSolver:
         g = gamma[spanning][:, None]
         d = np.repeat(d_span, [orders[m].size for m in span], axis=0)
         rows = np.empty((gamma.size, self.d_grand.size))
-        rows[spanning] = pc * g - p * np.maximum(g - d, 0.0)
+        rows[spanning] = _profit(self.inst, g, np.maximum(g - d, 0.0))
         values = [self._block_value(m)[1] for m in masks if m not in orders]
         rows[~spanning] = np.array(values)[:, None]
 
@@ -421,7 +421,7 @@ class RobustGameSolver:
         """(den, grand) of the vertex path at order y: the grand profit at
         every joint atom and at every vertex, kept for the last y."""
         if self._vertex_den is None or self._vertex_den[0] != y:
-            den = (self.p - self.c) * y - self.p * np.maximum(y - self.d_grand, 0.0)
+            den = _profit(self.inst, y, np.maximum(y - self.d_grand, 0.0))
             self._vertex_den = (y, den, self.poly.vertices() @ den)
         return self._vertex_den[1:]
 
@@ -497,10 +497,9 @@ class RobustGameSolver:
             return VmaxResult(vbar / vmin, y_s, q_min)
 
         d_s, gammas, shortage, ctm = self._coalition_data(mask)
-        p, pc = self.p, self.p - self.c
-        ubs = np.maximum(pc * gammas - p * shortage, 0.0) / vmin
+        ubs = np.maximum(_profit(self.inst, gammas, shortage), 0.0) / vmin
         order = np.lexsort((gammas, -ubs))
-        den = pc * y - p * np.maximum(y - self.d_grand, 0.0)
+        den = _profit(self.inst, y, np.maximum(y - self.d_grand, 0.0))
         last = self._ratio_start.get(mask)
         if last is not None:
             start, q = last, last.x
@@ -513,7 +512,7 @@ class RobustGameSolver:
             if best is not None and ubs[idx] <= best:
                 break  # remaining candidates are bounded below the incumbent
             gamma = float(gammas[idx])
-            num = pc * gamma - p * np.maximum(gamma - d_s, 0.0)
+            num = _profit(self.inst, gamma, np.maximum(gamma - d_s, 0.0))
             lam = float(num @ q) / float(den @ q)
             if best is not None:
                 lam = max(lam, best)
@@ -640,7 +639,7 @@ class RobustGameSolver:
             # w and the table's arrays are both in mask order, from mask 1.
             q = table.joints[i][None, :] if verts is None else verts[self._ties(i + 1)]
             shortage = q @ np.maximum(y - d, 0.0)
-            grand = pc * y - p * shortage
+            grand = _profit(self.inst, y, shortage)
             p_hi = q @ (d <= y)
             scale = w[i] * table.ratios[i] / grand
             lo[j] = np.max(scale * (pc - p * (q @ (d < y))))

@@ -55,20 +55,19 @@ from .newsvendor import critical_orders, optimal_order, order_profits, worst_cas
 from .robust_game import Decision, RobustGameSolver
 
 WITNESS_POOL_CAP = 256
-_EXCESS_CHUNK_ROWS = 256
+_EXCESS_CHUNK_ROWS = 128
 """Rows of mixed joints per `ExcessEvaluator.stack` pass in the stress loop.
-A pass holds rows x atoms temporaries for a few coalitions at a time and
-several rows x coalitions matrices, so one pass over all of an instance's
-admissible mixtures (about 1 000 rows at the criterion-10 shape) raised
-the peak RSS of a serial 17-instance run from 42.8 to 44.7 MB. Chunks of
-256 rows still make half the calls of one pass per lambda."""
-_COALITION_BATCH = 4
-"""Coalitions per newsvendor kernel call in `ExcessEvaluator.stack`. A call
-holds coalitions x rows x atoms arrays; at the stress loop's chunks
-(256 rows of 16-atom joints) 4 coalitions keep each at 128 KB, while 16
-raised the peak RSS of a serial 17-instance criterion-10 run by 2 MB. One
-coalition per call was slower: the per-call cost of the atom-by-atom
-cumulative sums is then paid for every coalition."""
+A pass makes one newsvendor kernel call for all coalitions, whose
+temporaries are coalitions x rows x atoms: at the criterion-10 shape (48
+coalitions spanning both blocks, 16 atoms) 0.75 MB each at 128 rows. On a
+2-vCPU x86 VM (2 MB of L2 per core) the stack time of one instance's
+1 034 rows was, min of 7 x 5 passes over three sweeps: 6.3-6.5 ms at 32
+rows, 5.3-7.4 ms at 64, 4.6-4.9 ms at 128 and 4.9-5.3 ms at 256 (7.0 ms
+with 4 coalitions per call and 256 rows). Against 64 rows, 128 raised the
+peak RSS of a serial 17-instance run by 0.4 MB, and 256 by 1.4 MB."""
+_DEDUPE_BLOCK = 128
+"""Candidates per closeness block in `_dedupe_pool`: a block holds one
+block x pool matrix, so a pool of 10 000 vectors needs about 10 MB."""
 _DEFAULT_LAMBDAS = tuple(round(0.1 * i, 1) for i in range(11))
 
 CSV_HEADER = (
@@ -251,12 +250,12 @@ class ExcessEvaluator:
     The per-coalition data that no joint changes is fixed once here: each
     coalition's demand per atom and the pinned quantile order of a
     coalition inside one block. `stack` then evaluates all coalitions for a
-    whole matrix of joints at once, `_COALITION_BATCH` coalitions per call
-    of the newsvendor kernel (`order_profits` at the pinned orders,
-    `critical_orders` over the joints for the coalitions spanning blocks),
-    and `excess` turns a stack into one excess per row for a decision. The
-    kernel's values equal its one-joint values bit for bit, so a stacked
-    excess equals the one-joint excess. The excess is undefined under a
+    whole matrix of joints at once, in two calls of the newsvendor kernel
+    (`order_profits` at the pinned orders, `critical_orders` over the
+    joints for the coalitions spanning blocks), and `excess` turns a stack
+    into one excess per row for a decision. The kernel's values equal its
+    one-joint values bit for bit, so a stacked excess equals the one-joint
+    excess. The excess is undefined under a
     joint where the decision's grand profit is nonpositive; `excess` raises
     DomainError on such a row, so a caller with many joints screens them
     first with `grand_profit`.
@@ -274,6 +273,8 @@ class ExcessEvaluator:
         self._pinned_y = worst_case_orders(inst, masks[self._pinned_cols].tolist())[0]
         self._span_cols = np.flatnonzero(blocks_met > 1)
         self._demands = demands[:-1]
+        self._pinned_d = self._demands[self._pinned_cols]
+        self._span_d = self._demands[self._span_cols]
         # _members[i] selects the coalitions that contain retailer i.
         self._members = [((masks >> i) & 1).astype(bool) for i in range(inst.n_retailers)]
 
@@ -289,13 +290,10 @@ class ExcessEvaluator:
             )
         qs.setflags(write=False)
         profits = np.empty((qs.shape[0], self._demands.shape[0]))
-        for lo in range(0, self._pinned_cols.size, _COALITION_BATCH):
-            cols = self._pinned_cols[lo : lo + _COALITION_BATCH]
-            y = self._pinned_y[lo : lo + _COALITION_BATCH, None]
-            profits[:, cols] = order_profits(self.inst, y, self._demands[cols], qs).T
-        for lo in range(0, self._span_cols.size, _COALITION_BATCH):
-            cols = self._span_cols[lo : lo + _COALITION_BATCH]
-            profits[:, cols] = critical_orders(self.inst, self._demands[cols], qs)[1].T
+        profits[:, self._pinned_cols] = order_profits(
+            self.inst, self._pinned_y[:, None], self._pinned_d, qs
+        ).T
+        profits[:, self._span_cols] = critical_orders(self.inst, self._span_d, qs)[1].T
         profits.setflags(write=False)
         return JointStack(self, qs, profits)
 
@@ -353,20 +351,24 @@ def _dedupe_pool(pool: Sequence[np.ndarray], cap: int = WITNESS_POOL_CAP) -> lis
     """The first `cap` vectors of `pool` that lie farther than 1e-10 (max
     norm) from every vector kept before them, in pool order. The rule is
     not transitive (of a ~ b ~ c with a !~ c, the pool a, b, c keeps a and
-    c), so it is applied one candidate at a time, against all kept rows at
-    once."""
+    c), so it runs one candidate at a time: a kept vector drops every later
+    one close to it. Closeness is found for `_DEDUPE_BLOCK` candidates
+    against the rest of the pool at once, one atom at a time, so no
+    temporary spans the atoms."""
     kept: list[np.ndarray] = []
-    if not pool:
-        return kept
-    rows = np.empty((min(cap, len(pool)), np.size(pool[0])))
-    for q in pool:
-        n = len(kept)
-        if n >= cap:
-            break
-        if np.any(np.max(np.abs(rows[:n] - q), axis=1) <= 1e-10):
-            continue
-        rows[n] = q
-        kept.append(q)
+    rows = np.array(pool)
+    dropped = np.zeros(len(pool), dtype=bool)
+    for lo in range(0, len(pool), _DEDUPE_BLOCK):
+        close = np.ones((min(_DEDUPE_BLOCK, len(pool) - lo), len(pool) - lo), dtype=bool)
+        for atom in rows[lo:].T:
+            close &= np.abs(atom[: close.shape[0], None] - atom) <= 1e-10
+        for i, near in enumerate(close, lo):
+            if dropped[i]:
+                continue
+            if len(kept) >= cap:
+                return kept
+            kept.append(pool[i])
+            dropped[lo:] |= near
     return kept
 
 
@@ -409,15 +411,23 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
         raise SolverError(
             f"instance {instance_id}: every sample at lambda={lam} was degenerate"
         )
-    # The admissible rows of every lambda, in lambda order, go through the
-    # stacked kernel in fixed chunks; each value depends on its row alone.
     admitted = np.flatnonzero(admissible)
     rob_vals, det_vals = np.empty(admitted.size), np.empty(admitted.size)
-    for lo in range(0, admitted.size, _EXCESS_CHUNK_ROWS):
-        hi = lo + _EXCESS_CHUNK_ROWS
-        stack = evaluator.stack(mixed[admitted[lo:hi]])
-        rob_vals[lo:hi] = evaluator.excess(stack, robust)
-        det_vals[lo:hi] = evaluator.excess(stack, det)
+    # A row of lambda = 0 is (1 - 0) q_ind + 0 e = q_ind + 0 = q_ind for
+    # every sample e >= 0, so all of them are one row, evaluated once.
+    at_zero = (np.repeat(lams, len(ext)) == 0.0)[admitted]
+    if at_zero.any():
+        stack = evaluator.stack(mixed[admitted[at_zero][0]])
+        rob_vals[at_zero] = evaluator.excess(stack, robust)
+        det_vals[at_zero] = evaluator.excess(stack, det)
+    # The other admissible rows, in lambda order, go through the stacked
+    # kernel in fixed chunks; each value depends on its row alone.
+    rest = np.flatnonzero(~at_zero)
+    for lo in range(0, rest.size, _EXCESS_CHUNK_ROWS):
+        slots = rest[lo : lo + _EXCESS_CHUNK_ROWS]
+        stack = evaluator.stack(mixed[admitted[slots]])
+        rob_vals[slots] = evaluator.excess(stack, robust)
+        det_vals[slots] = evaluator.excess(stack, det)
     bounds = np.cumsum(kept)[:-1]
     rows = []
     for lam, n_kept, rob_lam, det_lam in zip(

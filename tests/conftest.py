@@ -75,6 +75,22 @@ def simplex_phases(monkeypatch) -> list:
 
 
 @pytest.fixture
+def refactors(monkeypatch) -> list:
+    """Records the size of every basis that `_Simplex.refactor` inverts, in
+    order, so its length counts the factorizations: a solve's crash start,
+    its periodic and final refactorizations, and `LinearProgram.factor`."""
+    sizes = []
+    refactor = lp._Simplex.refactor
+
+    def recording_refactor(self):
+        sizes.append(self.m)
+        return refactor(self)
+
+    monkeypatch.setattr(lp._Simplex, "refactor", recording_refactor)
+    return sizes
+
+
+@pytest.fixture
 def t1() -> Instance:
     """Two retailers in two blocks: demand {1,3} equiprobable and a point
     mass at 2, price 2, cost 1. The consistency polytope is a singleton."""

@@ -9,8 +9,10 @@ comonotonic worst case replaced; `lp_least_shortage` is its min-sense
 counterpart, which the countermonotonic vertex attains for two blocks.
 `exact_sigma_slopes` evaluates the least-core cuts in rational arithmetic.
 `two_phase_stability_lp` keeps the cold two-phase solve of the stability LP
-that the crash start replaced, and `exact_least_core_eps` the exact optimum
-of that LP by rational vertex enumeration. The `per_coalition_*` and
+that the crash start replaced, `fresh_stability_lp` its crash-started solve
+on a program built afresh for every call, which the kept standard forms and
+factors replaced, and `exact_least_core_eps` the exact optimum of that LP by
+rational vertex enumeration. The `per_coalition_*` and
 `per_mask_*` functions keep the one-coalition-at-a-time loops that the
 batched demand rows and the row-wise order kernel replaced.
 `per_entry_vertex_table` keeps the vertex path's one-coalition ratio
@@ -22,6 +24,7 @@ screen replaced.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +332,36 @@ def two_phase_stability_lp(n: int, values_by_mask, total: float):
     if sol.status != "optimal":
         raise SolverError(f"stability LP reported {sol.status!r}")
     return sol.x[:n].copy(), float(sol.x[n]), -sol.duals[1:]
+
+
+def fresh_stability_lp(n: int, values_by_mask, total: float):
+    """(x, eps, w) of `coop.solve_stability_lp` from a freshly built
+    program: the same scaled table and crash basis, with no standard form,
+    factor or program kept from an earlier call."""
+    if isinstance(values_by_mask, np.ndarray):
+        values_by_mask = dict(enumerate(values_by_mask.tolist(), start=1))
+    masks = sorted(values_by_mask)
+    rows = np.array([[mask >> j & 1 for j in range(n)] for mask in masks], dtype=float)
+    vals = np.array([float(values_by_mask[m]) for m in masks])
+    top = max(float(np.max(np.abs(vals))), abs(float(total)))
+    scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
+    vals, total = vals / scale, total / scale
+    excess = vals - total * rows[:, 0]
+    k_star = int(np.argmax(excess))
+    basis = [n + 1 if total < 0 else 0, 2 * n + 1 if excess[k_star] < 0 else n]
+    basis += [2 * n + 2 + k for k in range(len(masks)) if k != k_star]
+    sol = solve_lp(LinearProgram(
+        sense="min",
+        objective=np.r_[np.zeros(n), 1.0],
+        a_eq=np.r_[np.ones(n), 0.0][None, :],
+        b_eq=[total],
+        a_ub=-np.hstack([rows, np.ones((len(masks), 1))]),
+        b_ub=-vals,
+        lower_bounds=np.full(n + 1, -np.inf),
+    ), basis)
+    if sol.status != "optimal":
+        raise SolverError(f"stability LP reported {sol.status!r}")
+    return sol.x[:n] * scale, float(sol.x[n]) * scale, -sol.duals[1:]
 
 
 def exact_least_core_eps(n: int, values_by_mask, total: float = 1.0) -> Fraction:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nvgames import coop
 from nvgames.coop import (
     CharacteristicFunction,
     balancedness_duality_pair,
@@ -14,7 +15,7 @@ from nvgames.distributions import DiscreteMarginal, Instance, independent_joint
 from nvgames.errors import InputError, SolverError
 
 from conftest import random_instance
-from oracles import two_phase_stability_lp
+from oracles import fresh_stability_lp, two_phase_stability_lp
 
 
 def cf(values) -> CharacteristicFunction:
@@ -252,6 +253,24 @@ class TestStabilityCrashStart:
             worst = max(v - sum(x[j] for j in range(n) if m >> j & 1) - eps for m, v in table.items())
             assert worst <= 1e-12
         assert len(cases) == 12
+
+    def test_kept_factor_equals_a_fresh_program(self, refactors):
+        # The tables of the test above: negated rows of every pattern, both
+        # signs of the total and all 12 crash cases. A solve on the kept
+        # standard form from its kept factor has the bits of a solve on a
+        # program built afresh, and inverts only at its final guard.
+        def bits(x, eps, w):
+            return x.tobytes(), np.float64(eps).tobytes(), w.tobytes()
+
+        for n, table, total in stability_tables(34, 500):
+            expect = bits(*fresh_stability_lp(n, table, total))
+            coop._stability_form.cache_clear()
+            del refactors[:]
+            assert bits(*solve_stability_lp(n, table, total)) == expect
+            first = len(refactors)
+            assert bits(*solve_stability_lp(n, table, total)) == expect
+            again = len(refactors) - first
+            assert again <= 1 and first == again + 1  # the crash factor, once
 
     def test_power_of_two_scaling_is_exact(self):
         # The LP runs on the table divided by a power of two near its

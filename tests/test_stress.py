@@ -342,6 +342,37 @@ class TestRunStress:
             run_stress(small_cfg())
         assert len(gaps) == 15 and max(gaps) <= 1e-12
 
+    def test_stability_lps_after_the_first_of_their_shape_refactor_once(
+        self, monkeypatch, refactors
+    ):
+        # A stability LP's standard form and crash factor are kept per
+        # (n, masks, negated rows), so only the first LP of a shape inverts
+        # its crash basis; every later one refactors once, at the final
+        # guard. Here the deterministic least cores and the sigma probes of
+        # both instances share one shape.
+        original = coop.solve_stability_lp
+        shapes, counts = [], []
+
+        def counted(n, table, total):
+            if isinstance(table, np.ndarray):
+                masks, vals = tuple(range(1, table.size + 1)), table
+            else:
+                masks, vals = tuple(sorted(table)), np.array([table[m] for m in sorted(table)])
+            shapes.append((n, masks, total < 0, tuple(vals > 0)))
+            start = len(refactors)
+            out = original(n, table, total)
+            counts.append(len(refactors) - start)
+            return out
+
+        monkeypatch.setattr(coop, "solve_stability_lp", counted)
+        monkeypatch.setattr(robust_game, "solve_stability_lp", counted)
+        coop._stability_form.cache_clear()
+        run_stress(small_cfg())
+        firsts = {shapes.index(shape) for shape in shapes}
+        assert len(counts) == 15 and len(firsts) == 1
+        assert [c for i, c in enumerate(counts) if i not in firsts] == [1] * 14
+        assert [counts[i] for i in sorted(firsts)] == [2]
+
     @pytest.mark.parametrize("path", ["vertex", "lp"])
     @pytest.mark.parametrize("blocks", [(2, 2), (1, 1, 2)])
     def test_no_lp_runs_phase_one(self, simplex_phases, path, blocks):
@@ -482,6 +513,42 @@ class TestChunkedExcess:
         robust, _ = stress._solve_robust(inst)
         assert rows == per_lambda_rows(
             job, ext, robust, stress._deterministic_decision(inst, independent_joint(inst)))
+
+    def test_rows_equal_a_per_lambda_loop_with_lambda_zero_repeated(self, monkeypatch):
+        # Every row of lambda = 0 is the independent joint, evaluated once
+        # and copied into each of its slots; the other rows cross chunks.
+        cfg = criterion10_cfg(lambda_grid=(0.0, 0.5, 0.0, 1.0))
+        job = (cfg, 0, 11, 12)
+        rows, ext = rows_and_pool(monkeypatch, job)
+        assert 2 * len(ext) > stress._EXCESS_CHUNK_ROWS
+        inst = gen_instance(cfg, 11)
+        robust, _ = stress._solve_robust(inst)
+        assert rows == per_lambda_rows(
+            job, ext, robust, stress._deterministic_decision(inst, independent_joint(inst)))
+        assert rows[0] == rows[2]
+
+    def test_stack_over_several_chunks_equals_the_per_joint_oracle(self, monkeypatch):
+        # One kernel call per coalition group over more rows than two
+        # chunks hold, repeated lambda = 0 rows included, has the bits of
+        # the one-joint, one-coalition loop.
+        cfg = criterion10_cfg()
+        _, ext = rows_and_pool(monkeypatch, (cfg, 0, 11, 12))
+        inst = gen_instance(cfg, 11)
+        q_ind = independent_joint(inst).q
+        mixed = np.concatenate([(1.0 - lam) * q_ind + lam * ext for lam in (0.0, 0.3, 0.0, 1.0)])
+        assert len(mixed) > 2 * stress._EXCESS_CHUNK_ROWS
+        evaluator = ExcessEvaluator(inst)
+        stack = evaluator.stack(mixed)
+        expect = {}  # the rows of lambda = 0 are one row
+        for q, row in zip(mixed, stack.profits):
+            if q.tobytes() not in expect:
+                expect[q.tobytes()] = np.array(list(scalar_coalition_profits(inst, q)[1].values()))
+            assert row.tobytes() == expect[q.tobytes()].tobytes()
+        robust, _ = stress._solve_robust(inst)
+        excess = evaluator.excess(stack, robust)
+        for i in range(0, len(mixed), len(ext)):
+            expect = scalar_excess(inst, mixed[i], robust)
+            assert np.float64(excess[i]).tobytes() == np.float64(expect).tobytes()
 
     def test_rows_equal_a_per_lambda_loop_with_degenerate_samples(self, monkeypatch):
         # A robust order above demand leaves some samples at lambda = 1 with
