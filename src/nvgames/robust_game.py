@@ -64,25 +64,21 @@ ratios num_gamma @ q / den @ q: no tolerance, no screen and no starting
 vertex (a coalition inside one block has its block value as its one
 numerator). With duplicate atoms the table holds only the vertices on each
 class's representative atom, but every ratio depends on the atoms only
-through their demands, so its maximum, ties and slopes are the same. Ties
-go to the first maximum in row-major order (gamma ascending, then the
-vertex's row in the table), so a witness depends only on y and S, not on
-earlier solves, and the witness is the table's row itself. Above the cap
-the Dinkelbach LPs above are the only path.
+through their demands, so its maximum, ties and slopes are the same. Above
+the cap the Dinkelbach LPs above are the only path.
 
 Only the denominator depends on y, so the vertex path runs in whole
 arrays. Once per solver it forms, for every coalition S and vertex v, the
 best numerator M[S, v] = max over gamma of num_gamma(S) @ v and its first
 maximizing gamma. A table, or the one row that `vmax` needs, is then
-M / (vertices @ den(y)) and one maximum per row, the ties going to the
-least (gamma index, vertex row). That is the row-major rule unless a
-smaller gamma's ratio rounds to the same maximum, which needs its
-numerator within a few units of roundoff of M[S, v]; those pairs are
-flagged at build time, and a coalition with a flagged tie takes its whole
-ratio matrix instead. The values are the dot products of the chosen
-numerator row and vertex, the same BLAS dots as the one-coalition formula,
-so every value, order and witness is that of the per-coalition matrix,
-bit for bit.
+M / (vertices @ den(y)) and one maximum per row. Division by a positive
+grand profit rounds monotonically, so that maximum has the bits of the
+largest entry of the coalition's (gamma x vertex) ratio matrix. Among the
+vertices that attain it, ties go to the least pair (the vertex's first
+maximizing gamma index, its row), so a witness depends only on y and S,
+not on earlier solves, and the witness is the table's row itself. The
+values are the dot products of the chosen numerator row and vertex, the
+same BLAS dots as the one-coalition formula.
 
 Beyond those warm starts the solver keeps no per-y history: only the last
 table and, once computed, its sigma with the stability LP's dual weights,
@@ -111,6 +107,8 @@ that contradicts an earlier cut raises SolverError: sigma would not be
 convex. On the vertex path each v_S is a maximum of finitely many such
 pieces, and the cuts take the extreme one-sided slopes over every vertex
 that attains it (Danskin 1967), so that a probe at a kink of v_S certifies.
+Those vertices are read off M / (vertices @ den(y)) for all the weighted
+coalitions at once, within a rounding bound that keeps every exact one.
 """
 
 from __future__ import annotations
@@ -223,19 +221,18 @@ class _Numerators:
     """The vertex path's per-instance data, row i for coalition mask i + 1:
     the candidate orders `gammas` and their numerator rows `rows` (stacked,
     coalition i's at `start[i]:start[i + 1]`), and over the V vertices v
-    the best numerator `best[i, v] = max_gamma num_gamma @ v`, its first
+    the best numerator `best[i, v] = max_gamma num_gamma @ v` and its first
     maximizing gamma `arg[i, v]` (an index into the coalition's orders, in
-    the smallest unsigned dtype that holds their count) and `close[i, v]`,
-    whether a numerator at an order before `arg[i, v]` lies within 4u
-    best[i, v] of it (u the unit roundoff): the only ones whose ratio can
-    round to the same value."""
+    the smallest unsigned dtype that holds their count); `peak[i]` is the
+    largest |entry| of coalition i's numerator rows, which bounds |num| @ v
+    at every vertex v, a probability vector."""
 
     gammas: np.ndarray
     rows: np.ndarray
     start: np.ndarray
     best: np.ndarray
     arg: np.ndarray
-    close: np.ndarray
+    peak: np.ndarray
 
 
 class RobustGameSolver:
@@ -378,7 +375,7 @@ class RobustGameSolver:
         with the vertices, `_NUMERATOR_BATCH` rows at a time. numpy runs
         each coalition's slice of it as the same BLAS call as its own
         `nums @ verts.T`, so every numerator has the bits of the
-        per-coalition ratio matrix, as `_ratio_matrix` forms it."""
+        per-coalition (gamma x vertex) product."""
         if self._numerators is not None:
             return self._numerators
         verts = self.poly.vertices()
@@ -399,22 +396,18 @@ class RobustGameSolver:
         rows[~spanning] = np.array(values)[:, None]
 
         shape = (len(masks), verts.shape[0])
-        best, close = np.empty(shape), np.zeros(shape, dtype=bool)
+        best = np.empty(shape)
         arg = np.empty(shape, dtype=np.min_scalar_type(np.max(counts)))
-        u = np.finfo(float).eps / 2
         for size in np.unique(counts).tolist():
             members = np.flatnonzero(counts == size)
             step = max(1, _NUMERATOR_BATCH // size)
             for lo in range(0, members.size, step):
                 batch = members[lo : lo + step]
                 nums = rows[start[batch, None] + np.arange(size)] @ verts.T
-                arg[batch] = first = np.argmax(nums, axis=1)
+                arg[batch] = np.argmax(nums, axis=1)
                 best[batch] = np.max(nums, axis=1)
-                if size > 1:
-                    earlier = np.arange(size)[:, None] < first[:, None, :]
-                    below = np.max(np.where(earlier, nums, -np.inf), axis=1)
-                    close[batch] = best[batch] - below <= 4 * u * np.abs(best[batch])
-        self._numerators = _Numerators(gamma, rows, start, best, arg, close)
+        peak = np.maximum.reduceat(np.max(np.abs(rows), axis=1), start[:-1])
+        self._numerators = _Numerators(gamma, rows, start, best, arg, peak)
         return self._numerators
 
     def _grand_at(self, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -430,18 +423,15 @@ class RobustGameSolver:
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """(ratios, gammas, joints) of the coalitions in `masks` (a slice of
         masks - 1) on the vertex path: per coalition the maximum of its
-        (gamma x vertex) ratio matrix num_gamma @ q / den @ q, the first in
-        row-major order on ties (gamma ascending, then the vertex's row),
-        reported as its vertex's own ratio.
+        (gamma x vertex) ratio matrix num_gamma @ q / den @ q, reported as
+        its vertex's own ratio.
 
         The ratios at vertex v are at most best[v] / grand[v], attained at
         arg[v], since division by a positive grand profit keeps the order
-        of the numerators. So the row maximum is that of best / grand, and
-        the first maximizer is the least (arg[v], v) among the tied
-        vertices, unless a numerator before arg[v] rounds to the same
-        ratio. That needs it within 2u(1 + u) best[v] of best[v], so only a
-        coalition with a tied vertex flagged `close` can have one; its
-        whole ratio matrix (`_ratio_matrix`) then decides."""
+        of the numerators; it also rounds monotonically, so the largest
+        best / grand has the bits of the matrix's largest ratio. Ties go to
+        the least (arg[v], v) among the vertices that attain it, so an
+        entry depends only on y and S."""
         data = self._vertex_numerators()
         verts = self.poly.vertices()
         if self._vertex_rows is None:
@@ -452,41 +442,31 @@ class RobustGameSolver:
         tied = ratios == np.max(ratios, axis=1)[:, None]
         first = np.min(np.where(tied, arg, np.iinfo(arg.dtype).max), axis=1)
         v = np.argmax(tied & (arg == first[:, None]), axis=1)
-        start = data.start[masks.start : masks.stop + 1]
-        g = start[:-1] + first
-        for i in np.flatnonzero(np.any(tied & data.close[masks], axis=1)):
-            _nums, full = self._ratio_matrix(masks.start + i, grand)
-            row, v[i] = divmod(int(np.argmax(full)), grand.size)
-            g[i] = start[i] + row
+        g = data.start[masks] + first
         q = verts[v]
         values = row_dots(data.rows[g], q) / row_dots(np.broadcast_to(den, q.shape), q)
         return values, data.gammas[g], [self._vertex_rows[k] for k in v.tolist()]
 
-    def _ratio_matrix(self, j: int, grand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(nums, ratios) of coalition j (mask j + 1) on the vertex path: its
-        numerator rows, one per candidate gamma, and its whole (gamma x
-        vertex) ratio matrix (nums @ verts.T) / grand, `grand` the grand
-        profit at every vertex."""
+    def _tie_mask(self, used: np.ndarray) -> np.ndarray:
+        """Which vertices tie the last table's entries of the coalitions
+        `used` (mask - 1), one row per coalition: those whose best ratio
+        best[v] / grand[v] is within the ratios' rounding bound of the
+        largest. Each ratio num @ q / den @ q is within gamma_(K+2) (|num| @
+        q + |ratio| |den| @ q) / (den @ q) of its exact value (Higham 2002,
+        ch. 3, first order), and at a vertex q, a probability vector, |num|
+        @ q <= peak and |den| @ q <= max |den|. So every vertex that
+        attains an entry exactly is tied."""
         data = self._vertex_numerators()
-        nums = data.rows[data.start[j] : data.start[j + 1]]
-        return nums, (nums @ self.poly.vertices().T) / grand
-
-    def _ties(self, mask: int) -> np.ndarray:
-        """Rows of the vertex table with a (gamma, vertex) ratio that ties
-        the coalition's entry in the last table within the ratios' rounding
-        bound: each ratio is within gamma_(K+2) (|num| @ q + |ratio| |den| @
-        q) / (den @ q) of its exact value (Higham 2002, ch. 3, first order),
-        so every exactly attaining vertex is among them."""
-        verts = self.poly.vertices()
         den, grand = self._grand_at(self._last_table.y)
-        nums, ratios = self._ratio_matrix(mask - 1, grand)
+        ratios = data.best[used] / grand
         k = den.size + 2
         u = np.finfo(float).eps / 2
         err = k * u / (1 - k * u) * (
-            np.abs(nums) @ verts.T + np.abs(ratios) * (verts @ np.abs(den))
+            data.peak[used, None] + np.abs(ratios) * np.max(np.abs(den))
         ) / grand
-        top = np.unravel_index(np.argmax(ratios), ratios.shape)
-        return np.flatnonzero(np.any(ratios >= ratios[top] - err[top] - err, axis=0))
+        top = np.argmax(ratios, axis=1)[:, None]
+        floor = np.take_along_axis(ratios, top, 1) - np.take_along_axis(err, top, 1)
+        return ratios >= floor - err
 
     def vmax_entry(self, y: float, mask: int, vmin: float, q_min: np.ndarray) -> VmaxResult:
         """v_max(y, S) of coalition `mask` on a polytope without a vertex
@@ -612,10 +592,11 @@ class RobustGameSolver:
         maximum of finitely many such pieces, one per (gamma, vertex), so
         its one-sided derivatives are the extremes over the attaining
         pieces (Danskin 1967): per S the least left slope and the largest
-        right slope over the vertices of `_ties`. A tie that does not attain
-        exactly, only within the ratios' rounding bound delta_S, still
-        gives a cut valid up to w_S delta_S, some 1e-15 relative, far below
-        the least-core search's 1e-9.
+        right slope over its tied vertices (`_tie_mask`, one call for all
+        the used S). A tie that does not attain exactly, only within the
+        ratios' rounding bound delta_S, still gives a cut valid up to w_S
+        delta_S, some 1e-14 relative, far below the least-core search's
+        1e-9.
 
         The error bound is the standard one for floating-point dot products
         (Higham 2002, ch. 3), to first order in the unit roundoff u, with
@@ -634,10 +615,11 @@ class RobustGameSolver:
         used = np.flatnonzero(w > 0.0)
         y, d, p, pc = table.y, self.d_grand, self.p, self.p - self.c
         verts = self.poly.vertices()
+        tied = None if verts is None or not used.size else self._tie_mask(used)
         lo, hi, bound = np.zeros(used.size), np.zeros(used.size), np.zeros(used.size)
         for j, i in enumerate(used):
             # w and the table's arrays are both in mask order, from mask 1.
-            q = table.joints[i][None, :] if verts is None else verts[self._ties(i + 1)]
+            q = table.joints[i][None, :] if tied is None else verts[tied[j]]
             shortage = q @ np.maximum(y - d, 0.0)
             grand = _profit(self.inst, y, shortage)
             p_hi = q @ (d <= y)

@@ -219,10 +219,12 @@ def exact_sigma_slopes(solver) -> tuple[Fraction, Fraction]:
     p, pc, y = Fraction(solver.p), Fraction(solver.p) - Fraction(solver.c), Fraction(table.y)
     d = [Fraction(v) for v in solver.d_grand]
     g_lo = g_hi = Fraction(0)
-    for i in np.flatnonzero(w > 0.0):
+    used = np.flatnonzero(w > 0.0)
+    verts = solver.poly.vertices()
+    tied = None if verts is None or not used.size else solver._tie_mask(used)
+    for j, i in enumerate(used):
         entry = table.entries[masks[i]]
-        verts = solver.poly.vertices()
-        pieces = [entry.q] if verts is None else verts[solver._ties(masks[i])]
+        pieces = [entry.q] if tied is None else verts[tied[j]]
         lo, hi = [], []
         for q in pieces:
             q = [Fraction(v) for v in q]
@@ -464,13 +466,14 @@ def per_mask_deterministic_values(inst, q) -> np.ndarray:
 
 def per_entry_vertex_table(solver, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, gammas, vertex rows) in mask order of every coalition's
-    vertex-path entry at order y, one coalition at a time: the first
-    maximum in row-major order of its (gamma x vertex) ratio matrix
-    (nums @ verts.T) / (verts @ den), reported as that vertex's own ratio
-    float(nums[g] @ q) / float(den @ q). A coalition inside one block has
-    its worst-case order and value as its one candidate; a spanning one
-    tries its distinct demand values, less those within 1e-12 of the one
-    before."""
+    vertex-path entry at order y, one coalition at a time: the maximum of
+    its (gamma x vertex) ratio matrix (nums @ verts.T) / (verts @ den), at
+    the least (g, v) over the vertices v whose column attains it, g the
+    first order of v's largest numerator, reported as that vertex's own
+    ratio float(nums[g] @ q) / float(den @ q). A coalition inside one
+    block has its worst-case order and value as its one candidate; a
+    spanning one tries its distinct demand values, less those within 1e-12
+    of the one before."""
     from nvgames.newsvendor import worst_case_order
 
     inst, poly = solver.inst, solver.poly
@@ -488,7 +491,9 @@ def per_entry_vertex_table(solver, y: float) -> tuple[np.ndarray, np.ndarray, np
             cand = np.unique(d_s)
             cand = cand[np.r_[True, np.diff(cand) > 1e-12]]
             nums = pc * cand[:, None] - p * np.maximum(cand[:, None] - d_s, 0.0)
-        g, v = divmod(int(np.argmax((nums @ verts.T) / grand)), grand.size)
+        prod = nums @ verts.T
+        top = np.max(prod / grand, axis=0)
+        g, v = min((int(np.argmax(prod[:, v])), int(v)) for v in np.flatnonzero(top == top.max()))
         values.append(float(nums[g] @ verts[v]) / float(den @ verts[v]))
         gammas.append(float(cand[g]))
         rows.append(v)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 import weakref
@@ -260,6 +261,15 @@ def small_cfg_instance(i: int) -> Instance:
     return gen_instance(cfg, int(seeds[2 * i]))
 
 
+def repeated_atom_instance() -> Instance:
+    """The criterion-10 shape with a repeated atom in block 0, so its 16
+    joint atoms fall into 3 x 4 value classes (C(12, 6) = 924 column sets;
+    counted over the atoms, C(16, 6) = 8 008)."""
+    cfg = ExperimentConfig(n=6, block_sizes=(3, 3), atoms_per_block=(4, 4),
+                           support_lo=1, support_hi=10, seed=1)
+    return gen_instance(cfg, 1002)
+
+
 def counted_sigma(monkeypatch) -> list[int]:
     """Count RobustGameSolver.sigma calls from here on."""
     calls = [0]
@@ -407,12 +417,21 @@ class TestCutSearch:
         assert decision.y == y
         assert solver.least_core_lower == eps
 
-    @pytest.mark.parametrize("y", [19.0, 21.0])
-    def test_ties_are_the_vertices_attaining_each_entry(self, y):
+    @pytest.mark.parametrize("make, y", [
+        pytest.param(lambda: small_cfg_instance(0), 19.0, id="19.0"),
+        pytest.param(lambda: small_cfg_instance(0), 21.0, id="21.0"),
+        pytest.param(lambda: random_instance(0, block_sizes=(2, 1, 1), atoms_per_block=(2, 2, 2)),
+                     None, id="three-blocks"),
+        pytest.param(repeated_atom_instance, None, id="repeated-atom"),
+    ])
+    def test_ties_are_the_vertices_attaining_each_entry(self, make, y):
         # Per coalition, every vertex within 1e-13 (relative) of the best
-        # ratio over its candidate orders is tied, and none beyond 1e-10.
-        solver = RobustGameSolver(small_cfg_instance(0))
+        # ratio over its candidate orders is tied, and none beyond 1e-10;
+        # y None is the worst-case order.
+        solver = RobustGameSolver(make())
+        y = solver.grand_wc.y_star if y is None else y
         table = solver.table(y)
+        tied = solver._tie_mask(np.arange(len(table.entries)))
         verts = solver.poly.vertices()
         p, pc = solver.p, solver.p - solver.c
         den = pc * y - p * np.maximum(y - solver.d_grand, 0.0)
@@ -427,7 +446,7 @@ class TestCutSearch:
                     (pc * g - p * np.maximum(g - d_s, 0.0)) @ q / (den @ q) for g in np.unique(d_s)
                 ) for q in verts])
             best = ratios.max()
-            ties = set(solver._ties(mask).tolist())
+            ties = set(np.flatnonzero(tied[mask - 1]).tolist())
             assert set(np.flatnonzero(ratios >= best - 1e-13 * abs(best))) <= ties
             assert ties <= set(np.flatnonzero(ratios >= best - 1e-10 * abs(best)))
             several += len(ties) > 1
@@ -452,6 +471,55 @@ class TestCutSearch:
         calls = counted_sigma(monkeypatch)
         run_stress(small_cfg())
         assert calls[0] == 15
+
+
+class TestRuntimeChecks:
+    """Each runtime check of the ratio LPs and the least-core search fires,
+    with its message, on a corrupted solve."""
+
+    @pytest.fixture
+    def vmax_on_lp_path(self, lp_path):
+        # Coalition {0, 2} of this draw needs two Dinkelbach steps at
+        # gamma = 11.
+        inst = random_instance(0, n=3, block_sizes=(2, 1), atoms_per_block=(2, 2))
+        solver = RobustGameSolver(inst)
+        return lambda: solver.vmax(solver.grand_wc.y_star, 0b101)
+
+    @staticmethod
+    def corrupt_ratio_lps(monkeypatch, change):
+        """Every ratio LP solution from here on passed through `change`."""
+        solve = lp_module.solve_lp
+        monkeypatch.setattr(lp_module, "solve_lp", lambda *args: change(solve(*args)))
+
+    def test_a_ratio_lp_that_is_not_optimal_raises(self, vmax_on_lp_path, monkeypatch):
+        self.corrupt_ratio_lps(monkeypatch, lambda sol: dataclasses.replace(sol, status="infeasible"))
+        with pytest.raises(SolverError, match=r"ratio LP for coalition 0x5 at gamma=\S+ "
+                                              r"reported 'infeasible'"):
+            vmax_on_lp_path()
+
+    def test_a_step_that_does_not_raise_the_ratio_raises(self, vmax_on_lp_path, monkeypatch):
+        # F stays above the tolerance once the optimal vertex is reached.
+        self.corrupt_ratio_lps(monkeypatch, lambda sol: dataclasses.replace(
+            sol, objective_value=sol.objective_value + 1.0))
+        with pytest.raises(SolverError, match=r"Dinkelbach step for coalition 0x5 at gamma=\S+ "
+                                              r"left the ratio at \S+ with F = 1\.0"):
+            vmax_on_lp_path()
+
+    def test_a_ratio_not_certified_within_the_step_cap_raises(self, vmax_on_lp_path, monkeypatch):
+        monkeypatch.setattr("nvgames.robust_game._DINKELBACH_MAX_STEPS", 1)
+        with pytest.raises(SolverError, match=r"ratio for coalition 0x5 at gamma=11\.0 "
+                                              r"not certified after 1 Dinkelbach steps"):
+            vmax_on_lp_path()
+
+    def test_a_search_without_an_admissible_probe_raises(self, monkeypatch):
+        solver = RobustGameSolver(random_instance(0, n=3, block_sizes=(2, 1), atoms_per_block=(2, 2)))
+
+        def inadmissible(y):
+            raise DomainError(f"order {y} taken as inadmissible")
+
+        monkeypatch.setattr(solver, "sigma", inadmissible)
+        with pytest.raises(SolverError, match="least-core search never found an admissible order"):
+            solver.least_core()
 
 
 def scale_draws(support: tuple[int, int]) -> list[Instance]:
@@ -508,12 +576,7 @@ class TestRepeatedAtoms:
 
     @pytest.fixture
     def inst(self) -> Instance:
-        # The criterion-10 shape: block 0 repeats an atom, so its 16 joint
-        # atoms fall into 3 x 4 value classes (C(12, 6) = 924 column sets;
-        # counted over the atoms, C(16, 6) = 8 008).
-        cfg = ExperimentConfig(n=6, block_sizes=(3, 3), atoms_per_block=(4, 4),
-                               support_lo=1, support_hi=10, seed=1)
-        inst = gen_instance(cfg, 1002)
+        inst = repeated_atom_instance()
         poly = get_polytope(inst)
         assert (poly.class_counts, poly.n_atoms) == ((3, 4), 16)
         return inst

@@ -1,0 +1,18 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_code_lines_skip_docstrings_comments_and_layout(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""A module docstring\nover two lines."""\n\n# a comment\nx = 1\n\n'
+                    'def f():\n    """One line."""\n')
+    assert load_tool("code_lines").code_lines(path) == 2

@@ -85,12 +85,14 @@ def test_equal_numerators_go_to_the_smaller_order():
     assert_tables_match_the_per_entry_rule(RobustGameSolver(inst), [y])
 
 
-def test_a_smaller_order_rounding_to_the_maximum_keeps_the_row_major_rule():
+def test_a_smaller_order_rounding_to_the_maximum_goes_to_the_least_best_order():
     # At 1.3 times the worst-case order, coalition {1, 2, 3} has a tied
-    # vertex where an order before the best one has a numerator below the
-    # best, yet a ratio that rounds to the same maximum. The least (order,
-    # vertex) over the tied vertices is then not the row-major first, so
-    # the coalition's whole ratio matrix decides.
+    # vertex where an order before its best one has a numerator below the
+    # best, yet a ratio that rounds to the same maximum, so the row-major
+    # first of its ratio matrix is another (order, vertex). The entry is
+    # the least (best order, vertex) over the tied vertices, whose ratio in
+    # that matrix has the bits of its maximum; the table reports that
+    # vertex's own ratio, as the per-entry rule does.
     inst = Instance(2.0, 1.0, ((0, 1), (2, 3)), (
         DiscreteMarginal([[1.0, 1.0], [0.0, 1.0], [2.0, 2.0]], np.array([1.0, 3.0, 2.0]) / 6.0),
         DiscreteMarginal([[0.0, 1.0], [1.0, 2.0], [1.0, 0.0], [1.0, 2.0]],
@@ -98,17 +100,18 @@ def test_a_smaller_order_rounding_to_the_maximum_keeps_the_row_major_rule():
     ))
     solver = RobustGameSolver(inst)
     y = 1.3 * solver.grand_wc.y_star
-    solver.table(y)
+    table = solver.table(y)
     data = solver._vertex_numerators()
+    verts = solver.poly.vertices()
     _den, grand = solver._grand_at(y)
     i = 0b1110 - 1
-    ratios = data.best[i] / grand
-    tied = ratios == ratios.max()
-    assert np.any(tied & data.close[i])
-    first = data.arg[i][tied].min()
-    plain = int(np.flatnonzero(tied & (data.arg[i] == first))[0])
-    _values, _gammas, rows = per_entry_vertex_table(solver, y)
-    assert plain != rows[i]
+    full = (data.rows[data.start[i] : data.start[i + 1]] @ verts.T) / grand
+    tied = np.flatnonzero(np.max(full, axis=0) == full.max())
+    g, v = min((int(data.arg[i, v]), int(v)) for v in tied)
+    assert divmod(int(np.argmax(full)), grand.size) != (g, v)
+    assert table_rows(verts, [table.joints[i]]) == [v]
+    assert table.gammas[i] == data.gammas[data.start[i] + g]
+    assert bits([full[g, v]]).tolist() == bits([full.max()]).tolist()
     assert_tables_match_the_per_entry_rule(RobustGameSolver(inst), [y])
 
 
