@@ -63,20 +63,24 @@ class TestSpecExamples:
 
 class TestStatusClassification:
     def test_infeasible(self):
-        lp = LinearProgram("min", [1.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])
-        assert solve_lp(lp).status == "infeasible"
+        for b_eq in ([1.0, 2.0], [-1.0, -2.0]):
+            lp = LinearProgram("min", [1.0], a_eq=[[1.0], [1.0]], b_eq=b_eq)
+            assert solve_lp(lp).status == "infeasible"
 
     def test_unbounded(self):
         lp = LinearProgram("max", [1.0], a_ub=[[-1.0]], b_ub=[0.0])
         assert solve_lp(lp).status == "unbounded"
 
     def test_redundant_rows_are_dropped(self):
-        lp = LinearProgram(
-            "min", [1.0, 1.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0]
-        )
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(1.0)
+        # Both right-hand-side signs, and a duplicate row of opposite sign.
+        for a_eq, b_eq in (
+            ([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]),
+            ([[-1.0, -1.0], [-2.0, -2.0]], [-1.0, -2.0]),
+            ([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0]),
+        ):
+            sol = solve_lp(LinearProgram("min", [1.0, 1.0], a_eq=a_eq, b_eq=b_eq))
+            assert sol.status == "optimal"
+            assert sol.objective_value == pytest.approx(1.0)
 
     def test_dimension_mismatch_is_input_error(self):
         with pytest.raises(InputError):
@@ -113,19 +117,23 @@ class TestOptimalInvariants:
             assert abs(sol.objective_value - dual_value) <= 1e-8
         assert checked > 40
 
-    def test_against_brute_force(self):
-        rng = np.random.default_rng(2)
-        agreements = 0
-        for _ in range(150):
-            lp = random_lp(rng)
-            status, value, vertices = oracle_solve_lp(lp)
-            sol = solve_lp(lp)
-            assert sol.status == status
-            if status == "optimal":
-                assert sol.objective_value == pytest.approx(value, abs=1e-7)
-                assert is_vertex_of(sol.x, vertices)
-                agreements += 1
-        assert agreements > 40
+    def test_against_brute_force(self, monkeypatch):
+        # Refactoring after every pivot also inverts bases that hold the
+        # phase-1 artificials of negative right-hand sides.
+        for refactor_every in (lp_module._REFACTOR_EVERY, 1):
+            monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", refactor_every)
+            rng = np.random.default_rng(2)
+            agreements = 0
+            for _ in range(150):
+                lp = random_lp(rng)
+                status, value, vertices = oracle_solve_lp(lp)
+                sol = solve_lp(lp)
+                assert sol.status == status
+                if status == "optimal":
+                    assert sol.objective_value == pytest.approx(value, abs=1e-7)
+                    assert is_vertex_of(sol.x, vertices)
+                    agreements += 1
+            assert agreements > 40
 
     def test_strong_duality_via_independent_dual_solve(self):
         rng = np.random.default_rng(3)
@@ -329,3 +337,76 @@ class TestFactorizationReuse:
         again = solve_lp(other.lp(lp2.objective), first)
         assert len(inverses) == refactored
         assert np.array_equal(again.x, fresh.x)
+
+
+def shifted_recovery(offset):
+    """A `recover_x` that moves every recovered x by `offset`."""
+    recover = lp_module._Standardized.recover_x
+    return lambda self, z: recover(self, z) + offset
+
+
+def singular_inv(a):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+class TestRuntimeChecks:
+    """Every check `solve_lp` makes of the simplex, fired through `solve_lp`
+    on a forged internal."""
+
+    @pytest.mark.parametrize("lp, offset, message", [
+        (LinearProgram("min", [1.0], a_eq=[[1.0]], b_eq=[1.0]), 1.0, "equality residual"),
+        (LinearProgram("max", [1.0], a_ub=[[1.0]], b_ub=[1.0]), 1.0, "inequality violation"),
+        (LinearProgram("min", [1.0], a_ub=[[1.0]], b_ub=[1.0]), -1.0, "bound violation"),
+    ])
+    def test_infeasible_x_is_rejected(self, monkeypatch, lp, offset, message):
+        monkeypatch.setattr(lp_module._Standardized, "recover_x", shifted_recovery(offset))
+        with pytest.raises(SolverError, match=message):
+            solve_lp(lp)
+
+    def test_duality_gap_is_rejected(self, monkeypatch):
+        # The optimal start basis {x1} with zero duals: every reduced cost
+        # is nonnegative, but b'y = 0 against c'z = 1.
+        def zero_duals(self, c_work):
+            self.y = np.zeros(self.m)
+            return "optimal"
+
+        monkeypatch.setattr(lp_module._Simplex, "_run", zero_duals)
+        lp = LinearProgram("min", [1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(SolverError, match="duality gap"):
+            solve_lp(lp, start_basis=[0])
+
+    def test_failed_periodic_refactorization(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
+        monkeypatch.setattr(np.linalg, "inv", singular_inv)
+        lp = LinearProgram("max", [1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0])
+        with pytest.raises(SolverError, match="basis refactorization failed"):
+            solve_lp(lp)
+
+    def test_failed_final_refactorization(self, monkeypatch):
+        # Fewer pivots than `_REFACTOR_EVERY`: the final guard inverts first.
+        monkeypatch.setattr(np.linalg, "inv", singular_inv)
+        lp = LinearProgram("max", [1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0])
+        with pytest.raises(SolverError, match="final refactorization failed"):
+            solve_lp(lp)
+
+    def test_failed_refactorization_after_dropping_rows(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", singular_inv)
+        lp = LinearProgram("min", [1.0, 1.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
+        with pytest.raises(SolverError, match="after dropping redundant rows"):
+            solve_lp(lp)
+
+    def test_phase_one_must_end_optimal(self, monkeypatch):
+        run = lp_module._Simplex._run
+        monkeypatch.setattr(
+            lp_module._Simplex, "_run",
+            lambda self, c_work: "unbounded" if self._phase == 1 else run(self, c_work),
+        )
+        lp = LinearProgram("min", [1.0], a_eq=[[1.0]], b_eq=[1.0])
+        with pytest.raises(SolverError, match="phase 1 ended with status 'unbounded'"):
+            solve_lp(lp)
+
+    def test_pivot_limit(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_MAX_PIVOTS", 0)
+        lp = LinearProgram("max", [1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0])
+        with pytest.raises(SolverError, match="pivot limit exceeded"):
+            solve_lp(lp)
