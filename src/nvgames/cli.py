@@ -65,19 +65,17 @@ def _cmd_solve(args, out) -> int:
     inst = load_instance(args.instance)
     solver = RobustGameSolver(inst)
     decision = solver.core_decision()
-    if decision is not None:
+    core = decision is not None
+    if core:
         eps, _ = solver.sigma(decision.y)
-        print(f"core: nonempty", file=out)
-        print(f"y: {_fmt(decision.y)}", file=out)
-        print(f"z: {_fmt_vec(decision.z)}", file=out)
-        print(f"eps: {_fmt(eps)}", file=out)
-        return 0
-    decision, eps = solver.least_core(args.y_tol)
-    print(f"core: empty", file=out)
+    else:
+        decision, eps = solver.least_core(args.y_tol)
+    print("core: nonempty" if core else "core: empty", file=out)
     print(f"y: {_fmt(decision.y)}", file=out)
     print(f"z: {_fmt_vec(decision.z)}", file=out)
     print(f"eps: {_fmt(eps)}", file=out)
-    print(f"eps_lower: {_fmt(solver.least_core_lower)}", file=out)
+    if not core:
+        print(f"eps_lower: {_fmt(solver.least_core_lower)}", file=out)
     return 0
 
 

@@ -9,8 +9,8 @@ basis built from its own table (see `solve_stability_lp`), so its answer
 depends on that table alone. It is solved on the table divided by a power
 of two near its largest value, so the LP's absolute tolerances act alike
 at every scale of profits. Its standard form, and the factor of its crash
-basis, are kept per (n, masks, negated rows): on the criterion-10 stress
-shape every stability LP of a run shares one.
+basis, are kept per (n, masks): on the criterion-10 stress shape every
+stability LP of a run shares one.
 
 The deterministic game takes every coalition's value from one call of the
 newsvendor's row-wise order kernel over all 2^n - 1 demand rows.
@@ -103,10 +103,10 @@ def solve_stability_lp(
     optimal x and w are not unique in general; this start picks the vertex
     that the pivots from it reach.
 
-    The standard form is built once per (n, masks, rows it negates) and
-    kept with the factor of its last crash basis (`_stability_form`), so a
-    probe whose table negates the same rows and starts from the same basis
-    builds no matrix and inverts none before its first pivot. The kept
+    The standard form is built once per (n, masks) and kept with the
+    factor of its last crash basis (`_stability_form`), so a probe that
+    starts from the same basis as the last one over its masks builds no
+    matrix and inverts none before its first pivot. The kept
     factor holds the bits a fresh factorization of that basis gives, so
     x, eps and w do not depend on what an earlier call left.
 
@@ -128,9 +128,8 @@ def solve_stability_lp(
     top = max(float(np.max(np.abs(vals))), abs(float(total)))
     scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
     vals, total = vals / scale, total / scale
-    rhs = np.concatenate([[total], -vals])
-    form, player0, factors = _stability_form(n, tuple(masks), (rhs < 0).tobytes())
-    lp = form.with_rhs(rhs[:1], rhs[1:])
+    form, player0, factors = _stability_form(n, tuple(masks))
+    lp = form.with_rhs([total], -vals)
     # The crash basis of the docstring; ids are LpSolution.basis columns.
     excess = vals - total * player0
     k_star = int(np.argmax(excess))
@@ -150,24 +149,19 @@ def solve_stability_lp(
 
 
 @functools.lru_cache(maxsize=_STABILITY_FORMS)
-def _stability_form(
-    n: int, masks: tuple[int, ...], flips: bytes
-) -> tuple[LinearProgram, np.ndarray, dict]:
-    """The stability LP over `masks` whose standard form negates the rows
-    marked in `flips` (the equality row first, one byte per row), with a
-    right-hand side of -1 on those rows and 0 elsewhere; each row's
-    indicator of player 0; and an empty map from a crash basis to its
-    factor. `LinearProgram.with_rhs` gives the program of any right-hand
-    side with the same flips, sharing this standard form, so its factor."""
+def _stability_form(n: int, masks: tuple[int, ...]) -> tuple[LinearProgram, np.ndarray, dict]:
+    """The stability LP over `masks` with a zero right-hand side; each
+    row's indicator of player 0; and an empty map from a crash basis to its
+    factor. `LinearProgram.with_rhs` gives the program of any table and
+    total, sharing this standard form, so its factor."""
     rows = _coalition_indicator_rows(n, masks)
-    rhs = np.where(np.frombuffer(flips, dtype=bool), -1.0, 0.0)
     lp = LinearProgram(
         sense="min",
         objective=np.concatenate([np.zeros(n), [1.0]]),
         a_eq=np.concatenate([np.ones(n), [0.0]])[None, :],
-        b_eq=rhs[:1],
+        b_eq=np.zeros(1),
         a_ub=-np.hstack([rows, np.ones((len(masks), 1))]),
-        b_ub=rhs[1:],
+        b_ub=np.zeros(len(masks)),
         lower_bounds=np.full(n + 1, -np.inf),
     )
     return lp, rows[:, 0], {}

@@ -7,11 +7,14 @@ pivots the solver switches to Bland's rule for the rest of the phase, which
 guarantees termination. Free variables are handled internally by
 splitting, finite lower bounds by shifting.
 
-A `LinearProgram` builds the objective-independent standard form of its
-constraints once (split and slack columns, shifted right-hand side, rows
-with a negative right-hand side flipped), and every `with_objective` copy
-shares it, so a solve only builds its cost vector. This is what keeps the
-thousands of small ratio LPs over one system cheap.
+A `LinearProgram` builds the standard form of its constraint matrices and
+bounds once (split and slack columns), and every `with_objective` or
+`with_rhs` copy shares it, so a solve only builds its cost vector and, for a
+new right-hand side, shifts that by the bounds. This is what keeps the
+thousands of small ratio LPs over one polytope, and the stability LPs over
+one coalition set, cheap. No row is ever negated: phase 1 starts from the
+artificial columns sign(b_i) e_i, which are feasible whatever the signs of
+the right-hand side.
 
 The simplex reaches the constraint matrix only through an operator with a
 ``shape``, the pricing product ``rmatvec(y) = y @ A``, the column gather
@@ -229,7 +232,9 @@ class LinearProgram:
             if np.any(np.isposinf(lb)) or np.any(np.isnan(lb)):
                 raise InputError("lower_bounds must be finite or -inf")
         object.__setattr__(self, "lower_bounds", lb)
-        object.__setattr__(self, "_std", _Standardized(self))
+        std = _Standardized(self)
+        object.__setattr__(self, "_std", std)
+        object.__setattr__(self, "_b", std.rhs(self.b_eq, self.b_ub))
 
     @property
     def n_vars(self) -> int:
@@ -254,18 +259,14 @@ class LinearProgram:
         return out
 
     def with_rhs(self, b_eq=None, b_ub=None) -> "LinearProgram":
-        """Same objective and constraint matrices, new right-hand sides
-        (None keeps a side as it is). The standard form's matrix is shared
-        by reference when the same rows flip as in this program's, so a
-        `factor` of this program serves the copy too; otherwise the
-        standard form is built afresh."""
+        """Same objective, constraint matrices and standard form (shared by
+        reference), new right-hand sides (None keeps a side as it is), so
+        a `factor` of this program serves the copy too. Only the new
+        sides are checked."""
+        b_eq = self.b_eq if b_eq is None else _as_vector(b_eq, self.a_eq.shape[0], "b_eq")
+        b_ub = self.b_ub if b_ub is None else _as_vector(b_ub, self.a_ub.shape[0], "b_ub")
         out = object.__new__(type(self))
-        out.__dict__.update(
-            self.__dict__,
-            b_eq=self.b_eq if b_eq is None else _as_vector(b_eq, self.a_eq.shape[0], "b_eq"),
-            b_ub=self.b_ub if b_ub is None else _as_vector(b_ub, self.a_ub.shape[0], "b_ub"),
-        )
-        out.__dict__["_std"] = _Standardized(out, like=self._std)
+        out.__dict__.update(self.__dict__, b_eq=b_eq, b_ub=b_ub, _b=self._std.rhs(b_eq, b_ub))
         return out
 
     def factor(self, basis: Sequence[int]) -> "_Factor | None":
@@ -273,9 +274,11 @@ class LinearProgram:
         ``LpSolution.basis``), factorized as a solve that starts there
         would, or None when it is not a nonsingular basis of the system.
         Passed to `solve_lp` as the start of this program or of a
-        `with_objective` or `with_rhs` copy that shares its standard form,
-        it stands in for that solve's first factorization, bit for bit."""
-        return self._std.factor(basis)
+        `with_objective` or `with_rhs` copy, it stands in for that solve's
+        first factorization, bit for bit."""
+        sx = _Simplex(self)
+        sb = tuple(basis)
+        return _Factor(sx.a, sb, sx.b_inv) if sx.set_basis(sb) else None
 
 
 class _Factor:
@@ -312,23 +315,23 @@ class LpSolution:
 
 
 class _Standardized:
-    """The objective-independent standard form of a program's constraints:
-    A z = b, z >= 0, with b >= 0.
+    """The standard form of a program's constraint matrices and bounds:
+    A z = b, z >= 0, for any right-hand side b (`rhs`).
 
     Columns: the variables shifted by their finite lower bounds, then the
     negative parts of free variables, then one slack per ub row. Rows: the
-    equality rows, then the ub rows, each negated where its shifted
-    right-hand side was negative (``row_sign``). ``a`` is the caller's
-    operator itself when no column is added and no row flipped. Read-only
-    after construction; only `cost` depends on the objective.
+    equality rows, then the ub rows, as given. ``a`` is the caller's
+    operator itself when no column is added. Read-only after construction;
+    only `cost` depends on the objective and only `rhs` on the right-hand
+    side.
     """
 
     __slots__ = (
-        "a", "b", "m", "n", "row_sign", "row_ids", "n_orig", "free_idx", "n_split",
-        "n_slack", "shift", "bounded", "lb_bounded",
+        "a", "m", "n", "row_ids", "n_orig", "free_idx", "n_split", "n_slack", "shift",
+        "row_shift", "bounded", "lb_bounded",
     )
 
-    def __init__(self, lp: LinearProgram, like: "_Standardized | None" = None):
+    def __init__(self, lp: LinearProgram):
         n = lp.n_vars
         lb = lp.lower_bounds
         free = ~np.isfinite(lb)
@@ -346,34 +349,12 @@ class _Standardized:
         m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
         if m_ub == 0:
             rows = lp.a_eq
-            rhs = lp.b_eq
         elif m_eq == 0:
             rows = lp.a_ub
-            rhs = lp.b_ub
         else:
             rows = np.vstack([lp.a_eq, lp.a_ub])
-            rhs = np.concatenate([lp.b_eq, lp.b_ub])
-        if np.any(shift) and rows.shape[0]:
-            rhs = rhs - rows @ shift
-        b = np.array(rhs, dtype=float)  # a copy: the caller's vectors stay as given
-        neg = b < 0
-        self.row_sign = np.where(neg, -1.0, 1.0)
-        b[neg] *= -1.0
-        b.setflags(write=False)
-        self.b = b
-        if like is not None and np.array_equal(self.row_sign, like.row_sign):
-            # Same matrix and the same rows flipped: the same system matrix.
-            a = like.a
-        else:
-            a = self._matrix(rows, m_eq, neg)
-        self.a = a
-        self.m, self.n = a.shape
-        self.row_ids = np.arange(self.m)
-        self.row_ids.setflags(write=False)
-
-    def _matrix(self, rows, m_eq: int, neg: np.ndarray):
-        """The system matrix: `rows` with the split and slack columns
-        appended and the rows in `neg` negated."""
+        # What the shift takes off every right-hand side.
+        self.row_shift = rows @ shift if shift.any() else None
         extra = []
         if self.n_split:
             extra.append(-np.asarray(rows)[:, self.free_idx])
@@ -382,28 +363,23 @@ class _Standardized:
             slack_block[m_eq + np.arange(self.n_slack), np.arange(self.n_slack)] = 1.0
             extra.append(slack_block)
         if extra:
-            a = DenseOperator(np.hstack([np.asarray(rows)] + extra))
+            self.a = DenseOperator(np.hstack([np.asarray(rows)] + extra))
         else:
             # Without split or slack columns the caller's operator is the system.
-            a = rows if isinstance(rows, _OPERATORS) else DenseOperator(rows)
-        if neg.any():
-            # Never mutate the caller's matrix: copy once, flip rows.
-            flipped = np.array(a, dtype=float, copy=True)
-            flipped[neg] *= -1.0
-            a = DenseOperator(flipped)
-        return a
+            self.a = rows if isinstance(rows, _OPERATORS) else DenseOperator(rows)
+        self.m, self.n = self.a.shape
+        self.row_ids = np.arange(self.m)
+        self.row_ids.setflags(write=False)
 
-    def factor(self, basis: Sequence[int]) -> "_Factor | None":
-        """The inverse of `basis` by `_Simplex.refactor`, or None when it
-        is not a basis of this system."""
-        sb = tuple(basis)
-        if not sb or len(sb) != self.m or len(set(sb)) != self.m:
-            return None
-        if min(sb) < 0 or max(sb) >= self.n:
-            return None
-        sx = _Simplex(self, None)
-        sx.basis = np.array(sb, dtype=np.int64)
-        return _Factor(self.a, sb, sx.b_inv) if sx.refactor() else None
+    def rhs(self, b_eq: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
+        """The standard-form right-hand side of `b_eq` and `b_ub`: the
+        rows' right-hand sides less what the lower-bound shift takes off
+        them. A new read-only array; the caller's vectors stay as given."""
+        b = np.concatenate([b_eq, b_ub])
+        if self.row_shift is not None:
+            b -= self.row_shift
+        b.setflags(write=False)
+        return b
 
     def cost(self, lp: LinearProgram) -> np.ndarray:
         """The standard-form cost vector of `lp`'s objective (minimized)."""
@@ -425,12 +401,15 @@ class _Standardized:
 
 
 class _Simplex:
-    """Revised simplex on a `_Standardized` system min c@z, A z = b, z >= 0.
+    """Revised simplex on a program's standard form min c@z, A z = b, z >= 0.
 
-    Artificial columns are implicit unit vectors with ids >= n; they never
-    reenter the basis and are pivoted out (or their redundant rows dropped)
-    before phase 2, so a phase-2 basis, and so a returned one, only contains
-    real columns. ``row_ids`` maps the working rows back to the system's.
+    Artificial columns are implicit signed unit vectors: id n + i is
+    sign(b_i) e_i, -e_i where b_i < 0 and e_i otherwise, so the all-artificial
+    phase-1 start has the values |b| >= 0 and the basis inverse diag(sign).
+    They never reenter the basis and are pivoted out (or their redundant
+    rows dropped) before phase 2, so a phase-2 basis, and so a returned one,
+    only contains real columns. ``row_ids`` maps the working rows back to
+    the system's.
     """
 
     __slots__ = (
@@ -438,10 +417,11 @@ class _Simplex:
         "iterations", "_phase", "_bland", "_degen_run", "_since_refactor",
     )
 
-    def __init__(self, std: _Standardized, c: np.ndarray):
+    def __init__(self, lp: LinearProgram):
+        std = lp._std
         self.a = std.a
-        self.b = std.b
-        self.c = c
+        self.b = lp._b
+        self.c = std.cost(lp)
         self.m, self.n = std.m, std.n
         self.row_ids = std.row_ids
         self.basis = None
@@ -464,7 +444,8 @@ class _Simplex:
             bm = np.zeros((self.m, self.m))
             bm[:, real] = self.a.columns(self.basis[real])
             art = np.flatnonzero(~real)
-            bm[self.basis[art] - self.n, art] = 1.0
+            rows = self.basis[art] - self.n
+            bm[rows, art] = np.where(self.b[rows] < 0, -1.0, 1.0)
         try:
             self.b_inv = np.linalg.inv(bm)
         except np.linalg.LinAlgError:
@@ -476,6 +457,14 @@ class _Simplex:
         return True
 
     def set_basis(self, basis: tuple[int, ...], factor: _Factor | None = None) -> bool:
+        """Factorize `basis`, or take `factor` when it is this basis's
+        inverse; False when `basis` is not a nonsingular basis of the
+        system."""
+        m = self.m
+        if not basis or len(basis) != m or len(set(basis)) != m:
+            return False
+        if min(basis) < 0 or max(basis) >= self.n:
+            return False
         self.basis = np.array(basis, dtype=np.int64)
         if factor is not None and factor.op is self.a and factor.basis == basis:
             # Same operator, same basis, fresh inverse: refactoring would
@@ -580,18 +569,19 @@ class _Simplex:
             self.x_b = np.zeros(0)
             return self._run(self.c)
 
-        started = False
-        if start_basis is not None and len(start_basis) == m:
-            sb = tuple(start_basis)  # the same object for a tuple basis
-            if min(sb) >= 0 and max(sb) < n and len(set(sb)) == m:
-                if self.set_basis(sb, factor) and self.x_b.min() >= -FEAS_TOL:
-                    np.maximum(self.x_b, 0.0, out=self.x_b)
-                    started = True
-        if not started:
+        started = (
+            start_basis is not None
+            and self.set_basis(tuple(start_basis), factor)
+            and self.x_b.min() >= -FEAS_TOL
+        )
+        if started:
+            np.maximum(self.x_b, 0.0, out=self.x_b)
+        else:
             self._phase = 1
+            sign = np.where(self.b < 0, -1.0, 1.0)
             self.basis = np.arange(n, n + m, dtype=np.int64)
-            self.b_inv = np.eye(m)
-            self.x_b = self.b.copy()
+            self.b_inv = np.diag(sign)
+            self.x_b = sign * self.b
             self._bland = False
             self._degen_run = 0
             status = self._run(np.zeros(n))
@@ -660,7 +650,7 @@ def solve_lp(
     elif isinstance(start_basis, _Factor):
         factor, start_basis = start_basis, start_basis.basis
     std = lp._std
-    sx = _Simplex(std, std.cost(lp))
+    sx = _Simplex(lp)
     status = sx.solve(start_basis, factor)
     if status != "optimal":
         return LpSolution(status=status, iterations=sx.iterations)
@@ -668,14 +658,13 @@ def solve_lp(
     z = np.zeros(std.n)
     z[sx.basis] = np.maximum(sx.x_b, 0.0)
     x = std.recover_x(z)
-    # Duals of the standard-form rows: undo the row flips, zero dropped rows.
-    y = sx.y * std.row_sign[sx.row_ids]
+    # Duals of the standard-form rows, zero on dropped rows.
+    y = sx.y
     if sx.m < std.m:
-        y_all = np.zeros(std.m)
-        y_all[sx.row_ids] = y
-        y = y_all
+        y = np.zeros(std.m)
+        y[sx.row_ids] = sx.y
     _check_solution(lp, x)
-    _check_certificate(std, sx.c, z, y)
+    _check_certificate(lp, sx.c, z, y)
     basis = tuple(sx.basis.tolist())
     return LpSolution(
         status="optimal",
@@ -705,21 +694,18 @@ def _check_solution(lp: LinearProgram, x: np.ndarray) -> None:
             raise SolverError(f"bound violation {res:.3e} exceeds tolerance")
 
 
-def _check_certificate(std: _Standardized, c: np.ndarray, z: np.ndarray, y: np.ndarray) -> None:
+def _check_certificate(lp: LinearProgram, c: np.ndarray, z: np.ndarray, y: np.ndarray) -> None:
     """Raise SolverError unless the duals `y` certify `z` optimal for the
-    standard form with cost `c`: every reduced cost c - A'y is at least
-    -OPT_TOL (the simplex's own optimality test) and c'z equals b'y up to the
-    primal tolerance scaled by the dual magnitudes.
-
-    `std` holds the rows flipped by ``row_sign``; flipping a row and its dual
-    together leaves every product, and so both tests, unchanged."""
-    y = y * std.row_sign
-    worst = (c - std.a.rmatvec(y)).min()
+    standard form A z = b of `lp` with cost `c`: every reduced cost c - A'y
+    is at least -OPT_TOL (the simplex's own optimality test) and c'z equals
+    b'y up to the primal tolerance scaled by |b|'|y|."""
+    b = lp._b
+    worst = (c - lp._std.a.rmatvec(y)).min()
     if worst < -OPT_TOL:
         raise SolverError(
             f"reduced cost {worst:.3e} is below -{OPT_TOL:g}; the basis is not optimal"
         )
-    gap = abs(c @ z - std.b @ y)
-    tol = 100 * FEAS_TOL * max(1.0, std.b @ np.abs(y))  # b >= 0 here
+    gap = abs(c @ z - b @ y)
+    tol = 100 * FEAS_TOL * max(1.0, np.abs(b) @ np.abs(y))
     if gap > tol:
         raise SolverError(f"duality gap {gap:.3e} exceeds tolerance {tol:.3e}")

@@ -255,10 +255,11 @@ class TestStabilityCrashStart:
         assert len(cases) == 12
 
     def test_kept_factor_equals_a_fresh_program(self, refactors):
-        # The tables of the test above: negated rows of every pattern, both
-        # signs of the total and all 12 crash cases. A solve on the kept
-        # standard form from its kept factor has the bits of a solve on a
-        # program built afresh, and inverts only at its final guard.
+        # The tables of the test above: right-hand sides of every sign
+        # pattern, both signs of the total and all 12 crash cases, over one
+        # kept standard form per (n, masks). A solve on the kept standard
+        # form from its kept factor has the bits of a solve on a program
+        # built afresh, and inverts only at its final guard.
         def bits(x, eps, w):
             return x.tobytes(), np.float64(eps).tobytes(), w.tobytes()
 

@@ -276,7 +276,7 @@ class TestBlandSwitch:
         # degenerate pivots would be 122 here, and it grew to 80 800 on the
         # K=200 polytope, where it could never fire.
         lp = LinearProgram("min", np.ones(60), a_eq=[np.ones(60)], b_eq=[1.0])
-        sx = lp_module._Simplex(lp._std, lp._std.cost(lp))
+        sx = lp_module._Simplex(lp)
         assert sx.solve([0]) == "optimal"
         unit = np.array([1.0])
 
@@ -357,7 +357,7 @@ class TestRuntimeChecks:
         (LinearProgram("min", [1.0], a_eq=[[1.0]], b_eq=[1.0]), 1.0, "equality residual"),
         (LinearProgram("max", [1.0], a_ub=[[1.0]], b_ub=[1.0]), 1.0, "inequality violation"),
         (LinearProgram("min", [1.0], a_ub=[[1.0]], b_ub=[1.0]), -1.0, "bound violation"),
-    ])
+    ], ids=["equality", "inequality", "bound"])
     def test_infeasible_x_is_rejected(self, monkeypatch, lp, offset, message):
         monkeypatch.setattr(lp_module._Standardized, "recover_x", shifted_recovery(offset))
         with pytest.raises(SolverError, match=message):

@@ -346,19 +346,16 @@ class TestRunStress:
         self, monkeypatch, refactors
     ):
         # A stability LP's standard form and crash factor are kept per
-        # (n, masks, negated rows), so only the first LP of a shape inverts
-        # its crash basis; every later one refactors once, at the final
-        # guard. Here the deterministic least cores and the sigma probes of
-        # both instances share one shape.
+        # (n, masks), so only the first LP of a shape inverts its crash
+        # basis; every later one refactors once, at the final guard. Here
+        # the deterministic least cores and the sigma probes of both
+        # instances share one shape.
         original = coop.solve_stability_lp
         shapes, counts = [], []
 
         def counted(n, table, total):
-            if isinstance(table, np.ndarray):
-                masks, vals = tuple(range(1, table.size + 1)), table
-            else:
-                masks, vals = tuple(sorted(table)), np.array([table[m] for m in sorted(table)])
-            shapes.append((n, masks, total < 0, tuple(vals > 0)))
+            masks = range(1, table.size + 1) if isinstance(table, np.ndarray) else sorted(table)
+            shapes.append((n, tuple(masks)))
             start = len(refactors)
             out = original(n, table, total)
             counts.append(len(refactors) - start)

@@ -16,3 +16,13 @@ def test_code_lines_skip_docstrings_comments_and_layout(tmp_path):
     path.write_text('"""A module docstring\nover two lines."""\n\n# a comment\nx = 1\n\n'
                     'def f():\n    """One line."""\n')
     assert load_tool("code_lines").code_lines(path) == 2
+
+
+def test_lp_digest_is_reproducible(capsys):
+    # A tiny corpus of each kind, run twice: the same one line both times.
+    tool = load_tool("lp_digest")
+    for _ in range(2):
+        tool.main([str(ROOT / "src")], sizes=(30, 6, 2))
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+    assert first.endswith("  46 solves") and len(first.split()[0]) == 64
