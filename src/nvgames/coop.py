@@ -106,9 +106,9 @@ def solve_stability_lp(
     The standard form is built once per (n, masks) and kept with the
     factor of its last crash basis (`_stability_form`), so a probe that
     starts from the same basis as the last one over its masks builds no
-    matrix and inverts none before its first pivot. The kept
-    factor holds the bits a fresh factorization of that basis gives, so
-    x, eps and w do not depend on what an earlier call left.
+    matrix and inverts none before its first pivot. The kept factor holds
+    the bits a fresh factorization of that basis gives, so x, eps and w do
+    not depend on what an earlier call left.
 
     The program is solved on the table and total divided by the power of
     two nearest max(|value(S)|, |total|), and x and eps are multiplied back.

@@ -195,8 +195,9 @@ class LinearProgram:
     ``lower_bounds`` defaults to 0 for every variable; use ``-np.inf`` to mark
     a variable as free. The constraint matrices are dense arrays or
     operators (`DenseOperator`, `IncidenceOperator`); they are held by
-    reference and never mutated. The standard form of the constraints is
-    built here, once, and shared by every `with_objective` copy.
+    reference and never mutated. The standard form of the constraint
+    matrices and bounds is built here, once, and shared by every
+    `with_objective` and `with_rhs` copy.
     """
 
     sense: str
@@ -638,10 +639,11 @@ def solve_lp(
 ) -> LpSolution:
     """Solve `lp` and return a certified vertex solution.
 
-    `start_basis`: internal column ids from a previous solve of the same
-    constraint system (only the objective may differ), or that solve's
-    `LpSolution`, which also lends its basis inverse when it is fresh, or a
-    `LinearProgram.factor` of a program that shares `lp`'s standard form.
+    `start_basis`: internal column ids from a previous solve over the same
+    constraint matrices and bounds (the objective and right-hand sides may
+    differ), or that solve's `LpSolution`, which also lends its basis
+    inverse when it is fresh, or a `LinearProgram.factor` of a program that
+    shares `lp`'s standard form.
     An unusable basis silently falls back to a cold two-phase start.
     """
     factor = None
