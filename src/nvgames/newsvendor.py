@@ -36,6 +36,7 @@ from .distributions import (
     coalition_mask,
     get_polytope,
     northwest_corner,
+    sorted_distinct,
 )
 from .errors import GameInvalidError, InputError, SolverError
 
@@ -325,7 +326,7 @@ def grand_action_interval(
     # g is linear between consecutive kinks, so between the last kink with
     # g > 0 (or the peak) and the first kink past it with g <= 0.
     y_left, g_left = y_peak, g_peak
-    for y_kink in np.unique(coupling[0][coupling[0] > y_peak]):
+    for y_kink in sorted_distinct(coupling[0][coupling[0] > y_peak]):
         g_kink = g(float(y_kink))
         if g_kink <= 0.0:
             root = y_left + (float(y_kink) - y_left) * g_left / (g_left - g_kink)

@@ -127,6 +127,7 @@ from .distributions import (
     coalition_mask,
     get_polytope,
     independent_joint,
+    sorted_distinct,
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
 from .lp import LpSolution
@@ -398,7 +399,7 @@ class RobustGameSolver:
         shape = (len(masks), verts.shape[0])
         best = np.empty(shape)
         arg = np.empty(shape, dtype=np.min_scalar_type(np.max(counts)))
-        for size in np.unique(counts).tolist():
+        for size in sorted_distinct(counts).tolist():
             members = np.flatnonzero(counts == size)
             step = max(1, _NUMERATOR_BATCH // size)
             for lo in range(0, members.size, step):
@@ -660,7 +661,7 @@ class RobustGameSolver:
         y_lo, y_hi = grand_action_interval(self.inst, self.grand_wc, self._grand_coupling)
         if y_tol is None:
             y_tol = 1e-4 * (y_hi - y_lo)
-        support = np.unique(self.d_grand)
+        support = sorted_distinct(self.d_grand)
 
         probes: list[tuple[float, float, float, float]] = []  # (y, eps, g-, g+)
         a, b = y_lo, y_hi

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nvgames import lp as lp_module
-from nvgames.distributions import FrechetPolytope
+from nvgames.distributions import FrechetPolytope, _incidence_rows
 from nvgames.errors import InputError, SolverError
-from nvgames.lp import FEAS_TOL, LinearProgram, solve_lp
+from nvgames.lp import FEAS_TOL, IncidenceOperator, LinearProgram, solve_lp
 
 from conftest import random_instance
 from oracles import dual_objective_offset, oracle_solve_lp, standard_form_dual
@@ -24,6 +24,21 @@ def random_lp(rng: np.random.Generator) -> LinearProgram:
     b_ub = a_ub @ x0 + rng.integers(0, 3, m_ub) if m_ub else None
     lb = np.where(rng.random(n) < 0.25, -rng.integers(1, 4, n).astype(float), 0.0)
     return LinearProgram(sense, c, a_eq, b_eq, a_ub, b_ub, lb)
+
+
+def random_polytope_lp(rng: np.random.Generator) -> LinearProgram:
+    """An LP over a two-block polytope of 1-3 x 1-3 classes: one column per
+    class pair and up to three repeated ones, marginals with zero weights
+    allowed."""
+    counts = tuple(int(c) for c in rng.integers(1, 4, 2))
+    pairs = np.indices(counts).reshape(2, -1)
+    pairs = np.hstack([pairs, pairs[:, rng.integers(0, pairs.shape[1], rng.integers(0, 4))]])
+    rows, m = _incidence_rows(counts, list(pairs))
+    probs = [rng.integers(0, 4, c).astype(float) + (np.arange(c) == 0) for c in counts]
+    rhs = np.concatenate([[1.0]] + [p[:-1] / p.sum() for p in probs])
+    sense = "min" if rng.random() < 0.5 else "max"
+    c = rng.integers(-4, 5, pairs.shape[1]).astype(float)
+    return LinearProgram(sense, c, a_eq=IncidenceOperator(rows, m), b_eq=rhs)
 
 
 def is_vertex_of(x: np.ndarray, vertices) -> bool:
@@ -119,7 +134,20 @@ class TestOptimalInvariants:
 
     def test_against_brute_force(self, monkeypatch):
         # Refactoring after every pivot also inverts bases that hold the
-        # phase-1 artificials of negative right-hand sides.
+        # phase-1 artificials of negative right-hand sides. With the tree
+        # gate at 0, every two-block polytope basis without artificials is
+        # inverted from its tree: the periodic and final refactorizations
+        # and the warm starts from the previous solve's basis.
+        monkeypatch.setattr(lp_module, "_TREE_ROWS", 0)
+        trees = []
+        basis_inverse = IncidenceOperator.basis_inverse
+
+        def recording_basis_inverse(op, ids):
+            inv = basis_inverse(op, ids)
+            trees.append(inv is not None)
+            return inv
+
+        monkeypatch.setattr(IncidenceOperator, "basis_inverse", recording_basis_inverse)
         for refactor_every in (lp_module._REFACTOR_EVERY, 1):
             monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", refactor_every)
             rng = np.random.default_rng(2)
@@ -134,6 +162,20 @@ class TestOptimalInvariants:
                     assert is_vertex_of(sol.x, vertices)
                     agreements += 1
             assert agreements > 40
+            assert not trees
+            for _ in range(40):
+                lp = random_polytope_lp(rng)
+                status, value, vertices = oracle_solve_lp(lp)
+                assert status == "optimal"
+                sol = solve_lp(lp)
+                for again in (lp.with_objective(-lp.objective), lp):
+                    for start in (None, sol):
+                        sol = solve_lp(again, start)
+                        assert sol.status == "optimal"
+                        assert is_vertex_of(sol.x, vertices)
+                assert sol.objective_value == pytest.approx(value, abs=1e-7)
+            assert len(trees) > 150 and all(trees)
+            del trees[:]
 
     def test_strong_duality_via_independent_dual_solve(self):
         rng = np.random.default_rng(3)

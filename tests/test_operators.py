@@ -15,14 +15,15 @@ from nvgames.distributions import (
     DiscreteMarginal,
     FrechetPolytope,
     Instance,
+    _incidence_rows,
     get_polytope,
     sample_extremal,
 )
 from nvgames.errors import DomainError
-from nvgames.lp import LinearProgram, solve_lp
+from nvgames.lp import IncidenceOperator, LinearProgram, solve_lp
 from nvgames.robust_game import _DINKELBACH_TOL, RobustGameSolver
 
-from conftest import lp_path_only
+from conftest import lp_path_only, make_example1
 from oracles import enumerate_vertices, lp_least_shortage
 
 
@@ -186,3 +187,89 @@ def test_vertex_path_agrees_with_the_lp_path(inst, seed):
     for mask, entry in table.entries.items():
         assert -1e-12 <= entry.value - lp_table.value(mask) <= bound
     assert np.max(np.abs(sample_extremal(inst, cost).q - lp_sample)) <= 1e-9
+
+
+@st.composite
+def spanning_trees(draw) -> tuple[int, int, np.ndarray]:
+    """(a, b, edges): a spanning tree of K_{a,b}, a and b in 1..12, as its
+    (class in block 0, class in block 1) edges in shuffled order. Each
+    class after the first edge hangs off a drawn class of the other block
+    already in the tree."""
+    a, b = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    first = (draw(st.integers(0, a - 1)), draw(st.integers(0, b - 1)))
+    reached = ([first[0]], [first[1]])
+    rest = [(0, i) for i in range(a) if i != first[0]] + [(1, j) for j in range(b) if j != first[1]]
+    edges = [first]
+    for block, cls in draw(st.permutations(rest)):
+        other = draw(st.sampled_from(reached[1 - block]))
+        edges.append((cls, other) if block == 0 else (other, cls))
+        reached[block].append(cls)
+    return a, b, np.array(draw(st.permutations(edges)))
+
+
+def tree_operator(a: int, b: int, edges: np.ndarray) -> IncidenceOperator:
+    """The consistency rows of a two-block polytope of a x b classes over
+    one column per edge."""
+    return IncidenceOperator(*_incidence_rows((a, b), [edges[:, 0], edges[:, 1]]))
+
+
+class TestBasisInverse:
+    @given(spanning_trees())
+    def test_tree_inverse_is_lapacks(self, tree):
+        op = tree_operator(*tree)
+        m = op.shape[0]
+        basis = np.asarray(op)
+        with mock.patch.object(lp_module, "_TREE_ROWS", 0):
+            inv = op.basis_inverse(np.arange(m))
+        assert np.array_equal(basis @ inv, np.eye(m))
+        # The same bits, apart from the zeros LAPACK leaves as -0.0.
+        assert np.array_equal((inv + 0.0).tobytes(), (np.linalg.inv(basis) + 0.0).tobytes())
+        assert not np.signbit(inv).any(where=inv == 0.0)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 0), (0, 1), (1, 0), (1, 1)],  # a cycle; class 2 of block 1 is unreached
+        [(0, 0), (0, 0), (1, 1), (1, 2)],  # one class pair twice (repeated atoms)
+    ])
+    def test_a_singular_basis_is_none(self, edges):
+        op = tree_operator(2, 3, np.array(edges))
+        assert np.linalg.matrix_rank(np.asarray(op)) < op.shape[0]
+        with mock.patch.object(lp_module, "_TREE_ROWS", 0):
+            assert op.basis_inverse(np.arange(op.shape[0])) is None
+
+    @pytest.mark.parametrize("rows, m", [
+        ([[0, 0], [1, 2]], 2),  # R = 1
+        ([[0, 0, 0, 0], [4, 1, 4, 4], [4, 4, 2, 4], [4, 4, 4, 3]], 4),  # R = 3
+        ([[0, 0, 2], [1, 3, 1], [2, 2, 3]], 3),  # no row in every column; a tree otherwise
+        ([[0, 0, 0], [1, 3, 2], [2, 1, 3]], 3),  # rows 1 and 2 in both blocks
+    ])
+    def test_an_operator_that_is_not_two_block_is_none(self, rows, m):
+        op = IncidenceOperator(np.array(rows), m)
+        ids = np.arange(m)
+        assert np.linalg.matrix_rank(op.columns(ids)) == m
+        with mock.patch.object(lp_module, "_TREE_ROWS", 0):
+            assert op.basis_inverse(ids) is None
+
+    def test_bases_below_the_gate_are_none(self):
+        op = tree_operator(2, 2, np.array([(0, 0), (0, 1), (1, 1)]))
+        assert op.basis_inverse(np.arange(3)) is None
+
+
+def test_example1_inverts_only_the_stability_basis_through_lapack(monkeypatch, refactors):
+    # One bench operation of example 1 at K=200: both 399-row polytope
+    # bases come from their trees, so LAPACK sees only the 7-row stability
+    # basis.
+    inverted = []
+    inv = np.linalg.inv
+
+    def recording_inv(a):
+        inverted.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    solver = RobustGameSolver(make_example1(200))
+    y_wc = solver.grand_wc.y_star
+    solver.table(y_wc)
+    solver.sigma(y_wc)
+    solver.least_core(y_tol=0.02)
+    assert 399 in refactors
+    assert set(inverted) == {(7, 7)}

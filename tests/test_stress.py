@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -298,6 +299,36 @@ class TestRunStress:
         cfg = small_cfg()
         run_stress(cfg)
         assert masks == [(1 << cfg.n) - 1] * cfg.num_instances
+
+    def test_no_incidence_basis_is_refactored(self, monkeypatch):
+        # The stress polytopes are on the vertex path: every basis this run
+        # inverts is a stability LP's, never a polytope's.
+        operators = []
+        refactor = lp_module._Simplex.refactor
+
+        def spy(sx):
+            operators.append(type(sx.a))
+            return refactor(sx)
+
+        monkeypatch.setattr(lp_module._Simplex, "refactor", spy)
+        run_stress(small_cfg())
+        assert operators and lp_module.IncidenceOperator not in operators
+
+    def test_run_imports_no_masked_arrays(self):
+        # numpy 2.4's np.unique imports numpy.ma on its first 1-d call
+        # without index or count outputs; a fresh interpreter shows whether
+        # a run pays for that import.
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from nvgames.stress import ExperimentConfig, run_stress; "
+            f"run_stress(ExperimentConfig(**{dataclasses.asdict(small_cfg())!r})); "
+            "sys.exit('numpy.ma was imported' if 'numpy.ma' in sys.modules else 0)"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_vertex_tables_take_no_per_entry_call(self, monkeypatch):
         # Every table of this run is one whole-array pass over numerators

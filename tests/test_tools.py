@@ -22,7 +22,7 @@ def test_lp_digest_is_reproducible(capsys):
     # A tiny corpus of each kind, run twice: the same one line both times.
     tool = load_tool("lp_digest")
     for _ in range(2):
-        tool.main([str(ROOT / "src")], sizes=(30, 6, 2))
+        tool.main([str(ROOT / "src")], sizes=(30, 6, 2, 1))
     first, second = capsys.readouterr().out.splitlines()
     assert first == second
-    assert first.endswith("  46 solves") and len(first.split()[0]) == 64
+    assert first.endswith("  50 solves") and len(first.split()[0]) == 64

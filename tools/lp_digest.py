@@ -1,13 +1,17 @@
 """Print one sha256 over the LP solver's answers on a fixed-seed corpus.
 
 Usage: `python tools/lp_digest.py [SRC_DIR]` imports `nvgames` from SRC_DIR
-(default: the repository's `src`) and solves three corpora:
+(default: the repository's `src`) and solves four corpora:
 
 - cold-started general programs: equality and inequality rows with
   right-hand sides of both signs, free variables and shifted lower bounds;
 - random stability tables through `coop.solve_stability_lp`;
 - crash-started LPs over the consistency polytopes of `stress.gen_instance`
-  draws.
+  draws;
+- two-block polytopes of 40-90 value classes per block (79-179 rows):
+  a crash-started LP each, then a chain of three LPs, each on a perturbed
+  objective and started from the previous solution; most of these solves
+  pivot past `lp._REFACTOR_EVERY`.
 
 Each solve adds its status, basis, pivot count, x and duals to the hash; x
 and duals are hashed plus 0.0, so the sign of a zero does not count. Two
@@ -24,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (2000, 500, 40)
-"""General programs, stability tables, polytope draws (five LPs each)."""
+SIZES = (2000, 500, 40, 8)
+"""General programs, stability tables, polytope draws (five LPs each), large
+two-block polytopes (four LPs each)."""
 
 
 def general_lps(nv, count: int):
@@ -61,9 +66,19 @@ def stability_tables(count: int):
         yield n, {int(m): float(v) for m, v in zip(masks, values)}, total
 
 
+def two_block_polytope(nv, rng):
+    marginals = []
+    for k in rng.integers(40, 91, 2):
+        weights = rng.integers(1, 5, k).astype(float)
+        atoms = rng.permutation(k)[:, None] + 1.0
+        marginals.append(nv.distributions.DiscreteMarginal(atoms, weights / weights.sum()))
+    inst = nv.distributions.Instance(2.0, 1.0, ((0,), (1,)), tuple(marginals))
+    return nv.distributions.FrechetPolytope(inst)
+
+
 def solutions(nv, sizes):
     """Every LpSolution of the corpus, in a fixed order."""
-    n_general, n_tables, n_polytopes = sizes
+    n_general, n_tables, n_polytopes, n_large = sizes
     for lp in general_lps(nv, n_general):
         yield nv.lp.solve_lp(lp)
 
@@ -82,6 +97,15 @@ def solutions(nv, sizes):
         poly = nv.distributions.FrechetPolytope(nv.stress.gen_instance(cfg, seed))
         for _ in range(5):
             yield nv.lp.solve_lp(poly.lp(rng.normal(size=poly.n_atoms)), poly.crash_basis)
+
+    rng = np.random.default_rng(4)
+    for _ in range(n_large):
+        poly = two_block_polytope(nv, rng)
+        sol, cost = poly.crash_basis, rng.normal(size=poly.n_atoms)
+        for _ in range(4):
+            sol = nv.lp.solve_lp(poly.lp(cost), sol)
+            yield sol
+            cost = cost + rng.normal(scale=0.5, size=cost.size)
 
 
 def digest(nv, sizes=SIZES) -> str:
