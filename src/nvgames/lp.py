@@ -44,6 +44,19 @@ bit for bit what refactorizing would give.
 Every optimum is certified before it is returned: primal feasibility on the
 caller's data, nonnegative reduced costs under the returned duals, and a
 zero duality gap.
+
+A basic solution is zero off its support (`LpSolution.support`: its basic
+variables, in ascending order, plus any free variable whose negative part
+is basic and any variable shifted by a nonzero lower bound), so every
+product with it runs over that support alone (`support_dot`): the objective
+value and the certificate's c'z here, the worst-case ratios in
+`robust_game`. A polytope LP has K columns but at most m basic ones. On a
+2-vCPU x86 VM, OpenBLAS 0.3.31 ran a dot of more than 10 000 terms, and a
+1 x 40 000 matrix-vector product, on two threads, but a 399 x 399 one on
+one: each threaded call kept a second core busy, and waited for the worker
+thread to wake whenever it had gone to sleep. The product over m gathered
+entries stays on one thread. `IncidenceOperator.matvec` likewise adds only
+x's nonzero entries.
 """
 
 from __future__ import annotations
@@ -80,7 +93,8 @@ _DENSE_ENTRIES = 1 << 15
 # grows as m^3: on a 2-vCPU x86 VM (median per basis, random spanning trees,
 # warm LAPACK) m = 31 took 144 us by tree against 69 us by LAPACK, m = 55
 # 176 against 174 us, m = 79 215 against 325 us and m = 399 1.3 ms against
-# 10.4 ms (a process's first LAPACK calls took up to 180 ms there).
+# 10.4 ms. (Operations of example 1 that once took up to 180 ms each were
+# slowed by K-length BLAS products on two threads, not by LAPACK; see above.)
 _TREE_ROWS = 64
 
 
@@ -162,8 +176,12 @@ class IncidenceOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self._dense is not None:
             return self._dense @ x
+        # Only x's nonzero entries: bincount adds in order from +0.0, and a
+        # +-0.0 term changes no partial sum, so the bits are the full sum's.
+        nz = np.flatnonzero(x)
         out = np.bincount(
-            self.rows.ravel(), weights=np.tile(x, self.rows.shape[0]), minlength=self.m + 1
+            self.rows[:, nz].ravel(), weights=np.tile(x[nz], self.rows.shape[0]),
+            minlength=self.m + 1,
         )
         return out[: self.m]
 
@@ -259,6 +277,24 @@ class IncidenceOperator:
 
 
 _OPERATORS = (DenseOperator, IncidenceOperator)
+
+
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct entries of `values` (no nan), ascending. The same
+    comparison as `np.unique`, which in numpy 2.4 imports `numpy.ma` on its
+    first 1-d call without index or count outputs (about 13 ms and 1.2 MB
+    of peak RSS on a 2-vCPU x86 VM)."""
+    v = np.sort(np.ravel(values))
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
+
+
+def support_dot(v: np.ndarray, x: np.ndarray, support: np.ndarray) -> float:
+    """v @ x for an x that is zero off `support` (ascending ids, such as an
+    `LpSolution.support`), computed over those entries alone: no other
+    entry of v or x is read."""
+    return float(v[support] @ x[support])
 
 
 def _as_matrix(a, n_cols: int, name: str):
@@ -401,8 +437,11 @@ class LpSolution:
 
     ``duals`` holds one multiplier per constraint row (equality rows, then
     inequality rows): the rate at which ``objective_value`` changes with
-    that row's right-hand side. ``factor`` is the basis inverse when it is
-    fresh; pass the solution itself as the next start to reuse it."""
+    that row's right-hand side. ``support`` holds the ascending ids of the
+    variables x may be nonzero at (`_Standardized.support`); x is 0 at
+    every other one, so `support_dot` takes products with x. ``factor`` is
+    the basis inverse when it is fresh; pass the solution itself as the
+    next start to reuse it."""
 
     status: str
     x: np.ndarray | None = None
@@ -410,6 +449,7 @@ class LpSolution:
     basis: tuple[int, ...] | None = None
     iterations: int = 0
     duals: np.ndarray | None = None
+    support: np.ndarray | None = field(default=None, repr=False, compare=False)
     factor: _Factor | None = field(default=None, repr=False, compare=False)
 
 
@@ -427,7 +467,7 @@ class _Standardized:
 
     __slots__ = (
         "a", "m", "n", "row_ids", "n_orig", "free_idx", "n_split", "n_slack", "shift",
-        "row_shift", "bounded", "lb_bounded",
+        "shifted", "row_shift", "bounded", "lb_bounded",
     )
 
     def __init__(self, lp: LinearProgram):
@@ -444,6 +484,7 @@ class _Standardized:
 
         shift = np.where(free, 0.0, lb)
         self.shift = shift
+        self.shifted = np.flatnonzero(shift)
 
         m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
         if m_ub == 0:
@@ -490,6 +531,18 @@ class _Standardized:
             -c[self.free_idx] if self.n_split else np.zeros(0),
             np.zeros(self.n_slack),
         ])
+
+    def support(self, basic: np.ndarray) -> np.ndarray:
+        """The ascending ids of the variables that may be nonzero in the x
+        of the basic solution whose standard-form basis is `basic`
+        (ascending): the basic ones, the free ones whose negative part is
+        basic, and those shifted by a nonzero lower bound, which may be
+        basic too. `recover_x` gives 0 at every other one."""
+        n = self.n_orig
+        lo, hi = basic.searchsorted((n, n + self.n_split))
+        return sorted_distinct(
+            np.concatenate((basic[:lo], self.free_idx[basic[lo:hi] - n], self.shifted))
+        )
 
     def recover_x(self, z: np.ndarray) -> np.ndarray:
         x = z[: self.n_orig]
@@ -764,21 +817,24 @@ def solve_lp(
     z = np.zeros(std.n)
     z[sx.basis] = np.maximum(sx.x_b, 0.0)
     x = std.recover_x(z)
+    basic = np.sort(sx.basis)
+    support = std.support(basic)
     # Duals of the standard-form rows, zero on dropped rows.
     y = sx.y
     if sx.m < std.m:
         y = np.zeros(std.m)
         y[sx.row_ids] = sx.y
     _check_solution(lp, x)
-    _check_certificate(lp, sx.c, z, y)
+    _check_certificate(lp, sx.c, z, basic, y)
     basis = tuple(sx.basis.tolist())
     return LpSolution(
         status="optimal",
         x=x,
-        objective_value=float(lp.objective @ x),
+        objective_value=support_dot(lp.objective, x, support),
         basis=basis,
         iterations=sx.iterations,
         duals=y if lp.sense == "min" else -y,
+        support=support,
         factor=sx.factor(basis),
     )
 
@@ -800,18 +856,21 @@ def _check_solution(lp: LinearProgram, x: np.ndarray) -> None:
             raise SolverError(f"bound violation {res:.3e} exceeds tolerance")
 
 
-def _check_certificate(lp: LinearProgram, c: np.ndarray, z: np.ndarray, y: np.ndarray) -> None:
-    """Raise SolverError unless the duals `y` certify `z` optimal for the
-    standard form A z = b of `lp` with cost `c`: every reduced cost c - A'y
-    is at least -OPT_TOL (the simplex's own optimality test) and c'z equals
-    b'y up to the primal tolerance scaled by |b|'|y|."""
+def _check_certificate(
+    lp: LinearProgram, c: np.ndarray, z: np.ndarray, basic: np.ndarray, y: np.ndarray
+) -> None:
+    """Raise SolverError unless the duals `y` certify `z`, zero off its
+    ascending basic columns `basic`, optimal for the standard form A z = b
+    of `lp` with cost `c`: every reduced cost c - A'y is at least -OPT_TOL
+    (the simplex's own optimality test) and c'z equals b'y up to the primal
+    tolerance scaled by |b|'|y|."""
     b = lp._b
     worst = (c - lp._std.a.rmatvec(y)).min()
     if worst < -OPT_TOL:
         raise SolverError(
             f"reduced cost {worst:.3e} is below -{OPT_TOL:g}; the basis is not optimal"
         )
-    gap = abs(c @ z - b @ y)
+    gap = abs(support_dot(c, z, basic) - b @ y)
     tol = 100 * FEAS_TOL * max(1.0, np.abs(b) @ np.abs(y))
     if gap > tol:
         raise SolverError(f"duality gap {gap:.3e} exceeds tolerance {tol:.3e}")

@@ -55,6 +55,14 @@ solution, each further step from the step before; since all of them share
 one operator, a solution also lends its basis factorization, across gammas,
 coalitions and orders y alike.
 
+Every product of a K-vector with an LP solution, or with a starting vertex,
+runs over that joint's support alone (`lp.support_dot`): the basis columns
+of the solution or of the countermonotonic start, the atoms of the
+comonotonic joint. A vertex has at most n_rows nonzero atoms out of K (399
+of 40 000 in example 1 at K = 200), and OpenBLAS runs a product over more
+than 10 000 atoms on two threads (see `lp`). The LP path's tables keep each
+witness's support beside it for the slopes of sigma.
+
 Small polytopes skip the LPs. A linear-fractional program with a positive
 denominator attains its maximum at a vertex (Charnes-Cooper 1962), so when
 the polytope has a vertex table (`FrechetPolytope.vertices`, built when its
@@ -176,26 +184,31 @@ class Decision:
 
 @dataclass(frozen=True, eq=False)
 class VmaxResult:
-    """One worst-case ratio with its attaining order and joint vertex."""
+    """One worst-case ratio with its attaining order and joint vertex; on
+    the LP path also the ascending atom ids the joint may be nonzero at."""
 
     value: float
     gamma: float
     q: np.ndarray
+    support: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class VmaxTable:
     """Worst-case ratios for every nonempty proper coalition at a fixed
     grand-coalition order y, plus the minimum grand profit at y. Entry i of
-    `ratios`, `gammas` and `joints` belongs to coalition mask i + 1: its
-    ratio, its attaining order and its attaining joint. `entries` gives
-    them per mask as `VmaxResult`s, built when first asked for."""
+    `ratios`, `gammas`, `joints` and (on the LP path, else None) `supports`
+    belongs to coalition mask i + 1: its ratio, its attaining order, its
+    attaining joint and the ascending atom ids that joint may be nonzero
+    at. `entries` gives them per mask as `VmaxResult`s, built when first
+    asked for."""
 
     y: float
     ratios: np.ndarray
     gammas: np.ndarray
     joints: Sequence[np.ndarray]
     min_grand_profit: float
+    supports: Sequence[np.ndarray] | None = None
 
     def value(self, s) -> float:
         mask = coalition_mask(s)
@@ -209,10 +222,11 @@ class VmaxTable:
 
     @cached_property
     def entries(self) -> dict[int, VmaxResult]:
+        supports = self.supports or [None] * len(self.joints)
         return {
-            mask: VmaxResult(value, gamma, q)
-            for mask, (value, gamma, q) in enumerate(
-                zip(self.ratios.tolist(), self.gammas.tolist(), self.joints), start=1
+            mask: VmaxResult(value, gamma, q, support)
+            for mask, (value, gamma, q, support) in enumerate(
+                zip(self.ratios.tolist(), self.gammas.tolist(), self.joints, supports), start=1
             )
         }
 
@@ -282,6 +296,12 @@ class RobustGameSolver:
         """min over consistent q of the grand profit at order y, with the
         attaining joint (the same comonotonic one at every y)."""
         return coupled_profit(self.inst, self._grand_coupling, y), self._grand_coupling[2]
+
+    @cached_property
+    def _grand_support(self) -> np.ndarray:
+        """The ascending atom ids at which the comonotonic joint of
+        `min_grand_profit` is nonzero."""
+        return np.flatnonzero(self._grand_coupling[2])
 
     # -- per-coalition data ------------------------------------------------
 
@@ -353,7 +373,7 @@ class RobustGameSolver:
                 )
             if sol.objective_value <= _DINKELBACH_TOL:
                 return sol, lam
-            ratio = float(num @ sol.x) / float(den @ sol.x)
+            ratio = _ratio(num, den, sol.x, sol.support)
             if not ratio > lam:
                 raise SolverError(
                     f"Dinkelbach step for coalition {mask:#x} at gamma={gamma} left the "
@@ -472,10 +492,11 @@ class RobustGameSolver:
     def vmax_entry(self, y: float, mask: int, vmin: float, q_min: np.ndarray) -> VmaxResult:
         """v_max(y, S) of coalition `mask` on a polytope without a vertex
         table: the known block value over vmin for a coalition inside one
-        block, else the screened Dinkelbach ratio LPs."""
+        block, else the screened Dinkelbach ratio LPs. `q_min` is the
+        comonotonic joint of `min_grand_profit`."""
         if len(self._blocks_met(mask)) == 1:
             y_s, vbar = self._block_value(mask)
-            return VmaxResult(vbar / vmin, y_s, q_min)
+            return VmaxResult(vbar / vmin, y_s, q_min, self._grand_support)
 
         d_s, gammas, shortage, ctm = self._coalition_data(mask)
         ubs = np.maximum(_profit(self.inst, gammas, shortage), 0.0) / vmin
@@ -483,28 +504,29 @@ class RobustGameSolver:
         den = _profit(self.inst, y, np.maximum(y - self.d_grand, 0.0))
         last = self._ratio_start.get(mask)
         if last is not None:
-            start, q = last, last.x
+            start, q, support = last, last.x, last.support
         elif ctm is not None:
             start, q = ctm
+            support = np.sort(start)  # a vertex is zero off its basis
         else:
-            start, q = self.poly.crash_basis, q_min
+            start, q, support = self.poly.crash_basis, q_min, self._grand_support
         best = best_gamma = None
         for idx in order:
             if best is not None and ubs[idx] <= best:
                 break  # remaining candidates are bounded below the incumbent
             gamma = float(gammas[idx])
             num = _profit(self.inst, gamma, np.maximum(gamma - d_s, 0.0))
-            lam = float(num @ q) / float(den @ q)
+            lam = _ratio(num, den, q, support)
             if best is not None:
                 lam = max(lam, best)
             sol, lam = self._dinkelbach(num, den, lam, start, mask, gamma)
             if best is None or lam > best:
                 # F(lam) <= tol, so this vertex is within tol / vmin of the
                 # optimum; its own ratio is the value reported.
-                best = float(num @ sol.x) / float(den @ sol.x)
-                best_gamma, start, q = gamma, sol, sol.x
+                best = _ratio(num, den, sol.x, sol.support)
+                best_gamma, start, q, support = gamma, sol, sol.x, sol.support
         self._ratio_start[mask] = start
-        return VmaxResult(best, best_gamma, q)
+        return VmaxResult(best, best_gamma, q, support)
 
     def _admissible_min_profit(self, y: float) -> tuple[float, np.ndarray]:
         """min_grand_profit(y), refusing orders at which it is not positive."""
@@ -538,13 +560,15 @@ class RobustGameSolver:
             values = np.array([e.value for e in found])
             gammas = np.array([e.gamma for e in found])
             joints = [e.q for e in found]
+            supports = [e.support for e in found]
         else:
             values, gammas, joints = self._vertex_entries(y, slice(0, self.inst.grand_mask - 1))
+            supports = None
         for q in joints:
             if id(q) not in self._witness_ids:
                 self._witness_ids.add(id(q))
                 self.witnesses.append(q)
-        self._last_table = VmaxTable(y, values, gammas, joints, vmin)
+        self._last_table = VmaxTable(y, values, gammas, joints, vmin, supports)
         self._last_sigma = None
         return self._last_table
 
@@ -589,12 +613,12 @@ class RobustGameSolver:
         y, where G_q(t) = (p-c) t - p E_q(t - d_N)^+ is concave and
         positive. Both minorants are convex, so their one-sided derivatives
         -v_S G_q'(y+-) / G_q(y), weighted by w, give the cuts. On the LP
-        path q is the entry's witness. On the vertex path v_S is the
-        maximum of finitely many such pieces, one per (gamma, vertex), so
-        its one-sided derivatives are the extremes over the attaining
-        pieces (Danskin 1967): per S the least left slope and the largest
-        right slope over its tied vertices (`_tie_mask`, one call for all
-        the used S). A tie that does not attain exactly, only within the
+        path q is the entry's witness, read on its support. On the vertex
+        path v_S is the maximum of finitely many such pieces, one per
+        (gamma, vertex), so its one-sided derivatives are the extremes over
+        the attaining pieces (Danskin 1967): per S the least left slope and
+        the largest right slope over its tied vertices (`_tie_mask`, one
+        call for all the used S). A tie that does not attain exactly, only within the
         ratios' rounding bound delta_S, still gives a cut valid up to w_S
         delta_S, some 1e-14 relative, far below the least-core search's
         1e-9.
@@ -620,12 +644,16 @@ class RobustGameSolver:
         lo, hi, bound = np.zeros(used.size), np.zeros(used.size), np.zeros(used.size)
         for j, i in enumerate(used):
             # w and the table's arrays are both in mask order, from mask 1.
-            q = table.joints[i][None, :] if tied is None else verts[tied[j]]
-            shortage = q @ np.maximum(y - d, 0.0)
+            if tied is None:
+                s = table.supports[i]
+                q, d_q = table.joints[i][s][None, :], d[s]
+            else:
+                q, d_q = verts[tied[j]], d
+            shortage = q @ np.maximum(y - d_q, 0.0)
             grand = _profit(self.inst, y, shortage)
-            p_hi = q @ (d <= y)
+            p_hi = q @ (d_q <= y)
             scale = w[i] * table.ratios[i] / grand
-            lo[j] = np.max(scale * (pc - p * (q @ (d < y))))
+            lo[j] = np.max(scale * (pc - p * (q @ (d_q < y))))
             hi[j] = np.min(scale * (pc - p * p_hi))
             bound[j] = np.max(
                 np.abs(scale) * (pc + p * p_hi) * (1.0 + (pc * y + p * shortage) / grand)
@@ -734,6 +762,12 @@ def _candidate_orders(demands: np.ndarray) -> list[np.ndarray]:
     keep = np.ones(ordered.shape, dtype=bool)
     keep[:, 1:] = np.diff(ordered, axis=1) > 1e-12
     return [row[k] for row, k in zip(ordered, keep)]
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, q: np.ndarray, support: np.ndarray) -> float:
+    """num @ q / den @ q over the ascending atom ids `support`, off which q
+    is zero."""
+    return lp.support_dot(num, q, support) / lp.support_dot(den, q, support)
 
 
 def _expected_shortage(gammas: np.ndarray, values: np.ndarray, mass: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 from pathlib import Path
 from unittest import mock
@@ -17,7 +18,7 @@ else:
     settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
     settings.load_profile("tier1")
 
-from nvgames import distributions, lp, stress
+from nvgames import distributions, lp
 from nvgames.distributions import DiscreteMarginal, Instance
 from nvgames.stress import ExperimentConfig, gen_instance
 
@@ -37,7 +38,8 @@ def lp_path():
 
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list:
-    """Stands in for the process pool of `run_stress`: records each pool's
+    """Stands in for the process pool of `run_stress`, which imports it from
+    `concurrent.futures` when it runs in parallel: records each pool's
     `max_workers` in the returned list and maps the jobs serially, so no
     test starts worker processes."""
     sizes = []
@@ -55,7 +57,7 @@ def pool_sizes(monkeypatch) -> list:
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(stress, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     return sizes
 
 

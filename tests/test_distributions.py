@@ -21,8 +21,8 @@ from nvgames.distributions import (
     sample_extremal,
     save_instance,
 )
-from nvgames.errors import CapacityError, InputError
-from nvgames.lp import solve_lp
+from nvgames.errors import CapacityError, InputError, SolverError
+from nvgames.lp import IncidenceOperator, solve_lp
 from nvgames.robust_game import RobustGameSolver
 
 from conftest import lp_path_only, random_instance
@@ -336,6 +336,21 @@ class TestPolytope:
         want[poly.class_reps[0]] = np.append(probs[:-1], 1.0 - np.sum(probs[:-1]))
         assert np.array_equal(poly.vertices(), want[None, :])
         assert np.max(np.abs(poly.vertices()[0] - big.probs)) <= 1e-14
+
+    def test_a_vertex_table_off_the_consistency_rows_raises(self, t2):
+        # A constraint matrix that no longer matches the value classes the
+        # table is enumerated from: every column moved one atom on.
+        poly = FrechetPolytope(t2)
+        poly.matrix = IncidenceOperator(np.roll(poly.matrix.rows, 1, axis=1), poly.matrix.m)
+        with pytest.raises(SolverError, match=r"^vertex table misses the consistency rows by "):
+            poly.vertices()
+
+    def test_maximize_over_an_infeasible_program_raises(self, t2):
+        # A class probability above the unit mass leaves no consistent joint.
+        poly = FrechetPolytope(t2)
+        poly._program = poly._program.with_rhs(b_eq=[1.0, 2.0, 0.5])
+        with pytest.raises(SolverError, match=r"^consistency polytope LP reported 'infeasible'"):
+            poly.maximize(np.ones(poly.n_atoms))
 
     def test_polytope_freed_with_its_instance(self):
         inst = random_instance(8)

@@ -45,6 +45,46 @@ def is_vertex_of(x: np.ndarray, vertices) -> bool:
     return any(np.max(np.abs(x - v)) <= 1e-6 for v in vertices)
 
 
+class TestSupport:
+    def test_support_dot_reads_only_the_support(self):
+        # Every entry off the support is NaN, in the K-vector and in x
+        # alike: the product is still the one over the support.
+        rng = np.random.default_rng(3)
+        support = np.sort(rng.choice(20_000, 399, replace=False))
+        v, x = np.full(20_000, np.nan), np.full(20_000, np.nan)
+        v[support], x[support] = rng.normal(size=399), rng.random(399)
+        got = lp_module.support_dot(v, x, support)
+        assert got == float(v[support] @ x[support])
+        clean_v, clean_x = np.nan_to_num(v), np.nan_to_num(x)
+        assert abs(got - float(clean_v @ clean_x)) <= 1e-12 * float(np.abs(clean_v) @ clean_x)
+
+    def test_x_is_zero_off_its_support(self):
+        # Free variables, shifted lower bounds and slack rows, and polytope
+        # programs: the support is ascending, lies among the variables and
+        # holds every nonzero of x, and the objective value is its product.
+        rng = np.random.default_rng(8)
+        solved = 0
+        for i in range(300):
+            lp = random_lp(rng) if i % 3 else random_polytope_lp(rng)
+            n = lp.n_vars
+            free = rng.random(n) < 0.3
+            lp = LinearProgram(lp.sense, lp.objective, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub,
+                               np.where(free, -np.inf, lp.lower_bounds))
+            sol = solve_lp(lp)
+            if sol.status != "optimal":
+                continue
+            solved += 1
+            support = sol.support
+            assert np.all(np.diff(support) > 0)
+            assert support.size == 0 or 0 <= support[0] <= support[-1] < n
+            off = np.ones(n, dtype=bool)
+            off[support] = False
+            assert not np.any(sol.x[off])
+            assert sol.objective_value == lp_module.support_dot(lp.objective, sol.x, support)
+            assert abs(sol.objective_value - float(lp.objective @ sol.x)) <= 1e-12
+        assert solved > 100
+
+
 class TestSpecExamples:
     def test_equality_pinned_variable(self):
         sol = solve_lp(LinearProgram("min", [1.0], a_eq=[[1.0]], b_eq=[5.0]))

@@ -78,6 +78,27 @@ def test_incidence_operator_equals_its_dense_form(inst, seed):
     assert np.array_equal(op.columns(int(ids[0])), dense[:, ids[0]])
 
 
+@given(st.data())
+def test_incidence_matvec_on_a_sparse_x_keeps_the_dense_bits(data):
+    # matvec adds only x's nonzero entries. bincount adds in order from
+    # +0.0, so no partial sum is -0.0 and a +-0.0 term changes none: the
+    # bits are those of the bincount over every entry. Columns share row
+    # ids and hold sentinels (id m) in any position.
+    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 16))
+    r = data.draw(st.integers(1, 3))
+    columns = []
+    for _ in range(k):
+        ids = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=min(r, m)))
+        columns.append(data.draw(st.permutations(ids + [m] * (r - len(ids)))))
+    rows = np.array(columns, dtype=np.intp).T
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False))
+    x = np.array(data.draw(st.lists(value, min_size=k, max_size=k)))
+    with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
+        op = IncidenceOperator(rows, m)
+    dense_x = np.bincount(rows.ravel(), weights=np.tile(x, r), minlength=m + 1)[:m]
+    assert op.matvec(x).tobytes() == dense_x.tobytes()
+
+
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_solve_on_operator_matches_dense_solve(inst, seed):
     rng = np.random.default_rng(seed)

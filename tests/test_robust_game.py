@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from nvgames import coop
 from nvgames import lp as lp_module
 from nvgames.coop import balancedness_duality_pair, solve_stability_lp
 from nvgames.distributions import (
@@ -654,6 +655,81 @@ class TestSolverState:
         solver = RobustGameSolver(make_example1(8))
         with pytest.raises(InputError, match="y_tol"):
             solver.least_core(y_tol)
+
+
+def bench_pass(solver: RobustGameSolver) -> list:
+    """What the benchmark's example-1 pass returns: table, sigma and least
+    core at the worst-case order, and the least core's lower bound."""
+    y = solver.grand_wc.y_star
+    ratios = solver.table(y).ratios
+    eps_wc, x_wc = solver.sigma(y)
+    decision, eps = solver.least_core(y_tol=0.02)
+    return [ratios, eps_wc, x_wc, decision.y, decision.z, eps, solver.least_core_lower]
+
+
+def nan_off(x: np.ndarray, support) -> np.ndarray:
+    """A copy of `x` with NaN at every entry off `support`."""
+    out = np.full(x.size, np.nan)
+    out[support] = x[support]
+    return out
+
+
+class TestSupportProducts:
+    @pytest.mark.parametrize("draw", ["example1", "dinkelbach_steps"])
+    def test_products_run_over_supports(self, monkeypatch, draw):
+        # Example 1 at K = 120 has 14 400 atoms: dots of this length run on
+        # two OpenBLAS threads. Its first LPs certify every ratio, so a draw
+        # whose coalition 0b101 takes two Dinkelbach steps covers the
+        # steps' ratios. Every ratio LP solution, countermonotonic start and
+        # the comonotonic joint is handed on with NaN off its support, so a
+        # product over all K atoms would change the results. Every LP makes exactly two helper
+        # products, its duality gap and its objective value, and every
+        # product outside the stability LPs runs over at most n_rows atoms.
+        if draw == "example1":
+            inst = make_example1(120)
+        else:
+            inst = random_instance(0, n=3, block_sizes=(2, 1), atoms_per_block=(2, 2))
+            monkeypatch.setattr("nvgames.distributions._VERTEX_CAP", 0)
+        want = bench_pass(RobustGameSolver(inst))
+
+        solver = RobustGameSolver(inst)
+        calls, stability = [], set()  # (support size, product); stability LPs' calls
+        support_dot = lp_module.support_dot
+
+        def spied_dot(v, x, support):
+            calls.append((support.size, support_dot(v, x, support)))
+            return calls[-1][1]
+
+        def spied(solve, polytope: bool):
+            def run(program, start=None):
+                before = len(calls)
+                sol = solve(program, start)
+                assert len(calls) == before + 2
+                assert sol.objective_value == calls[-1][1]
+                if not polytope:
+                    stability.update(range(before, len(calls)))
+                    return sol
+                return dataclasses.replace(sol, x=nan_off(sol.x, sol.support))
+            return run
+
+        northwest = solver.poly.northwest_vertex
+
+        def poisoned_northwest(orders):
+            basis, q, mass = northwest(orders)
+            return basis, nan_off(q, list(basis)), mass
+
+        monkeypatch.setattr(lp_module, "support_dot", spied_dot)
+        monkeypatch.setattr(lp_module, "solve_lp", spied(lp_module.solve_lp, True))
+        monkeypatch.setattr(coop, "solve_lp", spied(coop.solve_lp, False))
+        monkeypatch.setattr(solver.poly, "northwest_vertex", poisoned_northwest)
+        sums, weights, q_min = solver._grand_coupling
+        solver._grand_coupling = (sums, weights, nan_off(q_min, solver._grand_support))
+        got = bench_pass(solver)
+        assert solver.poly.vertices() is None
+        assert draw != "example1" or solver.poly.n_atoms == 14_400
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        sizes = [size for i, (size, _) in enumerate(calls) if i not in stability]
+        assert sizes and max(sizes) <= solver.poly.n_rows
 
 
 class TestDecision:

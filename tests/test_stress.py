@@ -22,6 +22,7 @@ from nvgames.robust_game import Decision, RobustGameSolver
 from nvgames.stress import (
     CSV_HEADER,
     ExcessEvaluator,
+    ExcessRow,
     ExperimentConfig,
     config_from_dict,
     gen_instance,
@@ -127,6 +128,21 @@ class TestSolvePair:
         rob, det = solve_pair(inst)
         assert rob.y == pytest.approx(det.y, abs=1e-9)
 
+    def test_a_deterministic_game_without_a_core_raises(self, monkeypatch, t1):
+        # A game whose singletons each claim the grand value has an empty
+        # core, which no newsvendor game has.
+        build = stress.build_deterministic_game
+
+        def coreless(inst, q):
+            game = build(inst, q)
+            values = game.values.copy()
+            values[[1 << j for j in range(game.n)]] = game.grand_value
+            return coop.CharacteristicFunction(game.n, values)
+
+        monkeypatch.setattr(stress, "build_deterministic_game", coreless)
+        with pytest.raises(SolverError, match=r"^deterministic least core came out positive \("):
+            solve_pair(t1)
+
     def test_example1_falls_back_to_least_core(self):
         inst = make_example1(12)
         assert RobustGameSolver(inst).core_decision() is None
@@ -202,6 +218,17 @@ def counted_lp_run(monkeypatch) -> list[int]:
             monkeypatch.setattr(module, "solve_lp", counted)
     run_stress(small_cfg())
     return counts
+
+
+class TestExcessRow:
+    @pytest.mark.parametrize("rob, det", [  # (min, mean, max) each
+        ((0.2, 0.1, 0.3), (0.0, 0.0, 0.0)),  # min above mean
+        ((0.1, 0.3, 0.2), (0.0, 0.0, 0.0)),  # mean above max
+        ((0.0, 0.0, 0.0), (-1e-9, 0.0, 0.0)),  # negative min
+    ])
+    def test_statistics_out_of_order_raise(self, rob, det):
+        with pytest.raises(SolverError, match=r"^excess statistics out of order: min="):
+            ExcessRow(0, 0.5, rob[2], rob[0], rob[1], det[2], det[0], det[1], 0)
 
 
 class TestRunStress:
@@ -314,21 +341,30 @@ class TestRunStress:
         run_stress(small_cfg())
         assert operators and lp_module.IncidenceOperator not in operators
 
-    def test_run_imports_no_masked_arrays(self):
-        # numpy 2.4's np.unique imports numpy.ma on its first 1-d call
-        # without index or count outputs; a fresh interpreter shows whether
-        # a run pays for that import.
+    @staticmethod
+    def assert_serial_run_leaves_out(module: str):
+        """A serial `run_stress(small_cfg())` in a fresh interpreter, which
+        shows whether the run pays for importing `module`."""
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
             "from nvgames.stress import ExperimentConfig, run_stress; "
             f"run_stress(ExperimentConfig(**{dataclasses.asdict(small_cfg())!r})); "
-            "sys.exit('numpy.ma was imported' if 'numpy.ma' in sys.modules else 0)"
+            f"sys.exit('{module} was imported' if '{module}' in sys.modules else 0)"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_run_imports_no_masked_arrays(self):
+        # numpy 2.4's np.unique imports numpy.ma on its first 1-d call
+        # without index or count outputs.
+        self.assert_serial_run_leaves_out("numpy.ma")
+
+    def test_serial_run_imports_no_process_pool(self):
+        # The process pool pulls in multiprocessing, socket and subprocess.
+        self.assert_serial_run_leaves_out("multiprocessing")
 
     def test_vertex_tables_take_no_per_entry_call(self, monkeypatch):
         # Every table of this run is one whole-array pass over numerators

@@ -19,10 +19,13 @@ def test_code_lines_skip_docstrings_comments_and_layout(tmp_path):
 
 
 def test_lp_digest_is_reproducible(capsys):
-    # A tiny corpus of each kind, run twice: the same one line both times.
+    # A tiny corpus of each kind, run twice: the same two lines both times,
+    # the answers' hash and the objective values' hash.
     tool = load_tool("lp_digest")
     for _ in range(2):
         tool.main([str(ROOT / "src")], sizes=(30, 6, 2, 1))
-    first, second = capsys.readouterr().out.splitlines()
-    assert first == second
-    assert first.endswith("  50 solves") and len(first.split()[0]) == 64
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[:2] == lines[2:]
+    assert lines[0].endswith("  50 solves") and len(lines[0].split()[0]) == 64
+    assert lines[1].endswith(" objective values") and len(lines[1].split()[0]) == 64
+    assert lines[0].split()[0] != lines[1].split()[0]

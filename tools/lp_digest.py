@@ -1,4 +1,4 @@
-"""Print one sha256 over the LP solver's answers on a fixed-seed corpus.
+"""Print two sha256 lines over the LP solver's answers on a fixed-seed corpus.
 
 Usage: `python tools/lp_digest.py [SRC_DIR]` imports `nvgames` from SRC_DIR
 (default: the repository's `src`) and solves four corpora:
@@ -13,10 +13,12 @@ Usage: `python tools/lp_digest.py [SRC_DIR]` imports `nvgames` from SRC_DIR
   objective and started from the previous solution; most of these solves
   pivot past `lp._REFACTOR_EVERY`.
 
-Each solve adds its status, basis, pivot count, x and duals to the hash; x
-and duals are hashed plus 0.0, so the sign of a zero does not count. Two
-source trees whose simplex takes the same pivots to the same answers print
-the same line.
+Each solve adds its status, basis, pivot count, x and duals to the first
+line's hash; x and duals are hashed plus 0.0, so the sign of a zero does not
+count. Two source trees whose simplex takes the same pivots to the same
+answers print the same first line. The second line hashes the objective
+value of every optimal solve, plus 0.0, so it also tells apart two trees
+that compute the same x but round its objective value differently.
 """
 
 from __future__ import annotations
@@ -109,15 +111,21 @@ def solutions(nv, sizes):
 
 
 def digest(nv, sizes=SIZES) -> str:
-    h = hashlib.sha256()
-    count = 0
+    """The two lines: the solves' answers, then their objective values."""
+    h, h_objective = hashlib.sha256(), hashlib.sha256()
+    count = optimal = 0
     for sol in solutions(nv, sizes):
         h.update(repr((sol.status, sol.basis, sol.iterations)).encode())
         if sol.status == "optimal":
             h.update((sol.x + 0.0).tobytes())
             h.update((sol.duals + 0.0).tobytes())
+            h_objective.update(np.float64(sol.objective_value + 0.0).tobytes())
+            optimal += 1
         count += 1
-    return f"{h.hexdigest()}  {count} solves"
+    return (
+        f"{h.hexdigest()}  {count} solves\n"
+        f"{h_objective.hexdigest()}  {optimal} objective values"
+    )
 
 
 def load(src: Path):
