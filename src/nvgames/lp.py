@@ -1,9 +1,10 @@
 """Linear-program solver over structured constraint operators, returning
 vertex (basic feasible) solutions.
 
-Two-phase revised simplex with an explicitly maintained basis inverse,
-factorized by LAPACK, or exactly from its spanning tree for a large basis
-of a two-block polytope, and updated by each pivot in between.
+Two-phase revised simplex. A basis is factorized by LAPACK into its
+explicit inverse or, when it is a large basis of a two-block polytope, kept
+as its spanning tree, whose explicit inverse is formed only when a pivot
+needs it; each pivot updates the explicit inverse in between.
 Dantzig pricing by default; after `_BLAND_AFTER` consecutive degenerate
 pivots the solver switches to Bland's rule for the rest of the phase, which
 guarantees termination. Free variables are handled internally by
@@ -29,17 +30,21 @@ over an (R+1, K) index array. The polytope is never stored as a dense
 matrix unless it is small enough for dense products to be the faster choice.
 For two blocks it is a transportation polytope: every basis is a spanning
 tree of the blocks' value classes and has an inverse with entries in
-{-1, 0, 1} (Hoffman-Kruskal 1956), which `IncidenceOperator.basis_inverse`
-reads off the tree.
+{-1, 0, 1} (Hoffman-Kruskal 1956). `IncidenceOperator.tree_factor` keeps the
+tree: B^-1 b is its leaf-to-root sweep and the duals c_B B^-1 its
+root-to-leaf potentials, as in the transportation simplex (Dantzig 1951),
+both O(m), so a start that is already optimal, which certifies every ratio
+of the paper's example 1, forms no m x m matrix at all.
 
 `solve_lp` optionally accepts a starting basis (column ids of the internal
 standard form, as reported in ``LpSolution.basis``). A usable starting basis
 skips phase 1 entirely, which is what makes repeated solves over one
 polytope with changing objectives cheap. Passing the previous `LpSolution`
-itself also hands over its basis inverse when that inverse came straight
-from a factorization (no pivots since): a solve on the same operator object
-that starts from that basis reuses it in place of a new inverse, which is
-bit for bit what refactorizing would give.
+itself also hands over its factorization when no pivot has updated it since
+(its tree for a two-block basis of `_TREE_ROWS` rows or more, else its
+explicit inverse): a solve on the same operator object that starts from
+that basis reuses it in place of a new one, which is bit for bit what
+refactorizing would give.
 
 Every optimum is certified before it is returned: primal feasibility on the
 caller's data, nonnegative reduced costs under the returned duals, and a
@@ -87,14 +92,16 @@ _BLAND_AFTER = 50
 # two met between 5e4 and 1.3e5 entries.
 _DENSE_ENTRIES = 1 << 15
 
-# Two-block incidence bases of at least this many rows are inverted from
-# their spanning tree (`IncidenceOperator.basis_inverse`), smaller ones by
-# LAPACK. The tree's cost has a floor of Python and call overhead, LAPACK's
-# grows as m^3: on a 2-vCPU x86 VM (median per basis, random spanning trees,
-# warm LAPACK) m = 31 took 144 us by tree against 69 us by LAPACK, m = 55
-# 176 against 174 us, m = 79 215 against 325 us and m = 399 1.3 ms against
-# 10.4 ms. (Operations of example 1 that once took up to 180 ms each were
-# slowed by K-length BLAS products on two threads, not by LAPACK; see above.)
+# Two-block incidence bases of at least this many rows are factorized by
+# their spanning tree (`IncidenceOperator.tree_factor`), smaller ones
+# inverted by LAPACK. The tree's cost has a floor of Python and call
+# overhead, LAPACK's grows as m^3. On a 2-vCPU x86 VM (median per basis over
+# random spanning trees, warm LAPACK; the factor and the two solves B^-1 b
+# and c_B B^-1 against the inverse and its two products) m = 31 took 76 us
+# by tree against 51 us by LAPACK, m = 55 89 against 109 us, m = 79 105
+# against 216 us and m = 399 0.40 ms against 9.7 ms. (Operations of example
+# 1 that once took up to 180 ms each were slowed by K-length BLAS products
+# on two threads, not by LAPACK; see above.)
 _TREE_ROWS = 64
 
 
@@ -133,9 +140,9 @@ class IncidenceOperator:
     distinct apart from the sentinel. The operator is m x K.
 
     A two-block operator (R = 2, in the row layout of the consistency
-    polytope) also inverts its bases of `_TREE_ROWS` rows or more exactly,
-    without LAPACK: `basis_inverse`, which `_Simplex.refactor` tries first
-    on every basis without artificials.
+    polytope) also factorizes its bases of `_TREE_ROWS` rows or more
+    exactly, without LAPACK: `tree_factor`, which `_Simplex.refactor` tries
+    first on every basis without artificials.
 
     Immutable; safe to share across threads.
     """
@@ -197,27 +204,19 @@ class IncidenceOperator:
         out[self.rows[:, ids], np.arange(ids.size)] = 1.0
         return out[: self.m]
 
-    def basis_inverse(self, ids) -> np.ndarray | None:
-        """The exact inverse of the square basis ``A[:, ids]`` of a
-        two-block operator, read off its spanning tree; None when the
-        operator is not two-block, when the columns do not form a spanning
-        tree (the basis is singular), or when the basis has fewer than
-        `_TREE_ROWS` rows, where LAPACK is faster.
+    def tree_factor(self, ids) -> "TreeFactor | None":
+        """The spanning-tree factor of the square basis ``A[:, ids]`` of a
+        two-block operator; None when the operator is not two-block, when
+        the columns do not form a spanning tree (the basis is singular), or
+        when the basis has fewer than `_TREE_ROWS` rows, where LAPACK is
+        faster.
 
         Two-block: R = 2, every column of the basis has the same first id
         (the mass row), and the ids in its second and third rows (blocks 0
         and 1) are disjoint. The nodes are then each block's kept rows and
         its sentinel (its last class), and each column is an edge between
         its two classes, so a nonsingular basis is a spanning tree of the
-        a + b nodes. A node's supply S[w] is the row vector with
-        S[w] @ A[:, k] = 1 when column k touches w, else 0: e_w for a kept
-        row, e_mass minus its block's kept rows for a sentinel. With sigma
-        = (-1) ** depth, row e of the inverse is sigma_c times the sum of
-        sigma_w S[w] over the subtree below edge e's child c, since the
-        edges inside the subtree cancel in pairs. In a preorder every
-        subtree is a contiguous range, so "w lies below c" is two
-        comparisons, made for all m x m entries at once in int8. O(m^2);
-        the entries are -1, 0 or 1, exact, and every zero is +0.0."""
+        a + b nodes, walked here once in preorder from block 0's sentinel."""
         m = self.m
         if self.rows.shape[0] != 3 or m < _TREE_ROWS:
             return None
@@ -253,26 +252,87 @@ class IncidenceOperator:
         size = [1] * (m + 2)
         for w in reversed(order[1:]):
             size[parent[w]] += size[w]
+        return TreeFactor(m, r0, side[:m], np.array(depth), np.array(order), np.array(size), u, v)
 
-        depth = np.array(depth)
-        sign = np.where(depth % 2, -1, 1).astype(np.int8)
-        pos = np.empty(m + 2, dtype=np.intp)
-        pos[order] = np.arange(m + 1)
+
+class TreeFactor:
+    """The inverse of a two-block basis B (`IncidenceOperator.tree_factor`)
+    kept as its spanning tree: B^-1 v and v B^-1 in O(m), and the explicit
+    inverse in O(m^2) when a pivot needs it.
+
+    A node's supply S[w] is the row vector with S[w] @ A[:, k] = 1 when
+    column k touches w, else 0: e_w for a kept row, e_mass minus its
+    block's kept rows for a sentinel. With sigma = (-1) ** depth, row e of
+    B^-1 is sigma_c times the sum of sigma_w S[w] over the subtree below
+    edge e's child c, since the edges inside the subtree cancel in pairs.
+    In the preorder every subtree is a contiguous range of positions
+    [lo_e, hi_e), so `solve` takes differences of suffix sums of the signed
+    supplies, the leaf-to-root sweep, and `tsolve` adds each edge's term to
+    its range and sums up the positions, the root-to-leaf potentials of
+    the transportation simplex (Dantzig 1951). The mass row r0 is not a
+    node; its position is kept as -1, which no range holds.
+
+    Holds its own arrays only, so a caller may change the basis ids it was
+    built from. Immutable."""
+
+    __slots__ = ("m", "r0", "side", "sign", "order", "pos", "lo", "hi", "sc")
+
+    def __init__(self, m, r0, side, depth, order, size, u, v):
+        self.m, self.r0 = m, r0
+        self.side = side  # each row's block, -1 for r0
+        self.sign = np.where(depth % 2, -1, 1).astype(np.int8)
+        self.order = order
+        self.pos = np.empty(m + 2, dtype=np.intp)
+        self.pos[order] = np.arange(m + 1)
+        self.pos[r0] = -1
         child = np.where(depth[u] > depth[v], u, v)
-        lo = pos[child][:, None]
-        hi = lo + np.array(size)[child][:, None]
-        sc = sign[child]
-        # Column w is kept row w's node (the mass row r0 is none): nonzero
-        # in the rows of the edges above it.
-        col_pos = pos[:m].copy()
-        col_pos[r0] = -1
-        below = (lo <= col_pos) & (col_pos < hi)
+        self.lo = self.pos[child]
+        self.hi = self.lo + size[child]
+        self.sc = self.sign[child]
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v: each edge's signed sum of its subtree's supplies S[w] @ v."""
+        m = self.m
+        s = np.empty(m + 2)
+        s[:m] = v
+        # The sentinels': e_mass less their blocks' rows (bin 0 takes r0).
+        s[m:] = v[self.r0] - np.bincount(self.side + 1, v, minlength=3)[1:]
+        t = self.sign[self.order] * s[self.order]
+        suffix = np.zeros(m + 2)
+        suffix[: m + 1] = np.cumsum(t[::-1])[::-1]
+        return self.sc * (suffix[self.lo] - suffix[self.hi])
+
+    def tsolve(self, v: np.ndarray) -> np.ndarray:
+        """v B^-1: each node's potential, the signed sum of v over the edges
+        above it, spread back over its supply's rows."""
+        m = self.m
+        term = self.sc * v
+        potential = np.cumsum(
+            np.bincount(self.lo, term, minlength=m + 2)
+            - np.bincount(self.hi, term, minlength=m + 2)
+        )
+        p = self.sign * potential[self.pos]
+        y = p[:m] - p[m + self.side]
+        y[self.r0] = p[m] + p[m + 1]
+        return y
+
+    def inverse(self) -> np.ndarray:
+        """The explicit B^-1, exact: "w lies below c" is two comparisons,
+        made for all m x m entries at once in int8, so the entries are -1, 0
+        or 1 and every zero is +0.0."""
+        m, r0, side, sign = self.m, self.r0, self.side, self.sign
+        lo = self.lo[:, None]
+        hi = self.hi[:, None]
+        sc = self.sc
+        # Column w is kept row w's node (the mass row r0 is none, at -1):
+        # nonzero in the rows of the edges above it.
+        below = (lo <= self.pos[:m]) & (self.pos[:m] < hi)
         out = below.view(np.int8) * np.multiply.outer(sc, sign[:m])
         for sentinel, block in ((m, 0), (m + 1, 1)):
-            k = pos[sentinel]
+            k = self.pos[sentinel]
             coeff = ((lo[:, 0] <= k) & (k < hi[:, 0])).view(np.int8) * sc * sign[sentinel]
             out[:, r0] += coeff
-            out -= np.multiply.outer(coeff, side[:m] == block)
+            out -= np.multiply.outer(coeff, side == block)
         return out.astype(float)
 
 
@@ -405,7 +465,7 @@ class LinearProgram:
         return out
 
     def factor(self, basis: Sequence[int]) -> "_Factor | None":
-        """The inverse of `basis` (standard-form column ids, as in
+        """The factorization of `basis` (standard-form column ids, as in
         ``LpSolution.basis``), factorized as a solve that starts there
         would, or None when it is not a nonsingular basis of the system.
         Passed to `solve_lp` as the start of this program or of a
@@ -413,19 +473,22 @@ class LinearProgram:
         first factorization, bit for bit."""
         sx = _Simplex(self)
         sb = tuple(basis)
-        return _Factor(sx.a, sb, sx.b_inv) if sx.set_basis(sb) else None
+        return sx.factor(sb) if sx.set_basis(sb) else None
 
 
 class _Factor:
-    """The inverse of one basis matrix of one operator, exactly as a
-    factorization produced it (no product-form updates since)."""
+    """One basis of one operator exactly as a factorization produced it (no
+    product-form updates since): its `TreeFactor`, or else its explicit
+    inverse from LAPACK."""
 
-    __slots__ = ("op", "basis", "b_inv")
+    __slots__ = ("op", "basis", "tree", "b_inv")
 
-    def __init__(self, op, basis: tuple[int, ...], b_inv: np.ndarray):
-        b_inv.setflags(write=False)
+    def __init__(self, op, basis: tuple[int, ...], tree: TreeFactor | None, b_inv):
+        if b_inv is not None:
+            b_inv.setflags(write=False)
         self.op = op
         self.basis = basis
+        self.tree = tree
         self.b_inv = b_inv
 
 
@@ -440,8 +503,10 @@ class LpSolution:
     that row's right-hand side. ``support`` holds the ascending ids of the
     variables x may be nonzero at (`_Standardized.support`); x is 0 at
     every other one, so `support_dot` takes products with x. ``factor`` is
-    the basis inverse when it is fresh; pass the solution itself as the
-    next start to reuse it."""
+    the basis's factorization when no pivot has updated it since: its
+    `TreeFactor` for a two-block basis of `_TREE_ROWS` rows or more, else
+    its explicit inverse. Pass the solution itself as the next start to
+    reuse it."""
 
     status: str
     x: np.ndarray | None = None
@@ -562,10 +627,14 @@ class _Simplex:
     rows dropped) before phase 2, so a phase-2 basis, and so a returned one,
     only contains real columns. ``row_ids`` maps the working rows back to
     the system's.
+
+    A fresh factorization is ``tree`` (a `TreeFactor`) or else ``b_inv``,
+    the explicit inverse; `_inverse` forms that from the tree when a pivot
+    first needs it, and a pivot drops the tree.
     """
 
     __slots__ = (
-        "a", "b", "c", "m", "n", "row_ids", "basis", "b_inv", "x_b", "y",
+        "a", "b", "c", "m", "n", "row_ids", "basis", "tree", "b_inv", "x_b", "y",
         "iterations", "_phase", "_bland", "_degen_run", "_since_refactor",
     )
 
@@ -577,6 +646,7 @@ class _Simplex:
         self.m, self.n = std.m, std.n
         self.row_ids = std.row_ids
         self.basis = None
+        self.tree = None
         self.b_inv = None
         self.x_b = None
         self.y = None
@@ -591,10 +661,10 @@ class _Simplex:
     def refactor(self) -> bool:
         real = self.basis < self.n
         all_real = real.all()
-        b_inv = None
+        tree = b_inv = None
         if all_real and isinstance(self.a, IncidenceOperator):
-            b_inv = self.a.basis_inverse(self.basis)
-        if b_inv is None:
+            tree = self.a.tree_factor(self.basis)
+        if tree is None:
             if all_real:
                 bm = self.a.columns(self.basis)
             else:
@@ -607,12 +677,24 @@ class _Simplex:
                 b_inv = np.linalg.inv(bm)
             except np.linalg.LinAlgError:
                 return False
+            if not np.isfinite(b_inv).all():
+                return False
+        self._factorized(tree, b_inv)
+        return bool(np.isfinite(self.x_b).all())
+
+    def _factorized(self, tree: TreeFactor | None, b_inv: np.ndarray | None) -> None:
+        """Take a fresh factorization: the basis's tree, or else its
+        explicit inverse."""
+        self.tree = tree
         self.b_inv = b_inv
-        if not np.isfinite(self.b_inv).all():
-            return False
-        self.x_b = self.b_inv @ self.b
+        self.x_b = b_inv @ self.b if tree is None else tree.solve(self.b)
         self._since_refactor = 0
-        return True
+
+    def _inverse(self) -> np.ndarray:
+        """The explicit basis inverse, formed from the tree on first use."""
+        if self.b_inv is None:
+            self.b_inv = self.tree.inverse()
+        return self.b_inv
 
     def set_basis(self, basis: tuple[int, ...], factor: _Factor | None = None) -> bool:
         """Factorize `basis`, or take `factor` when it is this basis's
@@ -625,31 +707,30 @@ class _Simplex:
             return False
         self.basis = np.array(basis, dtype=np.int64)
         if factor is not None and factor.op is self.a and factor.basis == basis:
-            # Same operator, same basis, fresh inverse: refactoring would
-            # recompute these very numbers.
-            self.b_inv = factor.b_inv
-            self.x_b = self.b_inv @ self.b
-            self._since_refactor = 0
+            # Same operator, same basis, fresh factorization: refactoring
+            # would recompute these very numbers.
+            self._factorized(factor.tree, factor.b_inv)
             return True
         return self.refactor()
 
     def factor(self, basis: tuple[int, ...]) -> _Factor | None:
-        """The inverse of `basis` (the current one), when no pivot has
-        updated it since it was factorized."""
+        """The factorization of `basis` (the current one), when no pivot
+        has updated it since it was factorized."""
         if self._since_refactor or self.m == 0:
             return None
-        return _Factor(self.a, basis, self.b_inv)
+        return _Factor(self.a, basis, self.tree, self.b_inv)
 
     def _pivot(self, row: int, j_enter: int, d: np.ndarray, step: float) -> None:
         x_b = self.x_b
         x_b -= step * d
         x_b[row] = step
-        b_inv = self.b_inv
+        b_inv = self._inverse()
         if not b_inv.flags.writeable:
             b_inv = self.b_inv = b_inv.copy()  # a reused factorization is shared
         piv_row = b_inv[row] / d[row]
         b_inv -= d[:, None] * piv_row
         b_inv[row] = piv_row
+        self.tree = None
         self.basis[row] = j_enter
         self.iterations += 1
         self._since_refactor += 1
@@ -695,7 +776,8 @@ class _Simplex:
             if self.iterations > _MAX_PIVOTS:
                 raise SolverError("pivot limit exceeded")
             basis = self.basis
-            y = self._basic_cost(c_work) @ self.b_inv
+            cb = self._basic_cost(c_work)
+            y = cb @ self.b_inv if self.tree is None else self.tree.tsolve(cb)
             r = c_work - a.rmatvec(y)
             # Basics must not reenter.
             r[basis if self._phase == 2 else basis[basis < self.n]] = np.inf
@@ -710,7 +792,7 @@ class _Simplex:
                 if r[j] >= -OPT_TOL:
                     self.y = y
                     return "optimal"
-            d = self.b_inv @ a.columns(j)
+            d = self._inverse() @ a.columns(j)
             row = self._ratio_test(d)
             if row < 0:
                 return "unbounded"
@@ -738,6 +820,7 @@ class _Simplex:
             self._phase = 1
             sign = np.where(self.b < 0, -1.0, 1.0)
             self.basis = np.arange(n, n + m, dtype=np.int64)
+            self.tree = None
             self.b_inv = np.diag(sign)
             self.x_b = sign * self.b
             self._bland = False
@@ -771,11 +854,11 @@ class _Simplex:
         in_basis[self.basis[self.basis < self.n]] = True
         drop = []
         for i in art_rows:
-            tableau_row = self.a.rmatvec(self.b_inv[i])
+            tableau_row = self.a.rmatvec(self._inverse()[i])
             tableau_row[in_basis] = 0.0
             j = int(np.argmax(np.abs(tableau_row)))
             if abs(tableau_row[j]) > PIVOT_TOL:
-                d = self.b_inv @ self.a.columns(j)
+                d = self._inverse() @ self.a.columns(j)
                 self._pivot(i, j, d, 0.0)
                 in_basis[j] = True
             else:

@@ -176,18 +176,18 @@ class TestOptimalInvariants:
         # Refactoring after every pivot also inverts bases that hold the
         # phase-1 artificials of negative right-hand sides. With the tree
         # gate at 0, every two-block polytope basis without artificials is
-        # inverted from its tree: the periodic and final refactorizations
+        # factorized by its tree: the periodic and final refactorizations
         # and the warm starts from the previous solve's basis.
         monkeypatch.setattr(lp_module, "_TREE_ROWS", 0)
         trees = []
-        basis_inverse = IncidenceOperator.basis_inverse
+        tree_factor = IncidenceOperator.tree_factor
 
-        def recording_basis_inverse(op, ids):
-            inv = basis_inverse(op, ids)
-            trees.append(inv is not None)
-            return inv
+        def recording_tree_factor(op, ids):
+            tree = tree_factor(op, ids)
+            trees.append(tree is not None)
+            return tree
 
-        monkeypatch.setattr(IncidenceOperator, "basis_inverse", recording_basis_inverse)
+        monkeypatch.setattr(IncidenceOperator, "tree_factor", recording_tree_factor)
         for refactor_every in (lp_module._REFACTOR_EVERY, 1):
             monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", refactor_every)
             rng = np.random.default_rng(2)
@@ -419,6 +419,80 @@ class TestFactorizationReuse:
         again = solve_lp(other.lp(lp2.objective), first)
         assert len(inverses) == refactored
         assert np.array_equal(again.x, fresh.x)
+
+
+    def test_a_tree_factor_is_reused_bit_for_bit(self, monkeypatch):
+        # A two-block basis is factorized by its tree, which the solution
+        # hands over in place of an inverse.
+        monkeypatch.setattr(lp_module, "_TREE_ROWS", 0)
+        trees = []
+        tree_factor = IncidenceOperator.tree_factor
+        monkeypatch.setattr(IncidenceOperator, "tree_factor",
+                            lambda op, ids: trees.append(1) or tree_factor(op, ids))
+        poly = FrechetPolytope(random_instance(9, n=4, block_sizes=(2, 2), atoms_per_block=(4, 3)))
+        rng = np.random.default_rng(9)
+        first = solve_lp(poly.lp(rng.uniform(-1, 1, poly.n_atoms)), poly.crash_basis)
+        assert first.factor.tree is not None and first.factor.b_inv is None
+        lp2 = poly.lp(rng.uniform(-1, 1, poly.n_atoms))
+
+        del trees[:]
+        fresh = solve_lp(lp2, first.basis)
+        refactored = len(trees)
+        del trees[:]
+        reused = solve_lp(lp2, first)
+        assert len(trees) == refactored - 1
+        assert np.array_equal(reused.x, fresh.x)
+        assert np.array_equal(reused.duals, fresh.duals)
+        assert reused.basis == fresh.basis
+
+
+class TestFactorRefusals:
+    """`LinearProgram.factor` is None for what is not a nonsingular basis,
+    each case refused by its own check."""
+
+    @pytest.fixture
+    def singular(self, monkeypatch) -> list:
+        """The shapes of the bases LAPACK reports singular."""
+        shapes = []
+        inv = np.linalg.inv
+
+        def recording_inv(a):
+            try:
+                return inv(a)
+            except np.linalg.LinAlgError:
+                shapes.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        return shapes
+
+    @pytest.mark.parametrize("basis", [(), (0,), (0, 0), (0, 2), (-1, 0)],
+                             ids=["empty", "short", "repeated", "past-the-end", "negative"])
+    def test_a_malformed_basis_is_refused_unfactorized(self, refactors, basis):
+        lp = LinearProgram("min", [1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 0.0])
+        assert lp.factor(basis) is None
+        assert refactors == []
+
+    def test_a_singular_dense_basis_is_refused_by_lapack(self, refactors, singular):
+        lp = LinearProgram("min", [1.0, 1.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
+        assert lp.factor((0, 1)) is None
+        assert refactors == [2] and singular == [(2, 2)]
+
+    def test_a_two_block_cycle_is_refused_by_the_tree_then_lapack(
+        self, monkeypatch, refactors, singular
+    ):
+        # Four columns on the classes (0, 0), (0, 1), (1, 0), (1, 1) of a
+        # 2 x 3 polytope: a cycle, which leaves class 2 of block 1 out.
+        monkeypatch.setattr(lp_module, "_TREE_ROWS", 0)
+        trees = []
+        tree_factor = IncidenceOperator.tree_factor
+        monkeypatch.setattr(IncidenceOperator, "tree_factor",
+                            lambda op, ids: trees.append(tree_factor(op, ids)) or trees[-1])
+        rows, m = _incidence_rows((2, 3), [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])])
+        lp = LinearProgram("min", np.zeros(4), a_eq=IncidenceOperator(rows, m),
+                           b_eq=[1.0, 0.5, 0.25, 0.25])
+        assert lp.factor((0, 1, 2, 3)) is None
+        assert refactors == [4] and trees == [None] and singular == [(4, 4)]
 
 
 def shifted_recovery(offset):

@@ -241,11 +241,30 @@ class TestBasisInverse:
         m = op.shape[0]
         basis = np.asarray(op)
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
-            inv = op.basis_inverse(np.arange(m))
+            inv = op.tree_factor(np.arange(m)).inverse()
         assert np.array_equal(basis @ inv, np.eye(m))
         # The same bits, apart from the zeros LAPACK leaves as -0.0.
         assert np.array_equal((inv + 0.0).tobytes(), (np.linalg.inv(basis) + 0.0).tobytes())
         assert not np.signbit(inv).any(where=inv == 0.0)
+
+    @given(spanning_trees(), st.integers(0, 2**32 - 1))
+    def test_tree_solves_are_the_inverse_products(self, tree, seed):
+        op = tree_operator(*tree)
+        m = op.shape[0]
+        with mock.patch.object(lp_module, "_TREE_ROWS", 0):
+            factor = op.tree_factor(np.arange(m))
+        inv = factor.inverse()
+        rng = np.random.default_rng(seed)
+        # Small integers: every partial sum is exact, so are both sweeps.
+        v = rng.integers(-9, 10, m).astype(float)
+        assert np.array_equal(factor.solve(v), inv @ v)
+        assert np.array_equal(factor.tsolve(v), v @ inv)
+        # Otherwise the sweeps add the terms in another order than the
+        # products: within a few ulps of the terms' magnitude.
+        v = rng.normal(size=m)
+        ulp = np.finfo(float).eps * np.abs(v).sum()
+        assert np.abs(factor.solve(v) - inv @ v).max() <= 4 * ulp
+        assert np.abs(factor.tsolve(v) - v @ inv).max() <= 4 * ulp
 
     @pytest.mark.parametrize("edges", [
         [(0, 0), (0, 1), (1, 0), (1, 1)],  # a cycle; class 2 of block 1 is unreached
@@ -255,7 +274,7 @@ class TestBasisInverse:
         op = tree_operator(2, 3, np.array(edges))
         assert np.linalg.matrix_rank(np.asarray(op)) < op.shape[0]
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
-            assert op.basis_inverse(np.arange(op.shape[0])) is None
+            assert op.tree_factor(np.arange(op.shape[0])) is None
 
     @pytest.mark.parametrize("rows, m", [
         ([[0, 0], [1, 2]], 2),  # R = 1
@@ -268,11 +287,11 @@ class TestBasisInverse:
         ids = np.arange(m)
         assert np.linalg.matrix_rank(op.columns(ids)) == m
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
-            assert op.basis_inverse(ids) is None
+            assert op.tree_factor(ids) is None
 
     def test_bases_below_the_gate_are_none(self):
         op = tree_operator(2, 2, np.array([(0, 0), (0, 1), (1, 1)]))
-        assert op.basis_inverse(np.arange(3)) is None
+        assert op.tree_factor(np.arange(3)) is None
 
 
 def test_example1_inverts_only_the_stability_basis_through_lapack(monkeypatch, refactors):
