@@ -370,28 +370,30 @@ def northwest_corner(
     step j and ``mass[j]`` its probability. Each step but the last moves one
     block, so there are 1 + sum_r (len(probs[r]) - 1) steps, some of them
     possibly of zero mass.
+
+    Computed from the blocks' cumulative sums: block r leaves its i-th entry
+    where the walk's mass reaches the i-th cumulative sum, so the moves are
+    those sums of every block but its last entry's, sorted by value and then
+    by block (equal sums move the lower block first, then give zero-mass
+    steps), and each mass is the difference of consecutive sums. The last
+    step ends at the least block total, or at the last move when that lies
+    beyond it (totals that differ by rounding), so no mass is negative.
     """
-    res = [np.asarray(p)[order].tolist() for p, order in zip(probs, orders)]
-    last = [len(r) - 1 for r in res]
-    blocks = range(len(res))
-    ptr = [0] * len(res)
-    steps: list[tuple[int, ...]] = []
-    mass: list[float] = []
-    while True:
-        w = min(res[r][ptr[r]] for r in blocks)
-        for r in blocks:
-            res[r][ptr[r]] -= w
-        steps.append(tuple(ptr))
-        mass.append(w)
-        for r in blocks:
-            if res[r][ptr[r]] <= 1e-15 and ptr[r] < last[r]:
-                ptr[r] += 1
-                break
-        else:
-            break
-    pos = np.array(steps, dtype=np.intp)
-    idx = np.column_stack([np.asarray(orders[r])[pos[:, r]] for r in blocks])
-    return idx, np.array(mass)
+    cums = [np.cumsum(np.asarray(p, dtype=float)[order]) for p, order in zip(probs, orders)]
+    cuts = np.concatenate([c[:-1] for c in cums])
+    block = np.repeat(np.arange(len(cums)), [c.size - 1 for c in cums])
+    # Stable: equal sums keep the order of `cuts`, by block, then by entry.
+    turn = np.argsort(cuts, kind="stable")
+    cuts = cuts[turn]
+    pos = np.zeros((cuts.size + 1, len(cums)), dtype=np.intp)
+    pos[np.arange(1, cuts.size + 1), block[turn]] = 1
+    np.cumsum(pos, axis=0, out=pos)
+    end = min(c[-1] for c in cums)
+    if cuts.size:
+        end = max(end, cuts[-1])
+    bounds = np.concatenate(([0.0], cuts, [end]))
+    idx = np.column_stack([np.asarray(order)[pos[:, r]] for r, order in enumerate(orders)])
+    return idx, np.diff(bounds)
 
 
 class FrechetPolytope:

@@ -18,7 +18,8 @@ batched demand rows and the row-wise order kernel replaced.
 `per_entry_vertex_table` keeps the vertex path's one-coalition ratio
 matrix that the whole-array table replaced, and `solved_vertex_table` the
 enumeration that solves every column basis, which the integer-inverse
-screen replaced.
+screen replaced. `loop_northwest_corner` keeps the residual-subtracting
+walk that the merged cumulative sums replaced.
 """
 
 from __future__ import annotations
@@ -520,3 +521,31 @@ def solved_vertex_table(poly) -> np.ndarray:
             row[atoms[cols]] = np.where(x > _VERTEX_ZERO, x, 0.0)
             found.setdefault((row > 0.0).tobytes(), row)
     return np.array(list(found.values()))
+
+
+def loop_northwest_corner(probs, orders) -> tuple[np.ndarray, np.ndarray]:
+    """The northwest-corner walk one step at a time: each step takes the
+    least residual of the current entries as its mass, subtracts it from
+    all of them, then moves the first block whose entry is exhausted (at
+    most 1e-15 left) and not its last; the walk stops when none is."""
+    res = [np.asarray(p)[order].tolist() for p, order in zip(probs, orders)]
+    last = [len(r) - 1 for r in res]
+    blocks = range(len(res))
+    ptr = [0] * len(res)
+    steps: list[tuple[int, ...]] = []
+    mass: list[float] = []
+    while True:
+        w = min(res[r][ptr[r]] for r in blocks)
+        for r in blocks:
+            res[r][ptr[r]] -= w
+        steps.append(tuple(ptr))
+        mass.append(w)
+        for r in blocks:
+            if res[r][ptr[r]] <= 1e-15 and ptr[r] < last[r]:
+                ptr[r] += 1
+                break
+        else:
+            break
+    pos = np.array(steps, dtype=np.intp)
+    idx = np.column_stack([np.asarray(orders[r])[pos[:, r]] for r in blocks])
+    return idx, np.array(mass)

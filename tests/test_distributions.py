@@ -18,6 +18,7 @@ from nvgames.distributions import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    northwest_corner,
     sample_extremal,
     save_instance,
 )
@@ -26,7 +27,7 @@ from nvgames.lp import IncidenceOperator, solve_lp
 from nvgames.robust_game import RobustGameSolver
 
 from conftest import lp_path_only, random_instance
-from oracles import enumerate_vertices
+from oracles import enumerate_vertices, loop_northwest_corner
 
 
 def marginal(atoms, probs) -> DiscreteMarginal:
@@ -358,6 +359,53 @@ class TestPolytope:
         del inst
         gc.collect()
         assert poly() is None
+
+
+def sixteenths(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k probabilities in sixteenths, zeros allowed, summing to exactly 1."""
+    cuts = np.sort(rng.integers(0, 17, k - 1))
+    return np.diff(np.concatenate(([0], cuts, [16]))) / 16.0
+
+
+class TestNorthwestCorner:
+    """The walk from merged cumulative sums against the residual loop."""
+
+    ULPS = 4 * np.finfo(float).eps  # masses agree within 4 ulps of 1
+
+    def assert_walks_agree(self, probs, orders):
+        steps, mass = northwest_corner(probs, orders)
+        loop_steps, loop_mass = loop_northwest_corner(probs, orders)
+        assert np.array_equal(steps, loop_steps)
+        assert np.abs(mass - loop_mass).max() <= self.ULPS
+        assert mass.min() >= 0.0
+        return mass
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_exact_ties_take_the_loops_zero_mass_steps(self, n_blocks):
+        # Every cumulative sum of sixteenths is exact, so blocks often run
+        # out together: the lower block moves first, then a zero-mass step.
+        rng = np.random.default_rng(n_blocks)
+        zero_steps = 0
+        for _ in range(200):
+            probs = [sixteenths(rng, int(rng.integers(1, 7))) for _ in range(n_blocks)]
+            orders = [rng.permutation(p.size) for p in probs]
+            zero_steps += np.count_nonzero(self.assert_walks_agree(probs, orders) == 0.0)
+        assert zero_steps > (100 if n_blocks > 1 else 20)
+
+    @pytest.mark.parametrize("k", [4, 16, 200])
+    def test_uniform_countermonotonic_walk(self, k):
+        # Example 1's marginals: each block's sums tie with the other's.
+        probs = [np.full(k, 1.0 / k)] * 2
+        mass = self.assert_walks_agree(probs, [np.arange(k), np.arange(k)[::-1]])
+        assert np.count_nonzero(mass == 0.0) == k - 1
+
+    def test_a_total_past_the_others_gives_no_negative_mass(self):
+        # Block 0 sums to 1 + 2^-52 and ends on a zero: its last move lies
+        # beyond block 1's total, 1, and the walk ends there with mass 0.
+        p0 = np.array([7, 6, 9, 5, 1, 0]) / 28.0
+        assert np.cumsum(p0)[-1] > 1.0
+        mass = self.assert_walks_agree([p0, np.array([1.0])], [np.arange(6), np.arange(1)])
+        assert mass[-1] == 0.0
 
 
 class TestInstanceFiles:
