@@ -494,7 +494,7 @@ class FrechetPolytope:
         ids = np.ravel_multi_index(reps, self.dims)
         q = np.zeros(self.n_atoms)
         q[ids] = mass
-        return tuple(int(k) for k in ids), q, mass
+        return tuple(ids.tolist()), q, mass
 
     def _candidate_sets(self) -> int:
         """C(K_c, m), the m-column sets over the product of the K_c value

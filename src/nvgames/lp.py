@@ -25,8 +25,8 @@ The simplex reaches the constraint matrix only through an operator with a
 ``matvec(x) = A @ x``; ``np.asarray`` gives its dense form. `DenseOperator`
 wraps an ndarray and serves every generic program. `IncidenceOperator` is
 the 0/1 matrix of the consistency polytope, whose columns each hold R+1
-ones: it stores the row ids of those ones, so pricing is one gather and sum
-over an (R+1, K) index array. The polytope is never stored as a dense
+ones: it stores the row ids of those ones, so pricing is R+1 gathers of
+K entries, added in order. The polytope is never stored as a dense
 matrix unless it is small enough for dense products to be the faster choice.
 For two blocks it is a transportation polytope: every basis is a spanning
 tree of the blocks' value classes and has an inverse with entries in
@@ -178,7 +178,12 @@ class IncidenceOperator:
             return y @ self._dense
         padded = np.zeros(self.m + 1)
         padded[: self.m] = y
-        return padded[self.rows].sum(axis=0)
+        # One gather per row of ids, added in order: the bits of summing the
+        # (R+1, K) gather over its first axis, without forming it.
+        out = padded[self.rows[0]]
+        for ids in self.rows[1:]:
+            out += padded[ids]
+        return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self._dense is not None:

@@ -99,6 +99,23 @@ def test_incidence_matvec_on_a_sparse_x_keeps_the_dense_bits(data):
     assert op.matvec(x).tobytes() == dense_x.tobytes()
 
 
+@given(st.data())
+def test_incidence_rmatvec_keeps_the_summed_gather_bits(data):
+    # rmatvec adds one gather per row of ids, in order: the bits of the
+    # (R+1, K) gather summed over its first axis.
+    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 16))
+    r = data.draw(st.integers(1, 3))
+    columns = []
+    for _ in range(k):
+        ids = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=min(r, m)))
+        columns.append(data.draw(st.permutations(ids + [m] * (r - len(ids)))))
+    rows = np.array(columns, dtype=np.intp).T
+    y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=m, max_size=m)))
+    with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
+        op = IncidenceOperator(rows, m)
+    assert op.rmatvec(y).tobytes() == np.append(y, 0.0)[rows].sum(axis=0).tobytes()
+
+
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_solve_on_operator_matches_dense_solve(inst, seed):
     rng = np.random.default_rng(seed)
