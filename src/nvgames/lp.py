@@ -318,7 +318,7 @@ class TreeFactor:
         )
         p = self.sign * potential[self.pos]
         y = p[:m] - p[m + self.side]
-        y[self.r0] = p[m] + p[m + 1]
+        y[self.r0] = p[m] + p[m + 1]  # r0 is no node: only the sentinels reach it
         return y
 
     def inverse(self) -> np.ndarray:
@@ -685,7 +685,7 @@ class _Simplex:
             if not np.isfinite(b_inv).all():
                 return False
         self._factorized(tree, b_inv)
-        return bool(np.isfinite(self.x_b).all())
+        return tree is None or bool(np.isfinite(self.x_b).all())  # the tree's x_B
 
     def _factorized(self, tree: TreeFactor | None, b_inv: np.ndarray | None) -> None:
         """Take a fresh factorization: the basis's tree, or else its
