@@ -420,7 +420,6 @@ class TestFactorizationReuse:
         assert len(inverses) == refactored
         assert np.array_equal(again.x, fresh.x)
 
-
     def test_a_tree_factor_is_reused_bit_for_bit(self, monkeypatch):
         # A two-block basis is factorized by its tree, which the solution
         # hands over in place of an inverse.

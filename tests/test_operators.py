@@ -78,19 +78,26 @@ def test_incidence_operator_equals_its_dense_form(inst, seed):
     assert np.array_equal(op.columns(int(ids[0])), dense[:, ids[0]])
 
 
-@given(st.data())
-def test_incidence_matvec_on_a_sparse_x_keeps_the_dense_bits(data):
-    # matvec adds only x's nonzero entries. bincount adds in order from
-    # +0.0, so no partial sum is -0.0 and a +-0.0 term changes none: the
-    # bits are those of the bincount over every entry. Columns share row
-    # ids and hold sentinels (id m) in any position.
+def draw_incidence_rows(data) -> tuple[np.ndarray, int]:
+    """(rows, m): the row ids of an m-row incidence operator of 1-3 ones
+    per column, 1-16 columns. Columns share row ids and hold sentinels (id
+    m) in any position."""
     m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 16))
     r = data.draw(st.integers(1, 3))
     columns = []
     for _ in range(k):
         ids = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=min(r, m)))
         columns.append(data.draw(st.permutations(ids + [m] * (r - len(ids)))))
-    rows = np.array(columns, dtype=np.intp).T
+    return np.array(columns, dtype=np.intp).T, m
+
+
+@given(st.data())
+def test_incidence_matvec_on_a_sparse_x_keeps_the_dense_bits(data):
+    # matvec adds only x's nonzero entries. bincount adds in order from
+    # +0.0, so no partial sum is -0.0 and a +-0.0 term changes none: the
+    # bits are those of the bincount over every entry.
+    rows, m = draw_incidence_rows(data)
+    r, k = rows.shape
     value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False))
     x = np.array(data.draw(st.lists(value, min_size=k, max_size=k)))
     with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
@@ -103,13 +110,7 @@ def test_incidence_matvec_on_a_sparse_x_keeps_the_dense_bits(data):
 def test_incidence_rmatvec_keeps_the_summed_gather_bits(data):
     # rmatvec adds one gather per row of ids, in order: the bits of the
     # (R+1, K) gather summed over its first axis.
-    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 16))
-    r = data.draw(st.integers(1, 3))
-    columns = []
-    for _ in range(k):
-        ids = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=min(r, m)))
-        columns.append(data.draw(st.permutations(ids + [m] * (r - len(ids)))))
-    rows = np.array(columns, dtype=np.intp).T
+    rows, m = draw_incidence_rows(data)
     y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=m, max_size=m)))
     with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
         op = IncidenceOperator(rows, m)
