@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError, SolverError
-from .lp import IncidenceOperator, LinearProgram, solve_lp, sorted_distinct
+from .lp import IncidenceOperator, LinearProgram, solve_lp
 
 DEFAULT_SUPPORT_CAP = 10**6
 

@@ -1,10 +1,12 @@
 """Linear-program solver over structured constraint operators, returning
 vertex (basic feasible) solutions.
 
-Two-phase revised simplex. A basis is factorized by LAPACK into its
-explicit inverse or, when it is a large basis of a two-block polytope, kept
-as its spanning tree, whose explicit inverse is formed only when a pivot
-needs it; each pivot updates the explicit inverse in between.
+Two-phase revised simplex. `_Simplex.refactor` is the one place where a
+basis is factorized: a large basis of a two-block polytope is kept as its
+spanning tree, which serves only the solves with B, and any other basis is
+inverted by LAPACK. LAPACK forms every explicit inverse, a tree basis's
+only when a pivot first needs it; each pivot updates the explicit inverse
+in between.
 Dantzig pricing by default; after `_BLAND_AFTER` consecutive degenerate
 pivots the solver switches to Bland's rule for the rest of the phase, which
 guarantees termination. Free variables are handled internally by
@@ -16,8 +18,8 @@ bounds once (split and slack columns), and every `with_objective` or
 new right-hand side, shifts that by the bounds. This is what keeps the
 thousands of small ratio LPs over one polytope, and the stability LPs over
 one coalition set, cheap. No row is ever negated: phase 1 starts from the
-artificial columns sign(b_i) e_i, which are feasible whatever the signs of
-the right-hand side.
+basis of the artificial columns sign(b_i) e_i, factorized like any other,
+which is feasible whatever the signs of the right-hand side.
 
 The simplex reaches the constraint matrix only through an operator with a
 ``shape``, the pricing product ``rmatvec(y) = y @ A``, the column gather
@@ -142,7 +144,8 @@ class IncidenceOperator:
     A two-block operator (R = 2, in the row layout of the consistency
     polytope) also factorizes its bases of `_TREE_ROWS` rows or more
     exactly, without LAPACK: `tree_factor`, which `_Simplex.refactor` tries
-    first on every basis without artificials.
+    first on every basis without artificials. The tree serves the solves
+    B^-1 v and v B^-1 only; every explicit inverse comes from LAPACK.
 
     Immutable; safe to share across threads.
     """
@@ -262,8 +265,9 @@ class IncidenceOperator:
 
 class TreeFactor:
     """The inverse of a two-block basis B (`IncidenceOperator.tree_factor`)
-    kept as its spanning tree: B^-1 v and v B^-1 in O(m), and the explicit
-    inverse in O(m^2) when a pivot needs it.
+    kept as its spanning tree: B^-1 v and v B^-1 in O(m). It serves only
+    these two solves; the explicit inverse a pivot needs is LAPACK's
+    (`_Simplex._inverse`).
 
     A node's supply S[w] is the row vector with S[w] @ A[:, k] = 1 when
     column k touches w, else 0: e_w for a kept row, e_mass minus its
@@ -320,25 +324,6 @@ class TreeFactor:
         y = p[:m] - p[m + self.side]
         y[self.r0] = p[m] + p[m + 1]  # r0 is no node: only the sentinels reach it
         return y
-
-    def inverse(self) -> np.ndarray:
-        """The explicit B^-1, exact: "w lies below c" is two comparisons,
-        made for all m x m entries at once in int8, so the entries are -1, 0
-        or 1 and every zero is +0.0."""
-        m, r0, side, sign = self.m, self.r0, self.side, self.sign
-        lo = self.lo[:, None]
-        hi = self.hi[:, None]
-        sc = self.sc
-        # Column w is kept row w's node (the mass row r0 is none, at -1):
-        # nonzero in the rows of the edges above it.
-        below = (lo <= self.pos[:m]) & (self.pos[:m] < hi)
-        out = below.view(np.int8) * np.multiply.outer(sc, sign[:m])
-        for sentinel, block in ((m, 0), (m + 1, 1)):
-            k = self.pos[sentinel]
-            coeff = ((lo[:, 0] <= k) & (k < hi[:, 0])).view(np.int8) * sc * sign[sentinel]
-            out[:, r0] += coeff
-            out -= np.multiply.outer(coeff, side == block)
-        return out.astype(float)
 
 
 _OPERATORS = (DenseOperator, IncidenceOperator)
@@ -627,15 +612,16 @@ class _Simplex:
 
     Artificial columns are implicit signed unit vectors: id n + i is
     sign(b_i) e_i, -e_i where b_i < 0 and e_i otherwise, so the all-artificial
-    phase-1 start has the values |b| >= 0 and the basis inverse diag(sign).
-    They never reenter the basis and are pivoted out (or their redundant
-    rows dropped) before phase 2, so a phase-2 basis, and so a returned one,
-    only contains real columns. ``row_ids`` maps the working rows back to
-    the system's.
+    phase-1 start has the values |b| >= 0. They never reenter the basis and
+    are pivoted out (or their redundant rows dropped) before phase 2, so a
+    phase-2 basis, and so a returned one, only contains real columns.
+    ``row_ids`` maps the working rows back to the system's.
 
-    A fresh factorization is ``tree`` (a `TreeFactor`) or else ``b_inv``,
-    the explicit inverse; `_inverse` forms that from the tree when a pivot
-    first needs it, and a pivot drops the tree.
+    `refactor` factorizes every basis, the phase-1 start and an empty one
+    included. A fresh factorization is ``tree`` (a `TreeFactor`) or else
+    ``b_inv``, the explicit inverse from LAPACK (`_lapack_inverse`), which
+    `_inverse` also forms for a tree when a pivot first needs it; a pivot
+    drops the tree.
     """
 
     __slots__ = (
@@ -664,28 +650,35 @@ class _Simplex:
     # -- basis linear algebra -------------------------------------------------
 
     def refactor(self) -> bool:
-        real = self.basis < self.n
-        all_real = real.all()
-        tree = b_inv = None
-        if all_real and isinstance(self.a, IncidenceOperator):
+        """Factorize the current basis, by its tree or else by LAPACK;
+        False when it is singular or a factorization is not finite."""
+        tree = None
+        if isinstance(self.a, IncidenceOperator) and (self.basis < self.n).all():
             tree = self.a.tree_factor(self.basis)
-        if tree is None:
-            if all_real:
-                bm = self.a.columns(self.basis)
-            else:
-                bm = np.zeros((self.m, self.m))
-                bm[:, real] = self.a.columns(self.basis[real])
-                art = np.flatnonzero(~real)
-                rows = self.basis[art] - self.n
-                bm[rows, art] = np.where(self.b[rows] < 0, -1.0, 1.0)
-            try:
-                b_inv = np.linalg.inv(bm)
-            except np.linalg.LinAlgError:
-                return False
-            if not np.isfinite(b_inv).all():
-                return False
-        self._factorized(tree, b_inv)
-        return tree is None or bool(np.isfinite(self.x_b).all())  # the tree's x_B
+        if tree is not None:
+            self._factorized(tree, None)
+            return bool(np.isfinite(self.x_b).all())  # the tree's x_B
+        b_inv = self._lapack_inverse()
+        if b_inv is None:
+            return False
+        self._factorized(None, b_inv)
+        return True
+
+    def _lapack_inverse(self) -> np.ndarray | None:
+        """LAPACK's inverse of the basis matrix, its artificial columns
+        written out; None when LAPACK finds the matrix singular or the
+        inverse is not finite."""
+        real = self.basis < self.n
+        bm = np.zeros((self.m, self.m))
+        bm[:, real] = self.a.columns(self.basis[real])
+        art = np.flatnonzero(~real)
+        rows = self.basis[art] - self.n
+        bm[rows, art] = np.where(self.b[rows] < 0, -1.0, 1.0)
+        try:
+            b_inv = np.linalg.inv(bm)
+        except np.linalg.LinAlgError:
+            return None
+        return b_inv if np.isfinite(b_inv).all() else None
 
     def _factorized(self, tree: TreeFactor | None, b_inv: np.ndarray | None) -> None:
         """Take a fresh factorization: the basis's tree, or else its
@@ -696,9 +689,12 @@ class _Simplex:
         self._since_refactor = 0
 
     def _inverse(self) -> np.ndarray:
-        """The explicit basis inverse, formed from the tree on first use."""
+        """The explicit basis inverse; for a tree factorization, LAPACK's,
+        formed on first use. The tree's x_B stays."""
         if self.b_inv is None:
-            self.b_inv = self.tree.inverse()
+            self.b_inv = self._lapack_inverse()
+            if self.b_inv is None:
+                raise SolverError("inverse of a tree-factorized basis failed")
         return self.b_inv
 
     def set_basis(self, basis: tuple[int, ...], factor: _Factor | None = None) -> bool:
@@ -808,12 +804,6 @@ class _Simplex:
         self, start_basis: Sequence[int] | None = None, factor: _Factor | None = None
     ) -> str:
         m, n = self.m, self.n
-        if m == 0:
-            self.basis = np.empty(0, dtype=np.int64)
-            self.b_inv = np.eye(0)
-            self.x_b = np.zeros(0)
-            return self._run(self.c)
-
         started = (
             start_basis is not None
             and self.set_basis(tuple(start_basis), factor)
@@ -823,11 +813,9 @@ class _Simplex:
             np.maximum(self.x_b, 0.0, out=self.x_b)
         else:
             self._phase = 1
-            sign = np.where(self.b < 0, -1.0, 1.0)
             self.basis = np.arange(n, n + m, dtype=np.int64)
-            self.tree = None
-            self.b_inv = np.diag(sign)
-            self.x_b = sign * self.b
+            if not self.refactor():
+                raise SolverError("phase-1 factorization failed")
             self._bland = False
             self._degen_run = 0
             status = self._run(np.zeros(n))

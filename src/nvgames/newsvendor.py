@@ -36,9 +36,9 @@ from .distributions import (
     coalition_mask,
     get_polytope,
     northwest_corner,
-    sorted_distinct,
 )
 from .errors import GameInvalidError, InputError, SolverError
+from .lp import sorted_distinct
 
 _QUANTILE_EPS = 1e-12
 

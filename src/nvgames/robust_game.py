@@ -135,10 +135,9 @@ from .distributions import (
     coalition_mask,
     get_polytope,
     independent_joint,
-    sorted_distinct,
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
-from .lp import LpSolution
+from .lp import LpSolution, sorted_distinct
 from .newsvendor import (
     _profit,
     comonotonic_coupling,

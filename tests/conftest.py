@@ -78,9 +78,10 @@ def simplex_phases(monkeypatch) -> list:
 
 @pytest.fixture
 def refactors(monkeypatch) -> list:
-    """Records the size of every basis that `_Simplex.refactor` inverts, in
-    order, so its length counts the factorizations: a solve's crash start,
-    its periodic and final refactorizations, and `LinearProgram.factor`."""
+    """Records the size of every basis that `_Simplex.refactor` factorizes,
+    in order, so its length counts the factorizations: a solve's crash start
+    or, for a cold start, its all-artificial phase-1 start, its periodic and
+    final refactorizations, and `LinearProgram.factor`."""
     sizes = []
     refactor = lp._Simplex.refactor
 

@@ -135,6 +135,10 @@ class TestImputationCheck:
         v = build_deterministic_game(t1, independent_joint(t1))
         assert imputation_check(v, [1.0, 2.0])
 
+    def test_an_allocation_that_is_not_efficient(self):
+        # Individually rational, but it hands out 2 of the grand value 3.
+        assert not imputation_check(cf([0.0, 1.0, 1.0, 3.0]), [1.0, 1.0])
+
 
 class TestBalancedness:
     def test_t1_ratio_table_balanced(self):
@@ -153,6 +157,14 @@ class TestBalancedness:
 
     def test_zero_table(self):
         assert balancedness_duality_pair({0b01: 0.0, 0b10: 0.0})[1] == 0.0
+
+    def test_a_table_without_proper_coalitions_is_balanced(self):
+        assert balancedness_duality_pair({}, n=2) == (0.0, 0.0)
+
+    def test_an_uncovered_player_leaves_the_primal_unbounded(self):
+        # Player 1 is in no coalition of the table: x_1 falls without bound.
+        with pytest.raises(SolverError, match="balancedness primal reported 'unbounded'"):
+            balancedness_duality_pair({0b01: 0.5}, n=2)
 
     def test_primal_dual_always_agree(self):
         rng = np.random.default_rng(31)

@@ -126,6 +126,15 @@ class TestStatusClassification:
         lp = LinearProgram("max", [1.0], a_ub=[[-1.0]], b_ub=[0.0])
         assert solve_lp(lp).status == "unbounded"
 
+    def test_a_system_without_rows(self, refactors):
+        # The empty basis is factorized like any other: a 0 x 0 inverse.
+        sol = solve_lp(LinearProgram("min", [1.0, 0.0]))
+        assert sol.status == "optimal"
+        assert np.array_equal(sol.x, [0.0, 0.0]) and sol.objective_value == 0.0
+        assert sol.basis == () and sol.duals.size == 0 and sol.support.size == 0
+        assert solve_lp(LinearProgram("min", [-1.0])).status == "unbounded"
+        assert refactors == [0, 0]
+
     def test_redundant_rows_are_dropped(self):
         # Both right-hand-side signs, and a duplicate row of opposite sign.
         for a_eq, b_eq in (
@@ -504,6 +513,19 @@ def singular_inv(a):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+@pytest.fixture
+def singular_after_phase_one_start(monkeypatch):
+    """LAPACK's inverse fails from its second call on: the first, the
+    phase-1 start of a cold solve, succeeds."""
+    inv, calls = np.linalg.inv, []
+
+    def inv_once(a):
+        calls.append(a.shape)
+        return (singular_inv if len(calls) > 1 else inv)(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv_once)
+
+
 class TestRuntimeChecks:
     """Every check `solve_lp` makes of the simplex, fired through `solve_lp`
     on a forged internal."""
@@ -530,25 +552,38 @@ class TestRuntimeChecks:
         with pytest.raises(SolverError, match="duality gap"):
             solve_lp(lp, start_basis=[0])
 
-    def test_failed_periodic_refactorization(self, monkeypatch):
-        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
+    def test_failed_phase_one_factorization(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "inv", singular_inv)
+        lp = LinearProgram("min", [1.0], a_eq=[[1.0]], b_eq=[1.0])
+        with pytest.raises(SolverError, match="phase-1 factorization failed"):
+            solve_lp(lp)
+
+    def test_failed_periodic_refactorization(self, monkeypatch, singular_after_phase_one_start):
+        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
         lp = LinearProgram("max", [1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0])
         with pytest.raises(SolverError, match="basis refactorization failed"):
             solve_lp(lp)
 
-    def test_failed_final_refactorization(self, monkeypatch):
-        # Fewer pivots than `_REFACTOR_EVERY`: the final guard inverts first.
-        monkeypatch.setattr(np.linalg, "inv", singular_inv)
+    def test_failed_final_refactorization(self, singular_after_phase_one_start):
+        # Fewer pivots than `_REFACTOR_EVERY`: the final guard inverts next.
         lp = LinearProgram("max", [1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0])
         with pytest.raises(SolverError, match="final refactorization failed"):
             solve_lp(lp)
 
-    def test_failed_refactorization_after_dropping_rows(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "inv", singular_inv)
+    def test_failed_refactorization_after_dropping_rows(self, singular_after_phase_one_start):
         lp = LinearProgram("min", [1.0, 1.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
         with pytest.raises(SolverError, match="after dropping redundant rows"):
             solve_lp(lp)
+
+    def test_failed_inverse_of_a_tree_basis(self, monkeypatch):
+        # The crash basis is factorized by its tree, without LAPACK; the
+        # first pivot asks LAPACK for the explicit inverse.
+        monkeypatch.setattr(lp_module, "_TREE_ROWS", 0)
+        poly = FrechetPolytope(random_instance(9, n=4, block_sizes=(2, 2), atoms_per_block=(4, 3)))
+        lp = poly.lp(np.random.default_rng(9).uniform(-1, 1, poly.n_atoms))
+        monkeypatch.setattr(np.linalg, "inv", singular_inv)
+        with pytest.raises(SolverError, match="inverse of a tree-factorized basis failed"):
+            solve_lp(lp, poly.crash_basis)
 
     def test_phase_one_must_end_optimal(self, monkeypatch):
         run = lp_module._Simplex._run

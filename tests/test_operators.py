@@ -253,25 +253,13 @@ def tree_operator(a: int, b: int, edges: np.ndarray) -> IncidenceOperator:
 
 
 class TestBasisInverse:
-    @given(spanning_trees())
-    def test_tree_inverse_is_lapacks(self, tree):
-        op = tree_operator(*tree)
-        m = op.shape[0]
-        basis = np.asarray(op)
-        with mock.patch.object(lp_module, "_TREE_ROWS", 0):
-            inv = op.tree_factor(np.arange(m)).inverse()
-        assert np.array_equal(basis @ inv, np.eye(m))
-        # The same bits, apart from the zeros LAPACK leaves as -0.0.
-        assert np.array_equal((inv + 0.0).tobytes(), (np.linalg.inv(basis) + 0.0).tobytes())
-        assert not np.signbit(inv).any(where=inv == 0.0)
-
     @given(spanning_trees(), st.integers(0, 2**32 - 1))
     def test_tree_solves_are_the_inverse_products(self, tree, seed):
         op = tree_operator(*tree)
         m = op.shape[0]
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
             factor = op.tree_factor(np.arange(m))
-        inv = factor.inverse()
+        inv = np.linalg.inv(np.asarray(op))
         rng = np.random.default_rng(seed)
         # Small integers: every partial sum is exact, so are both sweeps.
         v = rng.integers(-9, 10, m).astype(float)
@@ -310,6 +298,40 @@ class TestBasisInverse:
     def test_bases_below_the_gate_are_none(self):
         op = tree_operator(2, 2, np.array([(0, 0), (0, 1), (1, 1)]))
         assert op.tree_factor(np.arange(3)) is None
+
+
+def test_a_pivot_from_a_tree_basis_takes_lapacks_inverse(monkeypatch):
+    # A 64-row two-block polytope, at the tree gate: its crash basis is
+    # factorized by its tree, and the first pivot asks LAPACK for the
+    # explicit inverse of that basis.
+    rng = np.random.default_rng(5)
+    marginals = []
+    for k in (33, 32):
+        weights = rng.integers(1, 5, k).astype(float)
+        marginals.append(DiscreteMarginal(np.arange(1.0, k + 1)[:, None], weights / weights.sum()))
+    poly = FrechetPolytope(Instance(2.0, 1.0, ((0,), (1,)), tuple(marginals)))
+    m = poly.n_rows
+    assert m >= lp_module._TREE_ROWS
+    lp = poly.lp(rng.normal(size=poly.n_atoms))
+
+    events = []
+    inv, tree_factor, pivot = np.linalg.inv, IncidenceOperator.tree_factor, lp_module._Simplex._pivot
+    monkeypatch.setattr(np.linalg, "inv", lambda a: events.append(("inv", a.shape)) or inv(a))
+    monkeypatch.setattr(IncidenceOperator, "tree_factor",
+                        lambda op, ids: events.append(("tree", len(ids))) or tree_factor(op, ids))
+    monkeypatch.setattr(lp_module._Simplex, "_pivot",
+                        lambda sx, *args: events.append(("pivot",)) or pivot(sx, *args))
+    sol = solve_lp(lp, poly.crash_basis)
+    assert events[:3] == [("tree", m), ("inv", (m, m)), ("pivot",)]
+
+    monkeypatch.setattr(lp_module, "_TREE_ROWS", m + 1)
+    ref = solve_lp(lp, poly.crash_basis)
+    assert sol.status == ref.status == "optimal" and sol.iterations > 0
+    assert sol.basis == ref.basis
+    # The tree's x_B and duals add in another order than LAPACK's products.
+    eps = np.finfo(float).eps
+    assert np.abs(sol.x - ref.x).max() <= 4 * eps
+    assert np.abs(sol.duals - ref.duals).max() <= 4 * eps * np.abs(ref.duals).max()
 
 
 def test_example1_inverts_only_the_stability_basis_through_lapack(monkeypatch, refactors):

@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +31,26 @@ def test_lp_digest_is_reproducible(capsys):
     assert lines[0].endswith("  50 solves") and len(lines[0].split()[0]) == 64
     assert lines[1].endswith(" objective values") and len(lines[1].split()[0]) == 64
     assert lines[0].split()[0] != lines[1].split()[0]
+
+
+def test_line_trace_lists_the_lines_no_test_runs():
+    # One test under the hook, in a fresh interpreter: the pivot-limit raise
+    # runs, the phase-1 factorization raise does not, and a module constant
+    # counts as run at import.
+    source = (ROOT / "src" / "nvgames" / "lp.py").read_text().splitlines()
+
+    def where(text):
+        return f"src/nvgames/lp.py:{next(i for i, s in enumerate(source, 1) if text in s)}"
+
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "line_trace.py"), "-q", "-p", "no:cacheprovider",
+         f"{ROOT / 'tests' / 'test_lp.py'}::TestRuntimeChecks::test_pivot_limit"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    listed = {line.split(": ", 1)[0] for line in lines if line.startswith("src/nvgames/")}
+    assert where("phase-1 factorization failed") in listed
+    assert where("pivot limit exceeded") not in listed
+    assert where("_TREE_ROWS = 64") not in listed
+    assert lines[-1] == f"{len(listed)} lines of src/nvgames run by no test"
