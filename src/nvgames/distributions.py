@@ -405,14 +405,15 @@ class FrechetPolytope:
     implied by the kept ones, which keeps the system nonsingular for the
     simplex.
 
-    ``matrix`` is an `IncidenceOperator`: every column holds R+1 ones (the
-    mass row and one row per block, the sentinel for a block's last class),
-    so the polytope keeps an (R+1, K) array of row ids, never the dense
-    matrix; ``np.asarray(matrix)`` builds that for oracles. Every LP over the
-    polytope, the worst-case ratio LPs included, is `lp(objective)` on this
-    one operator, so a basis factorization from any of them can serve the
-    next. Factorizations travel with the callers' `LpSolution` objects,
-    never with the polytope.
+    ``matrix`` is an `IncidenceOperator` over the product grid of the
+    blocks' atoms: every column holds R+1 ones (the mass row and one row
+    per block, the sentinel for a block's last class), so the polytope
+    keeps one row id per atom of each block (its class's row), never the
+    dense matrix; ``np.asarray(matrix)`` builds that for oracles. Every LP
+    over the polytope, the worst-case ratio LPs included, is
+    `lp(objective)` on this one operator, so a basis factorization from any
+    of them can serve the next. Factorizations travel with the callers'
+    `LpSolution` objects, never with the polytope.
 
     A small polytope also has a vertex table, `vertices()`: every vertex
     supported on the classes' representative atoms (every vertex when no
@@ -433,8 +434,7 @@ class FrechetPolytope:
         self.partition = inst.partition
         self.marginals = inst.marginals
         self.n_atoms = _check_cap(inst, cap)
-        dims = tuple(m.n_atoms for m in inst.marginals)
-        self.dims = dims
+        self.dims = tuple(m.n_atoms for m in inst.marginals)
 
         # Distinct-value classes per block (duplicate atoms merge).
         self.class_of: list[np.ndarray] = []     # original atom -> class id
@@ -450,18 +450,9 @@ class FrechetPolytope:
             self.class_probs.append(probs)
             self.class_reps.append(rep.astype(np.int64))
 
-        # Joint atom -> per-block class id, in the lexicographic convention.
-        k = self.n_atoms
-        self.block_class: list[np.ndarray] = []
-        trailing = k
-        for r, kr in enumerate(dims):
-            trailing //= kr
-            atom_idx = (np.arange(k) // trailing) % kr
-            self.block_class.append(self.class_of[r][atom_idx])
-
         # The consistency rows of an atom are those of its class tuple.
         self.class_counts = tuple(p.size for p in self.class_probs)
-        self.matrix = IncidenceOperator(*_incidence_rows(self.class_counts, self.block_class))
+        self.matrix = IncidenceOperator(*_incidence_rows(self.class_counts, self.class_of))
         self.rhs = np.concatenate([[1.0], *(p[:-1] for p in self.class_probs)])
         self.rhs.setflags(write=False)
         self.crash_basis = self.northwest_vertex(
@@ -470,7 +461,7 @@ class FrechetPolytope:
         # Every objective over the polytope derives from this one program,
         # so all of them share one standard form.
         self._program = LinearProgram(
-            "max", np.zeros(k), a_eq=self.matrix, b_eq=self.rhs
+            "max", np.zeros(self.n_atoms), a_eq=self.matrix, b_eq=self.rhs
         )
         self._set_count: int | None = None
         self._vertices: np.ndarray | None = None
@@ -588,11 +579,10 @@ class FrechetPolytope:
         (including the per-block rows the LP system drops as redundant)."""
         q = np.asarray(q, dtype=float)
         worst = abs(float(np.sum(q)) - 1.0)
-        for r in range(len(self.block_class)):
-            got = np.bincount(
-                self.block_class[r], weights=q, minlength=self.class_probs[r].size
-            )
-            worst = max(worst, float(np.max(np.abs(got - self.class_probs[r]))))
+        atoms = np.unravel_index(np.arange(self.n_atoms), self.dims)
+        for r, probs in enumerate(self.class_probs):
+            got = np.bincount(self.class_of[r][atoms[r]], weights=q, minlength=probs.size)
+            worst = max(worst, float(np.max(np.abs(got - probs))))
         return worst
 
     def lp(self, objective: np.ndarray) -> LinearProgram:
@@ -625,35 +615,39 @@ class FrechetPolytope:
         joint atom, shape (len(masks), K). Each block's aggregate is formed
         once per distinct S cap N_r by `block_aggregate` (numpy sums 8 or
         more columns pairwise, so the sum itself is not re-derived), and
-        the blocks add in block order."""
+        the rows are the outer sums over the product grid: from 0.0, each
+        block's value at its atoms added in block order."""
         masks = [int(m) for m in masks]
-        total = np.zeros((len(masks), self.n_atoms))
         if not masks:
-            return total
+            return np.zeros((0, self.n_atoms))
+        total = np.zeros((len(masks), 1))
         for block, m, reps, cls in zip(
-            self.partition, self.marginals, self.class_reps, self.block_class
+            self.partition, self.marginals, self.class_reps, self.class_of
         ):
             bmask = sum(1 << i for i in block)
             subs: dict[int, int] = {}
             rows = [subs.setdefault(mask & bmask, len(subs)) for mask in masks]
             vals = np.array([block_aggregate(block, m.atoms, s)[reps] for s in subs])
-            total += np.take(vals[rows], cls, axis=1)
+            # C order: a row's BLAS dots later depend on its layout.
+            total = np.add(total[:, :, None], vals[rows][:, None, cls], order="C")
+            total = total.reshape(len(masks), -1)
         return total
 
 
 def _incidence_rows(
     counts: Sequence[int], classes: Sequence[np.ndarray]
-) -> tuple[np.ndarray, int]:
-    """The consistency rows over columns whose value class in block r is
-    `classes[r]`, of `counts[r]` classes, as `IncidenceOperator` arguments
-    (row ids, m): row 0 is the total mass, then block r owns one row per
-    class but its last, whose columns point at the sentinel row id m."""
+) -> tuple[list[np.ndarray], int]:
+    """The consistency rows over the product grid of the blocks' atoms,
+    atom i of block r in value class `classes[r][i]` of `counts[r]`, as
+    `IncidenceOperator` arguments (per-block row ids, m): row 0 is the
+    total mass, then block r owns one row per class but its last, whose
+    atoms point at the sentinel row id m."""
     m = 1 + sum(c - 1 for c in counts)
-    ids, offset = [np.zeros_like(classes[0])], 1
+    ids, offset = [], 1
     for c, cls in zip(counts, classes):
         ids.append(np.where(cls == c - 1, m, offset + cls))
         offset += c - 1
-    return np.array(ids), m
+    return ids, m
 
 
 @functools.lru_cache(maxsize=16)
@@ -684,8 +678,7 @@ def _column_bases(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.n
     keeps are inverted with it until one inverse fails the check;
     `np.linalg.inv` inverts each matrix alone, so the batching does not
     change an inverse."""
-    classes = np.unravel_index(np.arange(math.prod(counts)), counts)
-    a = np.asarray(IncidenceOperator(*_incidence_rows(counts, classes)))
+    a = np.asarray(IncidenceOperator(*_incidence_rows(counts, [np.arange(c) for c in counts])))
     a.setflags(write=False)
     m, k = a.shape
     sets = itertools.combinations(range(k), m)

@@ -26,10 +26,13 @@ The simplex reaches the constraint matrix only through an operator with a
 ``columns(ids) = A[:, ids]`` (one column for a scalar id) and
 ``matvec(x) = A @ x``; ``np.asarray`` gives its dense form. `DenseOperator`
 wraps an ndarray and serves every generic program. `IncidenceOperator` is
-the 0/1 matrix of the consistency polytope, whose columns each hold R+1
-ones: it stores the row ids of those ones, so pricing is R+1 gathers of
-K entries, added in order. The polytope is never stored as a dense
-matrix unless it is small enough for dense products to be the faster choice.
+the 0/1 matrix of the consistency polytope, whose columns are the product
+grid of the blocks' atoms and each hold R+1 ones: it stores one row-id
+vector per block, sized by that block's atoms (400 ids for the 40 000
+columns of example 1 at K=200), and the mass row is implicit. Pricing is
+y[0] plus each block's gathered ids broadcast along its axis, one K-entry
+outer sum per block. The polytope is never stored as a dense matrix unless
+it is small enough for dense products to be the faster choice.
 For two blocks it is a transportation polytope: every basis is a spanning
 tree of the blocks' value classes and has an inverse with entries in
 {-1, 0, 1} (Hoffman-Kruskal 1956). `IncidenceOperator.tree_factor` keeps the
@@ -68,6 +71,7 @@ x's nonzero entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -134,12 +138,16 @@ class DenseOperator:
 
 
 class IncidenceOperator:
-    """0/1 constraint matrix given by the row ids of the ones in each column.
+    """0/1 constraint matrix over the product grid of R blocks' atoms.
 
-    ``rows`` is an (R+1, K) integer array; ``rows[i, k]`` is the row of the
-    i-th one of column k, or ``m`` (a sentinel meaning "no one here", so a
-    column may hold fewer than R+1 ones). The ids of one column must be
-    distinct apart from the sentinel. The operator is m x K.
+    ``ids`` holds one vector per block: ``ids[r][i]`` is the row of the one
+    that atom i of block r puts in its columns, or ``m`` (a sentinel meaning
+    "no one here"). Column k is the atom tuple
+    ``np.unravel_index(k, dims)``, last block fastest, with ``dims`` the
+    lengths of the vectors: it holds a one in the mass row 0, which every
+    column has and no vector names, and one in the row of each of its
+    atoms. Each block owns its rows, so no id of one block is another
+    block's or 0. The operator is m x prod(dims); it stores sum(dims) ids.
 
     A two-block operator (R = 2, in the row layout of the consistency
     polytope) also factorizes its bases of `_TREE_ROWS` rows or more
@@ -150,30 +158,47 @@ class IncidenceOperator:
     Immutable; safe to share across threads.
     """
 
-    __slots__ = ("rows", "m", "shape", "_dense")
+    __slots__ = ("ids", "dims", "m", "shape", "_dense")
 
-    def __init__(self, rows: np.ndarray, m: int):
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.flags.writeable:
-            rows = rows.copy()  # the caller's array stays writable
-            rows.setflags(write=False)
-        self.rows = rows
+    def __init__(self, ids: Sequence[np.ndarray], m: int):
+        held = []
+        for v in ids:
+            v = np.asarray(v, dtype=np.intp)
+            if v.flags.writeable:
+                v = v.copy()  # the caller's array stays writable
+                v.setflags(write=False)
+            held.append(v)
         self.m = int(m)
-        self.shape = (self.m, rows.shape[1])
+        # The rows the blocks name, each block's once: all in 1..m-1, none twice.
+        named = np.concatenate([sorted_distinct(v[v != self.m]) for v in held])
+        if named.size and (
+            named.min() < 1 or named.max() >= self.m or sorted_distinct(named).size < named.size
+        ):
+            raise InputError("incidence row ids must be the sentinel m or rows 1..m-1 of one block")
+        self.ids = tuple(held)
+        self.dims = tuple(v.size for v in held)
+        self.shape = (self.m, math.prod(self.dims))
         self._dense = None
         if self.shape[0] * self.shape[1] <= _DENSE_ENTRIES:
-            dense = self._to_dense()
+            dense = self._columns(np.arange(self.shape[1]))
             dense.setflags(write=False)
             self._dense = dense
 
-    def _to_dense(self) -> np.ndarray:
-        m, k = self.shape
-        a = np.zeros((m + 1, k))
-        a[self.rows, np.arange(k)] = 1.0
-        return a[:m]
+    def _rows(self, cols: np.ndarray) -> np.ndarray:
+        """The (R+1, len(cols)) row ids of the ones of columns `cols`: the
+        mass row 0, then one per block (m for none)."""
+        rows = np.zeros((len(self.ids) + 1, cols.size), dtype=np.intp)
+        for r, (ids, atoms) in enumerate(zip(self.ids, np.unravel_index(cols, self.dims))):
+            rows[r + 1] = ids[atoms]
+        return rows
+
+    def _columns(self, cols: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.m + 1, cols.size))
+        out[self._rows(cols), np.arange(cols.size)] = 1.0
+        return out[: self.m]
 
     def __array__(self, dtype=None, copy=None):
-        a = self._to_dense()
+        a = self._columns(np.arange(self.shape[1]))
         return a if dtype is None else a.astype(dtype)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
@@ -181,21 +206,22 @@ class IncidenceOperator:
             return y @ self._dense
         padded = np.zeros(self.m + 1)
         padded[: self.m] = y
-        # One gather per row of ids, added in order: the bits of summing the
-        # (R+1, K) gather over its first axis, without forming it.
-        out = padded[self.rows[0]]
-        for ids in self.rows[1:]:
-            out += padded[ids]
-        return out
+        # The mass row's y[0], then each block's gather broadcast along its
+        # axis, in block order: each entry adds its column's R+1 terms in
+        # the order of their rows, the bits of the summed (R+1, K) gather.
+        out = y[0]
+        for ids in self.ids:
+            out = np.add.outer(out, padded[ids])
+        return out.ravel()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self._dense is not None:
             return self._dense @ x
         # Only x's nonzero entries: bincount adds in order from +0.0, and a
         # +-0.0 term changes no partial sum, so the bits are the full sum's.
-        nz = np.flatnonzero(x)
+        nz = (x != 0).nonzero()[0]
         out = np.bincount(
-            self.rows[:, nz].ravel(), weights=np.tile(x[nz], self.rows.shape[0]),
+            self._rows(nz).ravel(), weights=np.tile(x[nz], len(self.ids) + 1),
             minlength=self.m + 1,
         )
         return out[: self.m]
@@ -207,10 +233,7 @@ class IncidenceOperator:
             return self._dense[:, ids]
         if np.ndim(ids) == 0:
             return self.columns([ids])[:, 0]
-        ids = np.asarray(ids, dtype=np.intp)
-        out = np.zeros((self.m + 1, ids.size))
-        out[self.rows[:, ids], np.arange(ids.size)] = 1.0
-        return out[: self.m]
+        return self._columns(np.asarray(ids, dtype=np.intp))
 
     def tree_factor(self, ids) -> "TreeFactor | None":
         """The spanning-tree factor of the square basis ``A[:, ids]`` of a
@@ -219,24 +242,20 @@ class IncidenceOperator:
         when the basis has fewer than `_TREE_ROWS` rows, where LAPACK is
         faster.
 
-        Two-block: R = 2, every column of the basis has the same first id
-        (the mass row), and the ids in its second and third rows (blocks 0
-        and 1) are disjoint. The nodes are then each block's kept rows and
-        its sentinel (its last class), and each column is an edge between
-        its two classes, so a nonsingular basis is a spanning tree of the
-        a + b nodes, walked here once in preorder from block 0's sentinel."""
+        Two-block: R = 2. The nodes are then each block's rows and its
+        sentinel (its last class), and each column is an edge between its
+        two atoms' nodes, so a nonsingular basis is a spanning tree of the
+        m + 1 nodes, walked here once in preorder from block 0's sentinel.
+        The mass row is in every column, so it is no node."""
         m = self.m
-        if self.rows.shape[0] != 3 or m < _TREE_ROWS:
+        if len(self.ids) != 2 or m < _TREE_ROWS:
             return None
-        mass, u, v = self.rows[:, np.asarray(ids, dtype=np.intp)]
-        r0 = int(mass[0])
-        # Nodes: the kept rows by id, block 0's sentinel m, block 1's m + 1.
-        v = np.where(v == m, m + 1, v)
+        _mass, u, v = self._rows(np.asarray(ids, dtype=np.intp))
+        # Nodes: the rows by id, block 0's sentinel m, block 1's m + 1.
+        v[v == m] = m + 1
         side = np.full(m + 2, -1)
         side[u] = 0
         side[v] = 1
-        if (mass != r0).any() or (side[u] != 0).any():
-            return None
 
         adj: list[list[int]] = [[] for _ in range(m + 2)]
         for a, b in zip(u.tolist(), v.tolist()):
@@ -260,7 +279,7 @@ class IncidenceOperator:
         size = [1] * (m + 2)
         for w in reversed(order[1:]):
             size[parent[w]] += size[w]
-        return TreeFactor(m, r0, side[:m], np.array(depth), np.array(order), np.array(size), u, v)
+        return TreeFactor(m, side[:m], np.array(depth), np.array(order), np.array(size), u, v)
 
 
 class TreeFactor:
@@ -278,22 +297,22 @@ class TreeFactor:
     [lo_e, hi_e), so `solve` takes differences of suffix sums of the signed
     supplies, the leaf-to-root sweep, and `tsolve` adds each edge's term to
     its range and sums up the positions, the root-to-leaf potentials of
-    the transportation simplex (Dantzig 1951). The mass row r0 is not a
+    the transportation simplex (Dantzig 1951). The mass row 0 is not a
     node; its position is kept as -1, which no range holds.
 
     Holds its own arrays only, so a caller may change the basis ids it was
     built from. Immutable."""
 
-    __slots__ = ("m", "r0", "side", "sign", "order", "pos", "lo", "hi", "sc")
+    __slots__ = ("m", "side", "sign", "order", "pos", "lo", "hi", "sc")
 
-    def __init__(self, m, r0, side, depth, order, size, u, v):
-        self.m, self.r0 = m, r0
-        self.side = side  # each row's block, -1 for r0
+    def __init__(self, m, side, depth, order, size, u, v):
+        self.m = m
+        self.side = side  # each row's block, -1 for the mass row 0
         self.sign = np.where(depth % 2, -1, 1).astype(np.int8)
         self.order = order
         self.pos = np.empty(m + 2, dtype=np.intp)
         self.pos[order] = np.arange(m + 1)
-        self.pos[r0] = -1
+        self.pos[0] = -1
         child = np.where(depth[u] > depth[v], u, v)
         self.lo = self.pos[child]
         self.hi = self.lo + size[child]
@@ -304,8 +323,8 @@ class TreeFactor:
         m = self.m
         s = np.empty(m + 2)
         s[:m] = v
-        # The sentinels': e_mass less their blocks' rows (bin 0 takes r0).
-        s[m:] = v[self.r0] - np.bincount(self.side + 1, v, minlength=3)[1:]
+        # The sentinels': e_mass less their blocks' rows (bin 0 takes row 0).
+        s[m:] = v[0] - np.bincount(self.side + 1, v, minlength=3)[1:]
         t = self.sign[self.order] * s[self.order]
         suffix = np.zeros(m + 2)
         suffix[: m + 1] = np.cumsum(t[::-1])[::-1]
@@ -322,7 +341,7 @@ class TreeFactor:
         )
         p = self.sign * potential[self.pos]
         y = p[:m] - p[m + self.side]
-        y[self.r0] = p[m] + p[m + 1]  # r0 is no node: only the sentinels reach it
+        y[0] = p[m] + p[m + 1]  # row 0 is no node: only the sentinels reach it
         return y
 
 
@@ -537,9 +556,10 @@ class _Standardized:
         self.bounded = np.flatnonzero(~free) if self.n_split else slice(None)
         self.lb_bounded = lb[self.bounded]
 
+        # The shift by the finite lower bounds; None when every one is 0.
         shift = np.where(free, 0.0, lb)
-        self.shift = shift
         self.shifted = np.flatnonzero(shift)
+        self.shift = shift if self.shifted.size else None
 
         m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
         if m_ub == 0:
@@ -549,7 +569,7 @@ class _Standardized:
         else:
             rows = np.vstack([lp.a_eq, lp.a_ub])
         # What the shift takes off every right-hand side.
-        self.row_shift = rows @ shift if shift.any() else None
+        self.row_shift = None if self.shift is None else rows @ shift
         extra = []
         if self.n_split:
             extra.append(-np.asarray(rows)[:, self.free_idx])
@@ -600,11 +620,14 @@ class _Standardized:
         )
 
     def recover_x(self, z: np.ndarray) -> np.ndarray:
+        """The x of the standard-form solution `z`, computed in place on z
+        (the caller's fresh vector) and returned as a view of it. Adding the
+        shift, or 0.0 without one, also turns every -0.0 into +0.0."""
         x = z[: self.n_orig]
         if self.n_split:
-            x = x.copy()
             x[self.free_idx] -= z[self.n_orig : self.n_orig + self.n_split]
-        return x + self.shift
+        x += 0.0 if self.shift is None else self.shift
+        return x
 
 
 class _Simplex:
@@ -892,16 +915,16 @@ def solve_lp(
 
     z = np.zeros(std.n)
     z[sx.basis] = np.maximum(sx.x_b, 0.0)
-    x = std.recover_x(z)
     basic = np.sort(sx.basis)
-    support = std.support(basic)
     # Duals of the standard-form rows, zero on dropped rows.
     y = sx.y
     if sx.m < std.m:
         y = np.zeros(std.m)
         y[sx.row_ids] = sx.y
-    _check_solution(lp, x)
     _check_certificate(lp, sx.c, z, basic, y)
+    x = std.recover_x(z)  # in place: z is not read again
+    _check_solution(lp, x)
+    support = std.support(basic)
     basis = tuple(sx.basis.tolist())
     return LpSolution(
         status="optimal",

@@ -13,12 +13,12 @@ Every critical-ratio order goes through one row-wise kernel,
 joints. Every expected profit at an order is `_profit` of its expected
 shortage, taken as one BLAS dot: per (row, joint) in the kernel's tail,
 `order_profits`, and directly in the scalar entry points `expected_profit`
-and `coupled_profit`, which the action-interval scan calls about 140 times
-in one solve of the paper's example 1 at K=200 and which would otherwise
-pay the batched tail's array set-up on every call. A value does not depend on the other rows or joints, so the
-batched callers (`worst_case_orders` once per block, `optimal_orders` over
-every coalition, the stress excess pass over chunks of joints) and the
-one-coalition entry points give the same floats.
+and `coupled_profit`. The action-interval scan takes `coupled_profit`'s
+dots at every kink past the peak as the rows of one `row_dots` call. A
+value does not depend on the other rows or joints, so the batched callers
+(`worst_case_orders` once per block, `optimal_orders` over every
+coalition, the stress excess pass over chunks of joints, the kink scan)
+and the one-coalition entry points give the same floats.
 """
 
 from __future__ import annotations
@@ -287,6 +287,16 @@ def lemma3_condition(inst: Instance) -> bool:
     return False
 
 
+def _kink_profits(inst: Instance, coupling: tuple, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """(kinks, g): the distinct sums of `coupling` above y, ascending, and
+    `coupled_profit` at each, its BLAS dots as the rows of one `row_dots`
+    call, so every value has the bits of a `coupled_profit` call."""
+    sums, weights, _q = coupling
+    kinks = sorted_distinct(sums[sums > y])
+    shortage = row_dots(np.maximum(kinks[:, None] - sums, 0.0), weights[None, :])
+    return kinks, _profit(inst, kinks, shortage)
+
+
 def grand_action_interval(
     inst: Instance, wc: OrderResult | None = None, coupling: tuple | None = None
 ) -> tuple[float, float]:
@@ -325,13 +335,13 @@ def grand_action_interval(
 
     # g is linear between consecutive kinks, so between the last kink with
     # g > 0 (or the peak) and the first kink past it with g <= 0.
+    kinks, g_kinks = _kink_profits(inst, coupling, y_peak)
     y_left, g_left = y_peak, g_peak
-    for y_kink in sorted_distinct(coupling[0][coupling[0] > y_peak]):
-        g_kink = g(float(y_kink))
+    for y_kink, g_kink in zip(kinks.tolist(), g_kinks.tolist()):
         if g_kink <= 0.0:
-            root = y_left + (float(y_kink) - y_left) * g_left / (g_left - g_kink)
+            root = y_left + (y_kink - y_left) * g_left / (g_left - g_kink)
             break
-        y_left, g_left = float(y_kink), g_kink
+        y_left, g_left = y_kink, g_kink
     else:
         root = y_left + g_left / inst.cost
     # Rounding can leave g a few ulps above 0; step up to the first float

@@ -19,7 +19,11 @@ batched demand rows and the row-wise order kernel replaced.
 matrix that the whole-array table replaced, and `solved_vertex_table` the
 enumeration that solves every column basis, which the integer-inverse
 screen replaced. `loop_northwest_corner` keeps the residual-subtracting
-walk that the merged cumulative sums replaced.
+walk that the merged cumulative sums replaced. `flat_incidence_rows`,
+`gathered_rmatvec` and `gathered_tree_factor` keep the (R+1, K) row-id
+layout of the consistency operator, its pricing product and its tree
+factor, which the per-block row ids replaced, and
+`scalar_kink_profits` the one-call-per-kink scan of the action interval.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from nvgames.errors import SolverError
-from nvgames.lp import LinearProgram, solve_lp
+from nvgames.lp import LinearProgram, TreeFactor, solve_lp
 
 
 def enumerate_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
@@ -435,9 +439,16 @@ def per_coalition_demands(poly, mask: int) -> np.ndarray:
     """A coalition's demand at every joint atom, its block values added in
     block order: the one-mask form of `coalition_demand_rows`."""
     total = np.zeros(poly.n_atoms)
-    for r, vals in enumerate(poly.coalition_block_values(mask)):
-        total += vals[poly.block_class[r]]
+    for vals, cls in zip(poly.coalition_block_values(mask), atom_classes(poly)):
+        total += vals[cls]
     return total
+
+
+def atom_classes(poly) -> list[np.ndarray]:
+    """Per block r, the value class of every joint atom's block-r atom:
+    the K-long class vectors the polytope once stored."""
+    atoms = np.unravel_index(np.arange(poly.n_atoms), poly.dims)
+    return [cls[a] for cls, a in zip(poly.class_of, atoms)]
 
 
 def per_coalition_worst_case_order(inst, mask: int) -> tuple[float, float]:
@@ -549,3 +560,68 @@ def loop_northwest_corner(probs, orders) -> tuple[np.ndarray, np.ndarray]:
     pos = np.array(steps, dtype=np.intp)
     idx = np.column_stack([np.asarray(orders[r])[pos[:, r]] for r in blocks])
     return idx, np.array(mass)
+
+
+def flat_incidence_rows(ids, m: int) -> np.ndarray:
+    """The (R+1, K) row ids of the ones of every column of the operator
+    `IncidenceOperator(ids, m)`: the mass row 0, then the id of the
+    column's atom in each block (m for none), last block fastest."""
+    dims = tuple(len(v) for v in ids)
+    atoms = np.unravel_index(np.arange(math.prod(dims)), dims)
+    return np.array([np.zeros(math.prod(dims), dtype=np.intp)]
+                    + [np.asarray(v, dtype=np.intp)[a] for v, a in zip(ids, atoms)])
+
+
+def gathered_rmatvec(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y @ A for the 0/1 matrix of the (R+1, K) row ids `rows` (sentinel
+    len(y)): one gather of K entries per row of ids, added in order."""
+    padded = np.append(y, 0.0)
+    out = padded[rows[0]]
+    for ids in rows[1:]:
+        out += padded[ids]
+    return out
+
+
+def gathered_tree_factor(rows: np.ndarray, m: int, ids) -> TreeFactor | None:
+    """The spanning-tree factor of the basis ``A[:, ids]`` of the
+    two-block matrix of the (3, K) row ids `rows`, read off the columns'
+    gathered ids and checked: every column has the mass row 0, and the
+    blocks' ids are disjoint. None when a check fails or the columns hold
+    a cycle. No gate on the basis size."""
+    mass, u, v = rows[:, np.asarray(ids, dtype=np.intp)]
+    v = np.where(v == m, m + 1, v)
+    side = np.full(m + 2, -1)
+    side[u] = 0
+    side[v] = 1
+    if (mass != 0).any() or (side[u] != 0).any():
+        return None
+    adj: list[list[int]] = [[] for _ in range(m + 2)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    depth, parent = [-1] * (m + 2), [0] * (m + 2)
+    depth[m] = 0
+    order, stack = [], [m]
+    while stack:
+        w = stack.pop()
+        order.append(w)
+        for x in adj[w]:
+            if depth[x] < 0:
+                depth[x], parent[x] = depth[w] + 1, w
+                stack.append(x)
+    if len(order) != m + 1:
+        return None
+    size = [1] * (m + 2)
+    for w in reversed(order[1:]):
+        size[parent[w]] += size[w]
+    return TreeFactor(m, side[:m], np.array(depth), np.array(order), np.array(size), u, v)
+
+
+def scalar_kink_profits(inst, coupling, y_peak: float) -> tuple[np.ndarray, np.ndarray]:
+    """(kinks, g): the distinct coupling sums above `y_peak`, ascending,
+    and the worst-case grand profit at each by one `coupled_profit` call,
+    the scan that the one-call kink evaluation replaced."""
+    from nvgames.newsvendor import coupled_profit
+
+    kinks = np.array(sorted(set(coupling[0][coupling[0] > y_peak].tolist())))
+    return kinks, np.array([coupled_profit(inst, coupling, y) for y in kinks.tolist()])

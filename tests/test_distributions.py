@@ -101,8 +101,10 @@ class TestProductSupport:
             2.0, 1.0, ((0,), (1,)),
             (marginal([[1.0], [2.0]], [0.5, 0.5]), marginal([[5.0], [6.0]], [0.5, 0.5])),
         )
-        idx = [tuple(int(c) for c in ix) for ix in zip(*get_polytope(inst).block_class)]
-        assert idx == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        poly = get_polytope(inst)
+        assert poly.matrix.dims == poly.dims == (2, 2)
+        d = [tuple(atom) for atom in poly.coalition_demand_rows([0b01, 0b10]).T.tolist()]
+        assert d == [(1.0, 5.0), (1.0, 6.0), (2.0, 5.0), (2.0, 6.0)]
 
     def test_three_block_count(self):
         inst = Instance(
@@ -307,11 +309,11 @@ class TestPolytope:
 
     def test_one_class_shape_shares_its_column_bases(self):
         # Two 3 x 4 draws whose atoms sort into different class labels, so
-        # their incidence rows differ: one enumeration of the bases and
+        # their per-block row ids differ: one enumeration of the bases and
         # their inverses serves both.
         polys = [FrechetPolytope(random_instance(s, atoms_per_block=(3, 4))) for s in (1, 2)]
         assert polys[0].class_counts == polys[1].class_counts == (3, 4)
-        assert not np.array_equal(polys[0].matrix.rows, polys[1].matrix.rows)
+        assert any(not np.array_equal(a, b) for a, b in zip(polys[0].matrix.ids, polys[1].matrix.ids))
         distributions._column_bases.cache_clear()
         for poly in polys:
             assert poly.vertices() is not None
@@ -340,9 +342,10 @@ class TestPolytope:
 
     def test_a_vertex_table_off_the_consistency_rows_raises(self, t2):
         # A constraint matrix that no longer matches the value classes the
-        # table is enumerated from: every column moved one atom on.
+        # table is enumerated from: both atoms of block 0 in its last class.
         poly = FrechetPolytope(t2)
-        poly.matrix = IncidenceOperator(np.roll(poly.matrix.rows, 1, axis=1), poly.matrix.m)
+        ids, m = poly.matrix.ids, poly.matrix.m
+        poly.matrix = IncidenceOperator([np.full_like(ids[0], m), ids[1]], m)
         with pytest.raises(SolverError, match=r"^vertex table misses the consistency rows by "):
             poly.vertices()
 

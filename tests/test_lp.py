@@ -27,18 +27,17 @@ def random_lp(rng: np.random.Generator) -> LinearProgram:
 
 
 def random_polytope_lp(rng: np.random.Generator) -> LinearProgram:
-    """An LP over a two-block polytope of 1-3 x 1-3 classes: one column per
-    class pair and up to three repeated ones, marginals with zero weights
-    allowed."""
+    """An LP over a two-block polytope of 1-3 x 1-3 classes: each block's
+    atoms are one per class and up to two repeated ones, so the product
+    grid repeats class pairs, marginals with zero weights allowed."""
     counts = tuple(int(c) for c in rng.integers(1, 4, 2))
-    pairs = np.indices(counts).reshape(2, -1)
-    pairs = np.hstack([pairs, pairs[:, rng.integers(0, pairs.shape[1], rng.integers(0, 4))]])
-    rows, m = _incidence_rows(counts, list(pairs))
+    classes = [np.append(np.arange(c), rng.integers(0, c, rng.integers(0, 3))) for c in counts]
+    ids, m = _incidence_rows(counts, classes)
     probs = [rng.integers(0, 4, c).astype(float) + (np.arange(c) == 0) for c in counts]
     rhs = np.concatenate([[1.0]] + [p[:-1] / p.sum() for p in probs])
     sense = "min" if rng.random() < 0.5 else "max"
-    c = rng.integers(-4, 5, pairs.shape[1]).astype(float)
-    return LinearProgram(sense, c, a_eq=IncidenceOperator(rows, m), b_eq=rhs)
+    c = rng.integers(-4, 5, classes[0].size * classes[1].size).astype(float)
+    return LinearProgram(sense, c, a_eq=IncidenceOperator(ids, m), b_eq=rhs)
 
 
 def is_vertex_of(x: np.ndarray, vertices) -> bool:
@@ -46,6 +45,25 @@ def is_vertex_of(x: np.ndarray, vertices) -> bool:
 
 
 class TestSupport:
+    def test_recover_x_works_in_place_and_gives_no_negative_zero(self):
+        # Without a finite nonzero lower bound the standard form holds no
+        # shift vector; x is still z plus 0.0, so a -0.0 comes out +0.0.
+        plain = LinearProgram("min", [1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        assert plain._std.shift is None and plain._std.row_shift is None
+        z = np.array([-0.0, 1.0])
+        x = plain._std.recover_x(z)
+        assert np.shares_memory(x, z)
+        assert x.tobytes() == np.array([0.0, 1.0]).tobytes()
+        # A free x_0 (negative part last) and x_1 >= 2: the shift is added
+        # on z itself, and x_2's -0.0 still comes out +0.0.
+        lp = LinearProgram("min", [1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0],
+                           lower_bounds=[-np.inf, 2.0, 0.0])
+        assert lp._std.shift.tolist() == [0.0, 2.0, 0.0]
+        z = np.array([-0.0, 0.5, -0.0, 0.25])
+        x = lp._std.recover_x(z)
+        assert np.shares_memory(x, z)
+        assert x.tobytes() == np.array([-0.25, 2.5, 0.0]).tobytes()
+
     def test_support_dot_reads_only_the_support(self):
         # Every entry off the support is NaN, in the K-vector and in x
         # alike: the product is still the one over the support.
@@ -489,17 +507,17 @@ class TestFactorRefusals:
     def test_a_two_block_cycle_is_refused_by_the_tree_then_lapack(
         self, monkeypatch, refactors, singular
     ):
-        # Four columns on the classes (0, 0), (0, 1), (1, 0), (1, 1) of a
-        # 2 x 3 polytope: a cycle, which leaves class 2 of block 1 out.
+        # The four columns (0, 0), (0, 1), (1, 0), (1, 1) of a 2 x 3
+        # polytope: a cycle, which leaves class 2 of block 1 out.
         monkeypatch.setattr(lp_module, "_TREE_ROWS", 0)
         trees = []
         tree_factor = IncidenceOperator.tree_factor
         monkeypatch.setattr(IncidenceOperator, "tree_factor",
                             lambda op, ids: trees.append(tree_factor(op, ids)) or trees[-1])
-        rows, m = _incidence_rows((2, 3), [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])])
-        lp = LinearProgram("min", np.zeros(4), a_eq=IncidenceOperator(rows, m),
+        ids, m = _incidence_rows((2, 3), [np.arange(2), np.arange(3)])
+        lp = LinearProgram("min", np.zeros(6), a_eq=IncidenceOperator(ids, m),
                            b_eq=[1.0, 0.5, 0.25, 0.25])
-        assert lp.factor((0, 1, 2, 3)) is None
+        assert lp.factor((0, 1, 3, 4)) is None
         assert refactors == [4] and trees == [None] and singular == [(4, 4)]
 
 

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from nvgames.distributions import independent_joint, sample_extremal, contaminate
-from nvgames.errors import GameInvalidError, InputError
+from nvgames.errors import GameInvalidError, InputError, SolverError
 from nvgames.newsvendor import (
+    OrderResult,
     ScalarDemand,
+    _kink_profits,
+    comonotonic_coupling,
     expected_profit,
     grand_action_interval,
     optimal_order,
@@ -15,7 +18,7 @@ from nvgames.newsvendor import (
 from nvgames.robust_game import RobustGameSolver
 
 from conftest import make_example1, random_instance
-from oracles import bisect_action_interval_upper
+from oracles import bisect_action_interval_upper, scalar_kink_profits
 from test_acceptance import rand_shape_instance
 
 
@@ -238,6 +241,42 @@ class TestGrandActionInterval:
         inst = random_instance(17, n=3, block_sizes=(2, 1), atoms_per_block=(2, 2))
         lo, _hi = grand_action_interval(inst)
         assert lo <= 1.0
+
+    def test_kink_scan_keeps_the_scalar_bits(self):
+        # g at every kink past the peak from one row_dots call: the bits of
+        # one coupled_profit call per kink, on example 1 and the
+        # criterion-3 shapes.
+        rng = np.random.default_rng(1003)
+        insts = [make_example1(200)] + [rand_shape_instance(rng, n_max=5, k_max=3)
+                                        for _ in range(50)]
+        scanned = 0
+        for inst in insts:
+            coupling = comonotonic_coupling(inst, inst.grand_mask)
+            y_peak = worst_case_order(inst, inst.grand_mask).y_star
+            kinks, g = _kink_profits(inst, coupling, y_peak)
+            want_kinks, want_g = scalar_kink_profits(inst, coupling, y_peak)
+            assert kinks.tobytes() == want_kinks.tobytes()
+            assert g.tobytes() == want_g.tobytes()
+            scanned += kinks.size
+        assert scanned > 200
+        assert grand_action_interval(make_example1(200)) == (0.0, 2.2537499999999997)
+
+    def test_a_nonpositive_peak_raises_when_a_block_demand_is_positive(self, t1):
+        # A corrupted worst-case order far past the largest demand: g is
+        # negative there, although t1's blocks never see zero demand.
+        wc = OrderResult(y_star=100.0, value=0.0)
+        with pytest.raises(SolverError, match=(
+            r"^worst-case profit -9[0-9.]+ at the worst-case order is nonpositive "
+            r"although a block has strictly positive minimum demand$"
+        )):
+            grand_action_interval(t1, wc=wc)
+
+    def test_a_profit_positive_past_its_root_raises(self, t1):
+        # A corrupted coupling of zero weights: g(y) = (p - c) y never falls,
+        # so the root past the largest sum is no root.
+        sums, weights, q = comonotonic_coupling(t1, t1.grand_mask)
+        with pytest.raises(SolverError, match=r"^worst-case profit stays positive just past its root "):
+            grand_action_interval(t1, coupling=(sums, np.zeros_like(weights), q))
 
     def test_game_invalid_when_no_positive_interval(self):
         from nvgames.distributions import DiscreteMarginal, Instance

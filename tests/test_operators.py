@@ -19,12 +19,19 @@ from nvgames.distributions import (
     get_polytope,
     sample_extremal,
 )
-from nvgames.errors import DomainError
+from nvgames.errors import DomainError, InputError
 from nvgames.lp import IncidenceOperator, LinearProgram, solve_lp
 from nvgames.robust_game import _DINKELBACH_TOL, RobustGameSolver
 
 from conftest import lp_path_only, make_example1
-from oracles import enumerate_vertices, lp_least_shortage
+from oracles import (
+    atom_classes,
+    enumerate_vertices,
+    flat_incidence_rows,
+    gathered_rmatvec,
+    gathered_tree_factor,
+    lp_least_shortage,
+)
 
 
 @st.composite
@@ -56,8 +63,8 @@ def reference_matrix(poly: FrechetPolytope) -> np.ndarray:
     """The consistency rows written out: total mass, then one indicator row
     per value class of each block except its last."""
     rows = [np.ones(poly.n_atoms)]
-    for r, probs in enumerate(poly.class_probs):
-        rows += [(poly.block_class[r] == c).astype(float) for c in range(probs.size - 1)]
+    for cls, probs in zip(atom_classes(poly), poly.class_probs):
+        rows += [(cls == c).astype(float) for c in range(probs.size - 1)]
     return np.vstack(rows)
 
 
@@ -78,43 +85,78 @@ def test_incidence_operator_equals_its_dense_form(inst, seed):
     assert np.array_equal(op.columns(int(ids[0])), dense[:, ids[0]])
 
 
-def draw_incidence_rows(data) -> tuple[np.ndarray, int]:
-    """(rows, m): the row ids of an m-row incidence operator of 1-3 ones
-    per column, 1-16 columns. Columns share row ids and hold sentinels (id
-    m) in any position."""
-    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 16))
+def draw_incidence_ids(data) -> tuple[list[np.ndarray], int]:
+    """(ids, m): the per-block row ids of an m-row incidence operator of
+    R = 1-3 blocks of 1-4 atoms. Each block owns 0-3 rows; its atoms point
+    at them or at the sentinel m, repeats allowed."""
     r = data.draw(st.integers(1, 3))
-    columns = []
-    for _ in range(k):
-        ids = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=min(r, m)))
-        columns.append(data.draw(st.permutations(ids + [m] * (r - len(ids)))))
-    return np.array(columns, dtype=np.intp).T, m
+    owned = [data.draw(st.integers(0, 3)) for _ in range(r)]
+    m = 1 + sum(owned)
+    ids, offset = [], 1
+    for n in owned:
+        rows = st.sampled_from(list(range(offset, offset + n)) + [m])
+        ids.append(np.array(data.draw(st.lists(rows, min_size=1, max_size=4)), dtype=np.intp))
+        offset += n
+    return ids, m
+
+
+def gathering(ids, m) -> IncidenceOperator:
+    with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
+        return IncidenceOperator(ids, m)
 
 
 @given(st.data())
 def test_incidence_matvec_on_a_sparse_x_keeps_the_dense_bits(data):
     # matvec adds only x's nonzero entries. bincount adds in order from
     # +0.0, so no partial sum is -0.0 and a +-0.0 term changes none: the
-    # bits are those of the bincount over every entry.
-    rows, m = draw_incidence_rows(data)
-    r, k = rows.shape
+    # bits are those of the bincount over every entry of the (R+1, K) ids.
+    ids, m = draw_incidence_ids(data)
+    rows = flat_incidence_rows(ids, m)
     value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False))
+    k = rows.shape[1]
     x = np.array(data.draw(st.lists(value, min_size=k, max_size=k)))
-    with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
-        op = IncidenceOperator(rows, m)
-    dense_x = np.bincount(rows.ravel(), weights=np.tile(x, r), minlength=m + 1)[:m]
-    assert op.matvec(x).tobytes() == dense_x.tobytes()
+    want = np.bincount(rows.ravel(), weights=np.tile(x, rows.shape[0]), minlength=m + 1)[:m]
+    assert gathering(ids, m).matvec(x).tobytes() == want.tobytes()
 
 
 @given(st.data())
 def test_incidence_rmatvec_keeps_the_summed_gather_bits(data):
-    # rmatvec adds one gather per row of ids, in order: the bits of the
-    # (R+1, K) gather summed over its first axis.
-    rows, m = draw_incidence_rows(data)
-    y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=m, max_size=m)))
-    with mock.patch.object(lp_module, "_DENSE_ENTRIES", -1):
-        op = IncidenceOperator(rows, m)
-    assert op.rmatvec(y).tobytes() == np.append(y, 0.0)[rows].sum(axis=0).tobytes()
+    # y[0], then each block's gather broadcast along its axis: the bits of
+    # one gather per row of the (R+1, K) ids, added in order.
+    ids, m = draw_incidence_ids(data)
+    y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                                    min_size=m, max_size=m)))
+    want = gathered_rmatvec(flat_incidence_rows(ids, m), y)
+    assert gathering(ids, m).rmatvec(y).tobytes() == want.tobytes()
+
+
+class TestProductForm:
+    """The per-block operator against the (R+1, K) row-id layout it
+    replaced (`oracles.flat_incidence_rows`)."""
+
+    @given(st.data())
+    def test_columns_are_the_dense_columns(self, data):
+        ids, m = draw_incidence_ids(data)
+        rows = flat_incidence_rows(ids, m)
+        k = rows.shape[1]
+        dense = np.zeros((m + 1, k))
+        dense[rows, np.arange(k)] = 1.0
+        dense = dense[:m]
+        op = gathering(ids, m)
+        assert op.shape == dense.shape and np.array_equal(np.asarray(op), dense)
+        assert np.array_equal(np.asarray(IncidenceOperator(ids, m)), dense)
+        cols = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2 * k)))
+        assert np.array_equal(op.columns(cols), dense[:, cols])
+        assert np.array_equal(op.columns(int(cols[0])), dense[:, cols[0]])
+
+    @pytest.mark.parametrize("ids", [
+        [[1, 2], [2, 3]],  # row 2 in both blocks
+        [[0, 1], [2, 3]],  # the mass row named
+        [[1, 4], [2, 3]],  # past the sentinel
+    ])
+    def test_ids_outside_their_blocks_rows_are_refused(self, ids):
+        with pytest.raises(InputError, match=r"^incidence row ids must be the sentinel m or rows 1\.\.m-1 of one block$"):
+            IncidenceOperator([np.array(v) for v in ids], 3)
 
 
 @given(instances(), st.integers(0, 2**32 - 1))
@@ -246,20 +288,22 @@ def spanning_trees(draw) -> tuple[int, int, np.ndarray]:
     return a, b, np.array(draw(st.permutations(edges)))
 
 
-def tree_operator(a: int, b: int, edges: np.ndarray) -> IncidenceOperator:
-    """The consistency rows of a two-block polytope of a x b classes over
-    one column per edge."""
-    return IncidenceOperator(*_incidence_rows((a, b), [edges[:, 0], edges[:, 1]]))
+def tree_operator(a: int, b: int, edges: np.ndarray) -> tuple[IncidenceOperator, np.ndarray]:
+    """(op, cols): the consistency rows of a two-block polytope of a x b
+    classes whose blocks hold one atom per edge, edge i's classes, and the
+    column ids of the edges, (i, i) on the product grid."""
+    op = IncidenceOperator(*_incidence_rows((a, b), [edges[:, 0], edges[:, 1]]))
+    return op, np.arange(len(edges)) * (len(edges) + 1)
 
 
 class TestBasisInverse:
     @given(spanning_trees(), st.integers(0, 2**32 - 1))
     def test_tree_solves_are_the_inverse_products(self, tree, seed):
-        op = tree_operator(*tree)
+        op, cols = tree_operator(*tree)
         m = op.shape[0]
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
-            factor = op.tree_factor(np.arange(m))
-        inv = np.linalg.inv(np.asarray(op))
+            factor = op.tree_factor(cols)
+        inv = np.linalg.inv(op.columns(cols))
         rng = np.random.default_rng(seed)
         # Small integers: every partial sum is exact, so are both sweeps.
         v = rng.integers(-9, 10, m).astype(float)
@@ -272,32 +316,42 @@ class TestBasisInverse:
         assert np.abs(factor.solve(v) - inv @ v).max() <= 4 * ulp
         assert np.abs(factor.tsolve(v) - v @ inv).max() <= 4 * ulp
 
+    @given(spanning_trees(), st.integers(0, 2**32 - 1))
+    def test_tree_factor_is_the_gathered_tree(self, tree, seed):
+        op, cols = tree_operator(*tree)
+        m = op.shape[0]
+        with mock.patch.object(lp_module, "_TREE_ROWS", 0):
+            factor = op.tree_factor(cols)
+        want = gathered_tree_factor(flat_incidence_rows(op.ids, m), m, cols)
+        for name in want.__slots__:
+            assert np.array_equal(getattr(factor, name), getattr(want, name)), name
+        v = np.random.default_rng(seed).normal(size=m)
+        assert factor.solve(v).tobytes() == want.solve(v).tobytes()
+        assert factor.tsolve(v).tobytes() == want.tsolve(v).tobytes()
+
     @pytest.mark.parametrize("edges", [
         [(0, 0), (0, 1), (1, 0), (1, 1)],  # a cycle; class 2 of block 1 is unreached
         [(0, 0), (0, 0), (1, 1), (1, 2)],  # one class pair twice (repeated atoms)
     ])
     def test_a_singular_basis_is_none(self, edges):
-        op = tree_operator(2, 3, np.array(edges))
-        assert np.linalg.matrix_rank(np.asarray(op)) < op.shape[0]
+        op, cols = tree_operator(2, 3, np.array(edges))
+        assert np.linalg.matrix_rank(op.columns(cols)) < op.shape[0]
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
-            assert op.tree_factor(np.arange(op.shape[0])) is None
+            assert op.tree_factor(cols) is None
 
-    @pytest.mark.parametrize("rows, m", [
-        ([[0, 0], [1, 2]], 2),  # R = 1
-        ([[0, 0, 0, 0], [4, 1, 4, 4], [4, 4, 2, 4], [4, 4, 4, 3]], 4),  # R = 3
-        ([[0, 0, 2], [1, 3, 1], [2, 2, 3]], 3),  # no row in every column; a tree otherwise
-        ([[0, 0, 0], [1, 3, 2], [2, 1, 3]], 3),  # rows 1 and 2 in both blocks
+    @pytest.mark.parametrize("ids, m, cols", [
+        ([[1, 2]], 2, [0, 1]),  # R = 1
+        ([[4, 1], [4, 2], [4, 3]], 4, [0, 4, 2, 1]),  # R = 3
     ])
-    def test_an_operator_that_is_not_two_block_is_none(self, rows, m):
-        op = IncidenceOperator(np.array(rows), m)
-        ids = np.arange(m)
-        assert np.linalg.matrix_rank(op.columns(ids)) == m
+    def test_an_operator_that_is_not_two_block_is_none(self, ids, m, cols):
+        op = IncidenceOperator([np.array(v) for v in ids], m)
+        assert np.linalg.matrix_rank(op.columns(cols)) == m
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
-            assert op.tree_factor(ids) is None
+            assert op.tree_factor(cols) is None
 
     def test_bases_below_the_gate_are_none(self):
-        op = tree_operator(2, 2, np.array([(0, 0), (0, 1), (1, 1)]))
-        assert op.tree_factor(np.arange(3)) is None
+        op, cols = tree_operator(2, 2, np.array([(0, 0), (0, 1), (1, 1)]))
+        assert op.tree_factor(cols) is None
 
 
 def test_a_pivot_from_a_tree_basis_takes_lapacks_inverse(monkeypatch):

@@ -1,7 +1,10 @@
 import dataclasses
 import gc
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -900,3 +903,35 @@ class TestAgainstHighs:
                       A_eq=np.r_[np.ones(inst.n_retailers), 0.0][None, :], b_eq=[1.0],
                       bounds=[(None, None)] * (inst.n_retailers + 1), method="highs")
         assert solver.sigma(y)[0] == pytest.approx(res.fun, abs=1e-8)
+
+
+EXAMPLE1_BITS = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from conftest import make_example1
+from nvgames import RobustGameSolver
+solver = RobustGameSolver(make_example1(120))
+y_wc = solver.grand_wc.y_star
+table = solver.table(y_wc)
+eps_wc, _x = solver.sigma(y_wc)
+decision, eps = solver.least_core(y_tol=0.02)
+print(table.ratios.tobytes().hex(), float(eps_wc).hex(), float(decision.y).hex(),
+      decision.z.tobytes().hex(), float(eps).hex())
+"""
+
+
+def test_example1_keeps_its_bits_on_one_blas_thread():
+    # OpenBLAS picks its kernels by thread count; example 1's table, sigma
+    # and least core read the same on one thread as on the default count.
+    # Only the child process sees the variable.
+    root = Path(__file__).resolve().parent.parent
+    args = [sys.executable, "-c", EXAMPLE1_BITS, str(root / "src"), str(root / "tests")]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    runs = [
+        subprocess.run(args, env=env | extra, capture_output=True, text=True, timeout=120)
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert len(runs[0].stdout.split()) == 5
