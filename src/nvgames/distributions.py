@@ -459,9 +459,10 @@ class FrechetPolytope:
             [np.arange(p.size) for p in self.class_probs]
         )[0]
         # Every objective over the polytope derives from this one program,
-        # so all of them share one standard form.
+        # so all of them share one standard form. Its objective and its
+        # default lower bounds are read-only zero views: no K-long vector.
         self._program = LinearProgram(
-            "max", np.zeros(self.n_atoms), a_eq=self.matrix, b_eq=self.rhs
+            "max", np.broadcast_to(0.0, (self.n_atoms,)), a_eq=self.matrix, b_eq=self.rhs
         )
         self._set_count: int | None = None
         self._vertices: np.ndarray | None = None
@@ -472,20 +473,18 @@ class FrechetPolytope:
 
     def northwest_vertex(
         self, orders: Sequence[np.ndarray]
-    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    ) -> tuple[tuple[int, ...], np.ndarray]:
         """Northwest-corner vertex over the value classes, block r's classes
-        visited in `orders[r]`. Returns (basis, q, mass): the joint atoms of
-        its steps, the vertex as a joint, and the mass of each step. The
-        steps are exactly n_rows distinct atoms, some possibly of zero mass,
-        and form a starting basis (the classic staircase for R=2, in any
-        row and column order). `crash_basis` is the one in sorted order.
+        visited in `orders[r]`. Returns (basis, mass): the joint atoms of its
+        steps and the mass of each step; the vertex is zero at every other
+        atom, and no K-long joint is built. The steps are exactly n_rows
+        distinct atoms, some possibly of zero mass, and form a starting
+        basis (the classic staircase for R=2, in any row and column order).
+        `crash_basis` is the one in sorted order.
         """
         steps, mass = northwest_corner(self.class_probs, orders)
         reps = [self.class_reps[r][steps[:, r]] for r in range(len(self.dims))]
-        ids = np.ravel_multi_index(reps, self.dims)
-        q = np.zeros(self.n_atoms)
-        q[ids] = mass
-        return tuple(ids.tolist()), q, mass
+        return tuple(np.ravel_multi_index(reps, self.dims).tolist()), mass
 
     def _candidate_sets(self) -> int:
         """C(K_c, m), the m-column sets over the product of the K_c value

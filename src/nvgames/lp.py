@@ -14,12 +14,14 @@ splitting, finite lower bounds by shifting.
 
 A `LinearProgram` builds the standard form of its constraint matrices and
 bounds once (split and slack columns), and every `with_objective` or
-`with_rhs` copy shares it, so a solve only builds its cost vector and, for a
-new right-hand side, shifts that by the bounds. This is what keeps the
-thousands of small ratio LPs over one polytope, and the stability LPs over
-one coalition set, cheap. No row is ever negated: phase 1 starts from the
-basis of the artificial columns sign(b_i) e_i, factorized like any other,
-which is feasible whatever the signs of the right-hand side.
+`with_rhs` copy shares it, so a solve only builds its cost vector (none
+without split or slack columns: the objective itself serves, its sign kept
+aside for a max program) and, for a new right-hand side, shifts that by the
+bounds. This is what keeps the thousands of small ratio LPs over one
+polytope, and the stability LPs over one coalition set, cheap. No row is
+ever negated: phase 1 starts from the basis of the artificial columns
+sign(b_i) e_i, factorized like any other, which is feasible whatever the
+signs of the right-hand side.
 
 The simplex reaches the constraint matrix only through an operator with a
 ``shape``, the pricing product ``rmatvec(y) = y @ A``, the column gather
@@ -33,6 +35,11 @@ columns of example 1 at K=200), and the mass row is implicit. Pricing is
 y[0] plus each block's gathered ids broadcast along its axis, one K-entry
 outer sum per block. The polytope is never stored as a dense matrix unless
 it is small enough for dense products to be the faster choice.
+Pricing works in place: `rmatvec` returns a fresh array, and the simplex's
+pricing and the certificate's each write the reduced costs into it
+(`_reduced_costs`), so a pricing pass over the 40 000 columns of example 1
+at K=200 allocates one K-long vector, not three. The certificate prices its
+duals itself and never reads the simplex's reduced costs.
 For two blocks it is a transportation polytope: every basis is a spanning
 tree of the blocks' value classes and has an inverse with entries in
 {-1, 0, 1} (Hoffman-Kruskal 1956). `IncidenceOperator.tree_factor` keeps the
@@ -395,10 +402,11 @@ def _as_vector(b, m: int, name: str) -> np.ndarray:
 class LinearProgram:
     """min/max objective @ x  s.t.  a_eq @ x = b_eq, a_ub @ x <= b_ub, x >= lower_bounds.
 
-    ``lower_bounds`` defaults to 0 for every variable; use ``-np.inf`` to mark
-    a variable as free. The constraint matrices are dense arrays or
-    operators (`DenseOperator`, `IncidenceOperator`); they are held by
-    reference and never mutated. The standard form of the constraint
+    ``lower_bounds`` defaults to 0 for every variable, held as a read-only
+    zero view (``np.broadcast_to(0.0, (n,))``, no bytes per variable); use
+    ``-np.inf`` to mark a variable as free. The constraint matrices are
+    dense arrays or operators (`DenseOperator`, `IncidenceOperator`); they
+    are held by reference and never mutated. The standard form of the constraint
     matrices and bounds is built here, once, and shared by every
     `with_objective` and `with_rhs` copy.
     """
@@ -428,7 +436,7 @@ class LinearProgram:
         object.__setattr__(self, "b_eq", _as_vector(self.b_eq, a_eq.shape[0], "b_eq"))
         object.__setattr__(self, "b_ub", _as_vector(self.b_ub, a_ub.shape[0], "b_ub"))
         if self.lower_bounds is None:
-            lb = np.zeros(n)
+            lb = np.broadcast_to(0.0, (n,))
         else:
             lb = np.atleast_1d(np.asarray(self.lower_bounds, dtype=float))
             if lb.shape != (n,):
@@ -596,16 +604,19 @@ class _Standardized:
         b.setflags(write=False)
         return b
 
-    def cost(self, lp: LinearProgram) -> np.ndarray:
-        """The standard-form cost vector of `lp`'s objective (minimized)."""
-        c = lp.objective if lp.sense == "min" else -lp.objective
+    def cost(self, lp: LinearProgram) -> tuple[np.ndarray, bool]:
+        """The standard-form cost vector of `lp`'s objective (minimized) as
+        (v, negated): the cost is -v when negated, else v. Without added
+        columns v is the objective itself, so a max program makes no
+        negated copy (`_reduced_costs` takes the sign)."""
         if not (self.n_split or self.n_slack):
-            return c
+            return lp.objective, lp.sense == "max"
+        c = lp.objective if lp.sense == "min" else -lp.objective
         return np.concatenate([
             c,
             -c[self.free_idx] if self.n_split else np.zeros(0),
             np.zeros(self.n_slack),
-        ])
+        ]), False
 
     def support(self, basic: np.ndarray) -> np.ndarray:
         """The ascending ids of the variables that may be nonzero in the x
@@ -648,15 +659,15 @@ class _Simplex:
     """
 
     __slots__ = (
-        "a", "b", "c", "m", "n", "row_ids", "basis", "tree", "b_inv", "x_b", "y",
-        "iterations", "_phase", "_bland", "_degen_run", "_since_refactor",
+        "a", "b", "c", "negated", "m", "n", "row_ids", "basis", "tree", "b_inv", "x_b",
+        "y", "iterations", "_phase", "_bland", "_degen_run", "_since_refactor",
     )
 
     def __init__(self, lp: LinearProgram):
         std = lp._std
         self.a = std.a
         self.b = lp._b
-        self.c = std.cost(lp)
+        self.c, self.negated = std.cost(lp)  # the phase-2 cost, -c when negated
         self.m, self.n = std.m, std.n
         self.row_ids = std.row_ids
         self.basis = None
@@ -772,7 +783,8 @@ class _Simplex:
 
     def _basic_cost(self, c_work: np.ndarray) -> np.ndarray:
         if self._phase == 2:
-            return c_work[self.basis]
+            cb = c_work[self.basis]
+            return np.negative(cb, out=cb) if self.negated else cb
         # Implicit artificials (ids >= n) cost 1 in phase 1.
         cb = np.zeros(self.m)
         real = self.basis < self.n
@@ -802,7 +814,7 @@ class _Simplex:
             basis = self.basis
             cb = self._basic_cost(c_work)
             y = cb @ self.b_inv if self.tree is None else self.tree.tsolve(cb)
-            r = c_work - a.rmatvec(y)
+            r = _reduced_costs(c_work, self._phase == 2 and self.negated, a.rmatvec(y))
             # Basics must not reenter.
             r[basis if self._phase == 2 else basis[basis < self.n]] = np.inf
             if self._bland:
@@ -921,7 +933,7 @@ def solve_lp(
     if sx.m < std.m:
         y = np.zeros(std.m)
         y[sx.row_ids] = sx.y
-    _check_certificate(lp, sx.c, z, basic, y)
+    _check_certificate(lp, sx.c, sx.negated, z, basic, y)
     x = std.recover_x(z)  # in place: z is not read again
     _check_solution(lp, x)
     support = std.support(basic)
@@ -955,21 +967,35 @@ def _check_solution(lp: LinearProgram, x: np.ndarray) -> None:
             raise SolverError(f"bound violation {res:.3e} exceeds tolerance")
 
 
+def _reduced_costs(c: np.ndarray, negated: bool, r: np.ndarray) -> np.ndarray:
+    """The reduced costs c - A'y of the cost c, or -c when `negated`,
+    written into r = A'y (a fresh `rmatvec` output) and returned. The
+    negated ones are (-A'y) - c, which has the bits of (-c) - A'y, signed
+    zeros included, since IEEE addition commutes."""
+    if negated:
+        np.negative(r, out=r)
+        return np.subtract(r, c, out=r)
+    return np.subtract(c, r, out=r)
+
+
 def _check_certificate(
-    lp: LinearProgram, c: np.ndarray, z: np.ndarray, basic: np.ndarray, y: np.ndarray
+    lp: LinearProgram, c: np.ndarray, negated: bool, z: np.ndarray, basic: np.ndarray,
+    y: np.ndarray,
 ) -> None:
     """Raise SolverError unless the duals `y` certify `z`, zero off its
     ascending basic columns `basic`, optimal for the standard form A z = b
-    of `lp` with cost `c`: every reduced cost c - A'y is at least -OPT_TOL
-    (the simplex's own optimality test) and c'z equals b'y up to the primal
-    tolerance scaled by |b|'|y|."""
+    of `lp` with cost `c` (-c when `negated`): every reduced cost is at
+    least -OPT_TOL (the simplex's own optimality test) and the cost of z
+    equals b'y up to the primal tolerance scaled by |b|'|y|. A'y is priced
+    here from y itself, never taken from the simplex."""
     b = lp._b
-    worst = (c - lp._std.a.rmatvec(y)).min()
+    worst = _reduced_costs(c, negated, lp._std.a.rmatvec(y)).min()
     if worst < -OPT_TOL:
         raise SolverError(
             f"reduced cost {worst:.3e} is below -{OPT_TOL:g}; the basis is not optimal"
         )
-    gap = abs(support_dot(c, z, basic) - b @ y)
+    cz = support_dot(c, z, basic)
+    gap = abs((-cz if negated else cz) - b @ y)
     tol = 100 * FEAS_TOL * max(1.0, np.abs(b) @ np.abs(y))
     if gap > tol:
         raise SolverError(f"duality gap {gap:.3e} exceeds tolerance {tol:.3e}")

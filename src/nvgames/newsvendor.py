@@ -110,10 +110,15 @@ def _quantile_rows(values: np.ndarray, probs: np.ndarray, ratio: float) -> np.nd
     return y if probs.ndim == 2 else y[:, 0]
 
 
-def _profit(inst: Instance, y, shortage):
+def _profit(inst: Instance, y, shortage, out=None):
     """(p-c)*y - p*shortage, the expected profit at order y from its
-    expected shortage E[(y - d)^+]: scalars or arrays of one shape."""
-    return (inst.price - inst.cost) * y - inst.price * shortage
+    expected shortage E[(y - d)^+]: scalars or arrays of one shape. With
+    `out` (an array of the shortages' shape, which may be `shortage`
+    itself) the same operations, in the same order, write into it."""
+    if out is None:
+        return (inst.price - inst.cost) * y - inst.price * shortage
+    np.multiply(inst.price, shortage, out=out)
+    return np.subtract((inst.price - inst.cost) * y, out, out=out)
 
 
 def order_profits(

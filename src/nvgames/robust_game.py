@@ -56,12 +56,20 @@ one operator, a solution also lends its basis factorization, across gammas,
 coalitions and orders y alike.
 
 Every product of a K-vector with an LP solution, or with a starting vertex,
-runs over that joint's support alone (`lp.support_dot`): the basis columns
+runs over that joint's support alone (`lp.support_dot`, and `_ratio`, which
+takes the joint as its masses at its ascending support): the basis columns
 of the solution or of the countermonotonic start, the atoms of the
 comonotonic joint. A vertex has at most n_rows nonzero atoms out of K (399
 of 40 000 in example 1 at K = 200), and OpenBLAS runs a product over more
 than 10 000 atoms on two threads (see `lp`). The LP path's tables keep each
-witness's support beside it for the slopes of sigma.
+witness's support beside it for the slopes of sigma. The countermonotonic
+start is held as its support and masses alone, never as a K-long joint;
+the first LP solution replaces it as the coalition's joint. The LP path's
+K-long vectors are its demand rows, one denominator per solver and order
+y (`_denominator`, shared with the vertex path), one numerator per
+candidate order and one objective per Dinkelbach step, each formed in one
+array with the out-of-place formula's bits (`_atom_profits`,
+`_dinkelbach_objective`).
 
 Small polytopes skip the LPs. A linear-fractional program with a positive
 denominator attains its maximum at a vertex (Charnes-Cooper 1962), so when
@@ -273,7 +281,8 @@ class RobustGameSolver:
         self.grand_wc = worst_case_order(inst, inst.grand_mask)
         self._vertex_rows: list[np.ndarray] | None = None
         self._numerators: _Numerators | None = None
-        self._vertex_den: tuple[float, np.ndarray, np.ndarray] | None = None
+        self._den: tuple[float, np.ndarray] | None = None
+        self._vertex_grand: tuple[float, np.ndarray] | None = None
         self._ratio_start: dict[int, LpSolution] = {}
         self._coalition_cache: dict[int, tuple] = {}
         self._single_block_value: dict[int, tuple[float, float]] = {}
@@ -310,8 +319,10 @@ class RobustGameSolver:
         """(d_s, gammas, shortage, ctm) of a coalition meeting several
         blocks, for its ratio LPs: its demand at every joint atom, its
         candidate orders, a lower bound on E_q(gamma - d_S)^+ over the
-        consistent q at each of them, and for R = 2 the (basis, joint) of
-        the countermonotonic vertex.
+        consistent q at each of them, and for R = 2 the countermonotonic
+        vertex as (basis, support, mass): its basis in walk order, the same
+        atoms ascending, and its masses at those ascending atoms. The
+        vertex is zero at every other atom, so no K-long joint is built.
 
         For R = 2 that vertex attains the bound, which is then exact: the
         countermonotonic coupling of the two block aggregates minimizes
@@ -329,10 +340,13 @@ class RobustGameSolver:
         gammas = _candidate_orders(d_s[None, :])[0]
         values = self.poly.coalition_block_values(mask)
         if self.inst.n_blocks == 2:
-            basis, q, mass = self.poly.northwest_vertex(
+            basis, mass = self.poly.northwest_vertex(
                 [np.argsort(values[0], kind="stable"), np.argsort(-values[1], kind="stable")]
             )
-            data = (d_s, gammas, _expected_shortage(gammas, d_s[list(basis)], mass), (basis, q))
+            ids = np.array(basis)
+            shortage = _expected_shortage(gammas, d_s[ids], mass)
+            order = np.argsort(ids)
+            data = (d_s, gammas, shortage, (basis, ids[order], mass[order]))
         else:
             mean = sum(float(self.poly.class_probs[r] @ v) for r, v in enumerate(values))
             data = (d_s, gammas, np.maximum(gammas - mean, 0.0), None)
@@ -365,14 +379,14 @@ class RobustGameSolver:
         for _ in range(_DINKELBACH_MAX_STEPS):
             # Called through the module: bench/tracing.py traces the ratio
             # LPs by rebinding nvgames.lp.solve_lp.
-            sol = lp.solve_lp(self.poly.lp(num - lam * den), start)
+            sol = lp.solve_lp(self.poly.lp(_dinkelbach_objective(num, den, lam)), start)
             if sol.status != "optimal":
                 raise SolverError(
                     f"ratio LP for coalition {mask:#x} at gamma={gamma} reported {sol.status!r}"
                 )
             if sol.objective_value <= _DINKELBACH_TOL:
                 return sol, lam
-            ratio = _ratio(num, den, sol.x, sol.support)
+            ratio = _ratio(num, den, sol.support, sol.x[sol.support])
             if not ratio > lam:
                 raise SolverError(
                     f"Dinkelbach step for coalition {mask:#x} at gamma={gamma} left the "
@@ -430,13 +444,21 @@ class RobustGameSolver:
         self._numerators = _Numerators(gamma, rows, start, best, arg, peak)
         return self._numerators
 
+    def _denominator(self, y: float) -> np.ndarray:
+        """The grand profit at order y at every joint atom, the ratios'
+        denominator, formed in one array and kept for the last y."""
+        if self._den is None or self._den[0] != y:
+            self._den = (y, _atom_profits(self.inst, y, self.d_grand))
+        return self._den[1]
+
     def _grand_at(self, y: float) -> tuple[np.ndarray, np.ndarray]:
         """(den, grand) of the vertex path at order y: the grand profit at
-        every joint atom and at every vertex, kept for the last y."""
-        if self._vertex_den is None or self._vertex_den[0] != y:
-            den = _profit(self.inst, y, np.maximum(y - self.d_grand, 0.0))
-            self._vertex_den = (y, den, self.poly.vertices() @ den)
-        return self._vertex_den[1:]
+        every joint atom (`_denominator`) and at every vertex, kept for the
+        last y."""
+        den = self._denominator(y)
+        if self._vertex_grand is None or self._vertex_grand[0] != y:
+            self._vertex_grand = (y, self.poly.vertices() @ den)
+        return den, self._vertex_grand[1]
 
     def _vertex_entries(
         self, y: float, masks: slice
@@ -500,32 +522,35 @@ class RobustGameSolver:
         d_s, gammas, shortage, ctm = self._coalition_data(mask)
         ubs = np.maximum(_profit(self.inst, gammas, shortage), 0.0) / vmin
         order = np.lexsort((gammas, -ubs))
-        den = _profit(self.inst, y, np.maximum(y - self.d_grand, 0.0))
+        den = self._denominator(y)
+        # The joint whose ratio starts lam, as its masses at its support.
         last = self._ratio_start.get(mask)
         if last is not None:
-            start, q, support = last, last.x, last.support
+            start, support, mass = last, last.support, last.x[last.support]
         elif ctm is not None:
-            start, q = ctm
-            support = np.sort(start)  # a vertex is zero off its basis
+            start, support, mass = ctm
         else:
-            start, q, support = self.poly.crash_basis, q_min, self._grand_support
+            start, support = self.poly.crash_basis, self._grand_support
+            mass = q_min[support]
         best = best_gamma = None
         for idx in order:
             if best is not None and ubs[idx] <= best:
                 break  # remaining candidates are bounded below the incumbent
             gamma = float(gammas[idx])
-            num = _profit(self.inst, gamma, np.maximum(gamma - d_s, 0.0))
-            lam = _ratio(num, den, q, support)
+            num = _atom_profits(self.inst, gamma, d_s)
+            lam = _ratio(num, den, support, mass)
             if best is not None:
                 lam = max(lam, best)
             sol, lam = self._dinkelbach(num, den, lam, start, mask, gamma)
             if best is None or lam > best:
                 # F(lam) <= tol, so this vertex is within tol / vmin of the
                 # optimum; its own ratio is the value reported.
-                best = _ratio(num, den, sol.x, sol.support)
-                best_gamma, start, q, support = gamma, sol, sol.x, sol.support
+                support, mass = sol.support, sol.x[sol.support]
+                best = _ratio(num, den, support, mass)
+                best_gamma, start = gamma, sol
+        # The first candidate is always solved, so `start` is an LpSolution.
         self._ratio_start[mask] = start
-        return VmaxResult(best, best_gamma, q, support)
+        return VmaxResult(best, best_gamma, start.x, start.support)
 
     def _admissible_min_profit(self, y: float) -> tuple[float, np.ndarray]:
         """min_grand_profit(y), refusing orders at which it is not positive."""
@@ -763,10 +788,27 @@ def _candidate_orders(demands: np.ndarray) -> list[np.ndarray]:
     return [row[k] for row, k in zip(ordered, keep)]
 
 
-def _ratio(num: np.ndarray, den: np.ndarray, q: np.ndarray, support: np.ndarray) -> float:
-    """num @ q / den @ q over the ascending atom ids `support`, off which q
-    is zero."""
-    return lp.support_dot(num, q, support) / lp.support_dot(den, q, support)
+def _ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray, mass: np.ndarray) -> float:
+    """num @ q / den @ q for the joint q that is `mass` at the ascending atom
+    ids `support` and zero elsewhere: the products run over those entries
+    alone, in that order, as `lp.support_dot` runs them."""
+    return float(num[support] @ mass) / float(den[support] @ mass)
+
+
+def _atom_profits(inst: Instance, y: float, demands: np.ndarray) -> np.ndarray:
+    """The profit at order y against every atom's demand, `_profit` of the
+    shortages (y - demands)^+, formed in one new array: the same operations
+    in the same order as ``_profit(inst, y, np.maximum(y - demands, 0.0))``,
+    so the same bits."""
+    out = y - demands
+    np.maximum(out, 0.0, out=out)
+    return _profit(inst, y, out, out=out)
+
+
+def _dinkelbach_objective(num: np.ndarray, den: np.ndarray, lam: float) -> np.ndarray:
+    """num - lam * den, formed in one new array with those bits."""
+    out = lam * den
+    return np.subtract(num, out, out=out)
 
 
 def _expected_shortage(gammas: np.ndarray, values: np.ndarray, mass: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from nvgames.errors import SolverError
-from nvgames.lp import LinearProgram, TreeFactor, solve_lp
+from nvgames.lp import LinearProgram, TreeFactor, solve_lp, support_dot
 
 
 def enumerate_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
@@ -532,6 +532,21 @@ def solved_vertex_table(poly) -> np.ndarray:
             row[atoms[cols]] = np.where(x > _VERTEX_ZERO, x, 0.0)
             found.setdefault((row > 0.0).tobytes(), row)
     return np.array(list(found.values()))
+
+
+def dense_joint(n_atoms: int, ids, mass) -> np.ndarray:
+    """The K-long joint that is `mass` at the atoms `ids` and 0 elsewhere:
+    the layout the countermonotonic start was once held in."""
+    q = np.zeros(n_atoms)
+    q[np.asarray(ids, dtype=np.intp)] = mass
+    return q
+
+
+def dense_ratio(num: np.ndarray, den: np.ndarray, q: np.ndarray, support) -> float:
+    """num @ q / den @ q over `support` through `support_dot`, read from the
+    dense joint q: the ratio as it was taken before joints were held on
+    their supports."""
+    return support_dot(num, q, support) / support_dot(den, q, support)
 
 
 def loop_northwest_corner(probs, orders) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from nvgames.robust_game import _DINKELBACH_TOL, RobustGameSolver
 from conftest import lp_path_only, make_example1
 from oracles import (
     atom_classes,
+    dense_joint,
     enumerate_vertices,
     flat_incidence_rows,
     gathered_rmatvec,
@@ -216,17 +217,21 @@ def test_countermonotonic_shortage_is_the_least(inst):
 
 @given(instances(n_blocks=st.just(2)))
 def test_countermonotonic_start_is_a_consistent_basis(inst):
+    # The start is held as (basis, support, mass): no K-long joint. Its
+    # dense joint, rebuilt here, is a consistent vertex on its basis.
     with lp_path_only():
         solver = RobustGameSolver(inst)
         starts = [solver._coalition_data(mask)[3] for mask in spanning_masks(inst)]
     poly = solver.poly
     a = np.asarray(poly.matrix)
-    for basis, q in starts:
+    for basis, support, mass in starts:
         assert len(set(basis)) == len(basis) == poly.n_rows
         assert np.linalg.matrix_rank(a[:, list(basis)]) == poly.n_rows
-        assert np.all(q >= 0.0)
-        assert np.count_nonzero(np.delete(q, list(basis))) == 0
-        assert poly.consistency_gap(q) <= 1e-12
+        assert np.array_equal(support, np.sort(basis))
+        assert mass.shape == support.shape
+        assert np.all(mass >= 0.0)
+        assert abs(mass.sum() - 1.0) <= 1e-12
+        assert poly.consistency_gap(dense_joint(poly.n_atoms, support, mass)) <= 1e-12
 
 
 @given(instances(n_blocks=st.integers(2, 3)))

@@ -5,12 +5,14 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nvgames import coop
 from nvgames import lp as lp_module
+from nvgames import robust_game as rg_module
 from nvgames.coop import balancedness_duality_pair, solve_stability_lp
 from nvgames.distributions import (
     DEFAULT_SUPPORT_CAP,
@@ -21,6 +23,7 @@ from nvgames.distributions import (
 )
 from nvgames.errors import DomainError, InputError, SolverError
 from nvgames.newsvendor import (
+    _profit,
     expected_profit,
     grand_action_interval,
     optimal_order,
@@ -38,7 +41,13 @@ from nvgames.robust_game import (
 
 from conftest import lp_path_only, make_example1, random_instance
 from test_stress import small_cfg
-from oracles import brute_force_ratios, brute_force_vmax, exact_sigma_slopes
+from oracles import (
+    brute_force_ratios,
+    brute_force_vmax,
+    dense_joint,
+    dense_ratio,
+    exact_sigma_slopes,
+)
 
 
 class TestVmax:
@@ -383,6 +392,69 @@ class TestCutSearch:
         assert probed == [19.0, 25.0, 21.0]
         assert decision.y == 21.0
 
+    def test_inadmissible_probe_below_the_worst_case_order_raises_the_floor(self, monkeypatch):
+        # sigma tilted by 0.05 (y - y_wc), a convex function whose minimum,
+        # near 16.518, lies below the worst-case order 19, with orders below
+        # 15 refused: the probes at 9.5 and 14.25 are refused and each
+        # becomes the bracket's lower end, no later probe goes below it,
+        # and the minimum is found as without the refusals.
+        sigma, slopes = RobustGameSolver.sigma, RobustGameSolver._sigma_slopes
+
+        def search(floor: float) -> tuple[list[float], Decision, float]:
+            probed = []
+
+            def tilted(self, y):
+                probed.append(y)
+                if y < floor:
+                    raise DomainError(f"order {y} refused")
+                eps, x = sigma(self, y)
+                return eps + 0.05 * (y - self.grand_wc.y_star), x
+
+            monkeypatch.setattr(RobustGameSolver, "sigma", tilted)
+            return probed, *RobustGameSolver(small_cfg_instance(0)).least_core()
+
+        def tilted_slopes(self):
+            g_lo, g_hi, err = slopes(self)
+            return g_lo + 0.05, g_hi + 0.05, err
+
+        monkeypatch.setattr(RobustGameSolver, "_sigma_slopes", tilted_slopes)
+        probed, decision, eps = search(15.0)
+        assert probed[:4] == [19.0, 9.5, 14.25, 16.625]
+        assert min(probed[3:]) > 14.25
+        free_probed, free_decision, free_eps = search(-np.inf)
+        assert min(free_probed) < 15.0
+        assert abs(decision.y - free_decision.y) <= 1e-4
+        assert abs(eps - free_eps) <= 1e-7
+
+    def test_a_bracket_down_to_adjacent_floats_ends_the_search(self, monkeypatch):
+        # A convex sigma that falls with slope -2^24 up to the bracket's
+        # upper end b, computed exactly: the search bisects toward b, and
+        # its lower bound, the last probe's cut at b, stays 2^24 (b - a)
+        # below the best probe, 2^-24 at adjacent floats, far above the
+        # 1e-9 stop. Once the bracket is two adjacent floats their midpoint
+        # is one of them, which ends the search. The last probe, b's lower
+        # neighbour, is returned.
+        solver = RobustGameSolver(small_cfg_instance(0))
+        y_wc, slope = solver.grand_wc.y_star, 2.0**24
+        b = y_wc + 2.0**-20
+        monkeypatch.setattr("nvgames.robust_game.grand_action_interval",
+                            lambda *args: (y_wc - 2.0**-20, b))
+        probed = []
+        even = np.full(solver.n, 1.0 / solver.n)
+
+        def falling(y):
+            probed.append(y)
+            return slope * (b - y), even
+
+        monkeypatch.setattr(solver, "sigma", falling)
+        monkeypatch.setattr(solver, "_sigma_slopes", lambda: (-slope, -slope, 0.0))
+        decision, eps = solver.least_core(y_tol=1e-300)
+        below = float(np.nextafter(b, -np.inf))
+        assert probed == sorted(probed) and probed[-1] == below == decision.y
+        assert len(probed) == 29  # y_wc, then 28 halvings of 2^-20 down to ulp(19) = 2^-48
+        assert eps == slope * (b - below) == 2.0**-24
+        assert solver.least_core_lower == 0.0
+
     def test_example1_certified_in_one_probe(self, monkeypatch):
         solver = RobustGameSolver(make_example1(24))
         calls = counted_sigma(monkeypatch)
@@ -683,11 +755,15 @@ class TestSupportProducts:
         # Example 1 at K = 120 has 14 400 atoms: dots of this length run on
         # two OpenBLAS threads. Its first LPs certify every ratio, so a draw
         # whose coalition 0b101 takes two Dinkelbach steps covers the
-        # steps' ratios. Every ratio LP solution, countermonotonic start and
-        # the comonotonic joint is handed on with NaN off its support, so a
-        # product over all K atoms would change the results. Every LP makes exactly two helper
-        # products, its duality gap and its objective value, and every
-        # product outside the stability LPs runs over at most n_rows atoms.
+        # steps' ratios. Every ratio LP solution and the comonotonic joint
+        # is handed on with NaN off its support, so a product over all K
+        # atoms would change the results. The countermonotonic start is
+        # held as its n_rows masses alone, so it has no entry off its
+        # support to poison: the walk's output is checked for that, and
+        # the first ratio of each coalition must read exactly its basis's
+        # atoms. Every LP makes exactly two helper products, its duality
+        # gap and its objective value, every product outside the stability
+        # LPs runs over at most n_rows atoms, and so does every ratio.
         if draw == "example1":
             inst = make_example1(120)
         else:
@@ -715,16 +791,24 @@ class TestSupportProducts:
                 return dataclasses.replace(sol, x=nan_off(sol.x, sol.support))
             return run
 
-        northwest = solver.poly.northwest_vertex
+        northwest, ratio = solver.poly.northwest_vertex, rg_module._ratio
+        starts, ratios = [], []  # each start's ascending basis; each ratio's support
 
-        def poisoned_northwest(orders):
-            basis, q, mass = northwest(orders)
-            return basis, nan_off(q, list(basis)), mass
+        def recorded_northwest(orders):
+            basis, mass = northwest(orders)
+            assert len(basis) == mass.size == solver.poly.n_rows
+            starts.append(sorted(basis))
+            return basis, mass
+
+        def spied_ratio(num, den, support, mass):
+            ratios.append(support.tolist())
+            return ratio(num, den, support, mass)
 
         monkeypatch.setattr(lp_module, "support_dot", spied_dot)
         monkeypatch.setattr(lp_module, "solve_lp", spied(lp_module.solve_lp, True))
         monkeypatch.setattr(coop, "solve_lp", spied(coop.solve_lp, False))
-        monkeypatch.setattr(solver.poly, "northwest_vertex", poisoned_northwest)
+        monkeypatch.setattr(solver.poly, "northwest_vertex", recorded_northwest)
+        monkeypatch.setattr(rg_module, "_ratio", spied_ratio)
         sums, weights, q_min = solver._grand_coupling
         solver._grand_coupling = (sums, weights, nan_off(q_min, solver._grand_support))
         got = bench_pass(solver)
@@ -733,6 +817,85 @@ class TestSupportProducts:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         sizes = [size for i, (size, _) in enumerate(calls) if i not in stability]
         assert sizes and max(sizes) <= solver.poly.n_rows
+        assert starts and all(start in ratios for start in starts)
+        assert max(len(support) for support in ratios) <= solver.poly.n_rows
+
+
+class TestRatioLpFootprint:
+    """The ratio LPs' K-long vectors: each numerator, denominator and
+    Dinkelbach objective is formed in one array with the out-of-place
+    formula's bits, and the countermonotonic start is held on its support."""
+
+    @staticmethod
+    def draws(rng, size: int):
+        """Random (p, c, y, demands) with exact ties and zero shortages:
+        demands on a coarse grid that holds y, some negative, and orders
+        that are sometimes 0."""
+        for _ in range(size):
+            price = float(rng.uniform(1.0, 3.0))
+            cost = float(rng.uniform(0.0, price))
+            demands = rng.integers(-2, 9, 64) * float(rng.choice([0.125, 0.1, 1.0 / 3.0]))
+            y = float(rng.choice([0.0, demands[0], rng.uniform(-1.0, 4.0)]))
+            yield SimpleNamespace(price=price, cost=cost), y, demands
+
+    def test_atom_profits_keep_the_out_of_place_bits(self):
+        for inst, y, demands in self.draws(np.random.default_rng(11), 300):
+            want = (inst.price - inst.cost) * y - inst.price * np.maximum(y - demands, 0.0)
+            got = rg_module._atom_profits(inst, y, demands)
+            assert got.tobytes() == want.tobytes()  # signed zeros included
+
+    def test_dinkelbach_objective_keeps_the_out_of_place_bits(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            num, den = rng.normal(size=(2, 64)) * rng.choice([1e-3, 1.0, 1e3], (2, 1))
+            num[rng.random(64) < 0.2] = rng.choice([0.0, -0.0])
+            lam = float(rng.choice([0.0, -0.0, rng.normal(), 1.0 / 3.0]))
+            for lam_ in (lam, np.float64(lam)):
+                want = num - lam_ * den
+                assert rg_module._dinkelbach_objective(num, den, lam_).tobytes() == want.tobytes()
+
+    def test_denominator_is_formed_once_per_order(self):
+        solver = RobustGameSolver(make_example1(24))
+        for y in (solver.grand_wc.y_star, 0.3, 0.7):
+            want = _profit(solver.inst, y, np.maximum(y - solver.d_grand, 0.0))
+            den = solver._denominator(y)
+            assert den.tobytes() == want.tobytes()
+            assert solver._denominator(y) is den
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: make_example1(24), id="example1"),
+        *[pytest.param(lambda seed=seed: random_instance(
+            seed, n=4, block_sizes=(2, 2), atoms_per_block=(3, 4)), id=f"draw{seed}")
+          for seed in range(3)],
+    ])
+    def test_start_ratio_is_the_dense_joints(self, monkeypatch, make):
+        # The start's ratio reads num and den at its ascending basis atoms
+        # against its masses there: the bits of the ratio over the dense
+        # joint of the walk, at every candidate order.
+        inst = make()
+        solver = RobustGameSolver(inst)
+        walks = []
+        northwest = solver.poly.northwest_vertex
+
+        def recorded(orders):
+            walks.append(northwest(orders))
+            return walks[-1]
+
+        monkeypatch.setattr(solver.poly, "northwest_vertex", recorded)
+        y = solver.grand_wc.y_star
+        den = _profit(inst, y, np.maximum(y - solver.d_grand, 0.0))
+        for mask in range(1, inst.grand_mask):
+            if len(solver._blocks_met(mask)) < 2:
+                continue
+            d_s, gammas, _shortage, (basis, support, mass) = solver._coalition_data(mask)
+            walk_basis, walk_mass = walks[-1]
+            assert basis == walk_basis
+            q = dense_joint(solver.poly.n_atoms, walk_basis, walk_mass)
+            for gamma in gammas.tolist():
+                num = _profit(inst, gamma, np.maximum(gamma - d_s, 0.0))
+                assert rg_module._ratio(num, den, support, mass) == dense_ratio(
+                    num, den, q, np.sort(walk_basis))
+        assert walks
 
 
 class TestDecision:
