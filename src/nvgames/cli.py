@@ -16,14 +16,13 @@ bitmasks with bit i standing for retailer i.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from .coop import build_deterministic_game, least_core
-from .distributions import Instance, check_real, independent_joint, load_instance, save_instance
+from .distributions import check_real, independent_joint, load_instance, read_json, save_instance
 from .errors import GameInvalidError, InputError, NvGamesError
 from .newsvendor import optimal_order
 from .robust_game import Decision, RobustGameSolver, imputation_exists, verify_rcore2
@@ -40,16 +39,8 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(_fmt(x) for x in np.asarray(v, dtype=float)) + ")"
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-
-
 def _load_decision(path) -> Decision:
-    data = _read_json(path)
+    data = read_json(path)
     if not isinstance(data, dict) or "y" not in data or "z" not in data:
         raise InputError(f"{path}: decision file must be an object with 'y' and 'z'")
     try:
@@ -116,7 +107,7 @@ def _cmd_vmax(args, out) -> int:
 def _cmd_stress(args, out) -> int:
     if args.threads is not None and args.threads < 1:
         raise InputError(f"--threads must be at least 1, got {args.threads}")
-    cfg = config_from_dict(_read_json(args.config))
+    cfg = config_from_dict(read_json(args.config))
     workers = args.threads if args.threads is not None else os.cpu_count()
     stats = run_stress(cfg, workers=workers, csv_path=args.out)
     print(f"instances: {cfg.num_instances}", file=out)
@@ -126,7 +117,7 @@ def _cmd_stress(args, out) -> int:
 
 
 def _cmd_gen(args, out) -> int:
-    cfg = config_from_dict(_read_json(args.config))
+    cfg = config_from_dict(read_json(args.config))
     inst = gen_instance(cfg, args.instance_seed if args.instance_seed is not None else cfg.seed)
     save_instance(inst, args.out)
     print(f"instance: {args.out}", file=out)

@@ -787,12 +787,18 @@ def instance_from_dict(data: dict) -> Instance:
         raise InputError(f"instance document invalid: {exc}") from exc
 
 
-def load_instance(path) -> Instance:
+def read_json(path):
+    """The JSON document in the file at `path`; malformed JSON raises
+    InputError naming the path, line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def load_instance(path) -> Instance:
+    data = read_json(path)
     try:
         return instance_from_dict(data)
     except InputError as exc:

@@ -41,17 +41,18 @@ y.
 
 Every ratio LP is the polytope's own program with a new objective, so a
 basis optimal for one remains feasible for the next and repeated solves cost
-a handful of pivots each. A coalition's very first LP starts, for two
-blocks, from its countermonotonic vertex (the northwest-corner basis with
-block 0's value classes ascending and block 1's descending by the
-coalition's aggregates), with the first lam that vertex's ratio. It
-maximizes the numerator, so it attains the ratio whenever the denominator
-varies little across joints; in the paper's example 1 the denominator does
-not vary at all, and every ratio is certified without a pivot. For three or
-more blocks the first LP starts from the polytope's crash basis, with lam
-the ratio of the grand coalition's comonotonic joint. Every later
-candidate's first LP starts from the coalition's last attaining LP
-solution, each further step from the step before; since all of them share
+a handful of pivots each. Each coalition meeting several blocks keeps one
+start record (`_coalition_data`): the joint its next LP starts from, with
+the first lam that joint's ratio. Before its first solve, for two blocks
+that is its countermonotonic vertex (the northwest-corner basis with block
+0's value classes ascending and block 1's descending by the coalition's
+aggregates). It maximizes the numerator, so it attains the ratio whenever
+the denominator varies little across joints; in the paper's example 1 the
+denominator does not vary at all, and every ratio is certified without a
+pivot. For three or more blocks it is the polytope's crash basis with the
+grand coalition's comonotonic joint. After each solve the record holds the
+coalition's last attaining LP solution, where every later candidate's first
+LP starts, each further step from the step before; since all of them share
 one operator, a solution also lends its basis factorization, across gammas,
 coalitions and orders y alike.
 
@@ -86,15 +87,15 @@ the cap the Dinkelbach LPs above are the only path.
 Only the denominator depends on y, so the vertex path runs in whole
 arrays. Once per solver it forms, for every coalition S and vertex v, the
 best numerator M[S, v] = max over gamma of num_gamma(S) @ v and its first
-maximizing gamma. A table, or the one row that `vmax` needs, is then
-M / (vertices @ den(y)) and one maximum per row. Division by a positive
-grand profit rounds monotonically, so that maximum has the bits of the
-largest entry of the coalition's (gamma x vertex) ratio matrix. Among the
-vertices that attain it, ties go to the least pair (the vertex's first
-maximizing gamma index, its row), so a witness depends only on y and S,
-not on earlier solves, and the witness is the table's row itself. The
-values are the dot products of the chosen numerator row and vertex, the
-same BLAS dots as the one-coalition formula.
+maximizing gamma, from S's own (gamma x vertex) product. A table, or the
+one row that `vmax` needs, is then M / (vertices @ den(y)) and one maximum
+per row. Division by a positive grand profit rounds monotonically, so that
+maximum has the bits of the largest entry of the coalition's (gamma x
+vertex) ratio matrix. Among the vertices that attain it, ties go to the
+least pair (the vertex's first maximizing gamma index, its row), so a
+witness depends only on y and S, not on earlier solves, and the witness is
+the table's row itself. The values are the dot products of the chosen
+numerator row and vertex, the same BLAS dots as the one-coalition formula.
 
 Beyond those warm starts the solver keeps no per-y history: only the last
 table and, once computed, its sigma with the stability LP's dual weights,
@@ -164,10 +165,6 @@ CORE_EPS_TOL = 1e-9
 # two seeds), so the step cap only guards against a loop.
 _DINKELBACH_TOL = 1e-9
 _DINKELBACH_MAX_STEPS = 100
-# Numerator rows per stacked product of the vertex path's per-instance
-# build: bounds its (rows x vertices) temporaries, some 128 KB each at the
-# stress experiment's 4 x 4 classes.
-_NUMERATOR_BATCH = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +280,6 @@ class RobustGameSolver:
         self._numerators: _Numerators | None = None
         self._den: tuple[float, np.ndarray] | None = None
         self._vertex_grand: tuple[float, np.ndarray] | None = None
-        self._ratio_start: dict[int, LpSolution] = {}
         self._coalition_cache: dict[int, tuple] = {}
         self._single_block_value: dict[int, tuple[float, float]] = {}
         self._last_table: VmaxTable | None = None
@@ -315,21 +311,25 @@ class RobustGameSolver:
 
     def _coalition_data(
         self, mask: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
-        """(d_s, gammas, shortage, ctm) of a coalition meeting several
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """(d_s, gammas, shortage, start) of a coalition meeting several
         blocks, for its ratio LPs: its demand at every joint atom, its
         candidate orders, a lower bound on E_q(gamma - d_S)^+ over the
-        consistent q at each of them, and for R = 2 the countermonotonic
-        vertex as (basis, support, mass): its basis in walk order, the same
-        atoms ascending, and its masses at those ascending atoms. The
-        vertex is zero at every other atom, so no K-long joint is built.
+        consistent q at each of them, and the joint its next LPs start from
+        as (start, support, mass): an LpSolution or a basis, the ascending
+        atoms the joint may be nonzero at, and its masses there. No K-long
+        joint is built for a start.
 
-        For R = 2 that vertex attains the bound, which is then exact: the
-        countermonotonic coupling of the two block aggregates minimizes
-        their sum in convex order (Tchen 1980). It is the northwest-corner
-        walk with block 0's value classes ascending and block 1's descending
-        by those aggregates. For R >= 3 the bound is Jensen's,
-        (gamma - E d_S)^+, and ctm is None."""
+        Before the first solve, for R = 2 the start is the countermonotonic
+        vertex (its basis in walk order), which attains the bound, then
+        exact: the countermonotonic coupling of the two block aggregates
+        minimizes their sum in convex order (Tchen 1980). It is the
+        northwest-corner walk with block 0's value classes ascending and
+        block 1's descending by those aggregates. For R >= 3 the bound is
+        Jensen's, (gamma - E d_S)^+, and the start is the polytope's crash
+        basis with the comonotonic joint of `min_grand_profit`. After a
+        solve, `vmax_entry` puts the solution that attained the ratio in
+        its place."""
         hit = self._coalition_cache.get(mask)
         if hit is not None:
             return hit
@@ -346,12 +346,14 @@ class RobustGameSolver:
             ids = np.array(basis)
             shortage = _expected_shortage(gammas, d_s[ids], mass)
             order = np.argsort(ids)
-            data = (d_s, gammas, shortage, (basis, ids[order], mass[order]))
+            start = (basis, ids[order], mass[order])
         else:
             mean = sum(float(self.poly.class_probs[r] @ v) for r, v in enumerate(values))
-            data = (d_s, gammas, np.maximum(gammas - mean, 0.0), None)
-        self._coalition_cache[mask] = data
-        return data
+            shortage = np.maximum(gammas - mean, 0.0)
+            support = self._grand_support
+            start = (self.poly.crash_basis, support, self._grand_coupling[2][support])
+        self._coalition_cache[mask] = (d_s, gammas, shortage, start)
+        return self._coalition_cache[mask]
 
     def _blocks_met(self, mask: int) -> list[int]:
         return [r for r, bm in enumerate(self._block_masks) if mask & bm]
@@ -400,48 +402,38 @@ class RobustGameSolver:
 
     def _vertex_numerators(self) -> _Numerators:
         """The vertex path's numerators of every nonempty proper coalition
-        (see `_Numerators`), built once per solver. A coalition inside one
-        block has its known block value as its one numerator, at its block
-        order; a spanning one has one numerator row per candidate order,
-        all of them from one row-wise sort of the coalitions' demands.
-
-        Coalitions with the same number of orders share one stacked product
-        with the vertices, `_NUMERATOR_BATCH` rows at a time. numpy runs
-        each coalition's slice of it as the same BLAS call as its own
-        `nums @ verts.T`, so every numerator has the bits of the
-        per-coalition (gamma x vertex) product."""
+        (see `_Numerators`), built once per solver, one coalition at a time.
+        A coalition inside one block has its known block value as its one
+        numerator, at its block order; a spanning one has one numerator row
+        per candidate order, all of them from one row-wise sort of the
+        coalitions' demands. Each coalition's best numerators come from its
+        own (gamma x vertex) product `nums @ verts.T`."""
         if self._numerators is not None:
             return self._numerators
         verts = self.poly.vertices()
         masks = range(1, self.inst.grand_mask)
         span = [m for m in masks if len(self._blocks_met(m)) > 1]
         d_span = self.poly.coalition_demand_rows(span)
-        orders = dict(zip(span, _candidate_orders(d_span)))
-        gammas = [orders[m] if m in orders else np.array([self._block_value(m)[0]]) for m in masks]
-        counts = np.array([g.size for g in gammas])
-        start = np.r_[0, np.cumsum(counts)]
-        gamma = np.concatenate(gammas)
-        spanning = np.repeat([m in orders for m in masks], counts)
-        g = gamma[spanning][:, None]
-        d = np.repeat(d_span, [orders[m].size for m in span], axis=0)
-        rows = np.empty((gamma.size, self.d_grand.size))
-        rows[spanning] = _profit(self.inst, g, np.maximum(g - d, 0.0))
-        values = [self._block_value(m)[1] for m in masks if m not in orders]
-        rows[~spanning] = np.array(values)[:, None]
-
-        shape = (len(masks), verts.shape[0])
-        best = np.empty(shape)
-        arg = np.empty(shape, dtype=np.min_scalar_type(np.max(counts)))
-        for size in sorted_distinct(counts).tolist():
-            members = np.flatnonzero(counts == size)
-            step = max(1, _NUMERATOR_BATCH // size)
-            for lo in range(0, members.size, step):
-                batch = members[lo : lo + step]
-                nums = rows[start[batch, None] + np.arange(size)] @ verts.T
-                arg[batch] = np.argmax(nums, axis=1)
-                best[batch] = np.max(nums, axis=1)
-        peak = np.maximum.reduceat(np.max(np.abs(rows), axis=1), start[:-1])
-        self._numerators = _Numerators(gamma, rows, start, best, arg, peak)
+        demands = dict(zip(span, zip(d_span, _candidate_orders(d_span))))
+        gammas, rows, best, arg, peak = [], [], [], [], []
+        for m in masks:
+            if m in demands:
+                d, g = demands[m]
+                own = _profit(self.inst, g[:, None], np.maximum(g[:, None] - d, 0.0))
+            else:
+                y_s, value = self._block_value(m)
+                g, own = np.array([y_s]), np.full((1, self.d_grand.size), value)
+            nums = own @ verts.T
+            gammas.append(g)
+            rows.append(own)
+            arg.append(np.argmax(nums, axis=0))
+            best.append(np.max(nums, axis=0))
+            peak.append(np.max(np.abs(own)))
+        counts = [g.size for g in gammas]
+        self._numerators = _Numerators(
+            np.concatenate(gammas), np.concatenate(rows), np.r_[0, np.cumsum(counts)],
+            np.array(best), np.array(arg, dtype=np.min_scalar_type(max(counts))), np.array(peak),
+        )
         return self._numerators
 
     def _denominator(self, y: float) -> np.ndarray:
@@ -519,19 +511,10 @@ class RobustGameSolver:
             y_s, vbar = self._block_value(mask)
             return VmaxResult(vbar / vmin, y_s, q_min, self._grand_support)
 
-        d_s, gammas, shortage, ctm = self._coalition_data(mask)
+        d_s, gammas, shortage, (start, support, mass) = self._coalition_data(mask)
         ubs = np.maximum(_profit(self.inst, gammas, shortage), 0.0) / vmin
         order = np.lexsort((gammas, -ubs))
         den = self._denominator(y)
-        # The joint whose ratio starts lam, as its masses at its support.
-        last = self._ratio_start.get(mask)
-        if last is not None:
-            start, support, mass = last, last.support, last.x[last.support]
-        elif ctm is not None:
-            start, support, mass = ctm
-        else:
-            start, support = self.poly.crash_basis, self._grand_support
-            mass = q_min[support]
         best = best_gamma = None
         for idx in order:
             if best is not None and ubs[idx] <= best:
@@ -549,8 +532,8 @@ class RobustGameSolver:
                 best = _ratio(num, den, support, mass)
                 best_gamma, start = gamma, sol
         # The first candidate is always solved, so `start` is an LpSolution.
-        self._ratio_start[mask] = start
-        return VmaxResult(best, best_gamma, start.x, start.support)
+        self._coalition_cache[mask] = (d_s, gammas, shortage, (start, support, mass))
+        return VmaxResult(best, best_gamma, start.x, support)
 
     def _admissible_min_profit(self, y: float) -> tuple[float, np.ndarray]:
         """min_grand_profit(y), refusing orders at which it is not positive."""

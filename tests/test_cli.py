@@ -364,6 +364,25 @@ class TestVerify:
         assert "decision" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "stress", "gen", "verify"])
+def test_malformed_json_reports_its_path_line_and_column(tmp_path, t1_path, command):
+    # Instance, config and decision files go through one reader. The
+    # document breaks off after line 2, column 7.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"y": 3.0,\n "z": [')
+    out_path = str(tmp_path / "out")
+    argv = {
+        "solve": ["solve", str(bad)],
+        "stress": ["stress", "--config", str(bad), "--out", out_path],
+        "gen": ["gen", "--config", str(bad), "--out", out_path],
+        "verify": ["verify", t1_path, "--decision", str(bad)],
+    }[command]
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: line 2, column 8: Expecting value\n"
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, t1_path):
         code, _, _ = invoke(["solve", t1_path, "--bogus"])

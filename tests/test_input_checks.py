@@ -1,0 +1,181 @@
+"""Every input check of the package, reached through its public entry point
+with one bad input each, its message matched."""
+
+import re
+
+import numpy as np
+import pytest
+
+from nvgames import lp
+from nvgames.coop import (
+    CharacteristicFunction,
+    balancedness_duality_pair,
+    core_membership,
+    imputation_check,
+    solve_stability_lp,
+)
+from nvgames.distributions import (
+    Coalition,
+    DiscreteMarginal,
+    Instance,
+    JointDistribution,
+    check_consistency,
+    coalition_mask,
+    instance_from_dict,
+    instance_to_dict,
+    sample_extremal,
+)
+from nvgames.errors import InputError
+from nvgames.newsvendor import (
+    ScalarDemand,
+    block_demand,
+    optimal_order,
+    quantile_order,
+    worst_case_shortage,
+)
+from nvgames.robust_game import Decision, RobustGameSolver, verify_rcore2
+from nvgames.stress import ExcessEvaluator, ExperimentConfig, config_from_dict
+
+
+class Unordered(int):
+    """An integer that refuses to be compared: the one kind of value whose
+    config check raises TypeError rather than InputError."""
+
+    def __lt__(self, other):
+        raise TypeError("unorderable integer")
+
+
+def square() -> Instance:
+    """Two singleton blocks, demand {1, 3} equiprobable in each: 4 atoms."""
+    m = DiscreteMarginal([[1.0], [3.0]], [0.5, 0.5])
+    return Instance(2.0, 1.0, ((0,), (1,)), (m, m))
+
+
+def game() -> CharacteristicFunction:
+    return CharacteristicFunction(2, [0.0, 1.0, 1.0, 3.0])
+
+
+def document(**changes) -> dict:
+    return {**instance_to_dict(square()), **changes}
+
+
+def config(**changes) -> dict:
+    return {"n": 2, "block_sizes": [1, 1], "atoms_per_block": [2, 2], "seed": 0, **changes}
+
+
+MARGINAL = DiscreteMarginal([[1.0]], [1.0])
+
+# One raise per case: (id, call, exception, message pattern).
+CASES = [
+    # coop
+    ("player-count", lambda: CharacteristicFunction(0, [0.0]), InputError,
+     "player count must be >= 1, got 0"),
+    ("stability-mask", lambda: solve_stability_lp(2, {4: 1.0}, 1.0), InputError,
+     r"stability constraints must be over nonempty coalitions of 0\.\.n-1"),
+    ("core-allocation", lambda: core_membership(game(), [3.0]), InputError,
+     r"allocation has shape \(1,\), expected \(2,\)"),
+    ("imputation-allocation", lambda: imputation_check(game(), [3.0]), InputError,
+     r"allocation has shape \(1,\), expected \(2,\)"),
+    ("empty-ratio-table", lambda: balancedness_duality_pair({}), InputError,
+     "empty ratio table and no player count given"),
+    # distributions
+    ("atoms-ndim", lambda: DiscreteMarginal(np.ones((1, 1, 1)), [1.0]), InputError,
+     r"atoms must be a \(K, dim\) matrix"),
+    ("probs-length", lambda: DiscreteMarginal([[1.0], [2.0]], [1.0]), InputError,
+     r"probs has length 1, expected 2 \(one per atom\)"),
+    ("empty-partition", lambda: Instance(2.0, 1.0, (), ()), InputError,
+     "partition must contain nonempty blocks"),
+    ("marginal-count", lambda: Instance(2.0, 1.0, ((0,),), (MARGINAL, MARGINAL)), InputError,
+     "2 marginals for 1 partition blocks"),
+    ("negative-coalition", lambda: Coalition(-1), InputError,
+     "coalition mask must be nonnegative, got -1"),
+    ("negative-mask", lambda: coalition_mask(-2), InputError,
+     "coalition mask must be nonnegative, got -2"),
+    ("mask-members", lambda: coalition_mask(4, 2), InputError,
+     r"coalition mask 4 has members outside 0\.\.1"),
+    ("joint-ndim", lambda: JointDistribution(np.full((2, 2), 0.25)), InputError,
+     "q must be a vector"),
+    ("extremal-cost", lambda: sample_extremal(square(), [0.0, np.nan, 0.0, 0.0]), InputError,
+     "cost vector must be finite"),
+    ("consistency", lambda: check_consistency(square(), JointDistribution([1.0, 0.0, 0.0, 0.0])),
+     InputError, r"joint distribution violates marginal consistency by 5\.000e-01 \(> 1e-09\)"),
+    ("document-type", lambda: instance_from_dict([]), InputError,
+     "instance document must be an object, got list"),
+    ("marginals-type", lambda: instance_from_dict(document(marginals={})), InputError,
+     "field 'marginals' must be a list"),
+    ("marginal-entry", lambda: instance_from_dict(document(marginals=[{"atoms": [[1.0]]}])),
+     InputError, r"marginals\[0\] must be an object with 'atoms' and 'probs'"),
+    # lp
+    ("matrix-ndim", lambda: lp.LinearProgram("min", [1.0], np.ones((1, 1, 1)), [1.0]),
+     InputError, "a_eq must be a 2-d matrix, got ndim=3"),
+    ("sense", lambda: lp.LinearProgram("maximize", [1.0]), InputError,
+     "sense must be 'min' or 'max', got 'maximize'"),
+    ("objective-empty", lambda: lp.LinearProgram("min", []), InputError,
+     "objective must be a nonempty 1-d vector"),
+    ("objective-finite", lambda: lp.LinearProgram("min", [np.inf]), InputError,
+     "objective must be finite"),
+    ("bounds-shape", lambda: lp.LinearProgram("min", [1.0], lower_bounds=[0.0, 0.0]),
+     InputError, r"lower_bounds has shape \(2,\), expected \(1,\)"),
+    ("bounds-value", lambda: lp.LinearProgram("min", [1.0], lower_bounds=[np.inf]),
+     InputError, "lower_bounds must be finite or -inf"),
+    # newsvendor
+    ("demand-shape", lambda: ScalarDemand([1.0, 2.0], [1.0]), InputError,
+     "values and probs must be vectors of equal length"),
+    ("demand-finite", lambda: ScalarDemand([np.inf], [1.0]), InputError,
+     "demand values must be finite"),
+    ("demand-probs-sign", lambda: ScalarDemand([1.0, 2.0], [1.5, -0.5]), InputError,
+     "probabilities must be nonnegative"),
+    ("demand-probs-sum", lambda: ScalarDemand([1.0], [0.5]), InputError,
+     "probabilities sum to 0.5, expected 1"),
+    ("joint-atoms", lambda: optimal_order(square(), JointDistribution([0.5, 0.5]), 1),
+     InputError, "joint distribution has 2 atoms, instance support has 4"),
+    ("quantile-ratio", lambda: quantile_order(ScalarDemand([1.0], [1.0]), 1.0), InputError,
+     r"ratio must lie in \(0, 1\), got 1\.0"),
+    ("block-demand", lambda: block_demand(square(), 1, 0b01), InputError,
+     "coalition 0x1 does not meet block 1"),
+    ("shortage-order", lambda: worst_case_shortage(square(), -1.0, 1), InputError,
+     "order quantity must be nonnegative, got -1.0"),
+    # robust_game
+    ("multiples-sum", lambda: Decision(2.0, [0.5, 0.6]), InputError,
+     r"multiples sum to 1\.1, expected 1 within 1e-9"),
+    ("table-mask", lambda: RobustGameSolver(square()).table(2.0).value(3), KeyError, "3"),
+    ("decision-size", lambda: verify_rcore2(square(), Decision(2.0, [1.0])), InputError,
+     "decision has 1 multiples, instance has 2 retailers"),
+    # stress
+    ("atoms-per-block", lambda: ExperimentConfig(2, (1, 1), (2, 2, 2)), InputError,
+     r"atoms_per_block \(2, 2, 2\) must give one count per block"),
+    ("stack-shape", lambda: ExcessEvaluator(square()).stack(np.full((1, 3), 1.0 / 3.0)),
+     InputError, r"joints have shape \(1, 3\), expected rows of 4 atoms"),
+    ("config-type", lambda: config_from_dict([]), InputError,
+     "experiment config must be an object"),
+    ("config-invalid", lambda: config_from_dict(config(n=Unordered(2))), InputError,
+     "experiment config invalid: unorderable integer"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_bad_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert re.fullmatch(message, str(info.value.args[0]))
+
+
+def test_a_coalition_is_its_own_mask():
+    assert coalition_mask(Coalition(0b101), 3) == 0b101
+
+
+def test_dense_operator_products_and_dense_form():
+    # A dense operator as a program's matrix: the certificate takes its
+    # product with the solution, and np.asarray gives its dense form in
+    # any dtype.
+    a = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 0.0]])
+    op = lp.DenseOperator(a)
+    program = lp.LinearProgram("min", [1.0, 3.0, 2.0], op, [1.0, 1.5])
+    sol = lp.solve_lp(program)
+    assert sol.status == "optimal"
+    assert np.array_equal(op.matvec(sol.x), a @ sol.x)
+    ref = lp.solve_lp(lp.LinearProgram("min", [1.0, 3.0, 2.0], a, [1.0, 1.5]))
+    assert np.array_equal(sol.x, ref.x)
+    dense = np.asarray(op, dtype=np.float32)
+    assert dense.dtype == np.float32 and np.array_equal(dense, a)

@@ -731,6 +731,35 @@ class TestSolverState:
         with pytest.raises(InputError, match="y_tol"):
             solver.least_core(y_tol)
 
+    def test_three_block_ratio_lps_are_pinned(self, monkeypatch, lp_path):
+        # [ratio LPs, pivots] of table(y_wc) and of the least core's first
+        # probe after it, on a three-block polytope. A spanning coalition's
+        # first LP starts from the crash basis with lam the ratio of the
+        # grand coalition's comonotonic joint, each later one from the
+        # coalition's last attaining solution. Starting from the
+        # coalition's own northwest vertex instead reads [31, 65], [63, 131].
+        inst = random_instance(2, n=4, block_sizes=(2, 1, 1), atoms_per_block=(3, 3, 3))
+        original_solve, original_table = lp_module.solve_lp, RobustGameSolver.table
+        counts = []
+
+        def counted(program, start=None):
+            sol = original_solve(program, start)
+            counts[-1][0] += 1
+            counts[-1][1] += sol.iterations
+            return sol
+
+        def table(self, y):
+            if self._last_table is None or self._last_table.y != y:
+                counts.append([0, 0])
+            return original_table(self, y)
+
+        monkeypatch.setattr(lp_module, "solve_lp", counted)
+        monkeypatch.setattr(RobustGameSolver, "table", table)
+        solver = RobustGameSolver(inst)
+        solver.table(solver.grand_wc.y_star)
+        solver.least_core()
+        assert counts[:2] == [[31, 67], [64, 129]]
+
 
 def bench_pass(solver: RobustGameSolver) -> list:
     """What the benchmark's example-1 pass returns: table, sigma and least

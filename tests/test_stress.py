@@ -17,7 +17,7 @@ from nvgames.distributions import (
     independent_joint,
     sample_extremal,
 )
-from nvgames.errors import DomainError, InputError, SolverError
+from nvgames.errors import DomainError, GameInvalidError, InputError, SolverError
 from nvgames.robust_game import Decision, RobustGameSolver
 from nvgames.stress import (
     CSV_HEADER,
@@ -114,6 +114,25 @@ class TestGenInstance:
         assert inst.joint_size() == 9
         assert inst.n_retailers == 10
 
+    def test_all_zero_weights_give_uniform_probabilities(self, monkeypatch):
+        # A block whose weight draws are all exactly 0.0 (probability
+        # 2^-53 per draw) falls back to equal probabilities.
+        real = np.random.default_rng
+
+        class ZeroWeights:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def integers(self, *args):
+                return self.rng.integers(*args)
+
+            def random(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroWeights)
+        inst = gen_instance(small_cfg(atoms_per_block=(2, 4)), 0)
+        assert [m.probs.tolist() for m in inst.marginals] == [[0.5, 0.5], [0.25] * 4]
+
 
 class TestSolvePair:
     def test_t1_pair_coincides(self, t1):
@@ -149,6 +168,17 @@ class TestSolvePair:
         rob, _det = solve_pair(inst, y_tol=0.02)
         assert abs(float(np.sum(rob.z)) - 1.0) <= 1e-9
 
+    def test_a_nonpositive_deterministic_grand_value_raises(self):
+        # All demands 0: no order makes a profit under the independent
+        # joint. The worst-case profit is at most that joint's at every
+        # order, so through solve_pair the robust side refuses first.
+        m = DiscreteMarginal(np.array([[0.0], [0.0]]), np.array([0.5, 0.5]))
+        inst = Instance(2.0, 1.0, ((0,), (1,)), (m, m))
+        with pytest.raises(GameInvalidError, match="^grand-coalition value is nonpositive; "):
+            stress._deterministic_decision(inst, independent_joint(inst))
+        with pytest.raises(GameInvalidError, match="^no order quantity keeps "):
+            solve_pair(inst)
+
 
 class TestExcess:
     def test_core_decision_has_zero_excess(self, t1):
@@ -172,6 +202,11 @@ class TestExcess:
         d = Decision(100.0, np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
             ExcessEvaluator(t1).excess(independent_joint(t1), d)
+
+    def test_a_stack_of_another_instance_raises(self, t1, t2):
+        stack = ExcessEvaluator(t2).stack(independent_joint(t2).q)
+        with pytest.raises(InputError, match="^joint stack was built for another instance$"):
+            ExcessEvaluator(t1).excess(stack, Decision(3.0, np.array([0.5, 0.5])))
 
     def test_nonnegative_and_zero_iff_stable(self):
         cfg = small_cfg()
@@ -243,6 +278,19 @@ class TestRunStress:
             assert r.det_min <= r.det_mean <= r.det_max + 1e-12
         header = (tmp_path / "out.csv").read_text().splitlines()[0]
         assert header == CSV_HEADER
+
+    def test_a_run_without_samples_or_witnesses_uses_the_independent_joint(self):
+        # One player has no proper coalition, so the robust solver records
+        # no witness; with no extremal samples the pool is empty and the
+        # independent joint stands in. One player has no excess.
+        cfg = ExperimentConfig(
+            n=1, block_sizes=(1,), atoms_per_block=3, num_extremal=0, num_instances=1, seed=0
+        )
+        rows = run_stress(cfg).rows
+        assert [r.lam for r in rows] == list(cfg.lambda_grid)
+        for r in rows:
+            assert (r.rob_max, r.rob_min, r.rob_mean, r.det_max, r.det_min, r.det_mean) == (0.0,) * 6
+            assert r.degenerate_count == 0
 
     def test_lambda_zero_deterministic_excess_is_zero(self):
         cfg = small_cfg(num_instances=3)
