@@ -2,15 +2,16 @@
 functions over all coalitions, core membership, the least core, and the
 LP-duality balancedness check for worst-case ratio tables.
 
-Coalitions are bitmasks (bit i = player i); LP rows are always emitted in
-increasing mask order so bases are reproducible. Every stability LP (the
-least core here and each robust sigma probe) starts from a feasible crash
-basis built from its own table (see `solve_stability_lp`), so its answer
+Coalitions are bitmasks (bit i = player i); LP columns are always emitted
+in increasing mask order so bases are reproducible. Every stability LP (the
+least core here and each robust sigma probe) is solved in its dual form,
+the balanced-collection program of Bondareva (1963) and Shapley (1967),
+which has one row per player and one more. It starts from the singleton
+basis, feasible for every table (see `solve_stability_lp`), so its answer
 depends on that table alone. It is solved on the table divided by a power
 of two near its largest value, so the LP's absolute tolerances act alike
-at every scale of profits. Its standard form, and the factor of its crash
-basis, are kept per (n, masks): on the criterion-10 stress shape every
-stability LP of a run shares one.
+at every scale of profits. Its program is kept per (n, masks): on the
+criterion-10 stress shape every stability LP of a run shares one.
 
 The deterministic game takes every coalition's value from one call of the
 newsvendor's row-wise order kernel over all 2^n - 1 demand rows.
@@ -32,9 +33,9 @@ from .newsvendor import optimal_orders
 
 MEMBERSHIP_TOL = 1e-7
 _STABILITY_FORMS = 4
-"""Stability LP standard forms kept, the least recently used dropped
-first. Each holds a (2^n - 1) x (2^n + 2n + 1) matrix and the inverse of
-one crash basis, 2^n x 2^n: about 0.07 MB at n = 6 and 17 MB at n = 10."""
+"""Stability LP programs kept, the least recently used dropped first. Each
+holds an (n + 1) x (2^n - 1) constraint matrix, twice with its standard
+form, and no inverse: about 7 KB at n = 6 and 0.2 MB at n = 10."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,29 +87,27 @@ def solve_stability_lp(
     """min eps s.t. x(S) + eps >= value(S) for each given coalition and
     x(N) = total, with x and eps free. The values come as a mapping from
     coalition masks, or as an array whose entry i is the value of mask
-    i + 1 (a robust table's `ratios`). Rows are emitted in increasing mask
-    order. Returns (x, eps, w): w holds the coalition weights of the dual,
-    w_S = d eps / d value(S) >= 0 in increasing mask order, summing to 1.
+    i + 1 (a robust table's `ratios`). Returns (x, eps, w): w holds the
+    coalition weights of the dual, w_S = d eps / d value(S) >= 0 in
+    increasing mask order, summing to 1.
 
-    The simplex starts from a crash basis (Bixby 1992) read off the table,
-    so it runs no phase 1: x = total e_0 and eps0 = max_S (value(S) - x(S)),
-    attained first at row k*. In the `LpSolution.basis` layout of this
-    program (x_0..x_{n-1}, eps at ids 0..n; their negative parts at
-    n+1..2n+1; the slack of coalition row k at 2n+2+k) the basis holds x_0
-    (id 0, or its negative part n+1 when total < 0), eps (id n, or 2n+1
-    when eps0 < 0) and the slack of every row but k*. The equality row
-    fixes x_0, row k* then eps and every other row its own slack, so the
-    basis is triangular, and each slack is eps0 - (value(S) - x(S)) >= 0.
-    The start depends on the table alone, never on an earlier solve. The
+    The simplex solves the LP dual, the balanced-collection program
+
+        max sum_S w_S value(S) + u total  s.t.  sum_{S ni i} w_S + u = 0
+        for each player i,  sum_S w_S = 1,  w >= 0,  u free,
+
+    which has n + 1 rows whatever the number of coalitions. w is its
+    solution; x is the duals of its player rows and eps the dual of its
+    sum-of-weights row. It starts from the singleton basis w_{i} = 1/n,
+    u = -1/n (held by u's negative part), which is feasible for every
+    table, so it runs no phase 1 and its start depends on no table and on
+    no earlier solve. A table without every singleton starts cold. The
     optimal x and w are not unique in general; this start picks the vertex
     that the pivots from it reach.
 
-    The standard form is built once per (n, masks) and kept with the
-    factor of its last crash basis (`_stability_form`), so a probe that
-    starts from the same basis as the last one over its masks builds no
-    matrix and inverts none before its first pivot. The kept factor holds
-    the bits a fresh factorization of that basis gives, so x, eps and w do
-    not depend on what an earlier call left.
+    The program is built once per (n, masks) (`_stability_form`) with a
+    zero objective; each call solves a `LinearProgram.with_objective` copy
+    of it. Its right-hand side does not depend on the table.
 
     The program is solved on the table and total divided by the power of
     two nearest max(|value(S)|, |total|), and x and eps are multiplied back.
@@ -127,44 +126,35 @@ def solve_stability_lp(
         return np.full(n, total / n), 0.0, np.zeros(0)
     top = max(float(np.max(np.abs(vals))), abs(float(total)))
     scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
-    vals, total = vals / scale, total / scale
-    form, player0, factors = _stability_form(n, tuple(masks))
-    lp = form.with_rhs([total], -vals)
-    # The crash basis of the docstring; ids are LpSolution.basis columns.
-    excess = vals - total * player0
-    k_star = int(np.argmax(excess))
-    basis = (n + 1 if total < 0 else 0, 2 * n + 1 if excess[k_star] < 0 else n) + tuple(
-        2 * n + 2 + k for k in range(len(masks)) if k != k_star
-    )
-    factor = factors.get(basis)
-    if factor is None:
-        factor = form.factor(basis)
-        factors.clear()  # only the last crash basis of a form keeps its factor
-        factors[basis] = factor
-    sol = solve_lp(lp, factor or basis)
+    form, start = _stability_form(n, tuple(masks))
+    sol = solve_lp(form.with_objective(np.append(vals / scale, total / scale)), start)
     if sol.status != "optimal":
-        raise SolverError(f"stability LP reported {sol.status!r}")
-    # duals[0] prices x(N) = total; a coalition row reads -(x(S) + eps) <= -value(S).
-    return sol.x[:n] * scale, float(sol.x[n]) * scale, -sol.duals[1:]
+        # The primal is always feasible, so the dual is never unbounded:
+        # an infeasible dual is an unbounded primal.
+        raise SolverError("stability LP reported 'unbounded'")
+    # Adding 0.0 turns a dual's -0.0 into +0.0.
+    return sol.duals[:n] * scale + 0.0, float(sol.duals[n]) * scale + 0.0, sol.x[:-1]
 
 
 @functools.lru_cache(maxsize=_STABILITY_FORMS)
-def _stability_form(n: int, masks: tuple[int, ...]) -> tuple[LinearProgram, np.ndarray, dict]:
-    """The stability LP over `masks` with a zero right-hand side; each
-    row's indicator of player 0; and an empty map from a crash basis to its
-    factor. `LinearProgram.with_rhs` gives the program of any table and
-    total, sharing this standard form, so its factor."""
+def _stability_form(n: int, masks: tuple[int, ...]) -> tuple[LinearProgram, tuple | None]:
+    """The balanced-collection program over `masks` with a zero objective,
+    and its singleton start basis in `LpSolution.basis` ids (each
+    singleton's weight, then u's negative part), None when a singleton is
+    missing."""
     rows = _coalition_indicator_rows(n, masks)
     lp = LinearProgram(
-        sense="min",
-        objective=np.concatenate([np.zeros(n), [1.0]]),
-        a_eq=np.concatenate([np.ones(n), [0.0]])[None, :],
-        b_eq=np.zeros(1),
-        a_ub=-np.hstack([rows, np.ones((len(masks), 1))]),
-        b_ub=np.zeros(len(masks)),
-        lower_bounds=np.full(n + 1, -np.inf),
+        sense="max",
+        objective=np.zeros(len(masks) + 1),
+        a_eq=np.block([[rows.T, np.ones((n, 1))], [np.ones(len(masks)), 0.0]]),
+        b_eq=np.append(np.zeros(n), 1.0),
+        lower_bounds=np.append(np.zeros(len(masks)), -np.inf),
     )
-    return lp, rows[:, 0], {}
+    try:
+        start = tuple(masks.index(1 << i) for i in range(n)) + (len(masks) + 1,)
+    except ValueError:
+        start = None
+    return lp, start
 
 
 def least_core(v: CharacteristicFunction) -> tuple[np.ndarray, float]:

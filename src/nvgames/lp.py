@@ -7,21 +7,22 @@ spanning tree, which serves only the solves with B, and any other basis is
 inverted by LAPACK. LAPACK forms every explicit inverse, a tree basis's
 only when a pivot first needs it; each pivot updates the explicit inverse
 in between.
-Dantzig pricing by default; after `_BLAND_AFTER` consecutive degenerate
-pivots the solver switches to Bland's rule for the rest of the phase, which
+Dantzig pricing by default, its ties within `PIVOT_TOL` going to the
+lowest column id; after `_BLAND_AFTER` consecutive degenerate pivots the
+solver switches to Bland's rule for the rest of the phase, which
 guarantees termination. Free variables are handled internally by
 splitting, finite lower bounds by shifting.
 
-A `LinearProgram` builds the standard form of its constraint matrices and
-bounds once (split and slack columns), and every `with_objective` or
-`with_rhs` copy shares it, so a solve only builds its cost vector (none
-without split or slack columns: the objective itself serves, its sign kept
-aside for a max program) and, for a new right-hand side, shifts that by the
-bounds. This is what keeps the thousands of small ratio LPs over one
-polytope, and the stability LPs over one coalition set, cheap. No row is
-ever negated: phase 1 starts from the basis of the artificial columns
-sign(b_i) e_i, factorized like any other, which is feasible whatever the
-signs of the right-hand side.
+A `LinearProgram` builds the standard form of its constraint matrices,
+bounds and right-hand side once (split and slack columns, the right-hand
+side shifted by the bounds), and every `with_objective` copy shares it, so
+a solve only builds its cost vector (none without split or slack columns:
+the objective itself serves, its sign kept aside for a max program). This
+is what keeps the thousands of small ratio LPs over one polytope, and the
+stability LPs over one coalition set, cheap. No row is ever negated:
+phase 1 starts from the basis of the artificial columns sign(b_i) e_i,
+factorized like any other, which is feasible whatever the signs of the
+right-hand side.
 
 The simplex reaches the constraint matrix only through an operator with a
 ``shape``, the pricing product ``rmatvec(y) = y @ A``, the column gather
@@ -407,8 +408,8 @@ class LinearProgram:
     ``-np.inf`` to mark a variable as free. The constraint matrices are
     dense arrays or operators (`DenseOperator`, `IncidenceOperator`); they
     are held by reference and never mutated. The standard form of the constraint
-    matrices and bounds is built here, once, and shared by every
-    `with_objective` and `with_rhs` copy.
+    matrices, bounds and right-hand side is built here, once, and shared by
+    every `with_objective` copy.
     """
 
     sense: str
@@ -469,28 +470,6 @@ class LinearProgram:
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__, objective=c)
         return out
-
-    def with_rhs(self, b_eq=None, b_ub=None) -> "LinearProgram":
-        """Same objective, constraint matrices and standard form (shared by
-        reference), new right-hand sides (None keeps a side as it is), so
-        a `factor` of this program serves the copy too. Only the new
-        sides are checked."""
-        b_eq = self.b_eq if b_eq is None else _as_vector(b_eq, self.a_eq.shape[0], "b_eq")
-        b_ub = self.b_ub if b_ub is None else _as_vector(b_ub, self.a_ub.shape[0], "b_ub")
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, b_eq=b_eq, b_ub=b_ub, _b=self._std.rhs(b_eq, b_ub))
-        return out
-
-    def factor(self, basis: Sequence[int]) -> "_Factor | None":
-        """The factorization of `basis` (standard-form column ids, as in
-        ``LpSolution.basis``), factorized as a solve that starts there
-        would, or None when it is not a nonsingular basis of the system.
-        Passed to `solve_lp` as the start of this program or of a
-        `with_objective` or `with_rhs` copy, it stands in for that solve's
-        first factorization, bit for bit."""
-        sx = _Simplex(self)
-        sb = tuple(basis)
-        return sx.factor(sb) if sx.set_basis(sb) else None
 
 
 class _Factor:
@@ -828,6 +807,11 @@ class _Simplex:
                 if r[j] >= -OPT_TOL:
                     self.y = y
                     return "optimal"
+                # Reduced costs within PIVOT_TOL of the least one tie, as
+                # ratios tie in the ratio test, and the lowest id among them
+                # enters: a rounding-level change of the data cannot swap two
+                # equally good columns.
+                j = int((r <= r[j] + PIVOT_TOL).argmax())
             d = self._inverse() @ a.columns(j)
             row = self._ratio_test(d)
             if row < 0:
@@ -903,22 +887,19 @@ class _Simplex:
 
 
 def solve_lp(
-    lp: LinearProgram, start_basis: Sequence[int] | LpSolution | _Factor | None = None
+    lp: LinearProgram, start_basis: Sequence[int] | LpSolution | None = None
 ) -> LpSolution:
     """Solve `lp` and return a certified vertex solution.
 
     `start_basis`: internal column ids from a previous solve over the same
     constraint matrices and bounds (the objective and right-hand sides may
     differ), or that solve's `LpSolution`, which also lends its basis
-    inverse when it is fresh, or a `LinearProgram.factor` of a program that
-    shares `lp`'s standard form.
+    inverse when it is fresh.
     An unusable basis silently falls back to a cold two-phase start.
     """
     factor = None
     if isinstance(start_basis, LpSolution):
         factor, start_basis = start_basis.factor, start_basis.basis
-    elif isinstance(start_basis, _Factor):
-        factor, start_basis = start_basis, start_basis.basis
     std = lp._std
     sx = _Simplex(lp)
     status = sx.solve(start_basis, factor)

@@ -104,11 +104,12 @@ worst-case ratio is appended to the solver's `witnesses` list as its table
 is built, so the stress experiment gets its adversarial joints without the
 tables being kept.
 
-sigma(y) is the stability LP's optimum on the table at y, solved from a
-crash basis read off that table (`coop.solve_stability_lp`), never from an
-earlier probe's basis, so sigma, its multiples and its dual weights depend
-on y alone. Neither the multiples nor the weights are unique in general;
-any optimal weights give valid cuts below.
+sigma(y) is the stability LP's optimum on the table at y, solved in its
+balanced-collection form from the singleton basis, which fits every table
+(`coop.solve_stability_lp`), never from an earlier probe's basis, so sigma,
+its multiples and its dual weights depend on y alone. Neither the
+multiples nor the weights are unique in general; any optimal weights give
+valid cuts below.
 
 sigma(y) is convex: with the dual weights w fixed it is bounded below by
 sum_S w_S v_S(y) - mu, and each v_S(y) by the ratio of its attaining joint,

@@ -504,6 +504,10 @@ def write_csv(stats: ExcessStats, path) -> None:
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise InputError("experiment config must be an object")
+    # The field-name messages below sort and join the keys.
+    names = [key for key in data if not isinstance(key, str)]
+    if names:
+        raise InputError(f"experiment config field names must be strings, got {names[0]!r}")
     required = {"n", "block_sizes", "atoms_per_block", "seed"}
     missing = sorted(required - set(data))
     if missing:

@@ -79,9 +79,10 @@ def simplex_phases(monkeypatch) -> list:
 @pytest.fixture
 def refactors(monkeypatch) -> list:
     """Records the size of every basis that `_Simplex.refactor` factorizes,
-    in order, so its length counts the factorizations: a solve's crash start
-    or, for a cold start, its all-artificial phase-1 start, its periodic and
-    final refactorizations, and `LinearProgram.factor`."""
+    in order, so its length counts the factorizations: a solve's start
+    basis (one that turns out singular included) or, for a cold start, its
+    all-artificial phase-1 start, and its periodic and final
+    refactorizations."""
     sizes = []
     refactor = lp._Simplex.refactor
 

@@ -9,10 +9,10 @@ comonotonic worst case replaced; `lp_least_shortage` is its min-sense
 counterpart, which the countermonotonic vertex attains for two blocks.
 `exact_sigma_slopes` evaluates the least-core cuts in rational arithmetic.
 `two_phase_stability_lp` keeps the cold two-phase solve of the stability LP
-that the crash start replaced, `fresh_stability_lp` its crash-started solve
-on a program built afresh for every call, which the kept standard forms and
-factors replaced, and `exact_least_core_eps` the exact optimum of that LP by
-rational vertex enumeration. The `per_coalition_*` and
+in its primal form, which the dual form replaced, `fresh_stability_lp` the
+dual form's solve on a program built afresh for every call, which the kept
+programs replaced, and `exact_least_core_eps` the exact optimum of that LP
+by rational vertex enumeration. The `per_coalition_*` and
 `per_mask_*` functions keep the one-coalition-at-a-time loops that the
 batched demand rows and the row-wise order kernel replaced.
 `per_entry_vertex_table` keeps the vertex path's one-coalition ratio
@@ -40,6 +40,59 @@ from nvgames.lp import LinearProgram, TreeFactor, solve_lp, support_dot
 
 def enumerate_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
     """All vertices of {x : a_eq x = b_eq, a_ub x <= b_ub, x >= lb} with
+    finite lb: by `column_basis_vertices` for equality rows only and zero
+    lower bounds, else by `active_set_vertices`."""
+    if (a_ub is None or np.size(a_ub) == 0) and (lb is None or not np.any(lb)):
+        return column_basis_vertices(a_eq, b_eq, tol)
+    return active_set_vertices(a_eq, b_eq, a_ub, b_ub, lb, tol)
+
+
+def _row_basis(a: np.ndarray) -> list[int]:
+    """The rows of a row basis of `a`, picked greedily in order."""
+    basis: list[int] = []
+    for i in range(a.shape[0]):
+        if np.linalg.matrix_rank(a[basis + [i]]) > len(basis):
+            basis.append(i)
+    return basis
+
+
+def _distinct(points) -> list:
+    """`points` less each one within 1e-7 (max norm) of an earlier kept one."""
+    kept: list = []
+    for x in points:
+        if not kept or np.abs(np.asarray(kept) - x).max(axis=1).min() > 1e-7:
+            kept.append(x)
+    return kept
+
+
+def column_basis_vertices(a_eq, b_eq, tol=1e-9):
+    """All vertices of {x : a_eq x = b_eq, x >= 0}, as its basic feasible
+    solutions: for a row basis of a_eq of r rows, every set of r columns
+    whose r x r matrix has a determinant above tol, all solved as one batch
+    and kept when x_B >= -tol and every row of a_eq holds. That is C(n, r)
+    systems of r x r where `active_set_vertices` takes C(n, n - r) of
+    n x n."""
+    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
+    n = a_eq.shape[1]
+    rows = _row_basis(a_eq)
+    sets = list(itertools.combinations(range(n), len(rows)))
+    sets = np.array(sets, dtype=np.intp).reshape(len(sets), len(rows))
+    mats = a_eq[rows][:, sets].transpose(1, 0, 2)  # mats[k] = a_eq[rows][:, sets[k]]
+    keep = np.abs(np.linalg.det(mats)) > tol  # a 0 x 0 determinant is 1
+    sets, mats = sets[keep], mats[keep]
+    rhs = np.broadcast_to(b_eq[rows], (len(sets), len(rows)))
+    x_b = np.linalg.solve(mats, rhs[..., None])[..., 0]
+    xs = np.zeros((len(sets), n))
+    np.put_along_axis(xs, sets, x_b, axis=1)
+    feasible = np.all(x_b >= -tol, axis=1)
+    if a_eq.shape[0]:
+        feasible &= np.max(np.abs(xs @ a_eq.T - b_eq), axis=1) <= tol
+    return _distinct(xs[feasible])
+
+
+def active_set_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
+    """All vertices of {x : a_eq x = b_eq, a_ub x <= b_ub, x >= lb} with
     finite lb, by enumerating active sets: every set of inequality rows
     that completes a row basis of a_eq to n independent rows, all of them
     solved as one batch of square systems. Larger active sets only repeat
@@ -66,10 +119,7 @@ def enumerate_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
         finite = np.isfinite(lb)
         return not np.any(x[finite] < lb[finite] - tol)
 
-    basis: list[int] = []  # a row basis of a_eq, greedily
-    for i in range(a_eq.shape[0]):
-        if np.linalg.matrix_rank(a_eq[basis + [i]]) > len(basis):
-            basis.append(i)
+    basis = _row_basis(a_eq)
     need = n - len(basis)
     if need > pool.shape[0]:
         return []
@@ -84,13 +134,8 @@ def enumerate_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
     square = np.linalg.matrix_rank(mats) == n
     mats, rhs = mats[square], rhs[square]
     xs = np.linalg.solve(mats, rhs[..., None])[..., 0]
-    vertices = []
-    for mat, b, x in zip(mats, rhs, xs):
-        if np.max(np.abs(mat @ x - b)) > tol:
-            continue
-        if feasible(x) and not any(np.max(np.abs(x - v)) <= 1e-7 for v in vertices):
-            vertices.append(x)
-    return vertices
+    solved = [x for mat, b, x in zip(mats, rhs, xs) if np.max(np.abs(mat @ x - b)) <= tol]
+    return _distinct(x for x in solved if feasible(x))
 
 
 def enumerate_recession_rays(a_eq, a_ub, lb, tol=1e-9):
@@ -343,8 +388,9 @@ def two_phase_stability_lp(n: int, values_by_mask, total: float):
 
 def fresh_stability_lp(n: int, values_by_mask, total: float):
     """(x, eps, w) of `coop.solve_stability_lp` from a freshly built
-    program: the same scaled table and crash basis, with no standard form,
-    factor or program kept from an earlier call."""
+    program: the same scaled table, balanced-collection program and
+    singleton start (cold without every singleton), with no program kept
+    from an earlier call."""
     if isinstance(values_by_mask, np.ndarray):
         values_by_mask = dict(enumerate(values_by_mask.tolist(), start=1))
     masks = sorted(values_by_mask)
@@ -352,23 +398,18 @@ def fresh_stability_lp(n: int, values_by_mask, total: float):
     vals = np.array([float(values_by_mask[m]) for m in masks])
     top = max(float(np.max(np.abs(vals))), abs(float(total)))
     scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
-    vals, total = vals / scale, total / scale
-    excess = vals - total * rows[:, 0]
-    k_star = int(np.argmax(excess))
-    basis = [n + 1 if total < 0 else 0, 2 * n + 1 if excess[k_star] < 0 else n]
-    basis += [2 * n + 2 + k for k in range(len(masks)) if k != k_star]
+    k = len(masks)
+    singles = [masks.index(1 << j) for j in range(n) if 1 << j in masks]
     sol = solve_lp(LinearProgram(
-        sense="min",
-        objective=np.r_[np.zeros(n), 1.0],
-        a_eq=np.r_[np.ones(n), 0.0][None, :],
-        b_eq=[total],
-        a_ub=-np.hstack([rows, np.ones((len(masks), 1))]),
-        b_ub=-vals,
-        lower_bounds=np.full(n + 1, -np.inf),
-    ), basis)
+        sense="max",
+        objective=np.r_[vals / scale, total / scale],
+        a_eq=np.vstack([np.hstack([rows.T, np.ones((n, 1))]), np.r_[np.ones(k), 0.0]]),
+        b_eq=np.r_[np.zeros(n), 1.0],
+        lower_bounds=np.r_[np.zeros(k), -np.inf],
+    ), singles + [k + 1] if len(singles) == n else None)
     if sol.status != "optimal":
-        raise SolverError(f"stability LP reported {sol.status!r}")
-    return sol.x[:n] * scale, float(sol.x[n]) * scale, -sol.duals[1:]
+        raise SolverError("stability LP reported 'unbounded'")
+    return sol.duals[:n] * scale + 0.0, float(sol.duals[n]) * scale + 0.0, sol.x[:k]
 
 
 def exact_least_core_eps(n: int, values_by_mask, total: float = 1.0) -> Fraction:

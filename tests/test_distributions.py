@@ -23,7 +23,7 @@ from nvgames.distributions import (
     save_instance,
 )
 from nvgames.errors import CapacityError, InputError, SolverError
-from nvgames.lp import IncidenceOperator, solve_lp
+from nvgames.lp import IncidenceOperator, LinearProgram, solve_lp
 from nvgames.robust_game import RobustGameSolver
 
 from conftest import lp_path_only, random_instance
@@ -352,7 +352,7 @@ class TestPolytope:
     def test_maximize_over_an_infeasible_program_raises(self, t2):
         # A class probability above the unit mass leaves no consistent joint.
         poly = FrechetPolytope(t2)
-        poly._program = poly._program.with_rhs(b_eq=[1.0, 2.0, 0.5])
+        poly._program = LinearProgram("max", np.zeros(poly.n_atoms), poly.matrix, [1.0, 2.0, 0.5])
         with pytest.raises(SolverError, match=r"^consistency polytope LP reported 'infeasible'"):
             poly.maximize(np.ones(poly.n_atoms))
 

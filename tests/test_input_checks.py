@@ -150,6 +150,10 @@ CASES = [
      "experiment config must be an object"),
     ("config-invalid", lambda: config_from_dict(config(n=Unordered(2))), InputError,
      "experiment config invalid: unorderable integer"),
+    ("config-key", lambda: config_from_dict({**config(), 1: 0}), InputError,
+     "experiment config field names must be strings, got 1"),
+    ("config-mixed-keys", lambda: config_from_dict({**config(), "extra": 0, 2: 0}), InputError,
+     "experiment config field names must be strings, got 2"),
 ]
 
 

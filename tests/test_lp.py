@@ -7,7 +7,13 @@ from nvgames.errors import InputError, SolverError
 from nvgames.lp import FEAS_TOL, IncidenceOperator, LinearProgram, solve_lp
 
 from conftest import random_instance
-from oracles import dual_objective_offset, oracle_solve_lp, standard_form_dual
+from oracles import (
+    active_set_vertices,
+    column_basis_vertices,
+    dual_objective_offset,
+    oracle_solve_lp,
+    standard_form_dual,
+)
 
 
 def random_lp(rng: np.random.Generator) -> LinearProgram:
@@ -244,6 +250,32 @@ class TestOptimalInvariants:
             assert len(trees) > 150 and all(trees)
             del trees[:]
 
+    def test_the_vertex_enumerators_agree(self):
+        # The column-basis oracle, which `oracle_solve_lp` takes for
+        # equality rows and zero lower bounds, against the active-set one:
+        # polytopes of up to 12 atoms with repeated classes, and dense
+        # systems with right-hand sides through a point x >= 0, some with a
+        # repeated row (rank below the row count) and some without rows.
+        rng = np.random.default_rng(7)
+        systems = []
+        while len(systems) < 20:
+            lp = random_polytope_lp(rng)
+            if lp.n_vars <= 12:  # C(12, 7) active sets at most
+                systems.append((np.asarray(lp.a_eq), lp.b_eq))
+        for _ in range(60):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(0, 4))
+            a = rng.integers(-3, 4, (m, n)).astype(float)
+            if m and rng.random() < 0.3:
+                a = np.vstack([a, a[:1]])
+            systems.append((a, a @ rng.integers(0, 3, n).astype(float)))
+        found = 0
+        for a, b in systems:
+            by_columns, by_active_sets = column_basis_vertices(a, b), active_set_vertices(a, b)
+            assert len(by_columns) == len(by_active_sets)
+            assert all(is_vertex_of(x, by_active_sets) for x in by_columns)
+            found += len(by_columns)
+        assert found > 200
+
     def test_strong_duality_via_independent_dual_solve(self):
         rng = np.random.default_rng(3)
         checked = 0
@@ -473,8 +505,9 @@ class TestFactorizationReuse:
 
 
 class TestFactorRefusals:
-    """`LinearProgram.factor` is None for what is not a nonsingular basis,
-    each case refused by its own check."""
+    """`solve_lp` refuses a start that is not a nonsingular basis, each case
+    by its own check, and falls back to the cold start: phase 1 runs
+    first."""
 
     @pytest.fixture
     def singular(self, monkeypatch) -> list:
@@ -494,18 +527,24 @@ class TestFactorRefusals:
 
     @pytest.mark.parametrize("basis", [(), (0,), (0, 0), (0, 2), (-1, 0)],
                              ids=["empty", "short", "repeated", "past-the-end", "negative"])
-    def test_a_malformed_basis_is_refused_unfactorized(self, refactors, basis):
+    def test_a_malformed_basis_is_refused_unfactorized(self, refactors, simplex_phases, basis):
+        # The solve factorizes just what the cold solve does.
         lp = LinearProgram("min", [1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 0.0])
-        assert lp.factor(basis) is None
-        assert refactors == []
+        cold = solve_lp(lp)
+        cold_refactors = refactors[:]
+        del refactors[:], simplex_phases[:]
+        assert solve_lp(lp, basis).basis == cold.basis
+        assert simplex_phases[0] == 1 and refactors == cold_refactors
 
-    def test_a_singular_dense_basis_is_refused_by_lapack(self, refactors, singular):
+    def test_a_singular_dense_basis_is_refused_by_lapack(
+        self, refactors, simplex_phases, singular
+    ):
         lp = LinearProgram("min", [1.0, 1.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
-        assert lp.factor((0, 1)) is None
-        assert refactors == [2] and singular == [(2, 2)]
+        assert solve_lp(lp, (0, 1)).status == "optimal"
+        assert refactors[0] == 2 and singular == [(2, 2)] and simplex_phases[0] == 1
 
     def test_a_two_block_cycle_is_refused_by_the_tree_then_lapack(
-        self, monkeypatch, refactors, singular
+        self, monkeypatch, refactors, simplex_phases, singular
     ):
         # The four columns (0, 0), (0, 1), (1, 0), (1, 1) of a 2 x 3
         # polytope: a cycle, which leaves class 2 of block 1 out.
@@ -517,8 +556,9 @@ class TestFactorRefusals:
         ids, m = _incidence_rows((2, 3), [np.arange(2), np.arange(3)])
         lp = LinearProgram("min", np.zeros(6), a_eq=IncidenceOperator(ids, m),
                            b_eq=[1.0, 0.5, 0.25, 0.25])
-        assert lp.factor((0, 1, 3, 4)) is None
-        assert refactors == [4] and trees == [None] and singular == [(4, 4)]
+        assert solve_lp(lp, (0, 1, 3, 4)).status == "optimal"
+        assert refactors[0] == 4 and trees[0] is None and singular == [(4, 4)]
+        assert simplex_phases[0] == 1
 
 
 def shifted_recovery(offset):

@@ -395,8 +395,8 @@ def test_a_pivot_from_a_tree_basis_takes_lapacks_inverse(monkeypatch):
 
 def test_example1_inverts_only_the_stability_basis_through_lapack(monkeypatch, refactors):
     # One bench operation of example 1 at K=200: both 399-row polytope
-    # bases come from their trees, so LAPACK sees only the 7-row stability
-    # basis.
+    # bases come from their trees, so LAPACK sees only the stability LP's
+    # 4-row basis (three players and the sum of the weights).
     inverted = []
     inv = np.linalg.inv
 
@@ -411,4 +411,4 @@ def test_example1_inverts_only_the_stability_basis_through_lapack(monkeypatch, r
     solver.sigma(y_wc)
     solver.least_core(y_tol=0.02)
     assert 399 in refactors
-    assert set(inverted) == {(7, 7)}
+    assert set(inverted) == {(4, 4)}

@@ -736,8 +736,10 @@ class TestSolverState:
         # probe after it, on a three-block polytope. A spanning coalition's
         # first LP starts from the crash basis with lam the ratio of the
         # grand coalition's comonotonic joint, each later one from the
-        # coalition's last attaining solution. Starting from the
-        # coalition's own northwest vertex instead reads [31, 65], [63, 131].
+        # coalition's last attaining solution. Before pricing broke its
+        # ties within PIVOT_TOL by the lowest column id this read [31, 67],
+        # [64, 129], and starting from the coalition's own northwest vertex
+        # then read [31, 65], [63, 131].
         inst = random_instance(2, n=4, block_sizes=(2, 1, 1), atoms_per_block=(3, 3, 3))
         original_solve, original_table = lp_module.solve_lp, RobustGameSolver.table
         counts = []
@@ -758,7 +760,7 @@ class TestSolverState:
         solver = RobustGameSolver(inst)
         solver.table(solver.grand_wc.y_star)
         solver.least_core()
-        assert counts[:2] == [[31, 67], [64, 129]]
+        assert counts[:2] == [[31, 69], [63, 125]]
 
 
 def bench_pass(solver: RobustGameSolver) -> list:

@@ -1,6 +1,5 @@
-"""Programs derived with `with_objective` or `with_rhs` share their parent's
-standard form; solving them must give exactly what freshly built programs
-give."""
+"""Programs derived with `with_objective` share their parent's standard
+form; solving them must give exactly what freshly built programs give."""
 
 import numpy as np
 import pytest
@@ -68,27 +67,3 @@ def test_with_objective_chain_matches_fresh_programs(system):
         chained_prev, fresh_prev = chained, alone
     for original, copy in zip(data, copies):
         assert original.tobytes() == copy.tobytes()
-
-
-@given(systems(), st.data())
-def test_with_rhs_chain_matches_fresh_programs(system, data):
-    # Each copy derives from the one before, with right-hand sides of
-    # mixed signs (a side may be kept), and shares the first program's
-    # standard form, so a solution's factor serves the next copy.
-    sense, a_eq, b_eq, a_ub, b_ub, lb, objectives = system
-    side = lambda m: st.none() | st.lists(st.integers(-6, 6), min_size=m, max_size=m)
-    sides = data.draw(st.lists(st.tuples(side(a_eq.shape[0]), side(a_ub.shape[0])),
-                               min_size=1, max_size=4))
-    child = parent = LinearProgram(sense, objectives[0], a_eq, b_eq, a_ub, b_ub, lb)
-    chained_prev = solve_lp(parent)
-    fresh_prev = solve_lp(LinearProgram(sense, objectives[0], a_eq, b_eq, a_ub, b_ub, lb))
-    for new_eq, new_ub in sides:
-        child = child.with_rhs(new_eq, new_ub)
-        assert child._std is parent._std
-        b_eq = b_eq if new_eq is None else np.array(new_eq, dtype=float)
-        b_ub = b_ub if new_ub is None else np.array(new_ub, dtype=float)
-        fresh = LinearProgram(sense, objectives[0], a_eq, b_eq, a_ub, b_ub, lb)
-        chained, alone = solve_lp(child), solve_lp(fresh)
-        assert_same(chained, alone)
-        assert_same(solve_lp(child, chained_prev), solve_lp(fresh, fresh_prev))
-        chained_prev, fresh_prev = chained, alone

@@ -347,16 +347,18 @@ class TestRunStress:
         # vertex tables: a change to the pivot path fails here by name, not
         # only through the golden CSV. Only ratio LPs, stability LPs and
         # extremal samples remain: the minimum grand profit is closed-form.
-        # The stability LPs start from their crash basis, with no phase 1
-        # (320 pivots with the two-phase start).
-        assert counted_lp_run(monkeypatch) == [239, 143]
+        # The stability LPs start from their singleton basis, with no phase
+        # 1 (143 pivots from the primal's crash basis, 320 with its
+        # two-phase start).
+        assert counted_lp_run(monkeypatch) == [239, 132]
 
     def test_vertex_path_lp_calls_and_pivots_are_pinned(self, monkeypatch):
         # With the vertex tables of these 4-atom polytopes, the worst-case
         # ratios and the extremal samples take no LP: only the stability
-        # LPs, one per sigma evaluation, remain. Each starts from its crash
-        # basis, with no phase 1 (253 pivots with the two-phase start).
-        assert counted_lp_run(monkeypatch) == [15, 76]
+        # LPs, one per sigma evaluation, remain. Each starts from its
+        # singleton basis, with no phase 1 (76 pivots from the primal's
+        # crash basis, 253 with its two-phase start).
+        assert counted_lp_run(monkeypatch) == [15, 65]
 
     def test_pushforward_runs_once_per_instance(self, monkeypatch):
         # Only the grand order of each deterministic decision goes through
@@ -440,7 +442,7 @@ class TestRunStress:
     @pytest.mark.parametrize("path", ["vertex", "lp"])
     def test_stability_lps_match_the_two_phase_oracle(self, monkeypatch, simplex_phases, path):
         # Every sigma probe and deterministic least core of this run starts
-        # from its crash basis and ends at the cold solve's eps.
+        # from its singleton basis and ends at the cold primal solve's eps.
         original = coop.solve_stability_lp
         gaps = []
 
@@ -457,40 +459,12 @@ class TestRunStress:
             run_stress(small_cfg())
         assert len(gaps) == 15 and max(gaps) <= 1e-12
 
-    def test_stability_lps_after_the_first_of_their_shape_refactor_once(
-        self, monkeypatch, refactors
-    ):
-        # A stability LP's standard form and crash factor are kept per
-        # (n, masks), so only the first LP of a shape inverts its crash
-        # basis; every later one refactors once, at the final guard. Here
-        # the deterministic least cores and the sigma probes of both
-        # instances share one shape.
-        original = coop.solve_stability_lp
-        shapes, counts = [], []
-
-        def counted(n, table, total):
-            masks = range(1, table.size + 1) if isinstance(table, np.ndarray) else sorted(table)
-            shapes.append((n, tuple(masks)))
-            start = len(refactors)
-            out = original(n, table, total)
-            counts.append(len(refactors) - start)
-            return out
-
-        monkeypatch.setattr(coop, "solve_stability_lp", counted)
-        monkeypatch.setattr(robust_game, "solve_stability_lp", counted)
-        coop._stability_form.cache_clear()
-        run_stress(small_cfg())
-        firsts = {shapes.index(shape) for shape in shapes}
-        assert len(counts) == 15 and len(firsts) == 1
-        assert [c for i, c in enumerate(counts) if i not in firsts] == [1] * 14
-        assert [counts[i] for i in sorted(firsts)] == [2]
-
     @pytest.mark.parametrize("path", ["vertex", "lp"])
     @pytest.mark.parametrize("blocks", [(2, 2), (1, 1, 2)])
     def test_no_lp_runs_phase_one(self, simplex_phases, path, blocks):
         # Every LP of a run starts from a usable basis: the stability LPs
-        # from their crash basis, and on the LP path the ratio LPs and the
-        # extremal samples from a warm or crash basis of the polytope.
+        # from their singleton basis, and on the LP path the ratio LPs and
+        # the extremal samples from a warm or crash basis of the polytope.
         with lp_path_only() if path == "lp" else contextlib.nullcontext():
             run_stress(small_cfg(block_sizes=blocks, atoms_per_block=2))
         assert simplex_phases and 1 not in simplex_phases
@@ -604,14 +578,15 @@ def per_lambda_rows(job, ext, robust, det) -> list:
 
 class TestChunkedExcess:
     @pytest.mark.parametrize("seed, digest", [
-        (20240811, "ec61ec5e2b4ea6221a4e01cd4232fbf2d4640a24f4e767f9d995bca4fb98b0b3"),
-        (918273645, "9ea777777a1a8fb18786bb1700f74dd38507150749af39487504369b5c6d9f3e"),
+        (20240811, "ca108e8ad4438b4992f1f2ba606db8332a4ba676c4bd2951f9a98bfce61ee845"),
+        (918273645, "3e185efba0cca16f1ca64d4376913572d546356224b5f11f25e626ffc1695403"),
     ], ids=["20240811", "918273645"])
     def test_criterion10_csv_is_pinned(self, tmp_path, seed, digest):
         # The digests of one kernel pass per lambda, re-pinned when the
-        # stability LP started from its crash basis (the least-core vertex
-        # is not unique, so decisions and cells moved). Every instance here
-        # has more admissible mixtures than one chunk holds.
+        # stability LP started from its crash basis and again when it moved
+        # to its dual form (the least-core vertex is not unique, so
+        # decisions and cells moved). Every instance here has more
+        # admissible mixtures than one chunk holds.
         path = tmp_path / "o.csv"
         run_stress(criterion10_cfg(seed=seed), csv_path=path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
