@@ -10,8 +10,7 @@ which has one row per player and one more. It starts from the singleton
 basis, feasible for every table (see `solve_stability_lp`), so its answer
 depends on that table alone. It is solved on the table divided by a power
 of two near its largest value, so the LP's absolute tolerances act alike
-at every scale of profits. Its program is kept per (n, masks): on the
-criterion-10 stress shape every stability LP of a run shares one.
+at every scale of profits.
 
 The deterministic game takes every coalition's value from one call of the
 newsvendor's row-wise order kernel over all 2^n - 1 demand rows.
@@ -19,7 +18,6 @@ newsvendor's row-wise order kernel over all 2^n - 1 demand rows.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -32,10 +30,6 @@ from .lp import LinearProgram, solve_lp
 from .newsvendor import optimal_orders
 
 MEMBERSHIP_TOL = 1e-7
-_STABILITY_FORMS = 4
-"""Stability LP programs kept, the least recently used dropped first. Each
-holds an (n + 1) x (2^n - 1) constraint matrix, twice with its standard
-form, and no inverse: about 7 KB at n = 6 and 0.2 MB at n = 10."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +97,9 @@ def solve_stability_lp(
     table, so it runs no phase 1 and its start depends on no table and on
     no earlier solve. A table without every singleton starts cold. The
     optimal x and w are not unique in general; this start picks the vertex
-    that the pivots from it reach.
-
-    The program is built once per (n, masks) (`_stability_form`) with a
-    zero objective; each call solves a `LinearProgram.with_objective` copy
-    of it. Its right-hand side does not depend on the table.
+    that the pivots from it reach. The program is built afresh by each
+    call: about 90 us at n = 6 on a 2-vCPU x86 host, 2-3% of a
+    criterion-10 stress run and inside that run's spread, so none is kept.
 
     The program is solved on the table and total divided by the power of
     two nearest max(|value(S)|, |total|), and x and eps are multiplied back.
@@ -126,35 +118,27 @@ def solve_stability_lp(
         return np.full(n, total / n), 0.0, np.zeros(0)
     top = max(float(np.max(np.abs(vals))), abs(float(total)))
     scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
-    form, start = _stability_form(n, tuple(masks))
-    sol = solve_lp(form.with_objective(np.append(vals / scale, total / scale)), start)
+    rows = _coalition_indicator_rows(n, masks)
+    lp = LinearProgram(
+        sense="max",
+        objective=np.append(vals / scale, total / scale),
+        a_eq=np.block([[rows.T, np.ones((n, 1))], [np.ones(len(masks)), 0.0]]),
+        b_eq=np.append(np.zeros(n), 1.0),
+        lower_bounds=np.append(np.zeros(len(masks)), -np.inf),
+    )
+    try:
+        # In `LpSolution.basis` ids: each singleton's weight, then u's
+        # negative part.
+        start = tuple(masks.index(1 << i) for i in range(n)) + (len(masks) + 1,)
+    except ValueError:
+        start = None
+    sol = solve_lp(lp, start)
     if sol.status != "optimal":
         # The primal is always feasible, so the dual is never unbounded:
         # an infeasible dual is an unbounded primal.
         raise SolverError("stability LP reported 'unbounded'")
     # Adding 0.0 turns a dual's -0.0 into +0.0.
     return sol.duals[:n] * scale + 0.0, float(sol.duals[n]) * scale + 0.0, sol.x[:-1]
-
-
-@functools.lru_cache(maxsize=_STABILITY_FORMS)
-def _stability_form(n: int, masks: tuple[int, ...]) -> tuple[LinearProgram, tuple | None]:
-    """The balanced-collection program over `masks` with a zero objective,
-    and its singleton start basis in `LpSolution.basis` ids (each
-    singleton's weight, then u's negative part), None when a singleton is
-    missing."""
-    rows = _coalition_indicator_rows(n, masks)
-    lp = LinearProgram(
-        sense="max",
-        objective=np.zeros(len(masks) + 1),
-        a_eq=np.block([[rows.T, np.ones((n, 1))], [np.ones(len(masks)), 0.0]]),
-        b_eq=np.append(np.zeros(n), 1.0),
-        lower_bounds=np.append(np.zeros(len(masks)), -np.inf),
-    )
-    try:
-        start = tuple(masks.index(1 << i) for i in range(n)) + (len(masks) + 1,)
-    except ValueError:
-        start = None
-    return lp, start
 
 
 def least_core(v: CharacteristicFunction) -> tuple[np.ndarray, float]:

@@ -18,11 +18,10 @@ bounds and right-hand side once (split and slack columns, the right-hand
 side shifted by the bounds), and every `with_objective` copy shares it, so
 a solve only builds its cost vector (none without split or slack columns:
 the objective itself serves, its sign kept aside for a max program). This
-is what keeps the thousands of small ratio LPs over one polytope, and the
-stability LPs over one coalition set, cheap. No row is ever negated:
-phase 1 starts from the basis of the artificial columns sign(b_i) e_i,
-factorized like any other, which is feasible whatever the signs of the
-right-hand side.
+is what keeps the thousands of small ratio LPs over one polytope cheap.
+No row is ever negated: phase 1 starts from the basis of the artificial
+columns sign(b_i) e_i, factorized like any other, which is feasible
+whatever the signs of the right-hand side.
 
 The simplex reaches the constraint matrix only through an operator with a
 ``shape``, the pricing product ``rmatvec(y) = y @ A``, the column gather

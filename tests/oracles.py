@@ -9,10 +9,9 @@ comonotonic worst case replaced; `lp_least_shortage` is its min-sense
 counterpart, which the countermonotonic vertex attains for two blocks.
 `exact_sigma_slopes` evaluates the least-core cuts in rational arithmetic.
 `two_phase_stability_lp` keeps the cold two-phase solve of the stability LP
-in its primal form, which the dual form replaced, `fresh_stability_lp` the
-dual form's solve on a program built afresh for every call, which the kept
-programs replaced, and `exact_least_core_eps` the exact optimum of that LP
-by rational vertex enumeration. The `per_coalition_*` and
+in its primal form, which the dual form replaced, and
+`exact_least_core_eps` the exact optimum of that LP by rational vertex
+enumeration. The `per_coalition_*` and
 `per_mask_*` functions keep the one-coalition-at-a-time loops that the
 batched demand rows and the row-wise order kernel replaced.
 `per_entry_vertex_table` keeps the vertex path's one-coalition ratio
@@ -384,32 +383,6 @@ def two_phase_stability_lp(n: int, values_by_mask, total: float):
     if sol.status != "optimal":
         raise SolverError(f"stability LP reported {sol.status!r}")
     return sol.x[:n].copy(), float(sol.x[n]), -sol.duals[1:]
-
-
-def fresh_stability_lp(n: int, values_by_mask, total: float):
-    """(x, eps, w) of `coop.solve_stability_lp` from a freshly built
-    program: the same scaled table, balanced-collection program and
-    singleton start (cold without every singleton), with no program kept
-    from an earlier call."""
-    if isinstance(values_by_mask, np.ndarray):
-        values_by_mask = dict(enumerate(values_by_mask.tolist(), start=1))
-    masks = sorted(values_by_mask)
-    rows = np.array([[mask >> j & 1 for j in range(n)] for mask in masks], dtype=float)
-    vals = np.array([float(values_by_mask[m]) for m in masks])
-    top = max(float(np.max(np.abs(vals))), abs(float(total)))
-    scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
-    k = len(masks)
-    singles = [masks.index(1 << j) for j in range(n) if 1 << j in masks]
-    sol = solve_lp(LinearProgram(
-        sense="max",
-        objective=np.r_[vals / scale, total / scale],
-        a_eq=np.vstack([np.hstack([rows.T, np.ones((n, 1))]), np.r_[np.ones(k), 0.0]]),
-        b_eq=np.r_[np.zeros(n), 1.0],
-        lower_bounds=np.r_[np.zeros(k), -np.inf],
-    ), singles + [k + 1] if len(singles) == n else None)
-    if sol.status != "optimal":
-        raise SolverError("stability LP reported 'unbounded'")
-    return sol.duals[:n] * scale + 0.0, float(sol.duals[n]) * scale + 0.0, sol.x[:k]
 
 
 def exact_least_core_eps(n: int, values_by_mask, total: float = 1.0) -> Fraction:

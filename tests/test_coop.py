@@ -15,7 +15,7 @@ from nvgames.distributions import DiscreteMarginal, Instance, independent_joint
 from nvgames.errors import InputError, SolverError
 
 from conftest import random_instance
-from oracles import fresh_stability_lp, two_phase_stability_lp
+from oracles import two_phase_stability_lp
 
 
 def cf(values) -> CharacteristicFunction:
@@ -256,12 +256,12 @@ class TestStabilityCrashStart:
             x, eps, w = solve_stability_lp(n, table, total)
             assert simplex_phases and 1 not in simplex_phases
             _x, expect, _w = two_phase_stability_lp(n, table, total)
-            assert abs(eps - expect) <= 1e-12 * max(1.0, abs(expect))
-            assert abs(float(np.sum(x)) - total) <= 1e-12 * max(1.0, abs(total))
+            assert abs(eps - expect) <= 1e-12
+            assert abs(float(np.sum(x)) - total) <= 1e-12
             slack = np.array([sum(x[j] for j in range(n) if m >> j & 1) + eps - v
                               for m, v in sorted(table.items())])
+            assert slack.min() >= -1e-12
             size = max(1.0, max(map(abs, table.values())), abs(total))
-            assert slack.min() >= -1e-12 * size
             assert np.all(w >= 0.0) and abs(float(np.sum(w)) - 1.0) <= 1e-12
             assert np.all(np.abs(slack[w > 0.0]) <= 1e-12 * size)
 
@@ -274,20 +274,6 @@ class TestStabilityCrashStart:
         _x, expect, _w = two_phase_stability_lp(3, table, 1.0)
         assert abs(eps - expect) <= 1e-12 and abs(float(np.sum(x)) - 1.0) <= 1e-12
         assert np.allclose(w, 1.0 / 3.0, rtol=0.0, atol=1e-12)
-
-    def test_kept_form_equals_a_fresh_program(self):
-        # The tables of the test above, over one kept program per
-        # (n, masks): a solve on the kept program, built by this call or
-        # by an earlier one, has the bits of a solve on a program built
-        # afresh.
-        def bits(x, eps, w):
-            return x.tobytes(), np.float64(eps).tobytes(), w.tobytes()
-
-        for n, table, total in stability_tables(34, 500):
-            expect = bits(*fresh_stability_lp(n, table, total))
-            coop._stability_form.cache_clear()
-            assert bits(*solve_stability_lp(n, table, total)) == expect
-            assert bits(*solve_stability_lp(n, table, total)) == expect
 
     def test_power_of_two_scaling_is_exact(self):
         # The LP runs on the table divided by a power of two near its
