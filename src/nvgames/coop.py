@@ -6,7 +6,9 @@ Coalitions are bitmasks (bit i = player i); LP columns are always emitted
 in increasing mask order so bases are reproducible. Every stability LP (the
 least core here and each robust sigma probe) is solved in its dual form,
 the balanced-collection program of Bondareva (1963) and Shapley (1967),
-which has one row per player and one more. It starts from the singleton
+which has one row per player and one more. Its variables, one weight per
+coalition and t, are all nonnegative, so the simplex solves it on the
+matrix built here with no column added. It starts from the singleton
 basis, feasible for every table (see `solve_stability_lp`), so its answer
 depends on that table alone. It is solved on the table divided by a power
 of two near its largest value, so the LP's absolute tolerances act alike
@@ -87,17 +89,21 @@ def solve_stability_lp(
 
     The simplex solves the LP dual, the balanced-collection program
 
-        max sum_S w_S value(S) + u total  s.t.  sum_{S ni i} w_S + u = 0
-        for each player i,  sum_S w_S = 1,  w >= 0,  u free,
+        max sum_S w_S value(S) - t total  s.t.  sum_{S ni i} w_S - t = 0
+        for each player i,  sum_S w_S = 1,  w >= 0,  t >= 0,
 
-    which has n + 1 rows whatever the number of coalitions. w is its
-    solution; x is the duals of its player rows and eps the dual of its
-    sum-of-weights row. It starts from the singleton basis w_{i} = 1/n,
-    u = -1/n (held by u's negative part), which is feasible for every
-    table, so it runs no phase 1 and its start depends on no table and on
-    no earlier solve. A table without every singleton starts cold. The
-    optimal x and w are not unique in general; this start picks the vertex
-    that the pivots from it reach. The program is built afresh by each
+    which has n + 1 rows whatever the number of coalitions. Here t is -u,
+    u the free dual variable of x(N) = total. Each player row gives
+    t = sum_{S ni i} w_S, and a feasible w sums to 1, so some w_S > 0 and
+    t > 0 already for a player i in S: t >= 0 cuts off no feasible point.
+    Every variable is then nonnegative, so the program is its own standard
+    form, with no split column. w is its solution; x is the duals of its
+    player rows and eps the dual of its sum-of-weights row. It starts from
+    the singleton basis w_{i} = t = 1/n, which is feasible for every table,
+    so it runs no phase 1 and its start depends on no table and on no
+    earlier solve. A table without every singleton starts cold. The optimal
+    x and w are not unique in general; this start picks the vertex that
+    the pivots from it reach. The program is built afresh by each
     call: about 90 us at n = 6 on a 2-vCPU x86 host, 2-3% of a
     criterion-10 stress run and inside that run's spread, so none is kept.
 
@@ -121,15 +127,13 @@ def solve_stability_lp(
     rows = _coalition_indicator_rows(n, masks)
     lp = LinearProgram(
         sense="max",
-        objective=np.append(vals / scale, total / scale),
-        a_eq=np.block([[rows.T, np.ones((n, 1))], [np.ones(len(masks)), 0.0]]),
+        objective=np.append(vals / scale, -total / scale),
+        a_eq=np.block([[rows.T, -np.ones((n, 1))], [np.ones(len(masks)), 0.0]]),
         b_eq=np.append(np.zeros(n), 1.0),
-        lower_bounds=np.append(np.zeros(len(masks)), -np.inf),
     )
     try:
-        # In `LpSolution.basis` ids: each singleton's weight, then u's
-        # negative part.
-        start = tuple(masks.index(1 << i) for i in range(n)) + (len(masks) + 1,)
+        # Each singleton's weight, then t.
+        start = tuple(masks.index(1 << i) for i in range(n)) + (len(masks),)
     except ValueError:
         start = None
     sol = solve_lp(lp, start)
@@ -145,8 +149,7 @@ def least_core(v: CharacteristicFunction) -> tuple[np.ndarray, float]:
     """Solve min eps s.t. x(S) >= v(S) - eps for every nonempty proper S and
     x(N) = v(N). Returns (allocation, s_value); a nonpositive s_value means
     the core is nonempty."""
-    table = {mask: float(v.values[mask]) for mask in range(1, (1 << v.n) - 1)}
-    x, eps, _w = solve_stability_lp(v.n, table, v.grand_value)
+    x, eps, _w = solve_stability_lp(v.n, v.values[1:-1], v.grand_value)
     return x, eps
 
 

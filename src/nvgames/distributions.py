@@ -545,7 +545,7 @@ class FrechetPolytope:
                 x = np.append(self.rhs[1:], 1.0 - np.sum(self.rhs[1:]))
                 verts = np.zeros((1, self.n_atoms))
                 verts[0, atoms] = np.where(x > _VERTEX_ZERO, x, 0.0)
-                residual = self.matrix.matvec(verts[0]) - self.rhs
+                residual = self.matrix @ verts[0] - self.rhs
             else:
                 verts = self._enumerate_vertices(atoms)
                 residual = verts @ np.asarray(self.matrix).T - self.rhs

@@ -1,5 +1,5 @@
-"""Linear-program solver over structured constraint operators, returning
-vertex (basic feasible) solutions.
+"""Linear-program solver over dense or structured constraint matrices,
+returning vertex (basic feasible) solutions.
 
 Two-phase revised simplex. `_Simplex.refactor` is the one place where a
 basis is factorized: a large basis of a two-block polytope is kept as its
@@ -23,19 +23,19 @@ No row is ever negated: phase 1 starts from the basis of the artificial
 columns sign(b_i) e_i, factorized like any other, which is feasible
 whatever the signs of the right-hand side.
 
-The simplex reaches the constraint matrix only through an operator with a
-``shape``, the pricing product ``rmatvec(y) = y @ A``, the column gather
-``columns(ids) = A[:, ids]`` (one column for a scalar id) and
-``matvec(x) = A @ x``; ``np.asarray`` gives its dense form. `DenseOperator`
-wraps an ndarray and serves every generic program. `IncidenceOperator` is
-the 0/1 matrix of the consistency polytope, whose columns are the product
-grid of the blocks' atoms and each hold R+1 ones: it stores one row-id
-vector per block, sized by that block's atoms (400 ids for the 40 000
-columns of example 1 at K=200), and the mass row is implicit. Pricing is
-y[0] plus each block's gathered ids broadcast along its axis, one K-entry
-outer sum per block. The polytope is never stored as a dense matrix unless
-it is small enough for dense products to be the faster choice.
-Pricing works in place: `rmatvec` returns a fresh array, and the simplex's
+The simplex reaches the constraint matrix only through its ``shape``, the
+pricing product ``y @ A``, the column gather ``A[:, ids]`` (one column for
+a scalar id) and ``A @ x``, so the caller's ndarray serves every generic
+program as it is. `IncidenceOperator` serves the same three forms, and
+``np.asarray`` gives its dense form. It is the 0/1 matrix of the
+consistency polytope, whose columns are the product grid of the blocks'
+atoms and each hold R+1 ones: it stores one row-id vector per block, sized
+by that block's atoms (400 ids for the 40 000 columns of example 1 at
+K=200), and the mass row is implicit. Pricing is y[0] plus each block's
+gathered ids broadcast along its axis, one K-entry outer sum per block. The
+polytope is never stored as a dense matrix unless it is small enough for
+dense products to be the faster choice.
+Pricing works in place: ``y @ A`` returns a fresh array, and the simplex's
 pricing and the certificate's each write the reduced costs into it
 (`_reduced_costs`), so a pricing pass over the 40 000 columns of example 1
 at K=200 allocates one K-long vector, not three. The certificate prices its
@@ -54,7 +54,7 @@ skips phase 1 entirely, which is what makes repeated solves over one
 polytope with changing objectives cheap. Passing the previous `LpSolution`
 itself also hands over its factorization when no pivot has updated it since
 (its tree for a two-block basis of `_TREE_ROWS` rows or more, else its
-explicit inverse): a solve on the same operator object that starts from
+explicit inverse): a solve on the same matrix object that starts from
 that basis reuses it in place of a new one, which is bit for bit what
 refactorizing would give.
 
@@ -72,7 +72,7 @@ value and the certificate's c'z here, the worst-case ratios in
 1 x 40 000 matrix-vector product, on two threads, but a 399 x 399 one on
 one: each threaded call kept a second core busy, and waited for the worker
 thread to wake whenever it had gone to sleep. The product over m gathered
-entries stays on one thread. `IncidenceOperator.matvec` likewise adds only
+entries stays on one thread. ``IncidenceOperator @ x`` likewise adds only
 x's nonzero entries.
 """
 
@@ -118,32 +118,6 @@ _DENSE_ENTRIES = 1 << 15
 _TREE_ROWS = 64
 
 
-class DenseOperator:
-    """Constraint operator over a dense matrix, held by reference."""
-
-    __slots__ = ("a", "shape")
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self.shape = a.shape
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return y @ self.a
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.a @ x
-
-    __matmul__ = matvec
-
-    def columns(self, ids) -> np.ndarray:
-        return self.a[:, ids]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.a.astype(dtype)
-        return self.a.copy() if copy else self.a
-
-
 class IncidenceOperator:
     """0/1 constraint matrix over the product grid of R blocks' atoms.
 
@@ -155,6 +129,8 @@ class IncidenceOperator:
     column has and no vector names, and one in the row of each of its
     atoms. Each block owns its rows, so no id of one block is another
     block's or 0. The operator is m x prod(dims); it stores sum(dims) ids.
+    It serves ``y @ op`` and ``op @ x``, each a fresh array, and the column
+    gather ``op[:, ids]``; ``np.asarray(op)`` writes it out.
 
     A two-block operator (R = 2, in the row layout of the consistency
     polytope) also factorizes its bases of `_TREE_ROWS` rows or more
@@ -166,6 +142,9 @@ class IncidenceOperator:
     """
 
     __slots__ = ("ids", "dims", "m", "shape", "_dense")
+    # numpy defers ``y @ op`` to `__rmatmul__` instead of multiplying by
+    # ``np.asarray(op)``, the dense matrix (128 MB at K = 200).
+    __array_ufunc__ = None
 
     def __init__(self, ids: Sequence[np.ndarray], m: int):
         held = []
@@ -208,7 +187,7 @@ class IncidenceOperator:
         a = self._columns(np.arange(self.shape[1]))
         return a if dtype is None else a.astype(dtype)
 
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
         if self._dense is not None:
             return y @ self._dense
         padded = np.zeros(self.m + 1)
@@ -221,7 +200,7 @@ class IncidenceOperator:
             out = np.add.outer(out, padded[ids])
         return out.ravel()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if self._dense is not None:
             return self._dense @ x
         # Only x's nonzero entries: bincount adds in order from +0.0, and a
@@ -233,13 +212,15 @@ class IncidenceOperator:
         )
         return out[: self.m]
 
-    __matmul__ = matvec
-
-    def columns(self, ids) -> np.ndarray:
+    def __getitem__(self, key) -> np.ndarray:
+        """``A[:, ids]``, one column for a scalar id; no other key."""
+        whole, ids = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        if not isinstance(whole, slice) or whole != slice(None):
+            raise InputError("an incidence operator gathers only columns, as op[:, ids]")
         if self._dense is not None:
             return self._dense[:, ids]
         if np.ndim(ids) == 0:
-            return self.columns([ids])[:, 0]
+            return self[:, [ids]][:, 0]
         return self._columns(np.asarray(ids, dtype=np.intp))
 
     def tree_factor(self, ids) -> "TreeFactor | None":
@@ -352,9 +333,6 @@ class TreeFactor:
         return y
 
 
-_OPERATORS = (DenseOperator, IncidenceOperator)
-
-
 def sorted_distinct(values) -> np.ndarray:
     """The distinct entries of `values` (no nan), ascending. The same
     comparison as `np.unique`, which in numpy 2.4 imports `numpy.ma` on its
@@ -376,7 +354,7 @@ def support_dot(v: np.ndarray, x: np.ndarray, support: np.ndarray) -> float:
 def _as_matrix(a, n_cols: int, name: str):
     if a is None:
         return np.zeros((0, n_cols))
-    if not isinstance(a, _OPERATORS):
+    if not isinstance(a, IncidenceOperator):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2:
             raise InputError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
@@ -405,17 +383,17 @@ class LinearProgram:
     ``lower_bounds`` defaults to 0 for every variable, held as a read-only
     zero view (``np.broadcast_to(0.0, (n,))``, no bytes per variable); use
     ``-np.inf`` to mark a variable as free. The constraint matrices are
-    dense arrays or operators (`DenseOperator`, `IncidenceOperator`); they
-    are held by reference and never mutated. The standard form of the constraint
-    matrices, bounds and right-hand side is built here, once, and shared by
-    every `with_objective` copy.
+    ndarrays or `IncidenceOperator`s; they are held by reference and never
+    mutated. The standard form of the constraint matrices, bounds and
+    right-hand side is built here, once, and shared by every
+    `with_objective` copy.
     """
 
     sense: str
     objective: np.ndarray
-    a_eq: np.ndarray | DenseOperator | IncidenceOperator | None = None
+    a_eq: np.ndarray | IncidenceOperator | None = None
     b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | DenseOperator | IncidenceOperator | None = None
+    a_ub: np.ndarray | IncidenceOperator | None = None
     b_ub: np.ndarray | None = None
     lower_bounds: np.ndarray | None = None
 
@@ -520,7 +498,7 @@ class _Standardized:
     Columns: the variables shifted by their finite lower bounds, then the
     negative parts of free variables, then one slack per ub row. Rows: the
     equality rows, then the ub rows, as given. ``a`` is the caller's
-    operator itself when no column is added. Read-only after construction;
+    matrix itself when no column is added. Read-only after construction;
     only `cost` depends on the objective and only `rhs` on the right-hand
     side.
     """
@@ -563,11 +541,8 @@ class _Standardized:
             slack_block = np.zeros((rows.shape[0], self.n_slack))
             slack_block[m_eq + np.arange(self.n_slack), np.arange(self.n_slack)] = 1.0
             extra.append(slack_block)
-        if extra:
-            self.a = DenseOperator(np.hstack([np.asarray(rows)] + extra))
-        else:
-            # Without split or slack columns the caller's operator is the system.
-            self.a = rows if isinstance(rows, _OPERATORS) else DenseOperator(rows)
+        # Without split or slack columns the caller's matrix is the system.
+        self.a = np.hstack([np.asarray(rows)] + extra) if extra else rows
         self.m, self.n = self.a.shape
         self.row_ids = np.arange(self.m)
         self.row_ids.setflags(write=False)
@@ -682,7 +657,7 @@ class _Simplex:
         inverse is not finite."""
         real = self.basis < self.n
         bm = np.zeros((self.m, self.m))
-        bm[:, real] = self.a.columns(self.basis[real])
+        bm[:, real] = self.a[:, self.basis[real]]
         art = np.flatnonzero(~real)
         rows = self.basis[art] - self.n
         bm[rows, art] = np.where(self.b[rows] < 0, -1.0, 1.0)
@@ -792,7 +767,7 @@ class _Simplex:
             basis = self.basis
             cb = self._basic_cost(c_work)
             y = cb @ self.b_inv if self.tree is None else self.tree.tsolve(cb)
-            r = _reduced_costs(c_work, self._phase == 2 and self.negated, a.rmatvec(y))
+            r = _reduced_costs(c_work, self._phase == 2 and self.negated, y @ a)
             # Basics must not reenter.
             r[basis if self._phase == 2 else basis[basis < self.n]] = np.inf
             if self._bland:
@@ -811,7 +786,7 @@ class _Simplex:
                 # enters: a rounding-level change of the data cannot swap two
                 # equally good columns.
                 j = int((r <= r[j] + PIVOT_TOL).argmax())
-            d = self._inverse() @ a.columns(j)
+            d = self._inverse() @ a[:, j]
             row = self._ratio_test(d)
             if row < 0:
                 return "unbounded"
@@ -865,18 +840,18 @@ class _Simplex:
         in_basis[self.basis[self.basis < self.n]] = True
         drop = []
         for i in art_rows:
-            tableau_row = self.a.rmatvec(self._inverse()[i])
+            tableau_row = self._inverse()[i] @ self.a
             tableau_row[in_basis] = 0.0
             j = int(np.argmax(np.abs(tableau_row)))
             if abs(tableau_row[j]) > PIVOT_TOL:
-                d = self._inverse() @ self.a.columns(j)
+                d = self._inverse() @ self.a[:, j]
                 self._pivot(i, j, d, 0.0)
                 in_basis[j] = True
             else:
                 drop.append(i)
         if drop:
             keep = np.setdiff1d(np.arange(self.m), np.array(drop, dtype=int))
-            self.a = DenseOperator(np.asarray(self.a)[keep])
+            self.a = np.asarray(self.a)[keep]
             self.b = self.b[keep]
             self.basis = self.basis[keep]
             self.row_ids = self.row_ids[keep]
@@ -949,7 +924,7 @@ def _check_solution(lp: LinearProgram, x: np.ndarray) -> None:
 
 def _reduced_costs(c: np.ndarray, negated: bool, r: np.ndarray) -> np.ndarray:
     """The reduced costs c - A'y of the cost c, or -c when `negated`,
-    written into r = A'y (a fresh `rmatvec` output) and returned. The
+    written into r = A'y (a fresh ``y @ A`` output) and returned. The
     negated ones are (-A'y) - c, which has the bits of (-c) - A'y, signed
     zeros included, since IEEE addition commutes."""
     if negated:
@@ -969,7 +944,7 @@ def _check_certificate(
     equals b'y up to the primal tolerance scaled by |b|'|y|. A'y is priced
     here from y itself, never taken from the simplex."""
     b = lp._b
-    worst = _reduced_costs(c, negated, lp._std.a.rmatvec(y)).min()
+    worst = _reduced_costs(c, negated, y @ lp._std.a).min()
     if worst < -OPT_TOL:
         raise SolverError(
             f"reduced cost {worst:.3e} is below -{OPT_TOL:g}; the basis is not optimal"

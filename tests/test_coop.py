@@ -247,14 +247,22 @@ def stability_tables(seed: int, count: int):
 
 
 class TestStabilityCrashStart:
-    def test_matches_the_two_phase_oracle_without_phase_one(self, simplex_phases):
+    def test_matches_the_two_phase_oracle_without_phase_one(self, simplex_phases, monkeypatch):
         # Every table holds every singleton, so the dual starts from the
         # singleton basis. (x, eps) is feasible for the primal, w for the
         # dual, the two are complementary, and eps is the cold primal's.
+        # The program has no free variable, so its standard form is its own
+        # matrix with no added column.
+        programs = []
+        solve = coop.solve_lp
+        monkeypatch.setattr(coop, "solve_lp",
+                            lambda lp, start: programs.append(lp) or solve(lp, start))
         for n, table, total in stability_tables(34, 500):
-            del simplex_phases[:]
+            del simplex_phases[:], programs[:]
             x, eps, w = solve_stability_lp(n, table, total)
             assert simplex_phases and 1 not in simplex_phases
+            [lp] = programs
+            assert lp._std.a is lp.a_eq and lp._std.n == lp.n_vars
             _x, expect, _w = two_phase_stability_lp(n, table, total)
             assert abs(eps - expect) <= 1e-12
             assert abs(float(np.sum(x)) - total) <= 1e-12

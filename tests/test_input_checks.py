@@ -63,7 +63,13 @@ def config(**changes) -> dict:
     return {"n": 2, "block_sizes": [1, 1], "atoms_per_block": [2, 2], "seed": 0, **changes}
 
 
+def incidence() -> lp.IncidenceOperator:
+    """A 4-row incidence operator over two blocks of two atoms."""
+    return lp.IncidenceOperator([np.array([1, 2]), np.array([3, 4])], 4)
+
+
 MARGINAL = DiscreteMarginal([[1.0]], [1.0])
+GATHER = r"an incidence operator gathers only columns, as op\[:, ids\]"
 
 # One raise per case: (id, call, exception, message pattern).
 CASES = [
@@ -118,6 +124,9 @@ CASES = [
      InputError, r"lower_bounds has shape \(2,\), expected \(1,\)"),
     ("bounds-value", lambda: lp.LinearProgram("min", [1.0], lower_bounds=[np.inf]),
      InputError, "lower_bounds must be finite or -inf"),
+    ("gather-rows", lambda: incidence()[[0, 1]], InputError, GATHER),
+    ("gather-row-slice", lambda: incidence()[0:1, [0, 1]], InputError, GATHER),
+    ("gather-row-ids", lambda: incidence()[np.arange(2), [0, 1]], InputError, GATHER),
     # newsvendor
     ("demand-shape", lambda: ScalarDemand([1.0, 2.0], [1.0]), InputError,
      "values and probs must be vectors of equal length"),
@@ -168,18 +177,3 @@ def test_bad_input_raises_its_message(call, error, message):
 def test_a_coalition_is_its_own_mask():
     assert coalition_mask(Coalition(0b101), 3) == 0b101
 
-
-def test_dense_operator_products_and_dense_form():
-    # A dense operator as a program's matrix: the certificate takes its
-    # product with the solution, and np.asarray gives its dense form in
-    # any dtype.
-    a = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 0.0]])
-    op = lp.DenseOperator(a)
-    program = lp.LinearProgram("min", [1.0, 3.0, 2.0], op, [1.0, 1.5])
-    sol = lp.solve_lp(program)
-    assert sol.status == "optimal"
-    assert np.array_equal(op.matvec(sol.x), a @ sol.x)
-    ref = lp.solve_lp(lp.LinearProgram("min", [1.0, 3.0, 2.0], a, [1.0, 1.5]))
-    assert np.array_equal(sol.x, ref.x)
-    dense = np.asarray(op, dtype=np.float32)
-    assert dense.dtype == np.float32 and np.array_equal(dense, a)

@@ -79,11 +79,11 @@ def test_incidence_operator_equals_its_dense_form(inst, seed):
     m, n = op.shape
     assert dense.shape == (m, n)
     y, x = rng.normal(size=m), rng.normal(size=n)
-    np.testing.assert_allclose(op.rmatvec(y), y @ dense, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(op.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(y @ op, y @ dense, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(op @ x, dense @ x, rtol=1e-12, atol=1e-12)
     ids = rng.integers(0, n, int(rng.integers(1, 2 * n + 1)))
-    assert np.array_equal(op.columns(ids), dense[:, ids])
-    assert np.array_equal(op.columns(int(ids[0])), dense[:, ids[0]])
+    assert np.array_equal(op[:, ids], dense[:, ids])
+    assert np.array_equal(op[:, int(ids[0])], dense[:, ids[0]])
 
 
 def draw_incidence_ids(data) -> tuple[list[np.ndarray], int]:
@@ -108,7 +108,7 @@ def gathering(ids, m) -> IncidenceOperator:
 
 @given(st.data())
 def test_incidence_matvec_on_a_sparse_x_keeps_the_dense_bits(data):
-    # matvec adds only x's nonzero entries. bincount adds in order from
+    # op @ x adds only x's nonzero entries. bincount adds in order from
     # +0.0, so no partial sum is -0.0 and a +-0.0 term changes none: the
     # bits are those of the bincount over every entry of the (R+1, K) ids.
     ids, m = draw_incidence_ids(data)
@@ -117,7 +117,7 @@ def test_incidence_matvec_on_a_sparse_x_keeps_the_dense_bits(data):
     k = rows.shape[1]
     x = np.array(data.draw(st.lists(value, min_size=k, max_size=k)))
     want = np.bincount(rows.ravel(), weights=np.tile(x, rows.shape[0]), minlength=m + 1)[:m]
-    assert gathering(ids, m).matvec(x).tobytes() == want.tobytes()
+    assert (gathering(ids, m) @ x).tobytes() == want.tobytes()
 
 
 @given(st.data())
@@ -128,7 +128,7 @@ def test_incidence_rmatvec_keeps_the_summed_gather_bits(data):
     y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
                                     min_size=m, max_size=m)))
     want = gathered_rmatvec(flat_incidence_rows(ids, m), y)
-    assert gathering(ids, m).rmatvec(y).tobytes() == want.tobytes()
+    assert (y @ gathering(ids, m)).tobytes() == want.tobytes()
 
 
 class TestProductForm:
@@ -147,8 +147,8 @@ class TestProductForm:
         assert op.shape == dense.shape and np.array_equal(np.asarray(op), dense)
         assert np.array_equal(np.asarray(IncidenceOperator(ids, m)), dense)
         cols = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2 * k)))
-        assert np.array_equal(op.columns(cols), dense[:, cols])
-        assert np.array_equal(op.columns(int(cols[0])), dense[:, cols[0]])
+        assert np.array_equal(op[:, cols], dense[:, cols])
+        assert np.array_equal(op[:, int(cols[0])], dense[:, cols[0]])
 
     @pytest.mark.parametrize("ids", [
         [[1, 2], [2, 3]],  # row 2 in both blocks
@@ -308,7 +308,7 @@ class TestBasisInverse:
         m = op.shape[0]
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
             factor = op.tree_factor(cols)
-        inv = np.linalg.inv(op.columns(cols))
+        inv = np.linalg.inv(op[:, cols])
         rng = np.random.default_rng(seed)
         # Small integers: every partial sum is exact, so are both sweeps.
         v = rng.integers(-9, 10, m).astype(float)
@@ -340,7 +340,7 @@ class TestBasisInverse:
     ])
     def test_a_singular_basis_is_none(self, edges):
         op, cols = tree_operator(2, 3, np.array(edges))
-        assert np.linalg.matrix_rank(op.columns(cols)) < op.shape[0]
+        assert np.linalg.matrix_rank(op[:, cols]) < op.shape[0]
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
             assert op.tree_factor(cols) is None
 
@@ -350,7 +350,7 @@ class TestBasisInverse:
     ])
     def test_an_operator_that_is_not_two_block_is_none(self, ids, m, cols):
         op = IncidenceOperator([np.array(v) for v in ids], m)
-        assert np.linalg.matrix_rank(op.columns(cols)) == m
+        assert np.linalg.matrix_rank(op[:, cols]) == m
         with mock.patch.object(lp_module, "_TREE_ROWS", 0):
             assert op.tree_factor(cols) is None
 
@@ -372,6 +372,17 @@ def test_a_pivot_from_a_tree_basis_takes_lapacks_inverse(monkeypatch):
     m = poly.n_rows
     assert m >= lp_module._TREE_ROWS
     lp = poly.lp(rng.normal(size=poly.n_atoms))
+    # Past the dense gate as well, and solved on the operator itself, which
+    # is never written out: the simplex, the certificate and the
+    # feasibility check use y @ op, op @ x and op[:, ids] alone, and numpy
+    # defers y @ op to the operator (`__array_ufunc__ = None`).
+    assert poly.matrix._dense is None
+    assert lp._std.a is poly.matrix and lp._std.n == lp.n_vars
+
+    def refuse(op, dtype=None, copy=None):
+        raise AssertionError("the operator was written out densely")
+
+    monkeypatch.setattr(IncidenceOperator, "__array__", refuse)
 
     events = []
     inv, tree_factor, pivot = np.linalg.inv, IncidenceOperator.tree_factor, lp_module._Simplex._pivot
