@@ -1,6 +1,6 @@
 """Deterministic cooperative-game solution concepts: characteristic
 functions over all coalitions, core membership, the least core, and the
-LP-duality balancedness check for worst-case ratio tables.
+balancedness check for worst-case ratio tables.
 
 Coalitions are bitmasks (bit i = player i); LP columns are always emitted
 in increasing mask order so bases are reproducible. Every stability LP (the
@@ -13,6 +13,11 @@ basis, feasible for every table (see `solve_stability_lp`), so its answer
 depends on that table alone. It is solved on the table divided by a power
 of two near its largest value, so the LP's absolute tolerances act alike
 at every scale of profits.
+
+Balancedness is one balanced-collection program too, normalized to cover
+every player once (`balancedness_duality_pair`). It starts from the same
+singleton basis, and its certified duals are the optimal allocation, so
+no second program is solved for the primal side.
 
 The deterministic game takes every coalition's value from one call of the
 newsvendor's row-wise order kernel over all 2^n - 1 demand rows.
@@ -77,6 +82,15 @@ def _coalition_indicator_rows(n: int, masks) -> np.ndarray:
     return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
 
 
+def _singleton_basis(n: int, masks: list[int]) -> tuple[int, ...] | None:
+    """The positions of the singletons {0}, ..., {n-1} in `masks`, in
+    player order; None when one is missing."""
+    try:
+        return tuple(masks.index(1 << i) for i in range(n))
+    except ValueError:
+        return None
+
+
 def solve_stability_lp(
     n: int, values_by_mask: Mapping[int, float] | np.ndarray, total: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
@@ -131,12 +145,9 @@ def solve_stability_lp(
         a_eq=np.block([[rows.T, -np.ones((n, 1))], [np.ones(len(masks)), 0.0]]),
         b_eq=np.append(np.zeros(n), 1.0),
     )
-    try:
-        # Each singleton's weight, then t.
-        start = tuple(masks.index(1 << i) for i in range(n)) + (len(masks),)
-    except ValueError:
-        start = None
-    sol = solve_lp(lp, start)
+    start = _singleton_basis(n, masks)
+    # Each singleton's weight, then t.
+    sol = solve_lp(lp, None if start is None else start + (len(masks),))
     if sol.status != "optimal":
         # The primal is always feasible, so the dual is never unbounded:
         # an infeasible dual is an unbounded primal.
@@ -179,7 +190,7 @@ def imputation_check(v: CharacteristicFunction, x, tol: float = MEMBERSHIP_TOL) 
 
 
 def _ratio_table(vmax_table: Mapping, n: int | None) -> tuple[int, list[int], np.ndarray]:
-    masks_in = {coalition_mask(key): float(val) for key, val in vmax_table.items()}
+    masks_in = {coalition_mask(key, n): float(val) for key, val in vmax_table.items()}
     if n is None:
         if not masks_in:
             raise InputError("empty ratio table and no player count given")
@@ -197,40 +208,32 @@ def balancedness_duality_pair(
 
     The raw dual (weights over coalitions whose per-player totals equal a
     common level p) is a cone, so its optimum is 0 or +inf; normalizing to
-    p = 1 makes both sides finite. Returned values are clipped at 0, equal
-    to each other by strong duality, and are 0 exactly when some efficient
-    allocation satisfies every coalition ratio constraint (nonempty core).
+    p = 1 makes both sides finite. One program is solved, that normalized
+    balanced-collection LP
+
+        max sum_S y_S v(S)  s.t.  sum_{S ni i} y_S = 1 for each player i,
+        y >= 0,
+
+    from the singleton basis y_{i} = 1 (cold when a singleton is missing).
+    z_d is its optimum less 1. Its duals x, one per player, are an optimum
+    of the primal min x(N) s.t. x(S) >= v(S), x free, and z_p is x(N) - 1.
+    `solve_lp` certifies x before it returns: every reduced cost v(S) -
+    x(S) is at most `lp.OPT_TOL`, so x is feasible within that tolerance,
+    and the duality gap between x(N) and the optimum is zero within the
+    solver's gap tolerance. Both values are clipped at 0, equal each other
+    up to that gap, and are 0 exactly when some efficient allocation
+    satisfies every coalition ratio constraint (nonempty core). A player
+    that no coalition of the table covers makes the program infeasible
+    (the primal is unbounded), which raises SolverError.
     """
     n, masks, vals = _ratio_table(vmax_table, n)
     if not masks:
         return 0.0, 0.0
     rows = _coalition_indicator_rows(n, masks)
-
-    # Primal side: min x(N) - 1 subject to x(S) >= v(S), x free.
-    primal = LinearProgram(
-        sense="min",
-        objective=np.ones(n),
-        a_ub=-rows,
-        b_ub=-vals,
-        lower_bounds=np.full(n, -np.inf),
-    )
-    psol = solve_lp(primal)
-    if psol.status != "optimal":
-        raise SolverError(f"balancedness primal reported {psol.status!r}")
-
-    # Dual side: max sum_S y_S v(S) - 1 over balanced weight maps
-    # (sum over S containing i of y_S = 1 for each player, y >= 0).
-    dual = LinearProgram(
-        sense="max",
-        objective=vals,
-        a_eq=rows.T,
-        b_eq=np.ones(n),
-    )
-    dsol = solve_lp(dual)
-    if dsol.status != "optimal":
-        raise SolverError(f"balancedness dual reported {dsol.status!r}")
-
-    z_p = max(0.0, float(psol.objective_value) - 1.0)
-    z_d = max(0.0, float(dsol.objective_value) - 1.0)
+    lp = LinearProgram(sense="max", objective=vals, a_eq=rows.T, b_eq=np.ones(n))
+    sol = solve_lp(lp, _singleton_basis(n, masks))
+    if sol.status != "optimal":
+        raise SolverError(f"balancedness dual reported {sol.status!r}")
+    z_p = max(0.0, float(np.sum(sol.duals)) - 1.0)
+    z_d = max(0.0, float(sol.objective_value) - 1.0)
     return z_p, z_d
-

@@ -486,27 +486,14 @@ class FrechetPolytope:
         reps = [self.class_reps[r][steps[:, r]] for r in range(len(self.dims))]
         return tuple(np.ravel_multi_index(reps, self.dims).tolist()), mass
 
-    def _candidate_sets(self) -> int:
-        """C(K_c, m), the m-column sets over the product of the K_c value
-        class tuples that `vertices` tries, counted only up to just above
-        2^32, far above any vertex cap."""
-        if self._set_count is None:
-            k, m = math.prod(self.class_counts), self.n_rows
-            count = 1  # C(K-m+i, i) grows with i
-            for i in range(1, m + 1):
-                count = count * (k - m + i) // i
-                if count > 1 << 32:
-                    break
-            self._set_count = count
-        return self._set_count
-
     def vertices(self) -> np.ndarray | None:
         """The vertices of the polytope whose support lies on the
         representative atoms (`class_reps`), as the rows of a read-only
         (V, K) matrix in the order the enumeration meets them; None when
         the product of value classes has more than `_VERTEX_CAP` candidate
-        column sets (the count is compared on every call, so a patched cap
-        applies to a table already built).
+        column sets, the C(K_c, m) sets of m columns over its K_c class
+        tuples. That count is exact, taken once, and compared on every
+        call, so a patched cap applies to a table already built.
 
         Without duplicate atoms that is every vertex. With them, every
         objective that depends on the atoms only through their values, as
@@ -532,7 +519,9 @@ class FrechetPolytope:
         single point, which the consistency rows give directly. Raises
         SolverError unless every row meets the consistency rows within
         1e-12."""
-        if self._candidate_sets() > _VERTEX_CAP:
+        if self._set_count is None:
+            self._set_count = math.comb(math.prod(self.class_counts), self.n_rows)
+        if self._set_count > _VERTEX_CAP:
             return None
         if self._vertices is None:
             # The joint atom of representatives of every class tuple.

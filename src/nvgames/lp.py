@@ -11,7 +11,9 @@ Dantzig pricing by default, its ties within `PIVOT_TOL` going to the
 lowest column id; after `_BLAND_AFTER` consecutive degenerate pivots the
 solver switches to Bland's rule for the rest of the phase, which
 guarantees termination. Free variables are handled internally by
-splitting, finite lower bounds by shifting.
+splitting, finite lower bounds by shifting. That general form (inequality
+rows, free or shifted variables) serves outside callers; every program the
+package itself builds is its own standard form.
 
 A `LinearProgram` builds the standard form of its constraint matrices,
 bounds and right-hand side once (split and slack columns, the right-hand

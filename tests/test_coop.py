@@ -161,9 +161,10 @@ class TestBalancedness:
     def test_a_table_without_proper_coalitions_is_balanced(self):
         assert balancedness_duality_pair({}, n=2) == (0.0, 0.0)
 
-    def test_an_uncovered_player_leaves_the_primal_unbounded(self):
-        # Player 1 is in no coalition of the table: x_1 falls without bound.
-        with pytest.raises(SolverError, match="balancedness primal reported 'unbounded'"):
+    def test_an_uncovered_player_makes_the_dual_infeasible(self):
+        # Player 1 is in no coalition of the table: no weights cover it
+        # once (and x_1 of the primal falls without bound).
+        with pytest.raises(SolverError, match="balancedness dual reported 'infeasible'"):
             balancedness_duality_pair({0b01: 0.5}, n=2)
 
     def test_primal_dual_always_agree(self):

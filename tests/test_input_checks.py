@@ -84,6 +84,9 @@ CASES = [
      r"allocation has shape \(1,\), expected \(2,\)"),
     ("empty-ratio-table", lambda: balancedness_duality_pair({}), InputError,
      "empty ratio table and no player count given"),
+    ("ratio-table-mask",
+     lambda: balancedness_duality_pair({0b101: 5.0, 0b01: 0.2, 0b10: 0.3}, n=2), InputError,
+     r"coalition mask 5 has members outside 0\.\.1"),
     # distributions
     ("atoms-ndim", lambda: DiscreteMarginal(np.ones((1, 1, 1)), [1.0]), InputError,
      r"atoms must be a \(K, dim\) matrix"),

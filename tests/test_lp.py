@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from nvgames import coop
 from nvgames import lp as lp_module
-from nvgames.distributions import FrechetPolytope, _incidence_rows
+from nvgames.distributions import FrechetPolytope, _incidence_rows, independent_joint
 from nvgames.errors import InputError, SolverError
 from nvgames.lp import FEAS_TOL, IncidenceOperator, LinearProgram, solve_lp
+from nvgames.robust_game import RobustGameSolver
+from nvgames.stress import run_stress
 
-from conftest import random_instance
+from conftest import lp_path_only, make_example1, random_instance
+from test_stress import small_cfg
 from oracles import (
     active_set_vertices,
     column_basis_vertices,
@@ -658,3 +662,50 @@ class TestRuntimeChecks:
         lp = LinearProgram("max", [1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0])
         with pytest.raises(SolverError, match="pivot limit exceeded"):
             solve_lp(lp)
+
+
+class TestPackagePrograms:
+    def test_every_program_is_its_own_standard_form(self, simplex_phases, monkeypatch):
+        # Every program the package builds, over example 1's table, sigma
+        # and least core, a stress run, an LP-path draw, a deterministic
+        # least core and a balancedness check: equality rows only, every
+        # variable at lower bound 0, so its standard form is the caller's
+        # matrix with no added column, and every solve starts from a
+        # feasible basis. The balancedness check solves one program.
+        built, solves = [], []
+        init = lp_module._Standardized.__init__
+
+        def recording_init(self, program):
+            init(self, program)
+            built.append((self, program))
+
+        solve = coop.solve_lp
+        monkeypatch.setattr(lp_module._Standardized, "__init__", recording_init)
+        monkeypatch.setattr(coop, "solve_lp",
+                            lambda lp, start=None: solves.append(lp) or solve(lp, start))
+
+        solver = RobustGameSolver(make_example1(24))
+        y = solver.grand_wc.y_star
+        solver.table(y)
+        solver.sigma(y)
+        solver.least_core()
+        run_stress(small_cfg())
+        with lp_path_only():
+            drawn = RobustGameSolver(random_instance(5, atoms_per_block=(2, 3)))
+            drawn.table(drawn.grand_wc.y_star)
+        inst = random_instance(6)
+        coop.least_core(coop.build_deterministic_game(inst, independent_joint(inst)))
+        rng = np.random.default_rng(36)
+        for n in range(2, 7):
+            del solves[:]
+            table = {m: float(v) for m, v in enumerate(rng.uniform(0.0, 0.9, 1 << n)) if m}
+            coop.balancedness_duality_pair(table, n)
+            assert len(solves) == 1
+
+        kinds = {type(program.a_eq) for _std, program in built}
+        assert kinds == {np.ndarray, IncidenceOperator}
+        for std, program in built:
+            assert program.a_ub.shape[0] == 0
+            assert not np.any(program.lower_bounds)
+            assert std.a is program.a_eq and std.n == program.n_vars
+        assert simplex_phases and 1 not in simplex_phases

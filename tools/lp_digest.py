@@ -5,7 +5,9 @@ Usage: `python tools/lp_digest.py [SRC_DIR]` imports `nvgames` from SRC_DIR
 
 - cold-started general programs: equality and inequality rows with
   right-hand sides of both signs, free variables and shifted lower bounds;
-- random stability tables through `coop.solve_stability_lp`;
+- random stability tables through `coop.solve_stability_lp`, every fourth
+  with player 0's pair {0, 1} in place of its singleton, so that a quarter
+  of them start cold;
 - crash-started LPs over the consistency polytopes of `stress.gen_instance`
   draws;
 - two-block polytopes of 40-90 value classes per block (79-179 rows):
@@ -63,6 +65,10 @@ def stability_tables(count: int):
         if i % 2:
             singles = 1 << np.arange(n)
             masks = np.union1d(singles, masks[rng.random(masks.size) < 0.5])
+        if i % 4 == 1:
+            # Player 0's pair in place of its singleton: no singleton basis,
+            # so the solve starts cold and runs phase 1.
+            masks = np.union1d(masks[masks != 1], [3])
         values = rng.uniform(-1.0, 1.0, masks.size) if i % 3 else rng.choice([0.0, 0.5], masks.size)
         total = (float(rng.uniform(0.1, 2.0) * n), 0.0, float(-rng.uniform(0.1, 2.0)))[i % 3]
         yield n, {int(m): float(v) for m, v in zip(masks, values)}, total
