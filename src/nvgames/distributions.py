@@ -40,6 +40,9 @@ CONSISTENCY_TOL = 1e-9
 # broke even and 3 x 6 took 1.2-1.4x longer, after enumerations of
 # 0.04-0.07 s.
 _VERTEX_CAP = 32768
+# The candidate column sets are counted exactly up to this ceiling, far
+# above any cap; past it the count stops (`_capped_set_count`).
+_SET_COUNT_CEILING = 2**64
 # Column sets per batch of the enumeration and of the basis inverses: bounds
 # their memory (at 512 the stress experiment's peak RSS rose 0.3 MB, at 256
 # 0.17 MB; inverting every 4 x 4 basis at once raised it by 4 MB).
@@ -492,7 +495,8 @@ class FrechetPolytope:
         (V, K) matrix in the order the enumeration meets them; None when
         the product of value classes has more than `_VERTEX_CAP` candidate
         column sets, the C(K_c, m) sets of m columns over its K_c class
-        tuples. That count is exact, taken once, and compared on every
+        tuples. That count is taken once (`_capped_set_count`), exact up to
+        `_SET_COUNT_CEILING` and stopped past it, and compared on every
         call, so a patched cap applies to a table already built.
 
         Without duplicate atoms that is every vertex. With them, every
@@ -520,7 +524,7 @@ class FrechetPolytope:
         SolverError unless every row meets the consistency rows within
         1e-12."""
         if self._set_count is None:
-            self._set_count = math.comb(math.prod(self.class_counts), self.n_rows)
+            self._set_count = _capped_set_count(math.prod(self.class_counts), self.n_rows)
         if self._set_count > _VERTEX_CAP:
             return None
         if self._vertices is None:
@@ -620,6 +624,22 @@ class FrechetPolytope:
             total = np.add(total[:, :, None], vals[rows][:, None, cls], order="C")
             total = total.reshape(len(masks), -1)
         return total
+
+
+def _capped_set_count(n: int, m: int) -> int:
+    """C(n, m), the m-column sets over n columns (0 <= m <= n), when it is
+    at most `_SET_COUNT_CEILING`, else `_SET_COUNT_CEILING` + 1. Counted by
+    the multiplicative recurrence C(n, i + 1) = C(n, i) (n - i) / (i + 1),
+    each step exact, over i < min(m, n - m); the counts grow along it, so
+    it stops as soon as one passes the ceiling. C(n, i) >= 2^i there, so
+    that takes at most 65 steps, where `math.comb` costs about the size of
+    the whole number (11.6 s for C(10^6, 500 001))."""
+    count = 1
+    for i in range(min(m, n - m)):
+        count = count * (n - i) // (i + 1)
+        if count > _SET_COUNT_CEILING:
+            return _SET_COUNT_CEILING + 1
+    return count
 
 
 def _incidence_rows(

@@ -41,7 +41,9 @@ Pricing works in place: ``y @ A`` returns a fresh array, and the simplex's
 pricing and the certificate's each write the reduced costs into it
 (`_reduced_costs`), so a pricing pass over the 40 000 columns of example 1
 at K=200 allocates one K-long vector, not three. The certificate prices its
-duals itself and never reads the simplex's reduced costs.
+duals itself and never reads the simplex's reduced costs; it drops that
+pricing vector before it builds the dense solution, so the two are never
+alive together.
 For two blocks it is a transportation polytope: every basis is a spanning
 tree of the blocks' value classes and has an inverse with entries in
 {-1, 0, 1} (Hoffman-Kruskal 1956). `IncidenceOperator.tree_factor` keeps the
@@ -872,6 +874,12 @@ def solve_lp(
     differ), or that solve's `LpSolution`, which also lends its basis
     inverse when it is fresh.
     An unusable basis silently falls back to a cold two-phase start.
+
+    After the simplex stops, `_check_certificate` checks the reduced costs
+    under the duals, then builds the dense standard-form solution, then
+    checks the duality gap over its basic columns; x is recovered from that
+    solution in place, and last its feasibility on the caller's data is
+    checked.
     """
     factor = None
     if isinstance(start_basis, LpSolution):
@@ -882,15 +890,12 @@ def solve_lp(
     if status != "optimal":
         return LpSolution(status=status, iterations=sx.iterations)
 
-    z = np.zeros(std.n)
-    z[sx.basis] = np.maximum(sx.x_b, 0.0)
-    basic = np.sort(sx.basis)
     # Duals of the standard-form rows, zero on dropped rows.
     y = sx.y
     if sx.m < std.m:
         y = np.zeros(std.m)
         y[sx.row_ids] = sx.y
-    _check_certificate(lp, sx.c, sx.negated, z, basic, y)
+    z, basic = _check_certificate(lp, sx.c, sx.negated, sx.basis, sx.x_b, y)
     x = std.recover_x(z)  # in place: z is not read again
     _check_solution(lp, x)
     support = std.support(basic)
@@ -936,23 +941,32 @@ def _reduced_costs(c: np.ndarray, negated: bool, r: np.ndarray) -> np.ndarray:
 
 
 def _check_certificate(
-    lp: LinearProgram, c: np.ndarray, negated: bool, z: np.ndarray, basic: np.ndarray,
+    lp: LinearProgram, c: np.ndarray, negated: bool, basis: np.ndarray, x_b: np.ndarray,
     y: np.ndarray,
-) -> None:
-    """Raise SolverError unless the duals `y` certify `z`, zero off its
-    ascending basic columns `basic`, optimal for the standard form A z = b
-    of `lp` with cost `c` (-c when `negated`): every reduced cost is at
-    least -OPT_TOL (the simplex's own optimality test) and the cost of z
-    equals b'y up to the primal tolerance scaled by |b|'|y|. A'y is priced
-    here from y itself, never taken from the simplex."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raise SolverError unless the duals `y` certify optimal, for the
+    standard form A z = b of `lp` with cost `c` (-c when `negated`), the
+    basic solution z that is `x_b` (clipped at 0) on the columns `basis`
+    and zero elsewhere; return (z, its basic columns in ascending order).
+
+    In this order: every reduced cost is at least -OPT_TOL (the simplex's
+    own optimality test), with A'y priced here from y itself, never taken
+    from the simplex; then the dense z is built, once that K-long pricing
+    vector is gone; then the cost of z, over its basic columns alone
+    (`support_dot`), must equal b'y up to the primal tolerance scaled by
+    |b|'|y|."""
     b = lp._b
     worst = _reduced_costs(c, negated, y @ lp._std.a).min()
     if worst < -OPT_TOL:
         raise SolverError(
             f"reduced cost {worst:.3e} is below -{OPT_TOL:g}; the basis is not optimal"
         )
+    z = np.zeros(lp._std.n)
+    z[basis] = np.maximum(x_b, 0.0)
+    basic = np.sort(basis)
     cz = support_dot(c, z, basic)
     gap = abs((-cz if negated else cz) - b @ y)
     tol = 100 * FEAS_TOL * max(1.0, np.abs(b) @ np.abs(y))
     if gap > tol:
         raise SolverError(f"duality gap {gap:.3e} exceeds tolerance {tol:.3e}")
+    return z, basic

@@ -14,11 +14,11 @@ joints. Every expected profit at an order is `_profit` of its expected
 shortage, taken as one BLAS dot: per (row, joint) in the kernel's tail,
 `order_profits`, and directly in the scalar entry points `expected_profit`
 and `coupled_profit`. The action-interval scan takes `coupled_profit`'s
-dots at every kink past the peak as the rows of one `row_dots` call. A
-value does not depend on the other rows or joints, so the batched callers
-(`worst_case_orders` once per block, `optimal_orders` over every
-coalition, the stress excess pass over chunks of joints, the kink scan)
-and the one-coalition entry points give the same floats.
+dots at every kink past the peak as the rows of `row_dots` calls, one per
+block of kinks. A value does not depend on the other rows or joints, so the
+batched callers (`worst_case_orders` once per block, `optimal_orders` over
+every coalition, the stress excess pass over chunks of joints, the kink
+scan) and the one-coalition entry points give the same floats.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ from .errors import GameInvalidError, InputError, SolverError
 from .lp import sorted_distinct
 
 _QUANTILE_EPS = 1e-12
+
+# Floats per block of the blocked passes over K-long data (the kink scan
+# here; the candidate orders and the Dinkelbach objectives in `robust_game`):
+# 64 KB, so no block's temporary is a K-long array.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,11 +299,19 @@ def lemma3_condition(inst: Instance) -> bool:
 
 def _kink_profits(inst: Instance, coupling: tuple, y: float) -> tuple[np.ndarray, np.ndarray]:
     """(kinks, g): the distinct sums of `coupling` above y, ascending, and
-    `coupled_profit` at each, its BLAS dots as the rows of one `row_dots`
-    call, so every value has the bits of a `coupled_profit` call."""
+    `coupled_profit` at each. The kinks run in blocks of `_BLOCK` // (number
+    of sums) rows, at least one: each block's shortages (kink - sums)^+ are
+    formed in one array and their BLAS dots with the weights taken as the
+    rows of one `row_dots` call, so every value has the bits of a
+    `coupled_profit` call and no (kinks x sums) matrix is built."""
     sums, weights, _q = coupling
     kinks = sorted_distinct(sums[sums > y])
-    shortage = row_dots(np.maximum(kinks[:, None] - sums, 0.0), weights[None, :])
+    shortage = np.empty(kinks.size)
+    rows = max(1, _BLOCK // sums.size)
+    for i in range(0, kinks.size, rows):
+        block = kinks[i : i + rows, None] - sums
+        np.maximum(block, 0.0, out=block)
+        shortage[i : i + rows] = row_dots(block, weights[None, :])
     return kinks, _profit(inst, kinks, shortage)
 
 

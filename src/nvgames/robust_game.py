@@ -58,19 +58,22 @@ coalitions and orders y alike.
 
 Every product of a K-vector with an LP solution, or with a starting vertex,
 runs over that joint's support alone (`lp.support_dot`, and `_ratio`, which
-takes the joint as its masses at its ascending support): the basis columns
-of the solution or of the countermonotonic start, the atoms of the
-comonotonic joint. A vertex has at most n_rows nonzero atoms out of K (399
+takes the joint as its masses at its ascending support and the numerator
+at those atoms alone): the basis columns of the solution or of the
+countermonotonic start, the atoms of the comonotonic joint. A vertex has at most n_rows nonzero atoms out of K (399
 of 40 000 in example 1 at K = 200), and OpenBLAS runs a product over more
 than 10 000 atoms on two threads (see `lp`). The LP path's tables keep each
 witness's support beside it for the slopes of sigma. The countermonotonic
 start is held as its support and masses alone, never as a K-long joint;
 the first LP solution replaces it as the coalition's joint. The LP path's
-K-long vectors are its demand rows, one denominator per solver and order
-y (`_denominator`, shared with the vertex path), one numerator per
-candidate order and one objective per Dinkelbach step, each formed in one
-array with the out-of-place formula's bits (`_atom_profits`,
-`_dinkelbach_objective`).
+K-long vectors are the demand row of the coalition being solved (formed
+for each table, not kept), one denominator per solver and order y
+(`_denominator`, shared with the vertex path), and one objective per
+Dinkelbach step, num - lam den formed in place in the numerator's own
+array with the out-of-place formula's bits (`_atom_profits`); besides
+those, only the LP solutions that a table or a start keeps. Passes over a
+K-long row that would make a K-long temporary run in blocks of
+`newsvendor._BLOCK` floats.
 
 Small polytopes skip the LPs. A linear-fractional program with a positive
 denominator attains its maximum at a vertex (Charnes-Cooper 1962), so when
@@ -149,6 +152,7 @@ from .distributions import (
 from .errors import DomainError, GameInvalidError, InputError, SolverError
 from .lp import LpSolution, sorted_distinct
 from .newsvendor import (
+    _BLOCK,
     _profit,
     comonotonic_coupling,
     coupled_profit,
@@ -321,6 +325,11 @@ class RobustGameSolver:
         atoms the joint may be nonzero at, and its masses there. No K-long
         joint is built for a start.
 
+        The coalition's record (`_coalition_cache`) keeps gammas, shortage
+        and start, but not the K-long d_s: that is formed anew on every
+        call, so a coalition's demand row (320 KB at example 1, K=200)
+        lives only while its own ratio LPs run.
+
         Before the first solve, for R = 2 the start is the countermonotonic
         vertex (its basis in walk order), which attains the bound, then
         exact: the countermonotonic coupling of the two block aggregates
@@ -331,13 +340,10 @@ class RobustGameSolver:
         basis with the comonotonic joint of `min_grand_profit`. After a
         solve, `vmax_entry` puts the solution that attained the ratio in
         its place."""
+        d_s = self.poly.coalition_demands(mask)
         hit = self._coalition_cache.get(mask)
         if hit is not None:
-            return hit
-        # Formed as its ratio LPs need it: a batch would keep every
-        # coalition's row alive through the first coalition's LPs (0.3 MB
-        # more peak RSS at example 1, K=200).
-        d_s = self.poly.coalition_demands(mask)
+            return (d_s, *hit)
         gammas = _candidate_orders(d_s[None, :])[0]
         values = self.poly.coalition_block_values(mask)
         if self.inst.n_blocks == 2:
@@ -353,8 +359,8 @@ class RobustGameSolver:
             shortage = np.maximum(gammas - mean, 0.0)
             support = self._grand_support
             start = (self.poly.crash_basis, support, self._grand_coupling[2][support])
-        self._coalition_cache[mask] = (d_s, gammas, shortage, start)
-        return self._coalition_cache[mask]
+        self._coalition_cache[mask] = (gammas, shortage, start)
+        return d_s, gammas, shortage, start
 
     def _blocks_met(self, mask: int) -> list[int]:
         return [r for r, bm in enumerate(self._block_masks) if mask & bm]
@@ -372,24 +378,36 @@ class RobustGameSolver:
     # -- v_max -------------------------------------------------------------
 
     def _dinkelbach(
-        self, num: np.ndarray, den: np.ndarray, lam: float,
-        start: LpSolution | tuple[int, ...], mask: int, gamma: float,
+        self, gamma: float, d_s: np.ndarray, den: np.ndarray, lam: float,
+        start: LpSolution | tuple[int, ...], mask: int,
     ) -> tuple[LpSolution, float]:
-        """Raise lam, a ratio num@q / den@q some consistent q attains, until
-        F(lam) = max over consistent q of (num - lam den) @ q is at most
-        _DINKELBACH_TOL, solving from `start` (an LpSolution or a basis);
-        returns that last LP solution and lam."""
+        """Raise lam, a ratio num@q / den@q some consistent q attains, with
+        num the coalition's profit at order gamma against its demands d_s,
+        until F(lam) = max over consistent q of (num - lam den) @ q is at
+        most _DINKELBACH_TOL, solving from `start` (an LpSolution or a
+        basis); returns that last LP solution and lam.
+
+        Each step's objective is num, formed in the array `_atom_profits`
+        returns, less lam den in place, block by block: the bits of the
+        out-of-place num - lam * den, with no K-long num or lam den beside
+        it. Each ratio reads num on the vertex's support alone."""
         for _ in range(_DINKELBACH_MAX_STEPS):
+            objective = _atom_profits(self.inst, gamma, d_s)
+            for i in range(0, objective.size, _BLOCK):
+                objective[i : i + _BLOCK] -= lam * den[i : i + _BLOCK]
             # Called through the module: bench/tracing.py traces the ratio
             # LPs by rebinding nvgames.lp.solve_lp.
-            sol = lp.solve_lp(self.poly.lp(_dinkelbach_objective(num, den, lam)), start)
+            sol = lp.solve_lp(self.poly.lp(objective), start)
+            del objective  # freed before the next step forms its own
             if sol.status != "optimal":
                 raise SolverError(
                     f"ratio LP for coalition {mask:#x} at gamma={gamma} reported {sol.status!r}"
                 )
             if sol.objective_value <= _DINKELBACH_TOL:
                 return sol, lam
-            ratio = _ratio(num, den, sol.support, sol.x[sol.support])
+            support = sol.support
+            num = _atom_profits(self.inst, gamma, d_s[support])
+            ratio = _ratio(num, den, support, sol.x[support])
             if not ratio > lam:
                 raise SolverError(
                     f"Dinkelbach step for coalition {mask:#x} at gamma={gamma} left the "
@@ -507,7 +525,13 @@ class RobustGameSolver:
         """v_max(y, S) of coalition `mask` on a polytope without a vertex
         table: the known block value over vmin for a coalition inside one
         block, else the screened Dinkelbach ratio LPs. `q_min` is the
-        comonotonic joint of `min_grand_profit`."""
+        comonotonic joint of `min_grand_profit`.
+
+        A spanning coalition's K-long demand row is formed for the call
+        (`_coalition_data`) and dropped with it. Its record keeps the
+        candidate orders, the shortage bounds and the start, which after
+        the call is the LP solution that attained the ratio, with its
+        support and masses there: that solution's x is the entry's joint."""
         if len(self._blocks_met(mask)) == 1:
             y_s, vbar = self._block_value(mask)
             return VmaxResult(vbar / vmin, y_s, q_min, self._grand_support)
@@ -521,19 +545,18 @@ class RobustGameSolver:
             if best is not None and ubs[idx] <= best:
                 break  # remaining candidates are bounded below the incumbent
             gamma = float(gammas[idx])
-            num = _atom_profits(self.inst, gamma, d_s)
-            lam = _ratio(num, den, support, mass)
+            lam = _ratio(_atom_profits(self.inst, gamma, d_s[support]), den, support, mass)
             if best is not None:
                 lam = max(lam, best)
-            sol, lam = self._dinkelbach(num, den, lam, start, mask, gamma)
+            sol, lam = self._dinkelbach(gamma, d_s, den, lam, start, mask)
             if best is None or lam > best:
                 # F(lam) <= tol, so this vertex is within tol / vmin of the
                 # optimum; its own ratio is the value reported.
                 support, mass = sol.support, sol.x[sol.support]
-                best = _ratio(num, den, support, mass)
+                best = _ratio(_atom_profits(self.inst, gamma, d_s[support]), den, support, mass)
                 best_gamma, start = gamma, sol
         # The first candidate is always solved, so `start` is an LpSolution.
-        self._coalition_cache[mask] = (d_s, gammas, shortage, (start, support, mass))
+        self._coalition_cache[mask] = (gammas, shortage, (start, support, mass))
         return VmaxResult(best, best_gamma, start.x, support)
 
     def _admissible_min_profit(self, y: float) -> tuple[float, np.ndarray]:
@@ -765,18 +788,26 @@ class RobustGameSolver:
 def _candidate_orders(demands: np.ndarray) -> list[np.ndarray]:
     """Per row of `demands` (a coalition's demand at every joint atom), its
     distinct values, ascending, less those within 1e-12 of the one before:
-    the orders v_max has to try. One row-wise sort serves every row."""
+    the orders v_max has to try. One row-wise sort serves every row. The
+    keep mask compares the differences of neighbours in the sorted copy
+    over blocks of `_BLOCK` columns, the subtractions of `np.diff`, so no
+    K-long difference is built."""
     ordered = np.sort(demands, axis=1)
     keep = np.ones(ordered.shape, dtype=bool)
-    keep[:, 1:] = np.diff(ordered, axis=1) > 1e-12
+    width = ordered.shape[1]
+    for i in range(1, width, _BLOCK):
+        j = min(i + _BLOCK, width)
+        np.greater(ordered[:, i:j] - ordered[:, i - 1 : j - 1], 1e-12, out=keep[:, i:j])
     return [row[k] for row, k in zip(ordered, keep)]
 
 
 def _ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray, mass: np.ndarray) -> float:
     """num @ q / den @ q for the joint q that is `mass` at the ascending atom
-    ids `support` and zero elsewhere: the products run over those entries
-    alone, in that order, as `lp.support_dot` runs them."""
-    return float(num[support] @ mass) / float(den[support] @ mass)
+    ids `support` and zero elsewhere, given num at those atoms alone (as
+    `_atom_profits` forms it from their demands) and den at every atom: the
+    products run over those entries alone, in that order, as
+    `lp.support_dot` runs them."""
+    return float(num @ mass) / float(den[support] @ mass)
 
 
 def _atom_profits(inst: Instance, y: float, demands: np.ndarray) -> np.ndarray:
@@ -787,12 +818,6 @@ def _atom_profits(inst: Instance, y: float, demands: np.ndarray) -> np.ndarray:
     out = y - demands
     np.maximum(out, 0.0, out=out)
     return _profit(inst, y, out, out=out)
-
-
-def _dinkelbach_objective(num: np.ndarray, den: np.ndarray, lam: float) -> np.ndarray:
-    """num - lam * den, formed in one new array with those bits."""
-    out = lam * den
-    return np.subtract(num, out, out=out)
 
 
 def _expected_shortage(gammas: np.ndarray, values: np.ndarray, mass: np.ndarray) -> np.ndarray:

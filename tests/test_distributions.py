@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -306,6 +307,29 @@ class TestPolytope:
         with lp_path_only():
             assert poly.vertices() is None
         assert poly.vertices() is not None
+
+    def test_set_count_stops_past_its_ceiling_on_a_huge_two_block_shape(self):
+        # 2 x 50 000 atoms: C(100 000, 50 001) candidate column sets, a
+        # number of 99 992 bits if counted exactly. The count stops once it
+        # passes its ceiling, and the cap still refuses the table.
+        rng = np.random.default_rng(14)
+        inst = Instance(1.5, 1.0, ((0,), (1,)), (
+            marginal([[1.0], [2.0]], [0.5, 0.5]),
+            marginal(rng.permutation(50_000)[:, None] + 1.0, np.full(50_000, 1.0 / 50_000)),
+        ))
+        poly = FrechetPolytope(inst)
+        assert poly.vertices() is None
+        assert poly._set_count > distributions._VERTEX_CAP
+        assert poly._set_count.bit_length() <= 65
+
+    def test_set_count_is_exact_below_its_ceiling(self):
+        ceiling = distributions._SET_COUNT_CEILING
+        for n in range(80):
+            for m in range(n + 1):
+                want = math.comb(n, m)
+                got = distributions._capped_set_count(n, m)
+                assert got == (want if want <= ceiling else ceiling + 1)
+        assert distributions._capped_set_count(16, 7) == 11_440  # the stress shape
 
     def test_one_class_shape_shares_its_column_bases(self):
         # Two 3 x 4 draws whose atoms sort into different class labels, so

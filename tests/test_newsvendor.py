@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nvgames import newsvendor
 from nvgames.distributions import independent_joint, sample_extremal, contaminate
 from nvgames.errors import GameInvalidError, InputError, SolverError
 from nvgames.newsvendor import (
@@ -243,8 +244,8 @@ class TestGrandActionInterval:
         assert lo <= 1.0
 
     def test_kink_scan_keeps_the_scalar_bits(self):
-        # g at every kink past the peak from one row_dots call: the bits of
-        # one coupled_profit call per kink, on example 1 and the
+        # g at every kink past the peak from blocked row_dots calls: the
+        # bits of one coupled_profit call per kink, on example 1 and the
         # criterion-3 shapes.
         rng = np.random.default_rng(1003)
         insts = [make_example1(200)] + [rand_shape_instance(rng, n_max=5, k_max=3)
@@ -260,6 +261,24 @@ class TestGrandActionInterval:
             scanned += kinks.size
         assert scanned > 200
         assert grand_action_interval(make_example1(200)) == (0.0, 2.2537499999999997)
+
+    @pytest.mark.parametrize("block", [None, 1_000, 1_500])
+    def test_kink_scan_keeps_the_scalar_bits_across_blocks(self, monkeypatch, block):
+        # Example 1 at K = 200 has 265 kinks past the peak over 399 sums:
+        # blocks of 20 rows at the default block size, of 2 and 3 rows at
+        # the smaller ones, each leaving a shorter last block. Every kink,
+        # at a block edge or not, keeps the bits of its own coupled_profit.
+        if block is not None:
+            monkeypatch.setattr(newsvendor, "_BLOCK", block)
+        inst = make_example1(200)
+        coupling = comonotonic_coupling(inst, inst.grand_mask)
+        y_peak = worst_case_order(inst, inst.grand_mask).y_star
+        rows = max(1, newsvendor._BLOCK // coupling[0].size)
+        kinks, g = _kink_profits(inst, coupling, y_peak)
+        assert kinks.size > rows and kinks.size % rows
+        want_kinks, want_g = scalar_kink_profits(inst, coupling, y_peak)
+        assert kinks.tobytes() == want_kinks.tobytes()
+        assert g.tobytes() == want_g.tobytes()
 
     def test_a_nonpositive_peak_raises_when_a_block_demand_is_positive(self, t1):
         # A corrupted worst-case order far past the largest demand: g is

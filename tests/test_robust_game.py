@@ -875,15 +875,35 @@ class TestRatioLpFootprint:
             got = rg_module._atom_profits(inst, y, demands)
             assert got.tobytes() == want.tobytes()  # signed zeros included
 
-    def test_dinkelbach_objective_keeps_the_out_of_place_bits(self):
+    def test_dinkelbach_objective_keeps_the_out_of_place_bits(self, monkeypatch):
+        # Each step's objective is the numerator's own array less lam den,
+        # block by block. On example 1 at K = 100 (10 000 atoms: one full
+        # block and a shorter one) it has the bytes of num - lam * den,
+        # signed zeros included, for every lam tried at the first step.
+        class Captured(Exception):
+            pass
+
+        objectives = []
+
+        def captured(program, start=None):
+            objectives.append(program.objective)
+            raise Captured
+
+        solver = RobustGameSolver(make_example1(100))
+        atoms, block = solver.poly.n_atoms, rg_module._BLOCK
+        assert atoms > block and atoms % block
+        monkeypatch.setattr(lp_module, "solve_lp", captured)
         rng = np.random.default_rng(12)
-        for _ in range(300):
-            num, den = rng.normal(size=(2, 64)) * rng.choice([1e-3, 1.0, 1e3], (2, 1))
-            num[rng.random(64) < 0.2] = rng.choice([0.0, -0.0])
-            lam = float(rng.choice([0.0, -0.0, rng.normal(), 1.0 / 3.0]))
-            for lam_ in (lam, np.float64(lam)):
-                want = num - lam_ * den
-                assert rg_module._dinkelbach_objective(num, den, lam_).tobytes() == want.tobytes()
+        y = solver.grand_wc.y_star
+        den = solver._denominator(y)
+        for mask in (0b101, 0b110):
+            d_s, gammas, _shortage, (start, _support, _mass) = solver._coalition_data(mask)
+            for gamma in [0.0, *rng.choice(gammas, 4).tolist()]:
+                num = _profit(solver.inst, gamma, np.maximum(gamma - d_s, 0.0))
+                for lam in (0.0, -0.0, 1.0 / 3.0, float(rng.normal()), np.float64(rng.normal())):
+                    with pytest.raises(Captured):
+                        solver._dinkelbach(gamma, d_s, den, lam, start, mask)
+                    assert objectives[-1].tobytes() == (num - lam * den).tobytes()
 
     def test_denominator_is_formed_once_per_order(self):
         solver = RobustGameSolver(make_example1(24))
@@ -924,9 +944,35 @@ class TestRatioLpFootprint:
             q = dense_joint(solver.poly.n_atoms, walk_basis, walk_mass)
             for gamma in gammas.tolist():
                 num = _profit(inst, gamma, np.maximum(gamma - d_s, 0.0))
-                assert rg_module._ratio(num, den, support, mass) == dense_ratio(
+                assert rg_module._ratio(num[support], den, support, mass) == dense_ratio(
                     num, den, q, np.sort(walk_basis))
         assert walks
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_candidate_orders_keep_the_one_shot_diff_across_blocks(monkeypatch, block):
+    # Rows longer than two blocks whose neighbours at every block edge lie
+    # within 1e-12 of each other, at it or just beyond it: the blockwise
+    # keep mask gives the bytes of the one-shot np.diff form, for three rows
+    # at once and for one.
+    if block is not None:
+        monkeypatch.setattr(rg_module, "_BLOCK", block)
+    b = rg_module._BLOCK
+    k = 2 * b + 37
+    rng = np.random.default_rng(15)
+    steps = rng.choice([0.0, 1e-13, 1e-12, 2e-12, 1e-3], size=(3, k))
+    edges = np.arange(1, k, b)  # each block's first column
+    steps[:, edges] = rng.choice([0.0, 5e-13, 1e-12, 1.5e-12], size=(3, edges.size))
+    ordered = 3.0 + np.cumsum(steps, axis=1)
+    gaps = np.diff(ordered, axis=1)[:, edges - 1]
+    assert np.any((gaps > 0.0) & (gaps <= 1e-12)) and np.any(gaps > 1e-12)
+    keep = np.ones(ordered.shape, dtype=bool)
+    keep[:, 1:] = np.diff(ordered, axis=1) > 1e-12
+    want = [row[kept] for row, kept in zip(ordered, keep)]
+    demands = rng.permuted(ordered, axis=1)
+    got = rg_module._candidate_orders(demands)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert rg_module._candidate_orders(demands[1:2])[0].tobytes() == want[1].tobytes()
 
 
 class TestDecision:

@@ -58,9 +58,9 @@ def test_line_trace_lists_the_lines_no_test_runs():
 
 def test_op_footprint_reports_faults_peak_and_long_buffers(capsys):
     # Example 1 at K = 24 (576 atoms, two ratio LPs per operation), three
-    # counted operations: the three lines and their numbers.
+    # counted operations: the four lines and their numbers.
     load_tool("op_footprint").main([str(ROOT / "src"), "--k", "24", "--ops", "3"])
-    faults, peak, buffers = capsys.readouterr().out.splitlines()
+    faults, peak, buffers, growth = capsys.readouterr().out.splitlines()
     head, value = faults.split(": ")
     assert head == "minor page faults per operation" and value.endswith(" (median of 3)")
     assert float(value.split()[0]) >= 0
@@ -71,18 +71,22 @@ def test_op_footprint_reports_faults_peak_and_long_buffers(capsys):
     assert head == "buffers of >= 576 floats at each ratio-LP certificate"
     counts = [int(c) for c in value.split()]
     assert len(counts) == 2 and min(counts) > 0
+    head, value = growth.split(": ")
+    assert head == "peak RSS growth over the first operation" and value.endswith(" MB")
+    assert float(value.split()[0]) >= 0
 
 
 def test_op_footprint_pins_the_ratio_lps_long_buffers():
     # Example 1 at K = 200: the numpy buffers of at least 40 000 floats
-    # alive where its two ratio-LP certificates start. At the second: the
-    # two coalitions' demand rows, the first one's last LP solution, the
-    # second one's numerator, LP objective and solution, the grand demands,
-    # the comonotonic joint and the denominator. The tree before the
-    # in-place ratio LPs held 11 and 14: also the two coalitions' dense
-    # countermonotonic starts, the polytope's zero objective and default
-    # lower bounds, and the max program's negated cost.
+    # alive where its two ratio-LP certificates start. At the first: the
+    # coalition's demand row and LP objective, the grand demands, the
+    # comonotonic joint and the denominator. The second adds the first
+    # coalition's last LP solution, its table entry's joint. The tree
+    # before the blocked passes held 7 and 9: also the coalitions' cached
+    # demand rows, the numerator beside the objective, and the dense
+    # solution, built before the certificate. The one before the in-place
+    # ratio LPs held 11 and 14.
     import nvgames
 
     _inst, _peak, counts = load_tool("op_footprint").traced(nvgames, 200)
-    assert counts == [7, 9]
+    assert counts == [5, 6]

@@ -5,7 +5,7 @@ Usage: `python tools/op_footprint.py [SRC_DIR] [--k K] [--ops N]` imports
 benchmark's example-1 operation: a fresh `RobustGameSolver`, then `table`
 and `sigma` at the worst-case order and `least_core(y_tol=0.02)`, with
 both demands uniform on a grid of K points (default 200, so 40 000 joint
-atoms). It prints three lines:
+atoms). It prints four lines:
 
 - the median minor page faults (`ru_minflt`) of N warm operations
   (default 20), after two unmeasured ones;
@@ -14,12 +14,17 @@ atoms). It prints three lines:
 - at each ratio-LP certificate of that operation (every LP over the
   polytope, taken where `lp._check_certificate` is entered), the number of
   live numpy buffers of at least one float per atom: K^2-long vectors and
-  anything larger.
+  anything larger;
+- the growth of the process's peak RSS (`ru_maxrss`) over its first
+  operation, run on a solver built just before it, as the benchmark runs
+  its first operation on the solver its set-up built. This is measured
+  first, before tracemalloc starts, on its own instance.
 
 Tracing starts before the instance and its polytope are built, so the
 count includes the arrays they hold. The page faults are counted after
 tracing stops. Two source trees measured one after the other on the same
-host compare; the fault count moves with the allocator and the host.
+host compare; the fault count and the peak RSS growth move with the
+allocator and the host.
 """
 
 from __future__ import annotations
@@ -45,12 +50,25 @@ def example1(nv, k: int):
     return nv.Instance(1.5, 1.0, ((0, 1), (2,)), (m1, m2))
 
 
-def operation(nv, inst) -> None:
-    solver = nv.RobustGameSolver(inst)
+def run(solver) -> None:
+    """The benchmark's timed section on `solver`."""
     y = solver.grand_wc.y_star
     solver.table(y)
     solver.sigma(y)
     solver.least_core(y_tol=0.02)
+
+
+def operation(nv, inst) -> None:
+    run(nv.RobustGameSolver(inst))
+
+
+def first_growth(nv, k: int) -> float:
+    """The growth of the process's peak RSS, in MB, over its first
+    operation, on a solver built before it."""
+    solver = nv.RobustGameSolver(example1(nv, k))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    run(solver)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0
 
 
 def long_buffers(n: int) -> int:
@@ -100,6 +118,7 @@ def page_faults(nv, inst, ops: int) -> float:
 
 
 def footprint(nv, k: int = 200, ops: int = 20) -> str:
+    growth = first_growth(nv, k)
     inst, peak, counts = traced(nv, k)
     faults = page_faults(nv, inst, ops)
     return (
@@ -107,6 +126,7 @@ def footprint(nv, k: int = 200, ops: int = 20) -> str:
         f"tracemalloc peak per operation: {peak / 2**20:.2f} MB\n"
         f"buffers of >= {k * k} floats at each ratio-LP certificate: "
         + " ".join(map(str, counts))
+        + f"\npeak RSS growth over the first operation: {growth:.2f} MB"
     )
 
 
