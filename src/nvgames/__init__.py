@@ -15,7 +15,6 @@ from .coop import (
     balancedness_duality_pair,
     build_deterministic_game,
     core_membership,
-    imputation_check,
     least_core,
 )
 from .distributions import (
@@ -24,8 +23,6 @@ from .distributions import (
     FrechetPolytope,
     Instance,
     JointDistribution,
-    check_consistency,
-    contaminate,
     get_polytope,
     independent_joint,
     instance_from_dict,
@@ -49,7 +46,6 @@ from .newsvendor import (
     expected_profit,
     grand_action_interval,
     optimal_order,
-    quantile_order,
     worst_case_order,
     worst_case_shortage,
 )
@@ -67,7 +63,6 @@ from .stress import (
     ExperimentConfig,
     gen_instance,
     run_stress,
-    solve_pair,
     write_csv,
 )
 
@@ -99,14 +94,11 @@ __all__ = [
     "VmaxTable",
     "balancedness_duality_pair",
     "build_deterministic_game",
-    "check_consistency",
-    "contaminate",
     "core_membership",
     "expected_profit",
     "gen_instance",
     "get_polytope",
     "grand_action_interval",
-    "imputation_check",
     "imputation_exists",
     "independent_joint",
     "instance_from_dict",
@@ -114,12 +106,10 @@ __all__ = [
     "least_core",
     "load_instance",
     "optimal_order",
-    "quantile_order",
     "run_stress",
     "sample_extremal",
     "save_instance",
     "solve_lp",
-    "solve_pair",
     "verify_rcore2",
     "worst_case_order",
     "worst_case_shortage",

@@ -165,7 +165,10 @@ def least_core(v: CharacteristicFunction) -> tuple[np.ndarray, float]:
 
 
 def core_membership(v: CharacteristicFunction, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Efficiency plus stability against every nonempty proper coalition."""
+    """Efficiency plus stability against every nonempty proper coalition,
+    both within `tol`, which must be finite and nonnegative."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and nonnegative, got {tol}")
     x = np.asarray(x, dtype=float)
     if x.shape != (v.n,):
         raise InputError(f"allocation has shape {x.shape}, expected ({v.n},)")
@@ -176,17 +179,6 @@ def core_membership(v: CharacteristicFunction, x, tol: float = MEMBERSHIP_TOL) -
         if total < v.values[mask] - tol:
             return False
     return True
-
-
-def imputation_check(v: CharacteristicFunction, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Efficiency plus individual rationality."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (v.n,):
-        raise InputError(f"allocation has shape {x.shape}, expected ({v.n},)")
-    if abs(float(np.sum(x)) - v.grand_value) > tol:
-        return False
-    singles = v.values[[1 << j for j in range(v.n)]]
-    return bool(np.all(x >= singles - tol))
 
 
 def _ratio_table(vmax_table: Mapping, n: int | None) -> tuple[int, list[int], np.ndarray]:

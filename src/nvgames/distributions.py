@@ -1,6 +1,6 @@
 """Instances, the class of joint demand distributions with fixed block
 marginals (a polytope of probability vectors), and generators for
-independent, extremal, and contaminated joints.
+independent and extremal joints.
 
 Index convention: the joint support is the product of the block supports in
 lexicographic order with the **last block fastest**, i.e. joint atom ``k``
@@ -28,9 +28,8 @@ import numpy as np
 from .errors import CapacityError, InputError, SolverError
 from .lp import IncidenceOperator, LinearProgram, solve_lp
 
-DEFAULT_SUPPORT_CAP = 10**6
-
-CONSISTENCY_TOL = 1e-9
+# The most joint atoms that a polytope, a joint or a solver is built over.
+SUPPORT_CAP = 10**6
 
 # The vertex table is built only when the product of value classes has at
 # most this many candidate column sets, C(K_c, m). Measured on a 2-vCPU host
@@ -180,7 +179,14 @@ class Coalition:
 
     @classmethod
     def from_members(cls, members: Iterable[int]) -> "Coalition":
-        return cls(sum(1 << int(i) for i in set(members)))
+        """The coalition of `members`, each an integer >= 0 (`check_int`);
+        raises InputError for anything else, or for a non-iterable."""
+        try:
+            items = list(members)
+        except TypeError:
+            raise InputError(f"coalition members must be iterable, got {members!r}") from None
+        ids = {check_int(i, "coalition member") for i in items}
+        return cls(sum(1 << i for i in ids))
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -277,11 +283,11 @@ def check_probability_rows(q: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_cap(inst: Instance, cap: int) -> int:
+def _check_cap(inst: Instance) -> int:
     k = inst.joint_size()
-    if k > cap:
+    if k > SUPPORT_CAP:
         raise CapacityError(
-            f"joint support has {k} atoms, exceeding the cap of {cap}; "
+            f"joint support has {k} atoms, exceeding the cap of {SUPPORT_CAP}; "
             "refuse to enumerate"
         )
     return k
@@ -292,33 +298,16 @@ def _check_cap(inst: Instance, cap: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def independent_joint(inst: Instance, cap: int = DEFAULT_SUPPORT_CAP) -> JointDistribution:
+def independent_joint(inst: Instance) -> JointDistribution:
     """Product of the block marginals: q_k = prod_r p_r^{l_r}."""
-    _check_cap(inst, cap)
+    _check_cap(inst)
     q = inst.marginals[0].probs
     for m in inst.marginals[1:]:
         q = np.multiply.outer(q, m.probs)
     return JointDistribution(np.ascontiguousarray(q).ravel())
 
 
-def contaminate(
-    p_independent: JointDistribution, p_extremal: JointDistribution, lam: float
-) -> JointDistribution:
-    """Convex mixture with `lam` the weight on the extremal distribution:
-    (1 - lam) * p_independent + lam * p_extremal."""
-    if not (0.0 <= lam <= 1.0):
-        raise InputError(f"contamination weight must lie in [0, 1], got {lam}")
-    if p_independent.n_atoms != p_extremal.n_atoms:
-        raise InputError(
-            f"distributions live on different supports "
-            f"({p_independent.n_atoms} vs {p_extremal.n_atoms} atoms)"
-        )
-    return JointDistribution((1.0 - lam) * p_independent.q + lam * p_extremal.q)
-
-
-def sample_extremal(
-    inst: Instance, cost: Sequence[float], cap: int = DEFAULT_SUPPORT_CAP
-) -> JointDistribution:
+def sample_extremal(inst: Instance, cost: Sequence[float]) -> JointDistribution:
     """A vertex of the consistency polytope maximizing cost @ q: the first
     such row of the polytope's vertex table when it has one and no block
     has duplicate atoms (a cost may tell identical atoms apart, and the
@@ -327,7 +316,7 @@ def sample_extremal(
     The polytope is never empty (the independent joint is feasible), so an
     infeasible LP here is an internal error.
     """
-    poly = get_polytope(inst, cap)
+    poly = get_polytope(inst)
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (poly.n_atoms,):
         raise InputError(
@@ -341,20 +330,6 @@ def sample_extremal(
     else:
         _value, q = poly.maximize(cost)
     return JointDistribution(np.maximum(q, 0.0))
-
-
-def check_consistency(
-    inst: Instance, joint: JointDistribution, tol: float = CONSISTENCY_TOL
-) -> float:
-    """Largest violation of the per-value marginal constraints; raises
-    InputError beyond `tol`."""
-    poly = get_polytope(inst)
-    worst = poly.consistency_gap(joint.q)
-    if worst > tol:
-        raise InputError(
-            f"joint distribution violates marginal consistency by {worst:.3e} (> {tol:g})"
-        )
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +408,10 @@ class FrechetPolytope:
     table); safe to share across threads.
     """
 
-    def __init__(self, inst: Instance, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, inst: Instance):
         self.partition = inst.partition
         self.marginals = inst.marginals
-        self.n_atoms = _check_cap(inst, cap)
+        self.n_atoms = _check_cap(inst)
         self.dims = tuple(m.n_atoms for m in inst.marginals)
 
         # Distinct-value classes per block (duplicate atoms merge).
@@ -565,17 +540,6 @@ class FrechetPolytope:
         rows = np.zeros((cols.shape[0], self.n_atoms))
         rows[np.arange(cols.shape[0])[:, None], atoms[cols]] = np.where(x > _VERTEX_ZERO, x, 0.0)
         return rows
-
-    def consistency_gap(self, q: np.ndarray) -> float:
-        """Largest absolute violation across all per-value class constraints
-        (including the per-block rows the LP system drops as redundant)."""
-        q = np.asarray(q, dtype=float)
-        worst = abs(float(np.sum(q)) - 1.0)
-        atoms = np.unravel_index(np.arange(self.n_atoms), self.dims)
-        for r, probs in enumerate(self.class_probs):
-            got = np.bincount(self.class_of[r][atoms[r]], weights=q, minlength=probs.size)
-            worst = max(worst, float(np.max(np.abs(got - probs))))
-        return worst
 
     def lp(self, objective: np.ndarray) -> LinearProgram:
         """max objective @ q over the polytope."""
@@ -739,14 +703,14 @@ _POLYTOPES: "weakref.WeakKeyDictionary[Instance, FrechetPolytope]" = (
 )
 
 
-def get_polytope(inst: Instance, cap: int = DEFAULT_SUPPORT_CAP) -> FrechetPolytope:
+def get_polytope(inst: Instance) -> FrechetPolytope:
     """The consistency polytope of `inst`, built once per instance and
     freed with it. Raises CapacityError when the joint support exceeds
-    `cap`, whether or not the polytope is already built."""
-    _check_cap(inst, cap)
+    `SUPPORT_CAP`, whether or not the polytope is already built."""
+    _check_cap(inst)
     poly = _POLYTOPES.get(inst)
     if poly is None:
-        poly = FrechetPolytope(inst, cap)
+        poly = FrechetPolytope(inst)
         _POLYTOPES[inst] = poly
     return poly
 
@@ -781,9 +745,11 @@ def instance_from_dict(data: dict) -> Instance:
     for r, entry in enumerate(raw_marginals):
         if not isinstance(entry, dict) or "atoms" not in entry or "probs" not in entry:
             raise InputError(f"marginals[{r}] must be an object with 'atoms' and 'probs'")
+        for key in ("atoms", "probs"):
+            _check_numbers(entry[key], f"marginals[{r}]: {key}")
         try:
             marginals.append(DiscreteMarginal(entry["atoms"], entry["probs"]))
-        except (InputError, ValueError, TypeError) as exc:
+        except (InputError, ValueError, TypeError, OverflowError) as exc:
             raise InputError(f"marginals[{r}]: {exc}") from exc
     try:
         return Instance(
@@ -794,6 +760,16 @@ def instance_from_dict(data: dict) -> Instance:
         )
     except (InputError, ValueError, TypeError) as exc:
         raise InputError(f"instance document invalid: {exc}") from exc
+
+
+def _check_numbers(value, name: str) -> None:
+    """Raise InputError unless `value` is a real number or a nested list of
+    them: a bool is not one, nor a string that numpy would convert."""
+    if isinstance(value, list):
+        for item in value:
+            _check_numbers(item, name)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must hold numbers only, got {value!r}")
 
 
 def read_json(path):

@@ -90,7 +90,12 @@ import numpy as np
 
 from .errors import InputError, SolverError
 
-# Tolerances: instance magnitudes are O(1)-O(1e2) by construction.
+# Absolute tolerances, in the units of each program's data. The stability
+# LP (`coop.solve_stability_lp`) is divided by a power of two near its
+# largest value first, so they act at unit scale there. The Dinkelbach ratio
+# LPs above the vertex cap (`robust_game`, `distributions._VERTEX_CAP`) are
+# not normalized: with demands in the millions their certificate and
+# progress checks can fail.
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
 OPT_TOL = 1e-9

@@ -1,6 +1,7 @@
-"""Deterministic newsvendor quantities: expected profits, quantile-optimal
-orders, worst-case orders over the consistency polytope, and the interval of
-grand-coalition orders whose worst-case profit stays positive.
+"""Deterministic newsvendor quantities: expected profits, critical-ratio
+orders under a known joint, worst-case orders over the consistency polytope,
+and the interval of grand-coalition orders whose worst-case profit stays
+positive.
 
 The worst-case shortage has a closed form. (y - d(S))^+ is convex in
 d(S) = sum_r d_r(S), and among all joints with the given block marginals
@@ -181,15 +182,6 @@ def expected_profit(inst: Instance, q: JointDistribution, y: float, s) -> float:
         raise InputError(f"order quantity must be nonnegative, got {y}")
     d = pushforward(inst, q, s)
     return _profit(inst, y, float(np.maximum(y - d.values, 0.0) @ d.probs))
-
-
-def quantile_order(d: ScalarDemand, ratio: float) -> float:
-    """Smallest support value whose CDF reaches `ratio` less 1e-12
-    (left-continuous generalized inverse; duplicated atoms merge first):
-    the one-row case of `critical_orders`' quantile."""
-    if not (0.0 < ratio < 1.0):
-        raise InputError(f"ratio must lie in (0, 1), got {ratio}")
-    return float(_quantile_rows(d.values[None, :], d.probs, ratio)[0])
 
 
 def _order_from_scalar(inst: Instance, d: ScalarDemand) -> OrderResult:

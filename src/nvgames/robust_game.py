@@ -142,13 +142,7 @@ import numpy as np
 
 from . import lp
 from .coop import build_deterministic_game, core_membership, solve_stability_lp
-from .distributions import (
-    DEFAULT_SUPPORT_CAP,
-    Instance,
-    coalition_mask,
-    get_polytope,
-    independent_joint,
-)
+from .distributions import Instance, coalition_mask, get_polytope, independent_joint
 from .errors import DomainError, GameInvalidError, InputError, SolverError
 from .lp import LpSolution, sorted_distinct
 from .newsvendor import (
@@ -272,9 +266,9 @@ class RobustGameSolver:
     lower bound on min sigma. Not safe to share across threads.
     """
 
-    def __init__(self, inst: Instance, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.poly = get_polytope(inst, cap)
+        self.poly = get_polytope(inst)
         self.p = inst.price
         self.c = inst.cost
         self.n = inst.n_retailers

@@ -6,10 +6,11 @@ The excess of a decision (y, z) under a realized joint q is the largest
 positive shortfall, over nonempty proper coalitions S, of z(S) against the
 ratio of S's achievable profit to the grand profit at y. Coalitions inside a
 single block order their known-distribution quantile; coalitions spanning
-blocks order optimally for the realized q. `ExcessEvaluator(inst).excess`
-computes it under one joint or many; every order and profit in it comes
-from the newsvendor kernel (`critical_orders`, `order_profits`). The robust
-decision comes from `RobustGameSolver`'s core test and least-core search.
+blocks order optimally for the realized q. `ExcessEvaluator(inst)` computes
+it for a matrix of joints: `stack` once, then `excess` per decision; every
+order and profit in it comes from the newsvendor kernel (`critical_orders`,
+`order_profits`). The robust decision comes from `RobustGameSolver`'s core
+test and least-core search.
 
 Per instance the experiment builds a pool of extremal vertices: random-cost
 vertices, then the worst-case ratio witnesses, which the robust solver
@@ -212,18 +213,11 @@ def _deterministic_decision(inst: Instance, q_ind: JointDistribution) -> Decisio
     return Decision(y_det, x / game.grand_value)
 
 
-def solve_pair(
-    inst: Instance, y_tol: float | None = None
-) -> tuple[Decision, Decision]:
-    """(robust decision, independence-based decision). The robust side is a
-    stable decision when one exists, otherwise the least-core decision."""
-    robust, _solver = _solve_robust(inst, y_tol)
-    return robust, _deterministic_decision(inst, independent_joint(inst))
-
-
 def _solve_robust(
     inst: Instance, y_tol: float | None = None
 ) -> tuple[Decision, RobustGameSolver]:
+    """The robust decision and its solver: a stable decision when one
+    exists, otherwise the least-core decision."""
     solver = RobustGameSolver(inst)
     decision = solver.core_decision()
     if decision is None:
@@ -301,35 +295,26 @@ class ExcessEvaluator:
         each row of `q` (a matrix of joints as rows)."""
         return order_profits(self.inst, np.array([[decision.y]]), self.d_grand[None, :], q)[0]
 
-    def excess(
-        self, q: JointDistribution | np.ndarray | JointStack, decision: Decision
-    ) -> float | np.ndarray:
-        """Largest positive coalition dissatisfaction of `decision` under a
-        joint `q`.
-
-        One joint (a `JointDistribution` or a 1-D vector) gives a float. A
-        matrix of joints as rows, or a `JointStack` of them, gives one
-        excess per row. Raises DomainError when the grand profit is
-        nonpositive under any of the joints: the excess is undefined there."""
-        if isinstance(q, JointStack):
-            if q.evaluator is not self:
-                raise InputError("joint stack was built for another instance")
-            stack, single = q, False
-        else:
-            qv = q.q if isinstance(q, JointDistribution) else q
-            stack, single = self.stack(qv), np.ndim(qv) == 1
+    def excess(self, stack: JointStack, decision: Decision) -> np.ndarray:
+        """Largest positive coalition dissatisfaction of `decision` under
+        each row of `stack`, one of this evaluator's `stack` results. Raises
+        DomainError when the grand profit is nonpositive under any of the
+        joints: the excess is undefined there."""
+        if not isinstance(stack, JointStack):
+            raise InputError(f"excess takes a JointStack, got {type(stack).__name__}")
+        if stack.evaluator is not self:
+            raise InputError("joint stack was built for another instance")
         den = self.grand_profit(stack.q, decision)
         bad = np.flatnonzero(den <= 0.0)
         if bad.size:
             raise DomainError(
                 f"grand profit {den[bad[0]]} is nonpositive under the realized joint"
-                f"{'' if single else f' in row {bad[0]}'}; excess is undefined"
+                f" in row {bad[0]}; excess is undefined"
             )
         with np.errstate(over="ignore"):  # a tiny positive grand profit gives inf, as in float math
             ratios = stack.profits / den[:, None]
         worst = np.max(ratios - self._zsum(decision.z), axis=1, initial=0.0)
-        out = np.where(worst > 0.0, worst, 0.0)
-        return float(out[0]) if single else out
+        return np.where(worst > 0.0, worst, 0.0)
 
     def _zsum(self, z: np.ndarray) -> np.ndarray:
         """z(S) for every coalition S, in coalition order, summed from the
@@ -346,8 +331,8 @@ class ExcessEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def _dedupe_pool(pool: Sequence[np.ndarray], cap: int = WITNESS_POOL_CAP) -> list[np.ndarray]:
-    """The first `cap` vectors of `pool` that lie farther than 1e-10 (max
+def _dedupe_pool(pool: Sequence[np.ndarray], limit: int = WITNESS_POOL_CAP) -> list[np.ndarray]:
+    """The first `limit` vectors of `pool` that lie farther than 1e-10 (max
     norm) from every vector kept before them, in pool order. The rule is
     not transitive (of a ~ b ~ c with a !~ c, the pool a, b, c keeps a and
     c), so it runs one candidate at a time: a kept vector drops every later
@@ -364,7 +349,7 @@ def _dedupe_pool(pool: Sequence[np.ndarray], cap: int = WITNESS_POOL_CAP) -> lis
         for i, near in enumerate(close, lo):
             if dropped[i]:
                 continue
-            if len(kept) >= cap:
+            if len(kept) >= limit:
                 return kept
             kept.append(pool[i])
             dropped[lo:] |= near
@@ -393,8 +378,9 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
 
     evaluator = ExcessEvaluator(inst)
     lams = np.array(cfg.lambda_grid)
-    # Elementwise the same mixture as `contaminate`, for every lambda and
-    # sample at once: row i * len(ext) + j mixes sample j at lambda i.
+    # The contaminated joints (1 - lambda) q_ind + lambda e, for every
+    # lambda and sample e at once: row i * len(ext) + j mixes sample j at
+    # lambda i.
     mixed = ((1.0 - lams)[:, None, None] * q_ind.q + lams[:, None, None] * ext).reshape(
         -1, ext.shape[1]
     )

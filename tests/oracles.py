@@ -23,6 +23,9 @@ walk that the merged cumulative sums replaced. `flat_incidence_rows`,
 layout of the consistency operator, its pricing product and its tree
 factor, which the per-block row ids replaced, and
 `scalar_kink_profits` the one-call-per-kink scan of the action interval.
+`contaminate` is the stress loop's mixture of the independent joint with an
+extremal one, and `consistency_gap` measures how far a joint is from the
+consistency polytope; both were package functions that only tests called.
 """
 
 from __future__ import annotations
@@ -654,3 +657,23 @@ def scalar_kink_profits(inst, coupling, y_peak: float) -> tuple[np.ndarray, np.n
 
     kinks = np.array(sorted(set(coupling[0][coupling[0] > y_peak].tolist())))
     return kinks, np.array([coupled_profit(inst, coupling, y) for y in kinks.tolist()])
+
+
+def contaminate(p_independent, p_extremal, lam: float) -> np.ndarray:
+    """The contaminated joint (1 - lam) * p_independent + lam * p_extremal,
+    lam the weight on the extremal one: the mixture the stress loop forms
+    for every lambda and sample at once."""
+    return (1.0 - lam) * np.asarray(p_independent) + lam * np.asarray(p_extremal)
+
+
+def consistency_gap(poly, q) -> float:
+    """Largest absolute violation of `poly`'s per-value class constraints
+    by the joint `q`, the per-block rows the LP system drops as redundant
+    included."""
+    q = np.asarray(q, dtype=float)
+    worst = abs(float(np.sum(q)) - 1.0)
+    atoms = np.unravel_index(np.arange(poly.n_atoms), poly.dims)
+    for r, probs in enumerate(poly.class_probs):
+        got = np.bincount(poly.class_of[r][atoms[r]], weights=q, minlength=probs.size)
+        worst = max(worst, float(np.max(np.abs(got - probs))))
+    return worst

@@ -6,7 +6,7 @@ import pytest
 
 from nvgames.cli import run
 from nvgames.distributions import (
-    DEFAULT_SUPPORT_CAP,
+    SUPPORT_CAP,
     DiscreteMarginal,
     Instance,
     instance_to_dict,
@@ -182,6 +182,23 @@ class TestVmax:
         assert "1,0.333333333,1" in out
         assert "2,0.666666667,2" in out
 
+    @pytest.mark.parametrize("r, key, values, shown", [
+        # Converted by numpy, each of these would load as the numbers of a
+        # valid instance, and vmax would answer.
+        pytest.param(0, "atoms", [["1"], ["2"]], "'1'", id="string-atoms"),
+        pytest.param(1, "probs", ["0.5", "0.5"], "'0.5'", id="string-probs"),
+        pytest.param(1, "atoms", [[True], [2.0]], "True", id="bool-atom"),
+        pytest.param(0, "atoms", [[10**400], [2.0]], "too large", id="atom-beyond-float"),
+    ])
+    def test_non_numeric_marginal_is_input_error(self, tmp_path, t1, r, key, values, shown):
+        doc = instance_to_dict(t1)
+        doc["marginals"][r][key] = values
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["vmax", str(path)])
+        assert code == 2
+        assert f"marginals[{r}]: " in err and shown in err
+        assert out == ""
 
     @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
     def test_non_finite_order_is_input_error(self, t1_path, y):
@@ -298,7 +315,7 @@ class TestVerify:
         m1 = DiscreteMarginal(np.arange(1.0, 1002.0)[:, None], np.full(1001, 1.0 / 1001))
         m2 = DiscreteMarginal(np.arange(1.0, 1001.0)[:, None], np.full(1000, 1.0 / 1000))
         inst = Instance(1.5, 1.0, ((0,), (1,)), (m1, m2))
-        assert inst.joint_size() > DEFAULT_SUPPORT_CAP
+        assert inst.joint_size() > SUPPORT_CAP
         path = tmp_path / "big.json"
         save_instance(inst, path)
         dec = tmp_path / "dec.json"

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from nvgames.distributions import DiscreteMarginal, Instance, get_polytope
 from nvgames.newsvendor import comonotonic_coupling, worst_case_shortage
 
-from oracles import lp_worst_case_shortage
+from oracles import consistency_gap, lp_worst_case_shortage
 
 
 @st.composite
@@ -48,6 +48,6 @@ def test_closed_form_matches_lp_and_its_joint_attains_it(query):
     poly = get_polytope(inst)
     _sums, _weights, q = comonotonic_coupling(inst, mask)
     assert np.all(q >= 0.0)
-    assert poly.consistency_gap(q) <= 1e-12
+    assert consistency_gap(poly, q) <= 1e-12
     attained = float(q @ np.maximum(y - poly.coalition_demands(mask), 0.0))
     assert abs(attained - value) <= tol

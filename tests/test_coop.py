@@ -7,7 +7,6 @@ from nvgames.coop import (
     balancedness_duality_pair,
     build_deterministic_game,
     core_membership,
-    imputation_check,
     least_core,
     solve_stability_lp,
 )
@@ -118,26 +117,6 @@ class TestCoreMembership:
     def test_efficiency_required(self):
         v = cf([0.0, 1.0, 1.0, 3.0])
         assert not core_membership(v, [1.0, 1.0])
-
-
-class TestImputationCheck:
-    def test_least_core_allocation_when_core_nonempty(self):
-        v = cf([0.0, 1.0, 1.0, 3.0])
-        x, s = least_core(v)
-        assert s <= 0
-        assert imputation_check(v, x)
-
-    def test_dumping_everything_on_one_player(self):
-        v = cf([0.0, 0.0, 1.0, 3.0])
-        assert not imputation_check(v, [3.0, 0.0])
-
-    def test_t1_tight_bounds(self, t1):
-        v = build_deterministic_game(t1, independent_joint(t1))
-        assert imputation_check(v, [1.0, 2.0])
-
-    def test_an_allocation_that_is_not_efficient(self):
-        # Individually rational, but it hands out 2 of the grand value 3.
-        assert not imputation_check(cf([0.0, 1.0, 1.0, 3.0]), [1.0, 1.0])
 
 
 class TestBalancedness:

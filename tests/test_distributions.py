@@ -12,8 +12,6 @@ from nvgames.distributions import (
     FrechetPolytope,
     Instance,
     JointDistribution,
-    check_consistency,
-    contaminate,
     get_polytope,
     independent_joint,
     instance_from_dict,
@@ -25,10 +23,12 @@ from nvgames.distributions import (
 )
 from nvgames.errors import CapacityError, InputError, SolverError
 from nvgames.lp import IncidenceOperator, LinearProgram, solve_lp
-from nvgames.robust_game import RobustGameSolver
+from nvgames.newsvendor import grand_action_interval, optimal_order, worst_case_order
+from nvgames.robust_game import RobustGameSolver, imputation_exists
+from nvgames.stress import ExcessEvaluator
 
 from conftest import lp_path_only, random_instance
-from oracles import enumerate_vertices, loop_northwest_corner
+from oracles import consistency_gap, contaminate, enumerate_vertices, loop_northwest_corner
 
 
 def marginal(atoms, probs) -> DiscreteMarginal:
@@ -119,13 +119,14 @@ class TestProductSupport:
         assert inst.joint_size() == 12
         assert get_polytope(inst).n_atoms == 12
 
-    def test_support_cap(self):
+    def test_support_cap(self, monkeypatch):
         inst = Instance(
             2.0, 1.0, ((0,), (1,)),
             (marginal([[1.0], [2.0]], [0.5, 0.5]), marginal([[1.0], [2.0]], [0.5, 0.5])),
         )
-        with pytest.raises(CapacityError):
-            independent_joint(inst, cap=3)
+        monkeypatch.setattr(distributions, "SUPPORT_CAP", 3)
+        with pytest.raises(CapacityError, match="^joint support has 4 atoms, exceeding the cap of 3;"):
+            independent_joint(inst)
 
 
 class TestIndependentJoint:
@@ -154,7 +155,7 @@ class TestIndependentJoint:
             inst = random_instance(seed, n=4, block_sizes=(2, 2), atoms_per_block=(3, 2))
             q = independent_joint(inst).q
             assert abs(float(np.sum(q)) - 1.0) <= 1e-12
-            assert check_consistency(inst, independent_joint(inst)) <= 1e-12
+            assert consistency_gap(get_polytope(inst), q) <= 1e-12
         del rng
 
 
@@ -185,7 +186,7 @@ class TestSampleExtremal:
             cost = rng.uniform(-1.0, 1.0, poly.n_atoms)
             q = sample_extremal(inst, cost).q
             assert any(np.max(np.abs(q - v)) <= 1e-9 for v in vertices)
-            assert check_consistency(inst, JointDistribution(q)) <= 1e-9
+            assert consistency_gap(poly, q) <= 1e-9
 
     def test_cost_dimension_checked(self):
         inst = random_instance(4)
@@ -194,45 +195,33 @@ class TestSampleExtremal:
 
 
 class TestContaminate:
+    """The stress loop's mixture, `oracles.contaminate`, of the independent
+    joint with extremal ones."""
+
     def test_endpoints(self):
         m = marginal([[0.0], [1.0]], [0.5, 0.5])
         inst = Instance(2.0, 1.0, ((0,), (1,)), (m, m))
-        p_ind = independent_joint(inst)
-        p_ext = sample_extremal(inst, [1.0, 0.0, 0.0, 0.0])
-        assert contaminate(p_ind, p_ext, 0.0).q == pytest.approx(p_ind.q)
-        assert contaminate(p_ind, p_ext, 1.0).q == pytest.approx(p_ext.q)
+        p_ind = independent_joint(inst).q
+        p_ext = sample_extremal(inst, [1.0, 0.0, 0.0, 0.0]).q
+        assert contaminate(p_ind, p_ext, 0.0) == pytest.approx(p_ind)
+        assert contaminate(p_ind, p_ext, 1.0) == pytest.approx(p_ext)
 
     def test_elementwise_average(self):
         m = marginal([[0.0], [1.0]], [0.5, 0.5])
         inst = Instance(2.0, 1.0, ((0,), (1,)), (m, m))
-        p_ind = independent_joint(inst)
-        p_ext = JointDistribution(np.array([0.5, 0.0, 0.0, 0.5]))
-        assert contaminate(p_ind, p_ext, 0.5).q == pytest.approx([0.375, 0.125, 0.125, 0.375])
-
-    def test_weight_range_checked(self):
-        m = marginal([[0.0], [1.0]], [0.5, 0.5])
-        inst = Instance(2.0, 1.0, ((0,), (1,)), (m, m))
-        p_ind = independent_joint(inst)
-        with pytest.raises(InputError):
-            contaminate(p_ind, p_ind, -0.1)
-        with pytest.raises(InputError):
-            contaminate(p_ind, p_ind, 1.1)
-
-    def test_support_mismatch_checked(self):
-        m = marginal([[0.0], [1.0]], [0.5, 0.5])
-        inst = Instance(2.0, 1.0, ((0,), (1,)), (m, m))
-        with pytest.raises(InputError):
-            contaminate(independent_joint(inst), JointDistribution(np.array([1.0])), 0.5)
+        p_ind = independent_joint(inst).q
+        p_ext = np.array([0.5, 0.0, 0.0, 0.5])
+        assert contaminate(p_ind, p_ext, 0.5) == pytest.approx([0.375, 0.125, 0.125, 0.375])
 
     def test_consistency_preserved_on_grid(self):
         inst = random_instance(5, n=4, block_sizes=(2, 2), atoms_per_block=(3, 2))
-        p_ind = independent_joint(inst)
+        p_ind = independent_joint(inst).q
         rng = np.random.default_rng(13)
         cost = rng.uniform(-1.0, 1.0, inst.joint_size())
-        p_ext = sample_extremal(inst, cost)
+        p_ext = sample_extremal(inst, cost).q
         for lam in np.linspace(0.0, 1.0, 11):
             mixed = contaminate(p_ind, p_ext, float(lam))
-            assert check_consistency(inst, mixed, tol=1e-9) <= 1e-9
+            assert consistency_gap(get_polytope(inst), mixed) <= 1e-9
 
 
 class TestAggregateDemand:
@@ -263,8 +252,7 @@ class TestDuplicateAtoms:
         inst = Instance(2.0, 1.0, ((0,), (1,)), (m_dup, marginal([[2.0]], [1.0])))
         poly = get_polytope(inst)
         assert poly.class_probs[0] == pytest.approx([0.5, 0.5])
-        q = independent_joint(inst)
-        assert check_consistency(inst, q) <= 1e-12
+        assert consistency_gap(poly, independent_joint(inst).q) <= 1e-12
 
 
 class TestPolytope:
@@ -276,28 +264,49 @@ class TestPolytope:
             sol = solve_lp(lp, start_basis=poly.crash_basis)
             assert sol.status == "optimal"
             assert sol.iterations == 0  # the crash basis skipped both phases
-            assert poly.consistency_gap(sol.x) <= 1e-10
+            assert consistency_gap(poly, sol.x) <= 1e-10
 
     def test_three_block_crash_basis(self):
         inst = random_instance(21, n=3, block_sizes=(1, 1, 1), atoms_per_block=(2, 3, 2))
         poly = get_polytope(inst)
         sol = solve_lp(poly.lp(np.zeros(poly.n_atoms)), start_basis=poly.crash_basis)
         assert sol.status == "optimal"
-        assert poly.consistency_gap(sol.x) <= 1e-10
+        assert consistency_gap(poly, sol.x) <= 1e-10
 
     def test_polytope_cached_per_instance(self):
         inst = random_instance(6)
         assert get_polytope(inst) is get_polytope(inst)
 
-    def test_cap_checked_when_already_cached(self):
+    @staticmethod
+    def assert_one_cap(inst, monkeypatch):
+        """With `SUPPORT_CAP` below `inst`'s 4 atoms, everything that needs
+        its joints refuses it, and what needs only its marginals answers."""
+        q = independent_joint(inst)
+        monkeypatch.setattr(distributions, "SUPPORT_CAP", 3)
+        for call in (
+            lambda: get_polytope(inst),
+            lambda: RobustGameSolver(inst),
+            lambda: independent_joint(inst),
+            lambda: sample_extremal(inst, np.zeros(4)),
+            lambda: optimal_order(inst, q, inst.grand_mask),
+            lambda: ExcessEvaluator(inst),
+        ):
+            with pytest.raises(CapacityError, match="^joint support has 4 atoms, exceeding"):
+                call()
+        lo, hi = grand_action_interval(inst)
+        y = worst_case_order(inst, inst.grand_mask).y_star
+        assert lo == 0.0 < y < hi
+        assert imputation_exists(inst)[0]
+
+    def test_cap_checked_when_already_cached(self, monkeypatch):
         inst = random_instance(7)  # 2 x 2 blocks: 4 joint atoms
         get_polytope(inst)
-        with pytest.raises(CapacityError):
-            get_polytope(inst, cap=3)
-        with pytest.raises(CapacityError):
-            RobustGameSolver(inst, cap=3)
-        with pytest.raises(CapacityError):
-            sample_extremal(inst, np.zeros(inst.joint_size()), cap=3)
+        self.assert_one_cap(inst, monkeypatch)
+
+    def test_cap_checked_before_any_build(self, monkeypatch):
+        inst = random_instance(7)
+        self.assert_one_cap(inst, monkeypatch)
+        assert inst not in distributions._POLYTOPES
 
     def test_lp_path_only_hides_a_built_table(self):
         # The cap is compared on every call, so patching it to 0 forces the

@@ -78,15 +78,13 @@ def test_stacked_excess_equals_per_joint_loop(case):
         expected = [scalar_excess(inst, q, decision) for q in qs]
     except DomainError:
         with pytest.raises(DomainError):
-            evaluator.excess(qs, decision)
+            evaluator.excess(evaluator.stack(qs), decision)
         return
-    stacked = evaluator.excess(qs, decision)
+    stacked = evaluator.excess(evaluator.stack(qs), decision)
     assert stacked.shape == (len(qs),)
     assert bits(stacked) == bits(expected)
     for q, value in zip(qs, expected):
-        one = evaluator.excess(q, decision)
-        assert isinstance(one, float)
-        assert bits([one]) == bits([value])
+        assert bits(evaluator.excess(evaluator.stack(q), decision)) == bits([value])
 
 
 def test_nonpositive_grand_profit_in_one_row():
@@ -100,7 +98,9 @@ def test_nonpositive_grand_profit_in_one_row():
     with pytest.raises(DomainError):
         scalar_excess(inst, bad, decision)
     with pytest.raises(DomainError):
-        evaluator.excess(bad, decision)
-    assert evaluator.excess(good, decision) == scalar_excess(inst, good, decision)
+        evaluator.excess(evaluator.stack(bad), decision)
+    assert evaluator.excess(evaluator.stack(good), decision).tolist() == [
+        scalar_excess(inst, good, decision)
+    ]
     with pytest.raises(DomainError, match="row 1"):
-        evaluator.excess(np.array([good, bad]), decision)
+        evaluator.excess(evaluator.stack(np.array([good, bad])), decision)

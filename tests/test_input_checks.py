@@ -11,7 +11,6 @@ from nvgames.coop import (
     CharacteristicFunction,
     balancedness_duality_pair,
     core_membership,
-    imputation_check,
     solve_stability_lp,
 )
 from nvgames.distributions import (
@@ -19,7 +18,6 @@ from nvgames.distributions import (
     DiscreteMarginal,
     Instance,
     JointDistribution,
-    check_consistency,
     coalition_mask,
     instance_from_dict,
     instance_to_dict,
@@ -30,7 +28,6 @@ from nvgames.newsvendor import (
     ScalarDemand,
     block_demand,
     optimal_order,
-    quantile_order,
     worst_case_shortage,
 )
 from nvgames.robust_game import Decision, RobustGameSolver, verify_rcore2
@@ -80,8 +77,10 @@ CASES = [
      r"stability constraints must be over nonempty coalitions of 0\.\.n-1"),
     ("core-allocation", lambda: core_membership(game(), [3.0]), InputError,
      r"allocation has shape \(1,\), expected \(2,\)"),
-    ("imputation-allocation", lambda: imputation_check(game(), [3.0]), InputError,
-     r"allocation has shape \(1,\), expected \(2,\)"),
+    ("core-tol-nan", lambda: core_membership(game(), [1.5, 1.5], tol=np.nan), InputError,
+     "tol must be finite and nonnegative, got nan"),
+    ("core-tol-negative", lambda: core_membership(game(), [1.5, 1.5], tol=-1e-7), InputError,
+     "tol must be finite and nonnegative, got -1e-07"),
     ("empty-ratio-table", lambda: balancedness_duality_pair({}), InputError,
      "empty ratio table and no player count given"),
     ("ratio-table-mask",
@@ -102,12 +101,20 @@ CASES = [
      "coalition mask must be nonnegative, got -2"),
     ("mask-members", lambda: coalition_mask(4, 2), InputError,
      r"coalition mask 4 has members outside 0\.\.1"),
+    ("fractional-member", lambda: coalition_mask((0.5, 1)), InputError,
+     "coalition member must be an integer >= 0, got 0.5"),
+    ("string-member", lambda: coalition_mask(("1",)), InputError,
+     "coalition member must be an integer >= 0, got '1'"),
+    ("truncated-member", lambda: Coalition.from_members([1, 1.9]), InputError,
+     "coalition member must be an integer >= 0, got 1.9"),
+    ("negative-member", lambda: Coalition.from_members((-1,)), InputError,
+     "coalition member must be an integer >= 0, got -1"),
+    ("float-coalition", lambda: coalition_mask(2.0), InputError,
+     "coalition members must be iterable, got 2.0"),
     ("joint-ndim", lambda: JointDistribution(np.full((2, 2), 0.25)), InputError,
      "q must be a vector"),
     ("extremal-cost", lambda: sample_extremal(square(), [0.0, np.nan, 0.0, 0.0]), InputError,
      "cost vector must be finite"),
-    ("consistency", lambda: check_consistency(square(), JointDistribution([1.0, 0.0, 0.0, 0.0])),
-     InputError, r"joint distribution violates marginal consistency by 5\.000e-01 \(> 1e-09\)"),
     ("document-type", lambda: instance_from_dict([]), InputError,
      "instance document must be an object, got list"),
     ("marginals-type", lambda: instance_from_dict(document(marginals={})), InputError,
@@ -141,8 +148,6 @@ CASES = [
      "probabilities sum to 0.5, expected 1"),
     ("joint-atoms", lambda: optimal_order(square(), JointDistribution([0.5, 0.5]), 1),
      InputError, "joint distribution has 2 atoms, instance support has 4"),
-    ("quantile-ratio", lambda: quantile_order(ScalarDemand([1.0], [1.0]), 1.0), InputError,
-     r"ratio must lie in \(0, 1\), got 1\.0"),
     ("block-demand", lambda: block_demand(square(), 1, 0b01), InputError,
      "coalition 0x1 does not meet block 1"),
     ("shortage-order", lambda: worst_case_shortage(square(), -1.0, 1), InputError,
@@ -158,6 +163,9 @@ CASES = [
      r"atoms_per_block \(2, 2, 2\) must give one count per block"),
     ("stack-shape", lambda: ExcessEvaluator(square()).stack(np.full((1, 3), 1.0 / 3.0)),
      InputError, r"joints have shape \(1, 3\), expected rows of 4 atoms"),
+    ("excess-stack",
+     lambda: ExcessEvaluator(square()).excess(np.full(4, 0.25), Decision(4.0, [0.5, 0.5])),
+     InputError, "excess takes a JointStack, got ndarray"),
     ("config-type", lambda: config_from_dict([]), InputError,
      "experiment config must be an object"),
     ("config-invalid", lambda: config_from_dict(config(n=Unordered(2))), InputError,

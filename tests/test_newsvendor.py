@@ -2,24 +2,30 @@ import numpy as np
 import pytest
 
 from nvgames import newsvendor
-from nvgames.distributions import independent_joint, sample_extremal, contaminate
+from nvgames.distributions import (
+    DiscreteMarginal,
+    Instance,
+    JointDistribution,
+    independent_joint,
+    sample_extremal,
+)
 from nvgames.errors import GameInvalidError, InputError, SolverError
 from nvgames.newsvendor import (
     OrderResult,
     ScalarDemand,
     _kink_profits,
     comonotonic_coupling,
+    critical_orders,
     expected_profit,
     grand_action_interval,
     optimal_order,
-    quantile_order,
     worst_case_order,
     worst_case_shortage,
 )
 from nvgames.robust_game import RobustGameSolver
 
 from conftest import make_example1, random_instance
-from oracles import bisect_action_interval_upper, scalar_kink_profits
+from oracles import bisect_action_interval_upper, contaminate, scalar_kink_profits
 from test_acceptance import rand_shape_instance
 
 
@@ -57,12 +63,19 @@ class TestExpectedProfit:
         rng = np.random.default_rng(21)
         q_ext = sample_extremal(inst, rng.uniform(-1, 1, inst.joint_size()))
         for lam in (0.25, 0.5, 0.75):
-            mixed = contaminate(q_ind, q_ext, lam)
+            mixed = JointDistribution(contaminate(q_ind.q, q_ext.q, lam))
             for mask in (0b001, 0b011, 0b111):
                 expect = (1 - lam) * expected_profit(inst, q_ind, 7.0, mask) + lam * expected_profit(
                     inst, q_ext, 7.0, mask
                 )
                 assert expected_profit(inst, mixed, 7.0, mask) == pytest.approx(expect, abs=1e-10)
+
+
+def quantile_order(d: ScalarDemand, ratio: float) -> float:
+    """The order `critical_orders` gives the one demand row `d` on an
+    instance whose critical ratio is `ratio` (within an ulp)."""
+    inst = Instance(1.0, 1.0 - ratio, ((0,),), (DiscreteMarginal([[0.0]], [1.0]),))
+    return float(critical_orders(inst, d.values[None, :], d.probs)[0][0])
 
 
 class TestQuantileOrder:

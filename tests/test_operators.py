@@ -26,6 +26,7 @@ from nvgames.robust_game import _DINKELBACH_TOL, RobustGameSolver
 from conftest import lp_path_only, make_example1
 from oracles import (
     atom_classes,
+    consistency_gap,
     dense_joint,
     enumerate_vertices,
     flat_incidence_rows,
@@ -194,7 +195,7 @@ def test_every_ratio_is_the_ratio_of_its_witness(inst):
             num = pc * entry.gamma - p * np.maximum(entry.gamma - d_s, 0.0)
             ratio = (num @ entry.q) / (den @ entry.q)
             assert abs(entry.value - ratio) <= 1e-15 * abs(ratio)
-            assert solver.poly.consistency_gap(entry.q) <= 1e-9
+            assert consistency_gap(solver.poly, entry.q) <= 1e-9
 
 
 def spanning_masks(inst: Instance):
@@ -231,7 +232,7 @@ def test_countermonotonic_start_is_a_consistent_basis(inst):
         assert mass.shape == support.shape
         assert np.all(mass >= 0.0)
         assert abs(mass.sum() - 1.0) <= 1e-12
-        assert poly.consistency_gap(dense_joint(poly.n_atoms, support, mass)) <= 1e-12
+        assert consistency_gap(poly, dense_joint(poly.n_atoms, support, mass)) <= 1e-12
 
 
 @given(instances(n_blocks=st.integers(2, 3)))

@@ -10,12 +10,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nvgames import coop
+from nvgames import coop, distributions
 from nvgames import lp as lp_module
 from nvgames import robust_game as rg_module
 from nvgames.coop import balancedness_duality_pair, solve_stability_lp
 from nvgames.distributions import (
-    DEFAULT_SUPPORT_CAP,
+    SUPPORT_CAP,
     DiscreteMarginal,
     Instance,
     get_polytope,
@@ -1037,14 +1037,14 @@ class TestVerifyDecision:
 
 class TestSupportCap:
     def test_cap_above_the_default(self, monkeypatch):
-        # 1001 x 1000 joint atoms, above DEFAULT_SUPPORT_CAP: the minimum
-        # grand profit and the action interval must not look the polytope up
-        # at the default cap. Both players are single-block coalitions, so
-        # no ratio LP runs either.
+        # 1001 x 1000 joint atoms, above the default SUPPORT_CAP, which is
+        # raised for this solver: the minimum grand profit and the action
+        # interval must not look the polytope up. Both players are
+        # single-block coalitions, so no ratio LP runs either.
         m1 = DiscreteMarginal(np.arange(1.0, 1002.0)[:, None], np.full(1001, 1.0 / 1001))
         m2 = DiscreteMarginal(np.arange(1.0, 1001.0)[:, None], np.full(1000, 1.0 / 1000))
         inst = Instance(1.5, 1.0, ((0,), (1,)), (m1, m2))
-        assert inst.joint_size() > DEFAULT_SUPPORT_CAP
+        assert inst.joint_size() > SUPPORT_CAP
         original = lp_module.solve_lp
         calls = []
 
@@ -1055,7 +1055,8 @@ class TestSupportCap:
         for name, module in list(sys.modules.items()):
             if name.startswith("nvgames") and getattr(module, "solve_lp", None) is original:
                 monkeypatch.setattr(module, "solve_lp", counted)
-        solver = RobustGameSolver(inst, cap=2 * 10**6)
+        monkeypatch.setattr(distributions, "SUPPORT_CAP", 2 * 10**6)
+        solver = RobustGameSolver(inst)
         y = solver.grand_wc.y_star
         table = solver.table(y)
         lo, hi = grand_action_interval(inst)

@@ -27,7 +27,6 @@ from nvgames.stress import (
     config_from_dict,
     gen_instance,
     run_stress,
-    solve_pair,
     write_csv,
 )
 
@@ -135,8 +134,12 @@ class TestGenInstance:
 
 
 class TestSolvePair:
+    """The robust decision and the independence-based one that the stress
+    loop pairs on every instance."""
+
     def test_t1_pair_coincides(self, t1):
-        rob, det = solve_pair(t1)
+        rob, _solver = stress._solve_robust(t1)
+        det = stress._deterministic_decision(t1, independent_joint(t1))
         assert rob.y == pytest.approx(det.y)
         assert rob.z == pytest.approx(det.z, abs=1e-9)
         assert rob.z == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-9)
@@ -144,7 +147,8 @@ class TestSolvePair:
     def test_single_block_orders_agree(self):
         cfg = small_cfg(n=3, block_sizes=(3,), atoms_per_block=(4,))
         inst = gen_instance(cfg, 11)
-        rob, det = solve_pair(inst)
+        rob, _solver = stress._solve_robust(inst)
+        det = stress._deterministic_decision(inst, independent_joint(inst))
         assert rob.y == pytest.approx(det.y, abs=1e-9)
 
     def test_a_deterministic_game_without_a_core_raises(self, monkeypatch, t1):
@@ -160,30 +164,31 @@ class TestSolvePair:
 
         monkeypatch.setattr(stress, "build_deterministic_game", coreless)
         with pytest.raises(SolverError, match=r"^deterministic least core came out positive \("):
-            solve_pair(t1)
+            stress._deterministic_decision(t1, independent_joint(t1))
 
     def test_example1_falls_back_to_least_core(self):
         inst = make_example1(12)
         assert RobustGameSolver(inst).core_decision() is None
-        rob, _det = solve_pair(inst, y_tol=0.02)
+        rob, _solver = stress._solve_robust(inst, y_tol=0.02)
         assert abs(float(np.sum(rob.z)) - 1.0) <= 1e-9
 
     def test_a_nonpositive_deterministic_grand_value_raises(self):
         # All demands 0: no order makes a profit under the independent
         # joint. The worst-case profit is at most that joint's at every
-        # order, so through solve_pair the robust side refuses first.
+        # order, so the robust side refuses too.
         m = DiscreteMarginal(np.array([[0.0], [0.0]]), np.array([0.5, 0.5]))
         inst = Instance(2.0, 1.0, ((0,), (1,)), (m, m))
         with pytest.raises(GameInvalidError, match="^grand-coalition value is nonpositive; "):
             stress._deterministic_decision(inst, independent_joint(inst))
         with pytest.raises(GameInvalidError, match="^no order quantity keeps "):
-            solve_pair(inst)
+            stress._solve_robust(inst)
 
 
 class TestExcess:
     def test_core_decision_has_zero_excess(self, t1):
         d = RobustGameSolver(t1).core_decision()
-        assert ExcessEvaluator(t1).excess(independent_joint(t1), d) == 0.0
+        evaluator = ExcessEvaluator(t1)
+        assert evaluator.excess(evaluator.stack(independent_joint(t1).q), d).tolist() == [0.0]
 
     def test_hand_built_standalone_ratio(self):
         # Point masses 3 and 2, p=2, c=1: ratios are (0.6, 0.4); giving the
@@ -193,15 +198,17 @@ class TestExcess:
             (DiscreteMarginal(np.array([[3.0]]), np.array([1.0])),
              DiscreteMarginal(np.array([[2.0]]), np.array([1.0]))),
         )
-        q = independent_joint(inst)
+        evaluator = ExcessEvaluator(inst)
+        stack = evaluator.stack(independent_joint(inst).q)
         d = Decision(5.0, np.array([1.0, 0.0]))
-        assert ExcessEvaluator(inst).excess(q, d) == pytest.approx(0.4, abs=1e-12)
+        assert evaluator.excess(stack, d) == pytest.approx([0.4], abs=1e-12)
 
     def test_degenerate_grand_profit_raises(self, t1):
         # Ordering far above demand makes the realized profit negative.
         d = Decision(100.0, np.array([0.5, 0.5]))
-        with pytest.raises(DomainError):
-            ExcessEvaluator(t1).excess(independent_joint(t1), d)
+        evaluator = ExcessEvaluator(t1)
+        with pytest.raises(DomainError, match=r"^grand profit -\S+ is nonpositive .* in row 0;"):
+            evaluator.excess(evaluator.stack(independent_joint(t1).q), d)
 
     def test_a_stack_of_another_instance_raises(self, t1, t2):
         stack = ExcessEvaluator(t2).stack(independent_joint(t2).q)
@@ -212,7 +219,8 @@ class TestExcess:
         cfg = small_cfg()
         inst = gen_instance(cfg, 2)
         evaluator = ExcessEvaluator(inst)
-        rob, det = solve_pair(inst)
+        rob, _solver = stress._solve_robust(inst)
+        det = stress._deterministic_decision(inst, independent_joint(inst))
         rng = np.random.default_rng(40)
         q_ind = independent_joint(inst)
         for _ in range(20):
@@ -220,7 +228,7 @@ class TestExcess:
             for lam in (0.0, 0.3, 1.0):
                 q = JointDistribution((1 - lam) * q_ind.q + lam * q_ext.q)
                 for d in (rob, det):
-                    e = evaluator.excess(q, d)
+                    e = evaluator.excess(evaluator.stack(q.q), d)[0]
                     assert e >= 0.0
                     stable = _is_stable(inst, q, d)
                     assert (e <= 1e-9) == stable

@@ -9,6 +9,11 @@ line that ran at import, such as a `def` or a module constant, counts as
 run. Only this process and its threads are traced, not the worker
 processes of a process pool. Standard library and pytest only; the exit
 status is pytest's.
+
+`python tools/line_trace.py tests/test_acceptance.py tests/test_cli.py`
+traces only the acceptance criteria and the CLI, so it lists the package
+lines that no caller but a unit test reaches: the candidates for removal
+from the public surface.
 """
 
 from __future__ import annotations
