@@ -233,9 +233,12 @@ def block_aggregate(block: Sequence[int], atoms: np.ndarray, mask: int) -> np.nd
 
 
 def coalition_mask(s, n: int | None = None) -> int:
-    """Coerce Coalition | int | iterable of members into a bitmask."""
+    """Coerce Coalition | int | iterable of members into a bitmask. A bool
+    is refused, as `check_int` refuses it, though Python counts it an int."""
     if isinstance(s, Coalition):
         mask = s.mask
+    elif isinstance(s, bool):
+        raise InputError(f"coalition mask must be an integer, got {s!r}")
     elif isinstance(s, (int, np.integer)):
         mask = int(s)
     else:

@@ -11,15 +11,18 @@ Dhaene et al. 2002). That coupling does not depend on y.
 
 Every critical-ratio order goes through one row-wise kernel,
 `critical_orders`, under one probability vector or each row of a matrix of
-joints. Every expected profit at an order is `_profit` of its expected
-shortage, taken as one BLAS dot: per (row, joint) in the kernel's tail,
+joints. `ProperCoalitions.best_orders` gives every nonempty proper
+coalition's best order and profit under each row of a joint matrix: the
+stress excess pass and the robust solver's vertex tables both call it.
+Every expected profit at an order is `_profit` of its expected shortage,
+taken as one BLAS dot: per (row, joint) in the kernel's tail,
 `order_profits`, and directly in the scalar entry points `expected_profit`
 and `coupled_profit`. The action-interval scan takes `coupled_profit`'s
 dots at every kink past the peak as the rows of `row_dots` calls, one per
 block of kinks. A value does not depend on the other rows or joints, so the
 batched callers (`worst_case_orders` once per block, `optimal_orders` over
-every coalition, the stress excess pass over chunks of joints, the kink
-scan) and the one-coalition entry points give the same floats.
+every coalition, `best_orders` over chunks of joints, the kink scan) and
+the one-coalition entry points give the same floats.
 """
 
 from __future__ import annotations
@@ -44,9 +47,21 @@ from .lp import sorted_distinct
 _QUANTILE_EPS = 1e-12
 
 # Floats per block of the blocked passes over K-long data (the kink scan
-# here; the candidate orders and the Dinkelbach objectives in `robust_game`):
+# here; a ratio-LP coalition's candidate orders and the Dinkelbach
+# objectives in `robust_game`):
 # 64 KB, so no block's temporary is a K-long array.
 _BLOCK = 1 << 13
+
+_CHUNK_ROWS = 128
+"""Joint rows per kernel call of `ProperCoalitions.best_orders`, and per
+`ExcessEvaluator.stack` pass in the stress loop. A call's temporaries are
+coalitions x rows x atoms: at the criterion-10 shape (48 coalitions
+spanning both blocks, 16 atoms) 0.75 MB each at 128 rows. On a 2-vCPU x86
+VM (2 MB of L2 per core) the stack time of one instance's 1 034 rows was,
+min of 7 x 5 passes over three sweeps: 6.3-6.5 ms at 32 rows, 5.3-7.4 ms
+at 64, 4.6-4.9 ms at 128 and 4.9-5.3 ms at 256 (7.0 ms with 4 coalitions
+per call and 256 rows). Against 64 rows, 128 raised the peak RSS of a
+serial 17-instance run by 0.4 MB, and 256 by 1.4 MB."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +165,52 @@ def critical_orders(
     y = _quantile_rows(demands, probs, inst.ratio)
     value = order_profits(inst, y if y.ndim == 2 else y[:, None], demands, probs)
     return y, value.reshape(y.shape)
+
+
+class ProperCoalitions:
+    """Every nonempty proper coalition of one instance, in mask order (entry
+    i is mask i + 1), set up once for `best_orders`: its demand row, and
+    whether it meets one block or spans several. A coalition inside one
+    block knows its demand distribution under every consistent joint, so
+    its order is pinned to its worst-case (block quantile) order; one
+    spanning blocks orders at its critical-ratio quantile under each
+    joint. `d_grand` is the grand coalition's demand row."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        demands = get_polytope(inst).coalition_demand_rows(range(1, inst.grand_mask + 1))
+        self.d_grand = demands[-1]
+        masks = np.arange(1, inst.grand_mask)
+        blocks_met = sum(((masks & bm) != 0).astype(int) for bm in inst.block_masks)
+        self._pinned = np.flatnonzero(blocks_met == 1)
+        self._pinned_y = worst_case_orders(inst, masks[self._pinned].tolist())[0]
+        self._pinned_d = demands[self._pinned]
+        self._span = np.flatnonzero(blocks_met > 1)
+        self._span_d = demands[self._span]
+
+    def best_orders(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(orders, profits), both (joints x coalitions): every coalition's
+        best order under every row of `q` (a joints x atoms matrix) and
+        its expected profit there, `order_profits` at the pinned orders
+        and `critical_orders` for the spanning coalitions. The rows go
+        through the kernel `_CHUNK_ROWS` at a time; each value depends on
+        its own row alone, so it has the bits of a one-joint call."""
+        orders = np.empty((q.shape[0], self.inst.grand_mask - 1))
+        profits = np.empty_like(orders)
+        orders[:, self._pinned] = self._pinned_y
+        for lo in range(0, q.shape[0], _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            profits[rows, self._pinned] = order_profits(
+                self.inst, self._pinned_y[:, None], self._pinned_d, q[rows]
+            ).T
+            y, value = critical_orders(self.inst, self._span_d, q[rows])
+            orders[rows, self._span], profits[rows, self._span] = y.T, value.T
+        return orders, profits
+
+    def grand_profits(self, y: float, q: np.ndarray) -> np.ndarray:
+        """The grand coalition's expected profit at order y under each row
+        of `q` (a joints x atoms matrix), `order_profits` of one row."""
+        return order_profits(self.inst, np.array([[y]]), self.d_grand[None, :], q)[0]
 
 
 def _joint_polytope(inst: Instance, q: JointDistribution) -> FrechetPolytope:

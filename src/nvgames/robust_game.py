@@ -79,26 +79,26 @@ Small polytopes skip the LPs. A linear-fractional program with a positive
 denominator attains its maximum at a vertex (Charnes-Cooper 1962), so when
 the polytope has a vertex table (`FrechetPolytope.vertices`, built when its
 value classes have at most `distributions._VERTEX_CAP` = 32 768 candidate
-column sets) v_max(y, S) is the maximum of the (gamma x vertex) matrix of
-ratios num_gamma @ q / den @ q: no tolerance, no screen and no starting
-vertex (a coalition inside one block has its block value as its one
-numerator). With duplicate atoms the table holds only the vertices on each
-class's representative atom, but every ratio depends on the atoms only
-through their demands, so its maximum, ties and slopes are the same. Above
-the cap the Dinkelbach LPs above are the only path.
+column sets) v_max(y, S) is the largest over the vertices q of S's best
+profit under q over the grand profit at y under q: no tolerance, no screen
+and no starting vertex. With duplicate atoms the table holds only the
+vertices on each class's representative atom, but every ratio depends on
+the atoms only through their demands, so its maximum, ties and slopes are
+the same. Above the cap the Dinkelbach LPs above are the only path.
 
-Only the denominator depends on y, so the vertex path runs in whole
-arrays. Once per solver it forms, for every coalition S and vertex v, the
-best numerator M[S, v] = max over gamma of num_gamma(S) @ v and its first
-maximizing gamma, from S's own (gamma x vertex) product. A table, or the
-one row that `vmax` needs, is then M / (vertices @ den(y)) and one maximum
-per row. Division by a positive grand profit rounds monotonically, so that
-maximum has the bits of the largest entry of the coalition's (gamma x
-vertex) ratio matrix. Among the vertices that attain it, ties go to the
-least pair (the vertex's first maximizing gamma index, its row), so a
-witness depends only on y and S, not on earlier solves, and the witness is
-the table's row itself. The values are the dot products of the chosen
-numerator row and vertex, the same BLAS dots as the one-coalition formula.
+Only the grand profit depends on y, so the vertex path runs in whole
+arrays. Once per solver one call of `newsvendor.ProperCoalitions.best_orders`
+on the vertex table gives, for every coalition S and vertex v, S's best
+order under v and its profit best[S, v]: the critical-ratio quantile under
+v, or for a coalition inside one block its pinned block quantile. That is
+the routine the stress excess pass (`ExcessEvaluator.stack`) calls on its
+mixed joints. A table, or the one row that `vmax` needs, is then best /
+grand(y), with grand the grand profit at y under every vertex as the
+excess pass computes it (`ProperCoalitions.grand_profits`), and one maximum
+per row. Among the vertices that attain it exactly, ties go to the least
+(order, vertex), so a witness depends only on y and S, not on earlier
+solves, and the witness is the table's row itself. So every entry equals,
+bit for bit, the excess pass's ratio of S under its witness at order y.
 
 Beyond those warm starts the solver keeps no per-y history: only the last
 table and, once computed, its sigma with the stability LP's dual weights,
@@ -128,7 +128,7 @@ that contradicts an earlier cut raises SolverError: sigma would not be
 convex. On the vertex path each v_S is a maximum of finitely many such
 pieces, and the cuts take the extreme one-sided slopes over every vertex
 that attains it (Danskin 1967), so that a probe at a kink of v_S certifies.
-Those vertices are read off M / (vertices @ den(y)) for all the weighted
+Those vertices are read off best / grand(y) for all the weighted
 coalitions at once, within a rounding bound that keeps every exact one.
 """
 
@@ -147,11 +147,11 @@ from .errors import DomainError, GameInvalidError, InputError, SolverError
 from .lp import LpSolution, sorted_distinct
 from .newsvendor import (
     _BLOCK,
+    ProperCoalitions,
     _profit,
     comonotonic_coupling,
     coupled_profit,
     grand_action_interval,
-    row_dots,
     worst_case_order,
     worst_case_orders,
 )
@@ -236,21 +236,17 @@ class VmaxTable:
 
 @dataclass(frozen=True, eq=False)
 class _Numerators:
-    """The vertex path's per-instance data, row i for coalition mask i + 1:
-    the candidate orders `gammas` and their numerator rows `rows` (stacked,
-    coalition i's at `start[i]:start[i + 1]`), and over the V vertices v
-    the best numerator `best[i, v] = max_gamma num_gamma @ v` and its first
-    maximizing gamma `arg[i, v]` (an index into the coalition's orders, in
-    the smallest unsigned dtype that holds their count); `peak[i]` is the
-    largest |entry| of coalition i's numerator rows, which bounds |num| @ v
-    at every vertex v, a probability vector."""
+    """The vertex path's per-instance data, row i for coalition mask i + 1
+    and column v for vertex v: `orders[i, v]` and `profits[i, v]`, the
+    coalition's best order under the vertex and its expected profit there
+    (`ProperCoalitions.best_orders`, the excess pass's kernel), and
+    `bound[i] = (2p - c) max_v orders[i, v]`, which bounds (p-c) gamma + p
+    E_v(gamma - d_S)^+ at every order gamma and vertex v of the coalition
+    (`_tie_mask`)."""
 
-    gammas: np.ndarray
-    rows: np.ndarray
-    start: np.ndarray
-    best: np.ndarray
-    arg: np.ndarray
-    peak: np.ndarray
+    orders: np.ndarray
+    profits: np.ndarray
+    bound: np.ndarray
 
 
 class RobustGameSolver:
@@ -258,7 +254,7 @@ class RobustGameSolver:
     to its robust core (`core_decision`) and least core (`least_core`).
 
     Holds warm-start ratio-LP solutions (bases and their factorizations), or
-    on the vertex path the coalition x vertex numerators, so it is cheap to
+    on the vertex path the coalition x vertex best profits, so it is cheap to
     evaluate tables at many order quantities. Of the tables
     it keeps only the last one and its sigma; `witnesses` lists, in build
     order and once per array, the joints that attained the ratios of every
@@ -338,7 +334,7 @@ class RobustGameSolver:
         hit = self._coalition_cache.get(mask)
         if hit is not None:
             return (d_s, *hit)
-        gammas = _candidate_orders(d_s[None, :])[0]
+        gammas = _candidate_orders(d_s)
         values = self.poly.coalition_block_values(mask)
         if self.inst.n_blocks == 2:
             basis, mass = self.poly.northwest_vertex(
@@ -413,40 +409,21 @@ class RobustGameSolver:
             f"after {_DINKELBACH_MAX_STEPS} Dinkelbach steps"
         )
 
+    @cached_property
+    def _coalitions(self) -> ProperCoalitions:
+        """The coalition set-up of the vertex path's best profits and grand
+        profits, built on first use: the LP path never forms its demand
+        rows."""
+        return ProperCoalitions(self.inst)
+
     def _vertex_numerators(self) -> _Numerators:
         """The vertex path's numerators of every nonempty proper coalition
-        (see `_Numerators`), built once per solver, one coalition at a time.
-        A coalition inside one block has its known block value as its one
-        numerator, at its block order; a spanning one has one numerator row
-        per candidate order, all of them from one row-wise sort of the
-        coalitions' demands. Each coalition's best numerators come from its
-        own (gamma x vertex) product `nums @ verts.T`."""
-        if self._numerators is not None:
-            return self._numerators
-        verts = self.poly.vertices()
-        masks = range(1, self.inst.grand_mask)
-        span = [m for m in masks if len(self._blocks_met(m)) > 1]
-        d_span = self.poly.coalition_demand_rows(span)
-        demands = dict(zip(span, zip(d_span, _candidate_orders(d_span))))
-        gammas, rows, best, arg, peak = [], [], [], [], []
-        for m in masks:
-            if m in demands:
-                d, g = demands[m]
-                own = _profit(self.inst, g[:, None], np.maximum(g[:, None] - d, 0.0))
-            else:
-                y_s, value = self._block_value(m)
-                g, own = np.array([y_s]), np.full((1, self.d_grand.size), value)
-            nums = own @ verts.T
-            gammas.append(g)
-            rows.append(own)
-            arg.append(np.argmax(nums, axis=0))
-            best.append(np.max(nums, axis=0))
-            peak.append(np.max(np.abs(own)))
-        counts = [g.size for g in gammas]
-        self._numerators = _Numerators(
-            np.concatenate(gammas), np.concatenate(rows), np.r_[0, np.cumsum(counts)],
-            np.array(best), np.array(arg, dtype=np.min_scalar_type(max(counts))), np.array(peak),
-        )
+        (see `_Numerators`), built once per solver from one
+        `ProperCoalitions.best_orders` call on the vertex table."""
+        if self._numerators is None:
+            orders, profits = self._coalitions.best_orders(self.poly.vertices())
+            bound = (self.p - self.c + self.p) * np.max(orders, axis=0)
+            self._numerators = _Numerators(orders.T, profits.T, bound)
         return self._numerators
 
     def _denominator(self, y: float) -> np.ndarray:
@@ -456,60 +433,63 @@ class RobustGameSolver:
             self._den = (y, _atom_profits(self.inst, y, self.d_grand))
         return self._den[1]
 
-    def _grand_at(self, y: float) -> tuple[np.ndarray, np.ndarray]:
-        """(den, grand) of the vertex path at order y: the grand profit at
-        every joint atom (`_denominator`) and at every vertex, kept for the
+    def _grand_at(self, y: float) -> np.ndarray:
+        """The grand profit at order y under every vertex, as the excess
+        pass computes it (`ProperCoalitions.grand_profits`), kept for the
         last y."""
-        den = self._denominator(y)
         if self._vertex_grand is None or self._vertex_grand[0] != y:
-            self._vertex_grand = (y, self.poly.vertices() @ den)
-        return den, self._vertex_grand[1]
+            self._vertex_grand = (y, self._coalitions.grand_profits(y, self.poly.vertices()))
+        return self._vertex_grand[1]
 
     def _vertex_entries(
         self, y: float, masks: slice
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """(ratios, gammas, joints) of the coalitions in `masks` (a slice of
-        masks - 1) on the vertex path: per coalition the maximum of its
-        (gamma x vertex) ratio matrix num_gamma @ q / den @ q, reported as
-        its vertex's own ratio.
-
-        The ratios at vertex v are at most best[v] / grand[v], attained at
-        arg[v], since division by a positive grand profit keeps the order
-        of the numerators; it also rounds monotonically, so the largest
-        best / grand has the bits of the matrix's largest ratio. Ties go to
-        the least (arg[v], v) among the vertices that attain it, so an
-        entry depends only on y and S."""
+        masks - 1) on the vertex path: per coalition the largest of its
+        ratios profits[v] / grand[v] over the vertices v, its witness the
+        least (orders[v], v) among the vertices that attain it exactly, so
+        an entry depends only on y and S. Each ratio is the excess pass's
+        ratio under that vertex, bit for bit."""
         data = self._vertex_numerators()
-        verts = self.poly.vertices()
         if self._vertex_rows is None:
-            self._vertex_rows = list(verts)  # one array per vertex, for `witnesses`
-        den, grand = self._grand_at(y)
-        arg = data.arg[masks]
-        ratios = data.best[masks] / grand
+            self._vertex_rows = list(self.poly.vertices())  # one array per vertex, for `witnesses`
+        ratios = data.profits[masks] / self._grand_at(y)
+        orders = data.orders[masks]
         tied = ratios == np.max(ratios, axis=1)[:, None]
-        first = np.min(np.where(tied, arg, np.iinfo(arg.dtype).max), axis=1)
-        v = np.argmax(tied & (arg == first[:, None]), axis=1)
-        g = data.start[masks] + first
-        q = verts[v]
-        values = row_dots(data.rows[g], q) / row_dots(np.broadcast_to(den, q.shape), q)
-        return values, data.gammas[g], [self._vertex_rows[k] for k in v.tolist()]
+        first = np.min(np.where(tied, orders, np.inf), axis=1)
+        v = np.argmax(tied & (orders == first[:, None]), axis=1)
+        values = ratios[np.arange(v.size), v]
+        return values, first, [self._vertex_rows[k] for k in v.tolist()]
 
     def _tie_mask(self, used: np.ndarray) -> np.ndarray:
         """Which vertices tie the last table's entries of the coalitions
-        `used` (mask - 1), one row per coalition: those whose best ratio
-        best[v] / grand[v] is within the ratios' rounding bound of the
-        largest. Each ratio num @ q / den @ q is within gamma_(K+2) (|num| @
-        q + |ratio| |den| @ q) / (den @ q) of its exact value (Higham 2002,
-        ch. 3, first order), and at a vertex q, a probability vector, |num|
-        @ q <= peak and |den| @ q <= max |den|. So every vertex that
-        attains an entry exactly is tied."""
+        `used` (mask - 1), one row per coalition: those whose ratio
+        profits[v] / grand[v] is within the ratios' rounding bound of the
+        largest, so that every vertex that attains an entry exactly is
+        tied.
+
+        The bound, to first order in the unit roundoff u with gamma_m = m u
+        / (1 - m u) (Higham 2002, ch. 3): the kernel computes a profit as
+        (p-c) gamma - p (s @ q) with s_k = (gamma - d_k)^+ over the K atoms
+        and q a vertex. Each s_k rounds once and the K-term dot of
+        nonnegative products adds gamma_K, so s @ q is within gamma_(K+1)
+        of E = E_q(gamma - d)^+; p times it, (p-c) gamma and the
+        subtraction round once each, so the profit is within gamma_(K+3) A
+        of its exact value, A = (p-c) gamma + p E. Demands are nonnegative,
+        so E <= gamma and A <= `bound`; likewise the grand profit is within
+        gamma_(K+3) B with B = (2p - c) y. The division adds u |ratio| <=
+        u A / grand, so each ratio is within gamma_(K+4) (bound + |ratio|
+        B) / grand of its exact value. A vertex that attains the exact
+        maximum has a computed ratio at least the largest computed ratio
+        less its own and the largest's error."""
         data = self._vertex_numerators()
-        den, grand = self._grand_at(self._last_table.y)
-        ratios = data.best[used] / grand
-        k = den.size + 2
+        y = self._last_table.y
+        grand = self._grand_at(y)
+        ratios = data.profits[used] / grand
+        k = self.d_grand.size + 4
         u = np.finfo(float).eps / 2
         err = k * u / (1 - k * u) * (
-            data.peak[used, None] + np.abs(ratios) * np.max(np.abs(den))
+            data.bound[used, None] + np.abs(ratios) * (self.p - self.c + self.p) * y
         ) / grand
         top = np.argmax(ratios, axis=1)[:, None]
         floor = np.take_along_axis(ratios, top, 1) - np.take_along_axis(err, top, 1)
@@ -640,13 +620,13 @@ class RobustGameSolver:
         -v_S G_q'(y+-) / G_q(y), weighted by w, give the cuts. On the LP
         path q is the entry's witness, read on its support. On the vertex
         path v_S is the maximum of finitely many such pieces, one per
-        (gamma, vertex), so its one-sided derivatives are the extremes over
-        the attaining pieces (Danskin 1967): per S the least left slope and
-        the largest right slope over its tied vertices (`_tie_mask`, one
-        call for all the used S). A tie that does not attain exactly, only within the
-        ratios' rounding bound delta_S, still gives a cut valid up to w_S
-        delta_S, some 1e-14 relative, far below the least-core search's
-        1e-9.
+        vertex at S's best order there, so its one-sided derivatives are
+        the extremes over the attaining pieces (Danskin 1967): per S the
+        least left slope and the largest right slope over its tied
+        vertices (`_tie_mask`, one call for all the used S). A tie that
+        does not attain exactly, only within the ratios' rounding bound
+        delta_S, still gives a cut valid up to w_S delta_S, some 1e-14
+        relative, far below the least-core search's 1e-9.
 
         The error bound is the standard one for floating-point dot products
         (Higham 2002, ch. 3), to first order in the unit roundoff u, with
@@ -779,20 +759,18 @@ class RobustGameSolver:
         return Decision(best_y, best_x), best_eps
 
 
-def _candidate_orders(demands: np.ndarray) -> list[np.ndarray]:
-    """Per row of `demands` (a coalition's demand at every joint atom), its
-    distinct values, ascending, less those within 1e-12 of the one before:
-    the orders v_max has to try. One row-wise sort serves every row. The
-    keep mask compares the differences of neighbours in the sorted copy
-    over blocks of `_BLOCK` columns, the subtractions of `np.diff`, so no
-    K-long difference is built."""
-    ordered = np.sort(demands, axis=1)
+def _candidate_orders(d_s: np.ndarray) -> np.ndarray:
+    """The distinct values of a coalition's demand row `d_s`, ascending,
+    less those within 1e-12 of the one before: the orders the ratio LPs
+    have to try. The keep mask compares the differences of neighbours in
+    the sorted copy over blocks of `_BLOCK` entries, the subtractions of
+    `np.diff`, so no K-long difference is built."""
+    ordered = np.sort(d_s)
     keep = np.ones(ordered.shape, dtype=bool)
-    width = ordered.shape[1]
-    for i in range(1, width, _BLOCK):
-        j = min(i + _BLOCK, width)
-        np.greater(ordered[:, i:j] - ordered[:, i - 1 : j - 1], 1e-12, out=keep[:, i:j])
-    return [row[k] for row, k in zip(ordered, keep)]
+    for i in range(1, ordered.size, _BLOCK):
+        j = min(i + _BLOCK, ordered.size)
+        np.greater(ordered[i:j] - ordered[i - 1 : j - 1], 1e-12, out=keep[i:j])
+    return ordered[keep]
 
 
 def _ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray, mass: np.ndarray) -> float:

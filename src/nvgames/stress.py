@@ -8,9 +8,11 @@ ratio of S's achievable profit to the grand profit at y. Coalitions inside a
 single block order their known-distribution quantile; coalitions spanning
 blocks order optimally for the realized q. `ExcessEvaluator(inst)` computes
 it for a matrix of joints: `stack` once, then `excess` per decision; every
-order and profit in it comes from the newsvendor kernel (`critical_orders`,
-`order_profits`). The robust decision comes from `RobustGameSolver`'s core
-test and least-core search.
+order and profit in it comes from `newsvendor.ProperCoalitions`, the routine
+the robust solver's vertex tables call too. The robust decision comes from
+`RobustGameSolver`'s core test and least-core search, so every worst-case
+ratio of its vertex tables equals, bit for bit, the excess pass's ratio
+under that ratio's witness at the decision's order.
 
 Per instance the experiment builds a pool of extremal vertices: random-cost
 vertices, then the worst-case ratio witnesses, which the robust solver
@@ -46,25 +48,14 @@ from .distributions import (
     check_int,
     check_probability_rows,
     check_real,
-    get_polytope,
     independent_joint,
     sample_extremal,
 )
 from .errors import DomainError, GameInvalidError, InputError, SolverError
-from .newsvendor import critical_orders, optimal_order, order_profits, worst_case_orders
+from .newsvendor import _CHUNK_ROWS, ProperCoalitions, optimal_order
 from .robust_game import Decision, RobustGameSolver
 
 WITNESS_POOL_CAP = 256
-_EXCESS_CHUNK_ROWS = 128
-"""Rows of mixed joints per `ExcessEvaluator.stack` pass in the stress loop.
-A pass makes one newsvendor kernel call for all coalitions, whose
-temporaries are coalitions x rows x atoms: at the criterion-10 shape (48
-coalitions spanning both blocks, 16 atoms) 0.75 MB each at 128 rows. On a
-2-vCPU x86 VM (2 MB of L2 per core) the stack time of one instance's
-1 034 rows was, min of 7 x 5 passes over three sweeps: 6.3-6.5 ms at 32
-rows, 5.3-7.4 ms at 64, 4.6-4.9 ms at 128 and 4.9-5.3 ms at 256 (7.0 ms
-with 4 coalitions per call and 256 rows). Against 64 rows, 128 raised the
-peak RSS of a serial 17-instance run by 0.4 MB, and 256 by 1.4 MB."""
 _DEDUPE_BLOCK = 128
 """Candidates per closeness block in `_dedupe_pool`: a block holds one
 block x pool matrix, so a pool of 10 000 vectors needs about 10 MB."""
@@ -240,60 +231,49 @@ class JointStack:
 class ExcessEvaluator:
     """Excess values of decisions under many joints on one instance.
 
-    The per-coalition data that no joint changes is fixed once here: each
-    coalition's demand per atom and the pinned quantile order of a
-    coalition inside one block. `stack` then evaluates all coalitions for a
-    whole matrix of joints at once, in two calls of the newsvendor kernel
-    (`order_profits` at the pinned orders, `critical_orders` over the
-    joints for the coalitions spanning blocks), and `excess` turns a stack
-    into one excess per row for a decision. The kernel's values equal its
-    one-joint values bit for bit, so a stacked excess equals the one-joint
-    excess. The excess is undefined under a
-    joint where the decision's grand profit is nonpositive; `excess` raises
-    DomainError on such a row, so a caller with many joints screens them
-    first with `grand_profit`.
+    The per-coalition data that no joint changes (each coalition's demand
+    per atom and the pinned quantile order of a coalition inside one
+    block) is set up once here, as a `newsvendor.ProperCoalitions`.
+    `stack` then evaluates all coalitions for a whole matrix of joints at
+    once through its `best_orders`, the routine that also gives
+    `RobustGameSolver`'s vertex tables their best profits, and `excess`
+    turns a stack into one excess per row for a decision. The kernel's
+    values equal its one-joint values bit for bit, so a stacked excess
+    equals the one-joint excess, and a vertex-table ratio equals the
+    stacked profit under its witness over `grand_profit` there. The excess
+    is undefined under a joint where the decision's grand profit is
+    nonpositive; `excess` raises DomainError on such a row, so a caller
+    with many joints screens them first with `grand_profit`.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.poly = get_polytope(inst)
-        demands = self.poly.coalition_demand_rows(range(1, inst.grand_mask + 1))
-        self.d_grand = demands[-1]
+        self._coalitions = ProperCoalitions(inst)
+        self.d_grand = self._coalitions.d_grand
         masks = np.arange(1, inst.grand_mask)
-        blocks_met = sum(((masks & bm) != 0).astype(int) for bm in inst.block_masks)
-        # Known marginal: the order is pinned to its quantile.
-        self._pinned_cols = np.flatnonzero(blocks_met == 1)
-        self._pinned_y = worst_case_orders(inst, masks[self._pinned_cols].tolist())[0]
-        self._span_cols = np.flatnonzero(blocks_met > 1)
-        self._demands = demands[:-1]
-        self._pinned_d = self._demands[self._pinned_cols]
-        self._span_d = self._demands[self._span_cols]
         # _members[i] selects the coalitions that contain retailer i.
         self._members = [((masks >> i) & 1).astype(bool) for i in range(inst.n_retailers)]
 
     def stack(self, q: np.ndarray) -> JointStack:
         """Every coalition's best profit under every row of `q` (one joint,
-        or a matrix of joints as rows): a coalition inside one block at its
-        pinned known-marginal quantile, a coalition spanning blocks at its
-        critical-ratio order under each row."""
+        or a matrix of joints as rows), from `ProperCoalitions.best_orders`:
+        a coalition inside one block at its pinned known-marginal quantile,
+        a coalition spanning blocks at its critical-ratio order under each
+        row."""
         qs = np.array(q, dtype=float, order="C", ndmin=2)
-        if qs.ndim != 2 or qs.shape[1] != self.poly.n_atoms:
+        if qs.ndim != 2 or qs.shape[1] != self.d_grand.size:
             raise InputError(
-                f"joints have shape {np.shape(q)}, expected rows of {self.poly.n_atoms} atoms"
+                f"joints have shape {np.shape(q)}, expected rows of {self.d_grand.size} atoms"
             )
         qs.setflags(write=False)
-        profits = np.empty((qs.shape[0], self._demands.shape[0]))
-        profits[:, self._pinned_cols] = order_profits(
-            self.inst, self._pinned_y[:, None], self._pinned_d, qs
-        ).T
-        profits[:, self._span_cols] = critical_orders(self.inst, self._span_d, qs)[1].T
+        profits = self._coalitions.best_orders(qs)[1]
         profits.setflags(write=False)
         return JointStack(self, qs, profits)
 
     def grand_profit(self, q: np.ndarray, decision: Decision) -> np.ndarray:
         """The grand coalition's realized profit at order `decision.y` under
         each row of `q` (a matrix of joints as rows)."""
-        return order_profits(self.inst, np.array([[decision.y]]), self.d_grand[None, :], q)[0]
+        return self._coalitions.grand_profits(decision.y, q)
 
     def excess(self, stack: JointStack, decision: Decision) -> np.ndarray:
         """Largest positive coalition dissatisfaction of `decision` under
@@ -320,7 +300,7 @@ class ExcessEvaluator:
         """z(S) for every coalition S, in coalition order, summed from the
         highest member down to the lowest: the order of the one-joint
         reference in the tests, so each z(S) is the same float."""
-        zsum = np.zeros(self._demands.shape[0])
+        zsum = np.zeros(self.inst.grand_mask - 1)
         for i in reversed(range(len(self._members))):
             zsum[self._members[i]] += z[i]
         return zsum
@@ -408,8 +388,8 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
     # The other admissible rows, in lambda order, go through the stacked
     # kernel in fixed chunks; each value depends on its row alone.
     rest = np.flatnonzero(~at_zero)
-    for lo in range(0, rest.size, _EXCESS_CHUNK_ROWS):
-        slots = rest[lo : lo + _EXCESS_CHUNK_ROWS]
+    for lo in range(0, rest.size, _CHUNK_ROWS):
+        slots = rest[lo : lo + _CHUNK_ROWS]
         stack = evaluator.stack(mixed[admitted[slots]])
         rob_vals[slots] = evaluator.excess(stack, robust)
         det_vals[slots] = evaluator.excess(stack, det)

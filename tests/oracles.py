@@ -14,10 +14,10 @@ in its primal form, which the dual form replaced, and
 enumeration. The `per_coalition_*` and
 `per_mask_*` functions keep the one-coalition-at-a-time loops that the
 batched demand rows and the row-wise order kernel replaced.
-`per_entry_vertex_table` keeps the vertex path's one-coalition ratio
-matrix that the whole-array table replaced, and `solved_vertex_table` the
-enumeration that solves every column basis, which the integer-inverse
-screen replaced. `loop_northwest_corner` keeps the residual-subtracting
+`per_entry_vertex_table` keeps the vertex path's rule one coalition and
+one vertex at a time, through the one-joint kernel, and
+`solved_vertex_table` the enumeration that solves every column basis,
+which the integer-inverse screen replaced. `loop_northwest_corner` keeps the residual-subtracting
 walk that the merged cumulative sums replaced. `flat_incidence_rows`,
 `gathered_rmatvec` and `gathered_tree_factor` keep the (R+1, K) row-id
 layout of the consistency operator, its pricing product and its tree
@@ -495,36 +495,36 @@ def per_mask_deterministic_values(inst, q) -> np.ndarray:
 
 def per_entry_vertex_table(solver, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, gammas, vertex rows) in mask order of every coalition's
-    vertex-path entry at order y, one coalition at a time: the maximum of
-    its (gamma x vertex) ratio matrix (nums @ verts.T) / (verts @ den), at
-    the least (g, v) over the vertices v whose column attains it, g the
-    first order of v's largest numerator, reported as that vertex's own
-    ratio float(nums[g] @ q) / float(den @ q). A coalition inside one
-    block has its worst-case order and value as its one candidate; a
-    spanning one tries its distinct demand values, less those within 1e-12
-    of the one before."""
-    from nvgames.newsvendor import worst_case_order
+    vertex-path entry at order y, one coalition and one vertex at a time:
+    per vertex q, the one-joint kernel's order and profit for the
+    coalition (`critical_orders` on its demand row; a coalition inside one
+    block at its worst-case order, through `order_profits`) over the
+    one-joint grand profit at y (`order_profits` on the grand demand row).
+    The entry is the largest of those ratios, at the least (order, vertex)
+    among the vertices that attain it."""
+    from nvgames.newsvendor import critical_orders, order_profits, worst_case_order
 
     inst, poly = solver.inst, solver.poly
     verts = poly.vertices()
-    p, pc = inst.price, inst.price - inst.cost
-    den = pc * y - p * np.maximum(y - solver.d_grand, 0.0)
-    grand = verts @ den
+    d_n = poly.coalition_demands(inst.grand_mask)
+    grand = [order_profits(inst, np.array([[y]]), d_n[None, :], q)[0, 0] for q in verts]
     values, gammas, rows = [], [], []
     for mask in range(1, inst.grand_mask):
-        if sum(1 for bm in inst.block_masks if mask & bm) == 1:
-            wc = worst_case_order(inst, mask)
-            cand, nums = np.array([wc.y_star]), np.full((1, poly.n_atoms), wc.value)
-        else:
-            d_s = poly.coalition_demands(mask)
-            cand = np.unique(d_s)
-            cand = cand[np.r_[True, np.diff(cand) > 1e-12]]
-            nums = pc * cand[:, None] - p * np.maximum(cand[:, None] - d_s, 0.0)
-        prod = nums @ verts.T
-        top = np.max(prod / grand, axis=0)
-        g, v = min((int(np.argmax(prod[:, v])), int(v)) for v in np.flatnonzero(top == top.max()))
-        values.append(float(nums[g] @ verts[v]) / float(den @ verts[v]))
-        gammas.append(float(cand[g]))
+        d_s = poly.coalition_demands(mask)[None, :]
+        pinned = sum(1 for bm in inst.block_masks if mask & bm) == 1
+        y_s = worst_case_order(inst, mask).y_star
+        ratios, orders = [], []
+        for q, g in zip(verts, grand):
+            if pinned:
+                order, profit = y_s, order_profits(inst, np.array([[y_s]]), d_s, q)[0, 0]
+            else:
+                order, profit = (float(a[0]) for a in critical_orders(inst, d_s, q))
+            ratios.append(float(profit) / float(g))
+            orders.append(float(order))
+        top = max(ratios)
+        order, v = min((orders[v], v) for v in range(len(verts)) if ratios[v] == top)
+        values.append(top)
+        gammas.append(order)
         rows.append(v)
     return np.array(values), np.array(gammas), np.array(rows, dtype=np.intp)
 

@@ -88,6 +88,32 @@ def test_criterion_01_example1_reproduction():
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
+def test_example1_reaches_its_continuous_limit():
+    # Example 1 at K = 100, 200, 400 and 800: the discretization error of the
+    # pair ratios and of the least-core eps (sigma at the worst-case order)
+    # is first order in 1/K, so K (6/7 - v_12) is monotone, and Richardson
+    # extrapolation that cancels the 1/K and 1/K^2 terms over the last three
+    # K lands on the paper's 6/7 and on 4/21 = (3 * 6/7 - 2) / 3, the least
+    # core of three players whose pairs are each worth 6/7.
+    start = time.monotonic()
+    ks = np.array([100, 200, 400, 800])
+    found = []  # per K: v_12, v_13, v_23, eps
+    for k in ks:
+        solver = RobustGameSolver(make_example1(int(k)))
+        y = solver.grand_wc.y_star
+        found.append([solver.vmax(y, m).value for m in (0b011, 0b101, 0b110)]
+                     + [solver.sigma(y)[0]])
+    values = np.array(found)
+    for order in (1, 2):  # v(K) = v + a/K + b/K^2 + ...: cancel a, then b
+        values = (2**order * values[1:] - values[:-1]) / (2**order - 1)
+    limits = values[-1]
+    assert np.all(np.abs(limits[:3] - 6.0 / 7.0) <= 1e-6), limits
+    assert abs(limits[3] - 4.0 / 21.0) <= 1e-6, limits
+    rate = ks * (6.0 / 7.0 - np.array(found)[:, 0])
+    assert np.all(np.diff(rate) < 0.0), rate
+    assert time.monotonic() - start < 2.0
+
+
 def test_criterion_02_t1_exact_fixture(t1):
     with criterion(2, "hand-computed two-retailer fixture is exact"):
         d = RobustGameSolver(t1).core_decision()

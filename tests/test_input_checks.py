@@ -75,6 +75,8 @@ CASES = [
      "player count must be >= 1, got 0"),
     ("stability-mask", lambda: solve_stability_lp(2, {4: 1.0}, 1.0), InputError,
      r"stability constraints must be over nonempty coalitions of 0\.\.n-1"),
+    ("game-bool-coalition", lambda: game()(True), InputError,
+     "coalition mask must be an integer, got True"),
     ("core-allocation", lambda: core_membership(game(), [3.0]), InputError,
      r"allocation has shape \(1,\), expected \(2,\)"),
     ("core-tol-nan", lambda: core_membership(game(), [1.5, 1.5], tol=np.nan), InputError,
@@ -111,6 +113,8 @@ CASES = [
      "coalition member must be an integer >= 0, got -1"),
     ("float-coalition", lambda: coalition_mask(2.0), InputError,
      "coalition members must be iterable, got 2.0"),
+    ("bool-mask", lambda: coalition_mask(True), InputError,
+     "coalition mask must be an integer, got True"),
     ("joint-ndim", lambda: JointDistribution(np.full((2, 2), 0.25)), InputError,
      "q must be a vector"),
     ("extremal-cost", lambda: sample_extremal(square(), [0.0, np.nan, 0.0, 0.0]), InputError,
@@ -156,6 +160,8 @@ CASES = [
     ("multiples-sum", lambda: Decision(2.0, [0.5, 0.6]), InputError,
      r"multiples sum to 1\.1, expected 1 within 1e-9"),
     ("table-mask", lambda: RobustGameSolver(square()).table(2.0).value(3), KeyError, "3"),
+    ("table-bool-mask", lambda: RobustGameSolver(square()).table(2.0).value(True), InputError,
+     "coalition mask must be an integer, got True"),
     ("decision-size", lambda: verify_rcore2(square(), Decision(2.0, [1.0])), InputError,
      "decision has 1 multiples, instance has 2 retailers"),
     # stress

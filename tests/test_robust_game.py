@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -529,6 +530,37 @@ class TestCutSearch:
         if y == 19.0:
             assert several > 0  # some entries tie several vertices here
 
+    @pytest.mark.parametrize("make, y", [
+        pytest.param(lambda: small_cfg_instance(0), 19.0, id="19.0"),
+        pytest.param(lambda: small_cfg_instance(1), None, id="small-1"),
+        pytest.param(lambda: random_instance(0, block_sizes=(2, 1, 1), atoms_per_block=(2, 2, 2)),
+                     None, id="three-blocks"),
+        pytest.param(repeated_atom_instance, None, id="repeated-atom"),
+    ])
+    def test_ties_hold_every_exact_maximum_of_the_kernel_ratios(self, make, y):
+        # Each vertex's ratio taken in rational arithmetic from the same
+        # floats (the kernel's order, demands, vertex, price and cost):
+        # every vertex that attains a coalition's exact maximum is tied.
+        solver = RobustGameSolver(make())
+        y = solver.grand_wc.y_star if y is None else y
+        table = solver.table(y)
+        tied = solver._tie_mask(np.arange(len(table.entries)))
+        verts = [[Fraction(v) for v in q] for q in solver.poly.vertices()]
+        p, pc = Fraction(solver.p), Fraction(solver.p - solver.c)
+        orders = solver._vertex_numerators().orders
+
+        def profit(order, d, q):
+            return pc * order - p * sum(qk * max(order - dk, 0) for qk, dk in zip(q, d))
+
+        d_n = [Fraction(v) for v in solver.d_grand]
+        grand = [profit(Fraction(y), d_n, q) for q in verts]
+        for mask in table.entries:
+            d_s = [Fraction(v) for v in solver.poly.coalition_demands(mask)]
+            exact = [profit(Fraction(float(g)), d_s, q) / gq
+                     for g, q, gq in zip(orders[mask - 1], verts, grand)]
+            top = max(exact)
+            assert all(tied[mask - 1, v] for v, r in enumerate(exact) if r == top)
+
     @pytest.mark.parametrize("y", [19.0, 20.0, 21.0, 22.5, 24.2])
     def test_slope_error_bound_covers_exact_slopes(self, y):
         # At 19 several coalitions have two tied vertices.
@@ -869,6 +901,14 @@ class TestRatioLpFootprint:
             y = float(rng.choice([0.0, demands[0], rng.uniform(-1.0, 4.0)]))
             yield SimpleNamespace(price=price, cost=cost), y, demands
 
+    def test_lp_path_forms_no_coalition_demand_rows(self):
+        # The coalition set-up of the vertex tables (every coalition's
+        # K-long demand row) is never built above the vertex cap.
+        solver = RobustGameSolver(make_example1(100))
+        assert solver.poly.vertices() is None
+        solver.least_core(y_tol=0.02)
+        assert "_coalitions" not in vars(solver) and solver._numerators is None
+
     def test_atom_profits_keep_the_out_of_place_bits(self):
         for inst, y, demands in self.draws(np.random.default_rng(11), 300):
             want = (inst.price - inst.cost) * y - inst.price * np.maximum(y - demands, 0.0)
@@ -953,8 +993,7 @@ class TestRatioLpFootprint:
 def test_candidate_orders_keep_the_one_shot_diff_across_blocks(monkeypatch, block):
     # Rows longer than two blocks whose neighbours at every block edge lie
     # within 1e-12 of each other, at it or just beyond it: the blockwise
-    # keep mask gives the bytes of the one-shot np.diff form, for three rows
-    # at once and for one.
+    # keep mask gives the bytes of the one-shot np.diff form on each row.
     if block is not None:
         monkeypatch.setattr(rg_module, "_BLOCK", block)
     b = rg_module._BLOCK
@@ -970,9 +1009,8 @@ def test_candidate_orders_keep_the_one_shot_diff_across_blocks(monkeypatch, bloc
     keep[:, 1:] = np.diff(ordered, axis=1) > 1e-12
     want = [row[kept] for row, kept in zip(ordered, keep)]
     demands = rng.permuted(ordered, axis=1)
-    got = rg_module._candidate_orders(demands)
+    got = [rg_module._candidate_orders(row) for row in demands]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    assert rg_module._candidate_orders(demands[1:2])[0].tobytes() == want[1].tobytes()
 
 
 class TestDecision:

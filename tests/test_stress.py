@@ -586,15 +586,18 @@ def per_lambda_rows(job, ext, robust, det) -> list:
 
 class TestChunkedExcess:
     @pytest.mark.parametrize("seed, digest", [
-        (20240811, "ca108e8ad4438b4992f1f2ba606db8332a4ba676c4bd2951f9a98bfce61ee845"),
-        (918273645, "3e185efba0cca16f1ca64d4376913572d546356224b5f11f25e626ffc1695403"),
+        (20240811, "196c57f753c6db98b3c19d2b3f3b5136bdb629059a73de5a941e721d9672365b"),
+        (918273645, "471c97afb1ac6290ca8b15eeb0272d6fb9c6bdf0fe7583997f08f42534272a88"),
     ], ids=["20240811", "918273645"])
     def test_criterion10_csv_is_pinned(self, tmp_path, seed, digest):
         # The digests of one kernel pass per lambda, re-pinned when the
-        # stability LP started from its crash basis and again when it moved
+        # stability LP started from its crash basis, again when it moved
         # to its dual form (the least-core vertex is not unique, so
-        # decisions and cells moved). Every instance here has more
-        # admissible mixtures than one chunk holds.
+        # decisions and cells moved), and again when the vertex tables took
+        # their profits from the excess pass's kernel (the ratios' last bits
+        # moved, and with them tie-broken witnesses, the extremal pool and
+        # the decisions). Every instance here has more admissible mixtures
+        # than one chunk holds.
         path = tmp_path / "o.csv"
         run_stress(criterion10_cfg(seed=seed), csv_path=path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -603,7 +606,7 @@ class TestChunkedExcess:
         cfg = criterion10_cfg()
         job = (cfg, 0, 11, 12)
         rows, ext = rows_and_pool(monkeypatch, job)
-        assert len(ext) * len(cfg.lambda_grid) > 2 * stress._EXCESS_CHUNK_ROWS
+        assert len(ext) * len(cfg.lambda_grid) > 2 * newsvendor._CHUNK_ROWS
         inst = gen_instance(cfg, 11)
         robust, _ = stress._solve_robust(inst)
         assert rows == per_lambda_rows(
@@ -615,7 +618,7 @@ class TestChunkedExcess:
         cfg = criterion10_cfg(lambda_grid=(0.0, 0.5, 0.0, 1.0))
         job = (cfg, 0, 11, 12)
         rows, ext = rows_and_pool(monkeypatch, job)
-        assert 2 * len(ext) > stress._EXCESS_CHUNK_ROWS
+        assert 2 * len(ext) > newsvendor._CHUNK_ROWS
         inst = gen_instance(cfg, 11)
         robust, _ = stress._solve_robust(inst)
         assert rows == per_lambda_rows(
@@ -631,7 +634,7 @@ class TestChunkedExcess:
         inst = gen_instance(cfg, 11)
         q_ind = independent_joint(inst).q
         mixed = np.concatenate([(1.0 - lam) * q_ind + lam * ext for lam in (0.0, 0.3, 0.0, 1.0)])
-        assert len(mixed) > 2 * stress._EXCESS_CHUNK_ROWS
+        assert len(mixed) > 2 * newsvendor._CHUNK_ROWS
         evaluator = ExcessEvaluator(inst)
         stack = evaluator.stack(mixed)
         expect = {}  # the rows of lambda = 0 are one row

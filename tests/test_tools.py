@@ -33,6 +33,21 @@ def test_lp_digest_is_reproducible(capsys):
     assert lines[0].split()[0] != lines[1].split()[0]
 
 
+def test_table_digest_is_reproducible(capsys):
+    # Two instances of a 4-retailer shape per seed, run twice: one line per
+    # instance, the same lines both times.
+    tool = load_tool("table_digest")
+    shape = dict(n=4, block_sizes=(2, 2), atoms_per_block=(2, 2))
+    for _ in range(2):
+        tool.main([str(ROOT / "src")], instances=2, shape=shape)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and lines[:4] == lines[4:]
+    assert [line.split()[:2] for line in lines[:4]] == [
+        [str(seed), str(i)] for seed in tool.SEEDS for i in range(2)]
+    assert all(len(line.split()[2]) == 64 for line in lines)
+    assert len({line.split()[2] for line in lines[:4]}) == 4
+
+
 def test_line_trace_lists_the_lines_no_test_runs():
     # One test under the hook, in a fresh interpreter: the pivot-limit raise
     # runs, the phase-1 factorization raise does not, and a module constant

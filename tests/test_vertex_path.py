@@ -1,6 +1,7 @@
 """Bit-for-bit tests of the vertex path: the whole-array tables against the
-one-coalition ratio matrix they replaced, and the vertex enumeration from
-integer basis inverses against solving every column basis."""
+one-coalition, one-vertex rule and against the excess pass's ratios, and
+the vertex enumeration from integer basis inverses against solving every
+column basis."""
 
 from unittest import mock
 
@@ -10,14 +11,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 
-from nvgames import distributions
+from nvgames import distributions, stress
 from nvgames.distributions import DiscreteMarginal, FrechetPolytope, Instance, get_polytope
-from nvgames.errors import DomainError
+from nvgames.errors import DomainError, GameInvalidError
+from nvgames.newsvendor import _profit
 from nvgames.robust_game import RobustGameSolver
+from nvgames.stress import ExcessEvaluator
 
 from conftest import random_instance
 from oracles import per_entry_vertex_table, solved_vertex_table
 from test_operators import instances
+from test_robust_game import small_cfg_instance
 
 
 def bits(values) -> np.ndarray:
@@ -69,7 +73,8 @@ def test_tables_equal_the_per_entry_rule(inst):
 
 def test_equal_numerators_go_to_the_smaller_order():
     # Coalition {0, 2} has the same numerator at two orders on the vertex
-    # that attains its ratio: the smaller order wins, as in row-major order.
+    # that attains its ratio: the kernel's critical-ratio quantile, and so
+    # the table, takes the smaller one.
     inst = Instance(2.0, 1.0, ((0, 1), (2, 3)), (
         DiscreteMarginal([[2.0, 0.0], [1.0, 2.0]], [0.5, 0.5]),
         DiscreteMarginal([[0.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
@@ -77,42 +82,63 @@ def test_equal_numerators_go_to_the_smaller_order():
     solver = RobustGameSolver(inst)
     y = solver.grand_wc.y_star
     table = solver.table(y)
-    data = solver._vertex_numerators()
-    v = table_rows(solver.poly.vertices(), table.joints)[0b101 - 1]
-    nums = data.rows[data.start[4] : data.start[5]] @ solver.poly.vertices()[v]
+    d_s = solver.poly.coalition_demands(0b101)
+    gammas = np.unique(d_s)
+    nums = _profit(inst, gammas, np.maximum(gammas[:, None] - d_s, 0.0) @ table.joints[0b101 - 1])
     assert np.count_nonzero(nums == nums.max()) > 1
-    assert table.gammas[0b101 - 1] == data.gammas[data.start[4] + np.argmax(nums)]
+    assert table.gammas[0b101 - 1] == gammas[np.argmax(nums)]
     assert_tables_match_the_per_entry_rule(RobustGameSolver(inst), [y])
 
 
-def test_a_smaller_order_rounding_to_the_maximum_goes_to_the_least_best_order():
-    # At 1.3 times the worst-case order, coalition {1, 2, 3} has a tied
-    # vertex where an order before its best one has a numerator below the
-    # best, yet a ratio that rounds to the same maximum, so the row-major
-    # first of its ratio matrix is another (order, vertex). The entry is
-    # the least (best order, vertex) over the tied vertices, whose ratio in
-    # that matrix has the bits of its maximum; the table reports that
-    # vertex's own ratio, as the per-entry rule does.
+def test_tied_vertices_go_to_the_least_best_order():
+    # Coalition {0, 2} attains its ratio exactly at vertices 0 and 1, whose
+    # best orders are 3 and 2: the entry is the least (best order, vertex)
+    # over the tied vertices, vertex 1, not the first tied vertex.
     inst = Instance(2.0, 1.0, ((0, 1), (2, 3)), (
-        DiscreteMarginal([[1.0, 1.0], [0.0, 1.0], [2.0, 2.0]], np.array([1.0, 3.0, 2.0]) / 6.0),
-        DiscreteMarginal([[0.0, 1.0], [1.0, 2.0], [1.0, 0.0], [1.0, 2.0]],
-                         np.array([1.0, 1.0, 2.0, 2.0]) / 6.0),
+        DiscreteMarginal([[0.0, 2.0], [2.0, 2.0], [2.0, 0.0]], [0.25, 0.375, 0.375]),
+        DiscreteMarginal([[0.0, 0.0], [1.0, 2.0]], [0.25, 0.75]),
     ))
     solver = RobustGameSolver(inst)
-    y = 1.3 * solver.grand_wc.y_star
+    y = solver.grand_wc.y_star
     table = solver.table(y)
-    data = solver._vertex_numerators()
     verts = solver.poly.vertices()
-    _den, grand = solver._grand_at(y)
-    i = 0b1110 - 1
-    full = (data.rows[data.start[i] : data.start[i + 1]] @ verts.T) / grand
-    tied = np.flatnonzero(np.max(full, axis=0) == full.max())
-    g, v = min((int(data.arg[i, v]), int(v)) for v in tied)
-    assert divmod(int(np.argmax(full)), grand.size) != (g, v)
-    assert table_rows(verts, [table.joints[i]]) == [v]
-    assert table.gammas[i] == data.gammas[data.start[i] + g]
-    assert bits([full[g, v]]).tolist() == bits([full.max()]).tolist()
+    evaluator = ExcessEvaluator(inst)
+    i = 0b101 - 1
+    orders, profits = evaluator._coalitions.best_orders(verts)
+    ratios = profits[:, i] / evaluator._coalitions.grand_profits(y, verts)
+    tied = np.flatnonzero(ratios == ratios.max())
+    assert tied[:2].tolist() == [0, 1] and orders[tied[:2], i].tolist() == [3.0, 2.0]
+    assert table_rows(verts, [table.joints[i]]) == [1]
+    assert table.gammas[i] == 2.0
     assert_tables_match_the_per_entry_rule(RobustGameSolver(inst), [y])
+
+
+def assert_entries_are_excess_ratios(solver: RobustGameSolver, decision) -> None:
+    """Every entry of the table at the decision's order, bit for bit, the
+    excess pass's ratio under its own witness: the stacked best profit over
+    the grand profit at that order."""
+    table = solver.table(decision.y)
+    evaluator = ExcessEvaluator(solver.inst)
+    stack = evaluator.stack(np.array(table.joints))
+    ratios = np.diagonal(stack.profits) / evaluator.grand_profit(stack.q, decision)
+    assert np.array_equal(bits(table.ratios), bits(ratios))
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_table_entries_are_the_excess_ratios_of_their_witnesses(i):
+    decision, solver = stress._solve_robust(small_cfg_instance(i))
+    assert solver.poly.vertices() is not None
+    assert_entries_are_excess_ratios(solver, decision)
+
+
+@given(instances(n_blocks=st.integers(2, 3)))
+def test_table_entries_are_the_excess_ratios_at_the_robust_decision(inst):
+    assume(get_polytope(inst).vertices() is not None and inst.n_retailers > 1)
+    try:
+        decision, solver = stress._solve_robust(inst)
+    except GameInvalidError:
+        assume(False)
+    assert_entries_are_excess_ratios(solver, decision)
 
 
 @given(instances(n_blocks=st.integers(2, 3)))
