@@ -42,7 +42,6 @@ from .errors import (
 from .lp import LinearProgram, LpSolution, solve_lp
 from .newsvendor import (
     OrderResult,
-    ScalarDemand,
     expected_profit,
     grand_action_interval,
     optimal_order,
@@ -88,7 +87,6 @@ __all__ = [
     "NvGamesError",
     "OrderResult",
     "RobustGameSolver",
-    "ScalarDemand",
     "SolverError",
     "VmaxResult",
     "VmaxTable",

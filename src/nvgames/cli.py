@@ -202,7 +202,7 @@ def run(argv=None, out=None, err=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=err)
         return 2
     except InputError as exc:

@@ -777,12 +777,15 @@ def _check_numbers(value, name: str) -> None:
 
 def read_json(path):
     """The JSON document in the file at `path`; malformed JSON raises
-    InputError naming the path, line and column."""
+    InputError naming the path, line and column, and bytes that are not
+    UTF-8 InputError naming the path and the byte offset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
 
 
 def load_instance(path) -> Instance:

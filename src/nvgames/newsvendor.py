@@ -23,6 +23,11 @@ block of kinks. A value does not depend on the other rows or joints, so the
 batched callers (`worst_case_orders` once per block, `optimal_orders` over
 every coalition, `best_orders` over chunks of joints, the kink scan) and
 the one-coalition entry points give the same floats.
+
+The one-coalition entry points are the one-row case of the batched ones:
+`optimal_order` is row 0 of `optimal_orders`, `worst_case_order` row 0 of
+`worst_case_orders`, and `expected_profit` dots the joint with the row
+that `FrechetPolytope.coalition_demands` takes from `coalition_demand_rows`.
 """
 
 from __future__ import annotations
@@ -62,29 +67,6 @@ min of 7 x 5 passes over three sweeps: 6.3-6.5 ms at 32 rows, 5.3-7.4 ms
 at 64, 4.6-4.9 ms at 128 and 4.9-5.3 ms at 256 (7.0 ms with 4 coalitions
 per call and 256 rows). Against 64 rows, 128 raised the peak RSS of a
 serial 17-instance run by 0.4 MB, and 256 by 1.4 MB."""
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarDemand:
-    """Distribution of an aggregate (scalar) demand: support values with
-    probabilities. Values need not be sorted or distinct."""
-
-    values: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
-        if values.shape != probs.shape or values.ndim != 1:
-            raise InputError("values and probs must be vectors of equal length")
-        if not np.all(np.isfinite(values)):
-            raise InputError("demand values must be finite")
-        if np.any(probs < -1e-12):
-            raise InputError("probabilities must be nonnegative")
-        if abs(float(np.sum(probs)) - 1.0) > 1e-10:
-            raise InputError(f"probabilities sum to {float(np.sum(probs))!r}, expected 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
 
 
 @dataclass(frozen=True)
@@ -230,31 +212,25 @@ def _nonempty_masks(inst: Instance, coalitions: Iterable, caller: str) -> list[i
     return masks
 
 
-def pushforward(inst: Instance, q: JointDistribution, s) -> ScalarDemand:
-    """Distribution of the coalition's aggregate demand under joint q."""
-    poly = _joint_polytope(inst, q)
-    mask = coalition_mask(s, inst.n_retailers)
-    return ScalarDemand(poly.coalition_demands(mask), q.q)
+def _check_order(y: float) -> None:
+    """Refuse an order quantity that is not finite and nonnegative."""
+    if not (np.isfinite(y) and y >= 0):
+        raise InputError(f"order quantity must be finite and nonnegative, got {y}")
 
 
 def expected_profit(inst: Instance, q: JointDistribution, y: float, s) -> float:
     """(p-c)*y - p*E_q[(y - d(S))^+] for ordering quantity y."""
-    if y < 0:
-        raise InputError(f"order quantity must be nonnegative, got {y}")
-    d = pushforward(inst, q, s)
-    return _profit(inst, y, float(np.maximum(y - d.values, 0.0) @ d.probs))
-
-
-def _order_from_scalar(inst: Instance, d: ScalarDemand) -> OrderResult:
-    y, value = critical_orders(inst, d.values[None, :], d.probs)
-    return OrderResult(float(y[0]), float(value[0]))
+    _check_order(y)
+    d = _joint_polytope(inst, q).coalition_demands(coalition_mask(s, inst.n_retailers))
+    return _profit(inst, y, float(np.maximum(y - d, 0.0) @ q.q))
 
 
 def optimal_order(inst: Instance, q: JointDistribution, s) -> OrderResult:
     """Profit-maximizing order for coalition `s` when the joint is `q`: the
-    critical-ratio quantile of the aggregate demand."""
-    mask = _nonempty_masks(inst, [s], "optimal_order")[0]
-    return _order_from_scalar(inst, pushforward(inst, q, mask))
+    critical-ratio quantile of the aggregate demand, row 0 of
+    `optimal_orders`."""
+    y, value = optimal_orders(inst, q, [s])
+    return OrderResult(float(y[0]), float(value[0]))
 
 
 def optimal_orders(
@@ -265,14 +241,6 @@ def optimal_orders(
     masks = _nonempty_masks(inst, coalitions, "optimal_order")
     poly = _joint_polytope(inst, q)
     return critical_orders(inst, poly.coalition_demand_rows(masks), q.q)
-
-
-def block_demand(inst: Instance, r: int, mask: int) -> ScalarDemand:
-    """Known distribution of the aggregate demand of S cap N_r."""
-    if not mask & inst.block_masks[r]:
-        raise InputError(f"coalition {mask:#x} does not meet block {r}")
-    m = inst.marginals[r]
-    return ScalarDemand(block_aggregate(inst.partition[r], m.atoms, mask), m.probs)
 
 
 def worst_case_order(inst: Instance, s) -> OrderResult:
@@ -335,8 +303,7 @@ def coupled_profit(inst: Instance, coupling: tuple, y: float) -> float:
 def worst_case_shortage(inst: Instance, y: float, s) -> float:
     """max over consistent joints of E[(y - d(S))^+], attained by the
     comonotonic coupling."""
-    if y < 0:
-        raise InputError(f"order quantity must be nonnegative, got {y}")
+    _check_order(y)
     sums, weights, _q = comonotonic_coupling(inst, s)
     return float(weights @ np.maximum(y - sums, 0.0))
 
@@ -344,10 +311,10 @@ def worst_case_shortage(inst: Instance, y: float, s) -> float:
 def lemma3_condition(inst: Instance) -> bool:
     """True when some block's minimum aggregate demand is positive, which
     guarantees a nonempty positive-profit interval for the grand coalition."""
-    for r, bmask in enumerate(inst.block_masks):
-        if float(np.min(block_demand(inst, r, bmask).values)) > 0.0:
-            return True
-    return False
+    return any(
+        float(np.min(block_aggregate(block, m.atoms, inst.grand_mask))) > 0.0
+        for block, m in zip(inst.partition, inst.marginals)
+    )
 
 
 def _kink_profits(inst: Instance, coupling: tuple, y: float) -> tuple[np.ndarray, np.ndarray]:

@@ -60,20 +60,20 @@ Every product of a K-vector with an LP solution, or with a starting vertex,
 runs over that joint's support alone (`lp.support_dot`, and `_ratio`, which
 takes the joint as its masses at its ascending support and the numerator
 at those atoms alone): the basis columns of the solution or of the
-countermonotonic start, the atoms of the comonotonic joint. A vertex has at most n_rows nonzero atoms out of K (399
-of 40 000 in example 1 at K = 200), and OpenBLAS runs a product over more
-than 10 000 atoms on two threads (see `lp`). The LP path's tables keep each
-witness's support beside it for the slopes of sigma. The countermonotonic
-start is held as its support and masses alone, never as a K-long joint;
-the first LP solution replaces it as the coalition's joint. The LP path's
-K-long vectors are the demand row of the coalition being solved (formed
-for each table, not kept), one denominator per solver and order y
-(`_denominator`, shared with the vertex path), and one objective per
-Dinkelbach step, num - lam den formed in place in the numerator's own
-array with the out-of-place formula's bits (`_atom_profits`); besides
-those, only the LP solutions that a table or a start keeps. Passes over a
-K-long row that would make a K-long temporary run in blocks of
-`newsvendor._BLOCK` floats.
+countermonotonic start, the atoms of the comonotonic joint. A vertex has at
+most n_rows nonzero atoms out of K (399 of 40 000 in example 1 at K = 200),
+and OpenBLAS runs a product over more than 10 000 atoms on two threads (see
+`lp`). The LP path's tables keep each witness's support beside it for the
+slopes of sigma. The countermonotonic start is held as its support and
+masses alone, never as a K-long joint; the first LP solution replaces it as
+the coalition's joint. The LP path's K-long vectors are the demand row of
+the coalition being solved (formed for each table, not kept), one
+denominator per solver and order y (`_denominator`, shared with the vertex
+path), and one objective per Dinkelbach step, num - lam den formed in place
+in the numerator's own array with the out-of-place formula's bits
+(`_atom_profits`); besides those, only the LP solutions that a table or a
+start keeps. Passes over a K-long row that would make a K-long temporary
+run in blocks of `newsvendor._BLOCK` floats.
 
 Small polytopes skip the LPs. A linear-fractional program with a positive
 denominator attains its maximum at a vertex (Charnes-Cooper 1962), so when
@@ -148,6 +148,7 @@ from .lp import LpSolution, sorted_distinct
 from .newsvendor import (
     _BLOCK,
     ProperCoalitions,
+    _check_order,
     _profit,
     comonotonic_coupling,
     coupled_profit,
@@ -174,8 +175,7 @@ class Decision:
     z: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.y) and self.y >= 0):
-            raise InputError(f"order quantity must be finite and nonnegative, got {self.y}")
+        _check_order(self.y)
         z = np.atleast_1d(np.asarray(self.z, dtype=float))
         if not np.all(np.isfinite(z)):
             raise InputError(f"multiples must be finite, got {z}")

@@ -14,10 +14,10 @@ in its primal form, which the dual form replaced, and
 enumeration. The `per_coalition_*` and
 `per_mask_*` functions keep the one-coalition-at-a-time loops that the
 batched demand rows and the row-wise order kernel replaced.
-`per_entry_vertex_table` keeps the vertex path's rule one coalition and
-one vertex at a time, through the one-joint kernel, and
-`solved_vertex_table` the enumeration that solves every column basis,
-which the integer-inverse screen replaced. `loop_northwest_corner` keeps the residual-subtracting
+`per_vertex_best_orders` and `per_entry_vertex_table` keep the vertex
+path's rule one coalition and one vertex at a time, through the one-joint
+kernel, and `solved_vertex_table` the enumeration that solves every column
+basis, which the integer-inverse screen replaced. `loop_northwest_corner` keeps the residual-subtracting
 walk that the merged cumulative sums replaced. `flat_incidence_rows`,
 `gathered_rmatvec` and `gathered_tree_factor` keep the (R+1, K) row-id
 layout of the consistency operator, its pricing product and its tree
@@ -493,34 +493,52 @@ def per_mask_deterministic_values(inst, q) -> np.ndarray:
     return values
 
 
-def per_entry_vertex_table(solver, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def per_vertex_best_orders(solver) -> list[tuple[list[float], list[float]]]:
+    """(orders, profits) of every proper coalition in mask order at every
+    vertex, one coalition and one vertex at a time through the one-joint
+    kernel: `critical_orders` on the coalition's demand row, or for a
+    coalition inside one block its worst-case order and `order_profits`
+    there. None of it depends on the grand order."""
+    from nvgames.newsvendor import critical_orders, order_profits, worst_case_order
+
+    inst, poly = solver.inst, solver.poly
+    verts = poly.vertices()
+    best = []
+    for mask in range(1, inst.grand_mask):
+        d_s = poly.coalition_demands(mask)[None, :]
+        pinned = sum(1 for bm in inst.block_masks if mask & bm) == 1
+        y_s = worst_case_order(inst, mask).y_star
+        orders, profits = [], []
+        for q in verts:
+            if pinned:
+                order, profit = y_s, order_profits(inst, np.array([[y_s]]), d_s, q)[0, 0]
+            else:
+                order, profit = (float(a[0]) for a in critical_orders(inst, d_s, q))
+            orders.append(float(order))
+            profits.append(float(profit))
+        best.append((orders, profits))
+    return best
+
+
+def per_entry_vertex_table(
+    solver, best, y: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, gammas, vertex rows) in mask order of every coalition's
     vertex-path entry at order y, one coalition and one vertex at a time:
-    per vertex q, the one-joint kernel's order and profit for the
-    coalition (`critical_orders` on its demand row; a coalition inside one
-    block at its worst-case order, through `order_profits`) over the
-    one-joint grand profit at y (`order_profits` on the grand demand row).
-    The entry is the largest of those ratios, at the least (order, vertex)
-    among the vertices that attain it."""
-    from nvgames.newsvendor import critical_orders, order_profits, worst_case_order
+    per vertex q, the coalition's order and profit in `best` (from
+    `per_vertex_best_orders`) over the one-joint grand profit at y
+    (`order_profits` on the grand demand row). The entry is the largest of
+    those ratios, at the least (order, vertex) among the vertices that
+    attain it."""
+    from nvgames.newsvendor import order_profits
 
     inst, poly = solver.inst, solver.poly
     verts = poly.vertices()
     d_n = poly.coalition_demands(inst.grand_mask)
     grand = [order_profits(inst, np.array([[y]]), d_n[None, :], q)[0, 0] for q in verts]
     values, gammas, rows = [], [], []
-    for mask in range(1, inst.grand_mask):
-        d_s = poly.coalition_demands(mask)[None, :]
-        pinned = sum(1 for bm in inst.block_masks if mask & bm) == 1
-        y_s = worst_case_order(inst, mask).y_star
-        ratios, orders = [], []
-        for q, g in zip(verts, grand):
-            if pinned:
-                order, profit = y_s, order_profits(inst, np.array([[y_s]]), d_s, q)[0, 0]
-            else:
-                order, profit = (float(a[0]) for a in critical_orders(inst, d_s, q))
-            ratios.append(float(profit) / float(g))
-            orders.append(float(order))
+    for orders, profits in best:
+        ratios = [profit / float(g) for profit, g in zip(profits, grand)]
         top = max(ratios)
         order, v = min((orders[v], v) for v in range(len(verts)) if ratios[v] == top)
         values.append(top)

@@ -16,9 +16,10 @@ from nvgames.distributions import (
     independent_joint,
 )
 from nvgames.newsvendor import (
-    ScalarDemand,
-    _order_from_scalar,
     critical_orders,
+    expected_profit,
+    optimal_order,
+    order_profits,
     worst_case_order,
     worst_case_orders,
 )
@@ -109,9 +110,9 @@ def test_kernel_rows_equal_one_row_orders(data):
         first = int(np.argsort(rows[0], kind="stable")[0])
         probs[[0, first]] = probs[[first, 0]]
     y, value = critical_orders(inst, rows, probs)
-    one = [_order_from_scalar(inst, ScalarDemand(row, probs)) for row in rows]
-    assert bits(y) == bits([r.y_star for r in one])
-    assert bits(value) == bits([r.value for r in one])
+    one = [critical_orders(inst, row[None, :], probs) for row in rows]
+    assert bits(y) == bits([r[0][0] for r in one])
+    assert bits(value) == bits([r[1][0] for r in one])
     reference = [per_coalition_order(inst, row, probs) for row in rows]
     assert bits(y) == bits([r[0] for r in reference])
     assert bits(value) == bits([r[1] for r in reference])
@@ -148,6 +149,25 @@ def test_demand_rows_equal_one_mask_demands(data):
     for mask, row in zip(masks, rows):
         assert bits(row) == bits(poly.coalition_demands(mask))
         assert bits(row) == bits(per_coalition_demands(poly, mask))
+
+
+@given(st.data())
+def test_one_coalition_entry_points_equal_one_row_kernel_calls(data):
+    # optimal_order is the kernel on the coalition's one demand row, and
+    # expected_profit's dot has the bits of order_profits on that row, at
+    # the kernel's order and at orders on and between the demands.
+    inst = data.draw(instances())
+    q = data.draw(joints(inst))
+    mask = data.draw(st.integers(1, inst.grand_mask))
+    row = get_polytope(inst).coalition_demand_rows([mask])
+    y, value = critical_orders(inst, row, q.q)
+    res = optimal_order(inst, q, mask)
+    assert bits([res.y_star, res.value]) == bits([y[0], value[0]])
+    orders = [float(y[0]), data.draw(st.sampled_from(DEMANDS)),
+              data.draw(st.floats(0.0, 30.0, allow_subnormal=False))]
+    for order in orders:
+        profit = order_profits(inst, np.array([[order]]), row, q.q)[0, 0]
+        assert bits(expected_profit(inst, q, order, mask)) == bits(profit)
 
 
 @given(st.data())

@@ -381,23 +381,56 @@ class TestVerify:
         assert "decision" in err
 
 
+def reader_argv(command: str, path, t1_path: str, tmp_path) -> list[str]:
+    """The argv of `command` with `path` as the file it reads: the instance
+    of `solve`, the config of `stress` and `gen`, the decision of `verify`."""
+    out_path = str(tmp_path / "out")
+    return {
+        "solve": ["solve", str(path)],
+        "stress": ["stress", "--config", str(path), "--out", out_path],
+        "gen": ["gen", "--config", str(path), "--out", out_path],
+        "verify": ["verify", t1_path, "--decision", str(path)],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["solve", "stress", "gen", "verify"])
 def test_malformed_json_reports_its_path_line_and_column(tmp_path, t1_path, command):
     # Instance, config and decision files go through one reader. The
     # document breaks off after line 2, column 7.
     bad = tmp_path / "bad.json"
     bad.write_text('{"y": 3.0,\n "z": [')
-    out_path = str(tmp_path / "out")
-    argv = {
-        "solve": ["solve", str(bad)],
-        "stress": ["stress", "--config", str(bad), "--out", out_path],
-        "gen": ["gen", "--config", str(bad), "--out", out_path],
-        "verify": ["verify", t1_path, "--decision", str(bad)],
-    }[command]
-    code, out, err = invoke(argv)
+    code, out, err = invoke(reader_argv(command, bad, t1_path, tmp_path))
     assert code == 2
     assert out == ""
     assert err == f"error: {bad}: line 2, column 8: Expecting value\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "stress", "gen", "verify"])
+def test_non_utf8_file_reports_its_path(tmp_path, t1_path, command):
+    # A Latin-1 byte (0xe9) where UTF-8 needs a continuation byte.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"y": "caf\xe9"}')
+    code, out, err = invoke(reader_argv(command, bad, t1_path, tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: not UTF-8 text at byte 10: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "stress", "gen", "verify"])
+def test_directory_as_input_file_is_input_error(tmp_path, t1_path, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code, out, err = invoke(reader_argv(command, folder, t1_path, tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(folder) in err
+
+
+@pytest.mark.parametrize("command", ["stress", "gen"])
+def test_directory_as_output_is_input_error(tmp_path, cfg_path, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code, out, err = invoke([command, "--config", cfg_path, "--out", str(folder)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(folder) in err
 
 
 class TestUsageErrors:

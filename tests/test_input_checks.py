@@ -24,12 +24,7 @@ from nvgames.distributions import (
     sample_extremal,
 )
 from nvgames.errors import InputError
-from nvgames.newsvendor import (
-    ScalarDemand,
-    block_demand,
-    optimal_order,
-    worst_case_shortage,
-)
+from nvgames.newsvendor import expected_profit, optimal_order, worst_case_shortage
 from nvgames.robust_game import Decision, RobustGameSolver, verify_rcore2
 from nvgames.stress import ExcessEvaluator, ExperimentConfig, config_from_dict
 
@@ -46,6 +41,11 @@ def square() -> Instance:
     """Two singleton blocks, demand {1, 3} equiprobable in each: 4 atoms."""
     m = DiscreteMarginal([[1.0], [3.0]], [0.5, 0.5])
     return Instance(2.0, 1.0, ((0,), (1,)), (m, m))
+
+
+def uniform() -> JointDistribution:
+    """The uniform joint over `square()`'s 4 atoms."""
+    return JointDistribution(np.full(4, 0.25))
 
 
 def game() -> CharacteristicFunction:
@@ -142,20 +142,18 @@ CASES = [
     ("gather-row-slice", lambda: incidence()[0:1, [0, 1]], InputError, GATHER),
     ("gather-row-ids", lambda: incidence()[np.arange(2), [0, 1]], InputError, GATHER),
     # newsvendor
-    ("demand-shape", lambda: ScalarDemand([1.0, 2.0], [1.0]), InputError,
-     "values and probs must be vectors of equal length"),
-    ("demand-finite", lambda: ScalarDemand([np.inf], [1.0]), InputError,
-     "demand values must be finite"),
-    ("demand-probs-sign", lambda: ScalarDemand([1.0, 2.0], [1.5, -0.5]), InputError,
-     "probabilities must be nonnegative"),
-    ("demand-probs-sum", lambda: ScalarDemand([1.0], [0.5]), InputError,
-     "probabilities sum to 0.5, expected 1"),
     ("joint-atoms", lambda: optimal_order(square(), JointDistribution([0.5, 0.5]), 1),
      InputError, "joint distribution has 2 atoms, instance support has 4"),
-    ("block-demand", lambda: block_demand(square(), 1, 0b01), InputError,
-     "coalition 0x1 does not meet block 1"),
+    ("profit-order-nan", lambda: expected_profit(square(), uniform(), np.nan, 1), InputError,
+     "order quantity must be finite and nonnegative, got nan"),
+    ("profit-order-inf", lambda: expected_profit(square(), uniform(), np.inf, 1), InputError,
+     "order quantity must be finite and nonnegative, got inf"),
     ("shortage-order", lambda: worst_case_shortage(square(), -1.0, 1), InputError,
-     "order quantity must be nonnegative, got -1.0"),
+     "order quantity must be finite and nonnegative, got -1.0"),
+    ("shortage-order-nan", lambda: worst_case_shortage(square(), np.nan, 1), InputError,
+     "order quantity must be finite and nonnegative, got nan"),
+    ("shortage-order-inf", lambda: worst_case_shortage(square(), np.inf, 1), InputError,
+     "order quantity must be finite and nonnegative, got inf"),
     # robust_game
     ("multiples-sum", lambda: Decision(2.0, [0.5, 0.6]), InputError,
      r"multiples sum to 1\.1, expected 1 within 1e-9"),

@@ -12,7 +12,6 @@ from nvgames.distributions import (
 from nvgames.errors import GameInvalidError, InputError, SolverError
 from nvgames.newsvendor import (
     OrderResult,
-    ScalarDemand,
     _kink_profits,
     comonotonic_coupling,
     critical_orders,
@@ -71,29 +70,28 @@ class TestExpectedProfit:
                 assert expected_profit(inst, mixed, 7.0, mask) == pytest.approx(expect, abs=1e-10)
 
 
-def quantile_order(d: ScalarDemand, ratio: float) -> float:
-    """The order `critical_orders` gives the one demand row `d` on an
-    instance whose critical ratio is `ratio` (within an ulp)."""
+def quantile_order(values, probs, ratio: float) -> float:
+    """The order `critical_orders` gives the one demand row `values` under
+    `probs` on an instance whose critical ratio is `ratio` (within an ulp)."""
     inst = Instance(1.0, 1.0 - ratio, ((0,),), (DiscreteMarginal([[0.0]], [1.0]),))
-    return float(critical_orders(inst, d.values[None, :], d.probs)[0][0])
+    row = np.asarray(values, dtype=float)[None, :]
+    return float(critical_orders(inst, row, np.asarray(probs, dtype=float))[0][0])
 
 
 class TestQuantileOrder:
     def test_median_of_two_points(self):
-        assert quantile_order(ScalarDemand([1.0, 3.0], [0.5, 0.5]), 0.5) == 1.0
+        assert quantile_order([1.0, 3.0], [0.5, 0.5], 0.5) == 1.0
 
     def test_point_mass(self):
-        assert quantile_order(ScalarDemand([2.0], [1.0]), 0.123) == 2.0
-        assert quantile_order(ScalarDemand([2.0], [1.0]), 0.987) == 2.0
+        assert quantile_order([2.0], [1.0], 0.123) == 2.0
+        assert quantile_order([2.0], [1.0], 0.987) == 2.0
 
     def test_three_atoms(self):
-        d = ScalarDemand([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
-        assert quantile_order(d, 0.6) == 3.0
+        assert quantile_order([1.0, 2.0, 3.0], [0.2, 0.3, 0.5], 0.6) == 3.0
 
     def test_duplicates_merge_before_comparison(self):
-        d = ScalarDemand([2.0, 1.0, 2.0], [0.25, 0.25, 0.5])
         # CDF(2) = 1.0; CDF(1) = 0.25: the 0.6-quantile is 2.
-        assert quantile_order(d, 0.6) == 2.0
+        assert quantile_order([2.0, 1.0, 2.0], [0.25, 0.25, 0.5], 0.6) == 2.0
 
     def test_is_smallest_value_reaching_ratio(self):
         rng = np.random.default_rng(22)
@@ -102,7 +100,7 @@ class TestQuantileOrder:
             values = rng.integers(0, 9, k).astype(float)
             probs = rng.dirichlet(np.ones(k))
             ratio = float(rng.uniform(0.05, 0.95))
-            got = quantile_order(ScalarDemand(values, probs), ratio)
+            got = quantile_order(values, probs, ratio)
             cdf_at = float(np.sum(probs[values <= got]))
             assert cdf_at >= ratio - 1e-9
             below = values[values < got - 1e-12]

@@ -12,6 +12,7 @@ from nvgames import coop, newsvendor, robust_game, stress
 from nvgames import lp as lp_module
 from nvgames.distributions import (
     DiscreteMarginal,
+    FrechetPolytope,
     Instance,
     JointDistribution,
     independent_joint,
@@ -368,22 +369,31 @@ class TestRunStress:
         # crash basis, 253 with its two-phase start).
         assert counted_lp_run(monkeypatch) == [15, 65]
 
-    def test_pushforward_runs_once_per_instance(self, monkeypatch):
+    def test_demand_rows_come_in_batches(self, monkeypatch):
         # Only the grand order of each deterministic decision goes through
-        # pushforward: the deterministic game's coalition values come from
-        # one batched kernel call, and the robust solver and the excess
-        # evaluator read their demand rows and orders in batches.
-        original = newsvendor.pushforward
-        masks = []
+        # optimal_order, and every coalition demand row comes from a
+        # batched call: the deterministic game's coalition values from one
+        # kernel call, the robust solver and the excess evaluator from their
+        # row matrices. A per-coalition loop would add one-mask calls.
+        orders, batches = [], []
+        optimal_order = stress.optimal_order
+        demand_rows = FrechetPolytope.coalition_demand_rows
 
-        def spy(inst, q, s):
-            masks.append(s)
-            return original(inst, q, s)
+        def order_spy(inst, q, s):
+            orders.append(s)
+            return optimal_order(inst, q, s)
 
-        monkeypatch.setattr(newsvendor, "pushforward", spy)
+        def rows_spy(poly, masks):
+            masks = list(masks)
+            batches.append(len(masks))
+            return demand_rows(poly, masks)
+
+        monkeypatch.setattr(stress, "optimal_order", order_spy)
+        monkeypatch.setattr(FrechetPolytope, "coalition_demand_rows", rows_spy)
         cfg = small_cfg()
         run_stress(cfg)
-        assert masks == [(1 << cfg.n) - 1] * cfg.num_instances
+        assert orders == [(1 << cfg.n) - 1] * cfg.num_instances
+        assert batches == [1, 15, 15, 1, 15] * cfg.num_instances
 
     def test_no_incidence_basis_is_refactored(self, monkeypatch):
         # The stress polytopes are on the vertex path: every basis this run

@@ -48,6 +48,23 @@ def test_table_digest_is_reproducible(capsys):
     assert len({line.split()[2] for line in lines[:4]}) == 4
 
 
+def test_cli_digest_is_reproducible(capsys):
+    # The fixed session, run twice: one line per command and shape, the
+    # same lines both times, and the working directory restored.
+    tool = load_tool("cli_digest")
+    cwd = Path.cwd()
+    for _ in range(2):
+        tool.main([str(ROOT / "src")])
+    assert Path.cwd() == cwd
+    lines = capsys.readouterr().out.splitlines()
+    commands = ["gen", "solve", "det-solve", "vmax", "vmax-coalition", "verify", "stress"]
+    assert len(lines) == 28 and lines[:14] == lines[14:]
+    assert [line.split()[0] for line in lines[:14]] == [
+        f"{shape}/{name}" for shape in tool.CONFIGS for name in commands]
+    assert all(len(line.split()[1]) == 64 for line in lines)
+    assert len({line.split()[1] for line in lines[:14]}) == 14
+
+
 def test_line_trace_lists_the_lines_no_test_runs():
     # One test under the hook, in a fresh interpreter: the pivot-limit raise
     # runs, the phase-1 factorization raise does not, and a module constant

@@ -19,7 +19,7 @@ from nvgames.robust_game import RobustGameSolver
 from nvgames.stress import ExcessEvaluator
 
 from conftest import random_instance
-from oracles import per_entry_vertex_table, solved_vertex_table
+from oracles import per_entry_vertex_table, per_vertex_best_orders, solved_vertex_table
 from test_operators import instances
 from test_robust_game import small_cfg_instance
 
@@ -39,13 +39,14 @@ def assert_tables_match_the_per_entry_rule(solver: RobustGameSolver, orders) -> 
     each `vmax` the one-row case, and the witnesses the distinct rows in
     build order."""
     verts = solver.poly.vertices()
+    best = per_vertex_best_orders(solver)
     expect_witnesses = []
     for y in orders:
         try:
             table = solver.table(y)
         except DomainError:
             continue
-        values, gammas, rows = per_entry_vertex_table(solver, y)
+        values, gammas, rows = per_entry_vertex_table(solver, best, y)
         assert np.array_equal(bits(table.ratios), bits(values))
         assert np.array_equal(bits(table.gammas), bits(gammas))
         assert table_rows(verts, table.joints) == rows.tolist()
