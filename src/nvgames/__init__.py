@@ -18,7 +18,6 @@ from .coop import (
     least_core,
 )
 from .distributions import (
-    Coalition,
     DiscreteMarginal,
     FrechetPolytope,
     Instance,
@@ -42,7 +41,6 @@ from .errors import (
 from .lp import LinearProgram, LpSolution, solve_lp
 from .newsvendor import (
     OrderResult,
-    expected_profit,
     grand_action_interval,
     optimal_order,
     worst_case_order,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "CharacteristicFunction",
-    "Coalition",
     "Decision",
     "DiscreteMarginal",
     "DomainError",
@@ -93,7 +90,6 @@ __all__ = [
     "balancedness_duality_pair",
     "build_deterministic_game",
     "core_membership",
-    "expected_profit",
     "gen_instance",
     "get_polytope",
     "grand_action_interval",

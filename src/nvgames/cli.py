@@ -25,7 +25,7 @@ from .coop import build_deterministic_game, least_core
 from .distributions import check_real, independent_joint, load_instance, read_json, save_instance
 from .errors import GameInvalidError, InputError, NvGamesError
 from .newsvendor import optimal_order
-from .robust_game import Decision, RobustGameSolver, imputation_exists, verify_rcore2
+from .robust_game import Decision, RobustGameSolver, check_y_tol, imputation_exists, verify_rcore2
 from .stress import config_from_dict, gen_instance, run_stress
 
 _FMT = "%.9g"
@@ -53,6 +53,7 @@ def _load_decision(path) -> Decision:
 
 
 def _cmd_solve(args, out) -> int:
+    check_y_tol(args.y_tol)
     inst = load_instance(args.instance)
     solver = RobustGameSolver(inst)
     decision = solver.core_decision()
@@ -98,9 +99,8 @@ def _cmd_vmax(args, out) -> int:
     table = solver.table(y)
     print(f"y: {_fmt(y)}", file=out)
     print("coalition,vmax,gamma", file=out)
-    for mask in sorted(table.entries):
-        e = table.entries[mask]
-        print(f"{mask},{_fmt(e.value)},{_fmt(e.gamma)}", file=out)
+    for mask, (value, gamma) in enumerate(zip(table.ratios, table.gammas), start=1):
+        print(f"{mask},{_fmt(value)},{_fmt(gamma)}", file=out)
     return 0
 
 

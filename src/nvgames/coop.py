@@ -59,9 +59,6 @@ class CharacteristicFunction:
             raise InputError(f"v(empty) must be 0, got {values[0]}")
         object.__setattr__(self, "values", values)
 
-    def __call__(self, s) -> float:
-        return float(self.values[coalition_mask(s, self.n)])
-
     @property
     def grand_value(self) -> float:
         return float(self.values[-1])
@@ -181,22 +178,10 @@ def core_membership(v: CharacteristicFunction, x, tol: float = MEMBERSHIP_TOL) -
     return True
 
 
-def _ratio_table(vmax_table: Mapping, n: int | None) -> tuple[int, list[int], np.ndarray]:
-    masks_in = {coalition_mask(key, n): float(val) for key, val in vmax_table.items()}
-    if n is None:
-        if not masks_in:
-            raise InputError("empty ratio table and no player count given")
-        n = max(max(masks_in).bit_length(), 1)
-    grand = (1 << n) - 1
-    masks = sorted(m for m in masks_in if 0 < m < grand)
-    return n, masks, np.array([masks_in[m] for m in masks])
-
-
-def balancedness_duality_pair(
-    vmax_table: Mapping, n: int | None = None
-) -> tuple[float, float]:
+def balancedness_duality_pair(vmax_table: Mapping, n: int) -> tuple[float, float]:
     """Capped primal/dual optima certifying balancedness of a worst-case
-    ratio table.
+    ratio table over players 0..n-1, whose entries for the empty and the
+    grand coalition are ignored.
 
     The raw dual (weights over coalitions whose per-player totals equal a
     common level p) is a cone, so its optimum is 0 or +inf; normalizing to
@@ -218,9 +203,11 @@ def balancedness_duality_pair(
     that no coalition of the table covers makes the program infeasible
     (the primal is unbounded), which raises SolverError.
     """
-    n, masks, vals = _ratio_table(vmax_table, n)
+    table = {coalition_mask(key, n): float(val) for key, val in vmax_table.items()}
+    masks = sorted(m for m in table if 0 < m < (1 << n) - 1)
     if not masks:
         return 0.0, 0.0
+    vals = np.array([table[m] for m in masks])
     rows = _coalition_indicator_rows(n, masks)
     lp = LinearProgram(sense="max", objective=vals, a_eq=rows.T, b_eq=np.ones(n))
     sol = solve_lp(lp, _singleton_basis(n, masks))

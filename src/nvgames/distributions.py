@@ -21,7 +21,7 @@ import numbers
 import sys
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -167,45 +167,6 @@ class Instance:
         return k
 
 
-@dataclass(frozen=True)
-class Coalition:
-    """Subset of retailers with bitmask semantics (bit i = retailer i)."""
-
-    mask: int
-
-    def __post_init__(self):
-        if self.mask < 0:
-            raise InputError(f"coalition mask must be nonnegative, got {self.mask}")
-
-    @classmethod
-    def from_members(cls, members: Iterable[int]) -> "Coalition":
-        """The coalition of `members`, each an integer >= 0 (`check_int`);
-        raises InputError for anything else, or for a non-iterable."""
-        try:
-            items = list(members)
-        except TypeError:
-            raise InputError(f"coalition members must be iterable, got {members!r}") from None
-        ids = {check_int(i, "coalition member") for i in items}
-        return cls(sum(1 << i for i in ids))
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        out, m, i = [], self.mask, 0
-        while m:
-            if m & 1:
-                out.append(i)
-            m >>= 1
-            i += 1
-        return tuple(out)
-
-    @property
-    def size(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-
 def check_int(value, name: str, minimum: int = 0) -> int:
     """`value` as an int; raises InputError unless it is an integer (a bool
     is not, a numpy integer is) of at least `minimum`."""
@@ -233,16 +194,19 @@ def block_aggregate(block: Sequence[int], atoms: np.ndarray, mask: int) -> np.nd
 
 
 def coalition_mask(s, n: int | None = None) -> int:
-    """Coerce Coalition | int | iterable of members into a bitmask. A bool
-    is refused, as `check_int` refuses it, though Python counts it an int."""
-    if isinstance(s, Coalition):
-        mask = s.mask
-    elif isinstance(s, bool):
+    """The bitmask (bit i = retailer i) of `s`, an int mask or an iterable
+    of members, each an integer >= 0 (`check_int`). A bool is refused, as
+    `check_int` refuses it, though Python counts it an int."""
+    if isinstance(s, bool):
         raise InputError(f"coalition mask must be an integer, got {s!r}")
-    elif isinstance(s, (int, np.integer)):
+    if isinstance(s, (int, np.integer)):
         mask = int(s)
     else:
-        mask = Coalition.from_members(s).mask
+        try:
+            items = list(s)
+        except TypeError:
+            raise InputError(f"coalition members must be iterable, got {s!r}") from None
+        mask = sum(1 << i for i in {check_int(i, "coalition member") for i in items})
     if mask < 0:
         raise InputError(f"coalition mask must be nonnegative, got {mask}")
     if n is not None and mask >= (1 << n):

@@ -16,18 +16,17 @@ coalition's best order and profit under each row of a joint matrix: the
 stress excess pass and the robust solver's vertex tables both call it.
 Every expected profit at an order is `_profit` of its expected shortage,
 taken as one BLAS dot: per (row, joint) in the kernel's tail,
-`order_profits`, and directly in the scalar entry points `expected_profit`
-and `coupled_profit`. The action-interval scan takes `coupled_profit`'s
-dots at every kink past the peak as the rows of `row_dots` calls, one per
-block of kinks. A value does not depend on the other rows or joints, so the
-batched callers (`worst_case_orders` once per block, `optimal_orders` over
-every coalition, `best_orders` over chunks of joints, the kink scan) and
-the one-coalition entry points give the same floats.
+`order_profits`, and directly in the scalar entry point `coupled_profit`.
+The action-interval scan takes `coupled_profit`'s dots at every kink past
+the peak as the rows of `row_dots` calls, one per block of kinks. A value
+does not depend on the other rows or joints, so the batched callers
+(`worst_case_orders` once per block, `optimal_orders` over every
+coalition, `best_orders` over chunks of joints, the kink scan) and the
+one-coalition entry points give the same floats.
 
 The one-coalition entry points are the one-row case of the batched ones:
-`optimal_order` is row 0 of `optimal_orders`, `worst_case_order` row 0 of
-`worst_case_orders`, and `expected_profit` dots the joint with the row
-that `FrechetPolytope.coalition_demands` takes from `coalition_demand_rows`.
+`optimal_order` is row 0 of `optimal_orders` and `worst_case_order` row 0
+of `worst_case_orders`.
 """
 
 from __future__ import annotations
@@ -216,13 +215,6 @@ def _check_order(y: float) -> None:
     """Refuse an order quantity that is not finite and nonnegative."""
     if not (np.isfinite(y) and y >= 0):
         raise InputError(f"order quantity must be finite and nonnegative, got {y}")
-
-
-def expected_profit(inst: Instance, q: JointDistribution, y: float, s) -> float:
-    """(p-c)*y - p*E_q[(y - d(S))^+] for ordering quantity y."""
-    _check_order(y)
-    d = _joint_polytope(inst, q).coalition_demands(coalition_mask(s, inst.n_retailers))
-    return _profit(inst, y, float(np.maximum(y - d, 0.0) @ q.q))
 
 
 def optimal_order(inst: Instance, q: JointDistribution, s) -> OrderResult:

@@ -167,6 +167,13 @@ _DINKELBACH_TOL = 1e-9
 _DINKELBACH_MAX_STEPS = 100
 
 
+def check_y_tol(y_tol: float | None) -> None:
+    """Refuse a least-core order tolerance that is given and not finite and
+    positive."""
+    if y_tol is not None and not (np.isfinite(y_tol) and y_tol > 0):
+        raise InputError(f"y_tol must be finite and positive, got {y_tol}")
+
+
 @dataclass(frozen=True, eq=False)
 class Decision:
     """Grand-coalition order quantity plus payoff multiples summing to 1."""
@@ -203,8 +210,7 @@ class VmaxTable:
     `ratios`, `gammas`, `joints` and (on the LP path, else None) `supports`
     belongs to coalition mask i + 1: its ratio, its attaining order, its
     attaining joint and the ascending atom ids that joint may be nonzero
-    at. `entries` gives them per mask as `VmaxResult`s, built when first
-    asked for."""
+    at."""
 
     y: float
     ratios: np.ndarray
@@ -222,16 +228,6 @@ class VmaxTable:
     @property
     def values(self) -> dict[int, float]:
         return dict(enumerate(self.ratios.tolist(), start=1))
-
-    @cached_property
-    def entries(self) -> dict[int, VmaxResult]:
-        supports = self.supports or [None] * len(self.joints)
-        return {
-            mask: VmaxResult(value, gamma, q, support)
-            for mask, (value, gamma, q, support) in enumerate(
-                zip(self.ratios.tolist(), self.gammas.tolist(), self.joints, supports), start=1
-            )
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -689,8 +685,7 @@ class RobustGameSolver:
         or a cut above an earlier probe, by more than that tolerance means
         sigma is not convex and raises SolverError.
         """
-        if y_tol is not None and not (np.isfinite(y_tol) and y_tol > 0):
-            raise InputError(f"y_tol must be finite and positive, got {y_tol}")
+        check_y_tol(y_tol)
         y_lo, y_hi = grand_action_interval(self.inst, self.grand_wc, self._grand_coupling)
         if y_tol is None:
             y_tol = 1e-4 * (y_hi - y_lo)

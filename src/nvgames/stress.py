@@ -113,11 +113,13 @@ class ExperimentConfig:
                 f"prices must satisfy 0 < cost < price, got {self.cost}, {self.price}"
             )
         try:
-            lam = tuple(float(v) for v in self.lambda_grid)
-        except (TypeError, ValueError):
+            lam = tuple(check_real(v, "lambda_grid") for v in self.lambda_grid)
+        except TypeError:
             raise InputError(
                 f"lambda_grid must be a list of numbers, got {self.lambda_grid!r}"
             ) from None
+        if not lam:
+            raise InputError("lambda_grid must not be empty")
         if any(not (0.0 <= v <= 1.0) for v in lam):
             raise InputError(f"lambda grid {lam} must lie in [0, 1]")
         object.__setattr__(self, "lambda_grid", lam)
@@ -160,8 +162,8 @@ class ExcessRow:
 class ExcessStats:
     rows: tuple[ExcessRow, ...]
 
-    def rows_for_lambda(self, lam: float, tol: float = 1e-9) -> list[ExcessRow]:
-        return [r for r in self.rows if abs(r.lam - lam) <= tol]
+    def rows_for_lambda(self, lam: float) -> list[ExcessRow]:
+        return [r for r in self.rows if abs(r.lam - lam) <= 1e-9]
 
 
 def gen_instance(cfg: ExperimentConfig, instance_seed: int) -> Instance:

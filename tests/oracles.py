@@ -7,6 +7,9 @@ extreme rays of the recession cone. Sized for at most a handful of
 variables. `lp_worst_case_shortage` keeps the LP that the closed-form
 comonotonic worst case replaced; `lp_least_shortage` is its min-sense
 counterpart, which the countermonotonic vertex attains for two blocks.
+`expected_profit` is a coalition's expected profit at an order under a
+known joint, one scalar dot, once a package function that only tests
+called.
 `exact_sigma_slopes` evaluates the least-core cuts in rational arithmetic.
 `two_phase_stability_lp` keeps the cold two-phase solve of the stability LP
 in its primal form, which the dual form replaced, and
@@ -267,7 +270,6 @@ def exact_sigma_slopes(solver) -> tuple[Fraction, Fraction]:
     grand demands."""
     table = solver._last_table
     w = solver._last_sigma[2]
-    masks = sorted(table.entries)
     p, pc, y = Fraction(solver.p), Fraction(solver.p) - Fraction(solver.c), Fraction(table.y)
     d = [Fraction(v) for v in solver.d_grand]
     g_lo = g_hi = Fraction(0)
@@ -275,13 +277,12 @@ def exact_sigma_slopes(solver) -> tuple[Fraction, Fraction]:
     verts = solver.poly.vertices()
     tied = None if verts is None or not used.size else solver._tie_mask(used)
     for j, i in enumerate(used):
-        entry = table.entries[masks[i]]
-        pieces = [entry.q] if tied is None else verts[tied[j]]
+        pieces = [table.joints[i]] if tied is None else verts[tied[j]]
         lo, hi = [], []
         for q in pieces:
             q = [Fraction(v) for v in q]
             grand = pc * y - p * sum(qk * max(y - dk, 0) for qk, dk in zip(q, d))
-            scale = Fraction(w[i]) * Fraction(entry.value) / grand
+            scale = Fraction(w[i]) * Fraction(table.ratios[i]) / grand
             lo.append(-scale * (pc - p * sum(qk for qk, dk in zip(q, d) if dk < y)))
             hi.append(-scale * (pc - p * sum(qk for qk, dk in zip(q, d) if dk <= y)))
         g_lo += min(lo)
@@ -434,6 +435,18 @@ def _solve_exact(a):
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], pivot_row)]
     return [row[size] for row in a]
+
+
+def expected_profit(inst, q, y: float, s) -> float:
+    """(p-c)*y - p*E_q[(y - d(S))^+] for ordering quantity y: one dot of
+    the joint `q` with coalition S's demand row, the scalar reference that
+    the batched order kernels are checked against."""
+    from nvgames.distributions import coalition_mask
+    from nvgames.newsvendor import _check_order, _joint_polytope, _profit
+
+    _check_order(y)
+    d = _joint_polytope(inst, q).coalition_demands(coalition_mask(s, inst.n_retailers))
+    return _profit(inst, y, float(np.maximum(y - d, 0.0) @ q.q))
 
 
 def per_coalition_order(inst, values, probs) -> tuple[float, float]:

@@ -17,7 +17,6 @@ from nvgames.distributions import (
 )
 from nvgames.newsvendor import (
     critical_orders,
-    expected_profit,
     optimal_order,
     order_profits,
     worst_case_order,
@@ -25,6 +24,7 @@ from nvgames.newsvendor import (
 )
 
 from oracles import (
+    expected_profit,
     per_coalition_demands,
     per_coalition_order,
     per_coalition_worst_case_order,

@@ -78,6 +78,15 @@ class TestSolve:
         assert "y_tol" in err
         assert out == ""
 
+    @pytest.mark.parametrize("y_tol", ["-1", "0", "nan", "inf"])
+    def test_bad_y_tol_is_input_error_when_the_core_is_nonempty(self, t1_path, y_tol):
+        # The flag is checked before the core test, though only the
+        # least-core search of an empty core reads it.
+        code, out, err = invoke(["solve", t1_path, f"--y-tol={y_tol}"])
+        assert code == 2
+        assert err == f"error: y_tol must be finite and positive, got {float(y_tol)}\n"
+        assert out == ""
+
     def test_missing_file(self):
         code, _, err = invoke(["solve", "/does/not/exist.json"])
         assert code == 2

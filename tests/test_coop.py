@@ -10,7 +10,7 @@ from nvgames.coop import (
     least_core,
     solve_stability_lp,
 )
-from nvgames.distributions import DiscreteMarginal, Instance, independent_joint
+from nvgames.distributions import DiscreteMarginal, Instance, coalition_mask, independent_joint
 from nvgames.errors import InputError, SolverError
 
 from conftest import random_instance
@@ -34,10 +34,10 @@ class TestCharacteristicFunction:
 
     def test_lookup_by_members(self):
         v = cf([0.0, 1.0, 2.0, 4.0])
-        assert v({0}) == 1.0
-        assert v({1}) == 2.0
-        assert v({0, 1}) == 4.0
-        assert v(0) == 0.0
+        assert v.values[coalition_mask({0})] == 1.0
+        assert v.values[coalition_mask({1})] == 2.0
+        assert v.values[coalition_mask({0, 1})] == 4.0
+        assert v.values[coalition_mask(0)] == 0.0
 
 
 class TestBuildDeterministicGame:
@@ -121,7 +121,8 @@ class TestCoreMembership:
 
 class TestBalancedness:
     def test_t1_ratio_table_balanced(self):
-        assert balancedness_duality_pair({0b01: 1.0 / 3.0, 0b10: 2.0 / 3.0})[1] == pytest.approx(0.0, abs=1e-12)
+        table = {0b01: 1.0 / 3.0, 0b10: 2.0 / 3.0}
+        assert balancedness_duality_pair(table, 2)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_overloaded_pairs_unbalanced(self):
         # Three pair-coalitions each demanding 6/7 cannot all be covered:
@@ -130,12 +131,12 @@ class TestBalancedness:
             0b011: 6.0 / 7.0, 0b101: 6.0 / 7.0, 0b110: 6.0 / 7.0,
             0b001: 1.0 / 7.0, 0b010: 1.0 / 7.0, 0b100: 1.0 / 7.0,
         }
-        z_p, z_d = balancedness_duality_pair(table)
+        z_p, z_d = balancedness_duality_pair(table, 3)
         assert z_d == pytest.approx(2.0 / 7.0)
         assert z_p == pytest.approx(z_d, abs=1e-9)
 
     def test_zero_table(self):
-        assert balancedness_duality_pair({0b01: 0.0, 0b10: 0.0})[1] == 0.0
+        assert balancedness_duality_pair({0b01: 0.0, 0b10: 0.0}, 2)[1] == 0.0
 
     def test_a_table_without_proper_coalitions_is_balanced(self):
         assert balancedness_duality_pair({}, n=2) == (0.0, 0.0)
@@ -154,7 +155,7 @@ class TestBalancedness:
                 mask: float(rng.uniform(0.0, 0.9))
                 for mask in range(1, (1 << n) - 1)
             }
-            z_p, z_d = balancedness_duality_pair(table)
+            z_p, z_d = balancedness_duality_pair(table, n)
             assert z_p == pytest.approx(z_d, abs=1e-8)
             assert z_d >= 0.0
 
@@ -170,7 +171,7 @@ class TestBalancedness:
                 for mask in range(1, (1 << n) - 1)
             }
             _x, eps, _w = solve_stability_lp(n, table, 1.0)
-            z_d = balancedness_duality_pair(table)[1]
+            z_d = balancedness_duality_pair(table, n)[1]
             if eps <= 1e-9:
                 assert z_d <= 1e-7
             else:

@@ -7,11 +7,11 @@ import pytest
 
 from nvgames import distributions
 from nvgames.distributions import (
-    Coalition,
     DiscreteMarginal,
     FrechetPolytope,
     Instance,
     JointDistribution,
+    coalition_mask,
     get_polytope,
     independent_joint,
     instance_from_dict,
@@ -77,11 +77,8 @@ class TestTypes:
             JointDistribution(np.array([1.5, -0.5]))
 
     def test_coalition_mask_roundtrip(self):
-        c = Coalition.from_members([0, 2])
-        assert c.mask == 0b101
-        assert c.members == (0, 2)
-        assert c.size == 2
-        assert not Coalition(0)
+        assert coalition_mask([0, 2]) == 0b101
+        assert coalition_mask(0b101, 3) == 0b101
 
 
 class TestProductSupport:
@@ -242,7 +239,7 @@ class TestAggregateDemand:
         assert self.demands([1.0, 2.0, 3.0], 0).tolist() == [0.0]
 
     def test_grand(self):
-        assert self.demands([1.0] * 5, Coalition((1 << 5) - 1).mask).tolist() == [5.0]
+        assert self.demands([1.0] * 5, (1 << 5) - 1).tolist() == [5.0]
 
 
 class TestDuplicateAtoms:

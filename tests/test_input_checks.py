@@ -14,7 +14,6 @@ from nvgames.coop import (
     solve_stability_lp,
 )
 from nvgames.distributions import (
-    Coalition,
     DiscreteMarginal,
     Instance,
     JointDistribution,
@@ -24,9 +23,11 @@ from nvgames.distributions import (
     sample_extremal,
 )
 from nvgames.errors import InputError
-from nvgames.newsvendor import expected_profit, optimal_order, worst_case_shortage
+from nvgames.newsvendor import optimal_order, worst_case_shortage
 from nvgames.robust_game import Decision, RobustGameSolver, verify_rcore2
 from nvgames.stress import ExcessEvaluator, ExperimentConfig, config_from_dict
+
+from oracles import expected_profit
 
 
 class Unordered(int):
@@ -75,16 +76,12 @@ CASES = [
      "player count must be >= 1, got 0"),
     ("stability-mask", lambda: solve_stability_lp(2, {4: 1.0}, 1.0), InputError,
      r"stability constraints must be over nonempty coalitions of 0\.\.n-1"),
-    ("game-bool-coalition", lambda: game()(True), InputError,
-     "coalition mask must be an integer, got True"),
     ("core-allocation", lambda: core_membership(game(), [3.0]), InputError,
      r"allocation has shape \(1,\), expected \(2,\)"),
     ("core-tol-nan", lambda: core_membership(game(), [1.5, 1.5], tol=np.nan), InputError,
      "tol must be finite and nonnegative, got nan"),
     ("core-tol-negative", lambda: core_membership(game(), [1.5, 1.5], tol=-1e-7), InputError,
      "tol must be finite and nonnegative, got -1e-07"),
-    ("empty-ratio-table", lambda: balancedness_duality_pair({}), InputError,
-     "empty ratio table and no player count given"),
     ("ratio-table-mask",
      lambda: balancedness_duality_pair({0b101: 5.0, 0b01: 0.2, 0b10: 0.3}, n=2), InputError,
      r"coalition mask 5 has members outside 0\.\.1"),
@@ -97,7 +94,7 @@ CASES = [
      "partition must contain nonempty blocks"),
     ("marginal-count", lambda: Instance(2.0, 1.0, ((0,),), (MARGINAL, MARGINAL)), InputError,
      "2 marginals for 1 partition blocks"),
-    ("negative-coalition", lambda: Coalition(-1), InputError,
+    ("negative-coalition", lambda: coalition_mask(-1), InputError,
      "coalition mask must be nonnegative, got -1"),
     ("negative-mask", lambda: coalition_mask(-2), InputError,
      "coalition mask must be nonnegative, got -2"),
@@ -107,9 +104,9 @@ CASES = [
      "coalition member must be an integer >= 0, got 0.5"),
     ("string-member", lambda: coalition_mask(("1",)), InputError,
      "coalition member must be an integer >= 0, got '1'"),
-    ("truncated-member", lambda: Coalition.from_members([1, 1.9]), InputError,
+    ("truncated-member", lambda: coalition_mask([1, 1.9]), InputError,
      "coalition member must be an integer >= 0, got 1.9"),
-    ("negative-member", lambda: Coalition.from_members((-1,)), InputError,
+    ("negative-member", lambda: coalition_mask((-1,)), InputError,
      "coalition member must be an integer >= 0, got -1"),
     ("float-coalition", lambda: coalition_mask(2.0), InputError,
      "coalition members must be iterable, got 2.0"),
@@ -178,6 +175,12 @@ CASES = [
      "experiment config field names must be strings, got 1"),
     ("config-mixed-keys", lambda: config_from_dict({**config(), "extra": 0, 2: 0}), InputError,
      "experiment config field names must be strings, got 2"),
+    ("lambda-bool", lambda: config_from_dict(config(lambda_grid=[True])), InputError,
+     "lambda_grid must be a finite number, got True"),
+    ("lambda-string", lambda: config_from_dict(config(lambda_grid=["0.5"])), InputError,
+     "lambda_grid must be a finite number, got '0.5'"),
+    ("lambda-empty", lambda: config_from_dict(config(lambda_grid=[])), InputError,
+     "lambda_grid must not be empty"),
 ]
 
 
@@ -187,8 +190,3 @@ def test_bad_input_raises_its_message(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert re.fullmatch(message, str(info.value.args[0]))
-
-
-def test_a_coalition_is_its_own_mask():
-    assert coalition_mask(Coalition(0b101), 3) == 0b101
-

@@ -15,7 +15,6 @@ from nvgames.newsvendor import (
     _kink_profits,
     comonotonic_coupling,
     critical_orders,
-    expected_profit,
     grand_action_interval,
     optimal_order,
     worst_case_order,
@@ -24,7 +23,12 @@ from nvgames.newsvendor import (
 from nvgames.robust_game import RobustGameSolver
 
 from conftest import make_example1, random_instance
-from oracles import bisect_action_interval_upper, contaminate, scalar_kink_profits
+from oracles import (
+    bisect_action_interval_upper,
+    contaminate,
+    expected_profit,
+    scalar_kink_profits,
+)
 from test_acceptance import rand_shape_instance
 
 

@@ -188,14 +188,15 @@ def test_every_ratio_is_the_ratio_of_its_witness(inst):
                 assume(False)  # every demand is 0: no order is admissible
         p, pc = inst.price, inst.price - inst.cost
         den = pc * y - p * np.maximum(y - solver.d_grand, 0.0)
-        for mask, entry in table.entries.items():
+        entries = zip(table.ratios, table.gammas, table.joints)
+        for mask, (value, gamma, q) in enumerate(entries, start=1):
             if sum(1 for bm in inst.block_masks if mask & bm) < 2:
                 continue
             d_s = solver.poly.coalition_demands(mask)
-            num = pc * entry.gamma - p * np.maximum(entry.gamma - d_s, 0.0)
-            ratio = (num @ entry.q) / (den @ entry.q)
-            assert abs(entry.value - ratio) <= 1e-15 * abs(ratio)
-            assert consistency_gap(solver.poly, entry.q) <= 1e-9
+            num = pc * gamma - p * np.maximum(gamma - d_s, 0.0)
+            ratio = (num @ q) / (den @ q)
+            assert abs(value - ratio) <= 1e-15 * abs(ratio)
+            assert consistency_gap(solver.poly, q) <= 1e-9
 
 
 def spanning_masks(inst: Instance):
@@ -271,8 +272,8 @@ def test_vertex_path_agrees_with_the_lp_path(inst, seed):
         lp_table = RobustGameSolver(inst).table(y)
         lp_sample = sample_extremal(inst, cost).q
     bound = _DINKELBACH_TOL / table.min_grand_profit
-    for mask, entry in table.entries.items():
-        assert -1e-12 <= entry.value - lp_table.value(mask) <= bound
+    gap = table.ratios - lp_table.ratios
+    assert np.all(-1e-12 <= gap) and np.all(gap <= bound)
     assert np.max(np.abs(sample_extremal(inst, cost).q - lp_sample)) <= 1e-9
 
 

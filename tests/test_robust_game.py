@@ -25,7 +25,6 @@ from nvgames.distributions import (
 from nvgames.errors import DomainError, InputError, SolverError
 from nvgames.newsvendor import (
     _profit,
-    expected_profit,
     grand_action_interval,
     optimal_order,
     worst_case_order,
@@ -48,6 +47,7 @@ from oracles import (
     dense_joint,
     dense_ratio,
     exact_sigma_slopes,
+    expected_profit,
 )
 
 
@@ -190,8 +190,6 @@ class TestSigma:
             y=3.0, ratios=np.zeros(2), gammas=np.zeros(2), joints=[np.array([])] * 2,
             min_grand_profit=3.0,
         )
-        entry = table.entries[0b10]
-        assert (entry.value, entry.gamma) == (0.0, 0.0) and entry.q is table.joints[1]
         x, eps, _w = solve_stability_lp(2, table.values, 1.0)
         assert eps == pytest.approx(-0.5)
         assert x == pytest.approx([0.5, 0.5])
@@ -508,12 +506,12 @@ class TestCutSearch:
         solver = RobustGameSolver(make())
         y = solver.grand_wc.y_star if y is None else y
         table = solver.table(y)
-        tied = solver._tie_mask(np.arange(len(table.entries)))
+        tied = solver._tie_mask(np.arange(table.ratios.size))
         verts = solver.poly.vertices()
         p, pc = solver.p, solver.p - solver.c
         den = pc * y - p * np.maximum(y - solver.d_grand, 0.0)
         several = 0
-        for mask in table.entries:
+        for mask in range(1, table.ratios.size + 1):
             if len(solver._blocks_met(mask)) == 1:
                 vbar = solver._block_value(mask)[1]
                 ratios = np.array([vbar / (den @ q) for q in verts])
@@ -544,7 +542,7 @@ class TestCutSearch:
         solver = RobustGameSolver(make())
         y = solver.grand_wc.y_star if y is None else y
         table = solver.table(y)
-        tied = solver._tie_mask(np.arange(len(table.entries)))
+        tied = solver._tie_mask(np.arange(table.ratios.size))
         verts = [[Fraction(v) for v in q] for q in solver.poly.vertices()]
         p, pc = Fraction(solver.p), Fraction(solver.p - solver.c)
         orders = solver._vertex_numerators().orders
@@ -554,7 +552,7 @@ class TestCutSearch:
 
         d_n = [Fraction(v) for v in solver.d_grand]
         grand = [profit(Fraction(y), d_n, q) for q in verts]
-        for mask in table.entries:
+        for mask in range(1, table.ratios.size + 1):
             d_s = [Fraction(v) for v in solver.poly.coalition_demands(mask)]
             exact = [profit(Fraction(float(g)), d_s, q) / gq
                      for g, q, gq in zip(orders[mask - 1], verts, grand)]
@@ -697,8 +695,8 @@ class TestRepeatedAtoms:
         with lp_path_only():
             lp_table = RobustGameSolver(inst).table(y)
         bound = _DINKELBACH_TOL / table.min_grand_profit
-        for mask, entry in table.entries.items():
-            assert -1e-12 <= entry.value - lp_table.value(mask) <= bound
+        gap = table.ratios - lp_table.ratios
+        assert np.all(-1e-12 <= gap) and np.all(gap <= bound)
 
     def test_decision_agrees_with_the_lp_path(self, inst):
         lo, hi = grand_action_interval(inst)
@@ -737,12 +735,11 @@ class TestSolverState:
         tables = [solver.table(f * y) for f in (1.0, 0.8, 1.1)]
         expect, seen = [], set()
         for table in tables:
-            for mask in sorted(table.entries):
-                q = table.entries[mask].q
+            for q in table.joints:
                 if id(q) not in seen:
                     seen.add(id(q))
                     expect.append(q)
-        assert len(expect) < sum(len(t.entries) for t in tables)
+        assert len(expect) < sum(len(t.joints) for t in tables)
         assert len(solver.witnesses) == len(expect)
         assert all(a is b for a, b in zip(solver.witnesses, expect))
 

@@ -58,11 +58,11 @@ def test_cli_digest_is_reproducible(capsys):
     assert Path.cwd() == cwd
     lines = capsys.readouterr().out.splitlines()
     commands = ["gen", "solve", "det-solve", "vmax", "vmax-coalition", "verify", "stress"]
-    assert len(lines) == 28 and lines[:14] == lines[14:]
-    assert [line.split()[0] for line in lines[:14]] == [
+    assert len(lines) == 42 and lines[:21] == lines[21:]
+    assert [line.split()[0] for line in lines[:21]] == [
         f"{shape}/{name}" for shape in tool.CONFIGS for name in commands]
     assert all(len(line.split()[1]) == 64 for line in lines)
-    assert len({line.split()[1] for line in lines[:14]}) == 14
+    assert len({line.split()[1] for line in lines[:21]}) == 21
 
 
 def test_line_trace_lists_the_lines_no_test_runs():

@@ -2,9 +2,11 @@
 
 Usage: `python tools/cli_digest.py [SRC_DIR]` imports `nvgames` from SRC_DIR
 (default: the repository's `src`) and, in a fresh temporary directory, runs
-`nvgames.cli.run` in process on two small stress configurations, one of two
-blocks (n = 4, blocks (2, 2), 2 atoms per block) and one of three singleton
-blocks (2 atoms each). Per configuration it runs, in order:
+`nvgames.cli.run` in process on three small stress configurations: one of
+two blocks (n = 4, blocks (2, 2), 2 atoms per block), one of three singleton
+blocks (2 atoms each) and one of a single block (n = 3, 4 atoms). The first
+two instances have empty cores, the last a nonempty one, so `solve` takes
+both branches. Per configuration it runs, in order:
 
 - `gen` of the instance from the configuration;
 - `solve`, `det-solve`, `vmax` and `vmax --coalition 3` on that instance;
@@ -37,6 +39,10 @@ CONFIGS = {
     },
     "three-block": {
         "n": 3, "block_sizes": [1, 1, 1], "atoms_per_block": [2, 2, 2], "num_extremal": 5,
+        "num_instances": 2, "seed": 5, "lambda_grid": [0.0, 0.5, 1.0],
+    },
+    "one-block": {
+        "n": 3, "block_sizes": [3], "atoms_per_block": [4], "num_extremal": 5,
         "num_instances": 2, "seed": 5, "lambda_grid": [0.0, 0.5, 1.0],
     },
 }

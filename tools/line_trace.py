@@ -13,7 +13,11 @@ status is pytest's.
 `python tools/line_trace.py tests/test_acceptance.py tests/test_cli.py`
 traces only the acceptance criteria and the CLI, so it lists the package
 lines that no caller but a unit test reaches: the candidates for removal
-from the public surface.
+from the public surface. The benchmark (`bench/run.py`) runs in its own
+processes and is not traced, so that listing also shows the lines that
+only the benchmark reaches, such as the member-iterable branch of
+`distributions.coalition_mask` and `robust_game.VmaxTable.value`; grep
+`bench/` before removing a listed line.
 """
 
 from __future__ import annotations
