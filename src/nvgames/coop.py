@@ -8,11 +8,12 @@ least core here and each robust sigma probe) is solved in its dual form,
 the balanced-collection program of Bondareva (1963) and Shapley (1967),
 which has one row per player and one more. Its variables, one weight per
 coalition and t, are all nonnegative, so the simplex solves it on the
-matrix built here with no column added. It starts from the singleton
-basis, feasible for every table (see `solve_stability_lp`), so its answer
-depends on that table alone. It is solved on the table divided by a power
-of two near its largest value, so the LP's absolute tolerances act alike
-at every scale of profits.
+matrix built here with no column added. It takes a full table, one value
+per nonempty proper coalition, and starts from the singleton basis,
+feasible for every such table (see `solve_stability_lp`), so it runs no
+phase 1 and its answer depends on that table alone. It is solved on the
+table divided by a power of two near its largest value, so the LP's
+absolute tolerances act alike at every scale of profits.
 
 Balancedness is one balanced-collection program too, normalized to cover
 every player once (`balancedness_duality_pair`). It starts from the same
@@ -79,24 +80,21 @@ def _coalition_indicator_rows(n: int, masks) -> np.ndarray:
     return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
 
 
-def _singleton_basis(n: int, masks: list[int]) -> tuple[int, ...] | None:
-    """The positions of the singletons {0}, ..., {n-1} in `masks`, in
-    player order; None when one is missing."""
-    try:
-        return tuple(masks.index(1 << i) for i in range(n))
-    except ValueError:
-        return None
+def _singleton_basis(n: int) -> tuple[int, ...]:
+    """The positions of the singletons {0}, ..., {n-1} among the masks
+    1, ..., 2^n - 2 in increasing order, in player order."""
+    return tuple((1 << i) - 1 for i in range(n))
 
 
 def solve_stability_lp(
-    n: int, values_by_mask: Mapping[int, float] | np.ndarray, total: float
+    n: int, values: np.ndarray, total: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """min eps s.t. x(S) + eps >= value(S) for each given coalition and
-    x(N) = total, with x and eps free. The values come as a mapping from
-    coalition masks, or as an array whose entry i is the value of mask
-    i + 1 (a robust table's `ratios`). Returns (x, eps, w): w holds the
-    coalition weights of the dual, w_S = d eps / d value(S) >= 0 in
-    increasing mask order, summing to 1.
+    """min eps s.t. x(S) + eps >= value(S) for every nonempty proper
+    coalition S and x(N) = total, with x and eps free. `values` is an array
+    of the 2^n - 2 values, entry i the value of mask i + 1 (a robust
+    table's `ratios`). Returns (x, eps, w): w holds the coalition weights
+    of the dual, w_S = d eps / d value(S) >= 0 in increasing mask order,
+    summing to 1.
 
     The simplex solves the LP dual, the balanced-collection program
 
@@ -108,13 +106,13 @@ def solve_stability_lp(
     t = sum_{S ni i} w_S, and a feasible w sums to 1, so some w_S > 0 and
     t > 0 already for a player i in S: t >= 0 cuts off no feasible point.
     Every variable is then nonnegative, so the program is its own standard
-    form, with no split column. w is its solution; x is the duals of its
+    form, with no column added. w is its solution; x is the duals of its
     player rows and eps the dual of its sum-of-weights row. It starts from
     the singleton basis w_{i} = t = 1/n, which is feasible for every table,
     so it runs no phase 1 and its start depends on no table and on no
-    earlier solve. A table without every singleton starts cold. The optimal
-    x and w are not unique in general; this start picks the vertex that
-    the pivots from it reach. The program is built afresh by each
+    earlier solve. The optimal x and w are not unique in general; this
+    start picks the vertex that the pivots from it reach. The program is
+    bounded, since the weights sum to 1. It is built afresh by each
     call: about 90 us at n = 6 on a 2-vCPU x86 host, 2-3% of a
     criterion-10 stress run and inside that run's spread, so none is kept.
 
@@ -123,32 +121,26 @@ def solve_stability_lp(
     Short of underflow that division rounds nothing, so a table scaled by
     2^k gives x and eps scaled by 2^k bit for bit and the same w, and the
     absolute tolerances of `lp` act on a program of unit size."""
-    if isinstance(values_by_mask, np.ndarray):
-        masks = list(range(1, values_by_mask.size + 1))
-        vals = values_by_mask.astype(float)
-    else:
-        masks = sorted(values_by_mask)
-        vals = np.array([float(values_by_mask[m]) for m in masks])
-    if any(m <= 0 or m >= (1 << n) for m in masks):
-        raise InputError("stability constraints must be over nonempty coalitions of 0..n-1")
-    if not masks:
+    k = (1 << n) - 2
+    shape = values.shape if isinstance(values, np.ndarray) else type(values).__name__
+    if shape != (k,):
+        raise InputError(f"stability values must be an array of shape ({k},), got {shape}")
+    if not k:
         return np.full(n, total / n), 0.0, np.zeros(0)
+    vals = values.astype(float)
     top = max(float(np.max(np.abs(vals))), abs(float(total)))
     scale = math.ldexp(1.0, min(round(math.log2(top)), 1023)) if 0.0 < top < math.inf else 1.0
-    rows = _coalition_indicator_rows(n, masks)
+    rows = _coalition_indicator_rows(n, np.arange(1, k + 1))
     lp = LinearProgram(
         sense="max",
         objective=np.append(vals / scale, -total / scale),
-        a_eq=np.block([[rows.T, -np.ones((n, 1))], [np.ones(len(masks)), 0.0]]),
+        a_eq=np.block([[rows.T, -np.ones((n, 1))], [np.ones(k), 0.0]]),
         b_eq=np.append(np.zeros(n), 1.0),
     )
-    start = _singleton_basis(n, masks)
     # Each singleton's weight, then t.
-    sol = solve_lp(lp, None if start is None else start + (len(masks),))
+    sol = solve_lp(lp, _singleton_basis(n) + (k,))
     if sol.status != "optimal":
-        # The primal is always feasible, so the dual is never unbounded:
-        # an infeasible dual is an unbounded primal.
-        raise SolverError("stability LP reported 'unbounded'")
+        raise SolverError(f"stability LP reported {sol.status!r}")
     # Adding 0.0 turns a dual's -0.0 into +0.0.
     return sol.duals[:n] * scale + 0.0, float(sol.duals[n]) * scale + 0.0, sol.x[:-1]
 
@@ -181,7 +173,7 @@ def core_membership(v: CharacteristicFunction, x, tol: float = MEMBERSHIP_TOL) -
 def balancedness_duality_pair(vmax_table: Mapping, n: int) -> tuple[float, float]:
     """Capped primal/dual optima certifying balancedness of a worst-case
     ratio table over players 0..n-1, whose entries for the empty and the
-    grand coalition are ignored.
+    grand coalition are ignored. It must hold every other coalition.
 
     The raw dual (weights over coalitions whose per-player totals equal a
     common level p) is a cone, so its optimum is 0 or +inf; normalizing to
@@ -191,26 +183,30 @@ def balancedness_duality_pair(vmax_table: Mapping, n: int) -> tuple[float, float
         max sum_S y_S v(S)  s.t.  sum_{S ni i} y_S = 1 for each player i,
         y >= 0,
 
-    from the singleton basis y_{i} = 1 (cold when a singleton is missing).
-    z_d is its optimum less 1. Its duals x, one per player, are an optimum
-    of the primal min x(N) s.t. x(S) >= v(S), x free, and z_p is x(N) - 1.
+    from the singleton basis y_{i} = 1, which is feasible for every table;
+    the program is bounded, since no y_S exceeds 1. z_d is its optimum
+    less 1. Its duals x, one per player, are an optimum of the primal
+    min x(N) s.t. x(S) >= v(S), x free, and z_p is x(N) - 1.
     `solve_lp` certifies x before it returns: every reduced cost v(S) -
     x(S) is at most `lp.OPT_TOL`, so x is feasible within that tolerance,
     and the duality gap between x(N) and the optimum is zero within the
     solver's gap tolerance. Both values are clipped at 0, equal each other
     up to that gap, and are 0 exactly when some efficient allocation
-    satisfies every coalition ratio constraint (nonempty core). A player
-    that no coalition of the table covers makes the program infeasible
-    (the primal is unbounded), which raises SolverError.
+    satisfies every coalition ratio constraint (nonempty core). A table
+    that lacks a nonempty proper coalition raises InputError, naming its
+    mask; a one-player game has none, and its empty table is balanced.
     """
     table = {coalition_mask(key, n): float(val) for key, val in vmax_table.items()}
-    masks = sorted(m for m in table if 0 < m < (1 << n) - 1)
+    masks = range(1, (1 << n) - 1)
+    missing = [m for m in masks if m not in table]
+    if missing:
+        raise InputError(f"ratio table lacks coalition mask {missing[0]}")
     if not masks:
         return 0.0, 0.0
-    vals = np.array([table[m] for m in masks])
     rows = _coalition_indicator_rows(n, masks)
+    vals = [table[m] for m in masks]
     lp = LinearProgram(sense="max", objective=vals, a_eq=rows.T, b_eq=np.ones(n))
-    sol = solve_lp(lp, _singleton_basis(n, masks))
+    sol = solve_lp(lp, _singleton_basis(n))
     if sol.status != "optimal":
         raise SolverError(f"balancedness dual reported {sol.status!r}")
     z_p = max(0.0, float(np.sum(sol.duals)) - 1.0)

@@ -10,16 +10,16 @@ in between.
 Dantzig pricing by default, its ties within `PIVOT_TOL` going to the
 lowest column id; after `_BLAND_AFTER` consecutive degenerate pivots the
 solver switches to Bland's rule for the rest of the phase, which
-guarantees termination. Free variables are handled internally by
-splitting, finite lower bounds by shifting. That general form (inequality
-rows, free or shifted variables) serves outside callers; every program the
-package itself builds is its own standard form.
+guarantees termination. Every lower bound is finite; nonzero ones are
+handled by shifting. That general form (inequality rows, shifted
+variables) serves outside callers; every program the package itself
+builds is its own standard form.
 
 A `LinearProgram` builds the standard form of its constraint matrices,
-bounds and right-hand side once (split and slack columns, the right-hand
-side shifted by the bounds), and every `with_objective` copy shares it, so
-a solve only builds its cost vector (none without split or slack columns:
-the objective itself serves, its sign kept aside for a max program). This
+bounds and right-hand side once (slack columns, the right-hand side
+shifted by the bounds), and every `with_objective` copy shares it, so a
+solve only builds its cost vector (none without slack columns: the
+objective itself serves, its sign kept aside for a max program). This
 is what keeps the thousands of small ratio LPs over one polytope cheap.
 No row is ever negated: phase 1 starts from the basis of the artificial
 columns sign(b_i) e_i, factorized like any other, which is feasible
@@ -67,8 +67,8 @@ caller's data, nonnegative reduced costs under the returned duals, and a
 zero duality gap.
 
 A basic solution is zero off its support (`LpSolution.support`: its basic
-variables, in ascending order, plus any free variable whose negative part
-is basic and any variable shifted by a nonzero lower bound), so every
+variables, in ascending order, plus any variable shifted by a nonzero lower
+bound), so every
 product with it runs over that support alone (`support_dot`): the objective
 value and the certificate's c'z here, the worst-case ratios in
 `robust_game`. A polytope LP has K columns but at most m basic ones. On a
@@ -390,8 +390,8 @@ class LinearProgram:
     """min/max objective @ x  s.t.  a_eq @ x = b_eq, a_ub @ x <= b_ub, x >= lower_bounds.
 
     ``lower_bounds`` defaults to 0 for every variable, held as a read-only
-    zero view (``np.broadcast_to(0.0, (n,))``, no bytes per variable); use
-    ``-np.inf`` to mark a variable as free. The constraint matrices are
+    zero view (``np.broadcast_to(0.0, (n,))``, no bytes per variable); every
+    bound must be finite. The constraint matrices are
     ndarrays or `IncidenceOperator`s; they are held by reference and never
     mutated. The standard form of the constraint matrices, bounds and
     right-hand side is built here, once, and shared by every
@@ -428,8 +428,8 @@ class LinearProgram:
             lb = np.atleast_1d(np.asarray(self.lower_bounds, dtype=float))
             if lb.shape != (n,):
                 raise InputError(f"lower_bounds has shape {lb.shape}, expected ({n},)")
-            if np.any(np.isposinf(lb)) or np.any(np.isnan(lb)):
-                raise InputError("lower_bounds must be finite or -inf")
+            if not np.all(np.isfinite(lb)):
+                raise InputError("lower_bounds must be finite")
         object.__setattr__(self, "lower_bounds", lb)
         std = _Standardized(self)
         object.__setattr__(self, "_std", std)
@@ -477,8 +477,7 @@ class _Factor:
 @dataclass(frozen=True)
 class LpSolution:
     """Solver result. ``basis`` lists internal standard-form column ids:
-    0..n-1 original variables, n..n+f-1 negative parts of free variables
-    (in increasing variable order), then one slack per ub row.
+    0..n-1 original variables, then one slack per ub row.
 
     ``duals`` holds one multiplier per constraint row (equality rows, then
     inequality rows): the rate at which ``objective_value`` changes with
@@ -504,35 +503,21 @@ class _Standardized:
     """The standard form of a program's constraint matrices and bounds:
     A z = b, z >= 0, for any right-hand side b (`rhs`).
 
-    Columns: the variables shifted by their finite lower bounds, then the
-    negative parts of free variables, then one slack per ub row. Rows: the
-    equality rows, then the ub rows, as given. ``a`` is the caller's
-    matrix itself when no column is added. Read-only after construction;
-    only `cost` depends on the objective and only `rhs` on the right-hand
-    side.
+    Columns: the variables shifted by their lower bounds, then one slack
+    per ub row. Rows: the equality rows, then the ub rows, as given. ``a``
+    is the caller's matrix itself when no column is added. Read-only after
+    construction; only `cost` depends on the objective and only `rhs` on
+    the right-hand side.
     """
 
-    __slots__ = (
-        "a", "m", "n", "row_ids", "n_orig", "free_idx", "n_split", "n_slack", "shift",
-        "shifted", "row_shift", "bounded", "lb_bounded",
-    )
+    __slots__ = ("a", "m", "n", "row_ids", "n_orig", "n_slack", "shift", "shifted", "row_shift")
 
     def __init__(self, lp: LinearProgram):
-        n = lp.n_vars
-        lb = lp.lower_bounds
-        free = ~np.isfinite(lb)
-        self.free_idx = np.flatnonzero(free)
-        self.n_orig = n
-        self.n_split = self.free_idx.size
+        self.n_orig = lp.n_vars
         self.n_slack = lp.a_ub.shape[0]
-        # Variables with a finite lower bound: a slice (a view) when all are.
-        self.bounded = np.flatnonzero(~free) if self.n_split else slice(None)
-        self.lb_bounded = lb[self.bounded]
-
-        # The shift by the finite lower bounds; None when every one is 0.
-        shift = np.where(free, 0.0, lb)
-        self.shifted = np.flatnonzero(shift)
-        self.shift = shift if self.shifted.size else None
+        # The shift by the lower bounds; None when every one is 0.
+        self.shifted = np.flatnonzero(lp.lower_bounds)
+        self.shift = lp.lower_bounds if self.shifted.size else None
 
         m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
         if m_ub == 0:
@@ -542,16 +527,13 @@ class _Standardized:
         else:
             rows = np.vstack([lp.a_eq, lp.a_ub])
         # What the shift takes off every right-hand side.
-        self.row_shift = None if self.shift is None else rows @ shift
-        extra = []
-        if self.n_split:
-            extra.append(-np.asarray(rows)[:, self.free_idx])
+        self.row_shift = None if self.shift is None else rows @ self.shift
+        # Without slack columns the caller's matrix is the system.
+        self.a = rows
         if self.n_slack:
             slack_block = np.zeros((rows.shape[0], self.n_slack))
             slack_block[m_eq + np.arange(self.n_slack), np.arange(self.n_slack)] = 1.0
-            extra.append(slack_block)
-        # Without split or slack columns the caller's matrix is the system.
-        self.a = np.hstack([np.asarray(rows)] + extra) if extra else rows
+            self.a = np.hstack([np.asarray(rows), slack_block])
         self.m, self.n = self.a.shape
         self.row_ids = np.arange(self.m)
         self.row_ids.setflags(write=False)
@@ -571,34 +553,25 @@ class _Standardized:
         (v, negated): the cost is -v when negated, else v. Without added
         columns v is the objective itself, so a max program makes no
         negated copy (`_reduced_costs` takes the sign)."""
-        if not (self.n_split or self.n_slack):
+        if not self.n_slack:
             return lp.objective, lp.sense == "max"
         c = lp.objective if lp.sense == "min" else -lp.objective
-        return np.concatenate([
-            c,
-            -c[self.free_idx] if self.n_split else np.zeros(0),
-            np.zeros(self.n_slack),
-        ]), False
+        return np.concatenate([c, np.zeros(self.n_slack)]), False
 
     def support(self, basic: np.ndarray) -> np.ndarray:
         """The ascending ids of the variables that may be nonzero in the x
         of the basic solution whose standard-form basis is `basic`
-        (ascending): the basic ones, the free ones whose negative part is
-        basic, and those shifted by a nonzero lower bound, which may be
-        basic too. `recover_x` gives 0 at every other one."""
-        n = self.n_orig
-        lo, hi = basic.searchsorted((n, n + self.n_split))
-        return sorted_distinct(
-            np.concatenate((basic[:lo], self.free_idx[basic[lo:hi] - n], self.shifted))
-        )
+        (ascending): the basic ones and those shifted by a nonzero lower
+        bound, which may be basic too. `recover_x` gives 0 at every other
+        one."""
+        lo = basic.searchsorted(self.n_orig)
+        return sorted_distinct(np.concatenate((basic[:lo], self.shifted)))
 
     def recover_x(self, z: np.ndarray) -> np.ndarray:
         """The x of the standard-form solution `z`, computed in place on z
         (the caller's fresh vector) and returned as a view of it. Adding the
         shift, or 0.0 without one, also turns every -0.0 into +0.0."""
         x = z[: self.n_orig]
-        if self.n_split:
-            x[self.free_idx] -= z[self.n_orig : self.n_orig + self.n_split]
         x += 0.0 if self.shift is None else self.shift
         return x
 
@@ -927,11 +900,9 @@ def _check_solution(lp: LinearProgram, x: np.ndarray) -> None:
         res = (lp.a_ub @ x - lp.b_ub).max()
         if res > 100 * FEAS_TOL:
             raise SolverError(f"inequality violation {res:.3e} exceeds tolerance")
-    std = lp._std
-    if std.lb_bounded.size:
-        res = (std.lb_bounded - x[std.bounded]).max()
-        if res > 100 * FEAS_TOL:
-            raise SolverError(f"bound violation {res:.3e} exceeds tolerance")
+    res = (lp.lower_bounds - x).max()
+    if res > 100 * FEAS_TOL:
+        raise SolverError(f"bound violation {res:.3e} exceeds tolerance")
 
 
 def _reduced_costs(c: np.ndarray, negated: bool, r: np.ndarray) -> np.ndarray:

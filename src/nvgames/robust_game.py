@@ -408,8 +408,9 @@ class RobustGameSolver:
     @cached_property
     def _coalitions(self) -> ProperCoalitions:
         """The coalition set-up of the vertex path's best profits and grand
-        profits, built on first use: the LP path never forms its demand
-        rows."""
+        profits, built on first use: the LP path forms its demand rows only
+        when the stress loop's excess pass takes it
+        (`stress.ExcessEvaluator`)."""
         return ProperCoalitions(self.inst)
 
     def _vertex_numerators(self) -> _Numerators:

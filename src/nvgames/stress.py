@@ -6,10 +6,11 @@ The excess of a decision (y, z) under a realized joint q is the largest
 positive shortfall, over nonempty proper coalitions S, of z(S) against the
 ratio of S's achievable profit to the grand profit at y. Coalitions inside a
 single block order their known-distribution quantile; coalitions spanning
-blocks order optimally for the realized q. `ExcessEvaluator(inst)` computes
-it for a matrix of joints: `stack` once, then `excess` per decision; every
-order and profit in it comes from `newsvendor.ProperCoalitions`, the routine
-the robust solver's vertex tables call too. The robust decision comes from
+blocks order optimally for the realized q. `ExcessEvaluator` computes it
+for a matrix of joints: `stack` once, then `excess` per decision; every
+order and profit in it comes from the instance's
+`newsvendor.ProperCoalitions`, the set-up the robust solver's vertex tables
+use too, built once per instance and shared. The robust decision comes from
 `RobustGameSolver`'s core test and least-core search, so every worst-case
 ratio of its vertex tables equals, bit for bit, the excess pass's ratio
 under that ratio's witness at the decision's order.
@@ -235,11 +236,13 @@ class ExcessEvaluator:
 
     The per-coalition data that no joint changes (each coalition's demand
     per atom and the pinned quantile order of a coalition inside one
-    block) is set up once here, as a `newsvendor.ProperCoalitions`.
-    `stack` then evaluates all coalitions for a whole matrix of joints at
-    once through its `best_orders`, the routine that also gives
-    `RobustGameSolver`'s vertex tables their best profits, and `excess`
-    turns a stack into one excess per row for a decision. The kernel's
+    block) is the instance's `newsvendor.ProperCoalitions`, which the
+    evaluator takes as it is: the stress loop hands it the robust
+    solver's own, so each instance builds one. `stack` then evaluates all
+    coalitions for a whole matrix of joints at once through its
+    `best_orders`, the routine that also gives `RobustGameSolver`'s vertex
+    tables their best profits, and `excess` turns a stack into one excess
+    per row for a decision. The kernel's
     values equal its one-joint values bit for bit, so a stacked excess
     equals the one-joint excess, and a vertex-table ratio equals the
     stacked profit under its witness over `grand_profit` there. The excess
@@ -248,10 +251,10 @@ class ExcessEvaluator:
     with many joints screens them first with `grand_profit`.
     """
 
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self._coalitions = ProperCoalitions(inst)
-        self.d_grand = self._coalitions.d_grand
+    def __init__(self, coalitions: ProperCoalitions):
+        self.inst = inst = coalitions.inst
+        self._coalitions = coalitions
+        self.d_grand = coalitions.d_grand
         masks = np.arange(1, inst.grand_mask)
         # _members[i] selects the coalitions that contain retailer i.
         self._members = [((masks >> i) & 1).astype(bool) for i in range(inst.n_retailers)]
@@ -351,6 +354,9 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
         cost = rng.uniform(-1.0, 1.0, inst.joint_size())
         pool.append(sample_extremal(inst, cost).q)
     pool.extend(solver.witnesses)
+    # The solver's coalition set-up: the vertex path has built it already,
+    # the LP path builds it here.
+    evaluator = ExcessEvaluator(solver._coalitions)
     del solver  # its per-instance tables need not live through the excess pass
     pool = _dedupe_pool(pool)
     if not pool:
@@ -358,7 +364,6 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
     ext = np.array(pool)
     check_probability_rows(ext)
 
-    evaluator = ExcessEvaluator(inst)
     lams = np.array(cfg.lambda_grid)
     # The contaminated joints (1 - lambda) q_ind + lambda e, for every
     # lambda and sample e at once: row i * len(ext) + j mixes sample j at

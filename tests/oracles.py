@@ -12,7 +12,8 @@ known joint, one scalar dot, once a package function that only tests
 called.
 `exact_sigma_slopes` evaluates the least-core cuts in rational arithmetic.
 `two_phase_stability_lp` keeps the cold two-phase solve of the stability LP
-in its primal form, which the dual form replaced, and
+in its primal form, which the dual form replaced, its free variables split
+into two nonnegative columns each, and
 `exact_least_core_eps` the exact optimum of that LP by rational vertex
 enumeration. The `per_coalition_*` and
 `per_mask_*` functions keep the one-coalition-at-a-time loops that the
@@ -366,27 +367,30 @@ def bisect_action_interval_upper(inst, y_tol=1e-6):
     return hi
 
 
-def two_phase_stability_lp(n: int, values_by_mask, total: float):
+def two_phase_stability_lp(n: int, values: np.ndarray, total: float):
     """(x, eps, w) of `coop.solve_stability_lp` from the cold two-phase
-    start: the same program, solved with no start basis. The values come
-    as for that function, a mapping or an array over masks 1, 2, ..."""
-    if isinstance(values_by_mask, np.ndarray):
-        values_by_mask = dict(enumerate(values_by_mask.tolist(), start=1))
-    masks = sorted(values_by_mask)
+    start: the same program in its primal form, min eps s.t. x(S) + eps >=
+    value(S) and x(N) = total, solved with no start basis. The values come
+    as for that function, an array over masks 1, 2, ..., 2^n - 2. The free
+    x and eps are written as u+ - u- with u+, u- >= 0: the columns of u+,
+    then those of u-."""
+    masks = range(1, len(values) + 1)
     rows = np.array([[mask >> j & 1 for j in range(n)] for mask in masks], dtype=float)
-    vals = np.array([float(values_by_mask[m]) for m in masks])
+    a_eq = np.r_[np.ones(n), 0.0][None, :]
+    a_ub = -np.hstack([rows, np.ones((len(masks), 1))])
+    c = np.r_[np.zeros(n), 1.0]
     sol = solve_lp(LinearProgram(
         sense="min",
-        objective=np.r_[np.zeros(n), 1.0],
-        a_eq=np.r_[np.ones(n), 0.0][None, :],
+        objective=np.r_[c, -c],
+        a_eq=np.hstack([a_eq, -a_eq]),
         b_eq=[total],
-        a_ub=-np.hstack([rows, np.ones((len(masks), 1))]),
-        b_ub=-vals,
-        lower_bounds=np.full(n + 1, -np.inf),
+        a_ub=np.hstack([a_ub, -a_ub]),
+        b_ub=-np.asarray(values, dtype=float),
     ))
     if sol.status != "optimal":
         raise SolverError(f"stability LP reported {sol.status!r}")
-    return sol.x[:n].copy(), float(sol.x[n]), -sol.duals[1:]
+    u = sol.x[: n + 1] - sol.x[n + 1 :] + 0.0
+    return u[:n], float(u[n]), -sol.duals[1:]
 
 
 def exact_least_core_eps(n: int, values_by_mask, total: float = 1.0) -> Fraction:

@@ -23,7 +23,9 @@ from nvgames.distributions import (
 )
 from nvgames.errors import CapacityError, InputError, SolverError
 from nvgames.lp import IncidenceOperator, LinearProgram, solve_lp
-from nvgames.newsvendor import grand_action_interval, optimal_order, worst_case_order
+from nvgames.newsvendor import (
+    ProperCoalitions, grand_action_interval, optimal_order, worst_case_order,
+)
 from nvgames.robust_game import RobustGameSolver, imputation_exists
 from nvgames.stress import ExcessEvaluator
 
@@ -286,7 +288,7 @@ class TestPolytope:
             lambda: independent_joint(inst),
             lambda: sample_extremal(inst, np.zeros(4)),
             lambda: optimal_order(inst, q, inst.grand_mask),
-            lambda: ExcessEvaluator(inst),
+            lambda: ExcessEvaluator(ProperCoalitions(inst)),
         ):
             with pytest.raises(CapacityError, match="^joint support has 4 atoms, exceeding"):
                 call()

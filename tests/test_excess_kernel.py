@@ -13,6 +13,7 @@ from nvgames.distributions import (
     sample_extremal,
 )
 from nvgames.errors import DomainError
+from nvgames.newsvendor import ProperCoalitions
 from nvgames.robust_game import Decision
 from nvgames.stress import ExcessEvaluator
 
@@ -62,7 +63,7 @@ def cases(draw):
     n = inst.n_retailers
     z = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
                       .filter(lambda w: sum(w) > 0)), dtype=float)
-    y = draw(st.floats(0.0, 1.5)) * float(np.max(ExcessEvaluator(inst).d_grand))
+    y = draw(st.floats(0.0, 1.5)) * float(np.max(ExcessEvaluator(ProperCoalitions(inst)).d_grand))
     return inst, np.array(rows), Decision(y, z / z.sum())
 
 
@@ -73,7 +74,7 @@ def bits(values) -> list[int]:
 @given(cases())
 def test_stacked_excess_equals_per_joint_loop(case):
     inst, qs, decision = case
-    evaluator = ExcessEvaluator(inst)
+    evaluator = ExcessEvaluator(ProperCoalitions(inst))
     try:
         expected = [scalar_excess(inst, q, decision) for q in qs]
     except DomainError:
@@ -92,7 +93,7 @@ def test_nonpositive_grand_profit_in_one_row():
     # 5 - 2 E(5 - D)^+: 5 with all mass on D = 6, -1 with all mass on D = 2.
     m = DiscreteMarginal(np.array([[1.0], [3.0]]), np.array([0.5, 0.5]))
     inst = Instance(2.0, 1.0, ((0,), (1,)), (m, m))
-    evaluator = ExcessEvaluator(inst)
+    evaluator = ExcessEvaluator(ProperCoalitions(inst))
     good, bad = np.eye(4)[3], np.eye(4)[0]
     decision = Decision(5.0, np.array([0.5, 0.5]))
     with pytest.raises(DomainError):

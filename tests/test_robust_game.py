@@ -190,7 +190,7 @@ class TestSigma:
             y=3.0, ratios=np.zeros(2), gammas=np.zeros(2), joints=[np.array([])] * 2,
             min_grand_profit=3.0,
         )
-        x, eps, _w = solve_stability_lp(2, table.values, 1.0)
+        x, eps, _w = solve_stability_lp(2, table.ratios, 1.0)
         assert eps == pytest.approx(-0.5)
         assert x == pytest.approx([0.5, 0.5])
 
@@ -724,7 +724,7 @@ class TestSolverState:
         y = solver.grand_wc.y_star
         for y_i in (y, 0.9 * y, 0.9 * y, y):
             eps, x = solver.sigma(y_i)
-            expect_x, expect_eps, _w = solve_stability_lp(3, solver.table(y_i).values, 1.0)
+            expect_x, expect_eps, _w = solve_stability_lp(3, solver.table(y_i).ratios, 1.0)
             assert eps == expect_eps
             assert np.array_equal(x, expect_x)
 

@@ -19,6 +19,7 @@ from nvgames.distributions import (
     sample_extremal,
 )
 from nvgames.errors import DomainError, GameInvalidError, InputError, SolverError
+from nvgames.newsvendor import ProperCoalitions
 from nvgames.robust_game import Decision, RobustGameSolver
 from nvgames.stress import (
     CSV_HEADER,
@@ -188,7 +189,7 @@ class TestSolvePair:
 class TestExcess:
     def test_core_decision_has_zero_excess(self, t1):
         d = RobustGameSolver(t1).core_decision()
-        evaluator = ExcessEvaluator(t1)
+        evaluator = ExcessEvaluator(ProperCoalitions(t1))
         assert evaluator.excess(evaluator.stack(independent_joint(t1).q), d).tolist() == [0.0]
 
     def test_hand_built_standalone_ratio(self):
@@ -199,7 +200,7 @@ class TestExcess:
             (DiscreteMarginal(np.array([[3.0]]), np.array([1.0])),
              DiscreteMarginal(np.array([[2.0]]), np.array([1.0]))),
         )
-        evaluator = ExcessEvaluator(inst)
+        evaluator = ExcessEvaluator(ProperCoalitions(inst))
         stack = evaluator.stack(independent_joint(inst).q)
         d = Decision(5.0, np.array([1.0, 0.0]))
         assert evaluator.excess(stack, d) == pytest.approx([0.4], abs=1e-12)
@@ -207,19 +208,20 @@ class TestExcess:
     def test_degenerate_grand_profit_raises(self, t1):
         # Ordering far above demand makes the realized profit negative.
         d = Decision(100.0, np.array([0.5, 0.5]))
-        evaluator = ExcessEvaluator(t1)
+        evaluator = ExcessEvaluator(ProperCoalitions(t1))
         with pytest.raises(DomainError, match=r"^grand profit -\S+ is nonpositive .* in row 0;"):
             evaluator.excess(evaluator.stack(independent_joint(t1).q), d)
 
     def test_a_stack_of_another_instance_raises(self, t1, t2):
-        stack = ExcessEvaluator(t2).stack(independent_joint(t2).q)
+        stack = ExcessEvaluator(ProperCoalitions(t2)).stack(independent_joint(t2).q)
         with pytest.raises(InputError, match="^joint stack was built for another instance$"):
-            ExcessEvaluator(t1).excess(stack, Decision(3.0, np.array([0.5, 0.5])))
+            evaluator = ExcessEvaluator(ProperCoalitions(t1))
+            evaluator.excess(stack, Decision(3.0, np.array([0.5, 0.5])))
 
     def test_nonnegative_and_zero_iff_stable(self):
         cfg = small_cfg()
         inst = gen_instance(cfg, 2)
-        evaluator = ExcessEvaluator(inst)
+        evaluator = ExcessEvaluator(ProperCoalitions(inst))
         rob, _solver = stress._solve_robust(inst)
         det = stress._deterministic_decision(inst, independent_joint(inst))
         rng = np.random.default_rng(40)
@@ -373,8 +375,9 @@ class TestRunStress:
         # Only the grand order of each deterministic decision goes through
         # optimal_order, and every coalition demand row comes from a
         # batched call: the deterministic game's coalition values from one
-        # kernel call, the robust solver and the excess evaluator from their
-        # row matrices. A per-coalition loop would add one-mask calls.
+        # kernel call, the robust solver and the excess evaluator from the
+        # row matrix of the one `ProperCoalitions` they share. A
+        # per-coalition loop would add one-mask calls.
         orders, batches = [], []
         optimal_order = stress.optimal_order
         demand_rows = FrechetPolytope.coalition_demand_rows
@@ -393,7 +396,7 @@ class TestRunStress:
         cfg = small_cfg()
         run_stress(cfg)
         assert orders == [(1 << cfg.n) - 1] * cfg.num_instances
-        assert batches == [1, 15, 15, 1, 15] * cfg.num_instances
+        assert batches == [1, 15, 15, 1] * cfg.num_instances
 
     def test_no_incidence_basis_is_refactored(self, monkeypatch):
         # The stress polytopes are on the vertex path: every basis this run
@@ -457,6 +460,24 @@ class TestRunStress:
         assert entries == []
         assert len(builds) == len(set(map(id, builds))) == cfg.num_instances
 
+    def test_one_coalition_setup_per_instance(self, monkeypatch):
+        # The robust solver's vertex path and the excess pass share one
+        # `ProperCoalitions` per instance: two builds for the two instances
+        # of small_cfg(), 17 for a 17-instance pass of the criterion-10
+        # configuration (the stress-serial workload's).
+        builds = []
+        init = ProperCoalitions.__init__
+
+        def spy(self, inst):
+            builds.append(inst)
+            init(self, inst)
+
+        monkeypatch.setattr(ProperCoalitions, "__init__", spy)
+        for cfg in (small_cfg(), criterion10_cfg(num_instances=17)):
+            del builds[:]
+            run_stress(cfg)
+            assert len(builds) == len(set(map(id, builds))) == cfg.num_instances
+
     @pytest.mark.parametrize("path", ["vertex", "lp"])
     def test_stability_lps_match_the_two_phase_oracle(self, monkeypatch, simplex_phases, path):
         # Every sigma probe and deterministic least core of this run starts
@@ -505,7 +526,7 @@ class TestRunStress:
         monkeypatch.setattr(stress, "_dedupe_pool", capture)
         stress._instance_rows(job)
         inst = gen_instance(cfg, 7)
-        evaluator = ExcessEvaluator(inst)
+        evaluator = ExcessEvaluator(ProperCoalitions(inst))
         q_ind = independent_joint(inst).q
         ext = np.array(pools[0])
         robust, _ = stress._solve_robust(inst)
@@ -575,7 +596,7 @@ def per_lambda_rows(job, ext, robust, det) -> list:
     lambda's admissible mixtures with the pool `ext` as one matrix."""
     cfg, instance_id, instance_seed, _ = job
     inst = gen_instance(cfg, instance_seed)
-    evaluator = ExcessEvaluator(inst)
+    evaluator = ExcessEvaluator(ProperCoalitions(inst))
     q_ind = independent_joint(inst).q
     rows = []
     for lam in cfg.lambda_grid:
@@ -645,7 +666,7 @@ class TestChunkedExcess:
         q_ind = independent_joint(inst).q
         mixed = np.concatenate([(1.0 - lam) * q_ind + lam * ext for lam in (0.0, 0.3, 0.0, 1.0)])
         assert len(mixed) > 2 * newsvendor._CHUNK_ROWS
-        evaluator = ExcessEvaluator(inst)
+        evaluator = ExcessEvaluator(ProperCoalitions(inst))
         stack = evaluator.stack(mixed)
         expect = {}  # the rows of lambda = 0 are one row
         for q, row in zip(mixed, stack.profits):
@@ -666,7 +687,7 @@ class TestChunkedExcess:
         job = (cfg, 0, 7, 8)
         _, ext = rows_and_pool(monkeypatch, job)
         inst = gen_instance(cfg, 7)
-        evaluator = ExcessEvaluator(inst)
+        evaluator = ExcessEvaluator(ProperCoalitions(inst))
         robust, solver = stress._solve_robust(inst)
         det = stress._deterministic_decision(inst, independent_joint(inst))
         q_ind = independent_joint(inst).q
@@ -690,7 +711,7 @@ class TestChunkedExcess:
         cfg = small_cfg(atoms_per_block=(3, 3), num_extremal=30, price=1.1)
         _, ext = rows_and_pool(monkeypatch, (cfg, 0, 7, 8))
         inst = gen_instance(cfg, 7)
-        evaluator = ExcessEvaluator(inst)
+        evaluator = ExcessEvaluator(ProperCoalitions(inst))
         robust, solver = stress._solve_robust(inst)
         q_ind = independent_joint(inst).q[None, :]
         if far:

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -21,16 +22,19 @@ def test_code_lines_skip_docstrings_comments_and_layout(tmp_path):
 
 
 def test_lp_digest_is_reproducible(capsys):
-    # A tiny corpus of each kind, run twice: the same two lines both times,
-    # the answers' hash and the objective values' hash.
+    # A tiny corpus of each kind, run twice: the same eight lines both
+    # times, each corpus's answers hash and objective values hash.
     tool = load_tool("lp_digest")
     for _ in range(2):
         tool.main([str(ROOT / "src")], sizes=(30, 6, 2, 1))
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4 and lines[:2] == lines[2:]
-    assert lines[0].endswith("  50 solves") and len(lines[0].split()[0]) == 64
-    assert lines[1].endswith(" objective values") and len(lines[1].split()[0]) == 64
-    assert lines[0].split()[0] != lines[1].split()[0]
+    assert len(lines) == 16 and lines[:8] == lines[8:]
+    assert [line.split()[0] for line in lines[:8]] == [
+        name for name in tool.CORPORA for _ in range(2)]
+    assert [line.split("  ")[1].split()[1] for line in lines[:8]] == ["solves", "objective"] * 4
+    assert [line.split("  ")[1].split()[0] for line in lines[:8:2]] == ["30", "6", "10", "4"]
+    assert all(len(line.split()[1]) == 64 for line in lines[:8])
+    assert len({line.split()[1] for line in lines[:8]}) == 8
 
 
 def test_table_digest_is_reproducible(capsys):
@@ -63,6 +67,27 @@ def test_cli_digest_is_reproducible(capsys):
         f"{shape}/{name}" for shape in tool.CONFIGS for name in commands]
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert len({line.split()[1] for line in lines[:21]}) == 21
+
+
+def test_output_digests_are_pinned(capsys):
+    """Every line the three digest tools print matches `tests/data/digests.txt`:
+    the full `cli_digest` and `table_digest` output, then the `lp_digest`
+    lines at sizes=(30, 6, 2, 1), the corpus of the test above. On a
+    mismatch it names each moved line, pinned and printed. A change that
+    moves a line re-pins it in the file and gives the reason in CHANGES.md,
+    as for the criterion-10 CSV pins. The file holds the bits of the
+    numpy and BLAS of the host that pinned it, with no tolerance."""
+    src = str(ROOT / "src")
+    load_tool("cli_digest").main([src])
+    load_tool("table_digest").main([src])
+    load_tool("lp_digest").main([src], sizes=(30, 6, 2, 1))
+    printed = capsys.readouterr().out.splitlines()
+    text = (ROOT / "tests" / "data" / "digests.txt").read_text()
+    pinned = [line for line in text.splitlines() if not line.startswith("#")]
+    moved = [f"pinned {want}\nprinted {got}"
+             for want, got in itertools.zip_longest(pinned, printed, fillvalue="(none)")
+             if want != got]
+    assert not moved, "moved lines:\n" + "\n".join(moved)
 
 
 def test_line_trace_lists_the_lines_no_test_runs():

@@ -14,7 +14,7 @@ from hypothesis import assume, given, strategies as st
 from nvgames import distributions, stress
 from nvgames.distributions import DiscreteMarginal, FrechetPolytope, Instance, get_polytope
 from nvgames.errors import DomainError, GameInvalidError
-from nvgames.newsvendor import _profit
+from nvgames.newsvendor import ProperCoalitions, _profit
 from nvgames.robust_game import RobustGameSolver
 from nvgames.stress import ExcessEvaluator
 
@@ -103,7 +103,7 @@ def test_tied_vertices_go_to_the_least_best_order():
     y = solver.grand_wc.y_star
     table = solver.table(y)
     verts = solver.poly.vertices()
-    evaluator = ExcessEvaluator(inst)
+    evaluator = ExcessEvaluator(ProperCoalitions(inst))
     i = 0b101 - 1
     orders, profits = evaluator._coalitions.best_orders(verts)
     ratios = profits[:, i] / evaluator._coalitions.grand_profits(y, verts)
@@ -119,7 +119,7 @@ def assert_entries_are_excess_ratios(solver: RobustGameSolver, decision) -> None
     excess pass's ratio under its own witness: the stacked best profit over
     the grand profit at that order."""
     table = solver.table(decision.y)
-    evaluator = ExcessEvaluator(solver.inst)
+    evaluator = ExcessEvaluator(ProperCoalitions(solver.inst))
     stack = evaluator.stack(np.array(table.joints))
     ratios = np.diagonal(stack.profits) / evaluator.grand_profit(stack.q, decision)
     assert np.array_equal(bits(table.ratios), bits(ratios))

@@ -1,26 +1,30 @@
-"""Print two sha256 lines over the LP solver's answers on a fixed-seed corpus.
+"""Print two sha256 lines per corpus over the LP solver's answers on
+fixed-seed corpora.
 
 Usage: `python tools/lp_digest.py [SRC_DIR]` imports `nvgames` from SRC_DIR
 (default: the repository's `src`) and solves four corpora:
 
-- cold-started general programs: equality and inequality rows with
-  right-hand sides of both signs, free variables and shifted lower bounds;
-- random stability tables through `coop.solve_stability_lp`, every fourth
-  with player 0's pair {0, 1} in place of its singleton, so that a quarter
-  of them start cold;
-- crash-started LPs over the consistency polytopes of `stress.gen_instance`
-  draws;
-- two-block polytopes of 40-90 value classes per block (79-179 rows):
-  a crash-started LP each, then a chain of three LPs, each on a perturbed
-  objective and started from the previous solution; most of these solves
-  pivot past `lp._REFACTOR_EVERY`.
+- `general`: cold-started general programs, equality and inequality rows
+  with right-hand sides of both signs and finite lower bounds, some of
+  them nonzero (shifted);
+- `stability`: random full stability tables, one value per nonempty
+  proper coalition, through `coop.solve_stability_lp`;
+- `polytope`: crash-started LPs over the consistency polytopes of
+  `stress.gen_instance` draws;
+- `two-block`: two-block polytopes of 40-90 value classes per block
+  (79-179 rows), a crash-started LP each, then a chain of three LPs, each
+  on a perturbed objective and started from the previous solution; most of
+  these solves pivot past `lp._REFACTOR_EVERY`.
 
-Each solve adds its status, basis, pivot count, x and duals to the first
-line's hash; x and duals are hashed plus 0.0, so the sign of a zero does not
-count. Two source trees whose simplex takes the same pivots to the same
-answers print the same first line. The second line hashes the objective
-value of every optimal solve, plus 0.0, so it also tells apart two trees
-that compute the same x but round its objective value differently.
+Per corpus it prints an answers line, `CORPUS SHA256  N solves`, then an
+objective line, `CORPUS SHA256  M objective values`. Each solve adds its
+status, basis, pivot count, x and duals to the answers hash; x and duals
+are hashed plus 0.0, so the sign of a zero does not count. The objective
+hash takes the objective value of every optimal solve, plus 0.0, so it
+also tells apart two trees that compute the same x but round its
+objective value differently. Two source trees whose simplex takes the same
+pivots to the same answers print the same lines, so `diff` of two trees'
+outputs lists the corpora that moved.
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ def general_lps(nv, count: int):
     for _ in range(count):
         n = int(rng.integers(1, 6))
         m_eq, m_ub = int(rng.integers(0, 3)), int(rng.integers(0, 4))
-        lb = rng.choice([-np.inf, -2.0, 0.0, 1.5], n)
+        lb = rng.choice([-2.0, 0.0, 1.5], n)
         # Right-hand sides through a point near the bounds: many feasible
         # programs, with rows of either sign.
-        x0 = np.where(np.isfinite(lb), lb, 0.0) + rng.integers(-1, 4, n)
+        x0 = lb + rng.integers(-1, 4, n)
         a_eq = rng.integers(-3, 4, (m_eq, n)).astype(float)
         a_ub = rng.integers(-3, 4, (m_ub, n)).astype(float)
         yield nv.lp.LinearProgram(
@@ -61,17 +65,10 @@ def stability_tables(count: int):
     rng = np.random.default_rng(2)
     for i in range(count):
         n = int(rng.integers(2, 7))
-        masks = np.arange(1, (1 << n) - 1)
-        if i % 2:
-            singles = 1 << np.arange(n)
-            masks = np.union1d(singles, masks[rng.random(masks.size) < 0.5])
-        if i % 4 == 1:
-            # Player 0's pair in place of its singleton: no singleton basis,
-            # so the solve starts cold and runs phase 1.
-            masks = np.union1d(masks[masks != 1], [3])
-        values = rng.uniform(-1.0, 1.0, masks.size) if i % 3 else rng.choice([0.0, 0.5], masks.size)
+        k = (1 << n) - 2
+        values = rng.uniform(-1.0, 1.0, k) if i % 3 else rng.choice([0.0, 0.5], k)
         total = (float(rng.uniform(0.1, 2.0) * n), 0.0, float(-rng.uniform(0.1, 2.0)))[i % 3]
-        yield n, {int(m): float(v) for m, v in zip(masks, values)}, total
+        yield n, values, total
 
 
 def two_block_polytope(nv, rng):
@@ -84,30 +81,34 @@ def two_block_polytope(nv, rng):
     return nv.distributions.FrechetPolytope(inst)
 
 
-def solutions(nv, sizes):
-    """Every LpSolution of the corpus, in a fixed order."""
-    n_general, n_tables, n_polytopes, n_large = sizes
-    for lp in general_lps(nv, n_general):
+def general_solutions(nv, count: int):
+    for lp in general_lps(nv, count):
         yield nv.lp.solve_lp(lp)
 
+
+def stability_solutions(nv, count: int):
     solve, found = nv.coop.solve_lp, []
     nv.coop.solve_lp = lambda lp, start=None: found.append(solve(lp, start)) or found[-1]
     try:
-        for n, table, total in stability_tables(n_tables):
+        for n, table, total in stability_tables(count):
             nv.coop.solve_stability_lp(n, table, total)
     finally:
         nv.coop.solve_lp = solve
     yield from found
 
+
+def polytope_solutions(nv, count: int):
     cfg = nv.stress.ExperimentConfig(n=4, block_sizes=(2, 2), atoms_per_block=(3, 4), seed=3)
     rng = np.random.default_rng(3)
-    for seed in range(n_polytopes):
+    for seed in range(count):
         poly = nv.distributions.FrechetPolytope(nv.stress.gen_instance(cfg, seed))
         for _ in range(5):
             yield nv.lp.solve_lp(poly.lp(rng.normal(size=poly.n_atoms)), poly.crash_basis)
 
+
+def two_block_solutions(nv, count: int):
     rng = np.random.default_rng(4)
-    for _ in range(n_large):
+    for _ in range(count):
         poly = two_block_polytope(nv, rng)
         sol, cost = poly.crash_basis, rng.normal(size=poly.n_atoms)
         for _ in range(4):
@@ -116,11 +117,22 @@ def solutions(nv, sizes):
             cost = cost + rng.normal(scale=0.5, size=cost.size)
 
 
-def digest(nv, sizes=SIZES) -> str:
-    """The two lines: the solves' answers, then their objective values."""
+CORPORA = {
+    "general": general_solutions,
+    "stability": stability_solutions,
+    "polytope": polytope_solutions,
+    "two-block": two_block_solutions,
+}
+"""Each corpus's name and the generator of its LpSolutions, which takes the
+corpus's size from `SIZES`, in the same order."""
+
+
+def corpus_lines(name: str, solutions) -> list[str]:
+    """The two lines of one corpus: its solves' answers, then their
+    objective values."""
     h, h_objective = hashlib.sha256(), hashlib.sha256()
     count = optimal = 0
-    for sol in solutions(nv, sizes):
+    for sol in solutions:
         h.update(repr((sol.status, sol.basis, sol.iterations)).encode())
         if sol.status == "optimal":
             h.update((sol.x + 0.0).tobytes())
@@ -128,9 +140,17 @@ def digest(nv, sizes=SIZES) -> str:
             h_objective.update(np.float64(sol.objective_value + 0.0).tobytes())
             optimal += 1
         count += 1
-    return (
-        f"{h.hexdigest()}  {count} solves\n"
-        f"{h_objective.hexdigest()}  {optimal} objective values"
+    return [
+        f"{name} {h.hexdigest()}  {count} solves",
+        f"{name} {h_objective.hexdigest()}  {optimal} objective values",
+    ]
+
+
+def digest(nv, sizes=SIZES) -> str:
+    """The two lines of every corpus, in corpus order."""
+    return "\n".join(
+        line for (name, solutions), size in zip(CORPORA.items(), sizes)
+        for line in corpus_lines(name, solutions(nv, size))
     )
 
 
