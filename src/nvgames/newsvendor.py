@@ -58,10 +58,11 @@ _BLOCK = 1 << 13
 
 _CHUNK_ROWS = 128
 """Joint rows per kernel call of `ProperCoalitions.best_orders`, and per
-`ExcessEvaluator.stack` pass in the stress loop. A call's temporaries are
+`best_orders` call of `ExcessEvaluator.excess` in the stress loop, which
+so keeps its profit matrices at this many rows. A call's temporaries are
 coalitions x rows x atoms: at the criterion-10 shape (48 coalitions
 spanning both blocks, 16 atoms) 0.75 MB each at 128 rows. On a 2-vCPU x86
-VM (2 MB of L2 per core) the stack time of one instance's 1 034 rows was,
+VM (2 MB of L2 per core) the kernel time of one instance's 1 034 rows was,
 min of 7 x 5 passes over three sweeps: 6.3-6.5 ms at 32 rows, 5.3-7.4 ms
 at 64, 4.6-4.9 ms at 128 and 4.9-5.3 ms at 256 (7.0 ms with 4 coalitions
 per call and 256 rows). Against 64 rows, 128 raised the peak RSS of a

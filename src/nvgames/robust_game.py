@@ -91,7 +91,7 @@ arrays. Once per solver one call of `newsvendor.ProperCoalitions.best_orders`
 on the vertex table gives, for every coalition S and vertex v, S's best
 order under v and its profit best[S, v]: the critical-ratio quantile under
 v, or for a coalition inside one block its pinned block quantile. That is
-the routine the stress excess pass (`ExcessEvaluator.stack`) calls on its
+the routine the stress excess pass (`ExcessEvaluator.excess`) calls on its
 mixed joints. A table, or the one row that `vmax` needs, is then best /
 grand(y), with grand the grand profit at y under every vertex as the
 excess pass computes it (`ProperCoalitions.grand_profits`), and one maximum

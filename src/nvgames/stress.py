@@ -6,27 +6,26 @@ The excess of a decision (y, z) under a realized joint q is the largest
 positive shortfall, over nonempty proper coalitions S, of z(S) against the
 ratio of S's achievable profit to the grand profit at y. Coalitions inside a
 single block order their known-distribution quantile; coalitions spanning
-blocks order optimally for the realized q. `ExcessEvaluator` computes it
-for a matrix of joints: `stack` once, then `excess` per decision; every
-order and profit in it comes from the instance's
-`newsvendor.ProperCoalitions`, the set-up the robust solver's vertex tables
-use too, built once per instance and shared. The robust decision comes from
-`RobustGameSolver`'s core test and least-core search, so every worst-case
-ratio of its vertex tables equals, bit for bit, the excess pass's ratio
-under that ratio's witness at the decision's order.
+blocks order optimally for the realized q. `ExcessEvaluator.excess` computes
+it for several decisions under a matrix of joints at once; every order and
+profit in it comes from the instance's `newsvendor.ProperCoalitions`, the
+set-up the robust solver's vertex tables use too, built once per instance
+and shared. The robust decision comes from `RobustGameSolver`'s core test
+and least-core search, so every worst-case ratio of its vertex tables
+equals, bit for bit, the excess pass's ratio under that ratio's witness at
+the decision's order.
 
 Per instance the experiment builds a pool of extremal vertices: random-cost
 vertices, then the worst-case ratio witnesses, which the robust solver
 records in build order (each distinct array once) as it computes the tables
 of its core and least-core search. It keeps the first 256 that lie farther
 than 1e-10 in max norm from every vector kept before them, and
-mixes each with the independent joint at every lambda. The mixtures of
-every lambda are evaluated as one matrix: samples under which either
-decision's grand profit is nonpositive are screened out and counted as
-degenerate, the coalition profits of the rest are computed once per chunk
-of rows (they do not depend on the decision), and each decision's excesses
-come from one stacked pass over each chunk. The per-row values are then
-split back by lambda. Every value equals the one-joint formula bit for bit.
+mixes each with the independent joint at every lambda. Both decisions are
+evaluated in two `excess` calls: one on the independent joint, which is
+every mixture at lambda = 0, and one on the mixtures of every other lambda
+as one matrix. A sample under which either decision's excess is undefined
+(its grand profit is nonpositive) is left out and counted as degenerate.
+Every value equals the one-joint formula bit for bit.
 
 Everything is reproducible from the config seed: instance generation,
 extremal sampling, and the (instance, lambda) aggregation order.
@@ -52,7 +51,7 @@ from .distributions import (
     independent_joint,
     sample_extremal,
 )
-from .errors import DomainError, GameInvalidError, InputError, SolverError
+from .errors import GameInvalidError, InputError, SolverError
 from .newsvendor import _CHUNK_ROWS, ProperCoalitions, optimal_order
 from .robust_game import Decision, RobustGameSolver
 
@@ -219,18 +218,6 @@ def _solve_robust(
     return decision, solver
 
 
-@dataclass(frozen=True, eq=False)
-class JointStack:
-    """Joints as the rows of `q` (read-only, rows x atoms) with `profits`
-    (rows x coalitions): each nonempty proper coalition's profit at its
-    best order under each row, in `ExcessEvaluator` coalition order.
-    Neither depends on a decision, so one stack serves every decision."""
-
-    evaluator: "ExcessEvaluator"
-    q: np.ndarray
-    profits: np.ndarray
-
-
 class ExcessEvaluator:
     """Excess values of decisions under many joints on one instance.
 
@@ -238,74 +225,60 @@ class ExcessEvaluator:
     per atom and the pinned quantile order of a coalition inside one
     block) is the instance's `newsvendor.ProperCoalitions`, which the
     evaluator takes as it is: the stress loop hands it the robust
-    solver's own, so each instance builds one. `stack` then evaluates all
-    coalitions for a whole matrix of joints at once through its
-    `best_orders`, the routine that also gives `RobustGameSolver`'s vertex
-    tables their best profits, and `excess` turns a stack into one excess
-    per row for a decision. The kernel's
-    values equal its one-joint values bit for bit, so a stacked excess
-    equals the one-joint excess, and a vertex-table ratio equals the
-    stacked profit under its witness over `grand_profit` there. The excess
-    is undefined under a joint where the decision's grand profit is
-    nonpositive; `excess` raises DomainError on such a row, so a caller
-    with many joints screens them first with `grand_profit`.
+    solver's own, so each instance builds one. `excess` takes its best
+    profits from `best_orders`, the routine that also gives
+    `RobustGameSolver`'s vertex tables theirs, and its grand profits from
+    `grand_profits`. The kernel's values equal its one-joint values bit for
+    bit, so each excess equals the one-joint excess, and a vertex-table
+    ratio equals the kernel's profit under its witness over the grand
+    profit there.
     """
 
     def __init__(self, coalitions: ProperCoalitions):
-        self.inst = inst = coalitions.inst
+        inst = coalitions.inst
         self._coalitions = coalitions
-        self.d_grand = coalitions.d_grand
         masks = np.arange(1, inst.grand_mask)
         # _members[i] selects the coalitions that contain retailer i.
         self._members = [((masks >> i) & 1).astype(bool) for i in range(inst.n_retailers)]
 
-    def stack(self, q: np.ndarray) -> JointStack:
-        """Every coalition's best profit under every row of `q` (one joint,
-        or a matrix of joints as rows), from `ProperCoalitions.best_orders`:
-        a coalition inside one block at its pinned known-marginal quantile,
-        a coalition spanning blocks at its critical-ratio order under each
-        row."""
-        qs = np.array(q, dtype=float, order="C", ndmin=2)
-        if qs.ndim != 2 or qs.shape[1] != self.d_grand.size:
-            raise InputError(
-                f"joints have shape {np.shape(q)}, expected rows of {self.d_grand.size} atoms"
-            )
-        qs.setflags(write=False)
-        profits = self._coalitions.best_orders(qs)[1]
-        profits.setflags(write=False)
-        return JointStack(self, qs, profits)
-
-    def grand_profit(self, q: np.ndarray, decision: Decision) -> np.ndarray:
-        """The grand coalition's realized profit at order `decision.y` under
-        each row of `q` (a matrix of joints as rows)."""
-        return self._coalitions.grand_profits(decision.y, q)
-
-    def excess(self, stack: JointStack, decision: Decision) -> np.ndarray:
-        """Largest positive coalition dissatisfaction of `decision` under
-        each row of `stack`, one of this evaluator's `stack` results. Raises
-        DomainError when the grand profit is nonpositive under any of the
-        joints: the excess is undefined there."""
-        if not isinstance(stack, JointStack):
-            raise InputError(f"excess takes a JointStack, got {type(stack).__name__}")
-        if stack.evaluator is not self:
-            raise InputError("joint stack was built for another instance")
-        den = self.grand_profit(stack.q, decision)
-        bad = np.flatnonzero(den <= 0.0)
-        if bad.size:
-            raise DomainError(
-                f"grand profit {den[bad[0]]} is nonpositive under the realized joint"
-                f" in row {bad[0]}; excess is undefined"
-            )
-        with np.errstate(over="ignore"):  # a tiny positive grand profit gives inf, as in float math
-            ratios = stack.profits / den[:, None]
-        worst = np.max(ratios - self._zsum(decision.z), axis=1, initial=0.0)
-        return np.where(worst > 0.0, worst, 0.0)
+    def excess(self, q: np.ndarray, decisions: Sequence[Decision]) -> np.ndarray:
+        """Largest positive coalition dissatisfaction of each decision under
+        each row of `q` (one joint, or a matrix of joints as rows), shape
+        (decisions, rows); NaN where the decision's grand profit is
+        nonpositive, since the excess is undefined there. Every coalition's
+        best profit comes from `ProperCoalitions.best_orders`, one call per
+        `_CHUNK_ROWS` rows that serves every decision: a coalition inside
+        one block at its pinned known-marginal quantile, a coalition
+        spanning blocks at its critical-ratio order under each row."""
+        qs = np.atleast_2d(np.asarray(q, dtype=float))
+        atoms = self._coalitions.d_grand.size
+        if qs.ndim != 2 or qs.shape[1] != atoms:
+            raise InputError(f"joints have shape {np.shape(q)}, expected rows of {atoms} atoms")
+        n = self._coalitions.inst.n_retailers
+        for d in decisions:
+            if d.z.shape != (n,):
+                raise InputError(f"decision has {d.z.size} multiples, instance has {n} retailers")
+        dens = [self._coalitions.grand_profits(d.y, qs) for d in decisions]
+        zsums = [self._zsum(d.z) for d in decisions]
+        out = np.empty((len(dens), qs.shape[0]))
+        # A tiny positive grand profit gives an inf ratio, as in float math;
+        # a nonpositive one gives values that NaN replaces below.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for lo in range(0, qs.shape[0], _CHUNK_ROWS):
+                rows = slice(lo, lo + _CHUNK_ROWS)
+                profits = self._coalitions.best_orders(qs[rows])[1]
+                for values, den, zsum in zip(out, dens, zsums):
+                    worst = np.max(profits / den[rows, None] - zsum, axis=1, initial=0.0)
+                    values[rows] = np.where(worst > 0.0, worst, 0.0)
+        for values, den in zip(out, dens):
+            values[den <= 0.0] = np.nan
+        return out
 
     def _zsum(self, z: np.ndarray) -> np.ndarray:
         """z(S) for every coalition S, in coalition order, summed from the
         highest member down to the lowest: the order of the one-joint
         reference in the tests, so each z(S) is the same float."""
-        zsum = np.zeros(self.inst.grand_mask - 1)
+        zsum = np.zeros(self._coalitions.inst.grand_mask - 1)
         for i in reversed(range(len(self._members))):
             zsum[self._members[i]] += z[i]
         return zsum
@@ -364,47 +337,28 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
     ext = np.array(pool)
     check_probability_rows(ext)
 
-    lams = np.array(cfg.lambda_grid)
+    lams = np.array([lam for lam in cfg.lambda_grid if lam != 0.0])
     # The contaminated joints (1 - lambda) q_ind + lambda e, for every
-    # lambda and sample e at once: row i * len(ext) + j mixes sample j at
-    # lambda i.
+    # nonzero lambda and sample e at once: row i * len(ext) + j mixes sample
+    # j at the i-th of them. At lambda = 0 every mixture is
+    # (1 - 0) q_ind + 0 e = q_ind + 0 = q_ind, so q_ind is evaluated once.
     mixed = ((1.0 - lams)[:, None, None] * q_ind.q + lams[:, None, None] * ext).reshape(
         -1, ext.shape[1]
     )
     check_probability_rows(mixed)
-    # A sample is degenerate when either decision's grand profit is
-    # nonpositive under it; the excess is undefined there.
-    admissible = (evaluator.grand_profit(mixed, robust) > 0.0) & (
-        evaluator.grand_profit(mixed, det) > 0.0
-    )
-    kept = np.count_nonzero(admissible.reshape(len(lams), len(ext)), axis=1)
-    if not kept.all():
-        lam = cfg.lambda_grid[int(np.argmin(kept))]
-        raise SolverError(
-            f"instance {instance_id}: every sample at lambda={lam} was degenerate"
-        )
-    admitted = np.flatnonzero(admissible)
-    rob_vals, det_vals = np.empty(admitted.size), np.empty(admitted.size)
-    # A row of lambda = 0 is (1 - 0) q_ind + 0 e = q_ind + 0 = q_ind for
-    # every sample e >= 0, so all of them are one row, evaluated once.
-    at_zero = (np.repeat(lams, len(ext)) == 0.0)[admitted]
-    if at_zero.any():
-        stack = evaluator.stack(mixed[admitted[at_zero][0]])
-        rob_vals[at_zero] = evaluator.excess(stack, robust)
-        det_vals[at_zero] = evaluator.excess(stack, det)
-    # The other admissible rows, in lambda order, go through the stacked
-    # kernel in fixed chunks; each value depends on its row alone.
-    rest = np.flatnonzero(~at_zero)
-    for lo in range(0, rest.size, _CHUNK_ROWS):
-        slots = rest[lo : lo + _CHUNK_ROWS]
-        stack = evaluator.stack(mixed[admitted[slots]])
-        rob_vals[slots] = evaluator.excess(stack, robust)
-        det_vals[slots] = evaluator.excess(stack, det)
-    bounds = np.cumsum(kept)[:-1]
+    decisions = (robust, det)
+    at_zero = np.broadcast_to(evaluator.excess(q_ind.q, decisions), (2, len(ext)))
+    rest = iter(evaluator.excess(mixed, decisions).reshape(2, len(lams), len(ext)).swapaxes(0, 1))
     rows = []
-    for lam, n_kept, rob_lam, det_lam in zip(
-        cfg.lambda_grid, kept, np.split(rob_vals, bounds), np.split(det_vals, bounds)
-    ):
+    for lam in cfg.lambda_grid:
+        values = at_zero if lam == 0.0 else next(rest)
+        # A sample is degenerate when either decision's excess is undefined.
+        degenerate = np.isnan(values).any(axis=0)
+        if degenerate.all():
+            raise SolverError(
+                f"instance {instance_id}: every sample at lambda={lam} was degenerate"
+            )
+        rob_lam, det_lam = values[:, ~degenerate]
         rows.append(
             ExcessRow(
                 instance_id=instance_id,
@@ -415,7 +369,7 @@ def _instance_rows(args: tuple[ExperimentConfig, int, int, int]) -> list[ExcessR
                 det_max=float(np.max(det_lam)),
                 det_min=float(np.min(det_lam)),
                 det_mean=float(np.mean(det_lam)),
-                degenerate_count=len(ext) - int(n_kept),
+                degenerate_count=int(np.count_nonzero(degenerate)),
             )
         )
     return rows

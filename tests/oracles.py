@@ -144,15 +144,12 @@ def active_set_vertices(a_eq, b_eq, a_ub=None, b_ub=None, lb=None, tol=1e-9):
     return _distinct(x for x in solved if feasible(x))
 
 
-def enumerate_recession_rays(a_eq, a_ub, lb, tol=1e-9):
-    """Extreme rays of the recession cone, normalized to unit coordinate sum
-    of the finite-lower-bounded variables; empty when the feasible set is
-    bounded in every improving direction."""
+def enumerate_recession_rays(a_eq, a_ub, tol=1e-9):
+    """Extreme rays of the recession cone of a program whose variables all
+    have finite lower bounds, normalized to unit coordinate sum; empty when
+    the feasible set is bounded in every improving direction."""
     a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
     n = a_eq.shape[1]
-    finite = np.isfinite(np.asarray(lb, dtype=float))
-    if not np.all(finite):
-        raise ValueError("recession-ray oracle needs all variables bounded below")
     norm = np.ones(n)
     eq = np.vstack([a_eq, norm[None, :]]) if a_eq.size else norm[None, :]
     beq = np.concatenate([np.zeros(a_eq.shape[0]), [1.0]])
@@ -166,7 +163,7 @@ def oracle_solve_lp(lp: LinearProgram, tol=1e-9):
     verts = enumerate_vertices(lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, lp.lower_bounds, tol)
     if not verts:
         return "infeasible", None, []
-    rays = enumerate_recession_rays(lp.a_eq, lp.a_ub, lp.lower_bounds, tol)
+    rays = enumerate_recession_rays(lp.a_eq, lp.a_ub, tol)
     if any(float(c @ d) < -1e-9 for d in rays):
         return "unbounded", None, verts
     values = [float(c @ v) for v in verts]
@@ -176,12 +173,10 @@ def oracle_solve_lp(lp: LinearProgram, tol=1e-9):
 
 
 def standard_form_dual(lp: LinearProgram) -> LinearProgram:
-    """Dual of `lp` after conversion to equality standard form (shift finite
+    """Dual of `lp` after conversion to equality standard form (shift the
     lower bounds, add slacks): max b'y s.t. A'y <= c, y free. Expressed with
     box bounds |y| <= 1e6 so the brute-force enumerator applies; tests must
     discard instances whose dual optimum touches the box."""
-    if not np.all(np.isfinite(lp.lower_bounds)):
-        raise ValueError("dual oracle needs finite lower bounds")
     shift = lp.lower_bounds
     c = lp.objective if lp.sense == "min" else -lp.objective
     m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]

@@ -1,4 +1,5 @@
-"""Property tests of the stacked excess kernel against the per-joint loop."""
+"""Property tests of the excess over a matrix of joints against the
+per-joint loop."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from nvgames.distributions import (
     sample_extremal,
 )
 from nvgames.errors import DomainError
-from nvgames.newsvendor import ProperCoalitions
+from nvgames.newsvendor import _CHUNK_ROWS, ProperCoalitions
 from nvgames.robust_game import Decision
 from nvgames.stress import ExcessEvaluator
 
@@ -43,9 +44,9 @@ def instances(draw) -> Instance:
 
 @st.composite
 def cases(draw):
-    """An instance, a stack of joints (the independent joint contaminated by
-    weight lambda in [0, 1] with an extremal vertex or with an arbitrary
-    probability vector) and a decision."""
+    """An instance, a matrix of joints as rows (the independent joint
+    contaminated by weight lambda in [0, 1] with an extremal vertex or with
+    an arbitrary probability vector) and one or two decisions."""
     inst = draw(instances())
     k = inst.joint_size()
     q_ind = independent_joint(inst).q
@@ -61,10 +62,13 @@ def cases(draw):
             other = np.array(weights, dtype=float) / sum(weights)
         rows.append((1.0 - lam) * q_ind + lam * other)
     n = inst.n_retailers
-    z = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
-                      .filter(lambda w: sum(w) > 0)), dtype=float)
-    y = draw(st.floats(0.0, 1.5)) * float(np.max(ExcessEvaluator(ProperCoalitions(inst)).d_grand))
-    return inst, np.array(rows), Decision(y, z / z.sum())
+    d_max = float(np.max(ProperCoalitions(inst).d_grand))
+    decisions = []
+    for _ in range(draw(st.integers(1, 2))):
+        z = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                          .filter(lambda w: sum(w) > 0)), dtype=float)
+        decisions.append(Decision(draw(st.floats(0.0, 1.5)) * d_max, z / z.sum()))
+    return inst, np.array(rows), decisions
 
 
 def bits(values) -> list[int]:
@@ -73,19 +77,25 @@ def bits(values) -> list[int]:
 
 @given(cases())
 def test_stacked_excess_equals_per_joint_loop(case):
-    inst, qs, decision = case
+    # The drawn rows repeat past the first chunk, so the rows on either side
+    # of a chunk boundary keep their one-joint bits too.
+    inst, qs, decisions = case
     evaluator = ExcessEvaluator(ProperCoalitions(inst))
+    expected = np.array([[oracle_excess(inst, q, d) for q in qs] for d in decisions])
+    repeats = _CHUNK_ROWS // len(qs) + 1
+    stacked = evaluator.excess(np.tile(qs, (repeats, 1)), decisions)
+    assert stacked.shape == (len(decisions), repeats * len(qs))
+    assert bits(stacked) == bits(np.tile(expected, repeats))
+    for q, column in zip(qs, expected.T):
+        assert bits(evaluator.excess(q, decisions)) == bits(column[:, None])
+
+
+def oracle_excess(inst, q, decision) -> float:
+    """`scalar_excess`, with NaN where it raises DomainError."""
     try:
-        expected = [scalar_excess(inst, q, decision) for q in qs]
+        return scalar_excess(inst, q, decision)
     except DomainError:
-        with pytest.raises(DomainError):
-            evaluator.excess(evaluator.stack(qs), decision)
-        return
-    stacked = evaluator.excess(evaluator.stack(qs), decision)
-    assert stacked.shape == (len(qs),)
-    assert bits(stacked) == bits(expected)
-    for q, value in zip(qs, expected):
-        assert bits(evaluator.excess(evaluator.stack(q), decision)) == bits([value])
+        return np.nan
 
 
 def test_nonpositive_grand_profit_in_one_row():
@@ -98,10 +108,8 @@ def test_nonpositive_grand_profit_in_one_row():
     decision = Decision(5.0, np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
         scalar_excess(inst, bad, decision)
-    with pytest.raises(DomainError):
-        evaluator.excess(evaluator.stack(bad), decision)
-    assert evaluator.excess(evaluator.stack(good), decision).tolist() == [
-        scalar_excess(inst, good, decision)
-    ]
-    with pytest.raises(DomainError, match="row 1"):
-        evaluator.excess(evaluator.stack(np.array([good, bad])), decision)
+    assert np.isnan(evaluator.excess(bad, [decision])).tolist() == [[True]]
+    good_value = scalar_excess(inst, good, decision)
+    assert evaluator.excess(good, [decision]).tolist() == [[good_value]]
+    values = evaluator.excess(np.array([good, bad]), [decision])
+    assert values[0, 0] == good_value and np.isnan(values[0, 1])

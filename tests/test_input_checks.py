@@ -174,12 +174,17 @@ CASES = [
     ("atoms-per-block", lambda: ExperimentConfig(2, (1, 1), (2, 2, 2)), InputError,
      r"atoms_per_block \(2, 2, 2\) must give one count per block"),
     ("stack-shape",
-     lambda: ExcessEvaluator(ProperCoalitions(square())).stack(np.full((1, 3), 1.0 / 3.0)),
-     InputError, r"joints have shape \(1, 3\), expected rows of 4 atoms"),
-    ("excess-stack",
      lambda: ExcessEvaluator(ProperCoalitions(square())).excess(
-         np.full(4, 0.25), Decision(4.0, [0.5, 0.5])),
-     InputError, "excess takes a JointStack, got ndarray"),
+         np.full((1, 3), 1.0 / 3.0), [Decision(4.0, [0.5, 0.5])]),
+     InputError, r"joints have shape \(1, 3\), expected rows of 4 atoms"),
+    ("excess-long-z",
+     lambda: ExcessEvaluator(ProperCoalitions(square())).excess(
+         np.full(4, 0.25), [Decision(3.0, [0.5, 0.25, 0.25])]),
+     InputError, "decision has 3 multiples, instance has 2 retailers"),
+    ("excess-short-z",
+     lambda: ExcessEvaluator(ProperCoalitions(square())).excess(
+         np.full(4, 0.25), [Decision(3.0, [0.5, 0.5]), Decision(3.0, [1.0])]),
+     InputError, "decision has 1 multiples, instance has 2 retailers"),
     ("config-type", lambda: config_from_dict([]), InputError,
      "experiment config must be an object"),
     ("config-invalid", lambda: config_from_dict(config(n=Unordered(2))), InputError,

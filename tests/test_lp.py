@@ -182,11 +182,10 @@ class TestOptimalInvariants:
                 assert np.max(np.abs(lp.a_eq @ x - lp.b_eq)) <= 1e-8
             if lp.a_ub.shape[0]:
                 assert np.max(lp.a_ub @ x - lp.b_ub) <= 1e-8
-            finite = np.isfinite(lp.lower_bounds)
-            assert np.all(x[finite] >= lp.lower_bounds[finite] - 1e-10)
+            assert np.all(x >= lp.lower_bounds - 1e-10)
             assert abs(sol.objective_value - float(lp.objective @ x)) <= 1e-8
             # The duals price the shifted right-hand sides (strong duality).
-            shift = np.where(finite, lp.lower_bounds, 0.0)
+            shift = lp.lower_bounds
             rows = np.vstack([lp.a_eq, lp.a_ub])
             rhs = np.concatenate([lp.b_eq, lp.b_ub]) - rows @ shift
             dual_value = sol.duals @ rhs + lp.objective @ shift

@@ -190,7 +190,7 @@ class TestExcess:
     def test_core_decision_has_zero_excess(self, t1):
         d = RobustGameSolver(t1).core_decision()
         evaluator = ExcessEvaluator(ProperCoalitions(t1))
-        assert evaluator.excess(evaluator.stack(independent_joint(t1).q), d).tolist() == [0.0]
+        assert evaluator.excess(independent_joint(t1).q, [d]).tolist() == [[0.0]]
 
     def test_hand_built_standalone_ratio(self):
         # Point masses 3 and 2, p=2, c=1: ratios are (0.6, 0.4); giving the
@@ -201,22 +201,28 @@ class TestExcess:
              DiscreteMarginal(np.array([[2.0]]), np.array([1.0]))),
         )
         evaluator = ExcessEvaluator(ProperCoalitions(inst))
-        stack = evaluator.stack(independent_joint(inst).q)
         d = Decision(5.0, np.array([1.0, 0.0]))
-        assert evaluator.excess(stack, d) == pytest.approx([0.4], abs=1e-12)
+        [value] = evaluator.excess(independent_joint(inst).q, [d])[:, 0]
+        assert value == pytest.approx(0.4, abs=1e-12)
 
-    def test_degenerate_grand_profit_raises(self, t1):
+    def test_degenerate_grand_profit_is_nan(self, t1):
         # Ordering far above demand makes the realized profit negative.
         d = Decision(100.0, np.array([0.5, 0.5]))
-        evaluator = ExcessEvaluator(ProperCoalitions(t1))
-        with pytest.raises(DomainError, match=r"^grand profit -\S+ is nonpositive .* in row 0;"):
-            evaluator.excess(evaluator.stack(independent_joint(t1).q), d)
+        q = independent_joint(t1).q
+        assert ProperCoalitions(t1).grand_profits(d.y, q[None, :])[0] < 0.0
+        assert np.isnan(ExcessEvaluator(ProperCoalitions(t1)).excess(q, [d])).tolist() == [[True]]
 
-    def test_a_stack_of_another_instance_raises(self, t1, t2):
-        stack = ExcessEvaluator(ProperCoalitions(t2)).stack(independent_joint(t2).q)
-        with pytest.raises(InputError, match="^joint stack was built for another instance$"):
-            evaluator = ExcessEvaluator(ProperCoalitions(t1))
-            evaluator.excess(stack, Decision(3.0, np.array([0.5, 0.5])))
+    def test_only_the_decision_with_a_nonpositive_grand_profit_is_nan(self, t1):
+        # Under one joint the deterministic-side decision orders far above
+        # demand: its entry is NaN, and the robust entry keeps its value.
+        # One joint gives one column, a row per decision.
+        robust = RobustGameSolver(t1).core_decision()
+        det = Decision(100.0, np.array([0.5, 0.5]))
+        q = independent_joint(t1).q
+        values = ExcessEvaluator(ProperCoalitions(t1)).excess(q, (robust, det))
+        assert values.shape == (2, 1)
+        assert values[0, 0] == scalar_excess(t1, q, robust) == 0.0
+        assert np.isnan(values[1, 0])
 
     def test_nonnegative_and_zero_iff_stable(self):
         cfg = small_cfg()
@@ -230,8 +236,7 @@ class TestExcess:
             q_ext = sample_extremal(inst, rng.uniform(-1, 1, inst.joint_size()))
             for lam in (0.0, 0.3, 1.0):
                 q = JointDistribution((1 - lam) * q_ind.q + lam * q_ext.q)
-                for d in (rob, det):
-                    e = evaluator.excess(evaluator.stack(q.q), d)[0]
+                for d, e in zip((rob, det), evaluator.excess(q.q, (rob, det))[:, 0]):
                     assert e >= 0.0
                     stable = _is_stable(inst, q, d)
                     assert (e <= 1e-9) == stable
@@ -478,6 +483,47 @@ class TestRunStress:
             run_stress(cfg)
             assert len(builds) == len(set(map(id, builds))) == cfg.num_instances
 
+    def test_excess_takes_every_grand_profit_and_chunk_of_the_pass(self, monkeypatch):
+        # Per instance, two excess calls (the independent joint, then every
+        # other mixture) evaluate both decisions. Each computes every
+        # decision's grand profits once and hands best_orders at most
+        # _CHUNK_ROWS rows per call; the only other grand profits are the
+        # robust solver's vertex tables'.
+        excess_calls, chunk_rows, grand_callers = [], [], []
+        running = []  # holds an entry while an excess call runs
+        excess = ExcessEvaluator.excess
+        best_orders, grand_profits = ProperCoalitions.best_orders, ProperCoalitions.grand_profits
+
+        def spy_excess(self, q, decisions):
+            excess_calls.append(len(decisions))
+            running.append(q)
+            try:
+                return excess(self, q, decisions)
+            finally:
+                running.pop()
+
+        def spy_best(self, q):
+            if running:
+                chunk_rows.append(len(q))
+            return best_orders(self, q)
+
+        def spy_grand(self, y, q):
+            grand_callers.append("excess" if running else sys._getframe(1).f_code.co_name)
+            return grand_profits(self, y, q)
+
+        monkeypatch.setattr(ExcessEvaluator, "excess", spy_excess)
+        monkeypatch.setattr(ProperCoalitions, "best_orders", spy_best)
+        monkeypatch.setattr(ProperCoalitions, "grand_profits", spy_grand)
+        for cfg in (small_cfg(), criterion10_cfg(num_instances=1)):
+            for calls in (excess_calls, chunk_rows, grand_callers):
+                del calls[:]
+            run_stress(cfg)
+            assert excess_calls == [2] * 2 * cfg.num_instances
+            assert 0 < max(chunk_rows) <= newsvendor._CHUNK_ROWS
+            assert grand_callers.count("excess") == sum(excess_calls)
+            assert set(grand_callers) <= {"excess", "_grand_at"}
+        assert chunk_rows.count(newsvendor._CHUNK_ROWS) > 1
+
     @pytest.mark.parametrize("path", ["vertex", "lp"])
     def test_stability_lps_match_the_two_phase_oracle(self, monkeypatch, simplex_phases, path):
         # Every sigma probe and deterministic least core of this run starts
@@ -526,7 +572,7 @@ class TestRunStress:
         monkeypatch.setattr(stress, "_dedupe_pool", capture)
         stress._instance_rows(job)
         inst = gen_instance(cfg, 7)
-        evaluator = ExcessEvaluator(ProperCoalitions(inst))
+        coalitions = ProperCoalitions(inst)
         q_ind = independent_joint(inst).q
         ext = np.array(pools[0])
         robust, _ = stress._solve_robust(inst)
@@ -534,10 +580,9 @@ class TestRunStress:
 
         def bad_rows(y):
             mixed = (1.0 - cfg.lambda_grid[-1]) * q_ind + cfg.lambda_grid[-1] * ext
-            decision = Decision(y, robust.z)
-            return int(np.count_nonzero(evaluator.grand_profit(mixed, decision) <= 0.0))
+            return int(np.count_nonzero(coalitions.grand_profits(y, mixed) <= 0.0))
 
-        ys = np.linspace(robust.y, 3.0 * float(np.max(evaluator.d_grand)), 400)
+        ys = np.linspace(robust.y, 3.0 * float(np.max(coalitions.d_grand)), 400)
         partial = [(n, y) for n, y in ((bad_rows(y), y) for y in ys) if 0 < n < len(ext)]
         (n_rob, y_rob), (n_det, y_det) = partial[0], partial[-1]
         assert n_rob < n_det
@@ -592,20 +637,21 @@ def rows_and_pool(monkeypatch, job) -> tuple[list, np.ndarray]:
 
 
 def per_lambda_rows(job, ext, robust, det) -> list:
-    """The rows of one instance from a loop over lambda that stacks each
-    lambda's admissible mixtures with the pool `ext` as one matrix."""
+    """The rows of one instance from a loop over lambda that screens each
+    lambda's mixtures with the pool `ext` by both grand profits and
+    evaluates the admissible ones as one matrix."""
     cfg, instance_id, instance_seed, _ = job
     inst = gen_instance(cfg, instance_seed)
-    evaluator = ExcessEvaluator(ProperCoalitions(inst))
+    coalitions = ProperCoalitions(inst)
+    evaluator = ExcessEvaluator(coalitions)
     q_ind = independent_joint(inst).q
     rows = []
     for lam in cfg.lambda_grid:
         mixed = (1.0 - lam) * q_ind + lam * ext
-        admissible = (evaluator.grand_profit(mixed, robust) > 0.0) & (
-            evaluator.grand_profit(mixed, det) > 0.0
+        admissible = (coalitions.grand_profits(robust.y, mixed) > 0.0) & (
+            coalitions.grand_profits(det.y, mixed) > 0.0
         )
-        stack = evaluator.stack(mixed[admissible])
-        rob, dt = evaluator.excess(stack, robust), evaluator.excess(stack, det)
+        rob, dt = evaluator.excess(mixed[admissible], (robust, det))
         rows.append(stress.ExcessRow(
             instance_id, lam,
             float(np.max(rob)), float(np.min(rob)), float(np.mean(rob)),
@@ -659,25 +705,30 @@ class TestChunkedExcess:
     def test_stack_over_several_chunks_equals_the_per_joint_oracle(self, monkeypatch):
         # One kernel call per coalition group over more rows than two
         # chunks hold, repeated lambda = 0 rows included, has the bits of
-        # the one-joint, one-coalition loop.
+        # the one-joint, one-coalition loop; so has the excess of both
+        # decisions in every row, on either side of each chunk boundary.
         cfg = criterion10_cfg()
         _, ext = rows_and_pool(monkeypatch, (cfg, 0, 11, 12))
         inst = gen_instance(cfg, 11)
         q_ind = independent_joint(inst).q
         mixed = np.concatenate([(1.0 - lam) * q_ind + lam * ext for lam in (0.0, 0.3, 0.0, 1.0)])
         assert len(mixed) > 2 * newsvendor._CHUNK_ROWS
-        evaluator = ExcessEvaluator(ProperCoalitions(inst))
-        stack = evaluator.stack(mixed)
+        coalitions = ProperCoalitions(inst)
         expect = {}  # the rows of lambda = 0 are one row
-        for q, row in zip(mixed, stack.profits):
+        for q, row in zip(mixed, coalitions.best_orders(mixed)[1]):
             if q.tobytes() not in expect:
                 expect[q.tobytes()] = np.array(list(scalar_coalition_profits(inst, q)[1].values()))
             assert row.tobytes() == expect[q.tobytes()].tobytes()
         robust, _ = stress._solve_robust(inst)
-        excess = evaluator.excess(stack, robust)
-        for i in range(0, len(mixed), len(ext)):
-            expect = scalar_excess(inst, mixed[i], robust)
-            assert np.float64(excess[i]).tobytes() == np.float64(expect).tobytes()
+        decisions = (robust, stress._deterministic_decision(inst, independent_joint(inst)))
+        evaluator = ExcessEvaluator(coalitions)
+        excess = evaluator.excess(mixed, decisions)
+        for i, column in enumerate(excess.T):
+            assert column.tobytes() == evaluator.excess(mixed[i], decisions)[:, 0].tobytes()
+        edges = range(newsvendor._CHUNK_ROWS, len(mixed), newsvendor._CHUNK_ROWS)
+        for i in sorted({*range(0, len(mixed), len(ext)), *edges, *(i - 1 for i in edges)}):
+            expect = [scalar_excess(inst, mixed[i], d) for d in decisions]
+            assert excess[:, i].tobytes() == np.array(expect).tobytes()
 
     def test_rows_equal_a_per_lambda_loop_with_degenerate_samples(self, monkeypatch):
         # A robust order above demand leaves some samples at lambda = 1 with
@@ -687,17 +738,14 @@ class TestChunkedExcess:
         job = (cfg, 0, 7, 8)
         _, ext = rows_and_pool(monkeypatch, job)
         inst = gen_instance(cfg, 7)
-        evaluator = ExcessEvaluator(ProperCoalitions(inst))
+        coalitions = ProperCoalitions(inst)
         robust, solver = stress._solve_robust(inst)
         det = stress._deterministic_decision(inst, independent_joint(inst))
         q_ind = independent_joint(inst).q
-        ys = np.linspace(robust.y, 3.0 * float(np.max(evaluator.d_grand)), 400)
-        bad = [
-            np.count_nonzero(evaluator.grand_profit(ext, Decision(y, robust.z)) <= 0.0)
-            for y in ys
-        ]
+        ys = np.linspace(robust.y, 3.0 * float(np.max(coalitions.d_grand)), 400)
+        bad = [np.count_nonzero(coalitions.grand_profits(y, ext) <= 0.0) for y in ys]
         robust = Decision(float(ys[np.flatnonzero(np.array(bad) > 0)[0]]), robust.z)
-        assert evaluator.grand_profit(q_ind[None, :], robust)[0] > 0.0
+        assert coalitions.grand_profits(robust.y, q_ind[None, :])[0] > 0.0
         monkeypatch.setattr(stress, "_solve_robust", lambda inst: (robust, solver))
         rows, _ = rows_and_pool(monkeypatch, job)
         assert rows == per_lambda_rows(job, ext, robust, det)
@@ -711,17 +759,17 @@ class TestChunkedExcess:
         cfg = small_cfg(atoms_per_block=(3, 3), num_extremal=30, price=1.1)
         _, ext = rows_and_pool(monkeypatch, (cfg, 0, 7, 8))
         inst = gen_instance(cfg, 7)
-        evaluator = ExcessEvaluator(ProperCoalitions(inst))
+        coalitions = ProperCoalitions(inst)
         robust, solver = stress._solve_robust(inst)
         q_ind = independent_joint(inst).q[None, :]
         if far:
             y, grid, named = 1e6, (0.5, 0.0, 1.0), 0.5
         else:
-            ys = np.linspace(robust.y, float(np.max(evaluator.d_grand)), 1000)
+            ys = np.linspace(robust.y, float(np.max(coalitions.d_grand)), 1000)
             y = next(
                 y for y in ys
-                if evaluator.grand_profit(q_ind, Decision(y, robust.z))[0] <= 0.0
-                and np.max(evaluator.grand_profit(ext, Decision(y, robust.z))) > 0.0
+                if coalitions.grand_profits(y, q_ind)[0] <= 0.0
+                and np.max(coalitions.grand_profits(y, ext)) > 0.0
             )
             grid, named = (1.0, 0.0, 0.5), 0.0
         decision = Decision(y, robust.z)

@@ -16,7 +16,6 @@ from nvgames.distributions import DiscreteMarginal, FrechetPolytope, Instance, g
 from nvgames.errors import DomainError, GameInvalidError
 from nvgames.newsvendor import ProperCoalitions, _profit
 from nvgames.robust_game import RobustGameSolver
-from nvgames.stress import ExcessEvaluator
 
 from conftest import random_instance
 from oracles import per_entry_vertex_table, per_vertex_best_orders, solved_vertex_table
@@ -103,10 +102,10 @@ def test_tied_vertices_go_to_the_least_best_order():
     y = solver.grand_wc.y_star
     table = solver.table(y)
     verts = solver.poly.vertices()
-    evaluator = ExcessEvaluator(ProperCoalitions(inst))
+    coalitions = ProperCoalitions(inst)
     i = 0b101 - 1
-    orders, profits = evaluator._coalitions.best_orders(verts)
-    ratios = profits[:, i] / evaluator._coalitions.grand_profits(y, verts)
+    orders, profits = coalitions.best_orders(verts)
+    ratios = profits[:, i] / coalitions.grand_profits(y, verts)
     tied = np.flatnonzero(ratios == ratios.max())
     assert tied[:2].tolist() == [0, 1] and orders[tied[:2], i].tolist() == [3.0, 2.0]
     assert table_rows(verts, [table.joints[i]]) == [1]
@@ -116,12 +115,14 @@ def test_tied_vertices_go_to_the_least_best_order():
 
 def assert_entries_are_excess_ratios(solver: RobustGameSolver, decision) -> None:
     """Every entry of the table at the decision's order, bit for bit, the
-    excess pass's ratio under its own witness: the stacked best profit over
+    excess pass's ratio under its own witness: the kernel's best profit over
     the grand profit at that order."""
     table = solver.table(decision.y)
-    evaluator = ExcessEvaluator(ProperCoalitions(solver.inst))
-    stack = evaluator.stack(np.array(table.joints))
-    ratios = np.diagonal(stack.profits) / evaluator.grand_profit(stack.q, decision)
+    coalitions = ProperCoalitions(solver.inst)
+    joints = np.array(table.joints)
+    ratios = np.diagonal(coalitions.best_orders(joints)[1]) / coalitions.grand_profits(
+        decision.y, joints
+    )
     assert np.array_equal(bits(table.ratios), bits(ratios))
 
 
